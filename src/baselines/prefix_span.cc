@@ -106,7 +106,7 @@ ChainedDistributedResult MineChainedPrefixSpan(
     const PrefixSpanOptions& options) {
   if (options.lambda == 0) return {};  // as in MinePrefixSpan
 
-  DataflowJob job(MakeChainedOptions(options));
+  DataflowJob job(options);
   const uint64_t sigma = options.sigma;
   const uint32_t lambda = options.lambda;
 

@@ -670,14 +670,11 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
     }
   }
 
-  // Reduce: each reduce worker drains the bucket column hashed to it, then
-  // groups by sorting record views — no per-record rebuild into a hash map.
-  // The drained arenas are owned (and released) by the worker itself, so the
+  // Reduce: each reduce worker takes ownership of the bucket column hashed
+  // to it — per map worker, the spilled runs and the resident tail — and
+  // hands it to RunReduceColumn, the body shared with the proc backend's
+  // reduce workers. The drained arenas die with the worker, so the
   // shuffle's memory is freed worker by worker, not at the end of the phase.
-  // Columns with spilled runs go through the external merger instead: the
-  // runs and the resident tails stream through a stable k-way merge that
-  // reproduces the exact key order and within-key value order of the
-  // in-memory path.
   metrics.reduce_seconds =
       RunPhase(reduce_workers, options.execution, [&](int r) {
         DSEQ_TRACE_SPAN("engine", "reduce_shard");
@@ -689,79 +686,17 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
             bucket_charged[w][r] = 0;
           }
         }
-        bool column_spilled = false;
-        if (spill_enabled) {
-          for (int w = 0; w < map_workers && !column_spilled; ++w) {
-            column_spilled = !spill_runs[w][r].empty();
-          }
-        }
-        if (column_spilled) {
-          DSEQ_TRACE_SPAN("engine", "external_merge");
-          // Source order is the stability contract: per map worker, the
-          // spilled runs (chronological) and then the resident tail.
-          ExternalMergePlan plan(options.spill_dir, options.compress_spill,
-                                 options.spill_merge_fan_in, &spill_stats,
-                                 &budget);
-          std::vector<std::string> raws(map_workers);
-          for (int w = 0; w < map_workers; ++w) {
-            for (SpillFile& run : spill_runs[w][r]) {
-              plan.AddRun(std::move(run));
-            }
-            spill_runs[w][r].clear();
-            raws[w] = buckets[w][r].ReleaseRaw();
-            if (raws[w].empty()) continue;
-            std::vector<std::pair<std::string_view, std::string_view>> tail;
-            for (const BucketEntry& entry : SortedBucketEntries(raws[w])) {
-              tail.emplace_back(entry.key, entry.value);
-            }
-            plan.AddSource(std::make_unique<InMemorySource>(std::move(tail)));
-          }
-          plan.MergeGroups(
-              [&](std::string_view key, std::vector<std::string_view>& values) {
-                reduce_fn(r, key, values);
-              });
-          return;
-        }
-
-        DSEQ_TRACE_SPAN("engine", "group_sweep");
-        size_t total_records = 0;
+        std::vector<ReduceColumnSource> sources(map_workers);
         for (int w = 0; w < map_workers; ++w) {
-          total_records += buckets[w][r].num_records();
+          if (spill_enabled) sources[w].runs.swap(spill_runs[w][r]);
+          sources[w].tail_records = buckets[w][r].num_records();
+          sources[w].tail = buckets[w][r].ReleaseRaw();
         }
-        // Raw frame bytes per map worker. Reserved up front: the string
-        // views below point into these buffers, so the vector must never
-        // reallocate (SSO strings would move).
-        std::vector<std::string> raws;
-        raws.reserve(map_workers);
-        for (int w = 0; w < map_workers; ++w) {
-          raws.push_back(buckets[w][r].ReleaseRaw());
-        }
-
-        std::vector<BucketEntry> entries;
-        entries.reserve(total_records);
-        for (const std::string& raw : raws) {
-          ShuffleBuffer::ForEachRecord(
-              raw, [&](std::string_view key, std::string_view value) {
-                entries.push_back(BucketEntry{key, value});
-              });
-        }
-        // Stable: within a key, values keep map-worker-then-emit order.
-        std::stable_sort(entries.begin(), entries.end(),
-                         [](const BucketEntry& a, const BucketEntry& b) {
-                           return a.key < b.key;
-                         });
-
-        std::vector<std::string_view> values;
-        size_t i = 0;
-        while (i < entries.size()) {
-          size_t j = i + 1;
-          while (j < entries.size() && entries[j].key == entries[i].key) ++j;
-          values.clear();
-          values.reserve(j - i);
-          for (size_t k = i; k < j; ++k) values.push_back(entries[k].value);
-          reduce_fn(r, entries[i].key, values);
-          i = j;
-        }
+        RunReduceColumn(
+            std::move(sources), options, &spill_stats, &budget,
+            [&](std::string_view key, std::vector<std::string_view>& values) {
+              reduce_fn(r, key, values);
+            });
       });
   // Relaxed: both phases' workers are joined by the time the stats are read.
   metrics.spill_files = spill_stats.files.load(std::memory_order_relaxed);

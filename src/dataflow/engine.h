@@ -144,10 +144,10 @@ enum class DataflowBackend {
   /// Real worker processes forked per round, exchanging shuffle segments
   /// over loopback TCP (src/rpc/proc_backend.h). Results and raw shuffle
   /// metrics are byte-identical to kLocal by construction: workers run the
-  /// same RunMapShard body and the coordinator reassembles segments in the
-  /// same source order the local reduce phase uses. Only DataflowJob (and
-  /// the distributed layer above it) dispatches to this backend;
-  /// RunMapReduce itself rejects it.
+  /// same RunMapShard and RunReduceColumn bodies, and the coordinator
+  /// replays segments in the source order the local reduce phase uses.
+  /// Only DataflowJob (and the distributed layer above it) dispatches to
+  /// this backend; RunMapReduce itself rejects it.
   kProc,
 };
 
@@ -209,7 +209,7 @@ struct DataflowOptions {
   // --- multi-process execution (src/rpc/) ---------------------------------
   /// kProc runs the round's tasks in forked worker processes over a socket
   /// shuffle (see DataflowBackend). Honored by DataflowJob and everything
-  /// layered on it (DistributedRunOptions::backend, dseq_cli --backend);
+  /// layered on it (every distributed miner's options, dseq_cli --backend);
   /// RunMapReduce throws std::invalid_argument for kProc.
   DataflowBackend backend = DataflowBackend::kLocal;
   /// Proc backend only: kill and reassign an in-flight worker that has made

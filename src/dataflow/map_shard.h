@@ -1,9 +1,11 @@
-// The per-worker map-shard body of the dataflow engine, extracted so the
-// local (in-process) backend and the proc backend's worker processes run
-// the *same* code: sharding, partitioner resolution, shuffle-byte
-// accounting, budget charging, and bucket spilling are shared by
-// construction, which is what makes the proc backend's results and raw
-// shuffle metrics byte-identical to the local engine's.
+// The per-worker map-shard and reduce-column bodies of the dataflow engine,
+// extracted so the local (in-process) backend and the proc backend's worker
+// processes run the *same* code on both sides of the shuffle: sharding,
+// partitioner resolution, shuffle-byte accounting, budget charging and
+// bucket spilling on the map side; the stable sort or k-way merge that fixes
+// each key's value order on the reduce side. Sharing them by construction is
+// what makes the proc backend's results and raw shuffle metrics
+// byte-identical to the local engine's.
 //
 // RunMapReduce points the context at its shared per-round arrays and
 // atomics (one budget and one set of counters across all map workers); a
@@ -14,11 +16,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/dataflow/engine.h"
 #include "src/dataflow/shuffle_buffer.h"
+#include "src/spill/external_merger.h"
 #include "src/spill/memory_budget.h"
 #include "src/spill/spill_context.h"
 #include "src/spill/spill_file.h"
@@ -77,6 +81,26 @@ struct MapShardContext {
 /// sealed per the options) and any spilled sorted runs in `spill_runs`.
 /// Throws ShuffleOverflowError when a budget is exceeded.
 void RunMapShard(const MapShardContext& ctx);
+
+/// One map task's share of a reduce column: its spilled sorted runs (oldest
+/// first), then its resident tail as raw ShuffleBuffer frames (ReleaseRaw
+/// form, emit order). `tail_records` only sizes the sort buffer.
+struct ReduceColumnSource {
+  std::vector<SpillFile> runs;
+  std::string tail;
+  uint64_t tail_records = 0;
+};
+
+/// Reduces one column: calls `reduce_group` once per distinct key, keys
+/// ascending, values in (source, emit) order. `sources` must be in map-task
+/// order — that order is the stability contract of both backends. With any
+/// spilled run the column streams through an ExternalMergePlan (intermediate
+/// runs under options.spill_dir, read buffers charged to `budget`, passes
+/// counted in `spill_stats`); otherwise the tails are stable-sorted and
+/// swept in memory. Consumes the runs, deleting their files.
+void RunReduceColumn(std::vector<ReduceColumnSource> sources,
+                     const DataflowOptions& options, SpillStats* spill_stats,
+                     MemoryBudget* budget, const MergeGroupFn& reduce_group);
 
 }  // namespace dseq
 

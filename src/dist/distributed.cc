@@ -25,30 +25,6 @@ ItemId DecodePivotKey(std::string_view key) {
   return static_cast<ItemId>(value);
 }
 
-ChainedDataflowOptions MakeChainedOptions(
-    const DistributedRunOptions& options) {
-  ChainedDataflowOptions chained;
-  chained.num_map_workers = options.num_map_workers;
-  chained.num_reduce_workers = options.num_reduce_workers;
-  chained.execution = options.execution;
-  chained.shuffle_budget_bytes = options.shuffle_budget_bytes;
-  chained.cumulative_shuffle_budget_bytes =
-      options.cumulative_shuffle_budget_bytes;
-  chained.compress_shuffle = options.compress_shuffle;
-  chained.partitioner = options.partitioner;
-  chained.memory_budget_bytes = options.memory_budget_bytes;
-  chained.spill_dir = options.spill_dir;
-  chained.compress_spill = options.compress_spill;
-  chained.spill_merge_fan_in = options.spill_merge_fan_in;
-  chained.backend = options.backend;
-  chained.proc_worker_timeout_ms = options.proc_worker_timeout_ms;
-  chained.proc_max_task_attempts = options.proc_max_task_attempts;
-  chained.proc_heartbeat_interval_ms = options.proc_heartbeat_interval_ms;
-  chained.proc_round_deadline_ms = options.proc_round_deadline_ms;
-  chained.proc_tail_park_bytes = options.proc_tail_park_bytes;
-  return chained;
-}
-
 MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
                             const MapFn& map_fn,
                             const CombinerFactory& combiner_factory,
@@ -115,7 +91,7 @@ ChainedDistributedResult RunRecountMining(const std::vector<Sequence>& db,
                                           uint32_t sample_every,
                                           const DistributedRunOptions& options,
                                           const MakeMiningRoundFn& make_round) {
-  DataflowJob job(MakeChainedOptions(options));
+  DataflowJob job(options);
   // Round 1 populates the cross-round cache; round 2's map reads through it
   // instead of re-reading backing storage (Spark's RDD cache).
   CachedDatabase cached_db(db);
@@ -144,7 +120,7 @@ DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
                                        const CombinerFactory& combiner_factory,
                                        const PartitionReduceFn& reduce_fn,
                                        const DistributedRunOptions& options) {
-  DataflowJob job(MakeChainedOptions(options));
+  DataflowJob job(options);
   DistributedResult result;
   result.patterns =
       RunMiningRound(job, num_inputs, map_fn, combiner_factory, reduce_fn);

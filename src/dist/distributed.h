@@ -1,10 +1,11 @@
 // Shared infrastructure of the distributed miners (paper Sec. III).
 //
 // Every distributed algorithm in this library (NAIVE/SEMI-NAIVE, D-SEQ,
-// D-CAND, and the specialized LASH/MG-FSM/PrefixSpan baselines) is one
-// map-shuffle-reduce round over the in-process dataflow engine. This header
-// collects what they all share: the result type (patterns + dataflow
-// metrics), the pivot-partition key coding, and small helpers.
+// D-CAND, and the specialized LASH/MG-FSM/PrefixSpan baselines) runs as
+// map-shuffle-reduce rounds of a DataflowJob (src/dataflow/chained.h), on
+// either backend: threads in this process or forked worker processes. This
+// header collects what they all share: the options and result types, the
+// drivers, the pivot-partition key coding, and small helpers.
 #ifndef DSEQ_DIST_DISTRIBUTED_H_
 #define DSEQ_DIST_DISTRIBUTED_H_
 
@@ -50,61 +51,11 @@ struct ChainedDistributedResult {
 };
 
 /// Dataflow knobs every distributed miner shares; the per-algorithm
-/// options structs extend this.
-struct DistributedRunOptions {
-  int num_map_workers = 1;
-  int num_reduce_workers = 1;
-  Execution execution = Execution::kThreads;
-  /// Per-round shuffle budget (0 = unlimited); for chained runs each round
-  /// is bounded independently.
-  uint64_t shuffle_budget_bytes = 0;
-  /// Whole-job shuffle budget across all rounds (0 = unlimited). The
-  /// single-round miners are one-round chains, so for them it acts as one
-  /// more per-round cap.
-  uint64_t cumulative_shuffle_budget_bytes = 0;
-  /// Block-compress the shuffle (DataflowOptions::compress_shuffle): the
-  /// metrics then report shuffle_compressed_bytes next to the raw volume.
-  bool compress_shuffle = false;
-  /// Key→reducer override (DataflowOptions::partitioner); null = hash.
-  /// Flows through every round of a chained run (the recount drivers
-  /// included). Assignment never affects the mined patterns, only where a
-  /// partition's data lands — see PartitionPlan for the plan-driven hook.
-  PartitionerFn partitioner;
-  /// Out-of-core execution (DataflowOptions::memory_budget_bytes /
-  /// spill_dir / compress_spill / spill_merge_fan_in, which see): bound the
-  /// resident shuffle + combiner state of every round, spilling sorted runs
-  /// to spill_dir when set — the mined patterns are identical to the
-  /// unbudgeted run; DataflowMetrics::spill_* report the out-of-core
-  /// volume per round.
-  uint64_t memory_budget_bytes = 0;
-  std::string spill_dir;
-  bool compress_spill = false;
-  int spill_merge_fan_in = 16;
-  /// Execution backend of every round (DataflowOptions::backend):
-  /// kLocal = threads in this process, kProc = real forked worker processes
-  /// over a socket shuffle (src/rpc/proc_backend.h). Mined patterns and raw
-  /// shuffle metrics are identical across backends.
-  DataflowBackend backend = DataflowBackend::kLocal;
-  /// Proc backend only (DataflowOptions::proc_worker_timeout_ms): SIGKILL
-  /// and reassign an in-flight worker with no progress for this long;
-  /// 0 disables. Progress includes the worker's kPong heartbeats, so only
-  /// hung (not slow) tasks are killed.
-  int proc_worker_timeout_ms = 0;
-  /// Proc backend only (DataflowOptions::proc_max_task_attempts): total
-  /// executions a task may consume before the round fails with
-  /// ProcTaskFailedError. Clamped to >= 1.
-  int proc_max_task_attempts = 3;
-  /// Proc backend only (DataflowOptions::proc_heartbeat_interval_ms):
-  /// explicit heartbeat cadence; 0 derives it from the worker timeout.
-  int proc_heartbeat_interval_ms = 0;
-  /// Proc backend only (DataflowOptions::proc_round_deadline_ms): wall-clock
-  /// cap per round; exceeding it throws ProcDeadlineError. 0 disables.
-  int proc_round_deadline_ms = 0;
-  /// Proc backend only (DataflowOptions::proc_tail_park_bytes): staged tail
-  /// segments at least this large are parked in spill files at the
-  /// coordinator (requires spill_dir); 0 keeps every tail resident.
-  uint64_t proc_tail_park_bytes = uint64_t{1} << 20;
-};
+/// options structs extend this. It is the chained-job configuration itself
+/// (DataflowJob slices a miner's options down to it), so a dataflow setting
+/// is declared once, in DataflowOptions. `round_index` is overwritten by
+/// DataflowJob every round.
+using DistributedRunOptions = ChainedDataflowOptions;
 
 /// Cross-round cache of database reads for chained drivers — the in-process
 /// analogue of Spark's RDD cache. The first read of an index goes to
@@ -157,9 +108,6 @@ class CachedDatabase {
   std::atomic<uint64_t> storage_reads_{0};
   std::atomic<uint64_t> cache_hits_{0};
 };
-
-/// The DataflowJob configuration a chained miner derives from its options.
-ChainedDataflowOptions MakeChainedOptions(const DistributedRunOptions& options);
 
 /// Reduce callback of the shared driver: one call per distinct shuffle key,
 /// appending the partition's frequent patterns to `out` (a per-reduce-worker

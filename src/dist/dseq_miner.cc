@@ -271,7 +271,7 @@ ChainedDistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
   PartitionPlan plan = BuildPartitionPlan(stats, db.size(), plan_options);
   if (plan_out != nullptr) *plan_out = plan;
 
-  ChainedDataflowOptions chained = MakeChainedOptions(options);
+  ChainedDataflowOptions chained = options;
   chained.partitioner = plan.MakePartitioner();
   DataflowJob job(chained);
 

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -29,7 +30,6 @@
 #include "src/obs/trace.h"
 #include "src/rpc/frame.h"
 #include "src/rpc/socket.h"
-#include "src/spill/external_merger.h"
 #include "src/spill/memory_budget.h"
 #include "src/spill/spill_context.h"
 #include "src/spill/spill_file.h"
@@ -457,10 +457,9 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
 }
 
 // Runs one reduce task over the segments the coordinator streams after the
-// kReduceTask frame (already in map-task order, runs before tails per
-// task). Reproduces the local reduce phase exactly: an external stable
-// merge when any run segment exists, the sort-based in-memory grouping
-// otherwise.
+// kReduceTask frame (already in map-task order, runs before the tail per
+// task): each map task's segments become one ReduceColumnSource, and the
+// column is reduced by RunReduceColumn — the local engine's reduce body.
 void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
                          const ChainReduceFn& reduce_fn,
                          const DataflowOptions& options, int heartbeat_ms) {
@@ -478,14 +477,13 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
     pump = std::make_unique<HeartbeatPump>(&conn, &progress, heartbeat_ms);
   }
 
-  struct Seg {
-    uint64_t kind;
-    bool compressed;
-    std::string bytes;
-  };
-  std::vector<Seg> segments;
-  segments.reserve(num_segments);
-  bool any_run = false;
+  std::vector<ReduceColumnSource> sources;
+  uint64_t source_task = 0;
+  // A failure while folding a segment in (a full spill disk, a corrupt
+  // block) is held until the stream is drained: the coordinator, done
+  // sending, then reads it as this task's kError instead of a connection
+  // dropped mid-send.
+  std::exception_ptr failure;
   std::string parts;  // pending kSegmentPart chunks of the current segment
   bool part_open = false;
   const int64_t stream_start_ns = obs::NowNs();
@@ -514,14 +512,42 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
       part_open = false;
     }
     full.append(h.bytes.data(), h.bytes.size());
-    any_run = any_run || h.kind == kSegmentRun;
-    segments.push_back(
-        Seg{h.kind, (h.flags & kFlagCompressed) != 0, std::move(full)});
+    if (failure == nullptr) {
+      try {
+        if (sources.empty() || h.task != source_task) {
+          sources.emplace_back();
+          source_task = h.task;
+        }
+        ReduceColumnSource& source = sources.back();
+        if (!source.tail.empty()) {
+          ProtocolError("segment after its map task's tail");
+        }
+        if (h.kind == kSegmentRun) {
+          // The shipped bytes are a complete spill run; materializing them
+          // into a SpillFile makes them a local run again, verbatim.
+          SpillFile run = SpillFile::Create(options.spill_dir);
+          run.Append(full.data(), full.size());
+          run.FinishWrite();
+          source.runs.push_back(std::move(run));
+        } else {
+          source.tail_records = h.num_records;
+          if ((h.flags & kFlagCompressed) == 0) {
+            source.tail = std::move(full);
+          } else if (!DecompressBlock(full, &source.tail)) {
+            throw std::runtime_error(
+                "proc worker: corrupt compressed shuffle segment");
+          }
+        }
+      } catch (...) {
+        failure = std::current_exception();
+      }
+    }
     progress.fetch_add(1, std::memory_order_relaxed);
     ++i;
   }
   if (part_open) ProtocolError("unterminated segment chunk stream");
   obs::EmitSpan("worker", "segment_stream", stream_start_ns, obs::NowNs());
+  if (failure != nullptr) std::rethrow_exception(failure);
 
   MemoryBudget budget(options.memory_budget_bytes);
   SpillStats spill_stats;
@@ -534,80 +560,12 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
     record_bytes.append(key.data(), key.size());
     record_bytes.append(value.data(), value.size());
   };
-  auto handle_group = [&](std::string_view key,
-                          std::vector<std::string_view>& values) {
-    reduce_fn(static_cast<int>(reducer), key, values, emit);
-    progress.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  // Decoded tail buffers must stay put while views into them live in the
-  // merge sources / entry vectors — a deque never relocates its strings.
-  std::deque<std::string> tail_raws;
-  auto decode_tail = [&](Seg& s) -> const std::string& {
-    if (s.compressed) {
-      std::string raw;
-      if (!DecompressBlock(s.bytes, &raw)) {
-        throw std::runtime_error(
-            "proc worker: corrupt compressed shuffle segment");
-      }
-      tail_raws.push_back(std::move(raw));
-    } else {
-      tail_raws.push_back(std::move(s.bytes));
-    }
-    return tail_raws.back();
-  };
-
-  if (any_run) {
-    ExternalMergePlan plan(options.spill_dir, options.compress_spill,
-                           options.spill_merge_fan_in, &spill_stats, &budget);
-    for (Seg& s : segments) {
-      if (s.kind == kSegmentRun) {
-        // The shipped bytes are a complete spill run; materializing them
-        // into a SpillFile makes them a local run again, verbatim.
-        SpillFile run = SpillFile::Create(options.spill_dir);
-        run.Append(s.bytes.data(), s.bytes.size());
-        run.FinishWrite();
-        std::string().swap(s.bytes);
-        plan.AddRun(std::move(run));
-      } else {
-        const std::string& raw = decode_tail(s);
-        std::vector<std::pair<std::string_view, std::string_view>> tail;
-        for (const BucketEntry& entry : SortedBucketEntries(raw)) {
-          tail.emplace_back(entry.key, entry.value);
-        }
-        if (!tail.empty()) {
-          plan.AddSource(std::make_unique<InMemorySource>(std::move(tail)));
-        }
-      }
-    }
-    plan.MergeGroups(handle_group);
-  } else {
-    std::vector<BucketEntry> entries;
-    for (Seg& s : segments) {
-      const std::string& raw = decode_tail(s);
-      ShuffleBuffer::ForEachRecord(
-          raw, [&](std::string_view key, std::string_view value) {
-            entries.push_back(BucketEntry{key, value});
-          });
-    }
-    // Stable: within a key, values keep (map task, emit order) — the same
-    // sweep as the local engine's in-memory reduce path.
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const BucketEntry& a, const BucketEntry& b) {
-                       return a.key < b.key;
-                     });
-    std::vector<std::string_view> values;
-    size_t i = 0;
-    while (i < entries.size()) {
-      size_t j = i + 1;
-      while (j < entries.size() && entries[j].key == entries[i].key) ++j;
-      values.clear();
-      values.reserve(j - i);
-      for (size_t k = i; k < j; ++k) values.push_back(entries[k].value);
-      handle_group(entries[i].key, values);
-      i = j;
-    }
-  }
+  RunReduceColumn(
+      std::move(sources), options, &spill_stats, &budget,
+      [&](std::string_view key, std::vector<std::string_view>& values) {
+        reduce_fn(static_cast<int>(reducer), key, values, emit);
+        progress.fetch_add(1, std::memory_order_relaxed);
+      });
 
   // Relaxed: spill stats were written by this task thread only.
   std::string done;

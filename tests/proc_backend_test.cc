@@ -12,9 +12,12 @@
 #include <csignal>
 #include <cstdlib>
 #include <functional>
+#include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "src/dist/dseq_miner.h"
 #include "src/dist/naive.h"
 #include "src/fst/compiler.h"
+#include "src/obs/trace.h"
 #include "src/rpc/frame.h"
 #include "src/rpc/proc_backend.h"
 #include "src/util/varint.h"
@@ -552,6 +556,119 @@ TEST(ProcBackendTest, DataflowJobRoundsMatchAcrossBackends) {
   for (size_t r = 0; r < local_metrics.size(); ++r) {
     SCOPED_TRACE("round " + std::to_string(r));
     ExpectSameRawMetrics(local_metrics[r], proc_metrics[r]);
+  }
+}
+
+// Every other equivalence test canonicalizes patterns or only counts
+// values; this one pins the order in which a key's values reach the reduce
+// function. Values must arrive in (map task, emit) order, which for
+// contiguous input shards is plain input order, on both backends and
+// whether a column is swept in memory or merged from spilled runs.
+TEST(ProcBackendTest, ValueOrderWithinKeysIsIdenticalAcrossBackends) {
+  // Eight inputs over four map workers, two inputs each. Workers 0 and 1
+  // are heavy: they emit only s-keys, far past the budget, so they spill
+  // repeatedly. Workers 2 and 3 are light: a few s- and m-keys, less in
+  // total than the engine's spill-worthiness floor (min(budget/2, 4096)
+  // bytes), so they never spill. s-keys go to reducer 0 and m-keys to
+  // reducer 1: the budgeted round external-merges column 0 and sweeps
+  // column 1 in memory.
+  constexpr size_t kInputs = 8;
+  constexpr uint64_t kBudget = 4096;
+  auto for_each_record = [](size_t input, const EmitFn& emit) {
+    const bool heavy = input < 4;
+    const int count = heavy ? 150 : 6;
+    for (int j = 0; j < count; ++j) {
+      std::string key = (heavy || j % 2 == 0 ? "s" : "m") +
+                        std::to_string((j * 7 + input) % 5);
+      std::string value = std::to_string(input) + "." + std::to_string(j);
+      if (heavy) value.append(16, 'x');
+      emit(key, value);
+    }
+  };
+  // The expected records: per reducer, keys ascending, each key's values
+  // joined in input order.
+  std::map<std::string, std::string> expected_by_key;
+  for (size_t i = 0; i < kInputs; ++i) {
+    for_each_record(i, [&](std::string_view key, std::string_view value) {
+      std::string& joined = expected_by_key[std::string(key)];
+      if (!joined.empty()) joined += '|';
+      joined.append(value);
+    });
+  }
+  std::vector<Record> expected;
+  for (char prefix : {'s', 'm'}) {
+    for (const auto& [key, joined] : expected_by_key) {
+      if (key[0] == prefix) expected.push_back(Record{key, joined});
+    }
+  }
+
+  testing::ScopedTempDir spill_dir;
+  auto run = [&](ChainedDataflowOptions options, DataflowBackend backend) {
+    options.num_map_workers = 4;
+    options.num_reduce_workers = 2;
+    options.partitioner = [](std::string_view key, int) {
+      return key[0] == 's' ? 0 : 1;
+    };
+    options.backend = backend;
+    DataflowJob job(options);
+    MapFn map_fn = [&](size_t i, const EmitFn& emit) {
+      for_each_record(i, emit);
+    };
+    ChainReduceFn concat = [](int, std::string_view key,
+                              std::vector<std::string_view>& values,
+                              const EmitFn& emit) {
+      std::string joined;
+      for (std::string_view v : values) {
+        if (!joined.empty()) joined += '|';
+        joined.append(v);
+      }
+      emit(key, joined);
+    };
+    obs::ResetTraceForTest();
+    obs::SetEnabled(true);
+    job.RunRound(kInputs, map_fn, nullptr, concat);
+    obs::SetEnabled(false);
+    std::set<std::string> reduce_spans;
+    for (const obs::TraceEvent& ev : obs::SnapshotTrace()) {
+      if (ev.name == "external_merge" || ev.name == "group_sweep") {
+        reduce_spans.insert(ev.name);
+      }
+    }
+    obs::ResetTraceForTest();
+    return std::make_tuple(job.TakeRecords(), job.round_metrics().front(),
+                           reduce_spans);
+  };
+
+  ChainedDataflowOptions in_memory;
+  ChainedDataflowOptions compressed;
+  compressed.compress_shuffle = true;
+  ChainedDataflowOptions budgeted;
+  budgeted.memory_budget_bytes = kBudget;
+  budgeted.spill_dir = spill_dir.path();
+  budgeted.spill_merge_fan_in = 2;
+  const std::vector<std::pair<const char*, ChainedDataflowOptions>> configs = {
+      {"in-memory", in_memory},
+      {"compressed", compressed},
+      {"budgeted", budgeted},
+  };
+  for (const auto& [name, options] : configs) {
+    SCOPED_TRACE(name);
+    auto [local_records, local_metrics, local_spans] =
+        run(options, DataflowBackend::kLocal);
+    auto [proc_records, proc_metrics, proc_spans] =
+        run(options, DataflowBackend::kProc);
+    EXPECT_EQ(local_records, expected);
+    EXPECT_EQ(proc_records, local_records);
+    ExpectSameRawMetrics(local_metrics, proc_metrics);
+    const bool spills = options.memory_budget_bytes > 0;
+    std::set<std::string> expected_spans = {"group_sweep"};
+    if (spills) {
+      expected_spans.insert("external_merge");
+      EXPECT_GT(local_metrics.spill_merge_passes, 1u);
+      EXPECT_GT(proc_metrics.spill_merge_passes, 1u);
+    }
+    EXPECT_EQ(local_spans, expected_spans);
+    EXPECT_EQ(proc_spans, expected_spans);
   }
 }
 

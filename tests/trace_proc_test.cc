@@ -57,6 +57,7 @@ TEST_F(TraceProcTest, ProcRoundMergesCoordinatorAndWorkerSpans) {
   std::set<int> worker_ordinals;
   bool saw_coordinator_span = false;
   bool saw_worker_map_task = false;
+  bool saw_worker_reduce_body = false;
   for (const obs::TraceEvent& ev : events) {
     if (ev.process_ordinal >= 0) worker_ordinals.insert(ev.process_ordinal);
     if (ev.process_ordinal < 0 && ev.category == "proc") {
@@ -65,11 +66,18 @@ TEST_F(TraceProcTest, ProcRoundMergesCoordinatorAndWorkerSpans) {
     if (ev.category == "worker" && ev.name == "map_task") {
       saw_worker_map_task = true;
     }
+    // Reduce workers run the local engine's reduce-column body, spans and
+    // all, so its span shows up on a worker lane.
+    if (ev.process_ordinal >= 0 && ev.category == "engine" &&
+        (ev.name == "group_sweep" || ev.name == "external_merge")) {
+      saw_worker_reduce_body = true;
+    }
   }
   // The merged timeline carries the coordinator's orchestration spans plus
   // task spans shipped back by at least two distinct forked workers.
   EXPECT_TRUE(saw_coordinator_span);
   EXPECT_TRUE(saw_worker_map_task);
+  EXPECT_TRUE(saw_worker_reduce_body);
   EXPECT_GE(worker_ordinals.size(), 2u)
       << "expected spans from >=2 distinct worker ordinals";
 

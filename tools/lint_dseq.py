@@ -33,6 +33,11 @@ the offending line or the line above it):
                        go through obs::Now()/obs::NowNs() (src/obs/trace.h)
                        so spans, metrics, and timeouts share one clock and
                        land on the merged cross-process timeline.
+  reduce-body          `BucketEntry`/`SortedBucketEntries` in src/ outside
+                       src/dataflow/map_shard.{h,cc} — the stable sort that
+                       fixes each key's value order lives in RunReduceColumn
+                       and RunMapShard only, shared by both backends; a
+                       third copy would drift from them unnoticed.
   header-guard         src/ and tests/ headers must use the canonical
                        DSEQ_<PATH>_H_ include guard.
   header-self-contained (--check-headers) every header must compile on its
@@ -225,6 +230,22 @@ class Linter:
                             "obs::Now()/obs::NowNs() (src/obs/trace.h) so "
                             "all timestamps share the trace clock", raw_lines)
 
+    # Both backends reduce through RunReduceColumn; the record views it sorts
+    # must not leak into a second, hand-synced reduce body.
+    REDUCE_BODY_EXEMPT = {"src/dataflow/map_shard.h",
+                          "src/dataflow/map_shard.cc"}
+    REDUCE_BODY_RE = re.compile(r"\b(?:BucketEntry|SortedBucketEntries)\b")
+
+    def check_reduce_body(self, path, raw_lines, code_lines):
+        if not path.startswith("src/") or path in self.REDUCE_BODY_EXEMPT:
+            return
+        for i, line in enumerate(code_lines, start=1):
+            if self.REDUCE_BODY_RE.search(line):
+                self.report(path, i, "reduce-body",
+                            "bucket-entry sort outside map_shard.{h,cc} — "
+                            "reduce a column through RunReduceColumn "
+                            "(src/dataflow/map_shard.h)", raw_lines)
+
     def check_header_guard(self, path, raw_lines, code_lines):
         expected = "DSEQ_" + re.sub(r"[/.]", "_", path.upper()
                                     .removeprefix("SRC/")).rstrip("_") + "_"
@@ -252,6 +273,7 @@ class Linter:
         self.check_raw_sync_primitive(path, raw_lines, code_lines)
         self.check_detached_thread(path, raw_lines, code_lines)
         self.check_raw_clock_call(path, raw_lines, code_lines)
+        self.check_reduce_body(path, raw_lines, code_lines)
         if path.endswith(".h") and (path.startswith("src/") or
                                     path.startswith("tests/")):
             self.check_header_guard(path, raw_lines, code_lines)
@@ -343,6 +365,13 @@ SELFTEST_CASES = [
     ("clock: comment is not a use", "src/foo/bar.cc",
      "// wraps steady_clock::now() behind one clock\nauto t = obs::Now();\n",
      "raw-clock-call", 0),
+    # reduce-body: one reduce-column body, shared by both backends.
+    ("reduce-body: sort copy in the proc backend", "src/rpc/proc_backend.cc",
+     "for (const BucketEntry& e : SortedBucketEntries(raw)) {}\n",
+     "reduce-body", 1),
+    ("reduce-body: allowed in map_shard.cc", "src/dataflow/map_shard.cc",
+     "std::vector<BucketEntry> SortedBucketEntries(std::string_view raw);\n",
+     "reduce-body", 0),
     # Regression cases for the pre-existing rules.
     ("naked-new fires in src", "src/foo/bar.cc",
      "int* p = new int(3);\n", "naked-new", 1),
