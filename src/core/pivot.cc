@@ -101,9 +101,14 @@ std::vector<PivotSet> ComputeBackwardPivots(const StateGrid& grid) {
 
 Sequence FindPivotItems(const StateGrid& grid) {
   if (!grid.HasAcceptingRun()) return {};
+  return PivotItemsFromForward(grid, ComputeForwardPivots(grid));
+}
+
+Sequence PivotItemsFromForward(const StateGrid& grid,
+                               const std::vector<PivotSet>& fwd) {
+  if (!grid.HasAcceptingRun()) return {};
   size_t n = grid.length();
   size_t ns = grid.num_states();
-  std::vector<PivotSet> fwd = ComputeForwardPivots(grid);
   PivotSet result;
   for (StateId q = 0; q < ns; ++q) {
     if (grid.Alive(n, q) && grid.IsFinalState(q)) {

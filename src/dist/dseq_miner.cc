@@ -1,10 +1,12 @@
 #include "src/dist/dseq_miner.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 
+#include "src/util/check.h"
 #include "src/util/thread_pool.h"
 
 namespace dseq {
@@ -25,81 +27,104 @@ namespace dseq {
 //
 // "Lies on a run producing a pivot-k candidate" is decided with the pivot
 // DPs: the pivots of all candidates of runs through edge e at layer i are
-// K(i, e.from) ⊕ out(e) ⊕ B(i+1, e.to), because ⊕ distributes over the
-// per-coordinate unions the DP tables take.
+// its through-set K(i, e.from) ⊕ out(e) ⊕ B(i+1, e.to), because ⊕
+// distributes over the per-coordinate unions the DP tables take.
+//
+// None of this depends on k except the final membership test, so the
+// constructor computes every edge's through-set once and folds it into two
+// sorted per-layer unions: the lead block (all edges but the initial ε
+// self-loop) and the trail block (all edges but final ε self-loops). The
+// initial-self-loop flag and the cut-layer acceptance check do not depend
+// on k either and are per-layer flags. Rewrite(k) then walks layers from
+// both ends with one binary search per layer. The cost is O(|E|) pivot
+// merges and one small sort per layer per sequence, plus O(n log |K(T)|)
+// per pivot, instead of the per-edge merges being redone for every pivot.
+
+void PivotRewriter::LayerBlocks::Close(Sequence* scratch) {
+  std::sort(scratch->begin(), scratch->end());
+  scratch->erase(std::unique(scratch->begin(), scratch->end()),
+                 scratch->end());
+  auto first = items.insert(items.end(), scratch->begin(), scratch->end());
+  DSEQ_DCHECK(std::adjacent_find(first, items.end(),
+                                 std::greater_equal<ItemId>()) == items.end());
+  begin.push_back(static_cast<uint32_t>(items.size()));
+  scratch->clear();
+}
+
+bool PivotRewriter::LayerBlocks::Contains(size_t layer, ItemId pivot) const {
+  return std::binary_search(items.begin() + begin[layer],
+                            items.begin() + begin[layer + 1], pivot);
+}
 
 PivotRewriter::PivotRewriter(const Sequence& T, const StateGrid& grid)
-    : T_(T), grid_(grid) {
+    : T_(T) {
   if (!grid.HasAcceptingRun()) return;
-  fwd_ = ComputeForwardPivots(grid);
-  bwd_ = ComputeBackwardPivots(grid);
-  eps_accept_ = grid.ComputeEpsAcceptTable();
-}
+  std::vector<PivotSet> fwd = ComputeForwardPivots(grid);
+  pivots_ = PivotItemsFromForward(grid, fwd);
+  if (pivots_.empty()) return;  // Rewrite has no pivot to be called with
+  std::vector<PivotSet> bwd = ComputeBackwardPivots(grid);
+  std::vector<uint8_t> eps_accept = grid.ComputeEpsAcceptTable();
 
-bool PivotRewriter::EdgeProducesPivot(size_t layer,
-                                      const StateGrid::Edge& edge,
-                                      ItemId pivot) const {
-  size_t ns = grid_.num_states();
-  PivotSet through = fwd_[layer * ns + edge.from];
-  if (through.IsEmpty()) return false;
-  if (!edge.out.empty()) {
-    through = PivotMerge(through, PivotSet::Items(edge.out));
-  }
-  through = PivotMerge(through, bwd_[(layer + 1) * ns + edge.to]);
-  return std::binary_search(through.items.begin(), through.items.end(),
-                            pivot);
-}
-
-Sequence PivotRewriter::Rewrite(ItemId pivot) const {
-  size_t n = grid_.length();
-  if (!grid_.HasAcceptingRun() || n == 0) return T_;
-  size_t ns = grid_.num_states();
-  StateId initial = grid_.initial_state();
-
-  // Leading trim.
-  size_t lead = 0;
-  while (lead < n) {
-    bool has_initial_self_loop = false;
-    bool safe = true;
-    for (const StateGrid::Edge& e : grid_.EdgesAt(lead)) {
-      if (e.from == initial && e.to == initial && e.out.empty()) {
-        has_initial_self_loop = true;
-        continue;
-      }
-      if (EdgeProducesPivot(lead, e, pivot)) {
-        safe = false;
+  const size_t n = grid.length();
+  const size_t ns = grid.num_states();
+  const StateId initial = grid.initial_state();
+  initial_self_loop_.assign(n, 0);
+  cut_accepts_.assign(n, 1);
+  Sequence lead;
+  Sequence trail;
+  for (size_t i = 0; i < n; ++i) {
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+      bool idle = e.from == e.to && e.out.empty();
+      bool initial_loop = idle && e.from == initial;
+      bool final_loop = idle && grid.IsFinalState(e.from);
+      if (initial_loop) initial_self_loop_[i] = 1;
+      if (initial_loop && final_loop) continue;
+      const PivotSet& before = fwd[i * ns + e.from];
+      if (before.IsEmpty()) continue;
+      const PivotSet& after = bwd[(i + 1) * ns + e.to];
+      PivotSet through =
+          e.out.empty()
+              ? PivotMerge(before, after)
+              : PivotMerge(PivotMerge(before, PivotSet::Items(e.out)), after);
+      const PivotItemVec& items = through.items;
+      if (!initial_loop) lead.insert(lead.end(), items.begin(), items.end());
+      if (!final_loop) trail.insert(trail.end(), items.begin(), items.end());
+    }
+    lead_.Close(&lead);
+    trail_.Close(&trail);
+    // Cut-layer acceptance check: a run of the trimmed sequence ends in any
+    // forward-reachable final state at layer i; its candidate is one of T's
+    // only if T can finish from there without further output.
+    for (StateId q = 0; q < ns; ++q) {
+      if (!grid.IsFinalState(q) || !grid.ForwardActive(i, q)) continue;
+      if (!grid.Alive(i, q) || !eps_accept[i * ns + q]) {
+        cut_accepts_[i] = 0;
         break;
       }
     }
-    if (!safe || !has_initial_self_loop) break;
+  }
+}
+
+Sequence PivotRewriter::Rewrite(ItemId pivot) const {
+  DSEQ_DCHECK(std::binary_search(pivots_.begin(), pivots_.end(), pivot));
+  if (pivots_.empty()) return T_;
+  const size_t n = T_.size();
+
+  // Leading trim.
+  size_t lead = 0;
+  while (lead < n && initial_self_loop_[lead] &&
+         !lead_.Contains(lead, pivot)) {
     ++lead;
   }
 
   // Trailing trim: keep T[lead..cut).
   size_t cut = n;
-  while (cut > lead + 1) {
-    size_t layer = cut - 1;
-    bool safe = true;
-    for (const StateGrid::Edge& e : grid_.EdgesAt(layer)) {
-      bool final_self_loop =
-          e.from == e.to && e.out.empty() && grid_.IsFinalState(e.from);
-      if (!final_self_loop && EdgeProducesPivot(layer, e, pivot)) {
-        safe = false;
-        break;
-      }
-    }
-    if (!safe) break;
-    // Cut-layer acceptance check: a run of the trimmed sequence ends in any
-    // forward-reachable final state at `layer`; its candidate is one of T's
-    // only if T can finish from there without further output.
-    for (StateId q = 0; q < ns && safe; ++q) {
-      if (!grid_.IsFinalState(q) || !grid_.ForwardActive(layer, q)) continue;
-      if (!grid_.Alive(layer, q) || !eps_accept_[layer * ns + q]) safe = false;
-    }
-    if (!safe) break;
+  while (cut > lead + 1 && cut_accepts_[cut - 1] &&
+         !trail_.Contains(cut - 1, pivot)) {
     --cut;
   }
 
+  DSEQ_DCHECK_LT(lead, cut);
   if (lead == 0 && cut == n) return T_;
   return Sequence(T_.begin() + lead, T_.begin() + cut);
 }
@@ -132,26 +157,30 @@ MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
     const Sequence& T =
         cached_db != nullptr ? cached_db->Read(index) : db[index];
     StateGrid grid;
-    Sequence pivots;
+    Sequence found;
+    const Sequence* pivots = &found;
+    // Only pay for the rewriting DPs when rewriting is on — the Fig. 10a
+    // "no rewriting" ablation must not include their cost in map time. When
+    // it is on, the rewriter's forward DP also yields K(T).
+    std::optional<PivotRewriter> rewriter;
     if (options.use_grid) {
       grid = StateGrid::Build(T, fst, dict, grid_options);
       if (!grid.HasAcceptingRun()) return;
-      pivots = FindPivotItems(grid);
+      if (options.rewrite) {
+        pivots = &rewriter.emplace(T, grid).pivots();
+      } else {
+        found = FindPivotItems(grid);
+      }
     } else {
       if (!FindPivotItemsNoGrid(T, fst, dict, options.sigma,
-                                options.nogrid_step_budget, &pivots)) {
+                                options.nogrid_step_budget, &found)) {
         throw MiningBudgetError(
             "D-SEQ no-grid pivot search exceeded its step budget");
       }
     }
-    if (pivots.empty()) return;
 
-    // Only pay for the rewriting DPs when rewriting is on — the Fig. 10a
-    // "no rewriting" ablation must not include their cost in map time.
-    std::optional<PivotRewriter> rewriter;
-    if (options.rewrite && options.use_grid) rewriter.emplace(T, grid);
     std::string value;
-    for (ItemId k : pivots) {
+    for (ItemId k : *pivots) {
       value.clear();
       if (options.aggregate_sequences) PutVarint(&value, 1);
       PutSequence(&value, rewriter ? rewriter->Rewrite(k) : T);

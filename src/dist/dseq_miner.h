@@ -53,27 +53,43 @@ struct DSeqOptions : DistributedRunOptions {
   uint64_t nogrid_step_budget = 1'000'000'000;
 };
 
-/// Per-grid rewriter: precomputes the forward/backward pivot DPs and the
-/// ε-acceptance table once, then rewrites for any number of pivots. Used by
-/// the D-SEQ map phase (one sequence, many pivots).
+/// Per-grid rewriter: runs the forward/backward pivot DPs once, folds them
+/// into per-layer rewrite facts, then rewrites for any number of pivots.
+/// Used by the D-SEQ map phase and the partition planner (one sequence,
+/// many pivots).
 class PivotRewriter {
  public:
   PivotRewriter(const Sequence& T, const StateGrid& grid);
 
+  /// K(T), sorted ascending: the same items FindPivotItems(grid) returns,
+  /// read off the rewriter's own forward DP.
+  const Sequence& pivots() const { return pivots_; }
+
   /// ρk(T): T with irrelevant leading/trailing positions removed, such that
   /// the pivot-k candidate subsequences of the rewritten sequence are
-  /// exactly those of T (paper Sec. V-B). Never longer than T.
+  /// exactly those of T (paper Sec. V-B). Never longer than T and never
+  /// empty. `pivot` must be one of pivots().
   Sequence Rewrite(ItemId pivot) const;
 
  private:
-  bool EdgeProducesPivot(size_t layer, const StateGrid::Edge& edge,
-                         ItemId pivot) const;
+  // Per-layer sorted, duplicate-free item blocks stored back to back.
+  struct LayerBlocks {
+    std::vector<ItemId> items;
+    std::vector<uint32_t> begin{0};  // block i is items[begin[i], begin[i+1])
+
+    // Sorts and dedups `*scratch` into the next layer's block; clears it.
+    void Close(Sequence* scratch);
+    bool Contains(size_t layer, ItemId pivot) const;
+  };
 
   const Sequence& T_;
-  const StateGrid& grid_;
-  std::vector<PivotSet> fwd_;
-  std::vector<PivotSet> bwd_;
-  std::vector<uint8_t> eps_accept_;
+  Sequence pivots_;
+  // Pivots of the runs through each layer's edges, except the initial ε
+  // self-loop (lead) or the final ε self-loops (trail).
+  LayerBlocks lead_;
+  LayerBlocks trail_;
+  std::vector<uint8_t> initial_self_loop_;  // per layer
+  std::vector<uint8_t> cut_accepts_;        // per layer
 };
 
 /// One-shot convenience wrapper around PivotRewriter.

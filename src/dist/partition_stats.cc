@@ -4,7 +4,6 @@
 #include <map>
 
 #include "src/core/grid.h"
-#include "src/core/pivot.h"
 #include "src/dist/dseq_miner.h"
 #include "src/util/thread_pool.h"
 
@@ -25,10 +24,8 @@ std::vector<PartitionStats> ComputePartitionStats(
       const Sequence& T = db[i];
       StateGrid grid = StateGrid::Build(T, fst, dict, grid_options);
       if (!grid.HasAcceptingRun()) continue;
-      Sequence pivots = FindPivotItems(grid);
-      if (pivots.empty()) continue;
       PivotRewriter rewriter(T, grid);
-      for (ItemId k : pivots) {
+      for (ItemId k : rewriter.pivots()) {
         value.clear();
         PutSequence(&value, rewriter.Rewrite(k));
         PartitionStats& stats = local[k];

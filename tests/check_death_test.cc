@@ -4,12 +4,15 @@
 // condition evaluation) when compiled out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "src/dist/distributed.h"
+#include "src/dist/dseq_miner.h"
 #include "src/dist/partition_plan.h"
+#include "src/fst/compiler.h"
 #include "src/spill/memory_budget.h"
 #include "src/spill/spill_file.h"
 #include "src/util/check.h"
@@ -128,6 +131,28 @@ TEST(PartitionPlanTest, InRangePlanRoutesWithoutAborting) {
   plan.assignments.emplace_back(ItemId{7}, 3);
   EXPECT_EQ(plan.ReducerForKey(EncodePivotKey(ItemId{7})), 3);
 }
+
+// --- PivotRewriter called with a non-pivot (DCHECK) -------------------------
+
+#if DSEQ_DCHECK_IS_ON
+TEST(PivotRewriterDeathTest, RewriteOfANonPivotAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(".*(A)[(.^).*]*(b).*", db.dict);
+  GridOptions options;
+  options.prune_sigma = 2;
+  const Sequence& T2 = db.sequences[1];
+  StateGrid grid = StateGrid::Build(T2, fst, db.dict, options);
+  PivotRewriter rewriter(T2, grid);
+  ASSERT_FALSE(rewriter.pivots().empty());
+  const Sequence& pivots = rewriter.pivots();
+  auto non_pivot = std::find_if(T2.begin(), T2.end(), [&](ItemId w) {
+    return !std::binary_search(pivots.begin(), pivots.end(), w);
+  });
+  ASSERT_NE(non_pivot, T2.end());
+  EXPECT_DEATH(rewriter.Rewrite(*non_pivot), "DSEQ_CHECK failed");
+}
+#endif
 
 // --- SpillWriter append-after-finish (always-on CHECK) ----------------------
 
