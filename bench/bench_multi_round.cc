@@ -32,8 +32,7 @@ std::string Compressed(const DataflowMetrics& m) {
 }
 
 // Prints one row per round plus the aggregate, labeled `name`.
-void PrintRounds(const std::string& name,
-                 const ChainedDistributedResult& result) {
+void PrintRounds(const std::string& name, const DistributedResult& result) {
   for (size_t r = 0; r < result.round_metrics.size(); ++r) {
     const DataflowMetrics& m = result.round_metrics[r];
     PrintRow({name + " round " + std::to_string(r + 1),
@@ -41,21 +40,20 @@ void PrintRounds(const std::string& name,
               FormatBytes(m.shuffle_bytes), Compressed(m),
               Count(m.shuffle_records)});
   }
-  const DataflowMetrics& total = result.aggregate;
+  const DataflowMetrics& total = result.metrics;
   PrintRow({name + " total", FormatSeconds(total.map_seconds),
             FormatSeconds(total.reduce_seconds),
             FormatBytes(total.shuffle_bytes), Compressed(total),
             Count(total.shuffle_records)});
 }
 
-RunRow ChainedRow(const std::string& algo,
-                  const ChainedDistributedResult& result) {
+RunRow ChainedRow(const std::string& algo, const DistributedResult& result) {
   RunRow row;
   row.algo = algo;
-  row.total_s = result.aggregate.total_seconds();
-  row.map_s = result.aggregate.map_seconds;
-  row.mine_s = result.aggregate.reduce_seconds;
-  row.shuffle_bytes = result.aggregate.shuffle_bytes;
+  row.total_s = result.metrics.total_seconds();
+  row.map_s = result.metrics.map_seconds;
+  row.mine_s = result.metrics.reduce_seconds;
+  row.shuffle_bytes = result.metrics.shuffle_bytes;
   row.num_patterns = result.patterns.size();
   row.checksum = ResultChecksum(result.patterns);
   return row;
@@ -75,7 +73,7 @@ void BenchChainedPrefixSpan() {
                   std::to_string(options.lambda) + ")",
               {"stage", "map", "reduce", "shuffle", "compressed", "records"});
 
-  ChainedDistributedResult chained =
+  DistributedResult chained =
       MineChainedPrefixSpan(db.sequences, db.dict, options);
   PrintRounds("k-round", chained);
 
@@ -83,7 +81,7 @@ void BenchChainedPrefixSpan() {
   // plus what would actually cross the wire.
   PrefixSpanOptions compressed_options = options;
   compressed_options.compress_shuffle = true;
-  ChainedDistributedResult compressed =
+  DistributedResult compressed =
       MineChainedPrefixSpan(db.sequences, db.dict, compressed_options);
   PrintRounds("k-round+codec", compressed);
 
@@ -97,12 +95,12 @@ void BenchChainedPrefixSpan() {
                  "chained PrefixSpan");
   std::printf("patterns: %zu (%zu rounds)\n", chained.patterns.size(),
               chained.num_rounds());
-  if (compressed.aggregate.shuffle_compressed_bytes > 0) {
+  if (compressed.metrics.shuffle_compressed_bytes > 0) {
     std::printf("codec: %llu -> %llu shuffle bytes (%.1f%%)\n",
-                (unsigned long long)compressed.aggregate.shuffle_bytes,
-                (unsigned long long)compressed.aggregate.shuffle_compressed_bytes,
-                100.0 * compressed.aggregate.shuffle_compressed_bytes /
-                    compressed.aggregate.shuffle_bytes);
+                (unsigned long long)compressed.metrics.shuffle_bytes,
+                (unsigned long long)compressed.metrics.shuffle_compressed_bytes,
+                100.0 * compressed.metrics.shuffle_compressed_bytes /
+                    compressed.metrics.shuffle_bytes);
   }
 }
 
@@ -121,8 +119,7 @@ void BenchRecountMiners() {
   naive.num_map_workers = GetConfig().workers;
   naive.num_reduce_workers = GetConfig().workers;
   naive.candidates_per_sequence_budget = 2'000'000;
-  ChainedDistributedResult semi =
-      MineNaiveRecount(db.sequences, fst, db.dict, naive);
+  DistributedResult semi = MineNaiveRecount(db.sequences, fst, db.dict, naive);
   PrintRounds("SemiNaive+recount", semi);
 
   DSeqRecountOptions dseq;
@@ -130,7 +127,7 @@ void BenchRecountMiners() {
   dseq.execution = BenchExecution();
   dseq.num_map_workers = GetConfig().workers;
   dseq.num_reduce_workers = GetConfig().workers;
-  ChainedDistributedResult dseq_result =
+  DistributedResult dseq_result =
       MineDSeqRecount(db.sequences, fst, db.dict, dseq);
   PrintRounds("D-SEQ+recount", dseq_result);
 
@@ -146,8 +143,8 @@ void BenchRecountMiners() {
       "(recount round 1 recomputes the f-list the single-round miners read "
       "from the dictionary)\n");
   std::printf("D-SEQ+recount input reads: %llu storage, %llu cache\n",
-              (unsigned long long)dseq_result.input_storage_reads,
-              (unsigned long long)dseq_result.input_cache_hits);
+              (unsigned long long)dseq_result.metrics.input_storage_reads,
+              (unsigned long long)dseq_result.metrics.input_cache_hits);
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ void RunCase(const std::string& name, const SkewedZipfOptions& gen,
   static_cast<DSeqOptions&>(balance_options) = hash_options;
   PartitionPlan plan;
   start = Now();
-  ChainedDistributedResult balanced =
+  DistributedResult balanced =
       MineDSeqBalanced(db.sequences, fst, db.dict, balance_options, &plan);
   row.balanced_seconds = Now() - start;
   row.num_pivots = plan.assignments.size() + plan.splits.size();

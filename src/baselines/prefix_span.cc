@@ -101,9 +101,9 @@ DistributedResult MinePrefixSpan(const std::vector<Sequence>& db,
   return RunDistributedMining(db.size(), map_fn, nullptr, reduce_fn, options);
 }
 
-ChainedDistributedResult MineChainedPrefixSpan(
-    const std::vector<Sequence>& db, const Dictionary& dict,
-    const PrefixSpanOptions& options) {
+DistributedResult MineChainedPrefixSpan(const std::vector<Sequence>& db,
+                                        const Dictionary& dict,
+                                        const PrefixSpanOptions& options) {
   if (options.lambda == 0) return {};  // as in MinePrefixSpan
 
   DataflowJob job(options);

@@ -33,9 +33,9 @@ DistributedResult MinePrefixSpan(const std::vector<Sequence>& db,
 /// single-round baseline avoids shipping. Budgets follow
 /// DistributedRunOptions: shuffle_budget_bytes bounds each round,
 /// cumulative_shuffle_budget_bytes the whole chain.
-ChainedDistributedResult MineChainedPrefixSpan(const std::vector<Sequence>& db,
-                                               const Dictionary& dict,
-                                               const PrefixSpanOptions& options);
+DistributedResult MineChainedPrefixSpan(const std::vector<Sequence>& db,
+                                        const Dictionary& dict,
+                                        const PrefixSpanOptions& options);
 
 }  // namespace dseq
 

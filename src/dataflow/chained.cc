@@ -102,31 +102,7 @@ const DataflowMetrics& DataflowJob::RunChainedRound(
 
 DataflowMetrics DataflowJob::aggregate_metrics() const {
   DataflowMetrics total;
-  for (const DataflowMetrics& m : round_metrics_) {
-    total.map_seconds += m.map_seconds;
-    total.reduce_seconds += m.reduce_seconds;
-    total.shuffle_bytes += m.shuffle_bytes;
-    total.shuffle_compressed_bytes += m.shuffle_compressed_bytes;
-    total.shuffle_records += m.shuffle_records;
-    total.map_output_records += m.map_output_records;
-    total.spill_files += m.spill_files;
-    total.spill_bytes_written += m.spill_bytes_written;
-    total.spill_merge_passes += m.spill_merge_passes;
-    total.input_storage_reads += m.input_storage_reads;
-    total.input_cache_hits += m.input_cache_hits;
-    total.proc_task_attempts += m.proc_task_attempts;
-    total.proc_task_retries += m.proc_task_retries;
-    total.proc_worker_kills += m.proc_worker_kills;
-    total.proc_workers_respawned += m.proc_workers_respawned;
-    total.proc_segment_chunks += m.proc_segment_chunks;
-    total.proc_parked_tails += m.proc_parked_tails;
-    if (m.reducer_bytes.size() > total.reducer_bytes.size()) {
-      total.reducer_bytes.resize(m.reducer_bytes.size(), 0);
-    }
-    for (size_t r = 0; r < m.reducer_bytes.size(); ++r) {
-      total.reducer_bytes[r] += m.reducer_bytes[r];
-    }
-  }
+  for (const DataflowMetrics& m : round_metrics_) total.Accumulate(m);
   return total;
 }
 

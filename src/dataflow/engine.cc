@@ -529,19 +529,35 @@ int ShuffleReducerForKey(std::string_view key, int num_reduce_workers) {
                           static_cast<size_t>(ClampWorkers(num_reduce_workers)));
 }
 
-// Process-global monotonic gauges, bumped with relaxed RMWs from map worker
-// threads. Readers take before/after deltas around a phase whose worker
-// threads have been joined (or, under proc, run inline in the same thread),
-// so the join provides the happens-before and the counters themselves never
-// publish other memory — relaxed ordering throughout is sufficient.
-std::atomic<uint64_t>& GlobalInputStorageReads() {
-  static std::atomic<uint64_t> reads{0};
-  return reads;
+void DataflowMetrics::Accumulate(const DataflowMetrics& other) {
+  map_seconds += other.map_seconds;
+  reduce_seconds += other.reduce_seconds;
+  shuffle_bytes += other.shuffle_bytes;
+  shuffle_compressed_bytes += other.shuffle_compressed_bytes;
+  shuffle_records += other.shuffle_records;
+  map_output_records += other.map_output_records;
+  if (other.reducer_bytes.size() > reducer_bytes.size()) {
+    reducer_bytes.resize(other.reducer_bytes.size(), 0);
+  }
+  for (size_t r = 0; r < other.reducer_bytes.size(); ++r) {
+    reducer_bytes[r] += other.reducer_bytes[r];
+  }
+  spill_files += other.spill_files;
+  spill_bytes_written += other.spill_bytes_written;
+  spill_merge_passes += other.spill_merge_passes;
+  input_storage_reads += other.input_storage_reads;
+  input_cache_hits += other.input_cache_hits;
+  proc_task_attempts += other.proc_task_attempts;
+  proc_task_retries += other.proc_task_retries;
+  proc_worker_kills += other.proc_worker_kills;
+  proc_workers_respawned += other.proc_workers_respawned;
+  proc_segment_chunks += other.proc_segment_chunks;
+  proc_parked_tails += other.proc_parked_tails;
 }
 
-std::atomic<uint64_t>& GlobalInputCacheHits() {
-  static std::atomic<uint64_t> hits{0};
-  return hits;
+InputReads& ThreadInputReads() {
+  thread_local InputReads reads;
+  return reads;
 }
 
 std::unique_ptr<Combiner> MakeSumCombiner() {
@@ -592,15 +608,11 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
   // records destined for that reducer.
   std::vector<std::vector<ShuffleBuffer>> buckets(map_workers);
   for (auto& row : buckets) row.resize(reduce_workers);
+  // The shuffle-budget counter is shared by all map workers (the budget
+  // bounds their sum); every other map-side counter is per shard, summed
+  // after the phase.
   std::atomic<uint64_t> shuffle_bytes{0};
-  std::atomic<uint64_t> shuffle_compressed_bytes{0};
-  std::atomic<uint64_t> shuffle_records{0};
-  std::atomic<uint64_t> map_output_records{0};
-  // Per-(map worker, reducer) byte counters, summed into
-  // metrics.reducer_bytes after the map phase — each worker writes its own
-  // row, so the hot emit path pays no shared atomics for them.
-  std::vector<std::vector<uint64_t>> worker_reducer_bytes(
-      map_workers, std::vector<uint64_t>(reduce_workers, 0));
+  std::vector<DataflowMetrics> shard_metrics(map_workers);
 
   // Out-of-core state: the shared budget, the spill counters, the sorted
   // runs spilled per bucket (chronological), and the bytes each resident
@@ -645,30 +657,15 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
     ctx.buckets = buckets[w].data();
     ctx.spill_runs = budget.enabled() ? spill_runs[w].data() : nullptr;
     ctx.bucket_charged = bucket_charged[w].data();
-    ctx.reducer_bytes = worker_reducer_bytes[w].data();
     ctx.budget = &budget;
     ctx.spill_stats = &spill_stats;
     ctx.combiner_ctx = budget.enabled() ? &combiner_contexts[w] : nullptr;
     ctx.shuffle_bytes = &shuffle_bytes;
-    ctx.shuffle_records = &shuffle_records;
-    ctx.map_output_records = &map_output_records;
-    ctx.shuffle_compressed_bytes = &shuffle_compressed_bytes;
+    ctx.metrics = &shard_metrics[w];
     RunMapShard(ctx);
   });
-  // Relaxed: the map workers that bumped these counters were joined inside
-  // RunPhase, which is the actual happens-before edge for the final values.
-  metrics.shuffle_bytes = shuffle_bytes.load(std::memory_order_relaxed);
-  metrics.shuffle_compressed_bytes =
-      shuffle_compressed_bytes.load(std::memory_order_relaxed);
-  metrics.shuffle_records = shuffle_records.load(std::memory_order_relaxed);
-  metrics.map_output_records =
-      map_output_records.load(std::memory_order_relaxed);
-  metrics.reducer_bytes.assign(reduce_workers, 0);
-  for (const std::vector<uint64_t>& row : worker_reducer_bytes) {
-    for (int r = 0; r < reduce_workers; ++r) {
-      metrics.reducer_bytes[r] += row[r];
-    }
-  }
+  // The map workers that wrote the shard metrics were joined in RunPhase.
+  for (const DataflowMetrics& m : shard_metrics) metrics.Accumulate(m);
 
   // Reduce: each reduce worker takes ownership of the bucket column hashed
   // to it — per map worker, the spilled runs and the resident tail — and

@@ -46,7 +46,6 @@
 #ifndef DSEQ_DATAFLOW_ENGINE_H_
 #define DSEQ_DATAFLOW_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -91,11 +90,11 @@ struct DataflowMetrics {
   uint64_t spill_files = 0;
   uint64_t spill_bytes_written = 0;
   uint64_t spill_merge_passes = 0;
-  /// Input-cache counters shipped through kMapDone by proc-backend workers
-  /// (deltas of the process-global counters below around each map task).
-  /// Local rounds leave them 0 — the driver's CachedDatabase instance
-  /// counters already see every in-process read; the distributed layer sums
-  /// both views (see ChainedDistributedResult::input_storage_reads).
+  /// Input reads the map functions made through a caching reader
+  /// (CachedDatabase in src/dist): reads served from backing storage vs.
+  /// from the cross-round cache. RunMapShard counts them per shard on both
+  /// backends (see ThreadInputReads); 0 for maps that read their input
+  /// directly.
   uint64_t input_storage_reads = 0;
   uint64_t input_cache_hits = 0;
   /// Proc-backend failure-policy counters (all 0 under kLocal): task
@@ -114,15 +113,23 @@ struct DataflowMetrics {
   uint64_t proc_parked_tails = 0;
 
   double total_seconds() const { return map_seconds + reduce_seconds; }
+
+  /// Adds `other` field by field (reducer_bytes element-wise, growing to
+  /// the longer vector). The one way metrics are summed: map shards into a
+  /// round, proc tasks into a round, rounds into a job's aggregate.
+  void Accumulate(const DataflowMetrics& other);
 };
 
-/// Process-global input-read counters, bumped by caching input readers
-/// (CachedDatabase in src/dist) next to their instance counters. The proc
-/// backend snapshots them around each map task in the *worker* process and
-/// ships the deltas through kMapDone, which is what makes per-child cache
-/// traffic visible to the driver at all (fork severs the instances).
-std::atomic<uint64_t>& GlobalInputStorageReads();
-std::atomic<uint64_t>& GlobalInputCacheHits();
+/// Input reads of the calling thread, counted by caching input readers
+/// (CachedDatabase in src/dist) from inside a map function. RunMapShard
+/// reports the counters' change across a shard as that shard's
+/// DataflowMetrics::input_* — a shard runs on one thread on both backends,
+/// so the change is exactly the shard's reads.
+struct InputReads {
+  uint64_t storage_reads = 0;
+  uint64_t cache_hits = 0;
+};
+InputReads& ThreadInputReads();
 
 /// How workers execute.
 enum class Execution {

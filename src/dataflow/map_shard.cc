@@ -42,7 +42,10 @@ void RunMapShard(const MapShardContext& ctx) {
   const bool spill_enabled = budget.enabled() && !options.spill_dir.empty();
   const int w = ctx.map_worker;
   const int reduce_workers = ctx.reduce_workers;
-  uint64_t local_output_records = 0;
+  DataflowMetrics& shard = *ctx.metrics;
+  shard = DataflowMetrics();
+  shard.reducer_bytes.assign(reduce_workers, 0);
+  const InputReads reads_before = ThreadInputReads();
 
   // Drains every resident bucket of this worker to a sorted run on disk,
   // returning the freed bytes to the budget. A worker can only ever free
@@ -92,7 +95,8 @@ void RunMapShard(const MapShardContext& ctx) {
     // running sum; no other memory is published through the counter.
     uint64_t total =
         ctx.shuffle_bytes->fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    ctx.shuffle_records->fetch_add(1, std::memory_order_relaxed);
+    shard.shuffle_bytes += bytes;
+    ++shard.shuffle_records;
     if (options.shuffle_budget_bytes > 0 &&
         total > options.shuffle_budget_bytes) {
       throw ShuffleOverflowError(
@@ -144,7 +148,7 @@ void RunMapShard(const MapShardContext& ctx) {
                                    budget.budget_bytes());
       }
     }
-    ctx.reducer_bytes[r] += bytes;
+    shard.reducer_bytes[r] += bytes;
     ctx.buckets[r].Append(key, value);
   };
 
@@ -154,7 +158,7 @@ void RunMapShard(const MapShardContext& ctx) {
     combiner->EnableSpill(ctx.combiner_ctx);
   }
   EmitFn map_emit = [&](std::string_view key, std::string_view value) {
-    ++local_output_records;
+    ++shard.map_output_records;
     if (combiner != nullptr) {
       combiner->Add(key, value);
     } else {
@@ -173,18 +177,18 @@ void RunMapShard(const MapShardContext& ctx) {
     combiner->Flush(shuffle_emit);
   }
   if (options.compress_shuffle) {
-    uint64_t compressed = 0;
     for (int r = 0; r < reduce_workers; ++r) {
-      compressed += ctx.buckets[r].Compress();
+      shard.shuffle_compressed_bytes += ctx.buckets[r].Compress();
     }
-    ctx.shuffle_compressed_bytes->fetch_add(compressed,
-                                            std::memory_order_relaxed);
   } else {
     // Sync the amortized live-bytes gauge now that the buckets are final.
     for (int r = 0; r < reduce_workers; ++r) ctx.buckets[r].Seal();
   }
-  ctx.map_output_records->fetch_add(local_output_records,
-                                    std::memory_order_relaxed);
+  // The map functions ran on this thread, so these are the shard's reads.
+  const InputReads& reads_after = ThreadInputReads();
+  shard.input_storage_reads =
+      reads_after.storage_reads - reads_before.storage_reads;
+  shard.input_cache_hits = reads_after.cache_hits - reads_before.cache_hits;
 }
 
 void RunReduceColumn(std::vector<ReduceColumnSource> sources,

@@ -7,10 +7,10 @@
 // what makes the proc backend's results and raw shuffle metrics
 // byte-identical to the local engine's.
 //
-// RunMapReduce points the context at its shared per-round arrays and
-// atomics (one budget and one set of counters across all map workers); a
-// proc worker points it at the per-task state of its own process (its own
-// budget and counters, reported back to the coordinator afterwards).
+// Each shard counts into its own DataflowMetrics; RunMapReduce sums its
+// shards' and the proc coordinator its tasks' with DataflowMetrics::
+// Accumulate. Only the shuffle-budget counter is shared across the local
+// backend's map workers, because the budget bounds their sum.
 #ifndef DSEQ_DATAFLOW_MAP_SHARD_H_
 #define DSEQ_DATAFLOW_MAP_SHARD_H_
 
@@ -42,8 +42,8 @@ std::vector<BucketEntry> SortedBucketEntries(std::string_view raw);
 
 /// Everything one map worker's shard touches. All pointers are caller-owned
 /// and must outlive the RunMapShard call; the per-reducer arrays (`buckets`,
-/// `spill_runs`, `bucket_charged`, `reducer_bytes`) have one slot per reduce
-/// worker. `spill_runs` and `bucket_charged` may be null when the budget is
+/// `spill_runs`, `bucket_charged`) have one slot per reduce worker.
+/// `spill_runs` and `bucket_charged` may be null when the budget is
 /// disabled; `combiner_ctx` is null exactly when the budget is disabled.
 struct MapShardContext {
   const DataflowOptions* options = nullptr;
@@ -57,18 +57,18 @@ struct MapShardContext {
   ShuffleBuffer* buckets = nullptr;
   std::vector<SpillFile>* spill_runs = nullptr;
   uint64_t* bucket_charged = nullptr;
-  uint64_t* reducer_bytes = nullptr;
   MemoryBudget* budget = nullptr;
   SpillStats* spill_stats = nullptr;
   CombinerSpillContext* combiner_ctx = nullptr;
 
-  // Round counters: shared atomics across all map workers in the local
-  // backend (the shuffle budget is enforced on their global sum), the
-  // task's own counters in a proc worker.
+  /// Shuffle bytes buffered so far, checked against the shuffle budget:
+  /// shared by all map workers in the local backend, the task's own in a
+  /// proc worker.
   std::atomic<uint64_t>* shuffle_bytes = nullptr;
-  std::atomic<uint64_t>* shuffle_records = nullptr;
-  std::atomic<uint64_t>* map_output_records = nullptr;
-  std::atomic<uint64_t>* shuffle_compressed_bytes = nullptr;
+  /// The shard's own counters, overwritten by RunMapShard: the record and
+  /// byte counts, reducer_bytes (one slot per reduce worker) and input_*.
+  /// Spill counters go to `spill_stats`.
+  DataflowMetrics* metrics = nullptr;
 
   /// Optional liveness counter, ticked once per processed input. The proc
   /// backend's worker heartbeat thread samples it to decide whether the

@@ -77,20 +77,20 @@ MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
   return patterns;
 }
 
-ChainedDistributedResult MakeChainedResult(MiningResult patterns,
-                                           const DataflowJob& job) {
-  ChainedDistributedResult result;
+DistributedResult MakeChainedResult(MiningResult patterns,
+                                    const DataflowJob& job) {
+  DistributedResult result;
   result.patterns = std::move(patterns);
   result.round_metrics = job.round_metrics();
-  result.aggregate = job.aggregate_metrics();
+  result.metrics = job.aggregate_metrics();
   return result;
 }
 
-ChainedDistributedResult RunRecountMining(const std::vector<Sequence>& db,
-                                          const Dictionary& dict,
-                                          uint32_t sample_every,
-                                          const DistributedRunOptions& options,
-                                          const MakeMiningRoundFn& make_round) {
+DistributedResult RunRecountMining(const std::vector<Sequence>& db,
+                                   const Dictionary& dict,
+                                   uint32_t sample_every,
+                                   const DistributedRunOptions& options,
+                                   const MakeMiningRoundFn& make_round) {
   DataflowJob job(options);
   // Round 1 populates the cross-round cache; round 2's map reads through it
   // instead of re-reading backing storage (Spark's RDD cache).
@@ -101,19 +101,9 @@ ChainedDistributedResult RunRecountMining(const std::vector<Sequence>& db,
   CombinerFactory combiner_factory;
   PartitionReduceFn reduce_fn;
   make_round(recounted, cached_db, &map_fn, &combiner_factory, &reduce_fn);
-  ChainedDistributedResult result = MakeChainedResult(
+  return MakeChainedResult(
       RunMiningRound(job, db.size(), map_fn, combiner_factory, reduce_fn),
       job);
-  // Local rounds bump the CachedDatabase instance counters in this process;
-  // proc-backend rounds run their maps in forked children, whose reads only
-  // come back as kMapDone-reported metrics. The instance counters and the
-  // aggregate metrics are disjoint by construction (a round is either local
-  // or proc), so their sum is the whole-job count either way.
-  result.input_storage_reads =
-      cached_db.storage_reads() + result.aggregate.input_storage_reads;
-  result.input_cache_hits =
-      cached_db.cache_hits() + result.aggregate.input_cache_hits;
-  return result;
 }
 
 DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
@@ -121,11 +111,9 @@ DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
                                        const PartitionReduceFn& reduce_fn,
                                        const DistributedRunOptions& options) {
   DataflowJob job(options);
-  DistributedResult result;
-  result.patterns =
-      RunMiningRound(job, num_inputs, map_fn, combiner_factory, reduce_fn);
-  result.metrics = job.round_metrics().front();
-  return result;
+  return MakeChainedResult(
+      RunMiningRound(job, num_inputs, map_fn, combiner_factory, reduce_fn),
+      job);
 }
 
 Dictionary RecountFrequencies(DataflowJob& job,

@@ -25,27 +25,14 @@
 
 namespace dseq {
 
-/// Result of one distributed mining run: the frequent patterns
-/// (canonicalized, sorted by pattern) plus the dataflow metrics of the
-/// map-shuffle-reduce round that produced them.
+/// Result of every distributed miner and driver: the frequent patterns
+/// (canonicalized, sorted by pattern), one DataflowMetrics per shuffle
+/// round (the paper's per-stage `shuffleWriteBytes` view) and their
+/// field-wise sum. For a one-round miner `metrics` is that round's metrics.
 struct DistributedResult {
   MiningResult patterns;
-  DataflowMetrics metrics;
-};
-
-/// Result of a chained (multi-round) distributed mining run: the frequent
-/// patterns plus one DataflowMetrics per shuffle round (the paper's
-/// per-stage `shuffleWriteBytes` view) and their field-wise sum.
-struct ChainedDistributedResult {
-  MiningResult patterns;
   std::vector<DataflowMetrics> round_metrics;
-  DataflowMetrics aggregate;
-
-  /// Database-read accounting of drivers that route input reads through a
-  /// CachedDatabase (the recount miners): reads served from backing storage
-  /// vs. from the round-1 cache. Both 0 for drivers without a cache.
-  uint64_t input_storage_reads = 0;
-  uint64_t input_cache_hits = 0;
+  DataflowMetrics metrics;
 
   size_t num_rounds() const { return round_metrics.size(); }
 };
@@ -60,8 +47,9 @@ using DistributedRunOptions = ChainedDataflowOptions;
 /// Cross-round cache of database reads for chained drivers — the in-process
 /// analogue of Spark's RDD cache. The first read of an index goes to
 /// backing storage and marks it cached; later reads (typically by the next
-/// round's map phase) are cache hits. Thread-safe; read counters make the
-/// caching observable to tests and --stats.
+/// round's map phase) are cache hits. Thread-safe. Reads count in the
+/// calling thread's ThreadInputReads, which the map shard running the read
+/// reports as DataflowMetrics::input_*.
 class CachedDatabase {
  public:
   explicit CachedDatabase(const std::vector<Sequence>& storage)
@@ -75,29 +63,16 @@ class CachedDatabase {
   }
 
   const Sequence& Read(size_t index) {
-    // Both the instance counters (summed by local drivers) and the
-    // process-global gauges are bumped: a proc-backend worker reports its
-    // global-gauge deltas through kMapDone, which is the only way reads
-    // performed inside a forked child become visible to the coordinator.
+    InputReads& reads = ThreadInputReads();
     if (cached_[index].exchange(1, std::memory_order_relaxed) != 0) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      GlobalInputCacheHits().fetch_add(1, std::memory_order_relaxed);
+      ++reads.cache_hits;
     } else {
-      storage_reads_.fetch_add(1, std::memory_order_relaxed);
-      GlobalInputStorageReads().fetch_add(1, std::memory_order_relaxed);
+      ++reads.storage_reads;
     }
     return storage_[index];
   }
 
   size_t size() const { return storage_.size(); }
-  // Relaxed: drivers sum the counters between rounds, after the round's
-  // workers are joined — the join is the ordering edge, not the load.
-  uint64_t storage_reads() const {
-    return storage_reads_.load(std::memory_order_relaxed);
-  }
-  uint64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
 
  private:
   const std::vector<Sequence>& storage_;
@@ -105,8 +80,6 @@ class CachedDatabase {
   // (storage_) is immutable, so the relaxed exchange in Read only needs the
   // RMW's atomicity to pick exactly one "first" reader per index.
   std::unique_ptr<std::atomic<uint8_t>[]> cached_;
-  std::atomic<uint64_t> storage_reads_{0};
-  std::atomic<uint64_t> cache_hits_{0};
 };
 
 /// Reduce callback of the shared driver: one call per distinct shuffle key,
@@ -117,30 +90,30 @@ using PartitionReduceFn = std::function<void(
     std::string_view key, std::vector<std::string_view>& values,
     MiningResult& out)>;
 
-/// Shared driver of all distributed miners: runs one map-shuffle-reduce
-/// round, collects per-reduce-worker patterns, and returns the merged,
-/// canonicalized result plus the round's metrics.
+/// Shared driver of the single-round distributed miners: runs one
+/// map-shuffle-reduce round and returns its merged, canonicalized patterns
+/// and metrics (MakeChainedResult over a one-round job).
 DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
                                        const CombinerFactory& combiner_factory,
                                        const PartitionReduceFn& reduce_fn,
                                        const DistributedRunOptions& options);
 
-/// The chained-job analogue of RunDistributedMining: runs one mining round
-/// on `job` (sharing its budgets and per-round metrics) and returns the
-/// round's merged, canonicalized patterns. Mined patterns cross the round
-/// boundary as records (emitted by the reduce side, consumed here), so the
-/// round works identically on the proc backend, where reduce functions run
-/// in forked processes and side effects on captured state are lost; the
-/// job's records() is left empty, making this a terminal round of the chain.
+/// Runs one mining round on `job` (sharing its budgets and per-round
+/// metrics) and returns the round's merged, canonicalized patterns. Mined
+/// patterns cross the round boundary as records (emitted by the reduce
+/// side, consumed here), so the round works identically on the proc
+/// backend, where reduce functions run in forked processes and side effects
+/// on captured state are lost; the job's records() is left empty, making
+/// this a terminal round of the chain.
 MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
                             const MapFn& map_fn,
                             const CombinerFactory& combiner_factory,
                             const PartitionReduceFn& reduce_fn);
 
-/// Assembles the result every chained driver returns: the patterns plus the
+/// Assembles the result every driver returns: the patterns plus the
 /// finished job's per-round and aggregate metrics.
-ChainedDistributedResult MakeChainedResult(MiningResult patterns,
-                                           const DataflowJob& job);
+DistributedResult MakeChainedResult(MiningResult patterns,
+                                    const DataflowJob& job);
 
 /// Builds the mining round of a recount driver against the recounted
 /// dictionary and the round-1 input cache (both outlive the round but not
@@ -154,13 +127,13 @@ using MakeMiningRoundFn =
 /// f-list via RecountFrequencies (reading the database through a
 /// CachedDatabase), round 2 runs the mining round `make_round` builds
 /// against the recounted dictionary, served from the round-1 cache instead
-/// of re-reading backing storage. The cache counters are reported on the
-/// result.
-ChainedDistributedResult RunRecountMining(const std::vector<Sequence>& db,
-                                          const Dictionary& dict,
-                                          uint32_t sample_every,
-                                          const DistributedRunOptions& options,
-                                          const MakeMiningRoundFn& make_round);
+/// of re-reading backing storage. The cache traffic is reported in each
+/// round's input_* metrics.
+DistributedResult RunRecountMining(const std::vector<Sequence>& db,
+                                   const Dictionary& dict,
+                                   uint32_t sample_every,
+                                   const DistributedRunOptions& options,
+                                   const MakeMiningRoundFn& make_round);
 
 /// Distributed frequency recount (round 1 of the iterative recount drivers):
 /// counts, on `job`, the per-item document frequencies of `db` — exactly

@@ -261,10 +261,10 @@ DistributedResult MineDSeq(const std::vector<Sequence>& db, const Fst& fst,
                               MakeDSeqReduceFn(fst, dict, options), options);
 }
 
-ChainedDistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
-                                         const Fst& fst,
-                                         const Dictionary& dict,
-                                         const DSeqRecountOptions& options) {
+DistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
+                                  const Fst& fst,
+                                  const Dictionary& dict,
+                                  const DSeqRecountOptions& options) {
   // Round 1 recounts the f-list; round 2 builds σ-pruned grids against it,
   // reading the database from the round-1 cache.
   return RunRecountMining(
@@ -278,11 +278,11 @@ ChainedDistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
       });
 }
 
-ChainedDistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
-                                          const Fst& fst,
-                                          const Dictionary& dict,
-                                          const DSeqBalanceOptions& options,
-                                          PartitionPlan* plan_out) {
+DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
+                                   const Fst& fst,
+                                   const Dictionary& dict,
+                                   const DSeqBalanceOptions& options,
+                                   PartitionPlan* plan_out) {
   // The balanced run owns the key→reducer hook (the whole point is to
   // install the plan's); silently discarding a caller-supplied partitioner
   // would contradict DistributedRunOptions' pass-through contract.

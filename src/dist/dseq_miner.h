@@ -113,10 +113,10 @@ struct DSeqRecountOptions : DSeqOptions {
 /// fixed; only pruning decisions see the new counts. Budgets follow
 /// DistributedRunOptions: shuffle_budget_bytes bounds each round,
 /// cumulative_shuffle_budget_bytes the whole chain.
-ChainedDistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
-                                         const Fst& fst,
-                                         const Dictionary& dict,
-                                         const DSeqRecountOptions& options);
+DistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
+                                  const Fst& fst,
+                                  const Dictionary& dict,
+                                  const DSeqRecountOptions& options);
 
 struct DSeqBalanceOptions : DSeqOptions {
   /// Planning knobs (plan.num_reducers is overridden by
@@ -146,11 +146,11 @@ struct DSeqBalanceOptions : DSeqOptions {
 /// custom hook). With aggregate_sequences the plan packs from pre-combine
 /// volumes (see ComputePartitionStats); results are unaffected, projected
 /// loads become an upper bound.
-ChainedDistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
-                                          const Fst& fst,
-                                          const Dictionary& dict,
-                                          const DSeqBalanceOptions& options,
-                                          PartitionPlan* plan_out = nullptr);
+DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
+                                   const Fst& fst,
+                                   const Dictionary& dict,
+                                   const DSeqBalanceOptions& options,
+                                   PartitionPlan* plan_out = nullptr);
 
 }  // namespace dseq
 

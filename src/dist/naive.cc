@@ -84,10 +84,10 @@ DistributedResult MineNaive(const std::vector<Sequence>& db, const Fst& fst,
                               options);
 }
 
-ChainedDistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
-                                          const Fst& fst,
-                                          const Dictionary& dict,
-                                          const NaiveRecountOptions& options) {
+DistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
+                                   const Fst& fst,
+                                   const Dictionary& dict,
+                                   const NaiveRecountOptions& options) {
   // Round 1 recounts the f-list; round 2 prunes with the recounted counts,
   // reading the database from the round-1 cache.
   return RunRecountMining(

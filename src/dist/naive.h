@@ -49,10 +49,10 @@ struct NaiveRecountOptions : NaiveOptions {
 /// round 2 mines with the recounted f-list. Budgets follow
 /// DistributedRunOptions: shuffle_budget_bytes bounds each round,
 /// cumulative_shuffle_budget_bytes the whole chain.
-ChainedDistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
-                                          const Fst& fst,
-                                          const Dictionary& dict,
-                                          const NaiveRecountOptions& options);
+DistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
+                                   const Fst& fst,
+                                   const Dictionary& dict,
+                                   const NaiveRecountOptions& options);
 
 }  // namespace dseq
 

@@ -35,9 +35,7 @@ void AppendUint(std::string* out, uint64_t v) {
   out->append(std::to_string(v));
 }
 
-}  // namespace
-
-std::string RenderStats(const std::string& prefix, const DataflowMetrics& m,
+std::string RenderBlock(const std::string& prefix, const DataflowMetrics& m,
                         bool proc_backend) {
   std::string out = prefix;
   out.append(": map ");
@@ -91,20 +89,25 @@ std::string RenderStats(const std::string& prefix, const DataflowMetrics& m,
   return out;
 }
 
-std::string RenderChainedStats(const std::vector<DataflowMetrics>& rounds,
-                               const DataflowMetrics& aggregate,
-                               uint64_t input_storage_reads,
-                               uint64_t input_cache_hits, bool proc_backend) {
+}  // namespace
+
+std::string RenderStats(const std::vector<DataflowMetrics>& rounds,
+                        bool proc_backend) {
   std::string out;
+  DataflowMetrics total;
   for (size_t r = 0; r < rounds.size(); ++r) {
-    out.append(
-        RenderStats("round " + std::to_string(r + 1), rounds[r], proc_backend));
+    if (rounds.size() > 1) {
+      out.append(RenderBlock("round " + std::to_string(r + 1), rounds[r],
+                             proc_backend));
+    }
+    total.Accumulate(rounds[r]);
   }
-  out.append(RenderStats("total", aggregate, proc_backend));
+  out.append(RenderBlock(rounds.size() == 1 ? "run" : "total", total,
+                         proc_backend));
   out.append("input reads: ");
-  AppendUint(&out, input_storage_reads);
+  AppendUint(&out, total.input_storage_reads);
   out.append(" from storage, ");
-  AppendUint(&out, input_cache_hits);
+  AppendUint(&out, total.input_cache_hits);
   out.append(" from the round-1 cache\n");
   return out;
 }

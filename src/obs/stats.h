@@ -20,8 +20,9 @@
 namespace dseq {
 namespace obs {
 
-/// Renders one round's (or one run's aggregate) metrics as the fixed
-/// three-line schema, `prefix` naming the scope ("run", "round 1", ...):
+/// Renders a run's `--stats` report from its per-round metrics (a
+/// DistributedResult's round_metrics). Each block is the fixed three-line
+/// schema, `<prefix>` naming its scope:
 ///
 ///   <prefix>: map Xs, reduce Xs, shuffle N bytes (N records),
 ///             compressed N bytes, reducer max/mean X.XX
@@ -29,19 +30,17 @@ namespace obs {
 ///   <prefix> proc: N task attempts (N retries), N stall kills, N workers
 ///             respawned, N segment chunks, N parked tails
 ///
+/// The report is one block per round ("round 1", ...) only when there is
+/// more than one round, then the field-wise sum ("run" for one round,
+/// "total" otherwise), then the summed input reads:
+///
+///   input reads: N from storage, N from the round-1 cache
+///
 /// Under the local backend the proc line renders as
 /// `<prefix> proc: n/a (local backend)`; a reducer-balance ratio without
 /// data renders as `n/a`. Identical field set either way.
-std::string RenderStats(const std::string& prefix, const DataflowMetrics& m,
+std::string RenderStats(const std::vector<DataflowMetrics>& rounds,
                         bool proc_backend);
-
-/// The chained-run report: one RenderStats block per round, the aggregate
-/// block (prefix "total"), and the input-cache line (storage reads vs.
-/// round-1 cache hits — 0/0 prints as 0/0, never vanishes).
-std::string RenderChainedStats(const std::vector<DataflowMetrics>& rounds,
-                               const DataflowMetrics& aggregate,
-                               uint64_t input_storage_reads,
-                               uint64_t input_cache_hits, bool proc_backend);
 
 /// All DataflowMetrics fields as a JSON object (reducer_bytes included as
 /// an array; `backend` records which backend produced them).

@@ -341,7 +341,6 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
   std::vector<std::vector<SpillFile>> spill_runs(
       budget.enabled() ? reduce_workers : 0);
   std::vector<uint64_t> bucket_charged(reduce_workers, 0);
-  std::vector<uint64_t> reducer_bytes(reduce_workers, 0);
   CombinerSpillContext combiner_ctx;
   if (budget.enabled()) {
     combiner_ctx.spill_dir = options.spill_dir;
@@ -353,9 +352,7 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
     combiner_ctx.map_worker = static_cast<int>(task);
   }
   std::atomic<uint64_t> shuffle_bytes{0};
-  std::atomic<uint64_t> shuffle_records{0};
-  std::atomic<uint64_t> map_output_records{0};
-  std::atomic<uint64_t> shuffle_compressed_bytes{0};
+  DataflowMetrics shard;
   std::atomic<uint64_t> progress{0};
 
   MapShardContext ctx;
@@ -369,24 +366,13 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
   ctx.buckets = buckets.data();
   ctx.spill_runs = budget.enabled() ? spill_runs.data() : nullptr;
   ctx.bucket_charged = bucket_charged.data();
-  ctx.reducer_bytes = reducer_bytes.data();
   ctx.budget = &budget;
   ctx.spill_stats = &spill_stats;
   ctx.combiner_ctx = budget.enabled() ? &combiner_ctx : nullptr;
   ctx.shuffle_bytes = &shuffle_bytes;
-  ctx.shuffle_records = &shuffle_records;
-  ctx.map_output_records = &map_output_records;
-  ctx.shuffle_compressed_bytes = &shuffle_compressed_bytes;
+  ctx.metrics = &shard;
   ctx.progress = &progress;
 
-  // Input-cache counters travel as before/after deltas of the process-global
-  // gauges: the map closure reads the (cached) input database, and the
-  // coordinator folds the deltas into the round metrics via kMapDone.
-  // Relaxed: the gauges are only bumped by this task thread (the worker runs
-  // the shard inline), so the before/after deltas are same-thread reads.
-  uint64_t storage_before =
-      GlobalInputStorageReads().load(std::memory_order_relaxed);
-  uint64_t hits_before = GlobalInputCacheHits().load(std::memory_order_relaxed);
   {
     std::unique_ptr<HeartbeatPump> pump;
     if (heartbeat_ms > 0) {
@@ -394,11 +380,6 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
     }
     RunMapShard(ctx);
   }
-  uint64_t storage_reads =
-      GlobalInputStorageReads().load(std::memory_order_relaxed) -
-      storage_before;
-  uint64_t cache_hits =
-      GlobalInputCacheHits().load(std::memory_order_relaxed) - hits_before;
 
   // Ship: per reducer, the spilled runs in chronological order, then the
   // bucket tail in stored form. This is exactly the source order the local
@@ -433,21 +414,22 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
 
   ApplyLifecycleFault(fault::Evaluate(fault::Site::kWorkerCommit, task));
 
-  // Relaxed: all counters were written by this thread during RunMapShard
-  // (the only other thread, the heartbeat pump, just joined in ~pump).
+  // Relaxed: the spill counters were written by this thread during
+  // RunMapShard (the only other thread, the heartbeat pump, just joined in
+  // ~pump).
   std::string done;
   PutVarint(&done, task);
-  PutVarint(&done, map_output_records.load(std::memory_order_relaxed));
-  PutVarint(&done, shuffle_records.load(std::memory_order_relaxed));
-  PutVarint(&done, shuffle_bytes.load(std::memory_order_relaxed));
-  PutVarint(&done, shuffle_compressed_bytes.load(std::memory_order_relaxed));
+  PutVarint(&done, shard.map_output_records);
+  PutVarint(&done, shard.shuffle_records);
+  PutVarint(&done, shard.shuffle_bytes);
+  PutVarint(&done, shard.shuffle_compressed_bytes);
   PutVarint(&done, spill_stats.files.load(std::memory_order_relaxed));
   PutVarint(&done, spill_stats.bytes_written.load(std::memory_order_relaxed));
   PutVarint(&done, spill_stats.merge_passes.load(std::memory_order_relaxed));
-  PutVarint(&done, storage_reads);
-  PutVarint(&done, cache_hits);
+  PutVarint(&done, shard.input_storage_reads);
+  PutVarint(&done, shard.input_cache_hits);
   PutVarint(&done, reduce_workers);
-  for (int r = 0; r < reduce_workers; ++r) PutVarint(&done, reducer_bytes[r]);
+  for (uint64_t bytes : shard.reducer_bytes) PutVarint(&done, bytes);
   // Close the task span, then ship the observability snapshot ahead of the
   // done frame so the coordinator ingests it before committing the task.
   // Best effort: a lost connection surfaces on the kMapDone send below.
@@ -670,20 +652,6 @@ struct StoredSegment {
   }
 };
 
-// Raw per-task metrics reported in kMapDone.
-struct MapReport {
-  uint64_t map_output_records = 0;
-  uint64_t shuffle_records = 0;
-  uint64_t shuffle_bytes = 0;
-  uint64_t shuffle_compressed_bytes = 0;
-  uint64_t spill_files = 0;
-  uint64_t spill_bytes_written = 0;
-  uint64_t spill_merge_passes = 0;
-  uint64_t input_storage_reads = 0;
-  uint64_t input_cache_hits = 0;
-  std::vector<uint64_t> reducer_bytes;
-};
-
 class Coordinator {
  public:
   Coordinator(size_t num_inputs, const MapFn& map_fn,
@@ -739,24 +707,8 @@ class Coordinator {
     Cleanup();  // graceful shutdown while results are assembled below
 
     DataflowMetrics& m = result.metrics;
-    m.reducer_bytes.assign(reduce_tasks_, 0);
-    for (const MapReport& report : map_reports_) {
-      m.map_output_records += report.map_output_records;
-      m.shuffle_records += report.shuffle_records;
-      m.shuffle_bytes += report.shuffle_bytes;
-      m.shuffle_compressed_bytes += report.shuffle_compressed_bytes;
-      m.spill_files += report.spill_files;
-      m.spill_bytes_written += report.spill_bytes_written;
-      m.spill_merge_passes += report.spill_merge_passes;
-      m.input_storage_reads += report.input_storage_reads;
-      m.input_cache_hits += report.input_cache_hits;
-      for (int r = 0; r < reduce_tasks_; ++r) {
-        m.reducer_bytes[r] += report.reducer_bytes[r];
-      }
-    }
-    m.spill_files += reduce_spill_files_;
-    m.spill_bytes_written += reduce_spill_bytes_;
-    m.spill_merge_passes += reduce_merge_passes_;
+    for (const DataflowMetrics& task : map_task_metrics_) m.Accumulate(task);
+    m.Accumulate(reduce_task_metrics_);
     m.proc_task_attempts = attempts_total_;
     m.proc_task_retries = retries_total_;
     m.proc_worker_kills = kills_;
@@ -1251,7 +1203,7 @@ class Coordinator {
       if (w.task < 0 || task != static_cast<uint64_t>(w.task)) {
         ProtocolError("map-done outside the worker's in-flight task");
       }
-      MapReport report;
+      DataflowMetrics report;
       RequireVarint(payload, &pos, &report.map_output_records, "map-done");
       RequireVarint(payload, &pos, &report.shuffle_records, "map-done");
       RequireVarint(payload, &pos, &report.shuffle_bytes, "map-done");
@@ -1284,8 +1236,8 @@ class Coordinator {
         }
         w.staged.clear();
       }
-      map_reports_[w.task] = std::move(report);
-      committed_shuffle_bytes_ += map_reports_[w.task].shuffle_bytes;
+      committed_shuffle_bytes_ += report.shuffle_bytes;
+      map_task_metrics_[w.task] = std::move(report);
       if (options_.shuffle_budget_bytes > 0 &&
           committed_shuffle_bytes_ > options_.shuffle_budget_bytes) {
         throw ShuffleOverflowError(
@@ -1341,13 +1293,11 @@ class Coordinator {
     if (w.task < 0 || reducer != static_cast<uint64_t>(w.task)) {
       ProtocolError("reduce-done outside the worker's in-flight task");
     }
-    uint64_t spill_files = 0;
-    uint64_t spill_bytes = 0;
-    uint64_t merge_passes = 0;
+    DataflowMetrics report;
     uint64_t num_records = 0;
-    RequireVarint(payload, &pos, &spill_files, "reduce-done");
-    RequireVarint(payload, &pos, &spill_bytes, "reduce-done");
-    RequireVarint(payload, &pos, &merge_passes, "reduce-done");
+    RequireVarint(payload, &pos, &report.spill_files, "reduce-done");
+    RequireVarint(payload, &pos, &report.spill_bytes_written, "reduce-done");
+    RequireVarint(payload, &pos, &report.spill_merge_passes, "reduce-done");
     RequireVarint(payload, &pos, &num_records, "reduce-done record count");
     std::vector<Record>& records = reduce_records_[reducer];
     records.clear();  // a re-executed task replaces, never appends
@@ -1368,9 +1318,7 @@ class Coordinator {
       pos += value_size;
       records.push_back(std::move(record));
     }
-    reduce_spill_files_ += spill_files;
-    reduce_spill_bytes_ += spill_bytes;
-    reduce_merge_passes_ += merge_passes;
+    reduce_task_metrics_.Accumulate(report);
     return true;
   }
 
@@ -1488,13 +1436,14 @@ class Coordinator {
   // store_[map task][reducer] -> committed segments, runs-then-tail per task.
   std::vector<std::vector<std::vector<StoredSegment>>> store_{
       static_cast<size_t>(map_tasks_)};
-  std::vector<MapReport> map_reports_{static_cast<size_t>(map_tasks_)};
+  // Raw metrics of each committed map task (a re-executed task replaces
+  // its report) and the reduce tasks' spill counters.
+  std::vector<DataflowMetrics> map_task_metrics_{
+      static_cast<size_t>(map_tasks_)};
+  DataflowMetrics reduce_task_metrics_;
   std::vector<std::vector<Record>> reduce_records_{
       static_cast<size_t>(reduce_tasks_)};
   uint64_t committed_shuffle_bytes_ = 0;
-  uint64_t reduce_spill_files_ = 0;
-  uint64_t reduce_spill_bytes_ = 0;
-  uint64_t reduce_merge_passes_ = 0;
 
   // Failure-policy state.
   const char* phase_ = "map";

@@ -40,7 +40,7 @@ TEST(ChainedPrefixSpanTest, MatchesOracleOnRandomizedInputs) {
               options.lambda = lambda;
               options.num_map_workers = workers;
               options.num_reduce_workers = workers;
-              ChainedDistributedResult chained =
+              DistributedResult chained =
                   MineChainedPrefixSpan(db.sequences, db.dict, options);
               EXPECT_EQ(chained.patterns, expected);
               // One shuffle round per grown prefix length, stopping early
@@ -51,7 +51,7 @@ TEST(ChainedPrefixSpanTest, MatchesOracleOnRandomizedInputs) {
               for (const DataflowMetrics& m : chained.round_metrics) {
                 total += m.shuffle_bytes;
               }
-              EXPECT_EQ(chained.aggregate.shuffle_bytes, total);
+              EXPECT_EQ(chained.metrics.shuffle_bytes, total);
             },
             {1, 2, 4});
       }
@@ -74,7 +74,7 @@ TEST(ChainedPrefixSpanTest, GrowsOneRoundPerPrefixLength) {
   PrefixSpanOptions options;
   options.sigma = 3;
   options.lambda = 3;
-  ChainedDistributedResult result =
+  DistributedResult result =
       MineChainedPrefixSpan(db.sequences, db.dict, options);
   ASSERT_EQ(result.num_rounds(), 3u);
   for (const DataflowMetrics& m : result.round_metrics) {
@@ -96,7 +96,7 @@ TEST(ChainedPrefixSpanTest, LambdaZeroYieldsNothingInBothVariants) {
   options.sigma = 1;
   options.lambda = 0;
   EXPECT_TRUE(MinePrefixSpan(db.sequences, db.dict, options).patterns.empty());
-  ChainedDistributedResult chained =
+  DistributedResult chained =
       MineChainedPrefixSpan(db.sequences, db.dict, options);
   EXPECT_TRUE(chained.patterns.empty());
   EXPECT_EQ(chained.num_rounds(), 0u);
@@ -107,12 +107,12 @@ TEST(ChainedPrefixSpanTest, RespectsCumulativeBudget) {
   PrefixSpanOptions options;
   options.sigma = 1;
   options.lambda = 4;
-  ChainedDistributedResult free_run =
+  DistributedResult free_run =
       MineChainedPrefixSpan(db.sequences, db.dict, options);
   ASSERT_GT(free_run.num_rounds(), 1u);
 
   options.cumulative_shuffle_budget_bytes =
-      free_run.aggregate.shuffle_bytes - 1;
+      free_run.metrics.shuffle_bytes - 1;
   EXPECT_THROW(MineChainedPrefixSpan(db.sequences, db.dict, options),
                ShuffleOverflowError);
 }
@@ -189,7 +189,7 @@ TEST_P(RecountMinerTest, ExactRecountReproducesSingleRoundMiners) {
             naive.num_reduce_workers = workers;
             MiningResult expected =
                 MineNaive(db.sequences, fst, db.dict, naive).patterns;
-            ChainedDistributedResult chained =
+            DistributedResult chained =
                 MineNaiveRecount(db.sequences, fst, db.dict, naive);
             EXPECT_EQ(chained.patterns, expected)
                 << (semi ? "SEMI-NAIVE" : "NAIVE");
@@ -202,11 +202,11 @@ TEST_P(RecountMinerTest, ExactRecountReproducesSingleRoundMiners) {
           dseq.num_reduce_workers = workers;
           MiningResult expected =
               MineDSeq(db.sequences, fst, db.dict, dseq).patterns;
-          ChainedDistributedResult chained =
+          DistributedResult chained =
               MineDSeqRecount(db.sequences, fst, db.dict, dseq);
           EXPECT_EQ(chained.patterns, expected) << "D-SEQ";
           EXPECT_EQ(chained.num_rounds(), 2u);
-          EXPECT_EQ(chained.aggregate.shuffle_bytes,
+          EXPECT_EQ(chained.metrics.shuffle_bytes,
                     chained.round_metrics[0].shuffle_bytes +
                         chained.round_metrics[1].shuffle_bytes);
         },
@@ -232,34 +232,68 @@ TEST(RecountMinerTest, RoundTwoIsServedFromTheRoundOneCache) {
   dseq.sigma = 2;
   dseq.num_map_workers = 2;
   dseq.num_reduce_workers = 2;
-  ChainedDistributedResult exact =
+  DistributedResult exact =
       MineDSeqRecount(db.sequences, fst, db.dict, dseq);
-  EXPECT_EQ(exact.input_storage_reads, n);
-  EXPECT_EQ(exact.input_cache_hits, n);
+  EXPECT_EQ(exact.metrics.input_storage_reads, n);
+  EXPECT_EQ(exact.metrics.input_cache_hits, n);
 
   NaiveRecountOptions naive;
   naive.sigma = 2;
-  ChainedDistributedResult naive_run =
+  DistributedResult naive_run =
       MineNaiveRecount(db.sequences, fst, db.dict, naive);
-  EXPECT_EQ(naive_run.input_storage_reads, n);
-  EXPECT_EQ(naive_run.input_cache_hits, n);
+  EXPECT_EQ(naive_run.metrics.input_storage_reads, n);
+  EXPECT_EQ(naive_run.metrics.input_cache_hits, n);
 
   // Sampling: round 1 reads only the sampled sequences; round 2 hits the
   // cache for those and goes to storage for the rest — every sequence is
   // read from storage exactly once either way.
   DSeqRecountOptions sampled = dseq;
   sampled.recount_sample_every = 3;
-  ChainedDistributedResult sampled_run =
+  DistributedResult sampled_run =
       MineDSeqRecount(db.sequences, fst, db.dict, sampled);
   uint64_t num_sampled = (n + 2) / 3;
-  EXPECT_EQ(sampled_run.input_storage_reads, n);
-  EXPECT_EQ(sampled_run.input_cache_hits, num_sampled);
+  EXPECT_EQ(sampled_run.metrics.input_storage_reads, n);
+  EXPECT_EQ(sampled_run.metrics.input_cache_hits, num_sampled);
 
   // Single-round miners have no cache.
   DistributedResult single = MineDSeq(db.sequences, fst, db.dict, dseq);
   EXPECT_EQ(MineNaive(db.sequences, fst, db.dict, naive).patterns,
             naive_run.patterns);
   EXPECT_EQ(single.patterns, exact.patterns);
+  EXPECT_EQ(single.metrics.input_storage_reads, 0u);
+  EXPECT_EQ(single.metrics.input_cache_hits, 0u);
+}
+
+TEST(RecountMinerTest, ResultInputReadsAreTheRoundTotals) {
+  // Each map shard counts its own reads, on threads and in the sequential
+  // simulation alike (there several shards share one thread). The result's
+  // metrics are the field-wise sum of its rounds.
+  SequenceDatabase db = testing::RandomDatabase(4960, 7, 40, 8);
+  Fst fst = CompileFst(".*(.)[.*(.)]{0,2}.*", db.dict);
+  const uint64_t n = db.sequences.size();
+  for (Execution execution : {Execution::kThreads, Execution::kSimulated}) {
+    DSeqRecountOptions options;
+    options.sigma = 2;
+    options.num_map_workers = 3;
+    options.num_reduce_workers = 2;
+    options.execution = execution;
+    DistributedResult result =
+        MineDSeqRecount(db.sequences, fst, db.dict, options);
+    ASSERT_EQ(result.num_rounds(), 2u);
+    uint64_t storage_reads = 0;
+    uint64_t cache_hits = 0;
+    for (const DataflowMetrics& round : result.round_metrics) {
+      storage_reads += round.input_storage_reads;
+      cache_hits += round.input_cache_hits;
+    }
+    EXPECT_EQ(result.metrics.input_storage_reads, storage_reads);
+    EXPECT_EQ(result.metrics.input_cache_hits, cache_hits);
+    // Round 1 fills the cache from storage; round 2 is served from it.
+    EXPECT_EQ(result.round_metrics[0].input_storage_reads, n);
+    EXPECT_EQ(result.round_metrics[0].input_cache_hits, 0u);
+    EXPECT_EQ(result.round_metrics[1].input_storage_reads, 0u);
+    EXPECT_EQ(result.round_metrics[1].input_cache_hits, n);
+  }
 }
 
 TEST(RecountMinerTest, CompressionLeavesRecountResultsUnchanged) {
@@ -267,10 +301,10 @@ TEST(RecountMinerTest, CompressionLeavesRecountResultsUnchanged) {
   Fst fst = CompileFst(".*(i0)[(.^).*]*(i1).*", db.dict);
   DSeqRecountOptions options;
   options.sigma = 2;
-  ChainedDistributedResult plain =
+  DistributedResult plain =
       MineDSeqRecount(db.sequences, fst, db.dict, options);
   options.compress_shuffle = true;
-  ChainedDistributedResult compressed =
+  DistributedResult compressed =
       MineDSeqRecount(db.sequences, fst, db.dict, options);
   EXPECT_EQ(compressed.patterns, plain.patterns);
   ASSERT_EQ(compressed.num_rounds(), plain.num_rounds());
@@ -282,8 +316,8 @@ TEST(RecountMinerTest, CompressionLeavesRecountResultsUnchanged) {
       EXPECT_GT(compressed.round_metrics[r].shuffle_compressed_bytes, 0u);
     }
   }
-  EXPECT_EQ(plain.aggregate.shuffle_compressed_bytes, 0u);
-  EXPECT_GT(compressed.aggregate.shuffle_compressed_bytes, 0u);
+  EXPECT_EQ(plain.metrics.shuffle_compressed_bytes, 0u);
+  EXPECT_GT(compressed.metrics.shuffle_compressed_bytes, 0u);
 }
 
 TEST(RecountMinerTest, MineNaiveRecountRespectsCumulativeBudget) {
@@ -291,7 +325,7 @@ TEST(RecountMinerTest, MineNaiveRecountRespectsCumulativeBudget) {
   Fst fst = CompileFst(".*(.)[.*(.)]{0,2}.*", db.dict);
   NaiveRecountOptions options;
   options.sigma = 2;
-  ChainedDistributedResult free_run =
+  DistributedResult free_run =
       MineNaiveRecount(db.sequences, fst, db.dict, options);
   ASSERT_EQ(free_run.num_rounds(), 2u);
 
@@ -303,7 +337,7 @@ TEST(RecountMinerTest, MineNaiveRecountRespectsCumulativeBudget) {
   EXPECT_THROW(MineNaiveRecount(db.sequences, fst, db.dict, tight),
                ShuffleOverflowError);
   tight.cumulative_shuffle_budget_bytes =
-      free_run.aggregate.shuffle_bytes - 1;
+      free_run.metrics.shuffle_bytes - 1;
   EXPECT_THROW(MineNaiveRecount(db.sequences, fst, db.dict, tight),
                ShuffleOverflowError);
 }

@@ -239,48 +239,73 @@ DataflowMetrics SampleMetrics() {
   return m;
 }
 
-TEST(StatsRenderTest, LocalAndProcRenderTheSameFieldSet) {
-  DataflowMetrics m = SampleMetrics();
-  std::string local = obs::RenderStats("run", m, /*proc_backend=*/false);
-  std::string proc = obs::RenderStats("run", m, /*proc_backend=*/true);
-  // The schema is fixed: both backends render the same three lines with
-  // the same field labels, differing only in the proc line's values.
-  auto lines = [](const std::string& s) {
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos < s.size()) {
-      size_t nl = s.find('\n', pos);
-      if (nl == std::string::npos) nl = s.size();
-      out.push_back(s.substr(pos, nl - pos));
-      pos = nl + 1;
-    }
-    return out;
-  };
-  std::vector<std::string> local_lines = lines(local);
-  std::vector<std::string> proc_lines = lines(proc);
-  ASSERT_EQ(local_lines.size(), 3u);
-  ASSERT_EQ(proc_lines.size(), 3u);
-  // Run and spill lines are backend-independent.
-  EXPECT_EQ(local_lines[0], proc_lines[0]);
-  EXPECT_EQ(local_lines[1], proc_lines[1]);
-  // The proc line never vanishes — it renders an explicit marker locally.
-  EXPECT_NE(local_lines[2].find("run proc: n/a (local backend)"),
-            std::string::npos);
-  EXPECT_NE(proc_lines[2].find("run proc:"), std::string::npos);
-  EXPECT_NE(proc_lines[2].find("task attempts"), std::string::npos);
+std::vector<std::string> Lines(const std::string& s) {
+  std::vector<std::string> out;
+  size_t pos = 0;
+  while (pos < s.size()) {
+    size_t nl = s.find('\n', pos);
+    if (nl == std::string::npos) nl = s.size();
+    out.push_back(s.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  return out;
 }
 
-TEST(StatsRenderTest, ChainedReportRendersPerRoundAndAggregateBlocks) {
+TEST(StatsRenderTest, OneRoundReportIsTheRunBlockAndTheInputLine) {
   DataflowMetrics m = SampleMetrics();
-  std::string report = obs::RenderChainedStats(
-      {m, m}, m, /*input_storage_reads=*/10, /*input_cache_hits=*/5,
-      /*proc_backend=*/false);
+  m.input_storage_reads = 7;
+  std::vector<std::string> lines =
+      Lines(obs::RenderStats({m}, /*proc_backend=*/false));
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0].rfind("run: map 1.500s, reduce 0.500s, shuffle 4096", 0),
+            0u);
+  EXPECT_EQ(lines[1], "run spill: 2 runs, 2048 bytes written, 1 merge passes");
+  EXPECT_EQ(lines[2], "run proc: n/a (local backend)");
+  EXPECT_EQ(lines[3], "input reads: 7 from storage, 0 from the round-1 cache");
+}
+
+TEST(StatsRenderTest, TwoRoundReportRendersPerRoundAndTotalBlocks) {
+  DataflowMetrics first = SampleMetrics();
+  first.input_storage_reads = 10;
+  DataflowMetrics second = SampleMetrics();
+  second.input_cache_hits = 5;
+  std::string report =
+      obs::RenderStats({first, second}, /*proc_backend=*/false);
+  EXPECT_EQ(Lines(report).size(), 10u);
   EXPECT_NE(report.find("round 1:"), std::string::npos);
   EXPECT_NE(report.find("round 2:"), std::string::npos);
-  EXPECT_NE(report.find("total:"), std::string::npos);
+  // The total block is the field-wise sum of the rounds.
+  EXPECT_NE(report.find("total: map 3.000s, reduce 1.000s, shuffle 8192"),
+            std::string::npos);
+  EXPECT_EQ(report.find("run:"), std::string::npos);
   EXPECT_NE(
       report.find("input reads: 10 from storage, 5 from the round-1 cache"),
       std::string::npos);
+}
+
+TEST(StatsRenderTest, LocalAndProcRenderTheSameFieldSet) {
+  DataflowMetrics m = SampleMetrics();
+  for (size_t rounds : {1, 2}) {
+    SCOPED_TRACE(std::to_string(rounds) + " rounds");
+    std::vector<DataflowMetrics> metrics(rounds, m);
+    std::vector<std::string> local =
+        Lines(obs::RenderStats(metrics, /*proc_backend=*/false));
+    std::vector<std::string> proc =
+        Lines(obs::RenderStats(metrics, /*proc_backend=*/true));
+    // The schema is fixed: both backends render the same lines with the
+    // same field labels, differing only in the proc lines' values.
+    ASSERT_EQ(local.size(), proc.size());
+    for (size_t i = 0; i < local.size(); ++i) {
+      if (local[i].find(" proc: ") == std::string::npos) {
+        EXPECT_EQ(local[i], proc[i]);
+        continue;
+      }
+      // The proc line never vanishes — it renders an explicit marker
+      // locally.
+      EXPECT_NE(local[i].find("proc: n/a (local backend)"), std::string::npos);
+      EXPECT_NE(proc[i].find("task attempts"), std::string::npos);
+    }
+  }
 }
 
 TEST_F(ObsTest, MetricsReportJsonEmbedsDataflowAndRegistry) {

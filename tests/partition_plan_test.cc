@@ -234,7 +234,7 @@ TEST(MineDSeqBalancedTest, SplitPivotsReconcileInSecondRound) {
   options.num_map_workers = 8;
   options.num_reduce_workers = 8;
   PartitionPlan plan;
-  ChainedDistributedResult result =
+  DistributedResult result =
       MineDSeqBalanced(db.sequences, fst, db.dict, options, &plan);
   // The coarse hierarchy forces at least one split, so the run reconciles
   // in a second round — and still matches the oracle exactly.
@@ -269,7 +269,7 @@ TEST(MineDSeqBalancedTest, BalanceImprovesAtLeastTwofoldOnSkewedZipf) {
 
   DSeqBalanceOptions balanced_options;
   static_cast<DSeqOptions&>(balanced_options) = hash_options;
-  ChainedDistributedResult balanced =
+  DistributedResult balanced =
       MineDSeqBalanced(db.sequences, fst, db.dict, balanced_options);
   double after =
       SummarizeReducerBytes(balanced.round_metrics.front().reducer_bytes)

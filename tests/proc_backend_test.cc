@@ -417,35 +417,45 @@ TEST(ProcBackendTest, RecountCacheCountersMatchAcrossBackends) {
   options.sigma = 2;
   options.num_map_workers = 2;
   options.num_reduce_workers = 2;
-  ChainedDistributedResult local =
+  DistributedResult local =
       MineDSeqRecount(db.sequences, fst, db.dict, options);
   options.backend = DataflowBackend::kProc;
-  ChainedDistributedResult proc =
+  DistributedResult proc =
       MineDSeqRecount(db.sequences, fst, db.dict, options);
 
   EXPECT_EQ(local.patterns, proc.patterns);
-  // Every database read happens exactly once per (round, index) regardless
-  // of backend, so the total touch count matches — even though the round-1
-  // cache does not survive the fork boundary, which only shifts reads from
-  // the hit column to the storage column.
-  EXPECT_GT(local.input_cache_hits, 0u);
-  EXPECT_EQ(local.input_storage_reads + local.input_cache_hits,
-            proc.input_storage_reads + proc.input_cache_hits);
-  // Proc-side reads happen inside forked children and are only visible via
-  // the kMapDone report: a nonzero aggregate pins the wire path, while the
-  // local backend counts on the CachedDatabase instance alone.
-  EXPECT_GT(proc.aggregate.input_storage_reads, 0u);
-  EXPECT_EQ(local.aggregate.input_storage_reads +
-                local.aggregate.input_cache_hits,
-            0u);
+  // Both backends count reads in the shared map-shard body, so every
+  // database read shows up once per (round, index) either way. The round-1
+  // cache does not survive the fork boundary, which only shifts proc's
+  // round-2 reads from the hit column to the storage column.
+  const uint64_t n = db.sequences.size();
+  ASSERT_EQ(local.num_rounds(), 2u);
+  ASSERT_EQ(proc.num_rounds(), 2u);
+  for (size_t r = 0; r < 2; ++r) {
+    SCOPED_TRACE("round " + std::to_string(r + 1));
+    const DataflowMetrics& l = local.round_metrics[r];
+    const DataflowMetrics& p = proc.round_metrics[r];
+    EXPECT_EQ(l.input_storage_reads + l.input_cache_hits,
+              p.input_storage_reads + p.input_cache_hits);
+  }
+  EXPECT_EQ(local.round_metrics[1].input_cache_hits, n);
+  // The results' totals are the round sums on both backends.
+  for (const DistributedResult* result : {&local, &proc}) {
+    EXPECT_EQ(result->metrics.input_storage_reads,
+              result->round_metrics[0].input_storage_reads +
+                  result->round_metrics[1].input_storage_reads);
+    EXPECT_EQ(result->metrics.input_cache_hits,
+              result->round_metrics[0].input_cache_hits +
+                  result->round_metrics[1].input_cache_hits);
+  }
 }
 
 TEST(ProcBackendTest, ChainedMinersMatchAcrossBackends) {
   SequenceDatabase db = testing::RandomDatabase(4700, 7, 60, 8);
   Fst fst = CompileFst(".*(.)[.*(.)]{0,2}.*", db.dict);
 
-  auto expect_same = [](const ChainedDistributedResult& local,
-                        const ChainedDistributedResult& proc,
+  auto expect_same = [](const DistributedResult& local,
+                        const DistributedResult& proc,
                         const char* name) {
     EXPECT_EQ(local.patterns, proc.patterns) << name;
     ASSERT_EQ(local.round_metrics.size(), proc.round_metrics.size()) << name;
@@ -461,10 +471,10 @@ TEST(ProcBackendTest, ChainedMinersMatchAcrossBackends) {
     options.sigma = 2;
     options.num_map_workers = 3;
     options.num_reduce_workers = 3;
-    ChainedDistributedResult local =
+    DistributedResult local =
         MineDSeqRecount(db.sequences, fst, db.dict, options);
     options.backend = DataflowBackend::kProc;
-    ChainedDistributedResult proc =
+    DistributedResult proc =
         MineDSeqRecount(db.sequences, fst, db.dict, options);
     expect_same(local, proc, "recount");
   }
@@ -477,10 +487,10 @@ TEST(ProcBackendTest, ChainedMinersMatchAcrossBackends) {
     options.num_map_workers = 3;
     options.num_reduce_workers = 3;
     options.plan.split_factor = 0.5;  // force splits
-    ChainedDistributedResult local =
+    DistributedResult local =
         MineDSeqBalanced(db.sequences, fst, db.dict, options);
     options.backend = DataflowBackend::kProc;
-    ChainedDistributedResult proc =
+    DistributedResult proc =
         MineDSeqBalanced(db.sequences, fst, db.dict, options);
     expect_same(local, proc, "balanced");
   }
@@ -491,10 +501,10 @@ TEST(ProcBackendTest, ChainedMinersMatchAcrossBackends) {
     options.lambda = 4;
     options.num_map_workers = 2;
     options.num_reduce_workers = 2;
-    ChainedDistributedResult local =
+    DistributedResult local =
         MineChainedPrefixSpan(db.sequences, db.dict, options);
     options.backend = DataflowBackend::kProc;
-    ChainedDistributedResult proc =
+    DistributedResult proc =
         MineChainedPrefixSpan(db.sequences, db.dict, options);
     EXPECT_GT(local.num_rounds(), 1u);
     expect_same(local, proc, "prefix-span-chained");

@@ -645,15 +645,15 @@ TEST(SpillMiningTest, BudgetedRecountChainSpillsPerRound) {
   options.sigma = 2;
   options.num_map_workers = 2;
   options.num_reduce_workers = 2;
-  ChainedDistributedResult in_memory =
+  DistributedResult in_memory =
       MineDSeqRecount(db.sequences, fst, db.dict, options);
 
   ScopedSpillDir dir;
   DSeqRecountOptions spill_options = options;
   spill_options.memory_budget_bytes =
-      std::max<uint64_t>(in_memory.aggregate.shuffle_bytes / 8, 64);
+      std::max<uint64_t>(in_memory.metrics.shuffle_bytes / 8, 64);
   spill_options.spill_dir = dir.path();
-  ChainedDistributedResult spilled =
+  DistributedResult spilled =
       MineDSeqRecount(db.sequences, fst, db.dict, spill_options);
 
   EXPECT_EQ(spilled.patterns, in_memory.patterns);
@@ -663,8 +663,8 @@ TEST(SpillMiningTest, BudgetedRecountChainSpillsPerRound) {
               in_memory.round_metrics[r].shuffle_bytes)
         << "round " << r;
   }
-  EXPECT_GE(spilled.aggregate.spill_files, 1u);
-  EXPECT_GE(spilled.aggregate.spill_merge_passes, 1u);
+  EXPECT_GE(spilled.metrics.spill_files, 1u);
+  EXPECT_GE(spilled.metrics.spill_merge_passes, 1u);
   EXPECT_EQ(CountDirEntries(dir.path()), 0u);
 }
 

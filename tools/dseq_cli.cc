@@ -16,10 +16,11 @@
 // Iterative (multi-round) jobs: --recount prepends a distributed
 // frequency-recount round to naive/semi-naive/dseq, and
 // `--algorithm prefix-span-chained` grows PrefixSpan prefixes one shuffle
-// round at a time; --stats prints per-round metrics for both (including
-// database-read cache counters of the recount drivers). --compress runs
-// the shuffle through the block codec; --stats then reports the compressed
-// volume next to the raw one. --balance (dseq only) measures the per-pivot
+// round at a time; --stats prints per-round metrics for both. Every
+// distributed run's --stats ends with its input-read line (database reads
+// served from storage vs. the recount drivers' round-1 cache). --compress
+// runs the shuffle through the block codec; --stats then reports the
+// compressed volume next to the raw one. --balance (dseq only) measures the per-pivot
 // shuffle volume first and mines under a PartitionPlan — light pivots
 // bundled, heavy pivots range-split and reconciled in one extra round —
 // instead of hash partitioning; --stats then also prints the plan and the
@@ -50,6 +51,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,6 +70,11 @@
 #include "src/util/thread_pool.h"
 
 namespace {
+
+// Every --algorithm main() has a branch for.
+const char* const kAlgorithms[] = {
+    "dseq",     "dcand",      "naive",       "semi-naive",
+    "desq-dfs", "desq-count", "prefix-span", "prefix-span-chained"};
 
 struct Args {
   std::string sequences;
@@ -201,6 +208,10 @@ Args ParseArgs(int argc, char** argv) {
       args.sigma = ParseUnsigned("--sigma", need_value("--sigma"), UINT64_MAX);
     } else if (std::strcmp(argv[i], "--algorithm") == 0) {
       args.algorithm = need_value("--algorithm");
+      if (std::find(std::begin(kAlgorithms), std::end(kAlgorithms),
+                    args.algorithm) == std::end(kAlgorithms)) {
+        Usage(("unknown algorithm: " + args.algorithm).c_str());
+      }
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       args.workers = static_cast<int>(
           ParseUnsigned("--workers", need_value("--workers"), INT32_MAX));
@@ -349,36 +360,25 @@ void PrintPlan(const dseq::PartitionPlan& plan) {
   std::fprintf(stderr, "\n");
 }
 
-// Both stats renderers live in src/obs/stats.h now: one fixed field set
-// for every backend (proc-only fields print an explicit n/a marker under
-// local instead of silently vanishing), shared with --metrics-json.
-void PrintRunStats(const dseq::DataflowMetrics& m, bool proc_backend) {
-  std::fputs(dseq::obs::RenderStats("run", m, proc_backend).c_str(), stderr);
-}
-
-void PrintRoundStats(const dseq::ChainedDistributedResult& result,
-                     bool proc_backend) {
-  std::fputs(dseq::obs::RenderChainedStats(
-                 result.round_metrics, result.aggregate,
-                 result.input_storage_reads, result.input_cache_hits,
-                 proc_backend)
-                 .c_str(),
-             stderr);
-}
-
-// Copies the out-of-core and backend flags onto a miner's options (every
-// distributed miner extends DistributedRunOptions). --compress also covers
-// the spill files: both knobs trade CPU for bytes on the same serialized
-// records.
-void ApplySpillOptions(const Args& args, dseq::DistributedRunOptions* options) {
-  options->memory_budget_bytes = args.memory_budget;
-  options->spill_dir = args.spill_dir;
-  options->compress_spill = args.compress;
-  options->backend = args.backend == "proc" ? dseq::DataflowBackend::kProc
-                                            : dseq::DataflowBackend::kLocal;
-  options->proc_worker_timeout_ms = args.proc_timeout_ms;
-  options->proc_max_task_attempts = args.proc_max_attempts;
-  options->proc_round_deadline_ms = args.proc_deadline_ms;
+// The options every distributed miner shares (each extends
+// DistributedRunOptions and has a sigma). --compress also covers the spill
+// files: both knobs trade CPU for bytes on the same serialized records.
+template <typename Options>
+Options RunOptions(const Args& args, int workers) {
+  Options options;
+  options.sigma = args.sigma;
+  options.num_map_workers = workers;
+  options.num_reduce_workers = workers;
+  options.compress_shuffle = args.compress;
+  options.memory_budget_bytes = args.memory_budget;
+  options.spill_dir = args.spill_dir;
+  options.compress_spill = args.compress;
+  options.backend = args.backend == "proc" ? dseq::DataflowBackend::kProc
+                                           : dseq::DataflowBackend::kLocal;
+  options.proc_worker_timeout_ms = args.proc_timeout_ms;
+  options.proc_max_task_attempts = args.proc_max_attempts;
+  options.proc_round_deadline_ms = args.proc_deadline_ms;
+  return options;
 }
 
 // Validates an output-file flag (--trace-out, --metrics-json) before any
@@ -489,122 +489,56 @@ int main(int argc, char** argv) {
       }
     }
 
-    MiningResult patterns;
-    bool have_metrics = false;
-    DataflowMetrics final_metrics;
+    // The distributed branches only choose the miner: every one returns a
+    // DistributedResult, reported by one renderer below.
+    DistributedResult result;
+    bool distributed = true;
+    PartitionPlan plan;
     if (args.algorithm == "dseq" && args.balance) {
-      DSeqBalanceOptions options;
-      options.sigma = args.sigma;
-      options.num_map_workers = workers;
-      options.num_reduce_workers = workers;
-      options.compress_shuffle = args.compress;
-      ApplySpillOptions(args, &options);
+      auto options = RunOptions<DSeqBalanceOptions>(args, workers);
       options.plan.split_factor = args.split_factor;
-      PartitionPlan plan;
-      ChainedDistributedResult result =
-          MineDSeqBalanced(db.sequences, fst, db.dict, options, &plan);
-      if (args.stats) {
-        PrintPlan(plan);
-        PrintRoundStats(result, proc);
-      }
-      final_metrics = result.aggregate;
-      have_metrics = true;
-      patterns = std::move(result.patterns);
+      result = MineDSeqBalanced(db.sequences, fst, db.dict, options, &plan);
     } else if (args.algorithm == "dseq") {
-      DSeqRecountOptions options;
-      options.sigma = args.sigma;
-      options.num_map_workers = workers;
-      options.num_reduce_workers = workers;
-      options.compress_shuffle = args.compress;
-      ApplySpillOptions(args, &options);
-      if (args.recount) {
-        options.recount_sample_every = args.recount_sample;
-        ChainedDistributedResult result =
-            MineDSeqRecount(db.sequences, fst, db.dict, options);
-        if (args.stats) PrintRoundStats(result, proc);
-        final_metrics = result.aggregate;
-        have_metrics = true;
-        patterns = std::move(result.patterns);
-      } else {
-        DistributedResult result = MineDSeq(db.sequences, fst, db.dict, options);
-        if (args.stats) PrintRunStats(result.metrics, proc);
-        final_metrics = result.metrics;
-        have_metrics = true;
-        patterns = std::move(result.patterns);
-      }
+      auto options = RunOptions<DSeqRecountOptions>(args, workers);
+      options.recount_sample_every = args.recount_sample;
+      result = args.recount
+                   ? MineDSeqRecount(db.sequences, fst, db.dict, options)
+                   : MineDSeq(db.sequences, fst, db.dict, options);
     } else if (args.algorithm == "dcand") {
-      DCandOptions options;
-      options.sigma = args.sigma;
-      options.num_map_workers = workers;
-      options.num_reduce_workers = workers;
-      options.compress_shuffle = args.compress;
-      ApplySpillOptions(args, &options);
-      DistributedResult result = MineDCand(db.sequences, fst, db.dict, options);
-      if (args.stats) PrintRunStats(result.metrics, proc);
-      final_metrics = result.metrics;
-      have_metrics = true;
-      patterns = std::move(result.patterns);
+      result = MineDCand(db.sequences, fst, db.dict,
+                         RunOptions<DCandOptions>(args, workers));
     } else if (args.algorithm == "naive" || args.algorithm == "semi-naive") {
-      NaiveRecountOptions options;
-      options.sigma = args.sigma;
+      auto options = RunOptions<NaiveRecountOptions>(args, workers);
       options.semi_naive = args.algorithm == "semi-naive";
-      options.num_map_workers = workers;
-      options.num_reduce_workers = workers;
-      options.compress_shuffle = args.compress;
-      ApplySpillOptions(args, &options);
-      if (args.recount) {
-        options.recount_sample_every = args.recount_sample;
-        ChainedDistributedResult result =
-            MineNaiveRecount(db.sequences, fst, db.dict, options);
-        if (args.stats) PrintRoundStats(result, proc);
-        final_metrics = result.aggregate;
-        have_metrics = true;
-        patterns = std::move(result.patterns);
-      } else {
-        DistributedResult result =
-            MineNaive(db.sequences, fst, db.dict, options);
-        if (args.stats) PrintRunStats(result.metrics, proc);
-        final_metrics = result.metrics;
-        have_metrics = true;
-        patterns = std::move(result.patterns);
-      }
+      options.recount_sample_every = args.recount_sample;
+      result = args.recount
+                   ? MineNaiveRecount(db.sequences, fst, db.dict, options)
+                   : MineNaive(db.sequences, fst, db.dict, options);
     } else if (args.algorithm == "prefix-span" ||
                args.algorithm == "prefix-span-chained") {
-      PrefixSpanOptions options;
-      options.sigma = args.sigma;
+      auto options = RunOptions<PrefixSpanOptions>(args, workers);
       options.lambda = args.lambda;
-      options.num_map_workers = workers;
-      options.num_reduce_workers = workers;
-      options.compress_shuffle = args.compress;
-      ApplySpillOptions(args, &options);
-      if (args.algorithm == "prefix-span-chained") {
-        ChainedDistributedResult result =
-            MineChainedPrefixSpan(db.sequences, db.dict, options);
-        if (args.stats) PrintRoundStats(result, proc);
-        final_metrics = result.aggregate;
-        have_metrics = true;
-        patterns = std::move(result.patterns);
-      } else {
-        DistributedResult result =
-            MinePrefixSpan(db.sequences, db.dict, options);
-        if (args.stats) PrintRunStats(result.metrics, proc);
-        final_metrics = result.metrics;
-        have_metrics = true;
-        patterns = std::move(result.patterns);
-      }
+      result = args.algorithm == "prefix-span-chained"
+                   ? MineChainedPrefixSpan(db.sequences, db.dict, options)
+                   : MinePrefixSpan(db.sequences, db.dict, options);
     } else if (args.algorithm == "desq-dfs") {
+      distributed = false;
       DesqDfsOptions options;
       options.sigma = args.sigma;
-      patterns = MineDesqDfs(db.sequences, fst, db.dict, options);
-    } else if (args.algorithm == "desq-count") {
+      result.patterns = MineDesqDfs(db.sequences, fst, db.dict, options);
+    } else {  // desq-count; ParseArgs rejected every other name
+      distributed = false;
       DesqCountOptions options;
       options.sigma = args.sigma;
       options.num_workers = workers;
-      patterns = MineDesqCount(db.sequences, fst, db.dict, options);
-    } else {
-      Usage(("unknown algorithm: " + args.algorithm).c_str());
+      result.patterns = MineDesqCount(db.sequences, fst, db.dict, options);
+    }
+    if (args.stats && distributed) {
+      if (args.balance) PrintPlan(plan);
+      std::fputs(obs::RenderStats(result.round_metrics, proc).c_str(), stderr);
     }
 
+    MiningResult& patterns = result.patterns;
     std::sort(patterns.begin(), patterns.end(),
               [](const PatternCount& a, const PatternCount& b) {
                 if (a.frequency != b.frequency) {
@@ -630,7 +564,7 @@ int main(int argc, char** argv) {
     if (!args.metrics_json.empty()) {
       WriteFileOrThrow("--metrics-json", args.metrics_json,
                        obs::MetricsReportJson(
-                           have_metrics ? &final_metrics : nullptr, proc));
+                           distributed ? &result.metrics : nullptr, proc));
     }
   } catch (const ShuffleOverflowError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
