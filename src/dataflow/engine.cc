@@ -249,8 +249,8 @@ class SumCombiner : public SpillableCombiner {
     } else {
       // Unbudgeted hot path: table order, no sort, no extra pass. Flush
       // order is per-run deterministic but unspecified across
-      // configurations (it already varies with sharding), and the reduce
-      // phase re-sorts by key anyway.
+      // configurations (it already varies with sharding), and RunMapShard
+      // sorts each bucket by key when it seals it anyway.
       std::string value;
       for (const Slot& slot : table_.slots()) {
         if (!slot.used) continue;
@@ -686,7 +686,6 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
         std::vector<ReduceColumnSource> sources(map_workers);
         for (int w = 0; w < map_workers; ++w) {
           if (spill_enabled) sources[w].runs.swap(spill_runs[w][r]);
-          sources[w].tail_records = buckets[w][r].num_records();
           sources[w].tail = buckets[w][r].ReleaseRaw();
         }
         RunReduceColumn(

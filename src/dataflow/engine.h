@@ -14,11 +14,13 @@
 // Zero-copy hot path: each (map worker, reduce worker) bucket is one
 // contiguous varint-framed byte arena (ShuffleBuffer) — no per-record heap
 // allocations. Combiners aggregate into open-addressing tables whose keys
-// are views into an interning arena. The reduce phase groups by sorting
-// (key view, record offset) pairs over the frozen arenas and sweeping runs
-// of equal keys; keys and values reach the reduce function as views into
-// the shuffle buffers, which are released per reduce worker as soon as that
-// worker finishes (not at the end of the phase).
+// are views into an interning arena. Each map worker stable-sorts every
+// bucket by key once, when it seals it; the reduce phase k-way merges its
+// column's sorted buckets (and any spilled runs) into key groups, so
+// nothing is sorted twice. Keys and values reach the reduce function in
+// (map worker, emit) order within a key; the shuffle buffers are released
+// per reduce worker as soon as that worker finishes (not at the end of the
+// phase).
 //
 // Values cross the phase boundary only in serialized form, so shuffle sizes
 // are honest and algorithms must implement real (de)serialization. With
@@ -37,8 +39,8 @@
 // resident shuffle arenas and the combiner tables are charged against a
 // shared MemoryBudget. When the budget runs out and spill_dir is set, the
 // overflowing worker drains its buckets (and the combiners their tables) to
-// sorted runs on disk; the reduce phase k-way-merges the runs back into the
-// sort-based grouping, so reducers stream key groups without ever
+// sorted runs on disk; the reduce phase adds the runs to the same k-way
+// merge as the resident buckets, so reducers stream key groups without ever
 // rebuilding the column in memory. Results and the raw shuffle metrics are
 // identical to the in-memory run; DataflowMetrics::spill_* report the
 // out-of-core volume. Without spill_dir the budget is a hard ceiling that
@@ -221,10 +223,11 @@ struct DataflowOptions {
   DataflowBackend backend = DataflowBackend::kLocal;
   /// Proc backend only: kill and reassign an in-flight worker that has made
   /// no progress for this long. "Progress" includes heartbeats: workers run
-  /// a progress-gated kPong pump while executing (see proc_heartbeat_
-  /// interval_ms), so a slow-but-working task survives any timeout while a
-  /// hung one goes silent and is killed. 0 disables the timeout (worker
-  /// loss is still detected via connection EOF and the task re-executed).
+  /// a progress-gated kPong pump while executing, beating every quarter of
+  /// this timeout (clamped to [10ms, 1s]), so a slow-but-working task
+  /// survives any timeout while a hung one goes silent and is killed. 0
+  /// disables the timeout and the heartbeats (worker loss is still detected
+  /// via connection EOF and the task re-executed).
   int proc_worker_timeout_ms = 0;
   /// Proc backend only: how many times one task may be attempted before the
   /// round fails with ProcTaskFailedError naming the task, the attempt
@@ -233,10 +236,6 @@ struct DataflowOptions {
   /// deterministic worker exceptions (kError frames) never retry. Clamped
   /// to >= 1.
   int proc_max_task_attempts = 3;
-  /// Proc backend only: worker heartbeat period. 0 = derive from
-  /// proc_worker_timeout_ms (a quarter of it, clamped to [10ms, 1s]);
-  /// heartbeats are off entirely when the timeout is 0.
-  int proc_heartbeat_interval_ms = 0;
   /// Proc backend only: wall-clock ceiling for one round (map + reduce).
   /// Exceeding it throws ProcDeadlineError. 0 = no deadline.
   int proc_round_deadline_ms = 0;
@@ -292,9 +291,8 @@ using MapFn = std::function<void(size_t input_index, const EmitFn& emit)>;
 /// Reduce function: called once per distinct key with all its values.
 /// `worker` identifies the reduce worker (0 .. num_reduce_workers-1) so
 /// callers can keep per-worker output buffers without locking. Keys arrive
-/// in ascending byte order per worker; `key` and the value views point into
-/// the worker's shuffle buffers and are valid only during the call — copy
-/// what must outlive it. The values vector is the caller's scratch and may
+/// in ascending byte order per worker; `key` and the value views are valid
+/// only during the call — copy what must outlive it. The values vector is the caller's scratch and may
 /// be reordered freely.
 using ReduceFn = std::function<void(int worker, std::string_view key,
                                     std::vector<std::string_view>& values)>;

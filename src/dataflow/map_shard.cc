@@ -8,33 +8,8 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/util/check.h"
 
 namespace dseq {
-namespace {
-
-void AppendEntries(std::string_view raw, std::vector<BucketEntry>* entries) {
-  ShuffleBuffer::ForEachRecord(
-      raw, [&](std::string_view key, std::string_view value) {
-        entries->push_back(BucketEntry{key, value});
-      });
-}
-
-// Stable: within a key, entries keep their parse order.
-void StableSortByKey(std::vector<BucketEntry>* entries) {
-  std::stable_sort(
-      entries->begin(), entries->end(),
-      [](const BucketEntry& a, const BucketEntry& b) { return a.key < b.key; });
-}
-
-}  // namespace
-
-std::vector<BucketEntry> SortedBucketEntries(std::string_view raw) {
-  std::vector<BucketEntry> entries;
-  AppendEntries(raw, &entries);
-  StableSortByKey(&entries);
-  return entries;
-}
 
 void RunMapShard(const MapShardContext& ctx) {
   const DataflowOptions& options = *ctx.options;
@@ -57,12 +32,14 @@ void RunMapShard(const MapShardContext& ctx) {
     for (int r = 0; r < reduce_workers; ++r) {
       if (ctx.buckets[r].num_records() == 0) continue;
       if (obs::Enabled()) run_bytes_hist.Observe(ctx.buckets[r].data_bytes());
+      ctx.buckets[r].SortByKey();
       std::string raw = ctx.buckets[r].ReleaseRaw();
       SpillFile run = SpillFile::Create(options.spill_dir);
       SpillWriter writer(&run, options.compress_spill, ctx.spill_stats);
-      for (const BucketEntry& entry : SortedBucketEntries(raw)) {
-        writer.Append(entry.key, entry.value);
-      }
+      ShuffleBuffer::ForEachRecord(
+          raw, [&](std::string_view key, std::string_view value) {
+            writer.Append(key, value);
+          });
       writer.Finish();
       ctx.spill_runs[r].push_back(std::move(run));
       budget.Release(ctx.bucket_charged[r]);
@@ -176,13 +153,19 @@ void RunMapShard(const MapShardContext& ctx) {
     DSEQ_TRACE_SPAN("engine", "combine_flush");
     combiner->Flush(shuffle_emit);
   }
-  if (options.compress_shuffle) {
+  {
+    // Each bucket leaves the map side as one sorted run, so the reduce side
+    // only merges. Sealing syncs the amortized live-bytes gauge.
+    DSEQ_TRACE_SPAN("engine", "bucket_sort");
     for (int r = 0; r < reduce_workers; ++r) {
-      shard.shuffle_compressed_bytes += ctx.buckets[r].Compress();
+      ShuffleBuffer& bucket = ctx.buckets[r];
+      bucket.SortByKey();
+      if (options.compress_shuffle) {
+        shard.shuffle_compressed_bytes += bucket.Compress();
+      } else {
+        bucket.Seal();
+      }
     }
-  } else {
-    // Sync the amortized live-bytes gauge now that the buckets are final.
-    for (int r = 0; r < reduce_workers; ++r) ctx.buckets[r].Seal();
   }
   // The map functions ran on this thread, so these are the shard's reads.
   const InputReads& reads_after = ThreadInputReads();
@@ -194,82 +177,31 @@ void RunMapShard(const MapShardContext& ctx) {
 void RunReduceColumn(std::vector<ReduceColumnSource> sources,
                      const DataflowOptions& options, SpillStats* spill_stats,
                      MemoryBudget* budget, const MergeGroupFn& reduce_group) {
-  // `sources` is owned here and never resized, so the views below stay
-  // valid: relocating a short (SSO) tail string would move its bytes.
-  uint64_t values_handed_out = 0;
-#if DSEQ_DCHECK_IS_ON
-  // The previous key is copied: on the merge path its view dies with the
-  // group (debug builds only).
-  std::string prev_key;
-  bool has_prev = false;
-#endif
-  auto deliver = [&](std::string_view key,
-                     std::vector<std::string_view>& values) {
-#if DSEQ_DCHECK_IS_ON
-    DSEQ_DCHECK_MSG(!has_prev || prev_key < key,
-                    "reduce column keys not strictly increasing");
-    // Guarded assign: an empty view may legally carry a null data pointer.
-    if (key.empty()) {
-      prev_key.clear();
-    } else {
-      prev_key.assign(key.data(), key.size());
-    }
-    has_prev = true;
-#endif
-    values_handed_out += values.size();
-    reduce_group(key, values);
-  };
-
   bool any_run = false;
   for (const ReduceColumnSource& source : sources) {
     any_run = any_run || !source.runs.empty();
   }
-  if (any_run) {
-    DSEQ_TRACE_SPAN("engine", "external_merge");
-    // Source order is the stability contract: per map task, the spilled
-    // runs (chronological) and then the resident tail.
-    ExternalMergePlan plan(options.spill_dir, options.compress_spill,
-                           options.spill_merge_fan_in, spill_stats, budget);
-    for (ReduceColumnSource& source : sources) {
-      for (SpillFile& run : source.runs) plan.AddRun(std::move(run));
-      source.runs.clear();
-      if (source.tail.empty()) continue;
-      std::vector<std::pair<std::string_view, std::string_view>> tail;
-      for (const BucketEntry& entry : SortedBucketEntries(source.tail)) {
-        tail.emplace_back(entry.key, entry.value);
-      }
-      plan.AddSource(std::make_unique<InMemorySource>(std::move(tail)));
-    }
-    uint64_t merged = plan.MergeGroups(deliver);
-    DSEQ_DCHECK_EQ(values_handed_out, merged);
-    return;
+  // One path either way; the span name tells the per-layer split whether
+  // the column came back from disk.
+  DSEQ_TRACE_SPAN("engine", any_run ? "external_merge" : "group_sweep");
+  // Source order is the stability contract: per map task, the spilled runs
+  // (chronological) and then the resident tail. `sources` is owned here and
+  // never resized, so the tail views stay valid: relocating a short (SSO)
+  // tail string would move its bytes.
+  ExternalMergePlan plan(options.spill_dir, options.compress_spill,
+                         options.spill_merge_fan_in, spill_stats, budget);
+  for (ReduceColumnSource& source : sources) {
+    for (SpillFile& run : source.runs) plan.AddRun(std::move(run));
+    source.runs.clear();
+    if (source.tail.empty()) continue;
+    std::vector<std::pair<std::string_view, std::string_view>> tail;
+    ShuffleBuffer::ForEachRecord(
+        source.tail, [&](std::string_view key, std::string_view value) {
+          tail.emplace_back(key, value);
+        });
+    plan.AddSource(std::make_unique<InMemorySource>(std::move(tail)));
   }
-
-  DSEQ_TRACE_SPAN("engine", "group_sweep");
-  size_t total_records = 0;
-  for (const ReduceColumnSource& source : sources) {
-    total_records += source.tail_records;
-  }
-  std::vector<BucketEntry> entries;
-  entries.reserve(total_records);
-  for (const ReduceColumnSource& source : sources) {
-    AppendEntries(source.tail, &entries);
-  }
-  // Within a key, values keep (map task, emit) order.
-  StableSortByKey(&entries);
-
-  std::vector<std::string_view> values;
-  size_t i = 0;
-  while (i < entries.size()) {
-    size_t j = i + 1;
-    while (j < entries.size() && entries[j].key == entries[i].key) ++j;
-    values.clear();
-    values.reserve(j - i);
-    for (size_t k = i; k < j; ++k) values.push_back(entries[k].value);
-    deliver(entries[i].key, values);
-    i = j;
-  }
-  DSEQ_DCHECK_EQ(values_handed_out, entries.size());
+  plan.MergeGroups(reduce_group);
 }
 
 }  // namespace dseq

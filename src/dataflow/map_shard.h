@@ -1,11 +1,11 @@
 // The per-worker map-shard and reduce-column bodies of the dataflow engine,
 // extracted so the local (in-process) backend and the proc backend's worker
 // processes run the *same* code on both sides of the shuffle: sharding,
-// partitioner resolution, shuffle-byte accounting, budget charging and
-// bucket spilling on the map side; the stable sort or k-way merge that fixes
-// each key's value order on the reduce side. Sharing them by construction is
-// what makes the proc backend's results and raw shuffle metrics
-// byte-identical to the local engine's.
+// partitioner resolution, shuffle-byte accounting, budget charging, bucket
+// spilling and the one stable bucket sort on the map side; the k-way merge
+// that fixes each key's value order on the reduce side. Sharing them by
+// construction is what makes the proc backend's results and raw shuffle
+// metrics byte-identical to the local engine's.
 //
 // Each shard counts into its own DataflowMetrics; RunMapReduce sums its
 // shards' and the proc coordinator its tasks' with DataflowMetrics::
@@ -17,7 +17,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/dataflow/engine.h"
@@ -28,17 +27,6 @@
 #include "src/spill/spill_file.h"
 
 namespace dseq {
-
-/// One shuffle record view during bucket sorting / merging.
-struct BucketEntry {
-  std::string_view key;
-  std::string_view value;
-};
-
-/// Parses `raw` (ReleaseRaw frames) into entries stable-sorted by key —
-/// emit order within equal keys is preserved, which both the in-memory
-/// grouping and the spilled sorted runs rely on.
-std::vector<BucketEntry> SortedBucketEntries(std::string_view raw);
 
 /// Everything one map worker's shard touches. All pointers are caller-owned
 /// and must outlive the RunMapShard call; the per-reducer arrays (`buckets`,
@@ -77,27 +65,29 @@ struct MapShardContext {
 };
 
 /// Runs one map shard: maps each input of [begin, end), combines, and
-/// leaves the shard's post-combine records in `buckets` (compressed or
-/// sealed per the options) and any spilled sorted runs in `spill_runs`.
-/// Throws ShuffleOverflowError when a budget is exceeded.
+/// leaves the shard's post-combine records in `buckets`, each stable-sorted
+/// by key (ShuffleBuffer::SortByKey) and then compressed or sealed per the
+/// options, and any spilled sorted runs in `spill_runs`. Throws
+/// ShuffleOverflowError when a budget is exceeded.
 void RunMapShard(const MapShardContext& ctx);
 
 /// One map task's share of a reduce column: its spilled sorted runs (oldest
 /// first), then its resident tail as raw ShuffleBuffer frames (ReleaseRaw
-/// form, emit order). `tail_records` only sizes the sort buffer.
+/// form), already sorted by key when the map side sealed the bucket.
 struct ReduceColumnSource {
   std::vector<SpillFile> runs;
   std::string tail;
-  uint64_t tail_records = 0;
 };
 
 /// Reduces one column: calls `reduce_group` once per distinct key, keys
 /// ascending, values in (source, emit) order. `sources` must be in map-task
-/// order — that order is the stability contract of both backends. With any
-/// spilled run the column streams through an ExternalMergePlan (intermediate
-/// runs under options.spill_dir, read buffers charged to `budget`, passes
-/// counted in `spill_stats`); otherwise the tails are stable-sorted and
-/// swept in memory. Consumes the runs, deleting their files.
+/// order — that order is the stability contract of both backends. Every
+/// run and tail is one sorted source of one ExternalMergePlan; nothing is
+/// sorted here. A column holding a spilled run may collapse through
+/// intermediate runs under options.spill_dir (read buffers charged to
+/// `budget`, passes counted in `spill_stats`); a column of tails alone
+/// merges in memory, writes no file and counts no pass. Consumes the runs,
+/// deleting their files.
 void RunReduceColumn(std::vector<ReduceColumnSource> sources,
                      const DataflowOptions& options, SpillStats* spill_stats,
                      MemoryBudget* budget, const MergeGroupFn& reduce_group);

@@ -1,7 +1,9 @@
 #include "src/dataflow/shuffle_buffer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <vector>
 
 #include "src/util/block_codec.h"
 #include "src/util/check.h"
@@ -73,6 +75,34 @@ void ShuffleBuffer::Append(std::string_view key, std::string_view value) {
   // Amortize the process-global gauge: one atomic RMW per ~4 KiB appended,
   // not per record (Seal() syncs it exactly at the end of the map phase).
   if (data_.size() - tracked_ >= 4096) Track();
+}
+
+void ShuffleBuffer::SortByKey() {
+  DSEQ_DCHECK_MSG(!compressed_, "ShuffleBuffer::SortByKey after Compress");
+  struct Entry {
+    std::string_view key;
+    std::string_view frame;  // the whole record, framing included
+  };
+  std::vector<Entry> entries;
+  entries.reserve(num_records_);
+  const std::string_view raw(data_);
+  size_t pos = 0;
+  while (pos < raw.size()) {
+    const size_t begin = pos;
+    std::string_view key;
+    std::string_view value;
+    ParseRecord(raw, &pos, &key, &value);
+    entries.push_back(Entry{key, raw.substr(begin, pos - begin)});
+  }
+  auto by_key = [](const Entry& a, const Entry& b) { return a.key < b.key; };
+  if (std::is_sorted(entries.begin(), entries.end(), by_key)) return;
+  std::stable_sort(entries.begin(), entries.end(), by_key);
+  std::string sorted;
+  sorted.reserve(data_.size());
+  for (const Entry& entry : entries) {
+    sorted.append(entry.frame.data(), entry.frame.size());
+  }
+  data_.swap(sorted);
 }
 
 size_t ShuffleBuffer::Compress() {

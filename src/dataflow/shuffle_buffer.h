@@ -2,10 +2,12 @@
 //
 // Records are appended as varint-framed (key, value) byte strings into one
 // growing buffer instead of a vector of heap-allocated string pairs, so the
-// map phase pays zero per-record allocations and the reduce phase can group
-// by sorting views into the frozen buffer. Buffers may optionally be
-// block-compressed after the map phase (DataflowOptions::compress_shuffle);
-// ReleaseRaw() transparently decompresses.
+// map phase pays zero per-record allocations. Each bucket is stable-sorted
+// by key once, when its map worker seals it (SortByKey), so it leaves the
+// map side as one sorted run and the reduce side only merges. Buffers may
+// optionally be block-compressed after the sort
+// (DataflowOptions::compress_shuffle); ReleaseRaw() transparently
+// decompresses.
 //
 // A process-wide gauge tracks the bytes resident in not-yet-drained buffers
 // (ShuffleBufferLiveBytes) so tests can assert that reduce workers release
@@ -49,6 +51,11 @@ class ShuffleBuffer {
   uint64_t num_records() const { return num_records_; }
   size_t data_bytes() const { return data_.size(); }
   bool compressed() const { return compressed_; }
+
+  /// Stable-sorts the records by key in place: equal keys keep their append
+  /// order. The one bucket sort of the engine: RunMapShard calls it on each
+  /// bucket before sealing or spilling it. Must run before Compress().
+  void SortByKey();
 
   /// Block-compresses the buffer in place (no-op if empty or already
   /// compressed) and syncs the live gauge. Returns the compressed size.

@@ -40,13 +40,12 @@ enum class MsgType : uint8_t {
   /// a map task (the task's output for one reducer), coordinator -> worker
   /// inside a reduce task (replayed in map-task order). Payload:
   /// varint(task) varint(reducer) varint(kind: 0 = spill-run bytes,
-  /// 1 = bucket tail, 2 = continuation chunk) varint(flags: bit 0 =
-  /// block-compressed tail) varint(num_records) followed by the segment
+  /// 1 = bucket tail, sorted by key at seal, 2 = continuation chunk)
+  /// varint(flags: bit 0 = block-compressed tail) followed by the segment
   /// bytes. Segments larger than the chunk threshold (see
   /// kMaxFramePayloadBytes) ship as zero or more kind-2 frames — raw byte
-  /// chunks with flags = num_records = 0 — terminated by one frame with the
-  /// real kind/flags/num_records carrying the final chunk; the receiver
-  /// concatenates. Chunks of one logical segment are never interleaved with
+  /// chunks with flags = 0 — terminated by one frame with the real
+  /// kind/flags carrying the final chunk; the receiver concatenates. Chunks of one logical segment are never interleaved with
   /// other segments on a connection.
   kSegment = 3,
   /// worker -> coordinator: map task finished and all its segments sent.

@@ -121,12 +121,11 @@ std::string ReadFileBytes(const std::string& path) {
 }
 
 void AppendSegmentHeader(std::string* out, uint64_t task, uint64_t reducer,
-                         uint64_t kind, uint64_t flags, uint64_t num_records) {
+                         uint64_t kind, uint64_t flags) {
   PutVarint(out, task);
   PutVarint(out, reducer);
   PutVarint(out, kind);
   PutVarint(out, flags);
-  PutVarint(out, num_records);
 }
 
 struct SegmentHeader {
@@ -134,7 +133,6 @@ struct SegmentHeader {
   uint64_t reducer = 0;
   uint64_t kind = 0;
   uint64_t flags = 0;
-  uint64_t num_records = 0;
   std::string_view bytes;
 };
 
@@ -145,7 +143,6 @@ SegmentHeader ParseSegment(std::string_view payload) {
   RequireVarint(payload, &pos, &h.reducer, "segment reducer");
   RequireVarint(payload, &pos, &h.kind, "segment kind");
   RequireVarint(payload, &pos, &h.flags, "segment flags");
-  RequireVarint(payload, &pos, &h.num_records, "segment record count");
   if (h.kind != kSegmentRun && h.kind != kSegmentTail &&
       h.kind != kSegmentPart) {
     ProtocolError("unknown segment kind " + std::to_string(h.kind));
@@ -161,32 +158,27 @@ SegmentHeader ParseSegment(std::string_view payload) {
 // the continuation frames emitted.
 template <typename Emit>
 bool ForEachSegmentFrame(uint64_t task, uint64_t reducer, uint64_t kind,
-                         uint64_t flags, uint64_t num_records,
-                         std::string_view bytes, const Emit& emit,
-                         uint64_t* chunk_frames = nullptr) {
+                         uint64_t flags, std::string_view bytes,
+                         const Emit& emit, uint64_t* chunk_frames = nullptr) {
   const size_t cap = std::max<size_t>(1, MaxSegmentChunkBytes());
   std::string seg;
   while (bytes.size() > cap) {
     seg.clear();
-    AppendSegmentHeader(&seg, task, reducer, kSegmentPart, 0, 0);
+    AppendSegmentHeader(&seg, task, reducer, kSegmentPart, 0);
     seg.append(bytes.data(), cap);
     bytes.remove_prefix(cap);
     if (!emit(seg)) return false;
     if (chunk_frames != nullptr) ++*chunk_frames;
   }
   seg.clear();
-  AppendSegmentHeader(&seg, task, reducer, kind, flags, num_records);
+  AppendSegmentHeader(&seg, task, reducer, kind, flags);
   seg.append(bytes.data(), bytes.size());
   return emit(seg);
 }
 
-// Heartbeat cadence: an explicit interval wins; otherwise derive a fraction
-// of the stall timeout so a slow-but-working task always beats well inside
-// the kill window. 0 disables heartbeats entirely.
+// Heartbeat cadence: a fraction of the stall timeout, so a slow-but-working
+// task always beats well inside the kill window. 0 disables heartbeats.
 int HeartbeatIntervalMs(const DataflowOptions& options) {
-  if (options.proc_heartbeat_interval_ms > 0) {
-    return options.proc_heartbeat_interval_ms;
-  }
   if (options.proc_worker_timeout_ms > 0) {
     return std::clamp(options.proc_worker_timeout_ms / 4, 10, 1000);
   }
@@ -395,19 +387,18 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
         std::string run_bytes = ReadFileBytes(run.path());
         if (!ForEachSegmentFrame(task, r, kSegmentRun,
                                  options.compress_spill ? kFlagCompressed : 0,
-                                 0, run_bytes, emit)) {
+                                 run_bytes, emit)) {
           throw std::runtime_error("proc worker: coordinator connection lost");
         }
       }
       spill_runs[r].clear();  // shipped; delete the local files now
     }
-    uint64_t tail_records = buckets[r].num_records();
     bool compressed = false;
     std::string stored = buckets[r].ReleaseStored(&compressed);
     if (stored.empty()) continue;  // nothing buffered for this reducer
     if (!ForEachSegmentFrame(task, r, kSegmentTail,
-                             compressed ? kFlagCompressed : 0, tail_records,
-                             stored, emit)) {
+                             compressed ? kFlagCompressed : 0, stored,
+                             emit)) {
       throw std::runtime_error("proc worker: coordinator connection lost");
     }
   }
@@ -512,7 +503,6 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
           run.FinishWrite();
           source.runs.push_back(std::move(run));
         } else {
-          source.tail_records = h.num_records;
           if ((h.flags & kFlagCompressed) == 0) {
             source.tail = std::move(full);
           } else if (!DecompressBlock(full, &source.tail)) {
@@ -643,7 +633,6 @@ int WorkerBody(int ordinal, uint16_t port, const MapFn& map_fn,
 struct StoredSegment {
   uint64_t kind = 0;
   uint64_t flags = 0;
-  uint64_t num_records = 0;
   std::string bytes;
   std::unique_ptr<SpillFile> file;
 
@@ -1169,7 +1158,6 @@ class Coordinator {
       StoredSegment seg;
       seg.kind = h.kind;
       seg.flags = h.flags;
-      seg.num_records = h.num_records;
       if (h.kind == kSegmentRun) {
         if (options_.spill_dir.empty()) {
           ProtocolError("run segment without a spill directory");
@@ -1273,8 +1261,8 @@ class Coordinator {
     for (int t = 0; t < map_tasks_; ++t) {
       for (const StoredSegment& s : store_[t][reducer]) {
         std::string bytes = s.Bytes();
-        if (!ForEachSegmentFrame(t, reducer, s.kind, s.flags, s.num_records,
-                                 bytes, emit, &segment_chunks_)) {
+        if (!ForEachSegmentFrame(t, reducer, s.kind, s.flags, bytes, emit,
+                                 &segment_chunks_)) {
           return false;
         }
       }

@@ -12,14 +12,14 @@
 //      RunMapShard body as the local backend (src/dataflow/map_shard.h),
 //      then ships each reducer's output as segments: spilled sorted runs
 //      verbatim (the SpillFile bytes double as the wire format), then the
-//      resident bucket tail in stored form (compressed iff
+//      resident bucket tail, sorted at seal, in stored form (compressed iff
 //      compress_shuffle). kMapDone carries the task's raw shuffle metrics
 //      and commits its segments; the coordinator enforces the global
 //      shuffle budget on the committed sum.
 //   3. Reduce tasks replay each reducer's committed segments in map-task
 //      order — exactly the source order of the local reduce phase, so the
-//      stable merge (external when runs exist, sort-based otherwise) yields
-//      byte-identical groups and within-key value order. Boundary records
+//      one stable merge of RunReduceColumn yields byte-identical groups and
+//      within-key value order. Boundary records
 //      come back in kReduceDone.
 //
 // Failure policy (see README "Failure model & fault injection"):

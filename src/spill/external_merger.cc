@@ -41,7 +41,8 @@ uint64_t MergeSources(const std::vector<RecordSource*>& sources,
   uint64_t records = 0;
 #if DSEQ_DCHECK_IS_ON
   // Merge-order stability: each emitted key must be >= its predecessor, or
-  // a source lied about being sorted and the group sweep would split keys.
+  // a source lied about being sorted (an unsorted bucket or run) and the
+  // grouping would split keys.
   // The previous key is copied because its backing view dies when its
   // source advances (debug builds only).
   std::string prev_key;
@@ -150,7 +151,10 @@ void ExternalMergePlan::CollapseToFanIn() {
 
 uint64_t ExternalMergePlan::MergeGroups(const MergeGroupFn& fn) {
   if (sources_.empty()) return 0;
-  CollapseToFanIn();
+  const bool spilled =
+      std::any_of(sources_.begin(), sources_.end(),
+                  [](const auto& source) { return source->spilled(); });
+  if (spilled) CollapseToFanIn();
 
   std::vector<RecordSource*> sources;
   sources.reserve(sources_.size());
@@ -184,7 +188,7 @@ uint64_t ExternalMergePlan::MergeGroups(const MergeGroupFn& fn) {
         value_buf.append(value.data(), value.size());
       });
   if (has_group) flush();
-  if (stats_ != nullptr) {
+  if (spilled && stats_ != nullptr) {
     stats_->merge_passes.fetch_add(1, std::memory_order_relaxed);
   }
   return records;

@@ -1,22 +1,23 @@
 // K-way merge of sorted record runs for out-of-core execution.
 //
 // An ExternalMergePlan collects sorted record sources — spilled runs on
-// disk (SpillRunSource) and in-memory tails (InMemorySource) — and streams
-// their stable merge back as key groups, feeding the same group-at-a-time
-// reduce interface the engine's in-memory sort-based grouping produces.
+// disk (SpillRunSource) and in-memory sorted buckets (InMemorySource) — and
+// streams their stable merge back as key groups. It is the engine's one
+// reduce-side grouping: every column, spilled or not, goes through it.
 // Stability: on equal keys, sources drain in the order they were added, and
-// each source yields its own records in order — so a column of spilled runs
-// added as [worker 0 runs..., worker 0 tail, worker 1 runs..., ...]
-// reproduces exactly the (map worker, emit order) value order of the
-// in-memory reduce path.
+// each source yields its own records in order — so a column added as
+// [worker 0 runs..., worker 0 tail, worker 1 runs..., ...] delivers each
+// key's values in (map worker, emit) order.
 //
-// When the number of sources exceeds the merge fan-in, sources collapse in
-// rounds: each round merges consecutive groups of fan-in sources into
-// intermediate runs that take their group's place (classic multi-pass
-// external sort, O(N log_fan-in N) I/O; groups are contiguous, so
-// stability is preserved, and consumed runs are deleted as soon as their
-// group is merged). Every k-way merge — intermediate or final — counts one
-// merge pass in SpillStats.
+// When a plan holds a spilled run and the number of sources exceeds the
+// merge fan-in, sources collapse in rounds: each round merges consecutive
+// groups of fan-in sources into intermediate runs that take their group's
+// place (classic multi-pass external sort, O(N log_fan-in N) I/O; groups
+// are contiguous, so stability is preserved, and consumed runs are deleted
+// as soon as their group is merged). Every k-way merge — intermediate or
+// final — over spilled data counts one merge pass in SpillStats. A plan of
+// in-memory sources alone opens no file, so it merges them all in one
+// in-memory pass: no fan-in limit, no intermediate run, no pass counted.
 //
 // Memory: one block per file-backed source plus the values of the current
 // group; never a whole run, never the whole column.
@@ -41,6 +42,8 @@ class RecordSource {
  public:
   virtual ~RecordSource() = default;
   virtual bool Next(std::string_view* key, std::string_view* value) = 0;
+  /// True when the records are read back from a spill file.
+  virtual bool spilled() const { return false; }
 };
 
 /// RecordSource over a finished spill run. The owning constructor takes
@@ -60,6 +63,7 @@ class SpillRunSource : public RecordSource {
   bool Next(std::string_view* key, std::string_view* value) override {
     return reader_.Next(key, value);
   }
+  bool spilled() const override { return true; }
 
  private:
   // Declared before the reader: the reader closes its handle before the
@@ -69,8 +73,8 @@ class SpillRunSource : public RecordSource {
 };
 
 /// RecordSource over caller-owned views, already in sort order (e.g. the
-/// sorted entries of a not-yet-spilled bucket). The viewed bytes must
-/// outlive the source.
+/// records of a bucket sorted at seal). The viewed bytes must outlive the
+/// source.
 class InMemorySource : public RecordSource {
  public:
   explicit InMemorySource(
@@ -99,7 +103,8 @@ using MergeGroupFn = std::function<void(std::string_view key,
 class ExternalMergePlan {
  public:
   /// `dir` is where intermediate runs go when the fan-in forces extra
-  /// passes (required unless the source count stays within the fan-in);
+  /// passes (required unless the plan holds no spilled run or the source
+  /// count stays within the fan-in);
   /// `stats` may be null. `budget` (may be null) charges the merge-side
   /// read buffers against the round's MemoryBudget: each file-backed
   /// source's resident blocks are charged while it is open, and the

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/dataflow/shuffle_buffer.h"
 #include "src/util/sync.h"
@@ -74,7 +76,8 @@ TEST(DataflowTest, ResultsIndependentOfWorkerCount) {
     docs.push_back("w" + std::to_string(i % 7) + " w" + std::to_string(i % 3));
   }
   auto reference = WordCount(docs, false, 1, 1, nullptr);
-  for (int mw : {2, 4}) {
+  // 20 map workers exceed the default merge fan-in (16).
+  for (int mw : {2, 4, 20}) {
     for (int rw : {1, 3}) {
       EXPECT_EQ(WordCount(docs, false, mw, rw, nullptr), reference)
           << mw << "x" << rw;
@@ -282,6 +285,49 @@ TEST(DataflowTest, KeysArriveSortedAndValuesKeepEmitOrder) {
   }
 }
 
+TEST(DataflowTest, InMemoryMergeBeyondFanInWritesNoSpill) {
+  // More map workers than the merge fan-in and no spill directory: each
+  // column merges its sorted buckets in one in-memory pass, so it writes no
+  // file and counts no merge pass. Shards are contiguous, so (map worker,
+  // emit) order is input order and the groups match a 4-worker run value
+  // for value.
+  MapFn map_fn = [](size_t i, const EmitFn& emit) {
+    emit("dup", "v" + std::to_string(i));
+    emit("k" + std::to_string(i % 7), "x" + std::to_string(i));
+  };
+  using Groups = std::map<std::string, std::vector<std::string>>;
+  auto run = [&](int map_workers, DataflowMetrics* metrics) {
+    constexpr int kReduceWorkers = 3;
+    std::vector<Groups> per_worker(kReduceWorkers);
+    ReduceFn reduce_fn = [&](int worker, std::string_view key,
+                             std::vector<std::string_view>& values) {
+      per_worker[worker][std::string(key)].assign(values.begin(),
+                                                  values.end());
+    };
+    DataflowOptions options;
+    options.num_map_workers = map_workers;
+    options.num_reduce_workers = kReduceWorkers;
+    *metrics = RunMapReduce(100, map_fn, nullptr, reduce_fn, options);
+    Groups groups;
+    for (Groups& part : per_worker) groups.merge(part);
+    return groups;
+  };
+  ASSERT_LT(DataflowOptions().spill_merge_fan_in, 20);
+  DataflowMetrics four;
+  DataflowMetrics twenty;
+  Groups reference = run(4, &four);
+  EXPECT_EQ(run(20, &twenty), reference);
+  ASSERT_EQ(reference.size(), 8u);
+  ASSERT_EQ(reference["dup"].size(), 100u);
+  for (size_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(reference["dup"][i], "v" + std::to_string(i));
+  }
+  for (const DataflowMetrics* m : {&four, &twenty}) {
+    EXPECT_EQ(m->spill_files, 0u);
+    EXPECT_EQ(m->spill_merge_passes, 0u);
+  }
+}
+
 TEST(DataflowTest, EmptyInput) {
   MapFn map_fn = [](size_t, const EmitFn&) { FAIL(); };
   ReduceFn reduce_fn = [](int, std::string_view,
@@ -457,6 +503,28 @@ TEST(DataflowTest, BucketsFreedAfterOverflow) {
   ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
   EXPECT_THROW(RunMapReduce(100, map_fn, nullptr, sink, options),
                ShuffleOverflowError);
+  EXPECT_EQ(ShuffleBufferLiveBytes(), 0u);
+}
+
+TEST(DataflowTest, SortByKeyIsStableAndKeepsTheBytes) {
+  ShuffleBuffer bucket;
+  const std::vector<std::pair<std::string, std::string>> appended = {
+      {"b", "1"}, {"a", "2"}, {"", "3"}, {"b", "4"},
+      {"a", ""},  {"ab", "5"}, {"", "6"}};
+  for (const auto& [key, value] : appended) bucket.Append(key, value);
+  const size_t bytes = bucket.data_bytes();
+  bucket.SortByKey();
+  EXPECT_EQ(bucket.num_records(), appended.size());
+  EXPECT_EQ(bucket.data_bytes(), bytes);
+  std::vector<std::pair<std::string, std::string>> sorted;
+  ShuffleBuffer::ForEachRecord(
+      bucket.ReleaseRaw(), [&](std::string_view key, std::string_view value) {
+        sorted.emplace_back(key, value);
+      });
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"", "3"},  {"", "6"},  {"a", "2"}, {"a", ""},
+      {"ab", "5"}, {"b", "1"}, {"b", "4"}};
+  EXPECT_EQ(sorted, expected);
   EXPECT_EQ(ShuffleBufferLiveBytes(), 0u);
 }
 

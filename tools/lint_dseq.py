@@ -33,11 +33,14 @@ the offending line or the line above it):
                        go through obs::Now()/obs::NowNs() (src/obs/trace.h)
                        so spans, metrics, and timeouts share one clock and
                        land on the merged cross-process timeline.
-  reduce-body          `BucketEntry`/`SortedBucketEntries` in src/ outside
-                       src/dataflow/map_shard.{h,cc} — the stable sort that
-                       fixes each key's value order lives in RunReduceColumn
-                       and RunMapShard only, shared by both backends; a
-                       third copy would drift from them unnoticed.
+  reduce-body          std::stable_sort in src/ outside
+                       src/dataflow/shuffle_buffer.{h,cc}, and calls of
+                       ShuffleBuffer::SortByKey outside
+                       src/dataflow/map_shard.cc — the stable sort that
+                       fixes each key's value order is SortByKey, run once
+                       per bucket by RunMapShard and shared by both
+                       backends; the reduce side only merges, and a second
+                       sort would drift from the first unnoticed.
   header-guard         src/ and tests/ headers must use the canonical
                        DSEQ_<PATH>_H_ include guard.
   header-self-contained (--check-headers) every header must compile on its
@@ -230,21 +233,33 @@ class Linter:
                             "obs::Now()/obs::NowNs() (src/obs/trace.h) so "
                             "all timestamps share the trace clock", raw_lines)
 
-    # Both backends reduce through RunReduceColumn; the record views it sorts
-    # must not leak into a second, hand-synced reduce body.
-    REDUCE_BODY_EXEMPT = {"src/dataflow/map_shard.h",
-                          "src/dataflow/map_shard.cc"}
-    REDUCE_BODY_RE = re.compile(r"\b(?:BucketEntry|SortedBucketEntries)\b")
+    # Each bucket is stable-sorted once, by ShuffleBuffer::SortByKey at seal
+    # (RunMapShard); both backends' reduce side only merges. A stable sort
+    # elsewhere, or a second SortByKey caller, is a second bucket sort.
+    STABLE_SORT_EXEMPT = {"src/dataflow/shuffle_buffer.h",
+                          "src/dataflow/shuffle_buffer.cc"}
+    SORT_BY_KEY_EXEMPT = STABLE_SORT_EXEMPT | {"src/dataflow/map_shard.cc"}
+    STABLE_SORT_RE = re.compile(r"\bstable_sort\s*\(")
+    SORT_BY_KEY_RE = re.compile(r"\bSortByKey\s*\(")
 
     def check_reduce_body(self, path, raw_lines, code_lines):
-        if not path.startswith("src/") or path in self.REDUCE_BODY_EXEMPT:
+        if not path.startswith("src/"):
             return
         for i, line in enumerate(code_lines, start=1):
-            if self.REDUCE_BODY_RE.search(line):
+            if path not in self.STABLE_SORT_EXEMPT and \
+                    self.STABLE_SORT_RE.search(line):
                 self.report(path, i, "reduce-body",
-                            "bucket-entry sort outside map_shard.{h,cc} — "
-                            "reduce a column through RunReduceColumn "
-                            "(src/dataflow/map_shard.h)", raw_lines)
+                            "stable sort outside shuffle_buffer.{h,cc} — "
+                            "buckets are sorted once, by "
+                            "ShuffleBuffer::SortByKey at seal; reduce a "
+                            "column through RunReduceColumn's merge",
+                            raw_lines)
+            elif path not in self.SORT_BY_KEY_EXEMPT and \
+                    self.SORT_BY_KEY_RE.search(line):
+                self.report(path, i, "reduce-body",
+                            "SortByKey outside map_shard.cc — RunMapShard "
+                            "sorts each bucket once, at seal or spill",
+                            raw_lines)
 
     def check_header_guard(self, path, raw_lines, code_lines):
         expected = "DSEQ_" + re.sub(r"[/.]", "_", path.upper()
@@ -365,13 +380,23 @@ SELFTEST_CASES = [
     ("clock: comment is not a use", "src/foo/bar.cc",
      "// wraps steady_clock::now() behind one clock\nauto t = obs::Now();\n",
      "raw-clock-call", 0),
-    # reduce-body: one reduce-column body, shared by both backends.
-    ("reduce-body: sort copy in the proc backend", "src/rpc/proc_backend.cc",
-     "for (const BucketEntry& e : SortedBucketEntries(raw)) {}\n",
+    # reduce-body: one bucket sort (SortByKey at seal), a merge-only reduce.
+    ("reduce-body: stable sort in the proc backend", "src/rpc/proc_backend.cc",
+     "std::stable_sort(tail.begin(), tail.end(), by_key);\n",
      "reduce-body", 1),
-    ("reduce-body: allowed in map_shard.cc", "src/dataflow/map_shard.cc",
-     "std::vector<BucketEntry> SortedBucketEntries(std::string_view raw);\n",
+    ("reduce-body: re-sort in RunReduceColumn", "src/dataflow/map_shard.cc",
+     "std::stable_sort(entries.begin(), entries.end(), by_key);\n",
+     "reduce-body", 1),
+    ("reduce-body: second SortByKey caller", "src/rpc/proc_backend.cc",
+     "buckets[r].SortByKey();\n", "reduce-body", 1),
+    ("reduce-body: SortByKey at seal in map_shard.cc",
+     "src/dataflow/map_shard.cc", "bucket.SortByKey();\n", "reduce-body", 0),
+    ("reduce-body: the sort itself in shuffle_buffer.cc",
+     "src/dataflow/shuffle_buffer.cc",
+     "std::stable_sort(entries.begin(), entries.end(), by_key);\n",
      "reduce-body", 0),
+    ("reduce-body: scoped to src/", "tests/foo_test.cc",
+     "std::stable_sort(v.begin(), v.end());\n", "reduce-body", 0),
     # Regression cases for the pre-existing rules.
     ("naked-new fires in src", "src/foo/bar.cc",
      "int* p = new int(3);\n", "naked-new", 1),
