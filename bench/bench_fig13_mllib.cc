@@ -4,7 +4,9 @@
 // Expected shape: D-SEQ is competitive with the specialized miners and the
 // PrefixSpan baseline degrades for small σ; D-CAND runs out of memory while
 // constructing NFAs — arbitrary gaps allow the maximum possible number of
-// accepting runs, the worst case for candidate representation.
+// accepting runs, the worst case for candidate representation. Here D-CAND
+// builds each NFA from the grid without enumerating runs, and on AMZN' it
+// stays within the state budget below, so its column shows times, not OOM.
 #include <cstdio>
 
 #include "bench/common/bench_util.h"
@@ -45,11 +47,10 @@ int main() {
     DCandOptions dcand_options;
     dcand_options.sigma = sigma;
     // Budget stands in for the paper's per-container memory, scaled to the
-    // substitute dataset: D-CAND must enumerate every accepting run, and
-    // with arbitrary gaps the run count grows combinatorially in basket
-    // length (C(n, <=5) embeddings) — the paper's OOM mechanism.
-    dcand_options.max_runs_per_sequence = 10'000;
-    dcand_options.max_trie_states_per_sequence = 200'000;
+    // substitute dataset: with arbitrary gaps the candidates of a basket
+    // grow combinatorially in its length (C(n, <=5) embeddings), and so do
+    // the NFA states that represent them — the paper's OOM mechanism.
+    dcand_options.max_nfa_states_per_sequence = 200'000;
     RunRow dcand = RunDCand(db, fst, dcand_options);
 
     CheckAgreement({mllib, lash, dseq, dcand},

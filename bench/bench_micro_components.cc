@@ -1,6 +1,6 @@
 // Micro-benchmarks for the core components: grid construction, pivot
-// search, the forward/backward pivot DPs, rewriting, NFA
-// minimization/serialization, varint coding, the map-side combiners (the
+// search, the forward/backward pivot DPs, rewriting, D-CAND's NFA
+// construction, NFA minimization/serialization, varint coding, the map-side combiners (the
 // zero-copy shuffle hot path), the shuffle block codec, and the external
 // spill-run merger (the out-of-core reduce path).
 //
@@ -268,6 +268,29 @@ void BenchNfaMinimizeAndSerialize() {
   });
 }
 
+void BenchDCandNfaBuild() {
+  // The D-CAND map's per-sequence NFA construction: one PivotNfaBuilder per
+  // grid, then the DFA of every pivot k ∈ K(T) (minimization is timed by
+  // nfa_minimize_serialize).
+  std::vector<StateGrid> grids = BuildGrids(64);
+  std::vector<Sequence> pivots;
+  for (const StateGrid& grid : grids) pivots.push_back(FindPivotItems(grid));
+  size_t i = 0;
+  RunBench("dcand_nfa_build", 0, [&] {
+    size_t g = i % grids.size();
+    PivotNfaBuilder builder(grids[g]);
+    size_t states = 0;
+    for (ItemId k : pivots[g]) {
+      OutputNfa nfa;
+      builder.Build(k, &nfa);
+      states += nfa.num_states();
+    }
+    volatile size_t sink = states;
+    (void)sink;
+    ++i;
+  });
+}
+
 void BenchNfaDeserialize() {
   OutputNfa trie;
   std::mt19937_64 rng(3);
@@ -469,6 +492,7 @@ int main(int argc, char** argv) {
   BenchPivotDp();
   BenchRewriteAllPivots();
   BenchNfaMinimizeAndSerialize();
+  BenchDCandNfaBuild();
   BenchNfaDeserialize();
   BenchVarintSequenceRoundTrip();
   BenchCombiners();

@@ -1,8 +1,8 @@
 // Fuzzes NFA deserialization (src/nfa/serializer.h). Serialized NFAs cross
 // the shuffle, so DeserializeNfa must reject every malformed byte string
 // with NfaParseError — never crash, hang, or over-allocate. Inputs that do
-// parse must normalize: serialize(parse(x)) is a fixed point of
-// parse∘serialize.
+// parse must be acyclic (the NFA miner recurses along edges) and must
+// normalize: serialize(parse(x)) is a fixed point of parse∘serialize.
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -19,6 +19,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   } catch (const dseq::NfaParseError&) {
     return 0;  // malformed input correctly rejected
   }
+  if (!nfa.IsAcyclic()) __builtin_trap();
   // Parsed NFAs re-serialize deterministically: one round of normalization
   // must reach a fixed point, or shuffle aggregation of identical NFAs
   // breaks.

@@ -92,6 +92,8 @@ void NfaSeeds() {
     WriteSeed("fuzz_nfa", "output_sets", dseq::SerializeNfa(nfa));
   }
   WriteSeed("fuzz_nfa", "malformed", "\xff\xff\xff");
+  // A {5} self-loop on the root: well-formed records, rejected as cyclic.
+  WriteSeed("fuzz_nfa", "self_loop", std::string("\x01\x02\x01\x05\x00", 5));
 }
 
 void BlockCodecSeeds() {

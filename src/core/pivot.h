@@ -9,6 +9,8 @@
 //  * the commutative/associative "pivot merge" ⊕ on output sets (Theorem 1),
 //  * the forward DP K(i,q) and backward DP B(i,q) over the position–state
 //    grid (linear in |T| for a fixed FST),
+//  * for one pivot k, Theorem 1 as a per-edge test and a backward liveness
+//    pass over grid × {seen-k} (D-CAND's per-pivot NFA construction),
 //  * a no-grid variant that naively folds ⊕ over every accepting run
 //    (exponential; kept for the Fig. 10a ablation).
 #ifndef DSEQ_CORE_PIVOT_H_
@@ -228,6 +230,37 @@ Sequence FindPivotItems(const StateGrid& grid);
 /// applied to ComputeForwardPivots(grid).
 Sequence PivotItemsFromForward(const StateGrid& grid,
                                const std::vector<PivotSet>& fwd);
+
+/// Theorem 1 read per edge, for one pivot k: k ∈ K(r) iff every non-ε output
+/// set of run r has an item <= k and some output set contains k. An edge is
+/// therefore ε (neutral), dead (min(out) > k: no run through it has pivot
+/// k), or admissible. An admissible edge contributes the label out ∩ [0,k],
+/// which is the first `label_size` items of the sorted `out`.
+struct PivotEdge {
+  enum Kind : uint8_t { kEpsilon, kAdmissible, kDead };
+  Kind kind;
+  uint32_t label_size;  // |out ∩ [0,k]|; 0 unless admissible
+  bool carries_pivot;   // k ∈ out
+};
+inline PivotEdge TestPivotEdge(const Sequence& out, ItemId pivot) {
+  if (out.empty()) return PivotEdge{PivotEdge::kEpsilon, 0, false};
+  size_t size = std::upper_bound(out.begin(), out.end(), pivot) - out.begin();
+  if (size == 0) return PivotEdge{PivotEdge::kDead, 0, false};
+  return PivotEdge{PivotEdge::kAdmissible, static_cast<uint32_t>(size),
+                   out[size - 1] == pivot};
+}
+
+/// Liveness bits of ComputePivotLiveness, one per value of the seen-k bit.
+inline constexpr uint8_t kLiveUnseen = 1;
+inline constexpr uint8_t kLiveSeen = 2;
+
+/// Backward pass over grid × {seen-k}. Entry i * num_states + q has
+/// kLiveSeen (kLiveUnseen) set iff some accepting suffix from (i, q) uses
+/// only ε and admissible edges (TestPivotEdge) and ends with k output, given
+/// that k has (has not) been output on the way to (i, q). In particular
+/// (0, initial) is kLiveUnseen iff k ∈ K(T).
+std::vector<uint8_t> ComputePivotLiveness(const StateGrid& grid,
+                                          ItemId pivot);
 
 /// Ablation variant (Fig. 10a, "no grid"): enumerates accepting runs by raw
 /// DFS over the FST (exploring dead ends, no memoization) and folds ⊕ per

@@ -1,11 +1,9 @@
 #include "src/dist/dcand_miner.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <stdexcept>
 
-#include "src/core/candidates.h"
 #include "src/core/grid.h"
 #include "src/core/pivot.h"
 #include "src/nfa/serializer.h"
@@ -133,10 +131,6 @@ DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
                             const DCandOptions& options) {
   GridOptions grid_options;
   grid_options.prune_sigma = options.sigma;
-  const uint64_t max_runs =
-      options.max_runs_per_sequence == 0
-          ? std::numeric_limits<uint64_t>::max()
-          : options.max_runs_per_sequence;
 
   MapFn map_fn = [&](size_t index, const EmitFn& emit) {
     StateGrid grid = StateGrid::Build(db[index], fst, dict, grid_options);
@@ -144,39 +138,17 @@ DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
     Sequence pivots = FindPivotItems(grid);
     if (pivots.empty()) return;
 
-    // One NFA per pivot partition; every accepting run is inserted into the
-    // NFAs of exactly the pivots it can produce (Theorem 1 on its output
-    // sets), with items above the pivot dropped.
-    std::vector<OutputNfa> partition_nfas(pivots.size());
-    std::vector<Sequence> output_sets;
-    uint64_t trie_states = pivots.size();  // every trie starts with its root
-    bool within_budget = ForEachAcceptingRun(
-        grid, max_runs, [&](const std::vector<const StateGrid::Edge*>& run) {
-          output_sets.clear();
-          for (const StateGrid::Edge* e : run) output_sets.push_back(e->out);
-          PivotSet run_pivots = PivotsOfOutputSets(output_sets);
-          for (ItemId k : run_pivots.items) {
-            auto it = std::lower_bound(pivots.begin(), pivots.end(), k);
-            OutputNfa& nfa = partition_nfas[it - pivots.begin()];
-            trie_states -= nfa.num_states();
-            nfa.AddRun(run, k);
-            trie_states += nfa.num_states();
-          }
-          if (options.max_trie_states_per_sequence > 0 &&
-              trie_states > options.max_trie_states_per_sequence) {
-            throw MiningBudgetError(
-                "D-CAND trie construction exceeded its per-sequence state "
-                "budget");
-          }
-        });
-    if (!within_budget) {
-      throw MiningBudgetError(
-          "D-CAND run enumeration exceeded its per-sequence budget");
-    }
-
+    // One NFA per pivot partition, built from the grid (no run is
+    // enumerated); the unminimized ablation ships the equivalent trie.
+    PivotNfaBuilder builder(grid, options.max_nfa_states_per_sequence);
     std::string value;
-    for (size_t i = 0; i < pivots.size(); ++i) {
-      OutputNfa& nfa = partition_nfas[i];
+    for (ItemId pivot : pivots) {
+      OutputNfa nfa;
+      if (!builder.Build(pivot, &nfa) ||
+          (!options.minimize_nfas && !builder.Unfold(&nfa))) {
+        throw MiningBudgetError(
+            "D-CAND NFA construction exceeded its per-sequence state budget");
+      }
       if (nfa.empty()) continue;
       if (options.minimize_nfas) {
         nfa.Minimize();
@@ -186,7 +158,7 @@ DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
       value.clear();
       PutVarint(&value, 1);
       SerializeNfaTo(nfa, &value);
-      emit(EncodePivotKey(pivots[i]), value);
+      emit(EncodePivotKey(pivot), value);
     }
   };
 

@@ -2,9 +2,10 @@
 // Sec. VI).
 //
 // One map-shuffle-reduce round:
-//   map    : per input sequence T, enumerate the accepting runs of the
-//            σ-pruned grid and insert each run into the output NFA of every
-//            pivot k the run can produce; minimize (or canonicalize) and
+//   map    : per input sequence T, build from the σ-pruned grid the output
+//            NFA of every pivot k ∈ K(T), as a DFA by subset construction
+//            (PivotNfaBuilder; no accepting run is enumerated); minimize it
+//            (or unfold it into the paper's run trie and canonicalize) and
 //            serialize each NFA in DFS order
 //   shuffle: partitions keyed by pivot item; a combiner aggregates identical
 //            serialized NFAs into weighted NFAs (Sec. VI-A)
@@ -28,22 +29,21 @@ struct DCandOptions : DistributedRunOptions {
   uint64_t sigma = 1;
 
   /// Minimize NFAs before serialization (Revuz, linear for the acyclic
-  /// tries). When false, tries are only canonicalized (paper Fig. 10b
-  /// "tries" ablation).
+  /// DFAs). When false, each DFA is unfolded into the trie of its accepted
+  /// label strings and only canonicalized (paper Fig. 10b "tries"
+  /// ablation).
   bool minimize_nfas = true;
 
   /// Aggregate identical serialized NFAs into weighted NFAs in the shuffle
   /// (paper Sec. VI-A). When false, every NFA is shipped individually.
   bool aggregate_nfas = true;
 
-  /// Per-sequence accepting-run budget; exceeding it throws
-  /// MiningBudgetError (run explosion = certain OOM). 0 = unlimited.
-  uint64_t max_runs_per_sequence = 0;
-
-  /// Per-sequence budget on the total number of trie states across all of
-  /// the sequence's partition NFAs; exceeding it throws MiningBudgetError
-  /// (the paper's per-container memory limit). 0 = unlimited.
-  uint64_t max_trie_states_per_sequence = 0;
+  /// Per-sequence budget on the states created while building the
+  /// sequence's partition NFAs (DFA states, plus trie states when
+  /// unfolding), checked as they are created; exceeding it throws
+  /// MiningBudgetError (the paper's per-container memory limit).
+  /// 0 = unlimited.
+  uint64_t max_nfa_states_per_sequence = 0;
 };
 
 /// Local miner of one candidate partition: pattern growth directly over the

@@ -4,6 +4,9 @@
 #include <functional>
 #include <unordered_map>
 
+#include "src/core/pivot.h"
+#include "src/util/check.h"
+
 namespace dseq {
 
 size_t OutputNfa::num_edges() const {
@@ -13,6 +16,9 @@ size_t OutputNfa::num_edges() const {
 }
 
 OutputNfa::LabelId OutputNfa::InternLabel(const Sequence& label) {
+  for (LabelId id = label_ids_.size(); id < labels_.size(); ++id) {
+    label_ids_.emplace(labels_[id], id);
+  }
   auto it = label_ids_.find(label);
   if (it != label_ids_.end()) return it->second;
   LabelId id = static_cast<LabelId>(labels_.size());
@@ -72,6 +78,29 @@ StateId OutputNfa::AddEdge(StateId from, const Sequence& label,
   states_[from].edges.push_back(Edge{lid, to});
   if (mark_final) states_[to].final = true;
   return to;
+}
+
+bool OutputNfa::IsAcyclic() const {
+  // Kahn's algorithm: a topological order covers every state iff there is
+  // no cycle.
+  std::vector<uint32_t> in_degree(states_.size(), 0);
+  for (const State& s : states_) {
+    for (const Edge& e : s.edges) ++in_degree[e.target];
+  }
+  std::vector<StateId> ready;
+  for (StateId q = 0; q < states_.size(); ++q) {
+    if (in_degree[q] == 0) ready.push_back(q);
+  }
+  size_t ordered = 0;
+  while (!ready.empty()) {
+    StateId q = ready.back();
+    ready.pop_back();
+    ++ordered;
+    for (const Edge& e : states_[q].edges) {
+      if (--in_degree[e.target] == 0) ready.push_back(e.target);
+    }
+  }
+  return ordered == states_.size();
 }
 
 namespace {
@@ -197,6 +226,284 @@ void OutputNfa::RenumberDfs() {
     for (Edge& e : new_states[i].edges) e.target = remap[e.target];
   }
   states_ = std::move(new_states);
+}
+
+namespace {
+
+constexpr uint32_t kEpsMove = UINT32_MAX;
+constexpr uint32_t kDeadMove = UINT32_MAX - 1;
+constexpr uint32_t kNoLabel = UINT32_MAX;
+constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+// The ComputePivotLiveness bit of an element with the given seen-k bit.
+constexpr uint8_t LiveBit(uint32_t seen) {
+  return seen != 0 ? kLiveSeen : kLiveUnseen;
+}
+
+uint64_t HashSubset(const uint32_t* codes, size_t size) {
+  uint64_t h = size;
+  for (size_t i = 0; i < size; ++i) {
+    h = (h ^ codes[i]) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+}  // namespace
+
+PivotNfaBuilder::PivotNfaBuilder(const StateGrid& grid, uint64_t max_states)
+    : grid_(grid), max_states_(max_states), num_states_(grid.num_states()) {
+  const size_t n = grid.length();
+  const size_t ns = num_states_;
+  // Element codes (coordinate << 1 | seen-k) must fit 32 bits.
+  DSEQ_CHECK_LT((n + 1) * ns, size_t{1} << 31);
+  coord_edges_.assign(n * ns + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+      // The grid keeps each layer's edges sorted by source state.
+      DSEQ_DCHECK(&e == grid.EdgesAt(i).data() || (&e - 1)->from <= e.from);
+      ++coord_edges_[i * ns + e.from + 1];
+      edges_.push_back(&e);
+    }
+  }
+  for (size_t c = 1; c < coord_edges_.size(); ++c) {
+    coord_edges_[c] += coord_edges_[c - 1];
+  }
+
+  // Label trie: in content order, outputs sharing a prefix are adjacent, so
+  // each one reuses the nodes of its common prefix with the previous one.
+  label_base_.resize(edges_.size());
+  std::vector<uint32_t> order;
+  uint32_t total = 0;
+  for (uint32_t g = 0; g < edges_.size(); ++g) {
+    label_base_[g] = total;
+    total += edges_[g]->out.size();
+    if (!edges_[g]->out.empty()) order.push_back(g);
+  }
+  prefix_nodes_.resize(total);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return edges_[a]->out < edges_[b]->out;
+  });
+  const Sequence* prev = nullptr;
+  uint32_t prev_base = 0;
+  for (uint32_t g : order) {
+    const Sequence& out = edges_[g]->out;
+    size_t common = 0;
+    if (prev != nullptr) {
+      while (common < out.size() && common < prev->size() &&
+             out[common] == (*prev)[common]) {
+        ++common;
+      }
+    }
+    uint32_t* nodes = &prefix_nodes_[label_base_[g]];
+    for (size_t j = 0; j < out.size(); ++j) {
+      if (j < common) {
+        nodes[j] = prefix_nodes_[prev_base + j];
+      } else {
+        nodes[j] = static_cast<uint32_t>(node_edge_.size());
+        node_edge_.push_back(g);
+        node_depth_.push_back(static_cast<uint32_t>(j + 1));
+      }
+    }
+    prev = &out;
+    prev_base = label_base_[g];
+  }
+  visited_.assign((n + 1) * ns * 2, 0);
+}
+
+bool PivotNfaBuilder::CountState() {
+  ++states_created_;
+  return max_states_ == 0 || states_created_ <= max_states_;
+}
+
+OutputNfa::LabelId PivotNfaBuilder::LabelOf(uint32_t node, OutputNfa* nfa) {
+  if (node_label_[node] == kNoLabel) {
+    node_label_[node] = static_cast<OutputNfa::LabelId>(nfa->labels_.size());
+    const Sequence& out = edges_[node_edge_[node]]->out;
+    nfa->labels_.emplace_back(out.begin(), out.begin() + node_depth_[node]);
+  }
+  return node_label_[node];
+}
+
+bool PivotNfaBuilder::Build(ItemId pivot, OutputNfa* nfa) {
+  DSEQ_DCHECK(nfa->num_states() == 1 && nfa->labels_.empty());
+  if (!CountState()) return false;  // the root
+  if (!grid_.HasAcceptingRun()) return true;
+  const size_t ns = num_states_;
+  const uint32_t last_layer = static_cast<uint32_t>(grid_.length() * ns);
+  live_ = ComputePivotLiveness(grid_, pivot);
+  const uint32_t start = grid_.initial_state();  // coordinate (0, initial)
+  if ((live_[start] & kLiveUnseen) == 0) return true;  // pivot ∉ K(T)
+
+  move_.resize(edges_.size());
+  for (uint32_t g = 0; g < edges_.size(); ++g) {
+    PivotEdge test = TestPivotEdge(edges_[g]->out, pivot);
+    if (test.kind == PivotEdge::kEpsilon) {
+      move_[g] = kEpsMove;
+    } else if (test.kind == PivotEdge::kDead) {
+      move_[g] = kDeadMove;
+    } else {
+      uint32_t node = prefix_nodes_[label_base_[g] + test.label_size - 1];
+      move_[g] = node << 1 | (test.carries_pivot ? 1 : 0);
+    }
+  }
+  node_label_.assign(node_edge_.size(), kNoLabel);
+  pool_.clear();
+  subset_begin_.assign(1, 0);
+  subset_hash_.clear();
+  table_.assign(64, kEmptySlot);
+
+  std::vector<OutputNfa::State>& states = nfa->states_;
+  stack_.assign(1, start << 1);
+  Closure();
+  InternSubset();
+  for (uint32_t s = 0; s + 1 < subset_begin_.size(); ++s) {
+    moves_.clear();
+    for (uint32_t x = subset_begin_[s]; x < subset_begin_[s + 1]; ++x) {
+      uint32_t code = pool_[x];
+      uint32_t coord = code >> 1;
+      if (coord >= last_layer) continue;
+      uint32_t seen = code & 1;
+      uint32_t next_layer = (coord / ns + 1) * ns;
+      for (uint32_t g = coord_edges_[coord]; g < coord_edges_[coord + 1];
+           ++g) {
+        uint32_t move = move_[g];
+        if (move >= kDeadMove) continue;  // ε (in the closure) or dead
+        uint32_t next_seen = seen | (move & 1);
+        uint32_t to = next_layer + edges_[g]->to;
+        if ((live_[to] & LiveBit(next_seen)) == 0) continue;
+        moves_.emplace_back(move >> 1, to << 1 | next_seen);
+      }
+    }
+    // One edge per label: the targets of its moves, ε-closed.
+    std::sort(moves_.begin(), moves_.end());
+    for (size_t lo = 0; lo < moves_.size();) {
+      size_t hi = lo;
+      stack_.clear();
+      while (hi < moves_.size() && moves_[hi].first == moves_[lo].first) {
+        stack_.push_back(moves_[hi++].second);
+      }
+      Closure();
+      uint32_t target = InternSubset();
+      if (target == states.size()) {
+        if (!CountState()) return false;
+        states.emplace_back();
+        // Only seen-k elements are live on the last layer: they accept.
+        states.back().final = (scratch_.back() >> 1) >= last_layer;
+      }
+      states[s].edges.push_back(
+          OutputNfa::Edge{LabelOf(moves_[lo].first, nfa), target});
+      lo = hi;
+    }
+    // Every state is live: it accepts or has a way on.
+    DSEQ_DCHECK(states[s].final || !states[s].edges.empty());
+  }
+
+  // Renumber by the input position of each subset's smallest element
+  // (stable counting sort); the root keeps id 0.
+  const size_t num_subsets = states.size();
+  std::vector<uint32_t> rank(grid_.length() + 2, 0);
+  for (uint32_t s = 0; s < num_subsets; ++s) {
+    ++rank[pool_[subset_begin_[s]] / 2 / ns + 1];
+  }
+  for (size_t p = 1; p < rank.size(); ++p) rank[p] += rank[p - 1];
+  std::vector<StateId> new_id(num_subsets);
+  for (uint32_t s = 0; s < num_subsets; ++s) {
+    new_id[s] = rank[pool_[subset_begin_[s]] / 2 / ns]++;
+  }
+  std::vector<OutputNfa::State> renumbered(num_subsets);
+  for (uint32_t s = 0; s < num_subsets; ++s) {
+    OutputNfa::State& state = renumbered[new_id[s]];
+    state = std::move(states[s]);
+    for (OutputNfa::Edge& e : state.edges) {
+      e.target = new_id[e.target];
+      // Minimize's precondition: edges point to higher ids.
+      DSEQ_DCHECK_GT(e.target, new_id[s]);
+    }
+  }
+  states = std::move(renumbered);
+  return true;
+}
+
+void PivotNfaBuilder::Closure() {
+  if (++stamp_ == 0) {
+    std::fill(visited_.begin(), visited_.end(), 0);
+    stamp_ = 1;
+  }
+  const size_t ns = num_states_;
+  const uint32_t last_layer = static_cast<uint32_t>(grid_.length() * ns);
+  scratch_.clear();
+  while (!stack_.empty()) {
+    uint32_t code = stack_.back();
+    stack_.pop_back();
+    if (visited_[code] == stamp_) continue;
+    visited_[code] = stamp_;
+    scratch_.push_back(code);
+    uint32_t coord = code >> 1;
+    if (coord >= last_layer) continue;
+    uint32_t seen = code & 1;
+    uint32_t next_layer = (coord / ns + 1) * ns;
+    for (uint32_t g = coord_edges_[coord]; g < coord_edges_[coord + 1]; ++g) {
+      if (move_[g] != kEpsMove) continue;
+      uint32_t to = next_layer + edges_[g]->to;
+      if ((live_[to] & LiveBit(seen)) == 0) continue;
+      uint32_t next = to << 1 | seen;  // ε edges keep the seen bit
+      if (visited_[next] != stamp_) stack_.push_back(next);
+    }
+  }
+  std::sort(scratch_.begin(), scratch_.end());
+}
+
+uint32_t PivotNfaBuilder::InternSubset() {
+  const uint64_t hash = HashSubset(scratch_.data(), scratch_.size());
+  const size_t mask = table_.size() - 1;
+  size_t slot = hash & mask;
+  for (; table_[slot] != kEmptySlot; slot = (slot + 1) & mask) {
+    uint32_t id = table_[slot];
+    if (subset_hash_[id] != hash) continue;
+    uint32_t begin = subset_begin_[id];
+    uint32_t size = subset_begin_[id + 1] - begin;
+    if (size == scratch_.size() &&
+        std::equal(scratch_.begin(), scratch_.end(), pool_.begin() + begin)) {
+      return id;
+    }
+  }
+  const uint32_t id = static_cast<uint32_t>(subset_hash_.size());
+  table_[slot] = id;
+  subset_hash_.push_back(hash);
+  pool_.insert(pool_.end(), scratch_.begin(), scratch_.end());
+  subset_begin_.push_back(static_cast<uint32_t>(pool_.size()));
+  if (2 * subset_hash_.size() > table_.size()) {
+    table_.assign(table_.size() * 2, kEmptySlot);
+    const size_t grown_mask = table_.size() - 1;
+    for (uint32_t s = 0; s < subset_hash_.size(); ++s) {
+      size_t at = subset_hash_[s] & grown_mask;
+      while (table_[at] != kEmptySlot) at = (at + 1) & grown_mask;
+      table_[at] = s;
+    }
+  }
+  return id;
+}
+
+bool PivotNfaBuilder::Unfold(OutputNfa* nfa) {
+  OutputNfa trie;
+  trie.labels_ = std::move(nfa->labels_);
+  // (DFA state, trie state) pairs still to expand.
+  std::vector<std::pair<StateId, StateId>> stack = {{0, 0}};
+  while (!stack.empty()) {
+    auto [from, at] = stack.back();
+    stack.pop_back();
+    for (const OutputNfa::Edge& e : nfa->states_[from].edges) {
+      if (!CountState()) return false;
+      StateId child = static_cast<StateId>(trie.states_.size());
+      trie.states_.emplace_back();
+      trie.states_[child].final = nfa->states_[e.target].final;
+      trie.states_[at].edges.push_back(OutputNfa::Edge{e.label, child});
+      stack.emplace_back(e.target, child);
+    }
+  }
+  *nfa = std::move(trie);
+  return true;
 }
 
 bool OutputNfa::Language(size_t budget, std::vector<Sequence>* out) const {

@@ -4,8 +4,11 @@
 // candidate subsequences of T with pivot item k. The NFA's edges are labeled
 // with *output sets* (one edge per non-ε output set of an accepting run;
 // items larger than the pivot are dropped — they can only produce candidates
-// with a larger pivot). Runs are inserted into a trie which is subsequently
-// minimized; tries are acyclic, so minimization is linear (Revuz).
+// with a larger pivot). PivotNfaBuilder builds it straight from the grid as a
+// DFA over these labels, by subset construction; the automaton is acyclic, so
+// minimization is linear (Revuz). The paper's construction — insert every
+// accepting run into a trie (AddRun), then minimize — yields the same
+// minimized bytes and remains available for tests and benchmarks.
 #ifndef DSEQ_NFA_OUTPUT_NFA_H_
 #define DSEQ_NFA_OUTPUT_NFA_H_
 
@@ -17,6 +20,8 @@
 #include "src/util/common.h"
 
 namespace dseq {
+
+class PivotNfaBuilder;
 
 /// A weighted acyclic NFA over output-set labels. State 0 is the root.
 /// Invariant: every edge points from a lower to a higher state id until
@@ -67,12 +72,19 @@ class OutputNfa {
   /// merging states (canonicalization for unminimized tries).
   void Canonicalize();
 
+  /// True iff no state reaches itself, in O(V+E). Every construction keeps
+  /// this; DeserializeNfa checks it on untrusted input, because the miners
+  /// recurse along edges.
+  bool IsAcyclic() const;
+
   /// Enumerates the accepted language (expanding output sets), deduplicated
   /// and sorted; stops and returns false if more than `budget` raw sequences
   /// are produced. Test/oracle helper.
   bool Language(size_t budget, std::vector<Sequence>* out) const;
 
  private:
+  friend class PivotNfaBuilder;
+
   struct State {
     bool final = false;
     std::vector<Edge> edges;
@@ -83,7 +95,91 @@ class OutputNfa {
 
   std::vector<State> states_;
   std::vector<Sequence> labels_;
+  // Indexes labels_ by content. PivotNfaBuilder appends distinct labels
+  // without it; InternLabel catches up on first use.
   std::map<Sequence, LabelId> label_ids_;
+};
+
+/// D-CAND's map-side construction of the pivot NFAs of one σ-pruned grid
+/// (paper Sec. VI-A), with no accepting run materialized. By Theorem 1 (see
+/// TestPivotEdge), the label strings of ρk(T) are those of the runs that use
+/// only ε and admissible edges and carry k at least once, each admissible
+/// edge contributing out ∩ [0,k]. Build() makes pivot k's DFA over these
+/// labels by subset construction over grid × {seen-k}: a DFA state is the
+/// ε-closure of the coordinates reached on one label string, restricted to
+/// the live ones (ComputePivotLiveness), so every state lies on an accepting
+/// path. States are numbered by the input position of their subset's
+/// smallest element, which strictly grows along every edge; Minimize() thus
+/// applies as to a trie. A finite language has one minimal DFA, so the
+/// minimized bytes equal those of the run trie (AddRun), and Unfold() turns
+/// the DFA into exactly that trie.
+///
+/// Labels are interned per sequence through a trie of the grid's output
+/// sets: out ∩ [0,k] is the node at depth |out ∩ [0,k]| on out's path, so
+/// equal labels share a node without any copy or map lookup.
+class PivotNfaBuilder {
+ public:
+  /// `grid` must outlive the builder. `max_states` bounds the states
+  /// created over all Build() and Unfold() calls (0 = unlimited).
+  explicit PivotNfaBuilder(const StateGrid& grid, uint64_t max_states = 0);
+
+  /// Builds pivot k's DFA into `*nfa`, which must be a fresh OutputNfa. The
+  /// DFA is empty if k ∉ K(T). Returns false once the state budget is
+  /// exceeded; `*nfa` is then incomplete.
+  bool Build(ItemId pivot, OutputNfa* nfa);
+
+  /// Replaces the DFA `*nfa` (from Build) by its unfolding: the trie with
+  /// one state per prefix of an accepted label string, as the paper's run
+  /// insertion builds it (Fig. 10b's unminimized "tries"). Returns false
+  /// once the state budget is exceeded.
+  bool Unfold(OutputNfa* nfa);
+
+  /// States created so far (DFA states, plus trie states of Unfold).
+  uint64_t states_created() const { return states_created_; }
+
+ private:
+  bool CountState();
+  // Empties stack_ (live elements) into scratch_ as their ε-closure over
+  // live elements, sorted.
+  void Closure();
+  // Id of the subset in scratch_; a new subset gets the next id.
+  uint32_t InternSubset();
+  OutputNfa::LabelId LabelOf(uint32_t node, OutputNfa* nfa);
+
+  const StateGrid& grid_;
+  uint64_t max_states_;
+  uint64_t states_created_ = 0;
+  size_t num_states_;  // FST states per layer
+
+  // Per sequence. Grid edges flattened in (layer, from) order; the edges
+  // out of coordinate c = i * num_states_ + q are
+  // edges_[coord_edges_[c] .. coord_edges_[c + 1]).
+  std::vector<const StateGrid::Edge*> edges_;
+  std::vector<uint32_t> coord_edges_;
+  // prefix_nodes_[label_base_[g] + j - 1]: label-trie node of the first j
+  // items of edges_[g]->out. node_edge_[x]: an edge whose out starts with
+  // node x's label, node_depth_[x] its length.
+  std::vector<uint32_t> label_base_;
+  std::vector<uint32_t> prefix_nodes_;
+  std::vector<uint32_t> node_edge_;
+  std::vector<uint32_t> node_depth_;
+
+  // Per pivot. move_[g]: (label node << 1 | carries k) of an admissible
+  // edge, or kEpsMove / kDeadMove. live_: ComputePivotLiveness.
+  std::vector<uint32_t> move_;
+  std::vector<uint8_t> live_;
+  std::vector<OutputNfa::LabelId> node_label_;
+  // DFA subsets: sorted element codes (coordinate << 1 | seen-k) in one
+  // pool, found through an open-addressing table of subset ids.
+  std::vector<uint32_t> pool_;
+  std::vector<uint32_t> subset_begin_;  // one entry per subset, plus end
+  std::vector<uint64_t> subset_hash_;
+  std::vector<uint32_t> table_;
+  std::vector<std::pair<uint32_t, uint32_t>> moves_;  // (label node, code)
+  std::vector<uint32_t> scratch_;  // the subset being interned
+  std::vector<uint32_t> stack_;    // elements whose closure is taken next
+  std::vector<uint32_t> visited_;  // closure stamp per element code
+  uint32_t stamp_ = 0;
 };
 
 }  // namespace dseq

@@ -132,6 +132,9 @@ OutputNfa DeserializeNfa(std::string_view bytes, size_t* pos) {
     }
     prev_target = tgt;
   }
+  // Targets may be any earlier state (DFS preorder has cross edges to lower
+  // ids), so a back edge can close a cycle; the miners assume none.
+  if (!nfa.IsAcyclic()) throw NfaParseError("cyclic NFA");
   return nfa;
 }
 

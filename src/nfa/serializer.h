@@ -39,8 +39,8 @@ std::string SerializeNfa(const OutputNfa& nfa);
 void SerializeNfaTo(const OutputNfa& nfa, std::string* out);
 
 /// Parses a serialized NFA starting at `*pos`; advances `*pos` to the end of
-/// the consumed bytes. Throws NfaParseError on malformed input. Takes a view
-/// so shuffle records can be decoded in place.
+/// the consumed bytes. Throws NfaParseError on malformed input, cyclic NFAs
+/// included. Takes a view so shuffle records can be decoded in place.
 OutputNfa DeserializeNfa(std::string_view bytes, size_t* pos);
 
 /// Convenience whole-string parse.

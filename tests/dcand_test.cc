@@ -66,13 +66,20 @@ TEST(DCandTest, MinimizationReducesShuffleBytes) {
 }
 
 TEST(DCandTest, RunBudgetProducesOom) {
+  // The state budget stands in for the paper's per-container memory: the
+  // running example's pivot NFAs need more than one state each.
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(kPatternEx, db.dict);
   DCandOptions options;
   options.sigma = 2;
-  options.max_runs_per_sequence = 1;
+  options.max_nfa_states_per_sequence = 1;
   EXPECT_THROW(MineDCand(db.sequences, fst, db.dict, options),
                MiningBudgetError);
+  for (bool minimize : {false, true}) {
+    options.minimize_nfas = minimize;
+    options.max_nfa_states_per_sequence = 1000;
+    EXPECT_NO_THROW(MineDCand(db.sequences, fst, db.dict, options));
+  }
 }
 
 TEST(MineNfasTest, WeightsSumAcrossNfas) {

@@ -17,7 +17,9 @@ namespace {
 
 constexpr char kPatternEx[] = ".*(A)[(.^).*]*(b).*";
 
-// Builds the per-pivot NFA trie for one sequence (the D-CAND map step).
+// Builds the per-pivot NFA trie for one sequence the paper's way, as the
+// D-CAND map did before PivotNfaBuilder: every accepting run of pivot k goes
+// into the trie. The reference of the PivotNfaBuilder differential test.
 OutputNfa BuildTrie(const SequenceDatabase& db, const Fst& fst,
                     const Sequence& T, ItemId pivot, uint64_t sigma) {
   GridOptions options;
@@ -132,6 +134,112 @@ TEST(OutputNfaTest, InsertionOrderInvariance) {
   EXPECT_EQ(SerializeNfa(forward), SerializeNfa(backward));
 }
 
+TEST(PivotNfaBuilderTest, PaperFig7Shapes) {
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  GridOptions options;
+  options.prune_sigma = 2;
+  StateGrid grid = StateGrid::Build(db.sequences[0], fst, db.dict, options);
+  PivotNfaBuilder builder(grid);
+  OutputNfa dfa;
+  ASSERT_TRUE(builder.Build(db.dict.ItemByName("c"), &dfa));
+  EXPECT_LE(dfa.num_states(), 13u);
+  EXPECT_EQ(builder.states_created(), dfa.num_states());
+  for (StateId q = 0; q < dfa.num_states(); ++q) {
+    EXPECT_TRUE(dfa.IsFinal(q) || !dfa.EdgesOf(q).empty()) << "state " << q;
+    for (const OutputNfa::Edge& e : dfa.EdgesOf(q)) EXPECT_GT(e.target, q);
+  }
+  OutputNfa trie = dfa;
+  ASSERT_TRUE(builder.Unfold(&trie));
+  EXPECT_EQ(trie.num_states(), 13u);
+  EXPECT_EQ(trie.num_edges(), 12u);
+  dfa.Minimize();
+  EXPECT_EQ(dfa.num_states(), 7u);
+  EXPECT_EQ(dfa.num_edges(), 10u);
+}
+
+TEST(PivotNfaBuilderTest, EmptyForNonPivots) {
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  StateGrid grid = StateGrid::Build(db.sequences[1], fst, db.dict, {});
+  PivotNfaBuilder builder(grid);
+  OutputNfa nfa;
+  ASSERT_TRUE(builder.Build(db.dict.ItemByName("c"), &nfa));  // c ∉ K(T2)
+  EXPECT_TRUE(nfa.empty());
+}
+
+TEST(PivotNfaBuilderTest, StateBudgetCoversBuildAndUnfold) {
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  GridOptions options;
+  options.prune_sigma = 2;
+  StateGrid grid = StateGrid::Build(db.sequences[0], fst, db.dict, options);
+  ItemId c = db.dict.ItemByName("c");
+  OutputNfa dfa;
+  PivotNfaBuilder unlimited(grid);
+  ASSERT_TRUE(unlimited.Build(c, &dfa));
+  const uint64_t dfa_states = dfa.num_states();
+
+  OutputNfa partial;
+  PivotNfaBuilder tight(grid, dfa_states - 1);
+  EXPECT_FALSE(tight.Build(c, &partial));
+
+  // Unfolding creates the 12 non-root trie states on top of the DFA's.
+  OutputNfa unfolded;
+  PivotNfaBuilder exact(grid, dfa_states + 12);
+  ASSERT_TRUE(exact.Build(c, &unfolded));
+  EXPECT_TRUE(exact.Unfold(&unfolded));
+  OutputNfa short_of_one;
+  PivotNfaBuilder over(grid, dfa_states + 11);
+  ASSERT_TRUE(over.Build(c, &short_of_one));
+  EXPECT_FALSE(over.Unfold(&short_of_one));
+}
+
+// Differential: the grid DFA against the run trie (BuildTrie), per sequence
+// and pivot. Minimized bytes, canonical trie bytes and the DFA's size bound
+// must hold for every random database, property pattern and σ.
+class PivotNfaBuilderPropertyTest
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
+
+TEST_P(PivotNfaBuilderPropertyTest, MatchesRunTries) {
+  auto [seed, pattern] = GetParam();
+  SequenceDatabase db = testing::RandomDatabase(seed + 900, 8, 40, 8);
+  Fst fst = CompileFst(pattern, db.dict);
+  for (uint64_t sigma : {1, 2, 4}) {
+    GridOptions options;
+    options.prune_sigma = sigma;
+    for (size_t t = 0; t < db.sequences.size(); ++t) {
+      SCOPED_TRACE("pattern=" + pattern + " sigma=" + std::to_string(sigma) +
+                   " sequence=" + std::to_string(t));
+      StateGrid grid =
+          StateGrid::Build(db.sequences[t], fst, db.dict, options);
+      PivotNfaBuilder builder(grid);
+      for (ItemId k : FindPivotItems(grid)) {
+        OutputNfa reference = BuildTrie(db, fst, db.sequences[t], k, sigma);
+        OutputNfa dfa;
+        ASSERT_TRUE(builder.Build(k, &dfa));
+        EXPECT_LE(dfa.num_states(), reference.num_states());
+
+        OutputNfa trie = dfa;
+        ASSERT_TRUE(builder.Unfold(&trie));
+        trie.Canonicalize();
+        OutputNfa reference_trie = reference;
+        reference_trie.Canonicalize();
+        EXPECT_EQ(SerializeNfa(trie), SerializeNfa(reference_trie));
+
+        dfa.Minimize();
+        reference.Minimize();
+        EXPECT_EQ(SerializeNfa(dfa), SerializeNfa(reference));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomizedNfas, PivotNfaBuilderPropertyTest,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::ValuesIn(testing::PropertyPatterns())));
+
 TEST(SerializerTest, PaperFig8Example) {
   // NFA for ρa1(T5): root -{a1}-> s1; s1 -{a1,A}-> s2 -{b}-> s3(final);
   // s1 -{b}-> s3. The paper serializes 4 transitions.
@@ -222,6 +330,23 @@ TEST(SerializerTest, MalformedInputThrows) {
   EXPECT_THROW(DeserializeNfa(bytes), NfaParseError);
   bytes = SerializeNfa(trie) + "x";
   EXPECT_THROW(DeserializeNfa(bytes), NfaParseError);
+}
+
+TEST(SerializerTest, CyclicInputThrows) {
+  // One edge {5} from the root back to the root: a self-loop.
+  std::string_view self_loop("\x01\x02\x01\x05\x00", 5);
+  EXPECT_THROW(DeserializeNfa(self_loop), NfaParseError);
+  // root -{1}-> s1, then s1 -{2}-> root: a two-state back edge.
+  std::string_view back_edge("\x02\x00\x01\x01\x02\x01\x02\x00", 8);
+  EXPECT_THROW(DeserializeNfa(back_edge), NfaParseError);
+  // The same edge into a sibling subtree is a cross edge, not a cycle:
+  // root -{1}-> s1 -{2}-> s2, root -{3}-> s2.
+  std::string_view cross_edge(
+      "\x03\x00\x01\x01\x04\x01\x02\x03\x00\x01\x03\x02", 12);
+  OutputNfa parsed = DeserializeNfa(cross_edge);
+  EXPECT_TRUE(parsed.IsAcyclic());
+  EXPECT_EQ(parsed.num_states(), 3u);
+  EXPECT_EQ(parsed.num_edges(), 3u);
 }
 
 TEST(SerializerTest, MinimizationShrinksSerialization) {

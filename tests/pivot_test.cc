@@ -183,6 +183,79 @@ TEST(PivotSearchTest, UnfilteredPivotsOfT2) {
             (Sequence{db.dict.ItemByName("a1"), db.dict.ItemByName("e")}));
 }
 
+TEST(PivotEdgeTest, RunningExampleOutputSets) {
+  // (.^) on a1 outputs {A, a1}; on e it outputs {e} (paper Fig. 5b).
+  SequenceDatabase db = MakeRunningExample();
+  ItemId A = db.dict.ItemByName("A");
+  ItemId d = db.dict.ItemByName("d");
+  ItemId a1 = db.dict.ItemByName("a1");
+  ItemId e = db.dict.ItemByName("e");
+  Sequence generalized = {A, a1};
+
+  EXPECT_EQ(TestPivotEdge({}, a1).kind, PivotEdge::kEpsilon);
+  EXPECT_EQ(TestPivotEdge({e}, a1).kind, PivotEdge::kDead);
+  PivotEdge full = TestPivotEdge(generalized, a1);
+  EXPECT_EQ(full.kind, PivotEdge::kAdmissible);
+  EXPECT_EQ(full.label_size, 2u);
+  EXPECT_TRUE(full.carries_pivot);
+  PivotEdge at_min = TestPivotEdge(generalized, A);
+  EXPECT_EQ(at_min.kind, PivotEdge::kAdmissible);
+  EXPECT_EQ(at_min.label_size, 1u);
+  EXPECT_TRUE(at_min.carries_pivot);
+  PivotEdge between = TestPivotEdge(generalized, d);  // label {A}
+  EXPECT_EQ(between.kind, PivotEdge::kAdmissible);
+  EXPECT_EQ(between.label_size, 1u);
+  EXPECT_FALSE(between.carries_pivot);
+  PivotEdge above = TestPivotEdge(generalized, e);
+  EXPECT_EQ(above.kind, PivotEdge::kAdmissible);
+  EXPECT_EQ(above.label_size, 2u);
+  EXPECT_FALSE(above.carries_pivot);
+}
+
+// Brute force for one liveness bit: does an accepting suffix from (i, q)
+// pass every edge test and end with k output?
+bool LiveByDfs(const StateGrid& grid, size_t i, StateId q, bool seen,
+               ItemId k) {
+  if (i == grid.length()) {
+    return seen && grid.Alive(i, q) && grid.IsFinalState(q);
+  }
+  for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+    if (e.from != q) continue;
+    PivotEdge test = TestPivotEdge(e.out, k);
+    if (test.kind == PivotEdge::kDead) continue;
+    if (LiveByDfs(grid, i + 1, e.to, seen || test.carries_pivot, k)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(PivotLivenessTest, RunningExampleT2MatchesBruteForce) {
+  // The unfiltered grid of T2 = e e a1 e a1 e b (paper Fig. 5b), whose
+  // pivots are K(T2) = {a1, e}.
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  StateGrid grid = StateGrid::Build(db.sequences[1], fst, db.dict, {});
+  const Sequence pivots = FindPivotItems(grid);
+  const size_t ns = grid.num_states();
+  for (ItemId k = 1; k <= db.dict.size(); ++k) {
+    SCOPED_TRACE("pivot " + db.dict.Name(k));
+    std::vector<uint8_t> live = ComputePivotLiveness(grid, k);
+    ASSERT_EQ(live.size(), (grid.length() + 1) * ns);
+    bool is_pivot = std::binary_search(pivots.begin(), pivots.end(), k);
+    EXPECT_EQ((live[grid.initial_state()] & kLiveUnseen) != 0, is_pivot);
+    for (size_t i = 0; i <= grid.length(); ++i) {
+      for (StateId q = 0; q < ns; ++q) {
+        uint8_t bits = live[i * ns + q];
+        EXPECT_EQ((bits & kLiveUnseen) != 0, LiveByDfs(grid, i, q, false, k))
+            << "(" << i << ", " << q << ")";
+        EXPECT_EQ((bits & kLiveSeen) != 0, LiveByDfs(grid, i, q, true, k))
+            << "(" << i << ", " << q << ")";
+      }
+    }
+  }
+}
+
 // Property: grid pivot search == pivots of brute-force candidates, for many
 // random databases and patterns.
 class PivotPropertyTest
