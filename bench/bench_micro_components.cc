@@ -1,8 +1,9 @@
 // Micro-benchmarks for the core components: grid construction, pivot
 // search, the forward/backward pivot DPs, rewriting, D-CAND's NFA
-// construction, NFA minimization/serialization, varint coding, the map-side combiners (the
-// zero-copy shuffle hot path), the shuffle block codec, and the external
-// spill-run merger (the out-of-core reduce path).
+// construction, NFA minimization/serialization, varint coding, the map-side
+// combiner over weighted values and counts (the zero-copy shuffle hot
+// path), the shuffle block codec, and the external spill-run merger (the
+// out-of-core reduce path).
 //
 // Self-contained harness — no google-benchmark dependency — so the binary
 // always builds and CI can track regressions. Each benchmark runs until a
@@ -158,7 +159,7 @@ std::vector<std::pair<std::string, std::string>> MakeWeightedRecords(
 // reduce), with `per_input` records per map call.
 void RunCombineRound(
     const std::vector<std::pair<std::string, std::string>>& records,
-    const CombinerFactory& factory, size_t per_input) {
+    size_t per_input) {
   size_t num_inputs = records.size() / per_input;
   MapFn map_fn = [&](size_t i, const EmitFn& emit) {
     size_t begin = i * per_input;
@@ -168,7 +169,7 @@ void RunCombineRound(
   };
   ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
   DataflowOptions options;
-  RunMapReduce(num_inputs, map_fn, factory, sink, options);
+  RunMapReduce(num_inputs, map_fn, /*combine=*/true, sink, options);
 }
 
 // --- benchmarks -------------------------------------------------------------
@@ -329,14 +330,14 @@ void BenchVarintSequenceRoundTrip() {
 
 void BenchCombiners() {
   // The acceptance microbench of the zero-copy shuffle path: 100k
-  // weighted-value records through map + combine (arena-backed
-  // open-addressing tables), reported as records/s.
+  // weighted-value records through map + combine (the arena-backed
+  // open-addressing table), reported as records/s.
   const size_t count = g_config.tiny ? 20'000 : 100'000;
   auto weighted = MakeWeightedRecords(count);
   RunBench("map_combine_weighted_" + std::to_string(count / 1000) + "k", count,
-           [&] { RunCombineRound(weighted, MakeWeightedValueCombiner, 100); });
+           [&] { RunCombineRound(weighted, 100); });
 
-  // Word-count-style records for the sum combiner.
+  // Word-count-style records: counts are weights with an empty payload.
   std::mt19937_64 rng(7);
   std::vector<std::pair<std::string, std::string>> counts;
   counts.reserve(count);
@@ -346,7 +347,7 @@ void BenchCombiners() {
     counts.emplace_back("w" + std::to_string(rng() % 2'000), one);
   }
   RunBench("map_combine_sum_" + std::to_string(count / 1000) + "k", count,
-           [&] { RunCombineRound(counts, MakeSumCombiner, 100); });
+           [&] { RunCombineRound(counts, 100); });
 }
 
 void BenchBlockCodec() {

@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
   zipf.zipf_exponent = 1.3;
   SequenceDatabase skewed = GenerateSkewedZipf(zipf);
   RunCase("zipf_single_gen_div8", skewed, ".*(.^).*", 2, 8);
-  // The aggregation extension sends the weighted-value combiner through its
+  // The aggregation extension sends weighted values through the combiner's
   // external-aggregation (spill-sort) path.
   RunCase("zipf_aggregate_div8", skewed, ".*(.^).*", 2, 8,
           /*aggregate_sequences=*/true);

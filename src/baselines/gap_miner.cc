@@ -197,7 +197,8 @@ DistributedResult MineGapConstrained(const std::vector<Sequence>& db,
                std::make_move_iterator(local.end()));
   };
 
-  return RunDistributedMining(db.size(), map_fn, nullptr, reduce_fn, options);
+  return RunDistributedMining(db.size(), map_fn, /*combine=*/false, reduce_fn,
+                              options);
 }
 
 }  // namespace dseq

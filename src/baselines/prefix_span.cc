@@ -98,7 +98,8 @@ DistributedResult MinePrefixSpan(const std::vector<Sequence>& db,
                     &out);
   };
 
-  return RunDistributedMining(db.size(), map_fn, nullptr, reduce_fn, options);
+  return RunDistributedMining(db.size(), map_fn, /*combine=*/false, reduce_fn,
+                              options);
 }
 
 DistributedResult MineChainedPrefixSpan(const std::vector<Sequence>& db,
@@ -179,7 +180,7 @@ DistributedResult MineChainedPrefixSpan(const std::vector<Sequence>& db,
       emit(std::move(key), std::move(value));
     }
   };
-  job.RunRound(db.size(), seed_map, nullptr, reduce_fn);
+  job.RunRound(db.size(), seed_map, /*combine=*/false, reduce_fn);
 
   // Partitions a round's boundary records: patterns accumulate into
   // `patterns`, extensions (tag stripped, emission order preserved — the
@@ -222,7 +223,8 @@ DistributedResult MineChainedPrefixSpan(const std::vector<Sequence>& db,
     MapFn repartition = [&extensions](size_t index, const EmitFn& emit) {
       emit(extensions[index].key, extensions[index].value);
     };
-    job.RunRound(extensions.size(), repartition, nullptr, reduce_fn);
+    job.RunRound(extensions.size(), repartition, /*combine=*/false,
+                 reduce_fn);
     harvest();
   }
 

@@ -10,7 +10,7 @@
 namespace dseq {
 
 const DataflowMetrics& DataflowJob::Run(size_t num_inputs, const MapFn& map_fn,
-                                        const CombinerFactory& combiner_factory,
+                                        bool combine,
                                         const ChainReduceFn& reduce_fn) {
   DataflowOptions round_options = options_;
   // Stamp the 0-based round index so budget-overflow errors (and spill
@@ -42,8 +42,8 @@ const DataflowMetrics& DataflowJob::Run(size_t num_inputs, const MapFn& map_fn,
     // RunMapReduce rejects kProc, so the dispatch lives here, where the
     // chain-level budgets and round indices have already been resolved.
     round_options.backend = DataflowBackend::kLocal;  // workers run locally
-    ProcRoundResult result = RunProcRound(num_inputs, map_fn, combiner_factory,
-                                          reduce_fn, round_options);
+    ProcRoundResult result =
+        RunProcRound(num_inputs, map_fn, combine, reduce_fn, round_options);
     cumulative_shuffle_bytes_ += result.metrics.shuffle_bytes;
     records_ = std::move(result.records);
     round_metrics_.push_back(std::move(result.metrics));
@@ -67,7 +67,7 @@ const DataflowMetrics& DataflowJob::Run(size_t num_inputs, const MapFn& map_fn,
     reduce_fn(worker, key, values, emitters[worker]);
   };
 
-  DataflowMetrics metrics = RunMapReduce(num_inputs, map_fn, combiner_factory,
+  DataflowMetrics metrics = RunMapReduce(num_inputs, map_fn, combine,
                                          wrapped_reduce, round_options);
   cumulative_shuffle_bytes_ += metrics.shuffle_bytes;
 
@@ -84,20 +84,19 @@ const DataflowMetrics& DataflowJob::Run(size_t num_inputs, const MapFn& map_fn,
   return round_metrics_.back();
 }
 
-const DataflowMetrics& DataflowJob::RunRound(
-    size_t num_inputs, const MapFn& map_fn,
-    const CombinerFactory& combiner_factory, const ChainReduceFn& reduce_fn) {
-  return Run(num_inputs, map_fn, combiner_factory, reduce_fn);
+const DataflowMetrics& DataflowJob::RunRound(size_t num_inputs,
+                                             const MapFn& map_fn, bool combine,
+                                             const ChainReduceFn& reduce_fn) {
+  return Run(num_inputs, map_fn, combine, reduce_fn);
 }
 
 const DataflowMetrics& DataflowJob::RunChainedRound(
-    const RecordMapFn& map_fn, const CombinerFactory& combiner_factory,
-    const ChainReduceFn& reduce_fn) {
+    const RecordMapFn& map_fn, bool combine, const ChainReduceFn& reduce_fn) {
   std::vector<Record> inputs = TakeRecords();
   MapFn wrapped_map = [&](size_t index, const EmitFn& emit) {
     map_fn(index, inputs[index], emit);
   };
-  return Run(inputs.size(), wrapped_map, combiner_factory, reduce_fn);
+  return Run(inputs.size(), wrapped_map, combine, reduce_fn);
 }
 
 DataflowMetrics DataflowJob::aggregate_metrics() const {

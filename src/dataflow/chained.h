@@ -76,15 +76,16 @@ class DataflowJob {
       : options_(options) {}
 
   /// Runs a round whose map input is external: `map_fn` is called once per
-  /// index in [0, num_inputs). Returns the round's metrics.
+  /// index in [0, num_inputs). `combine` as in RunMapReduce. Returns the
+  /// round's metrics.
   const DataflowMetrics& RunRound(size_t num_inputs, const MapFn& map_fn,
-                                  const CombinerFactory& combiner_factory,
+                                  bool combine,
                                   const ChainReduceFn& reduce_fn);
 
   /// Runs a round whose map input is the previous round's output records
   /// (consumed by this call).
   const DataflowMetrics& RunChainedRound(const RecordMapFn& map_fn,
-                                         const CombinerFactory& combiner_factory,
+                                         bool combine,
                                          const ChainReduceFn& reduce_fn);
 
   /// Output records of the last completed round, in reduce-worker order
@@ -114,8 +115,7 @@ class DataflowJob {
 
  private:
   const DataflowMetrics& Run(size_t num_inputs, const MapFn& map_fn,
-                             const CombinerFactory& combiner_factory,
-                             const ChainReduceFn& reduce_fn);
+                             bool combine, const ChainReduceFn& reduce_fn);
 
   ChainedDataflowOptions options_;
   std::vector<Record> records_;

@@ -5,7 +5,8 @@
 // reduce phases. One round of communication, exactly as Alg. 1:
 //
 //   map     : process each input independently, emit (key, value) records
-//   combine : optional per-map-worker aggregation of records by key
+//   combine : optional per-map-worker aggregation: the weights of identical
+//             (key, payload) records are summed (src/dataflow/combiner.h)
 //   shuffle : records are serialized, partitioned by hash(key) among reduce
 //             workers; total serialized bytes are the shuffle-size metric
 //             (the paper's `shuffleWriteBytes`)
@@ -13,10 +14,10 @@
 //
 // Zero-copy hot path: each (map worker, reduce worker) bucket is one
 // contiguous varint-framed byte arena (ShuffleBuffer) — no per-record heap
-// allocations. Combiners aggregate into open-addressing tables whose keys
-// are views into an interning arena. Each map worker stable-sorts every
-// bucket by key once, when it seals it; the reduce phase k-way merges its
-// column's sorted buckets (and any spilled runs) into key groups, so
+// allocations. The combiner aggregates into an open-addressing table whose
+// records are views into an interning arena. Each map worker stable-sorts
+// every bucket by key once, when it seals it; the reduce phase k-way merges
+// its column's sorted buckets (and any spilled runs) into key groups, so
 // nothing is sorted twice. Keys and values reach the reduce function in
 // (map worker, emit) order within a key; the shuffle buffers are released
 // per reduce worker as soon as that worker finishes (not at the end of the
@@ -38,7 +39,7 @@
 // Out-of-core execution (src/spill/): with memory_budget_bytes set, the
 // resident shuffle arenas and the combiner tables are charged against a
 // shared MemoryBudget. When the budget runs out and spill_dir is set, the
-// overflowing worker drains its buckets (and the combiners their tables) to
+// overflowing worker drains its buckets (and its combiner its table) to
 // sorted runs on disk; the reduce phase adds the runs to the same k-way
 // merge as the resident buckets, so reducers stream key groups without ever
 // rebuilding the column in memory. Results and the raw shuffle metrics are
@@ -50,15 +51,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace dseq {
-
-struct CombinerSpillContext;  // src/spill/spill_context.h
 
 /// Thrown when buffered shuffle state exceeds a configured budget — the raw
 /// shuffle-volume budget (shuffle_budget_bytes) or the resident memory
@@ -86,7 +84,7 @@ struct DataflowMetrics {
   std::vector<uint64_t> reducer_bytes;
   /// Out-of-core counters (all 0 unless the round spilled): sorted runs
   /// written to spill_dir, stored bytes written to them (post-codec when
-  /// compress_spill is set, block framing included), and k-way merge passes
+  /// compress_shuffle is set, block framing included), and k-way merge passes
   /// over spilled runs (intermediate fan-in collapses plus the final
   /// streaming merges — at least one whenever spill_files > 0).
   uint64_t spill_files = 0;
@@ -188,15 +186,16 @@ struct DataflowOptions {
   /// serialized volume, independent of compress_shuffle).
   uint64_t shuffle_budget_bytes = 0;
   /// Block-compress each shuffle bucket after the map phase and report the
-  /// compressed volume in DataflowMetrics::shuffle_compressed_bytes.
-  /// Results and `shuffle_bytes` are unaffected.
+  /// compressed volume in DataflowMetrics::shuffle_compressed_bytes; spill
+  /// runs are then block-compressed too. Results and `shuffle_bytes` are
+  /// unaffected.
   bool compress_shuffle = false;
   /// Key→reducer override; null = ShuffleReducerForKey (hash partitioning).
   PartitionerFn partitioner;
 
   // --- out-of-core execution (src/spill/) ---------------------------------
   /// 0 = unlimited. Otherwise the resident shuffle arenas and the
-  /// spill-aware combiner tables share this many bytes; exceeding it spills
+  /// combiner tables share this many bytes; exceeding it spills
   /// to spill_dir, or throws ShuffleOverflowError when spill_dir is empty.
   /// Charged with the engine's record byte accounting (key + value +
   /// kShuffleRecordOverheadBytes), so results and raw shuffle metrics are
@@ -205,9 +204,6 @@ struct DataflowOptions {
   /// Directory for spill files (must exist and be writable). Empty =
   /// spilling disabled; memory_budget_bytes then acts as a hard ceiling.
   std::string spill_dir;
-  /// Run spill files through the block codec (independent of
-  /// compress_shuffle; spill_bytes_written then reports stored volume).
-  bool compress_spill = false;
   /// Maximum runs merged per k-way pass; more runs collapse in extra passes
   /// (DataflowMetrics::spill_merge_passes). Clamped to >= 2.
   int spill_merge_fan_in = 16;
@@ -251,40 +247,6 @@ struct DataflowOptions {
 /// outlive it.
 using EmitFn = std::function<void(std::string_view key, std::string_view value)>;
 
-/// Per-map-worker combiner. Records are added in arbitrary order; Flush is
-/// called once at the end of the worker's shard. Implementations must copy
-/// what they keep — the views do not outlive the Add call.
-class Combiner {
- public:
-  virtual ~Combiner() = default;
-  virtual void Add(std::string_view key, std::string_view value) = 0;
-  virtual void Flush(const EmitFn& emit) = 0;
-
-  /// Out-of-core hook: the engine calls this once, before the worker's
-  /// shard, when a memory budget is configured (`ctx` outlives the
-  /// combiner). Spill-aware combiners charge their resident state against
-  /// ctx->budget and spill sorted partial runs when it is exhausted,
-  /// external-merging them at Flush so the emitted records are exactly the
-  /// fully-combined output of the in-memory path (same records, identical
-  /// shuffle metrics; budgeted flushes emit in sorted order — flush
-  /// *order* was never part of the contract and already varies with
-  /// sharding). The default ignores the context: such combiners stay
-  /// unbudgeted and never spill.
-  virtual void EnableSpill(CombinerSpillContext* /*ctx*/) {}
-};
-
-using CombinerFactory = std::function<std::unique_ptr<Combiner>()>;
-
-/// A combiner that interprets values as varint counts and sums them per key
-/// (word-count aggregation; used by NAIVE/SEMI-NAIVE).
-std::unique_ptr<Combiner> MakeSumCombiner();
-
-/// A combiner that aggregates *identical values* per key into weighted
-/// values. Values must be of the form varint(weight) + payload; identical
-/// payloads have their weights summed. Used by D-CAND to merge identical
-/// NFAs (paper Sec. VI-A) and by the D-SEQ sequence-aggregation extension.
-std::unique_ptr<Combiner> MakeWeightedValueCombiner();
-
 /// Map function: called once per input index; may emit any number of records.
 using MapFn = std::function<void(size_t input_index, const EmitFn& emit)>;
 
@@ -298,11 +260,13 @@ using ReduceFn = std::function<void(int worker, std::string_view key,
                                     std::vector<std::string_view>& values)>;
 
 /// Runs one BSP round. The map phase is parallelized over input shards, the
-/// reduce phase over key partitions. Throws ShuffleOverflowError if the
-/// budget is exceeded.
+/// reduce phase over key partitions. With `combine`, each map worker sums
+/// its records' weights per (key, payload) before the shuffle (Combiner,
+/// src/dataflow/combiner.h): every value must then be varint(weight) +
+/// payload, and a count is a weight with an empty payload. Throws
+/// ShuffleOverflowError if the budget is exceeded.
 DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
-                             const CombinerFactory& combiner_factory,
-                             const ReduceFn& reduce_fn,
+                             bool combine, const ReduceFn& reduce_fn,
                              const DataflowOptions& options);
 
 }  // namespace dseq

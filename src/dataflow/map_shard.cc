@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "src/dataflow/combiner.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -35,7 +37,7 @@ void RunMapShard(const MapShardContext& ctx) {
       ctx.buckets[r].SortByKey();
       std::string raw = ctx.buckets[r].ReleaseRaw();
       SpillFile run = SpillFile::Create(options.spill_dir);
-      SpillWriter writer(&run, options.compress_spill, ctx.spill_stats);
+      SpillWriter writer(&run, options.compress_shuffle, ctx.spill_stats);
       ShuffleBuffer::ForEachRecord(
           raw, [&](std::string_view key, std::string_view value) {
             writer.Append(key, value);
@@ -129,14 +131,11 @@ void RunMapShard(const MapShardContext& ctx) {
     ctx.buckets[r].Append(key, value);
   };
 
-  std::unique_ptr<Combiner> combiner =
-      *ctx.combiner_factory ? (*ctx.combiner_factory)() : nullptr;
-  if (combiner != nullptr && budget.enabled()) {
-    combiner->EnableSpill(ctx.combiner_ctx);
-  }
+  std::optional<Combiner> combiner;
+  if (ctx.combine) combiner.emplace(options, &budget, ctx.spill_stats, w);
   EmitFn map_emit = [&](std::string_view key, std::string_view value) {
     ++shard.map_output_records;
-    if (combiner != nullptr) {
+    if (combiner) {
       combiner->Add(key, value);
     } else {
       shuffle_emit(key, value);
@@ -149,7 +148,7 @@ void RunMapShard(const MapShardContext& ctx) {
       ctx.progress->fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (combiner != nullptr) {
+  if (combiner) {
     DSEQ_TRACE_SPAN("engine", "combine_flush");
     combiner->Flush(shuffle_emit);
   }
@@ -188,7 +187,7 @@ void RunReduceColumn(std::vector<ReduceColumnSource> sources,
   // (chronological) and then the resident tail. `sources` is owned here and
   // never resized, so the tail views stay valid: relocating a short (SSO)
   // tail string would move its bytes.
-  ExternalMergePlan plan(options.spill_dir, options.compress_spill,
+  ExternalMergePlan plan(options.spill_dir, options.compress_shuffle,
                          options.spill_merge_fan_in, spill_stats, budget);
   for (ReduceColumnSource& source : sources) {
     for (SpillFile& run : source.runs) plan.AddRun(std::move(run));

@@ -23,7 +23,6 @@
 #include "src/dataflow/shuffle_buffer.h"
 #include "src/spill/external_merger.h"
 #include "src/spill/memory_budget.h"
-#include "src/spill/spill_context.h"
 #include "src/spill/spill_file.h"
 
 namespace dseq {
@@ -32,7 +31,7 @@ namespace dseq {
 /// and must outlive the RunMapShard call; the per-reducer arrays (`buckets`,
 /// `spill_runs`, `bucket_charged`) have one slot per reduce worker.
 /// `spill_runs` and `bucket_charged` may be null when the budget is
-/// disabled; `combiner_ctx` is null exactly when the budget is disabled.
+/// disabled.
 struct MapShardContext {
   const DataflowOptions* options = nullptr;
   int map_worker = 0;  // worker index locally, task index in the proc backend
@@ -40,14 +39,15 @@ struct MapShardContext {
   size_t begin = 0;  // input shard [begin, end)
   size_t end = 0;
   const MapFn* map_fn = nullptr;
-  const CombinerFactory* combiner_factory = nullptr;
+  /// Run the shard's records through a Combiner (src/dataflow/combiner.h)
+  /// built from `options`, `budget`, `spill_stats` and `map_worker`.
+  bool combine = false;
 
   ShuffleBuffer* buckets = nullptr;
   std::vector<SpillFile>* spill_runs = nullptr;
   uint64_t* bucket_charged = nullptr;
   MemoryBudget* budget = nullptr;
   SpillStats* spill_stats = nullptr;
-  CombinerSpillContext* combiner_ctx = nullptr;
 
   /// Shuffle bytes buffered so far, checked against the shuffle budget:
   /// shared by all map workers in the local backend, the task's own in a

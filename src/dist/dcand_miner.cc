@@ -162,11 +162,6 @@ DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
     }
   };
 
-  CombinerFactory combiner_factory;
-  if (options.aggregate_nfas) {
-    combiner_factory = MakeWeightedValueCombiner;
-  }
-
   PartitionReduceFn reduce_fn = [&](std::string_view key,
                                     std::vector<std::string_view>& values,
                                     MiningResult& out) {
@@ -192,8 +187,8 @@ DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
                std::make_move_iterator(local.end()));
   };
 
-  return RunDistributedMining(db.size(), map_fn, combiner_factory, reduce_fn,
-                              options);
+  return RunDistributedMining(db.size(), map_fn, options.aggregate_nfas,
+                              reduce_fn, options);
 }
 
 }  // namespace dseq

@@ -26,8 +26,7 @@ ItemId DecodePivotKey(std::string_view key) {
 }
 
 MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
-                            const MapFn& map_fn,
-                            const CombinerFactory& combiner_factory,
+                            const MapFn& map_fn, bool combine,
                             const PartitionReduceFn& reduce_fn) {
   // Covers the round plus the driver-side decode of the mined boundary
   // records (the part a per-round engine span cannot see).
@@ -54,7 +53,7 @@ MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
       emit(pattern_key, frequency_value);
     }
   };
-  job.RunRound(num_inputs, map_fn, combiner_factory, worker_reduce);
+  job.RunRound(num_inputs, map_fn, combine, worker_reduce);
 
   MiningResult patterns;
   std::vector<Record> records = job.TakeRecords();
@@ -98,22 +97,20 @@ DistributedResult RunRecountMining(const std::vector<Sequence>& db,
   Dictionary recounted =
       RecountFrequencies(job, db, dict, sample_every, &cached_db);
   MapFn map_fn;
-  CombinerFactory combiner_factory;
+  bool combine = false;
   PartitionReduceFn reduce_fn;
-  make_round(recounted, cached_db, &map_fn, &combiner_factory, &reduce_fn);
+  make_round(recounted, cached_db, &map_fn, &combine, &reduce_fn);
   return MakeChainedResult(
-      RunMiningRound(job, db.size(), map_fn, combiner_factory, reduce_fn),
-      job);
+      RunMiningRound(job, db.size(), map_fn, combine, reduce_fn), job);
 }
 
 DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
-                                       const CombinerFactory& combiner_factory,
+                                       bool combine,
                                        const PartitionReduceFn& reduce_fn,
                                        const DistributedRunOptions& options) {
   DataflowJob job(options);
   return MakeChainedResult(
-      RunMiningRound(job, num_inputs, map_fn, combiner_factory, reduce_fn),
-      job);
+      RunMiningRound(job, num_inputs, map_fn, combine, reduce_fn), job);
 }
 
 Dictionary RecountFrequencies(DataflowJob& job,
@@ -166,7 +163,7 @@ Dictionary RecountFrequencies(DataflowJob& job,
     emit(key, value);
   };
 
-  job.RunRound(db.size(), map_fn, MakeSumCombiner, reduce_fn);
+  job.RunRound(db.size(), map_fn, /*combine=*/true, reduce_fn);
 
   // Scale sampled counts by the true sampling ratio db.size()/num_sampled
   // (not sample_every: the last stride may be short, and count*sample_every

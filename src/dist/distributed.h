@@ -91,10 +91,11 @@ using PartitionReduceFn = std::function<void(
     MiningResult& out)>;
 
 /// Shared driver of the single-round distributed miners: runs one
-/// map-shuffle-reduce round and returns its merged, canonicalized patterns
-/// and metrics (MakeChainedResult over a one-round job).
+/// map-shuffle-reduce round (`combine` as in RunMapReduce) and returns its
+/// merged, canonicalized patterns and metrics (MakeChainedResult over a
+/// one-round job).
 DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
-                                       const CombinerFactory& combiner_factory,
+                                       bool combine,
                                        const PartitionReduceFn& reduce_fn,
                                        const DistributedRunOptions& options);
 
@@ -106,8 +107,7 @@ DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
 /// on captured state are lost; the job's records() is left empty, making
 /// this a terminal round of the chain.
 MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
-                            const MapFn& map_fn,
-                            const CombinerFactory& combiner_factory,
+                            const MapFn& map_fn, bool combine,
                             const PartitionReduceFn& reduce_fn);
 
 /// Assembles the result every driver returns: the patterns plus the
@@ -120,7 +120,7 @@ DistributedResult MakeChainedResult(MiningResult patterns,
 /// the driver call). Map phases should read sequences via `cached_db`.
 using MakeMiningRoundFn =
     std::function<void(const Dictionary& recounted, CachedDatabase& cached_db,
-                       MapFn* map_fn, CombinerFactory* combiner_factory,
+                       MapFn* map_fn, bool* combine,
                        PartitionReduceFn* reduce_fn)>;
 
 /// Shared driver of the two-round recount miners: round 1 recounts the

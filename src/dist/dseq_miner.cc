@@ -246,18 +246,13 @@ PartitionReduceFn MakeDSeqReduceFn(const Fst& fst, const Dictionary& dict,
   };
 }
 
-CombinerFactory DSeqCombinerFactory(const DSeqOptions& options) {
-  return options.aggregate_sequences ? CombinerFactory(MakeWeightedValueCombiner)
-                                     : CombinerFactory(nullptr);
-}
-
 }  // namespace
 
 DistributedResult MineDSeq(const std::vector<Sequence>& db, const Fst& fst,
                            const Dictionary& dict,
                            const DSeqOptions& options) {
   return RunDistributedMining(db.size(), MakeDSeqMapFn(db, fst, dict, options),
-                              DSeqCombinerFactory(options),
+                              options.aggregate_sequences,
                               MakeDSeqReduceFn(fst, dict, options), options);
 }
 
@@ -270,10 +265,9 @@ DistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
   return RunRecountMining(
       db, dict, options.recount_sample_every, options,
       [&](const Dictionary& recounted, CachedDatabase& cached_db,
-          MapFn* map_fn, CombinerFactory* combiner_factory,
-          PartitionReduceFn* reduce_fn) {
+          MapFn* map_fn, bool* combine, PartitionReduceFn* reduce_fn) {
         *map_fn = MakeDSeqMapFn(db, fst, recounted, options, &cached_db);
-        *combiner_factory = DSeqCombinerFactory(options);
+        *combine = options.aggregate_sequences;
         *reduce_fn = MakeDSeqReduceFn(fst, recounted, options);
       });
 }
@@ -344,7 +338,7 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
   };
   job.RunRound(db.size(),
                MakeDSeqMapFn(db, fst, dict, options, nullptr, &plan),
-               DSeqCombinerFactory(options), reduce);
+               options.aggregate_sequences, reduce);
 
   // Partition the boundary records by tag: finished patterns are final,
   // split partials (tag stripped) feed the reconcile round below in their
@@ -405,7 +399,7 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
       PutVarint(&v, total);
       emit(key, v);
     };
-    job.RunRound(split.size(), replay, MakeSumCombiner, sum);
+    job.RunRound(split.size(), replay, /*combine=*/true, sum);
     for (const Record& record : job.TakeRecords()) {
       PatternCount mined;
       size_t pos = 0;

@@ -59,7 +59,9 @@ PartitionReduceFn MakeNaiveReduceFn(const NaiveOptions& options) {
     for (std::string_view v : values) {
       size_t pos = 0;
       uint64_t count = 0;
-      if (!GetVarint(v, &pos, &count)) {
+      // A count is exactly one varint: trailing bytes would be a payload,
+      // which no NAIVE mapper emits.
+      if (!GetVarint(v, &pos, &count) || pos != v.size()) {
         throw std::invalid_argument("malformed NAIVE count record");
       }
       support += count;
@@ -80,7 +82,7 @@ DistributedResult MineNaive(const std::vector<Sequence>& db, const Fst& fst,
                             const Dictionary& dict,
                             const NaiveOptions& options) {
   return RunDistributedMining(db.size(), MakeNaiveMapFn(db, fst, dict, options),
-                              MakeSumCombiner, MakeNaiveReduceFn(options),
+                              /*combine=*/true, MakeNaiveReduceFn(options),
                               options);
 }
 
@@ -93,10 +95,9 @@ DistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
   return RunRecountMining(
       db, dict, options.recount_sample_every, options,
       [&](const Dictionary& recounted, CachedDatabase& cached_db,
-          MapFn* map_fn, CombinerFactory* combiner_factory,
-          PartitionReduceFn* reduce_fn) {
+          MapFn* map_fn, bool* combine, PartitionReduceFn* reduce_fn) {
         *map_fn = MakeNaiveMapFn(db, fst, recounted, options, &cached_db);
-        *combiner_factory = MakeSumCombiner;
+        *combine = true;
         *reduce_fn = MakeNaiveReduceFn(options);
       });
 }

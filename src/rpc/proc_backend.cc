@@ -31,7 +31,6 @@
 #include "src/rpc/frame.h"
 #include "src/rpc/socket.h"
 #include "src/spill/memory_budget.h"
-#include "src/spill/spill_context.h"
 #include "src/spill/spill_file.h"
 #include "src/util/block_codec.h"
 #include "src/util/sync.h"
@@ -309,8 +308,7 @@ class HeartbeatPump {
 // site sits between the segments and kMapDone — dying there forces the
 // coordinator to discard the staged segments and re-execute the task.
 void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
-                      const MapFn& map_fn,
-                      const CombinerFactory& combiner_factory,
+                      const MapFn& map_fn, bool combine,
                       const DataflowOptions& options, int heartbeat_ms) {
   obs::SetCurrentRound(options.round_index);
   const int64_t task_start_ns = obs::NowNs();
@@ -333,16 +331,6 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
   std::vector<std::vector<SpillFile>> spill_runs(
       budget.enabled() ? reduce_workers : 0);
   std::vector<uint64_t> bucket_charged(reduce_workers, 0);
-  CombinerSpillContext combiner_ctx;
-  if (budget.enabled()) {
-    combiner_ctx.spill_dir = options.spill_dir;
-    combiner_ctx.compress_spill = options.compress_spill;
-    combiner_ctx.merge_fan_in = options.spill_merge_fan_in;
-    combiner_ctx.budget = &budget;
-    combiner_ctx.stats = &spill_stats;
-    combiner_ctx.round_index = options.round_index;
-    combiner_ctx.map_worker = static_cast<int>(task);
-  }
   std::atomic<uint64_t> shuffle_bytes{0};
   DataflowMetrics shard;
   std::atomic<uint64_t> progress{0};
@@ -354,13 +342,12 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
   ctx.begin = begin;
   ctx.end = end;
   ctx.map_fn = &map_fn;
-  ctx.combiner_factory = &combiner_factory;
+  ctx.combine = combine;
   ctx.buckets = buckets.data();
   ctx.spill_runs = budget.enabled() ? spill_runs.data() : nullptr;
   ctx.bucket_charged = bucket_charged.data();
   ctx.budget = &budget;
   ctx.spill_stats = &spill_stats;
-  ctx.combiner_ctx = budget.enabled() ? &combiner_ctx : nullptr;
   ctx.shuffle_bytes = &shuffle_bytes;
   ctx.metrics = &shard;
   ctx.progress = &progress;
@@ -386,7 +373,7 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
       for (SpillFile& run : spill_runs[r]) {
         std::string run_bytes = ReadFileBytes(run.path());
         if (!ForEachSegmentFrame(task, r, kSegmentRun,
-                                 options.compress_spill ? kFlagCompressed : 0,
+                                 options.compress_shuffle ? kFlagCompressed : 0,
                                  run_bytes, emit)) {
           throw std::runtime_error("proc worker: coordinator connection lost");
         }
@@ -560,8 +547,7 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
 // (worker.message) are evaluated once per *task* message — kPing probes are
 // excluded so nth-message rules stay deterministic under timing-dependent
 // heartbeat traffic.
-int WorkerBody(int ordinal, uint16_t port, const MapFn& map_fn,
-               const CombinerFactory& combiner_factory,
+int WorkerBody(int ordinal, uint16_t port, const MapFn& map_fn, bool combine,
                const ChainReduceFn& reduce_fn, const DataflowOptions& options) {
   rpc::IgnoreSigPipe();
   fault::SetProcessScope(ordinal);
@@ -595,7 +581,7 @@ int WorkerBody(int ordinal, uint16_t port, const MapFn& map_fn,
       ApplyLifecycleFault(
           fault::Evaluate(fault::Site::kWorkerMessage, task_messages));
       if (type == MsgType::kMapTask) {
-        RunWorkerMapTask(*conn, payload, map_fn, combiner_factory, options,
+        RunWorkerMapTask(*conn, payload, map_fn, combine, options,
                          heartbeat_ms);
       } else if (type == MsgType::kReduceTask) {
         RunWorkerReduceTask(*conn, payload, reduce_fn, options, heartbeat_ms);
@@ -643,12 +629,11 @@ struct StoredSegment {
 
 class Coordinator {
  public:
-  Coordinator(size_t num_inputs, const MapFn& map_fn,
-              const CombinerFactory& combiner_factory,
+  Coordinator(size_t num_inputs, const MapFn& map_fn, bool combine,
               const ChainReduceFn& reduce_fn, const DataflowOptions& options)
       : num_inputs_(num_inputs),
         map_fn_(map_fn),
-        combiner_factory_(combiner_factory),
+        combine_(combine),
         reduce_fn_(reduce_fn),
         options_(options),
         map_tasks_(ClampWorkers(options.num_map_workers)),
@@ -786,7 +771,7 @@ class Coordinator {
         // The child serves the round and leaves through _exit — never
         // through the coordinator's stack (its RAII state all lives inside
         // WorkerBody's scopes).
-        ::_exit(WorkerBody(w, port_, map_fn_, combiner_factory_, reduce_fn_,
+        ::_exit(WorkerBody(w, port_, map_fn_, combine_, reduce_fn_,
                            options_));
       }
       workers_[w].pid = pid;
@@ -895,7 +880,7 @@ class Coordinator {
       if (pid == 0) {
         for (Worker& other : workers_) other.conn.reset();
         ::close(listen_fd_);
-        ::_exit(WorkerBody(w.ordinal, port_, map_fn_, combiner_factory_,
+        ::_exit(WorkerBody(w.ordinal, port_, map_fn_, combine_,
                            reduce_fn_, options_));
       }
       if (w.pid >= 0 && !w.exited) graveyard_.emplace_back(w.pid, false);
@@ -1411,7 +1396,7 @@ class Coordinator {
 
   const size_t num_inputs_;
   const MapFn& map_fn_;
-  const CombinerFactory& combiner_factory_;
+  const bool combine_;
   const ChainReduceFn& reduce_fn_;
   const DataflowOptions& options_;
   const int map_tasks_;
@@ -1453,11 +1438,9 @@ class Coordinator {
 }  // namespace
 
 ProcRoundResult RunProcRound(size_t num_inputs, const MapFn& map_fn,
-                             const CombinerFactory& combiner_factory,
-                             const ChainReduceFn& reduce_fn,
+                             bool combine, const ChainReduceFn& reduce_fn,
                              const DataflowOptions& options) {
-  Coordinator coordinator(num_inputs, map_fn, combiner_factory, reduce_fn,
-                          options);
+  Coordinator coordinator(num_inputs, map_fn, combine, reduce_fn, options);
   return coordinator.Run();
 }
 

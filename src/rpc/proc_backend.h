@@ -132,8 +132,7 @@ struct ProcRoundResult {
 /// ProcTaskFailedError / ProcDeadlineError / ProcBackendError on policy
 /// failures (see the header comment).
 ProcRoundResult RunProcRound(size_t num_inputs, const MapFn& map_fn,
-                             const CombinerFactory& combiner_factory,
-                             const ChainReduceFn& reduce_fn,
+                             bool combine, const ChainReduceFn& reduce_fn,
                              const DataflowOptions& options);
 
 }  // namespace dseq

@@ -5,7 +5,7 @@
 // state during a dataflow round: the per-(map worker, reducer) ShuffleBuffer
 // arenas charge the engine's record byte accounting (key + value +
 // kShuffleRecordOverheadBytes, the same accounting the shuffle-size metric
-// and ComputePartitionStats use), and the spill-aware combiners charge the
+// and ComputePartitionStats use), and the map workers' combiners charge the
 // resident size of their tables and interning arenas. When a charge would
 // exceed the budget the caller spills state to disk (releasing its charge)
 // and retries; if spilling is disabled the caller throws an actionable

@@ -14,7 +14,7 @@
 // through the block codec (src/util/block_codec.h) when the run is
 // compressed. Records never straddle a block, so a reader needs one block
 // of memory, not the whole run. Whether a run is compressed is a property
-// of the job (DataflowOptions::compress_spill), not recorded per file.
+// of the job (DataflowOptions::compress_shuffle), not recorded per file.
 #ifndef DSEQ_SPILL_SPILL_FILE_H_
 #define DSEQ_SPILL_SPILL_FILE_H_
 

@@ -1,6 +1,6 @@
 // Block-allocating byte arena for interning short strings.
 //
-// The map-side combiners keep one table entry per distinct (key, payload)
+// The map-side combiner keeps one table entry per distinct (key, payload)
 // and must not pay a heap allocation per record: Intern copies the bytes
 // into a chain of fixed-size blocks and returns a stable std::string_view.
 // Views stay valid until Clear() or destruction; blocks are never moved.
@@ -19,31 +19,34 @@ class StringArena {
  public:
   static constexpr size_t kBlockSize = 1 << 16;
 
-  /// Copies `s` into the arena and returns a view of the stable copy.
-  std::string_view Intern(std::string_view s) {
+  /// Copies `head` then `tail` contiguously into the arena and returns a
+  /// view of the stable copy.
+  std::string_view Intern(std::string_view head, std::string_view tail = {}) {
+    const size_t size = head.size() + tail.size();
     // Non-null data even for empty strings, so downstream append/memcpy
     // calls never see a {nullptr, 0} view (UB per [string.append]).
-    if (s.empty()) return std::string_view("", 0);
+    if (size == 0) return std::string_view("", 0);
     char* dst;
-    if (s.size() > kBlockSize / 4) {
+    if (size > kBlockSize / 4) {
       // Oversized strings get a dedicated block so normal blocks stay dense.
       // The current bump block (tracked by next_/remaining_, not by list
       // position) is unaffected and keeps filling up.
-      blocks_.push_back(std::make_unique<char[]>(s.size()));
+      blocks_.push_back(std::make_unique<char[]>(size));
       dst = blocks_.back().get();
     } else {
-      if (s.size() > remaining_) {
+      if (size > remaining_) {
         blocks_.push_back(std::make_unique<char[]>(kBlockSize));
         next_ = blocks_.back().get();
         remaining_ = kBlockSize;
       }
       dst = next_;
-      next_ += s.size();
-      remaining_ -= s.size();
+      next_ += size;
+      remaining_ -= size;
     }
-    std::memcpy(dst, s.data(), s.size());
-    bytes_ += s.size();
-    return std::string_view(dst, s.size());
+    if (!head.empty()) std::memcpy(dst, head.data(), head.size());
+    if (!tail.empty()) std::memcpy(dst + head.size(), tail.data(), tail.size());
+    bytes_ += size;
+    return std::string_view(dst, size);
   }
 
   /// Drops all interned strings (invalidates every view).

@@ -215,7 +215,7 @@ GroupMap RunCountingRound(int workers, const DataflowOptions& options) {
                value);
         }
       },
-      MakeSumCombiner,
+      true,
       [&](int /*worker*/, std::string_view key,
           std::vector<std::string_view>& values) {
         dseq::MutexLock lock(mu);

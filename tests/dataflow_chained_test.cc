@@ -58,7 +58,7 @@ TEST(DataflowJobTest, RecordsFlowBetweenRounds) {
       }
     }
   };
-  job.RunRound(docs.size(), map_fn, MakeSumCombiner, SumReduce());
+  job.RunRound(docs.size(), map_fn, true, SumReduce());
 
   // Boundary records hold the per-word counts, serialized.
   std::map<std::string, uint64_t> words;
@@ -69,7 +69,7 @@ TEST(DataflowJobTest, RecordsFlowBetweenRounds) {
   RecordMapFn rekey = [](size_t, const Record& r, const EmitFn& emit) {
     emit(r.key.substr(0, 1), r.value);
   };
-  job.RunChainedRound(rekey, MakeSumCombiner, SumReduce());
+  job.RunChainedRound(rekey, true, SumReduce());
 
   std::map<std::string, uint64_t> letters;
   for (const Record& r : job.records()) letters[r.key] = DecodeVarint(r.value);
@@ -97,7 +97,7 @@ TEST(DataflowJobTest, TakeRecordsConsumes) {
                           const EmitFn& emit) {
     for (std::string_view v : values) emit(key, v);
   };
-  job.RunRound(1, map_fn, nullptr, pass);
+  job.RunRound(1, map_fn, false, pass);
   ASSERT_EQ(job.records().size(), 1u);
   std::vector<Record> taken = job.TakeRecords();
   EXPECT_EQ(taken.size(), 1u);
@@ -110,12 +110,12 @@ TEST(DataflowJobTest, EmptyChainedRoundRunsCleanly) {
   // Reduce emits nothing: the chain's data ends here.
   ChainReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
                           const EmitFn&) {};
-  job.RunRound(1, map_fn, nullptr, sink);
+  job.RunRound(1, map_fn, false, sink);
   EXPECT_TRUE(job.records().empty());
   RecordMapFn identity = [](size_t, const Record& r, const EmitFn& emit) {
     emit(r.key, r.value);
   };
-  job.RunChainedRound(identity, nullptr, sink);
+  job.RunChainedRound(identity, false, sink);
   EXPECT_EQ(job.num_rounds(), 2u);
   EXPECT_EQ(job.round_metrics()[1].shuffle_records, 0u);
 }
@@ -131,7 +131,7 @@ uint64_t MeasureVolume() {
   };
   ChainReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
                           const EmitFn&) {};
-  job.RunRound(8, map_fn, nullptr, sink);
+  job.RunRound(8, map_fn, false, sink);
   return job.round_metrics()[0].shuffle_bytes;
 }
 
@@ -142,7 +142,7 @@ DataflowMetrics RunBudgeted(uint64_t per_round_budget) {
     emit("key" + std::to_string(i), std::string(10, 'v'));
   };
   ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
-  return RunMapReduce(8, map_fn, nullptr, sink, options);
+  return RunMapReduce(8, map_fn, false, sink, options);
 }
 
 TEST(ShuffleBudgetTest, BudgetExactlyEqualToVolumeSucceeds) {
@@ -169,7 +169,7 @@ TEST(ShuffleBudgetTest, BudgetTripsMidMap) {
     emit("key" + std::to_string(i), std::string(10, 'v'));
   };
   ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
-  EXPECT_THROW(RunMapReduce(100, map_fn, nullptr, sink, options),
+  EXPECT_THROW(RunMapReduce(100, map_fn, false, sink, options),
                ShuffleOverflowError);
   EXPECT_LT(map_calls.load(), 100u);
 }
@@ -187,17 +187,17 @@ TEST(ShuffleBudgetTest, PreCombineVolumeAboveBudgetDoesNotTrip) {
   ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
 
   DataflowMetrics unbudgeted =
-      RunMapReduce(1, map_fn, MakeSumCombiner, sink, options);
+      RunMapReduce(1, map_fn, true, sink, options);
   ASSERT_EQ(unbudgeted.shuffle_records, 1u);
   ASSERT_GT(unbudgeted.map_output_records, unbudgeted.shuffle_records);
 
   options.shuffle_budget_bytes = unbudgeted.shuffle_bytes;
   DataflowMetrics budgeted =
-      RunMapReduce(1, map_fn, MakeSumCombiner, sink, options);
+      RunMapReduce(1, map_fn, true, sink, options);
   EXPECT_EQ(budgeted.shuffle_bytes, unbudgeted.shuffle_bytes);
 
   options.shuffle_budget_bytes = unbudgeted.shuffle_bytes - 1;
-  EXPECT_THROW(RunMapReduce(1, map_fn, MakeSumCombiner, sink, options),
+  EXPECT_THROW(RunMapReduce(1, map_fn, true, sink, options),
                ShuffleOverflowError);
 }
 
@@ -211,13 +211,13 @@ class BudgetedChain {
     MapFn map_fn = [](size_t i, const EmitFn& emit) {
       emit("key" + std::to_string(i), std::string(10, 'v'));
     };
-    job_.RunRound(kRecords, map_fn, nullptr, PassThrough());
+    job_.RunRound(kRecords, map_fn, false, PassThrough());
   }
   void RunEchoRound() {
     RecordMapFn map_fn = [](size_t, const Record& r, const EmitFn& emit) {
       emit(r.key, r.value);
     };
-    job_.RunChainedRound(map_fn, nullptr, PassThrough());
+    job_.RunChainedRound(map_fn, false, PassThrough());
   }
   DataflowJob& job() { return job_; }
 

@@ -21,6 +21,8 @@
 namespace dseq {
 namespace {
 
+// The pipeline's value shape: no combining, or the one combiner over counts
+// (empty payloads) or over weighted payloads.
 enum class CombinerKind { kNone, kSum, kWeighted };
 
 // A generated pipeline: precomputed per-input emissions, so the map phase is
@@ -62,18 +64,6 @@ Pipeline RandomPipeline(uint64_t seed, CombinerKind combiner) {
     }
   }
   return p;
-}
-
-CombinerFactory FactoryFor(CombinerKind kind) {
-  switch (kind) {
-    case CombinerKind::kSum:
-      return MakeSumCombiner;
-    case CombinerKind::kWeighted:
-      return MakeWeightedValueCombiner;
-    case CombinerKind::kNone:
-      return nullptr;
-  }
-  return nullptr;
 }
 
 // Canonical, order-insensitive view of the reduce input: key -> sorted
@@ -119,8 +109,9 @@ RunOutcome RunPipeline(const Pipeline& p, int workers, Execution execution,
     options.spill_merge_fan_in = 2;  // force multi-pass merges
   }
   RunOutcome outcome;
-  outcome.metrics = RunMapReduce(p.emissions.size(), map_fn,
-                                 FactoryFor(p.combiner), reduce_fn, options);
+  outcome.metrics =
+      RunMapReduce(p.emissions.size(), map_fn,
+                   p.combiner != CombinerKind::kNone, reduce_fn, options);
   for (auto& part : per_worker) {
     outcome.groups.insert(outcome.groups.end(),
                           std::make_move_iterator(part.begin()),
@@ -287,7 +278,7 @@ std::vector<std::pair<std::string, uint64_t>> RunChainedPipeline(
     PutVarint(&value, total);
     emit(key, value);
   };
-  job.RunRound(p.emissions.size(), map_fn, MakeSumCombiner, sum_reduce);
+  job.RunRound(p.emissions.size(), map_fn, true, sum_reduce);
 
   RecordMapFn rekey = [](size_t, const Record& record, const EmitFn& emit) {
     emit("g" + std::to_string(record.key.size() % 3), record.value);
@@ -306,7 +297,7 @@ std::vector<std::pair<std::string, uint64_t>> RunChainedPipeline(
     }
     per_worker[worker].emplace_back(std::string(key), total);
   };
-  job.RunChainedRound(rekey, MakeSumCombiner, collect);
+  job.RunChainedRound(rekey, true, collect);
 
   if (rounds_out != nullptr) *rounds_out = job.round_metrics();
   DataflowMetrics aggregate = job.aggregate_metrics();

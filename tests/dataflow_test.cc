@@ -54,10 +54,7 @@ std::map<std::string, uint64_t> WordCount(const std::vector<std::string>& docs,
   options.compress_shuffle = compress;
   options.shuffle_budget_bytes = budget;
   DataflowMetrics metrics =
-      RunMapReduce(docs.size(), map_fn,
-                   use_combiner ? CombinerFactory(MakeSumCombiner)
-                                : CombinerFactory(nullptr),
-                   reduce_fn, options);
+      RunMapReduce(docs.size(), map_fn, use_combiner, reduce_fn, options);
   if (metrics_out != nullptr) *metrics_out = metrics;
   return counts;
 }
@@ -146,7 +143,7 @@ TEST(DataflowTest, CustomPartitionerRoutesKeysAndMatchesMetrics) {
   options.num_reduce_workers = 4;
   options.partitioner = [](std::string_view, int) { return 0; };
   DataflowMetrics metrics =
-      RunMapReduce(docs.size(), map_fn, nullptr, reduce_fn, options);
+      RunMapReduce(docs.size(), map_fn, false, reduce_fn, options);
   // Everything was routed to reducer 0: all bytes on reducer 0, every key
   // reduced by worker 0.
   EXPECT_EQ(nonzero_worker_calls.load(), 0);
@@ -163,10 +160,10 @@ TEST(DataflowTest, OutOfRangePartitionerThrows) {
   DataflowOptions options;
   options.num_reduce_workers = 2;
   options.partitioner = [](std::string_view, int workers) { return workers; };
-  EXPECT_THROW(RunMapReduce(1, map_fn, nullptr, reduce_fn, options),
+  EXPECT_THROW(RunMapReduce(1, map_fn, false, reduce_fn, options),
                std::out_of_range);
   options.partitioner = [](std::string_view, int) { return -1; };
-  EXPECT_THROW(RunMapReduce(1, map_fn, nullptr, reduce_fn, options),
+  EXPECT_THROW(RunMapReduce(1, map_fn, false, reduce_fn, options),
                std::out_of_range);
   // The failed runs released their buffers.
   EXPECT_EQ(ShuffleBufferLiveBytes(), 0u);
@@ -196,7 +193,7 @@ TEST(DataflowTest, DefaultPartitionerMatchesShuffleReducerForKey) {
   };
   DataflowOptions options;
   options.num_reduce_workers = 5;
-  RunMapReduce(docs.size(), map_fn, nullptr, reduce_fn, options);
+  RunMapReduce(docs.size(), map_fn, false, reduce_fn, options);
   ASSERT_EQ(seen_worker.size(), 5u);
   for (const auto& [key, worker] : seen_worker) {
     EXPECT_EQ(worker, static_cast<uint64_t>(ShuffleReducerForKey(key, 5)))
@@ -213,7 +210,7 @@ TEST(DataflowTest, ShuffleBudgetEnforced) {
   };
   ReduceFn reduce_fn = [](int, std::string_view,
                           std::vector<std::string_view>&) {};
-  EXPECT_THROW(RunMapReduce(docs.size(), map_fn, nullptr, reduce_fn, options),
+  EXPECT_THROW(RunMapReduce(docs.size(), map_fn, false, reduce_fn, options),
                ShuffleOverflowError);
 }
 
@@ -237,7 +234,7 @@ TEST(DataflowTest, BudgetAppliesPostCombine) {
     }
   };
   DataflowMetrics metrics =
-      RunMapReduce(1, map_fn, MakeSumCombiner, reduce_fn, options);
+      RunMapReduce(1, map_fn, true, reduce_fn, options);
   EXPECT_EQ(total.load(), 1000u);
   EXPECT_EQ(metrics.shuffle_records, 1u);
 }
@@ -255,7 +252,7 @@ TEST(DataflowTest, EachKeyReducedExactlyOnce) {
   DataflowOptions options;
   options.num_map_workers = 4;
   options.num_reduce_workers = 4;
-  RunMapReduce(100, map_fn, nullptr, reduce_fn, options);
+  RunMapReduce(100, map_fn, false, reduce_fn, options);
   EXPECT_EQ(reduce_calls.load(), 10);
 }
 
@@ -276,7 +273,7 @@ TEST(DataflowTest, KeysArriveSortedAndValuesKeepEmitOrder) {
     }
   };
   DataflowOptions options;  // single reduce worker: one global key order
-  RunMapReduce(10, map_fn, nullptr, reduce_fn, options);
+  RunMapReduce(10, map_fn, false, reduce_fn, options);
   ASSERT_EQ(keys.size(), 11u);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   ASSERT_EQ(dup_values.size(), 10u);
@@ -307,7 +304,7 @@ TEST(DataflowTest, InMemoryMergeBeyondFanInWritesNoSpill) {
     DataflowOptions options;
     options.num_map_workers = map_workers;
     options.num_reduce_workers = kReduceWorkers;
-    *metrics = RunMapReduce(100, map_fn, nullptr, reduce_fn, options);
+    *metrics = RunMapReduce(100, map_fn, false, reduce_fn, options);
     Groups groups;
     for (Groups& part : per_worker) groups.merge(part);
     return groups;
@@ -332,7 +329,7 @@ TEST(DataflowTest, EmptyInput) {
   MapFn map_fn = [](size_t, const EmitFn&) { FAIL(); };
   ReduceFn reduce_fn = [](int, std::string_view,
                           std::vector<std::string_view>&) { FAIL(); };
-  DataflowMetrics metrics = RunMapReduce(0, map_fn, nullptr, reduce_fn, {});
+  DataflowMetrics metrics = RunMapReduce(0, map_fn, false, reduce_fn, {});
   EXPECT_EQ(metrics.shuffle_records, 0u);
 }
 
@@ -376,7 +373,7 @@ TEST(DataflowTest, SimulatedExecutionProducesSameResults) {
   options.num_reduce_workers = 4;
   options.execution = Execution::kSimulated;
   DataflowMetrics metrics =
-      RunMapReduce(docs.size(), map_fn, MakeSumCombiner, reduce_fn, options);
+      RunMapReduce(docs.size(), map_fn, true, reduce_fn, options);
   EXPECT_EQ(counts, threads);
   EXPECT_GE(metrics.map_seconds, 0.0);
   EXPECT_GE(metrics.reduce_seconds, 0.0);
@@ -390,7 +387,7 @@ TEST(DataflowTest, MapExceptionPropagates) {
                           std::vector<std::string_view>&) {};
   DataflowOptions options;
   options.num_map_workers = 3;
-  EXPECT_THROW(RunMapReduce(10, map_fn, nullptr, reduce_fn, options),
+  EXPECT_THROW(RunMapReduce(10, map_fn, false, reduce_fn, options),
                std::runtime_error);
 }
 
@@ -480,7 +477,7 @@ TEST(DataflowTest, ReduceWorkersDrainBucketsAsTheyFinish) {
   options.num_map_workers = 2;
   options.num_reduce_workers = kReduceWorkers;
   options.execution = Execution::kSimulated;
-  RunMapReduce(512, map_fn, nullptr, reduce_fn, options);
+  RunMapReduce(512, map_fn, false, reduce_fn, options);
 
   ASSERT_EQ(live_at_worker.size(), static_cast<size_t>(kReduceWorkers));
   for (size_t r = 1; r < live_at_worker.size(); ++r) {
@@ -501,7 +498,7 @@ TEST(DataflowTest, BucketsFreedAfterOverflow) {
     emit("key" + std::to_string(i), std::string(10, 'v'));
   };
   ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
-  EXPECT_THROW(RunMapReduce(100, map_fn, nullptr, sink, options),
+  EXPECT_THROW(RunMapReduce(100, map_fn, false, sink, options),
                ShuffleOverflowError);
   EXPECT_EQ(ShuffleBufferLiveBytes(), 0u);
 }

@@ -257,7 +257,7 @@ std::pair<std::vector<Record>, DataflowMetrics> RunPolicyRound(
     PutVarint(&value, values.size());
     emit(key, value);
   };
-  job.RunRound(PolicyInputs().size(), map_fn, nullptr, count);
+  job.RunRound(PolicyInputs().size(), map_fn, false, count);
   return {job.TakeRecords(), job.round_metrics().front()};
 }
 
@@ -536,7 +536,7 @@ TEST(ProcBackendTest, DataflowJobRoundsMatchAcrossBackends) {
       PutVarint(&value, values.size());
       emit(key, value);
     };
-    job.RunRound(inputs.size(), map_fn, nullptr, count);
+    job.RunRound(inputs.size(), map_fn, false, count);
     // Round 2: re-key every count under one bucket and sum it.
     RecordMapFn rekey = [](size_t, const Record& record, const EmitFn& emit) {
       emit("total:" + record.key, record.value);
@@ -555,7 +555,7 @@ TEST(ProcBackendTest, DataflowJobRoundsMatchAcrossBackends) {
       PutVarint(&value, total);
       emit(key, value);
     };
-    job.RunChainedRound(rekey, MakeSumCombiner, sum);
+    job.RunChainedRound(rekey, true, sum);
     return std::make_pair(job.TakeRecords(), job.round_metrics());
   };
 
@@ -636,7 +636,7 @@ TEST(ProcBackendTest, ValueOrderWithinKeysIsIdenticalAcrossBackends) {
     };
     obs::ResetTraceForTest();
     obs::SetEnabled(true);
-    job.RunRound(kInputs, map_fn, nullptr, concat);
+    job.RunRound(kInputs, map_fn, false, concat);
     obs::SetEnabled(false);
     std::set<std::string> reduce_spans;
     for (const obs::TraceEvent& ev : obs::SnapshotTrace()) {
@@ -688,7 +688,7 @@ TEST(ProcBackendTest, RunMapReduceRejectsProcBackend) {
   MapFn map_fn = [](size_t, const EmitFn&) {};
   ReduceFn reduce_fn = [](int, std::string_view,
                           std::vector<std::string_view>&) {};
-  EXPECT_THROW(RunMapReduce(1, map_fn, nullptr, reduce_fn, options),
+  EXPECT_THROW(RunMapReduce(1, map_fn, false, reduce_fn, options),
                std::invalid_argument);
 }
 

@@ -1,6 +1,6 @@
 // Out-of-core execution tests: the spill primitives (MemoryBudget,
 // SpillFile/SpillWriter/SpillRunReader, ExternalMergePlan), the engine's
-// budgeted spill path, the external-merge combiners, RAII temp-file
+// budgeted spill path, the external-merge combiner, RAII temp-file
 // hygiene on failure paths, actionable overflow errors, and the acceptance
 // cross-check — a D-SEQ run budgeted below its shuffle volume must spill
 // and still mine byte-identical patterns.
@@ -304,8 +304,8 @@ struct EngineRun {
   DataflowMetrics metrics;
 };
 
-EngineRun RunEngine(const Emissions& emissions, const CombinerFactory& factory,
-                    int workers, const DataflowOptions& base) {
+EngineRun RunEngine(const Emissions& emissions, bool combine, int workers,
+                    const DataflowOptions& base) {
   MapFn map_fn = [&](size_t i, const EmitFn& emit) {
     for (const auto& [key, value] : emissions[i]) emit(key, value);
   };
@@ -322,7 +322,7 @@ EngineRun RunEngine(const Emissions& emissions, const CombinerFactory& factory,
   options.num_reduce_workers = workers;
   EngineRun run;
   run.metrics =
-      RunMapReduce(emissions.size(), map_fn, factory, reduce_fn, options);
+      RunMapReduce(emissions.size(), map_fn, combine, reduce_fn, options);
   for (auto& part : per_worker) {
     run.groups.insert(run.groups.end(),
                       std::make_move_iterator(part.begin()),
@@ -338,7 +338,7 @@ TEST_P(EngineSpillTest, SpilledRunEqualsInMemoryRun) {
   int workers = GetParam();
   Emissions emissions = RandomEmissions(1234, 80, 10);
 
-  EngineRun reference = RunEngine(emissions, nullptr, workers, {});
+  EngineRun reference = RunEngine(emissions, false, workers, {});
   ASSERT_GT(reference.metrics.shuffle_bytes, 0u);
   EXPECT_EQ(reference.metrics.spill_files, 0u);
   EXPECT_EQ(reference.metrics.spill_merge_passes, 0u);
@@ -348,7 +348,7 @@ TEST_P(EngineSpillTest, SpilledRunEqualsInMemoryRun) {
   spilled_options.memory_budget_bytes = SpillTestBudget(256);
   spilled_options.spill_dir = dir.path();
   spilled_options.spill_merge_fan_in = 3;  // force multi-pass merges
-  EngineRun spilled = RunEngine(emissions, nullptr, workers, spilled_options);
+  EngineRun spilled = RunEngine(emissions, false, workers, spilled_options);
 
   EXPECT_EQ(spilled.groups, reference.groups);
   EXPECT_EQ(spilled.metrics.shuffle_bytes, reference.metrics.shuffle_bytes);
@@ -369,10 +369,10 @@ TEST_P(EngineSpillTest, SpilledRunEqualsInMemoryRun) {
 TEST_P(EngineSpillTest, SpilledCombinersEqualInMemoryCombiners) {
   int workers = GetParam();
 
-  // Sum-combiner pipeline (varint counts). Sized so every worker's shard
-  // crosses the combiners' overdraft spill batch (64 records) even at 8
-  // workers — smaller shards legitimately ride out the bounded overdraft
-  // without touching disk.
+  // The combiner's two value shapes. Counts (varint weights with empty
+  // payloads), sized so every worker's shard crosses the combiner's
+  // overdraft spill batch (64 records) even at 8 workers — smaller shards
+  // legitimately ride out the bounded overdraft without touching disk.
   std::mt19937_64 rng(99);
   Emissions sum_emissions(400);
   for (auto& input : sum_emissions) {
@@ -384,7 +384,7 @@ TEST_P(EngineSpillTest, SpilledCombinersEqualInMemoryCombiners) {
                          std::move(value));
     }
   }
-  // ...and a weighted-value pipeline (varint weight + payload).
+  // ...and weighted values (varint weight + payload).
   Emissions weighted_emissions(400);
   std::vector<std::string> payloads = {"", "x", "payload",
                                        std::string("\x00\x01\xff", 3)};
@@ -401,14 +401,12 @@ TEST_P(EngineSpillTest, SpilledCombinersEqualInMemoryCombiners) {
 
   struct Case {
     const Emissions* emissions;
-    CombinerFactory factory;
     const char* name;
   };
   for (const Case& c :
-       {Case{&sum_emissions, MakeSumCombiner, "sum"},
-        Case{&weighted_emissions, MakeWeightedValueCombiner, "weighted"}}) {
+       {Case{&sum_emissions, "sum"}, Case{&weighted_emissions, "weighted"}}) {
     SCOPED_TRACE(c.name);
-    EngineRun reference = RunEngine(*c.emissions, c.factory, workers, {});
+    EngineRun reference = RunEngine(*c.emissions, true, workers, {});
 
     ScopedSpillDir dir;
     DataflowOptions spilled_options;
@@ -416,8 +414,7 @@ TEST_P(EngineSpillTest, SpilledCombinersEqualInMemoryCombiners) {
     // into external aggregation.
     spilled_options.memory_budget_bytes = SpillTestBudget(512);
     spilled_options.spill_dir = dir.path();
-    EngineRun spilled =
-        RunEngine(*c.emissions, c.factory, workers, spilled_options);
+    EngineRun spilled = RunEngine(*c.emissions, true, workers, spilled_options);
 
     // External aggregation must emit the *fully combined* records: same
     // groups and identical raw shuffle metrics, not just same totals.
@@ -448,7 +445,7 @@ TEST(EngineSpillTest, BudgetWithoutSpillDirThrowsActionableError) {
   options.memory_budget_bytes = 64;
   options.round_index = 3;
   try {
-    RunMapReduce(emissions.size(), map_fn, nullptr, reduce_fn, options);
+    RunMapReduce(emissions.size(), map_fn, false, reduce_fn, options);
     FAIL() << "expected ShuffleOverflowError";
   } catch (const ShuffleOverflowError& e) {
     std::string message = e.what();
@@ -474,7 +471,7 @@ TEST(EngineSpillTest, BudgetWithoutSpillDirThrowsActionableError) {
     }
   };
   try {
-    RunMapReduce(emissions.size(), count_map, MakeSumCombiner, reduce_fn,
+    RunMapReduce(emissions.size(), count_map, true, reduce_fn,
                  options);
     FAIL() << "expected ShuffleOverflowError";
   } catch (const ShuffleOverflowError& e) {
@@ -498,7 +495,7 @@ TEST(EngineSpillTest, ShuffleVolumeErrorNamesRoundAndReducer) {
   options.shuffle_budget_bytes = 32;
   options.round_index = 1;
   try {
-    RunMapReduce(emissions.size(), map_fn, nullptr, reduce_fn, options);
+    RunMapReduce(emissions.size(), map_fn, false, reduce_fn, options);
     FAIL() << "expected ShuffleOverflowError";
   } catch (const ShuffleOverflowError& e) {
     std::string message = e.what();
@@ -526,7 +523,7 @@ TEST(EngineSpillTest, MidRoundFailureLeavesSpillDirEmpty) {
   options.num_reduce_workers = 2;
   options.memory_budget_bytes = 256;
   options.spill_dir = dir.path();
-  EXPECT_THROW(RunMapReduce(emissions.size(), map_fn, nullptr,
+  EXPECT_THROW(RunMapReduce(emissions.size(), map_fn, false,
                             exploding_reduce, options),
                std::runtime_error);
   EXPECT_EQ(CountDirEntries(dir.path()), 0u);
@@ -544,7 +541,7 @@ TEST(EngineSpillTest, MidRoundFailureLeavesSpillDirEmpty) {
   ChainReduceFn chain_reduce = [](int, std::string_view,
                                   std::vector<std::string_view>&,
                                   const EmitFn&) {};
-  EXPECT_THROW(job.RunRound(emissions.size(), map_fn, nullptr, chain_reduce),
+  EXPECT_THROW(job.RunRound(emissions.size(), map_fn, false, chain_reduce),
                ShuffleOverflowError);
   EXPECT_EQ(CountDirEntries(dir.path()), 0u);
   EXPECT_EQ(ShuffleBufferLiveBytes(), 0u);
@@ -568,11 +565,11 @@ TEST(ChainedSpillTest, PerRoundSpillMetricsAggregate) {
                           const EmitFn& emit) {
     for (std::string_view v : values) emit(key, v);
   };
-  job.RunRound(emissions.size(), map_fn, nullptr, echo);
+  job.RunRound(emissions.size(), map_fn, false, echo);
   RecordMapFn rekey = [](size_t, const Record& record, const EmitFn& emit) {
     emit(record.key + "!", record.value);
   };
-  job.RunChainedRound(rekey, nullptr, echo);
+  job.RunChainedRound(rekey, false, echo);
 
   ASSERT_EQ(job.num_rounds(), 2u);
   uint64_t files = 0;
@@ -623,9 +620,9 @@ TEST(SpillMiningTest, BudgetedDSeqIsByteIdenticalToInMemoryAndBruteForce) {
     EXPECT_EQ(CountDirEntries(dir.path()), 0u);
     EXPECT_EQ(ShuffleBufferLiveBytes(), 0u);
 
-    // The D-SEQ aggregation extension runs the weighted-value combiner
-    // through its external-aggregation path under the same budget. At high
-    // worker counts each shard's add count can stay within the combiners'
+    // The D-SEQ aggregation extension runs weighted values through the
+    // combiner's external-aggregation path under the same budget. At high
+    // worker counts each shard's add count can stay within the combiner's
     // bounded overdraft (legitimately spill-free), so the spill-count
     // assertion applies to the fat-shard configurations.
     DSeqOptions aggregate_options = spill_options;

@@ -362,7 +362,7 @@ void PrintPlan(const dseq::PartitionPlan& plan) {
 
 // The options every distributed miner shares (each extends
 // DistributedRunOptions and has a sigma). --compress also covers the spill
-// files: both knobs trade CPU for bytes on the same serialized records.
+// files: compress_shuffle compresses spill runs too.
 template <typename Options>
 Options RunOptions(const Args& args, int workers) {
   Options options;
@@ -372,7 +372,6 @@ Options RunOptions(const Args& args, int workers) {
   options.compress_shuffle = args.compress;
   options.memory_budget_bytes = args.memory_budget;
   options.spill_dir = args.spill_dir;
-  options.compress_spill = args.compress;
   options.backend = args.backend == "proc" ? dseq::DataflowBackend::kProc
                                            : dseq::DataflowBackend::kLocal;
   options.proc_worker_timeout_ms = args.proc_timeout_ms;
