@@ -167,7 +167,8 @@ void RunCombineRound(
       emit(records[r].first, records[r].second);
     }
   };
-  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
+  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
+                     const EmitFn&) {};
   DataflowOptions options;
   RunMapReduce(num_inputs, map_fn, /*combine=*/true, sink, options);
 }

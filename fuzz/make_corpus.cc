@@ -143,8 +143,7 @@ void RpcFrameSeeds() {
   dseq::rpc::AppendFrame(&stream, dseq::rpc::MsgType::kMapTask,
                          Varint(0) + Varint(0) + Varint(25));
   dseq::rpc::AppendFrame(&stream, dseq::rpc::MsgType::kSegment,
-                         Varint(0) + Varint(1) + Varint(1) + Varint(0) +
-                             "payload");
+                         Varint(0) + Varint(1) + Varint(1) + "payload");
   dseq::rpc::AppendFrame(&stream, dseq::rpc::MsgType::kShutdown, "");
   WriteSeed("fuzz_rpc_frame", "stream_trickle", std::string(1, '\0') + stream);
   WriteSeed("fuzz_rpc_frame", "stream_bulk", std::string(1, '\x3f') + stream);

@@ -121,10 +121,9 @@ DistributedResult MineChainedPrefixSpan(const std::vector<Sequence>& db,
   // one-byte tag: 'P' = mined pattern, 'E' = extension. The driver strips
   // the tag before extensions re-enter a shuffle, so round metrics are
   // unchanged by the tagging.
-  ChainReduceFn reduce_fn = [sigma, lambda](
-                                int /*worker*/, std::string_view key,
-                                std::vector<std::string_view>& values,
-                                const EmitFn& emit) {
+  ReduceFn reduce_fn = [sigma, lambda](int /*worker*/, std::string_view key,
+                                       std::vector<std::string_view>& values,
+                                       const EmitFn& emit) {
     if (values.size() < sigma) return;
     size_t pos = 0;
     Sequence prefix;

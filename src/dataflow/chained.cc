@@ -1,17 +1,15 @@
 #include "src/dataflow/chained.h"
 
 #include <algorithm>
-#include <iterator>
+#include <utility>
 
 #include "src/obs/trace.h"
-#include "src/rpc/proc_backend.h"
-#include "src/util/thread_pool.h"
 
 namespace dseq {
 
-const DataflowMetrics& DataflowJob::Run(size_t num_inputs, const MapFn& map_fn,
-                                        bool combine,
-                                        const ChainReduceFn& reduce_fn) {
+const DataflowMetrics& DataflowJob::RunRound(size_t num_inputs,
+                                             const MapFn& map_fn, bool combine,
+                                             const ReduceFn& reduce_fn) {
   DataflowOptions round_options = options_;
   // Stamp the 0-based round index so budget-overflow errors (and spill
   // diagnostics) can name the round that tripped.
@@ -35,68 +33,21 @@ const DataflowMetrics& DataflowJob::Run(size_t num_inputs, const MapFn& map_fn,
             : std::min(options_.shuffle_budget_bytes, remaining);
   }
 
-  if (options_.backend == DataflowBackend::kProc) {
-    // Multi-process round: forked workers run the map shards and reduce
-    // columns, the boundary records come back over the wire already in
-    // reduce-task order — the same flattening the local path produces below.
-    // RunMapReduce rejects kProc, so the dispatch lives here, where the
-    // chain-level budgets and round indices have already been resolved.
-    round_options.backend = DataflowBackend::kLocal;  // workers run locally
-    ProcRoundResult result =
-        RunProcRound(num_inputs, map_fn, combine, reduce_fn, round_options);
-    cumulative_shuffle_bytes_ += result.metrics.shuffle_bytes;
-    records_ = std::move(result.records);
-    round_metrics_.push_back(std::move(result.metrics));
-    return round_metrics_.back();
-  }
-
-  int reduce_workers = ClampWorkers(options_.num_reduce_workers);
-  std::vector<std::vector<Record>> out(reduce_workers);
-  // One emitter per reduce worker, built up front: the reduce loop runs once
-  // per distinct key and must not pay a std::function allocation each time.
-  std::vector<EmitFn> emitters;
-  emitters.reserve(reduce_workers);
-  for (int w = 0; w < reduce_workers; ++w) {
-    emitters.push_back([&out, w](std::string_view k, std::string_view v) {
-      // Boundary records outlive the round, so the views are copied here.
-      out[w].push_back(Record{std::string(k), std::string(v)});
-    });
-  }
-  ReduceFn wrapped_reduce = [&](int worker, std::string_view key,
-                                std::vector<std::string_view>& values) {
-    reduce_fn(worker, key, values, emitters[worker]);
-  };
-
-  DataflowMetrics metrics = RunMapReduce(num_inputs, map_fn, combine,
-                                         wrapped_reduce, round_options);
-  cumulative_shuffle_bytes_ += metrics.shuffle_bytes;
-
-  records_.clear();
-  size_t total = 0;
-  for (const auto& worker_records : out) total += worker_records.size();
-  records_.reserve(total);
-  for (auto& worker_records : out) {
-    records_.insert(records_.end(),
-                    std::make_move_iterator(worker_records.begin()),
-                    std::make_move_iterator(worker_records.end()));
-  }
-  round_metrics_.push_back(metrics);
+  RoundResult result =
+      RunMapReduce(num_inputs, map_fn, combine, reduce_fn, round_options);
+  cumulative_shuffle_bytes_ += result.metrics.shuffle_bytes;
+  records_ = std::move(result.records);
+  round_metrics_.push_back(std::move(result.metrics));
   return round_metrics_.back();
 }
 
-const DataflowMetrics& DataflowJob::RunRound(size_t num_inputs,
-                                             const MapFn& map_fn, bool combine,
-                                             const ChainReduceFn& reduce_fn) {
-  return Run(num_inputs, map_fn, combine, reduce_fn);
-}
-
 const DataflowMetrics& DataflowJob::RunChainedRound(
-    const RecordMapFn& map_fn, bool combine, const ChainReduceFn& reduce_fn) {
+    const RecordMapFn& map_fn, bool combine, const ReduceFn& reduce_fn) {
   std::vector<Record> inputs = TakeRecords();
   MapFn wrapped_map = [&](size_t index, const EmitFn& emit) {
     map_fn(index, inputs[index], emit);
   };
-  return Run(inputs.size(), wrapped_map, combine, reduce_fn);
+  return RunRound(inputs.size(), wrapped_map, combine, reduce_fn);
 }
 
 DataflowMetrics DataflowJob::aggregate_metrics() const {

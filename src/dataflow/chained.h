@@ -1,9 +1,9 @@
 // Chained multi-round dataflow on top of the single-round engine.
 //
 // The paper's substrate (Spark) runs iterative jobs as chains of shuffle
-// rounds; this is the in-process analogue. A DataflowJob strings together
-// map-shuffle-reduce rounds such that each round's reduce output becomes the
-// next round's map input. Output records cross the round boundary only in
+// rounds; this is the analogue. A DataflowJob strings together RunMapReduce
+// rounds, on either backend, such that each round's output records become
+// the next round's map input. Records cross the round boundary only in
 // serialized form (a Record is a key/value byte-string pair), so the shuffle
 // accounting of every round stays honest — there is no way to smuggle
 // deserialized state from one round into the next.
@@ -24,20 +24,6 @@
 
 namespace dseq {
 
-/// One serialized record crossing a round boundary.
-struct Record {
-  std::string key;
-  std::string value;
-
-  bool operator==(const Record& o) const {
-    return key == o.key && value == o.value;
-  }
-  bool operator<(const Record& o) const {
-    if (key != o.key) return key < o.key;
-    return value < o.value;
-  }
-};
-
 struct ChainedDataflowOptions : DataflowOptions {
   /// 0 = unlimited. Otherwise ShuffleOverflowError once the total shuffle
   /// volume across all rounds of the job exceeds this many bytes. The
@@ -49,15 +35,6 @@ struct ChainedDataflowOptions : DataflowOptions {
 /// round's reduce output.
 using RecordMapFn = std::function<void(size_t input_index, const Record& input,
                                        const EmitFn& emit)>;
-
-/// Reduce function of a chained round: like ReduceFn, plus an emitter whose
-/// records become the round's output (the next round's map input). Emitting
-/// nothing ends the chain's data; emitted records are buffered per reduce
-/// worker, so no locking is needed. As with ReduceFn, `key` and the value
-/// views are only valid during the call (the boundary emitter copies).
-using ChainReduceFn = std::function<void(
-    int worker, std::string_view key, std::vector<std::string_view>& values,
-    const EmitFn& emit)>;
 
 /// A chain of map-shuffle-reduce rounds with shared budgets and metrics.
 ///
@@ -77,19 +54,17 @@ class DataflowJob {
 
   /// Runs a round whose map input is external: `map_fn` is called once per
   /// index in [0, num_inputs). `combine` as in RunMapReduce. Returns the
-  /// round's metrics.
+  /// round's metrics; its output records are left in records().
   const DataflowMetrics& RunRound(size_t num_inputs, const MapFn& map_fn,
-                                  bool combine,
-                                  const ChainReduceFn& reduce_fn);
+                                  bool combine, const ReduceFn& reduce_fn);
 
   /// Runs a round whose map input is the previous round's output records
   /// (consumed by this call).
   const DataflowMetrics& RunChainedRound(const RecordMapFn& map_fn,
                                          bool combine,
-                                         const ChainReduceFn& reduce_fn);
+                                         const ReduceFn& reduce_fn);
 
-  /// Output records of the last completed round, in reduce-worker order
-  /// (deterministic for a fixed configuration).
+  /// Output records of the last completed round (RoundResult::records).
   const std::vector<Record>& records() const { return records_; }
 
   /// Moves the boundary records out (e.g. to collect a side result and then
@@ -114,9 +89,6 @@ class DataflowJob {
   const ChainedDataflowOptions& options() const { return options_; }
 
  private:
-  const DataflowMetrics& Run(size_t num_inputs, const MapFn& map_fn,
-                             bool combine, const ChainReduceFn& reduce_fn);
-
   ChainedDataflowOptions options_;
   std::vector<Record> records_;
   std::vector<DataflowMetrics> round_metrics_;

@@ -295,7 +295,7 @@ void Combiner::FlushExternal(const EmitFn& emit) {
   StringArena scratch;
   auto entries = RunRecords(&scratch);
   ExternalMergePlan plan(options_.spill_dir, options_.compress_shuffle,
-                         options_.spill_merge_fan_in, stats_, budget_);
+                         kSpillMergeFanIn, stats_, budget_);
   for (SpillFile& run : runs_) plan.AddRun(std::move(run));
   runs_.clear();
   if (!entries.empty()) {

@@ -39,8 +39,8 @@ namespace dseq {
 class Combiner {
  public:
   /// One combiner per map worker and round. `options` supplies the spill
-  /// configuration (spill_dir, compress_shuffle, spill_merge_fan_in) and
-  /// the round index for error messages, which also name `map_worker`.
+  /// configuration (spill_dir, compress_shuffle) and the round index for
+  /// error messages, which also name `map_worker`.
   /// `budget` and `stats` are the round's shared ones; neither is null and
   /// all three outlive the combiner. The combiner is budgeted exactly when
   /// budget->enabled().

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <stdexcept>
+#include <iterator>
 #include <utility>
 
 #include "src/dataflow/map_shard.h"
 #include "src/dataflow/shuffle_buffer.h"
 #include "src/obs/trace.h"
+#include "src/rpc/proc_backend.h"
 #include "src/spill/memory_budget.h"
 #include "src/spill/spill_file.h"
 #include "src/util/check.h"
@@ -74,15 +75,15 @@ double RunPhase(int num_workers, Execution execution,
 
 }  // namespace
 
-DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
-                             bool combine, const ReduceFn& reduce_fn,
-                             const DataflowOptions& options) {
-  if (options.backend != DataflowBackend::kLocal) {
-    throw std::invalid_argument(
-        "RunMapReduce only executes the local backend; run proc-backend "
-        "rounds through DataflowJob (src/dataflow/chained.h)");
+RoundResult RunMapReduce(size_t num_inputs, const MapFn& map_fn, bool combine,
+                         const ReduceFn& reduce_fn,
+                         const DataflowOptions& options) {
+  obs::SetCurrentRound(options.round_index);
+  if (options.backend == DataflowBackend::kProc) {
+    return RunProcRound(num_inputs, map_fn, combine, reduce_fn, options);
   }
-  DataflowMetrics metrics;
+  RoundResult result;
+  DataflowMetrics& metrics = result.metrics;
   int map_workers = ClampWorkers(options.num_map_workers);
   int reduce_workers = ClampWorkers(options.num_reduce_workers);
 
@@ -111,7 +112,6 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
   }
 
   size_t shard = (num_inputs + map_workers - 1) / map_workers;
-  obs::SetCurrentRound(options.round_index);
   metrics.map_seconds = RunPhase(map_workers, options.execution, [&](int w) {
     DSEQ_TRACE_SPAN("engine", "map_shard");
     // The shard body lives in map_shard.cc, shared verbatim with the proc
@@ -137,6 +137,19 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
   // The map workers that wrote the shard metrics were joined in RunPhase.
   for (const DataflowMetrics& m : shard_metrics) metrics.Accumulate(m);
 
+  // One output buffer and one emitter per reduce worker, built up front: the
+  // reduce loop runs once per distinct key and must not pay a std::function
+  // allocation each time.
+  std::vector<std::vector<Record>> out(reduce_workers);
+  std::vector<EmitFn> emitters;
+  emitters.reserve(reduce_workers);
+  for (int r = 0; r < reduce_workers; ++r) {
+    emitters.push_back([&out, r](std::string_view k, std::string_view v) {
+      // Output records outlive the round, so the views are copied here.
+      out[r].push_back(Record{std::string(k), std::string(v)});
+    });
+  }
+
   // Reduce: each reduce worker takes ownership of the bucket column hashed
   // to it — per map worker, the spilled runs and the resident tail — and
   // hands it to RunReduceColumn, the body shared with the proc backend's
@@ -161,7 +174,7 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
         RunReduceColumn(
             std::move(sources), options, &spill_stats, &budget,
             [&](std::string_view key, std::vector<std::string_view>& values) {
-              reduce_fn(r, key, values);
+              reduce_fn(r, key, values, emitters[r]);
             });
       });
   // Relaxed: both phases' workers are joined by the time the stats are read.
@@ -186,7 +199,15 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
       }
     }
   }
-  return metrics;
+  size_t total = 0;
+  for (const auto& records : out) total += records.size();
+  result.records.reserve(total);
+  for (auto& records : out) {
+    result.records.insert(result.records.end(),
+                          std::make_move_iterator(records.begin()),
+                          std::make_move_iterator(records.end()));
+  }
+  return result;
 }
 
 }  // namespace dseq

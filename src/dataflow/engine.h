@@ -1,8 +1,7 @@
-// In-process bulk-synchronous-parallel dataflow engine (paper Sec. III).
+// Bulk-synchronous-parallel dataflow engine (paper Sec. III).
 //
-// Replaces the paper's Spark/MapReduce substrate: workers are threads, the
-// shuffle is a set of serialized byte buffers exchanged between the map and
-// reduce phases. One round of communication, exactly as Alg. 1:
+// Replaces the paper's Spark/MapReduce substrate. One RunMapReduce call is
+// one round of communication, exactly as Alg. 1:
 //
 //   map     : process each input independently, emit (key, value) records
 //   combine : optional per-map-worker aggregation: the weights of identical
@@ -10,7 +9,14 @@
 //   shuffle : records are serialized, partitioned by hash(key) among reduce
 //             workers; total serialized bytes are the shuffle-size metric
 //             (the paper's `shuffleWriteBytes`)
-//   reduce  : each key's values are processed by exactly one reduce worker
+//   reduce  : each key's values are processed by exactly one reduce worker,
+//             which may emit output records; the round returns them
+//
+// The round runs on one of two backends (DataflowBackend): threads in this
+// process, or forked worker processes exchanging the shuffle over loopback
+// TCP (src/rpc/proc_backend.h). Both run the same map-shard and
+// reduce-column bodies (src/dataflow/map_shard.h), so results and raw
+// shuffle metrics are identical.
 //
 // Zero-copy hot path: each (map worker, reduce worker) bucket is one
 // contiguous varint-framed byte arena (ShuffleBuffer) — no per-record heap
@@ -146,15 +152,13 @@ enum class Execution {
 /// Where a round's map and reduce tasks execute.
 enum class DataflowBackend {
   /// Threads (or the sequential simulation) inside this process — the
-  /// default, handled directly by RunMapReduce.
+  /// default.
   kLocal,
   /// Real worker processes forked per round, exchanging shuffle segments
   /// over loopback TCP (src/rpc/proc_backend.h). Results and raw shuffle
   /// metrics are byte-identical to kLocal by construction: workers run the
   /// same RunMapShard and RunReduceColumn bodies, and the coordinator
   /// replays segments in the source order the local reduce phase uses.
-  /// Only DataflowJob (and the distributed layer above it) dispatches to
-  /// this backend; RunMapReduce itself rejects it.
   kProc,
 };
 
@@ -204,18 +208,13 @@ struct DataflowOptions {
   /// Directory for spill files (must exist and be writable). Empty =
   /// spilling disabled; memory_budget_bytes then acts as a hard ceiling.
   std::string spill_dir;
-  /// Maximum runs merged per k-way pass; more runs collapse in extra passes
-  /// (DataflowMetrics::spill_merge_passes). Clamped to >= 2.
-  int spill_merge_fan_in = 16;
   /// 0-based index of this round within a chained job. Purely diagnostic:
   /// it contextualizes ShuffleOverflowError messages (DataflowJob sets it).
   int round_index = 0;
 
   // --- multi-process execution (src/rpc/) ---------------------------------
   /// kProc runs the round's tasks in forked worker processes over a socket
-  /// shuffle (see DataflowBackend). Honored by DataflowJob and everything
-  /// layered on it (every distributed miner's options, dseq_cli --backend);
-  /// RunMapReduce throws std::invalid_argument for kProc.
+  /// shuffle (see DataflowBackend).
   DataflowBackend backend = DataflowBackend::kLocal;
   /// Proc backend only: kill and reassign an in-flight worker that has made
   /// no progress for this long. "Progress" includes heartbeats: workers run
@@ -242,32 +241,61 @@ struct DataflowOptions {
   uint64_t proc_tail_park_bytes = uint64_t{1} << 20;
 };
 
-/// Emits one record from a mapper or a combiner flush. The engine copies
-/// the bytes into its shuffle arenas during the call; views need not
-/// outlive it.
+/// One serialized output record of a reduce function: the round's result,
+/// and in a chained job the next round's map input.
+struct Record {
+  std::string key;
+  std::string value;
+
+  bool operator==(const Record& o) const {
+    return key == o.key && value == o.value;
+  }
+  bool operator<(const Record& o) const {
+    if (key != o.key) return key < o.key;
+    return value < o.value;
+  }
+};
+
+/// Emits one record from a mapper, a combiner flush or a reduce function.
+/// The engine copies the bytes during the call; views need not outlive it.
 using EmitFn = std::function<void(std::string_view key, std::string_view value)>;
 
 /// Map function: called once per input index; may emit any number of records.
 using MapFn = std::function<void(size_t input_index, const EmitFn& emit)>;
 
 /// Reduce function: called once per distinct key with all its values.
-/// `worker` identifies the reduce worker (0 .. num_reduce_workers-1) so
-/// callers can keep per-worker output buffers without locking. Keys arrive
-/// in ascending byte order per worker; `key` and the value views are valid
-/// only during the call — copy what must outlive it. The values vector is the caller's scratch and may
-/// be reordered freely.
+/// `worker` identifies the reduce worker (0 .. num_reduce_workers-1). Keys
+/// arrive in ascending byte order per worker; `key` and the value views are
+/// valid only during the call. The values vector is the caller's scratch
+/// and may be reordered freely. Records passed to `emit` become the round's
+/// output (RoundResult::records); emitting nothing is fine.
 using ReduceFn = std::function<void(int worker, std::string_view key,
-                                    std::vector<std::string_view>& values)>;
+                                    std::vector<std::string_view>& values,
+                                    const EmitFn& emit)>;
 
-/// Runs one BSP round. The map phase is parallelized over input shards, the
-/// reduce phase over key partitions. With `combine`, each map worker sums
-/// its records' weights per (key, payload) before the shuffle (Combiner,
-/// src/dataflow/combiner.h): every value must then be varint(weight) +
-/// payload, and a count is a weight with an empty payload. Throws
-/// ShuffleOverflowError if the budget is exceeded.
-DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
-                             bool combine, const ReduceFn& reduce_fn,
-                             const DataflowOptions& options);
+/// What one round produces: its metrics and the records the reduce
+/// functions emitted, concatenated in reduce-worker order (per worker in
+/// emission order) — deterministic for a fixed configuration, and the same
+/// on both backends.
+struct RoundResult {
+  DataflowMetrics metrics;
+  std::vector<Record> records;
+};
+
+/// Runs one BSP round on options.backend. The map phase is parallelized
+/// over input shards, the reduce phase over key partitions. With `combine`,
+/// each map worker sums its records' weights per (key, payload) before the
+/// shuffle (Combiner, src/dataflow/combiner.h): every value must then be
+/// varint(weight) + payload, and a count is a weight with an empty payload.
+/// Throws ShuffleOverflowError if the budget is exceeded.
+///
+/// Under kProc the reduce function runs in a forked process, so only the
+/// records it emits leave it: writes to captured state survive only on
+/// kLocal. A round that must return data to its caller on both backends
+/// emits it.
+RoundResult RunMapReduce(size_t num_inputs, const MapFn& map_fn, bool combine,
+                         const ReduceFn& reduce_fn,
+                         const DataflowOptions& options);
 
 }  // namespace dseq
 

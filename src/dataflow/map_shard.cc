@@ -188,7 +188,7 @@ void RunReduceColumn(std::vector<ReduceColumnSource> sources,
   // never resized, so the tail views stay valid: relocating a short (SSO)
   // tail string would move its bytes.
   ExternalMergePlan plan(options.spill_dir, options.compress_shuffle,
-                         options.spill_merge_fan_in, spill_stats, budget);
+                         kSpillMergeFanIn, spill_stats, budget);
   for (ReduceColumnSource& source : sources) {
     for (SpillFile& run : source.runs) plan.AddRun(std::move(run));
     source.runs.clear();

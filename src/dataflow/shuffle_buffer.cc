@@ -132,8 +132,7 @@ std::string ShuffleBuffer::ReleaseRaw() {
   return raw;
 }
 
-std::string ShuffleBuffer::ReleaseStored(bool* compressed) {
-  *compressed = compressed_;
+std::string ShuffleBuffer::ReleaseStored() {
   std::string stored = std::move(data_);
   data_.clear();
   num_records_ = 0;

@@ -71,11 +71,12 @@ class ShuffleBuffer {
   std::string ReleaseRaw();
 
   /// Moves the stored bytes out as-is — the raw frames, or the compressed
-  /// block when Compress() ran (`*compressed` reports which) — leaving the
-  /// buffer empty and releasing its gauge contribution. The proc backend
-  /// ships buckets over the wire in exactly their stored form, so the
-  /// compressed shuffle volume it reports equals the local backend's.
-  std::string ReleaseStored(bool* compressed);
+  /// block when Compress() ran — leaving the buffer empty and releasing its
+  /// gauge contribution. The proc backend ships buckets over the wire in
+  /// exactly their stored form, so the compressed shuffle volume it reports
+  /// equals the local backend's; the receiver knows the form from
+  /// DataflowOptions::compress_shuffle.
+  std::string ReleaseStored();
 
   /// Calls fn(key_view, value_view) for each record framed in `raw` (bytes
   /// produced by ReleaseRaw; views point into `raw`). Throws

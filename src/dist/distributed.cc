@@ -25,22 +25,39 @@ ItemId DecodePivotKey(std::string_view key) {
   return static_cast<ItemId>(value);
 }
 
+void EncodePatternRecord(const PatternCount& mined, std::string* key,
+                         std::string* value) {
+  PutSequence(key, mined.pattern);
+  PutVarint(value, mined.frequency);
+}
+
+PatternCount DecodePatternRecord(std::string_view key, std::string_view value) {
+  PatternCount mined;
+  size_t pos = 0;
+  if (!GetSequence(key, &pos, &mined.pattern) || pos != key.size()) {
+    throw std::invalid_argument("malformed pattern record key");
+  }
+  pos = 0;
+  if (!GetVarint(value, &pos, &mined.frequency) || pos != value.size()) {
+    throw std::invalid_argument("malformed pattern record value");
+  }
+  return mined;
+}
+
 MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
                             const MapFn& map_fn, bool combine,
                             const PartitionReduceFn& reduce_fn) {
-  // Covers the round plus the driver-side decode of the mined boundary
-  // records (the part a per-round engine span cannot see).
+  // Covers the round plus the driver-side decode of the mined records (the
+  // part a per-round engine span cannot see).
   DSEQ_TRACE_SPAN("driver", "mining_round");
   // The reduce side runs in threads locally but in forked *processes* under
   // the proc backend, where appends to captured parent state are lost with
-  // the child. Every mined pattern therefore leaves the reduce as a
-  // boundary record — the one channel that crosses the process boundary —
-  // and is decoded back here. Boundary records never touch the shuffle, so
-  // the round's metrics are unchanged by this routing.
-  ChainReduceFn worker_reduce = [&reduce_fn](
-                                    int, std::string_view key,
-                                    std::vector<std::string_view>& values,
-                                    const EmitFn& emit) {
+  // the child. Every mined pattern therefore leaves the reduce as an
+  // emitted record and is decoded back here. Emitted records never touch
+  // the shuffle, so the round's metrics are unchanged by this routing.
+  ReduceFn worker_reduce = [&reduce_fn](int, std::string_view key,
+                                        std::vector<std::string_view>& values,
+                                        const EmitFn& emit) {
     MiningResult part;
     reduce_fn(key, values, part);
     std::string pattern_key;
@@ -48,8 +65,7 @@ MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
     for (const PatternCount& mined : part) {
       pattern_key.clear();
       frequency_value.clear();
-      PutSequence(&pattern_key, mined.pattern);
-      PutVarint(&frequency_value, mined.frequency);
+      EncodePatternRecord(mined, &pattern_key, &frequency_value);
       emit(pattern_key, frequency_value);
     }
   };
@@ -59,18 +75,7 @@ MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
   std::vector<Record> records = job.TakeRecords();
   patterns.reserve(records.size());
   for (const Record& record : records) {
-    PatternCount mined;
-    size_t pos = 0;
-    if (!GetSequence(record.key, &pos, &mined.pattern) ||
-        pos != record.key.size()) {
-      throw std::invalid_argument("malformed mined-pattern record key");
-    }
-    pos = 0;
-    if (!GetVarint(record.value, &pos, &mined.frequency) ||
-        pos != record.value.size()) {
-      throw std::invalid_argument("malformed mined-pattern record value");
-    }
-    patterns.push_back(std::move(mined));
+    patterns.push_back(DecodePatternRecord(record.key, record.value));
   }
   Canonicalize(&patterns);
   return patterns;
@@ -83,25 +88,6 @@ DistributedResult MakeChainedResult(MiningResult patterns,
   result.round_metrics = job.round_metrics();
   result.metrics = job.aggregate_metrics();
   return result;
-}
-
-DistributedResult RunRecountMining(const std::vector<Sequence>& db,
-                                   const Dictionary& dict,
-                                   uint32_t sample_every,
-                                   const DistributedRunOptions& options,
-                                   const MakeMiningRoundFn& make_round) {
-  DataflowJob job(options);
-  // Round 1 populates the cross-round cache; round 2's map reads through it
-  // instead of re-reading backing storage (Spark's RDD cache).
-  CachedDatabase cached_db(db);
-  Dictionary recounted =
-      RecountFrequencies(job, db, dict, sample_every, &cached_db);
-  MapFn map_fn;
-  bool combine = false;
-  PartitionReduceFn reduce_fn;
-  make_round(recounted, cached_db, &map_fn, &combine, &reduce_fn);
-  return MakeChainedResult(
-      RunMiningRound(job, db.size(), map_fn, combine, reduce_fn), job);
 }
 
 DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
@@ -146,9 +132,9 @@ Dictionary RecountFrequencies(DataflowJob& job,
 
   // Reduce: sum the per-item counts and emit one (item, count) boundary
   // record; the driver collects them below (Spark's collect-and-broadcast).
-  ChainReduceFn reduce_fn = [](int, std::string_view key,
-                               std::vector<std::string_view>& values,
-                               const EmitFn& emit) {
+  ReduceFn reduce_fn = [](int, std::string_view key,
+                          std::vector<std::string_view>& values,
+                          const EmitFn& emit) {
     uint64_t count = 0;
     for (std::string_view v : values) {
       size_t pos = 0;

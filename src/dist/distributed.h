@@ -101,11 +101,12 @@ DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
 
 /// Runs one mining round on `job` (sharing its budgets and per-round
 /// metrics) and returns the round's merged, canonicalized patterns. Mined
-/// patterns cross the round boundary as records (emitted by the reduce
-/// side, consumed here), so the round works identically on the proc
+/// patterns leave the reduce side as pattern records (EncodePatternRecord)
+/// and are decoded here, so the round works identically on the proc
 /// backend, where reduce functions run in forked processes and side effects
 /// on captured state are lost; the job's records() is left empty, making
-/// this a terminal round of the chain.
+/// this a terminal round of the chain. A recount driver calls it after
+/// RecountFrequencies on the same job.
 MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
                             const MapFn& map_fn, bool combine,
                             const PartitionReduceFn& reduce_fn);
@@ -115,27 +116,7 @@ MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
 DistributedResult MakeChainedResult(MiningResult patterns,
                                     const DataflowJob& job);
 
-/// Builds the mining round of a recount driver against the recounted
-/// dictionary and the round-1 input cache (both outlive the round but not
-/// the driver call). Map phases should read sequences via `cached_db`.
-using MakeMiningRoundFn =
-    std::function<void(const Dictionary& recounted, CachedDatabase& cached_db,
-                       MapFn* map_fn, bool* combine,
-                       PartitionReduceFn* reduce_fn)>;
-
-/// Shared driver of the two-round recount miners: round 1 recounts the
-/// f-list via RecountFrequencies (reading the database through a
-/// CachedDatabase), round 2 runs the mining round `make_round` builds
-/// against the recounted dictionary, served from the round-1 cache instead
-/// of re-reading backing storage. The cache traffic is reported in each
-/// round's input_* metrics.
-DistributedResult RunRecountMining(const std::vector<Sequence>& db,
-                                   const Dictionary& dict,
-                                   uint32_t sample_every,
-                                   const DistributedRunOptions& options,
-                                   const MakeMiningRoundFn& make_round);
-
-/// Distributed frequency recount (round 1 of the iterative recount drivers):
+/// Distributed frequency recount (round 1 of the recount drivers):
 /// counts, on `job`, the per-item document frequencies of `db` — exactly
 /// Dictionary::ComputeDocFrequencies semantics (an occurrence counts for
 /// every ancestor, once per sequence) — and returns a copy of `dict` with
@@ -159,6 +140,16 @@ std::string EncodePivotKey(ItemId pivot);
 /// malformed keys (they never cross a trust boundary, but the shuffle is
 /// serialized end-to-end and decoding errors should fail loudly).
 ItemId DecodePivotKey(std::string_view key);
+
+/// Appends the record encoding of one mined pattern: PutSequence(pattern) to
+/// `key`, PutVarint(frequency) to `value`. Appending lets a caller prefix
+/// the key (MineDSeqBalanced's tag byte).
+void EncodePatternRecord(const PatternCount& mined, std::string* key,
+                         std::string* value);
+
+/// Decodes a record written by EncodePatternRecord (with any key prefix
+/// already stripped). Throws std::invalid_argument on malformed bytes.
+PatternCount DecodePatternRecord(std::string_view key, std::string_view value);
 
 /// Number of distinct sequences in `sequences` (order-insensitive). Used for
 /// distinct-sequence support accounting in tests and diagnostics.

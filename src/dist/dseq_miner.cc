@@ -260,16 +260,19 @@ DistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
                                   const Fst& fst,
                                   const Dictionary& dict,
                                   const DSeqRecountOptions& options) {
-  // Round 1 recounts the f-list; round 2 builds σ-pruned grids against it,
-  // reading the database from the round-1 cache.
-  return RunRecountMining(
-      db, dict, options.recount_sample_every, options,
-      [&](const Dictionary& recounted, CachedDatabase& cached_db,
-          MapFn* map_fn, bool* combine, PartitionReduceFn* reduce_fn) {
-        *map_fn = MakeDSeqMapFn(db, fst, recounted, options, &cached_db);
-        *combine = options.aggregate_sequences;
-        *reduce_fn = MakeDSeqReduceFn(fst, recounted, options);
-      });
+  // Round 1 recounts the f-list and populates the cross-round cache; round
+  // 2 builds σ-pruned grids against it, reading the database from the cache
+  // instead of backing storage (Spark's RDD cache).
+  DataflowJob job(options);
+  CachedDatabase cached_db(db);
+  Dictionary recounted = RecountFrequencies(
+      job, db, dict, options.recount_sample_every, &cached_db);
+  return MakeChainedResult(
+      RunMiningRound(job, db.size(),
+                     MakeDSeqMapFn(db, fst, recounted, options, &cached_db),
+                     options.aggregate_sequences,
+                     MakeDSeqReduceFn(fst, recounted, options)),
+      job);
 }
 
 DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
@@ -311,9 +314,9 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
   // one-byte tag: 'F' = finished pattern, 'S' = split partial. The tag is
   // stripped by the driver before anything re-enters a shuffle, so round
   // metrics are unchanged by the tagging.
-  ChainReduceFn reduce = [&](int /*worker*/, std::string_view key,
-                             std::vector<std::string_view>& values,
-                             const EmitFn& emit) {
+  ReduceFn reduce = [&](int /*worker*/, std::string_view key,
+                        std::vector<std::string_view>& values,
+                        const EmitFn& emit) {
     PivotKeyParts parts = DecodePivotKeyParts(key);
     std::vector<StateGrid> grids;
     std::vector<uint64_t> weights;
@@ -331,8 +334,7 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
     for (const PatternCount& pc : local_result) {
       k.assign(1, tag);
       v.clear();
-      PutSequence(&k, pc.pattern);
-      PutVarint(&v, pc.frequency);
+      EncodePatternRecord(pc, &k, &v);
       emit(k, v);
     }
   };
@@ -356,18 +358,7 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
       split.push_back(std::move(record));
       continue;
     }
-    PatternCount mined;
-    size_t pos = 0;
-    if (!GetSequence(record.key, &pos, &mined.pattern) ||
-        pos != record.key.size()) {
-      throw std::invalid_argument("malformed finished-pattern key");
-    }
-    pos = 0;
-    if (!GetVarint(record.value, &pos, &mined.frequency) ||
-        pos != record.value.size()) {
-      throw std::invalid_argument("malformed finished-pattern value");
-    }
-    patterns.push_back(std::move(mined));
+    patterns.push_back(DecodePatternRecord(record.key, record.value));
   }
 
   // Reconcile round: sum each split pattern's per-sub-partition supports
@@ -379,9 +370,9 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
     MapFn replay = [&split](size_t index, const EmitFn& emit) {
       emit(split[index].key, split[index].value);
     };
-    ChainReduceFn sum = [&](int /*worker*/, std::string_view key,
-                            std::vector<std::string_view>& values,
-                            const EmitFn& emit) {
+    ReduceFn sum = [&](int /*worker*/, std::string_view key,
+                       std::vector<std::string_view>& values,
+                       const EmitFn& emit) {
       uint64_t total = 0;
       for (std::string_view v : values) {
         size_t pos = 0;
@@ -401,18 +392,7 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
     };
     job.RunRound(split.size(), replay, /*combine=*/true, sum);
     for (const Record& record : job.TakeRecords()) {
-      PatternCount mined;
-      size_t pos = 0;
-      if (!GetSequence(record.key, &pos, &mined.pattern) ||
-          pos != record.key.size()) {
-        throw std::invalid_argument("malformed split-pattern key");
-      }
-      pos = 0;
-      if (!GetVarint(record.value, &pos, &mined.frequency) ||
-          pos != record.value.size()) {
-        throw std::invalid_argument("malformed reconciled-support value");
-      }
-      patterns.push_back(std::move(mined));
+      patterns.push_back(DecodePatternRecord(record.key, record.value));
     }
   }
 

@@ -90,16 +90,18 @@ DistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
                                    const Fst& fst,
                                    const Dictionary& dict,
                                    const NaiveRecountOptions& options) {
-  // Round 1 recounts the f-list; round 2 prunes with the recounted counts,
-  // reading the database from the round-1 cache.
-  return RunRecountMining(
-      db, dict, options.recount_sample_every, options,
-      [&](const Dictionary& recounted, CachedDatabase& cached_db,
-          MapFn* map_fn, bool* combine, PartitionReduceFn* reduce_fn) {
-        *map_fn = MakeNaiveMapFn(db, fst, recounted, options, &cached_db);
-        *combine = true;
-        *reduce_fn = MakeNaiveReduceFn(options);
-      });
+  // Round 1 recounts the f-list and populates the cross-round cache; round
+  // 2 prunes with the recounted counts, reading the database from the cache
+  // instead of backing storage (Spark's RDD cache).
+  DataflowJob job(options);
+  CachedDatabase cached_db(db);
+  Dictionary recounted = RecountFrequencies(
+      job, db, dict, options.recount_sample_every, &cached_db);
+  return MakeChainedResult(
+      RunMiningRound(job, db.size(),
+                     MakeNaiveMapFn(db, fst, recounted, options, &cached_db),
+                     /*combine=*/true, MakeNaiveReduceFn(options)),
+      job);
 }
 
 }  // namespace dseq

@@ -126,9 +126,6 @@ PartitionPlan BuildPartitionPlan(const std::vector<PartitionStats>& stats,
   double mean_load =
       static_cast<double>(total_bytes) / plan.num_reducers;
   double split_threshold = std::max(1.0, options.split_factor * mean_load);
-  int max_subpartitions = options.max_subpartitions > 0
-                              ? options.max_subpartitions
-                              : plan.num_reducers;
 
   struct Slot {
     uint64_t bytes = 0;
@@ -140,13 +137,14 @@ PartitionPlan BuildPartitionPlan(const std::vector<PartitionStats>& stats,
   for (const PartitionStats& p : stats) {
     bool heavy = plan.num_reducers > 1 &&
                  static_cast<double>(p.total_bytes) > split_threshold;
-    // The range split divides the input index space, so more sub-partitions
-    // than input sequences cannot receive data.
+    // At most one sub-partition per reducer; and the range split divides
+    // the input index space, so more sub-partitions than input sequences
+    // cannot receive data.
     int k = heavy ? static_cast<int>(std::min<uint64_t>(
                         {static_cast<uint64_t>(std::ceil(
                              static_cast<double>(p.total_bytes) /
                              split_threshold)),
-                         static_cast<uint64_t>(max_subpartitions),
+                         static_cast<uint64_t>(plan.num_reducers),
                          num_inputs > 1 ? num_inputs : 1}))
                   : 1;
     if (k < 2) {

@@ -37,11 +37,10 @@ struct PartitionPlanOptions {
   int num_reducers = 1;
   /// A pivot whose measured bytes exceed split_factor × the mean reducer
   /// load (total bytes / num_reducers) is split into enough sub-partitions
-  /// to bring each below that threshold. 1.0 splits anything above its fair
-  /// share; larger values split only ever heavier pivots.
+  /// to bring each below that threshold (at most num_reducers of them).
+  /// 1.0 splits anything above its fair share; larger values split only
+  /// ever heavier pivots.
   double split_factor = 1.0;
-  /// Cap on sub-partitions per split pivot; 0 = num_reducers.
-  int max_subpartitions = 0;
 };
 
 /// A heavy pivot's range split: sub-partition `s` owns the input sequences

@@ -83,7 +83,8 @@ void SetProcessOrdinal(int ordinal);
 int ProcessOrdinal();
 
 /// The dataflow round stamped onto subsequently emitted spans. Set by the
-/// round drivers (DataflowJob::Run, RunMapReduce, proc worker task entry).
+/// round drivers (DataflowJob::RunRound, RunMapReduce, proc worker task
+/// entry).
 void SetCurrentRound(int round);
 int CurrentRound();
 

@@ -41,12 +41,14 @@ enum class MsgType : uint8_t {
   /// inside a reduce task (replayed in map-task order). Payload:
   /// varint(task) varint(reducer) varint(kind: 0 = spill-run bytes,
   /// 1 = bucket tail, sorted by key at seal, 2 = continuation chunk)
-  /// varint(flags: bit 0 = block-compressed tail) followed by the segment
-  /// bytes. Segments larger than the chunk threshold (see
-  /// kMaxFramePayloadBytes) ship as zero or more kind-2 frames — raw byte
-  /// chunks with flags = 0 — terminated by one frame with the real
-  /// kind/flags carrying the final chunk; the receiver concatenates. Chunks of one logical segment are never interleaved with
-  /// other segments on a connection.
+  /// followed by the segment bytes. Like spill runs, a tail is
+  /// block-compressed iff the round's compress_shuffle is set, so the
+  /// header carries no flag for it. Segments larger than the chunk
+  /// threshold (see kMaxFramePayloadBytes) ship as zero or more kind-2
+  /// frames — raw byte chunks — terminated by one frame with the real kind
+  /// carrying the final chunk; the receiver concatenates. Chunks of one
+  /// logical segment are never interleaved with other segments on a
+  /// connection.
   kSegment = 3,
   /// worker -> coordinator: map task finished and all its segments sent.
   /// Payload: varint(task) varint(map_output_records) varint(shuffle_records)

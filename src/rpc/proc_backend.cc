@@ -56,7 +56,6 @@ enum ErrorKind : uint64_t {
 constexpr uint64_t kSegmentRun = 0;
 constexpr uint64_t kSegmentTail = 1;
 constexpr uint64_t kSegmentPart = 2;  // continuation chunk of a large segment
-constexpr uint64_t kFlagCompressed = 1;
 
 // Respawn policy: exponential backoff per worker ordinal, bounded so a
 // deterministically-crashing pool converges to a typed error instead of
@@ -120,18 +119,16 @@ std::string ReadFileBytes(const std::string& path) {
 }
 
 void AppendSegmentHeader(std::string* out, uint64_t task, uint64_t reducer,
-                         uint64_t kind, uint64_t flags) {
+                         uint64_t kind) {
   PutVarint(out, task);
   PutVarint(out, reducer);
   PutVarint(out, kind);
-  PutVarint(out, flags);
 }
 
 struct SegmentHeader {
   uint64_t task = 0;
   uint64_t reducer = 0;
   uint64_t kind = 0;
-  uint64_t flags = 0;
   std::string_view bytes;
 };
 
@@ -141,7 +138,6 @@ SegmentHeader ParseSegment(std::string_view payload) {
   RequireVarint(payload, &pos, &h.task, "segment task");
   RequireVarint(payload, &pos, &h.reducer, "segment reducer");
   RequireVarint(payload, &pos, &h.kind, "segment kind");
-  RequireVarint(payload, &pos, &h.flags, "segment flags");
   if (h.kind != kSegmentRun && h.kind != kSegmentTail &&
       h.kind != kSegmentPart) {
     ProtocolError("unknown segment kind " + std::to_string(h.kind));
@@ -157,20 +153,20 @@ SegmentHeader ParseSegment(std::string_view payload) {
 // the continuation frames emitted.
 template <typename Emit>
 bool ForEachSegmentFrame(uint64_t task, uint64_t reducer, uint64_t kind,
-                         uint64_t flags, std::string_view bytes,
-                         const Emit& emit, uint64_t* chunk_frames = nullptr) {
+                         std::string_view bytes, const Emit& emit,
+                         uint64_t* chunk_frames = nullptr) {
   const size_t cap = std::max<size_t>(1, MaxSegmentChunkBytes());
   std::string seg;
   while (bytes.size() > cap) {
     seg.clear();
-    AppendSegmentHeader(&seg, task, reducer, kSegmentPart, 0);
+    AppendSegmentHeader(&seg, task, reducer, kSegmentPart);
     seg.append(bytes.data(), cap);
     bytes.remove_prefix(cap);
     if (!emit(seg)) return false;
     if (chunk_frames != nullptr) ++*chunk_frames;
   }
   seg.clear();
-  AppendSegmentHeader(&seg, task, reducer, kind, flags);
+  AppendSegmentHeader(&seg, task, reducer, kind);
   seg.append(bytes.data(), bytes.size());
   return emit(seg);
 }
@@ -372,20 +368,15 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
     if (budget.enabled()) {
       for (SpillFile& run : spill_runs[r]) {
         std::string run_bytes = ReadFileBytes(run.path());
-        if (!ForEachSegmentFrame(task, r, kSegmentRun,
-                                 options.compress_shuffle ? kFlagCompressed : 0,
-                                 run_bytes, emit)) {
+        if (!ForEachSegmentFrame(task, r, kSegmentRun, run_bytes, emit)) {
           throw std::runtime_error("proc worker: coordinator connection lost");
         }
       }
       spill_runs[r].clear();  // shipped; delete the local files now
     }
-    bool compressed = false;
-    std::string stored = buckets[r].ReleaseStored(&compressed);
+    std::string stored = buckets[r].ReleaseStored();
     if (stored.empty()) continue;  // nothing buffered for this reducer
-    if (!ForEachSegmentFrame(task, r, kSegmentTail,
-                             compressed ? kFlagCompressed : 0, stored,
-                             emit)) {
+    if (!ForEachSegmentFrame(task, r, kSegmentTail, stored, emit)) {
       throw std::runtime_error("proc worker: coordinator connection lost");
     }
   }
@@ -421,7 +412,7 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
 // task): each map task's segments become one ReduceColumnSource, and the
 // column is reduced by RunReduceColumn — the local engine's reduce body.
 void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
-                         const ChainReduceFn& reduce_fn,
+                         const ReduceFn& reduce_fn,
                          const DataflowOptions& options, int heartbeat_ms) {
   obs::SetCurrentRound(options.round_index);
   const int64_t task_start_ns = obs::NowNs();
@@ -490,7 +481,9 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
           run.FinishWrite();
           source.runs.push_back(std::move(run));
         } else {
-          if ((h.flags & kFlagCompressed) == 0) {
+          // A shipped tail is compressed iff the round compresses: the
+          // map shard compresses every non-empty bucket exactly then.
+          if (!options.compress_shuffle) {
             source.tail = std::move(full);
           } else if (!DecompressBlock(full, &source.tail)) {
             throw std::runtime_error(
@@ -548,7 +541,7 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
 // excluded so nth-message rules stay deterministic under timing-dependent
 // heartbeat traffic.
 int WorkerBody(int ordinal, uint16_t port, const MapFn& map_fn, bool combine,
-               const ChainReduceFn& reduce_fn, const DataflowOptions& options) {
+               const ReduceFn& reduce_fn, const DataflowOptions& options) {
   rpc::IgnoreSigPipe();
   fault::SetProcessScope(ordinal);
   // Discard span/metric state inherited through fork and stamp this
@@ -618,7 +611,6 @@ int WorkerBody(int ordinal, uint16_t port, const MapFn& map_fn, bool combine,
 // proc_tail_park_bytes — then they are parked on disk too.
 struct StoredSegment {
   uint64_t kind = 0;
-  uint64_t flags = 0;
   std::string bytes;
   std::unique_ptr<SpillFile> file;
 
@@ -630,7 +622,7 @@ struct StoredSegment {
 class Coordinator {
  public:
   Coordinator(size_t num_inputs, const MapFn& map_fn, bool combine,
-              const ChainReduceFn& reduce_fn, const DataflowOptions& options)
+              const ReduceFn& reduce_fn, const DataflowOptions& options)
       : num_inputs_(num_inputs),
         map_fn_(map_fn),
         combine_(combine),
@@ -648,18 +640,15 @@ class Coordinator {
 
   ~Coordinator() { Cleanup(); }
 
-  ProcRoundResult Run() {
+  RoundResult Run() {
     rpc::IgnoreSigPipe();
-    // Stamped here too (not only in DataflowJob::Run) so direct RunProcRound
-    // callers — tests, benches — get correctly-tagged spans.
-    obs::SetCurrentRound(options_.round_index);
     if (options_.proc_round_deadline_ms > 0) {
       has_deadline_ = true;
       deadline_ = obs::Now() +
                   std::chrono::milliseconds(options_.proc_round_deadline_ms);
     }
     Spawn();
-    ProcRoundResult result;
+    RoundResult result;
     {
       auto start = obs::Now();
       RunTasks(map_tasks_, "map",
@@ -1142,7 +1131,6 @@ class Coordinator {
       if (obs::Enabled()) seg_bytes_hist.Observe(full.size());
       StoredSegment seg;
       seg.kind = h.kind;
-      seg.flags = h.flags;
       if (h.kind == kSegmentRun) {
         if (options_.spill_dir.empty()) {
           ProtocolError("run segment without a spill directory");
@@ -1246,7 +1234,7 @@ class Coordinator {
     for (int t = 0; t < map_tasks_; ++t) {
       for (const StoredSegment& s : store_[t][reducer]) {
         std::string bytes = s.Bytes();
-        if (!ForEachSegmentFrame(t, reducer, s.kind, s.flags, bytes, emit,
+        if (!ForEachSegmentFrame(t, reducer, s.kind, bytes, emit,
                                  &segment_chunks_)) {
           return false;
         }
@@ -1397,7 +1385,7 @@ class Coordinator {
   const size_t num_inputs_;
   const MapFn& map_fn_;
   const bool combine_;
-  const ChainReduceFn& reduce_fn_;
+  const ReduceFn& reduce_fn_;
   const DataflowOptions& options_;
   const int map_tasks_;
   const int reduce_tasks_;
@@ -1437,9 +1425,9 @@ class Coordinator {
 
 }  // namespace
 
-ProcRoundResult RunProcRound(size_t num_inputs, const MapFn& map_fn,
-                             bool combine, const ChainReduceFn& reduce_fn,
-                             const DataflowOptions& options) {
+RoundResult RunProcRound(size_t num_inputs, const MapFn& map_fn, bool combine,
+                         const ReduceFn& reduce_fn,
+                         const DataflowOptions& options) {
   Coordinator coordinator(num_inputs, map_fn, combine, reduce_fn, options);
   return coordinator.Run();
 }

@@ -1,7 +1,9 @@
 // Multi-process round execution: a coordinator and forked worker processes
 // exchanging shuffle segments over loopback TCP (DataflowBackend::kProc).
 //
-// One RunProcRound call executes one map-shuffle-reduce round:
+// One RunProcRound call executes one map-shuffle-reduce round. It is the
+// kProc half of RunMapReduce (src/dataflow/engine.h), which is the one way
+// to run a round; nothing else calls it.
 //
 //   1. The coordinator forks max(M, R) workers. fork() copies the address
 //      space, so the round's map/reduce closures (and whatever parent state
@@ -13,14 +15,14 @@
 //      then ships each reducer's output as segments: spilled sorted runs
 //      verbatim (the SpillFile bytes double as the wire format), then the
 //      resident bucket tail, sorted at seal, in stored form (compressed iff
-//      compress_shuffle). kMapDone carries the task's raw shuffle metrics
-//      and commits its segments; the coordinator enforces the global
-//      shuffle budget on the committed sum.
+//      compress_shuffle, like spill runs). kMapDone carries the task's raw
+//      shuffle metrics and commits its segments; the coordinator enforces
+//      the global shuffle budget on the committed sum.
 //   3. Reduce tasks replay each reducer's committed segments in map-task
 //      order — exactly the source order of the local reduce phase, so the
 //      one stable merge of RunReduceColumn yields byte-identical groups and
-//      within-key value order. Boundary records
-//      come back in kReduceDone.
+//      within-key value order. The records the reduce function emits come
+//      back in kReduceDone; they are the only output that leaves a worker.
 //
 // Failure policy (see README "Failure model & fault injection"):
 //
@@ -69,7 +71,6 @@
 #include <string>
 #include <vector>
 
-#include "src/dataflow/chained.h"
 #include "src/dataflow/engine.h"
 
 namespace dseq {
@@ -116,24 +117,18 @@ class ProcDeadlineError : public ProcBackendError {
   using ProcBackendError::ProcBackendError;
 };
 
-/// Output of one proc-backend round.
-struct ProcRoundResult {
-  DataflowMetrics metrics;
-  /// Boundary records emitted by the reduce functions, in reduce-task order
-  /// — the same flattening DataflowJob uses for the local backend.
-  std::vector<Record> records;
-};
-
-/// Runs one round on forked worker processes. `options` is honored like
-/// RunMapReduce honors it (workers, budgets, compression, partitioner,
-/// round_index), plus the proc_* failure-policy knobs; Execution::kSimulated
-/// is ignored — processes are always real. Throws the worker's typed
-/// exception (ShuffleOverflowError etc.) on a task exception,
-/// ProcTaskFailedError / ProcDeadlineError / ProcBackendError on policy
-/// failures (see the header comment).
-ProcRoundResult RunProcRound(size_t num_inputs, const MapFn& map_fn,
-                             bool combine, const ChainReduceFn& reduce_fn,
-                             const DataflowOptions& options);
+/// Runs one round on forked worker processes; RunMapReduce calls it for
+/// DataflowBackend::kProc. `options` is honored like the local backend
+/// honors it (workers, budgets, compression, partitioner, round_index),
+/// plus the proc_* failure-policy knobs; Execution::kSimulated is ignored —
+/// processes are always real. The result's records are in reduce-task
+/// order, as on the local backend. Throws the worker's typed exception
+/// (ShuffleOverflowError etc.) on a task exception, ProcTaskFailedError /
+/// ProcDeadlineError / ProcBackendError on policy failures (see the header
+/// comment).
+RoundResult RunProcRound(size_t num_inputs, const MapFn& map_fn, bool combine,
+                         const ReduceFn& reduce_fn,
+                         const DataflowOptions& options);
 
 }  // namespace dseq
 

@@ -99,6 +99,12 @@ class InMemorySource : public RecordSource {
 using MergeGroupFn = std::function<void(std::string_view key,
                                         std::vector<std::string_view>& values)>;
 
+/// Maximum runs the engine's merges (reduce columns, combiner flushes)
+/// take per k-way pass; more runs collapse in extra passes
+/// (DataflowMetrics::spill_merge_passes). A budget can lower it further (see
+/// ExternalMergePlan).
+inline constexpr int kSpillMergeFanIn = 16;
+
 /// One merge job: add sources in priority order, then stream the groups.
 class ExternalMergePlan {
  public:

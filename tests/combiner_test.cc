@@ -171,7 +171,8 @@ TEST(CombinerEngineTest, MalformedValuePropagatesOutOfRunMapReduce) {
   // A mapper feeding garbage to the combiner must fail the whole round, not
   // miscount: the engine rethrows the map worker's exception.
   MapFn map_fn = [](size_t, const EmitFn& emit) { emit("k", "\x80"); };
-  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
+  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
+                     const EmitFn&) {};
   DataflowOptions options;
   options.num_map_workers = 2;
   EXPECT_THROW(RunMapReduce(4, map_fn, /*combine=*/true, sink, options),

@@ -217,7 +217,7 @@ GroupMap RunCountingRound(int workers, const DataflowOptions& options) {
       },
       true,
       [&](int /*worker*/, std::string_view key,
-          std::vector<std::string_view>& values) {
+          std::vector<std::string_view>& values, const EmitFn&) {
         dseq::MutexLock lock(mu);
         auto& column = groups[std::string(key)];
         for (std::string_view v : values) column.emplace_back(v);
@@ -242,7 +242,6 @@ TEST(SpillContentionStressTest, ManyWorkersSpillingUnderOneTinyBudget) {
     // concurrent SpillFile creation, and ForceCharge overdraft at once.
     budgeted.memory_budget_bytes = testing::SpillTestBudget(256);
     budgeted.spill_dir = spill_dir.path();
-    budgeted.spill_merge_fan_in = 2;  // extra merge passes, more file churn
     GroupMap got = RunCountingRound(8, budgeted);
     ASSERT_EQ(got, want);
   }

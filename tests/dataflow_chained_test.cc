@@ -30,7 +30,7 @@ uint64_t DecodeVarint(std::string_view s) {
 }
 
 // Sums varint values per key and re-emits (key, varint(total)).
-ChainReduceFn SumReduce() {
+ReduceFn SumReduce() {
   return [](int, std::string_view key, std::vector<std::string_view>& values,
             const EmitFn& emit) {
     uint64_t total = 0;
@@ -92,9 +92,9 @@ TEST(DataflowJobTest, RecordsFlowBetweenRounds) {
 TEST(DataflowJobTest, TakeRecordsConsumes) {
   DataflowJob job(ChainedDataflowOptions{});
   MapFn map_fn = [](size_t, const EmitFn& emit) { emit("k", "v"); };
-  ChainReduceFn pass = [](int, std::string_view key,
-                          std::vector<std::string_view>& values,
-                          const EmitFn& emit) {
+  ReduceFn pass = [](int, std::string_view key,
+                     std::vector<std::string_view>& values,
+                     const EmitFn& emit) {
     for (std::string_view v : values) emit(key, v);
   };
   job.RunRound(1, map_fn, false, pass);
@@ -108,8 +108,8 @@ TEST(DataflowJobTest, EmptyChainedRoundRunsCleanly) {
   DataflowJob job(ChainedDataflowOptions{});
   MapFn map_fn = [](size_t, const EmitFn& emit) { emit("k", Varint(1)); };
   // Reduce emits nothing: the chain's data ends here.
-  ChainReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
-                          const EmitFn&) {};
+  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
+                     const EmitFn&) {};
   job.RunRound(1, map_fn, false, sink);
   EXPECT_TRUE(job.records().empty());
   RecordMapFn identity = [](size_t, const Record& r, const EmitFn& emit) {
@@ -129,8 +129,8 @@ uint64_t MeasureVolume() {
   MapFn map_fn = [](size_t i, const EmitFn& emit) {
     emit("key" + std::to_string(i), std::string(10, 'v'));
   };
-  ChainReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
-                          const EmitFn&) {};
+  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
+                     const EmitFn&) {};
   job.RunRound(8, map_fn, false, sink);
   return job.round_metrics()[0].shuffle_bytes;
 }
@@ -141,8 +141,9 @@ DataflowMetrics RunBudgeted(uint64_t per_round_budget) {
   MapFn map_fn = [](size_t i, const EmitFn& emit) {
     emit("key" + std::to_string(i), std::string(10, 'v'));
   };
-  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
-  return RunMapReduce(8, map_fn, false, sink, options);
+  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
+                     const EmitFn&) {};
+  return RunMapReduce(8, map_fn, false, sink, options).metrics;
 }
 
 TEST(ShuffleBudgetTest, BudgetExactlyEqualToVolumeSucceeds) {
@@ -168,7 +169,8 @@ TEST(ShuffleBudgetTest, BudgetTripsMidMap) {
     ++map_calls;
     emit("key" + std::to_string(i), std::string(10, 'v'));
   };
-  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
+  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
+                     const EmitFn&) {};
   EXPECT_THROW(RunMapReduce(100, map_fn, false, sink, options),
                ShuffleOverflowError);
   EXPECT_LT(map_calls.load(), 100u);
@@ -184,16 +186,17 @@ TEST(ShuffleBudgetTest, PreCombineVolumeAboveBudgetDoesNotTrip) {
     PutVarint(&one, 1);
     for (int i = 0; i < 500; ++i) emit("key", one);
   };
-  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
+  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
+                     const EmitFn&) {};
 
   DataflowMetrics unbudgeted =
-      RunMapReduce(1, map_fn, true, sink, options);
+      RunMapReduce(1, map_fn, true, sink, options).metrics;
   ASSERT_EQ(unbudgeted.shuffle_records, 1u);
   ASSERT_GT(unbudgeted.map_output_records, unbudgeted.shuffle_records);
 
   options.shuffle_budget_bytes = unbudgeted.shuffle_bytes;
   DataflowMetrics budgeted =
-      RunMapReduce(1, map_fn, true, sink, options);
+      RunMapReduce(1, map_fn, true, sink, options).metrics;
   EXPECT_EQ(budgeted.shuffle_bytes, unbudgeted.shuffle_bytes);
 
   options.shuffle_budget_bytes = unbudgeted.shuffle_bytes - 1;
@@ -224,7 +227,7 @@ class BudgetedChain {
   static constexpr size_t kRecords = 8;
 
  private:
-  static ChainReduceFn PassThrough() {
+  static ReduceFn PassThrough() {
     return [](int, std::string_view key, std::vector<std::string_view>& values,
               const EmitFn& emit) {
       for (std::string_view v : values) emit(key, v);

@@ -1,8 +1,9 @@
 // Randomized property tests of the dataflow engine itself: generated
 // map/combine/reduce pipelines must be deterministic across execution modes
-// (kThreads vs kSimulated), across 1/2/4/8 workers, and across repeated
-// runs — including the shuffle metrics, which are the paper's headline
-// numbers and must not wobble with scheduling.
+// (kThreads vs kSimulated), across 1/2/4/8 workers, across backends (local
+// threads vs forked proc workers), and across repeated runs — including the
+// shuffle metrics, which are the paper's headline numbers and must not
+// wobble with scheduling.
 //
 // Iteration count: DSEQ_PROPERTY_ITERATIONS (the nightly CI job raises it).
 #include <gtest/gtest.h>
@@ -87,35 +88,42 @@ uint64_t TinySpillBudget() {
 
 RunOutcome RunPipeline(const Pipeline& p, int workers, Execution execution,
                        bool compress = false,
-                       const std::string& spill_dir = std::string()) {
+                       const std::string& spill_dir = std::string(),
+                       DataflowBackend backend = DataflowBackend::kLocal) {
   MapFn map_fn = [&](size_t i, const EmitFn& emit) {
     for (const auto& [key, value] : p.emissions[i]) emit(key, value);
   };
-  std::vector<Groups> per_worker(workers);
-  ReduceFn reduce_fn = [&](int worker, std::string_view key,
-                           std::vector<std::string_view>& values) {
-    std::vector<std::string> sorted(values.begin(), values.end());
-    std::sort(sorted.begin(), sorted.end());
-    per_worker[worker].emplace_back(std::string(key), std::move(sorted));
+  // Each key's values leave the reduce as emitted records, sorted, so the
+  // groups come back in the round's records on both backends (a proc reduce
+  // runs in a forked process, where writes to captured state are lost).
+  ReduceFn reduce_fn = [](int, std::string_view key,
+                          std::vector<std::string_view>& values,
+                          const EmitFn& emit) {
+    std::sort(values.begin(), values.end());
+    for (std::string_view v : values) emit(key, v);
   };
   DataflowOptions options;
   options.num_map_workers = workers;
   options.num_reduce_workers = workers;
   options.execution = execution;
   options.compress_shuffle = compress;
+  options.backend = backend;
   if (!spill_dir.empty()) {
     options.memory_budget_bytes = TinySpillBudget();
     options.spill_dir = spill_dir;
-    options.spill_merge_fan_in = 2;  // force multi-pass merges
   }
-  RunOutcome outcome;
-  outcome.metrics =
+  RoundResult result =
       RunMapReduce(p.emissions.size(), map_fn,
                    p.combiner != CombinerKind::kNone, reduce_fn, options);
-  for (auto& part : per_worker) {
-    outcome.groups.insert(outcome.groups.end(),
-                          std::make_move_iterator(part.begin()),
-                          std::make_move_iterator(part.end()));
+  // Every key is reduced exactly once, so its records are contiguous.
+  RunOutcome outcome;
+  outcome.metrics = std::move(result.metrics);
+  for (Record& record : result.records) {
+    if (outcome.groups.empty() || outcome.groups.back().first != record.key) {
+      outcome.groups.emplace_back(std::move(record.key),
+                                  std::vector<std::string>());
+    }
+    outcome.groups.back().second.push_back(std::move(record.value));
   }
   std::sort(outcome.groups.begin(), outcome.groups.end());
   return outcome;
@@ -238,6 +246,34 @@ TEST_P(DataflowPropertyTest, DeterministicAcrossWorkersAndExecutionModes) {
         EXPECT_GT(spilled.metrics.spill_bytes_written, 0u);
         EXPECT_GE(spilled.metrics.spill_merge_passes, 1u);
       }
+
+      // The proc backend is invisible as well: forked workers reduce to the
+      // same groups with the same raw shuffle metrics, in memory, compressed
+      // and spilled. (Each worker process budgets its own memory, so the
+      // spill_* counters are not compared.)
+      const std::pair<const char*, const RunOutcome*> local_rows[] = {
+          {"in memory", &threads},
+          {"compressed", &compressed},
+          {"spilled", &spilled},
+      };
+      for (const auto& [row, local] : local_rows) {
+        SCOPED_TRACE(std::string("proc, ") + row);
+        testing::ScopedTempDir proc_spill_dir;
+        const bool spill = local == &spilled;
+        RunOutcome proc = RunPipeline(
+            p, workers, Execution::kThreads, local == &compressed,
+            spill ? proc_spill_dir.path() : std::string(),
+            DataflowBackend::kProc);
+        EXPECT_EQ(proc.groups, local->groups);
+        EXPECT_EQ(proc.metrics.shuffle_bytes, local->metrics.shuffle_bytes);
+        EXPECT_EQ(proc.metrics.shuffle_compressed_bytes,
+                  local->metrics.shuffle_compressed_bytes);
+        EXPECT_EQ(proc.metrics.shuffle_records,
+                  local->metrics.shuffle_records);
+        EXPECT_EQ(proc.metrics.map_output_records,
+                  local->metrics.map_output_records);
+        EXPECT_EQ(proc.metrics.reducer_bytes, local->metrics.reducer_bytes);
+      }
     });
   }
 }
@@ -264,9 +300,9 @@ std::vector<std::pair<std::string, uint64_t>> RunChainedPipeline(
   MapFn map_fn = [&](size_t i, const EmitFn& emit) {
     for (const auto& [key, value] : p.emissions[i]) emit(key, value);
   };
-  ChainReduceFn sum_reduce = [](int, std::string_view key,
-                                std::vector<std::string_view>& values,
-                                const EmitFn& emit) {
+  ReduceFn sum_reduce = [](int, std::string_view key,
+                           std::vector<std::string_view>& values,
+                           const EmitFn& emit) {
     uint64_t total = 0;
     for (std::string_view v : values) {
       size_t pos = 0;
@@ -285,9 +321,9 @@ std::vector<std::pair<std::string, uint64_t>> RunChainedPipeline(
   };
   std::vector<std::vector<std::pair<std::string, uint64_t>>> per_worker(
       workers);
-  ChainReduceFn collect = [&](int worker, std::string_view key,
-                              std::vector<std::string_view>& values,
-                              const EmitFn&) {
+  ReduceFn collect = [&](int worker, std::string_view key,
+                         std::vector<std::string_view>& values,
+                         const EmitFn&) {
     uint64_t total = 0;
     for (std::string_view v : values) {
       size_t pos = 0;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/dataflow/shuffle_buffer.h"
+#include "src/spill/external_merger.h"
 #include "src/util/sync.h"
 #include "src/util/varint.h"
 
@@ -37,7 +38,8 @@ std::map<std::string, uint64_t> WordCount(const std::vector<std::string>& docs,
     }
   };
   ReduceFn reduce_fn = [&](int, std::string_view key,
-                           std::vector<std::string_view>& values) {
+                           std::vector<std::string_view>& values,
+                           const EmitFn&) {
     uint64_t total = 0;
     for (std::string_view v : values) {
       size_t pos = 0;
@@ -54,7 +56,8 @@ std::map<std::string, uint64_t> WordCount(const std::vector<std::string>& docs,
   options.compress_shuffle = compress;
   options.shuffle_budget_bytes = budget;
   DataflowMetrics metrics =
-      RunMapReduce(docs.size(), map_fn, use_combiner, reduce_fn, options);
+      RunMapReduce(docs.size(), map_fn, use_combiner, reduce_fn, options)
+          .metrics;
   if (metrics_out != nullptr) *metrics_out = metrics;
   return counts;
 }
@@ -133,7 +136,8 @@ TEST(DataflowTest, CustomPartitionerRoutesKeysAndMatchesMetrics) {
     }
   };
   ReduceFn reduce_fn = [&](int worker, std::string_view key,
-                           std::vector<std::string_view>& values) {
+                           std::vector<std::string_view>& values,
+                           const EmitFn&) {
     if (worker != 0) nonzero_worker_calls.fetch_add(1);
     dseq::MutexLock lock(mu);
     counts[std::string(key)] += values.size();
@@ -143,7 +147,7 @@ TEST(DataflowTest, CustomPartitionerRoutesKeysAndMatchesMetrics) {
   options.num_reduce_workers = 4;
   options.partitioner = [](std::string_view, int) { return 0; };
   DataflowMetrics metrics =
-      RunMapReduce(docs.size(), map_fn, false, reduce_fn, options);
+      RunMapReduce(docs.size(), map_fn, false, reduce_fn, options).metrics;
   // Everything was routed to reducer 0: all bytes on reducer 0, every key
   // reduced by worker 0.
   EXPECT_EQ(nonzero_worker_calls.load(), 0);
@@ -155,8 +159,8 @@ TEST(DataflowTest, CustomPartitionerRoutesKeysAndMatchesMetrics) {
 
 TEST(DataflowTest, OutOfRangePartitionerThrows) {
   MapFn map_fn = [](size_t, const EmitFn& emit) { emit("k", "v"); };
-  ReduceFn reduce_fn = [](int, std::string_view,
-                          std::vector<std::string_view>&) {};
+  ReduceFn reduce_fn = [](int, std::string_view, std::vector<std::string_view>&,
+                          const EmitFn&) {};
   DataflowOptions options;
   options.num_reduce_workers = 2;
   options.partitioner = [](std::string_view, int workers) { return workers; };
@@ -187,7 +191,7 @@ TEST(DataflowTest, DefaultPartitionerMatchesShuffleReducerForKey) {
     }
   };
   ReduceFn reduce_fn = [&](int worker, std::string_view key,
-                           std::vector<std::string_view>&) {
+                           std::vector<std::string_view>&, const EmitFn&) {
     dseq::MutexLock lock(mu);
     seen_worker[std::string(key)] = worker;
   };
@@ -208,8 +212,8 @@ TEST(DataflowTest, ShuffleBudgetEnforced) {
   MapFn map_fn = [&](size_t i, const EmitFn& emit) {
     emit(docs[i], "1");
   };
-  ReduceFn reduce_fn = [](int, std::string_view,
-                          std::vector<std::string_view>&) {};
+  ReduceFn reduce_fn = [](int, std::string_view, std::vector<std::string_view>&,
+                          const EmitFn&) {};
   EXPECT_THROW(RunMapReduce(docs.size(), map_fn, false, reduce_fn, options),
                ShuffleOverflowError);
 }
@@ -225,7 +229,8 @@ TEST(DataflowTest, BudgetAppliesPostCombine) {
   };
   std::atomic<uint64_t> total{0};
   ReduceFn reduce_fn = [&](int, std::string_view,
-                           std::vector<std::string_view>& values) {
+                           std::vector<std::string_view>& values,
+                           const EmitFn&) {
     for (std::string_view v : values) {
       size_t pos = 0;
       uint64_t c = 0;
@@ -234,7 +239,7 @@ TEST(DataflowTest, BudgetAppliesPostCombine) {
     }
   };
   DataflowMetrics metrics =
-      RunMapReduce(1, map_fn, true, reduce_fn, options);
+      RunMapReduce(1, map_fn, true, reduce_fn, options).metrics;
   EXPECT_EQ(total.load(), 1000u);
   EXPECT_EQ(metrics.shuffle_records, 1u);
 }
@@ -245,7 +250,8 @@ TEST(DataflowTest, EachKeyReducedExactlyOnce) {
     emit("k" + std::to_string(i % 10), "v");
   };
   ReduceFn reduce_fn = [&](int, std::string_view,
-                           std::vector<std::string_view>& values) {
+                           std::vector<std::string_view>& values,
+                           const EmitFn&) {
     ++reduce_calls;
     EXPECT_EQ(values.size(), 10u);
   };
@@ -266,7 +272,8 @@ TEST(DataflowTest, KeysArriveSortedAndValuesKeepEmitOrder) {
   std::vector<std::string> keys;
   std::vector<std::string> dup_values;
   ReduceFn reduce_fn = [&](int, std::string_view key,
-                           std::vector<std::string_view>& values) {
+                           std::vector<std::string_view>& values,
+                           const EmitFn&) {
     keys.emplace_back(key);
     if (key == "dup") {
       for (std::string_view v : values) dup_values.emplace_back(v);
@@ -297,19 +304,20 @@ TEST(DataflowTest, InMemoryMergeBeyondFanInWritesNoSpill) {
     constexpr int kReduceWorkers = 3;
     std::vector<Groups> per_worker(kReduceWorkers);
     ReduceFn reduce_fn = [&](int worker, std::string_view key,
-                             std::vector<std::string_view>& values) {
+                             std::vector<std::string_view>& values,
+                             const EmitFn&) {
       per_worker[worker][std::string(key)].assign(values.begin(),
                                                   values.end());
     };
     DataflowOptions options;
     options.num_map_workers = map_workers;
     options.num_reduce_workers = kReduceWorkers;
-    *metrics = RunMapReduce(100, map_fn, false, reduce_fn, options);
+    *metrics = RunMapReduce(100, map_fn, false, reduce_fn, options).metrics;
     Groups groups;
     for (Groups& part : per_worker) groups.merge(part);
     return groups;
   };
-  ASSERT_LT(DataflowOptions().spill_merge_fan_in, 20);
+  ASSERT_LT(kSpillMergeFanIn, 20);
   DataflowMetrics four;
   DataflowMetrics twenty;
   Groups reference = run(4, &four);
@@ -327,9 +335,10 @@ TEST(DataflowTest, InMemoryMergeBeyondFanInWritesNoSpill) {
 
 TEST(DataflowTest, EmptyInput) {
   MapFn map_fn = [](size_t, const EmitFn&) { FAIL(); };
-  ReduceFn reduce_fn = [](int, std::string_view,
-                          std::vector<std::string_view>&) { FAIL(); };
-  DataflowMetrics metrics = RunMapReduce(0, map_fn, false, reduce_fn, {});
+  ReduceFn reduce_fn = [](int, std::string_view, std::vector<std::string_view>&,
+                          const EmitFn&) { FAIL(); };
+  DataflowMetrics metrics =
+      RunMapReduce(0, map_fn, false, reduce_fn, {}).metrics;
   EXPECT_EQ(metrics.shuffle_records, 0u);
 }
 
@@ -357,7 +366,8 @@ TEST(DataflowTest, SimulatedExecutionProducesSameResults) {
     }
   };
   ReduceFn reduce_fn = [&](int, std::string_view key,
-                           std::vector<std::string_view>& values) {
+                           std::vector<std::string_view>& values,
+                           const EmitFn&) {
     uint64_t total = 0;
     for (std::string_view v : values) {
       size_t pos = 0;
@@ -373,7 +383,7 @@ TEST(DataflowTest, SimulatedExecutionProducesSameResults) {
   options.num_reduce_workers = 4;
   options.execution = Execution::kSimulated;
   DataflowMetrics metrics =
-      RunMapReduce(docs.size(), map_fn, true, reduce_fn, options);
+      RunMapReduce(docs.size(), map_fn, true, reduce_fn, options).metrics;
   EXPECT_EQ(counts, threads);
   EXPECT_GE(metrics.map_seconds, 0.0);
   EXPECT_GE(metrics.reduce_seconds, 0.0);
@@ -383,8 +393,8 @@ TEST(DataflowTest, MapExceptionPropagates) {
   MapFn map_fn = [](size_t i, const EmitFn&) {
     if (i == 5) throw std::runtime_error("boom");
   };
-  ReduceFn reduce_fn = [](int, std::string_view,
-                          std::vector<std::string_view>&) {};
+  ReduceFn reduce_fn = [](int, std::string_view, std::vector<std::string_view>&,
+                          const EmitFn&) {};
   DataflowOptions options;
   options.num_map_workers = 3;
   EXPECT_THROW(RunMapReduce(10, map_fn, false, reduce_fn, options),
@@ -468,7 +478,7 @@ TEST(DataflowTest, ReduceWorkersDrainBucketsAsTheyFinish) {
   };
   std::vector<uint64_t> live_at_worker;
   ReduceFn reduce_fn = [&](int r, std::string_view,
-                           std::vector<std::string_view>&) {
+                           std::vector<std::string_view>&, const EmitFn&) {
     if (live_at_worker.size() <= static_cast<size_t>(r)) {
       live_at_worker.push_back(ShuffleBufferLiveBytes());
     }
@@ -497,7 +507,8 @@ TEST(DataflowTest, BucketsFreedAfterOverflow) {
   MapFn map_fn = [](size_t i, const EmitFn& emit) {
     emit("key" + std::to_string(i), std::string(10, 'v'));
   };
-  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&) {};
+  ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
+                     const EmitFn&) {};
   EXPECT_THROW(RunMapReduce(100, map_fn, false, sink, options),
                ShuffleOverflowError);
   EXPECT_EQ(ShuffleBufferLiveBytes(), 0u);

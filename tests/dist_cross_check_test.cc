@@ -152,5 +152,23 @@ TEST(DistributedHelpersTest, PivotKeyRoundTrip) {
   EXPECT_THROW(DecodePivotKey(std::string(1, '\x80')), std::invalid_argument);
 }
 
+TEST(DistributedHelpersTest, PatternRecordRoundTrip) {
+  std::string key = "F";  // a caller's key prefix survives the append
+  std::string value;
+  EncodePatternRecord(PatternCount{{3, 1, 200}, 300}, &key, &value);
+  ASSERT_EQ(key[0], 'F');
+  PatternCount decoded = DecodePatternRecord(key.substr(1), value);
+  EXPECT_EQ(decoded.pattern, (Sequence{3, 1, 200}));
+  EXPECT_EQ(decoded.frequency, 300u);
+
+  std::string trailing = value + "x";
+  EXPECT_THROW(DecodePatternRecord(key.substr(1), trailing),
+               std::invalid_argument);
+  EXPECT_THROW(DecodePatternRecord(key.substr(1), ""), std::invalid_argument);
+  EXPECT_THROW(DecodePatternRecord(key, value), std::invalid_argument);
+  EXPECT_THROW(DecodePatternRecord(std::string(1, '\x80'), value),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace dseq

@@ -193,7 +193,6 @@ TEST(ProcBackendTest, BudgetedSpillingRunIsIdenticalAcrossBackends) {
   options.memory_budget_bytes = testing::SpillTestBudget(
       std::max<uint64_t>(unbudgeted.metrics.shuffle_bytes / 4, 64));
   options.spill_dir = spill_dir.path();
-  options.spill_merge_fan_in = 4;
   DistributedResult local = MineDSeq(db.sequences, fst, db.dict, options);
   options.backend = DataflowBackend::kProc;
   DistributedResult proc = MineDSeq(db.sequences, fst, db.dict, options);
@@ -250,9 +249,9 @@ std::pair<std::vector<Record>, DataflowMetrics> RunPolicyRound(
     PutVarint(&one, 1);
     for (const std::string& word : PolicyInputs()[i]) emit(word, one);
   };
-  ChainReduceFn count = [](int, std::string_view key,
-                           std::vector<std::string_view>& values,
-                           const EmitFn& emit) {
+  ReduceFn count = [](int, std::string_view key,
+                      std::vector<std::string_view>& values,
+                      const EmitFn& emit) {
     std::string value;
     PutVarint(&value, values.size());
     emit(key, value);
@@ -529,9 +528,9 @@ TEST(ProcBackendTest, DataflowJobRoundsMatchAcrossBackends) {
       PutVarint(&one, 1);
       for (const std::string& word : inputs[i]) emit(word, one);
     };
-    ChainReduceFn count = [](int, std::string_view key,
-                             std::vector<std::string_view>& values,
-                             const EmitFn& emit) {
+    ReduceFn count = [](int, std::string_view key,
+                        std::vector<std::string_view>& values,
+                        const EmitFn& emit) {
       std::string value;
       PutVarint(&value, values.size());
       emit(key, value);
@@ -541,9 +540,9 @@ TEST(ProcBackendTest, DataflowJobRoundsMatchAcrossBackends) {
     RecordMapFn rekey = [](size_t, const Record& record, const EmitFn& emit) {
       emit("total:" + record.key, record.value);
     };
-    ChainReduceFn sum = [](int, std::string_view key,
-                           std::vector<std::string_view>& values,
-                           const EmitFn& emit) {
+    ReduceFn sum = [](int, std::string_view key,
+                      std::vector<std::string_view>& values,
+                      const EmitFn& emit) {
       uint64_t total = 0;
       for (std::string_view v : values) {
         size_t pos = 0;
@@ -624,9 +623,9 @@ TEST(ProcBackendTest, ValueOrderWithinKeysIsIdenticalAcrossBackends) {
     MapFn map_fn = [&](size_t i, const EmitFn& emit) {
       for_each_record(i, emit);
     };
-    ChainReduceFn concat = [](int, std::string_view key,
-                              std::vector<std::string_view>& values,
-                              const EmitFn& emit) {
+    ReduceFn concat = [](int, std::string_view key,
+                         std::vector<std::string_view>& values,
+                         const EmitFn& emit) {
       std::string joined;
       for (std::string_view v : values) {
         if (!joined.empty()) joined += '|';
@@ -655,7 +654,6 @@ TEST(ProcBackendTest, ValueOrderWithinKeysIsIdenticalAcrossBackends) {
   ChainedDataflowOptions budgeted;
   budgeted.memory_budget_bytes = kBudget;
   budgeted.spill_dir = spill_dir.path();
-  budgeted.spill_merge_fan_in = 2;
   const std::vector<std::pair<const char*, ChainedDataflowOptions>> configs = {
       {"in-memory", in_memory},
       {"compressed", compressed},
@@ -682,14 +680,41 @@ TEST(ProcBackendTest, ValueOrderWithinKeysIsIdenticalAcrossBackends) {
   }
 }
 
-TEST(ProcBackendTest, RunMapReduceRejectsProcBackend) {
-  DataflowOptions options;
-  options.backend = DataflowBackend::kProc;
-  MapFn map_fn = [](size_t, const EmitFn&) {};
-  ReduceFn reduce_fn = [](int, std::string_view,
-                          std::vector<std::string_view>&) {};
-  EXPECT_THROW(RunMapReduce(1, map_fn, false, reduce_fn, options),
-               std::invalid_argument);
+TEST(ProcBackendTest, RunMapReduceRunsTheSameRoundOnBothBackends) {
+  // RunMapReduce is the one round call for both backends: under kProc it
+  // returns the same records, in the same reduce-worker order, and the same
+  // raw shuffle metrics as under kLocal — also when the reduce emits nothing.
+  MapFn map_fn = [](size_t i, const EmitFn& emit) {
+    for (const std::string& word : PolicyInputs()[i]) emit(word, "v");
+  };
+  ReduceFn count = [](int, std::string_view key,
+                      std::vector<std::string_view>& values,
+                      const EmitFn& emit) {
+    std::string value;
+    PutVarint(&value, values.size());
+    emit(key, value);
+  };
+  ReduceFn silent = [](int, std::string_view, std::vector<std::string_view>&,
+                       const EmitFn&) {};
+  const std::vector<std::pair<const char*, ReduceFn>> reduces = {
+      {"count", count},
+      {"silent", silent},
+  };
+  for (const auto& [name, reduce_fn] : reduces) {
+    SCOPED_TRACE(name);
+    DataflowOptions options;
+    options.num_map_workers = 3;
+    options.num_reduce_workers = 2;
+    RoundResult local = RunMapReduce(PolicyInputs().size(), map_fn, false,
+                                     reduce_fn, options);
+    options.backend = DataflowBackend::kProc;
+    RoundResult proc = RunMapReduce(PolicyInputs().size(), map_fn, false,
+                                    reduce_fn, options);
+    EXPECT_EQ(proc.records, local.records);
+    EXPECT_EQ(local.records.empty(), std::string(name) == "silent");
+    ExpectSameRawMetrics(local.metrics, proc.metrics);
+    EXPECT_GT(local.metrics.shuffle_records, 0u);
+  }
 }
 
 }  // namespace

@@ -312,7 +312,8 @@ EngineRun RunEngine(const Emissions& emissions, bool combine, int workers,
   std::vector<std::vector<std::pair<std::string, std::vector<std::string>>>>
       per_worker(workers);
   ReduceFn reduce_fn = [&](int worker, std::string_view key,
-                           std::vector<std::string_view>& values) {
+                           std::vector<std::string_view>& values,
+                           const EmitFn&) {
     std::vector<std::string> sorted(values.begin(), values.end());
     std::sort(sorted.begin(), sorted.end());
     per_worker[worker].emplace_back(std::string(key), std::move(sorted));
@@ -322,7 +323,8 @@ EngineRun RunEngine(const Emissions& emissions, bool combine, int workers,
   options.num_reduce_workers = workers;
   EngineRun run;
   run.metrics =
-      RunMapReduce(emissions.size(), map_fn, combine, reduce_fn, options);
+      RunMapReduce(emissions.size(), map_fn, combine, reduce_fn, options)
+          .metrics;
   for (auto& part : per_worker) {
     run.groups.insert(run.groups.end(),
                       std::make_move_iterator(part.begin()),
@@ -347,7 +349,6 @@ TEST_P(EngineSpillTest, SpilledRunEqualsInMemoryRun) {
   DataflowOptions spilled_options;
   spilled_options.memory_budget_bytes = SpillTestBudget(256);
   spilled_options.spill_dir = dir.path();
-  spilled_options.spill_merge_fan_in = 3;  // force multi-pass merges
   EngineRun spilled = RunEngine(emissions, false, workers, spilled_options);
 
   EXPECT_EQ(spilled.groups, reference.groups);
@@ -437,8 +438,8 @@ TEST(EngineSpillTest, BudgetWithoutSpillDirThrowsActionableError) {
   MapFn map_fn = [&](size_t i, const EmitFn& emit) {
     for (const auto& [key, value] : emissions[i]) emit(key, value);
   };
-  ReduceFn reduce_fn = [](int, std::string_view,
-                          std::vector<std::string_view>&) {};
+  ReduceFn reduce_fn = [](int, std::string_view, std::vector<std::string_view>&,
+                          const EmitFn&) {};
   DataflowOptions options;
   options.num_map_workers = 2;
   options.num_reduce_workers = 2;
@@ -489,8 +490,8 @@ TEST(EngineSpillTest, ShuffleVolumeErrorNamesRoundAndReducer) {
   MapFn map_fn = [&](size_t i, const EmitFn& emit) {
     for (const auto& [key, value] : emissions[i]) emit(key, value);
   };
-  ReduceFn reduce_fn = [](int, std::string_view,
-                          std::vector<std::string_view>&) {};
+  ReduceFn reduce_fn = [](int, std::string_view, std::vector<std::string_view>&,
+                          const EmitFn&) {};
   DataflowOptions options;
   options.shuffle_budget_bytes = 32;
   options.round_index = 1;
@@ -514,7 +515,8 @@ TEST(EngineSpillTest, MidRoundFailureLeavesSpillDirEmpty) {
   // The reduce phase dies *after* the map phase spilled: every spill file
   // must be unlinked on the unwind and no shuffle bytes may stay resident.
   ReduceFn exploding_reduce = [](int, std::string_view,
-                                 std::vector<std::string_view>&) {
+                                 std::vector<std::string_view>&,
+                                 const EmitFn&) {
     throw std::runtime_error("reduce failure after spilling");
   };
   ScopedSpillDir dir;
@@ -538,9 +540,9 @@ TEST(EngineSpillTest, MidRoundFailureLeavesSpillDirEmpty) {
   chained_options.spill_dir = dir.path();
   chained_options.cumulative_shuffle_budget_bytes = 1;  // trips immediately
   DataflowJob job(chained_options);
-  ChainReduceFn chain_reduce = [](int, std::string_view,
-                                  std::vector<std::string_view>&,
-                                  const EmitFn&) {};
+  ReduceFn chain_reduce = [](int, std::string_view,
+                             std::vector<std::string_view>&,
+                             const EmitFn&) {};
   EXPECT_THROW(job.RunRound(emissions.size(), map_fn, false, chain_reduce),
                ShuffleOverflowError);
   EXPECT_EQ(CountDirEntries(dir.path()), 0u);
@@ -560,9 +562,9 @@ TEST(ChainedSpillTest, PerRoundSpillMetricsAggregate) {
   MapFn map_fn = [&](size_t i, const EmitFn& emit) {
     for (const auto& [key, value] : emissions[i]) emit(key, value);
   };
-  ChainReduceFn echo = [](int, std::string_view key,
-                          std::vector<std::string_view>& values,
-                          const EmitFn& emit) {
+  ReduceFn echo = [](int, std::string_view key,
+                     std::vector<std::string_view>& values,
+                     const EmitFn& emit) {
     for (std::string_view v : values) emit(key, v);
   };
   job.RunRound(emissions.size(), map_fn, false, echo);
@@ -608,7 +610,6 @@ TEST(SpillMiningTest, BudgetedDSeqIsByteIdenticalToInMemoryAndBruteForce) {
     spill_options.memory_budget_bytes =
         std::max<uint64_t>(in_memory.metrics.shuffle_bytes / 4, 64);
     spill_options.spill_dir = dir.path();
-    spill_options.spill_merge_fan_in = 4;
     DistributedResult spilled =
         MineDSeq(db.sequences, fst, db.dict, spill_options);
 

@@ -41,6 +41,11 @@ the offending line or the line above it):
                        per bucket by RunMapShard and shared by both
                        backends; the reduce side only merges, and a second
                        sort would drift from the first unnoticed.
+  round-entry          calls of RunProcRound outside src/dataflow/engine.cc
+                       and src/rpc/proc_backend.{h,cc} — RunMapReduce is
+                       the one way to run a round, on either backend; a
+                       second caller of the coordinator would be a second
+                       backend dispatch.
   header-guard         src/ and tests/ headers must use the canonical
                        DSEQ_<PATH>_H_ include guard.
   header-self-contained (--check-headers) every header must compile on its
@@ -261,6 +266,22 @@ class Linter:
                             "sorts each bucket once, at seal or spill",
                             raw_lines)
 
+    # RunMapReduce dispatches a round to its backend; the coordinator's own
+    # files define RunProcRound, and nothing else calls it.
+    ROUND_ENTRY_EXEMPT = {"src/dataflow/engine.cc", "src/rpc/proc_backend.h",
+                          "src/rpc/proc_backend.cc"}
+    ROUND_ENTRY_RE = re.compile(r"\bRunProcRound\s*\(")
+
+    def check_round_entry(self, path, raw_lines, code_lines):
+        if path in self.ROUND_ENTRY_EXEMPT:
+            return
+        for i, line in enumerate(code_lines, start=1):
+            if self.ROUND_ENTRY_RE.search(line):
+                self.report(path, i, "round-entry",
+                            "RunProcRound called directly — run the round "
+                            "through RunMapReduce with options.backend = "
+                            "DataflowBackend::kProc", raw_lines)
+
     def check_header_guard(self, path, raw_lines, code_lines):
         expected = "DSEQ_" + re.sub(r"[/.]", "_", path.upper()
                                     .removeprefix("SRC/")).rstrip("_") + "_"
@@ -289,6 +310,7 @@ class Linter:
         self.check_detached_thread(path, raw_lines, code_lines)
         self.check_raw_clock_call(path, raw_lines, code_lines)
         self.check_reduce_body(path, raw_lines, code_lines)
+        self.check_round_entry(path, raw_lines, code_lines)
         if path.endswith(".h") and (path.startswith("src/") or
                                     path.startswith("tests/")):
             self.check_header_guard(path, raw_lines, code_lines)
@@ -397,6 +419,25 @@ SELFTEST_CASES = [
      "reduce-body", 0),
     ("reduce-body: scoped to src/", "tests/foo_test.cc",
      "std::stable_sort(v.begin(), v.end());\n", "reduce-body", 0),
+    # round-entry: RunMapReduce is the one round call for both backends.
+    ("round-entry: direct call in a driver", "src/dataflow/chained.cc",
+     "RoundResult r = RunProcRound(n, map_fn, false, reduce_fn, options);\n",
+     "round-entry", 1),
+    ("round-entry: direct call in a test", "tests/foo_test.cc",
+     "auto r = RunProcRound (1, map_fn, true, reduce_fn, options);\n",
+     "round-entry", 1),
+    ("round-entry: the dispatch in engine.cc", "src/dataflow/engine.cc",
+     "return RunProcRound(num_inputs, map_fn, combine, reduce_fn, options);\n",
+     "round-entry", 0),
+    ("round-entry: the definition in proc_backend.cc",
+     "src/rpc/proc_backend.cc",
+     "RoundResult RunProcRound(size_t num_inputs, const MapFn& map_fn,\n",
+     "round-entry", 0),
+    ("round-entry: comment is not a call", "src/dataflow/chained.cc",
+     "// RunMapReduce calls RunProcRound() under kProc\n", "round-entry", 0),
+    ("round-entry: allow() escape", "bench/foo_bench.cc",
+     "RunProcRound(n, m, false, r, o);  // dseq-lint: allow(round-entry)\n",
+     "round-entry", 0),
     # Regression cases for the pre-existing rules.
     ("naked-new fires in src", "src/foo/bar.cc",
      "int* p = new int(3);\n", "naked-new", 1),
