@@ -1,5 +1,6 @@
 // Micro-benchmarks for the core components: grid construction, pivot
-// search, the forward/backward pivot DPs, rewriting, D-CAND's NFA
+// search, the forward/backward pivot DPs, rewriting, D-SEQ's partition
+// reduce (DfsInput build + pivot-restricted DESQ-DFS), D-CAND's NFA
 // construction, NFA minimization/serialization, varint coding, the map-side
 // combiner over weighted values and counts (the zero-copy shuffle hot
 // path), the shuffle block codec, and the external spill-run merger (the
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -427,6 +429,45 @@ void BenchDesqDfsSmall() {
   });
 }
 
+void BenchDSeqReducePartition() {
+  // The D-SEQ reduce of one partition: the largest N4 pivot partition of
+  // the corpus (the rewrites the map would ship), decoded into a pivot-k
+  // DfsInput and mined by pivot-restricted DESQ-DFS with early stopping.
+  const SequenceDatabase& db = Corpus();
+  constexpr uint64_t kSigma = 10;
+  GridOptions options;
+  options.prune_sigma = kSigma;
+  std::map<ItemId, std::vector<Sequence>> partitions;
+  for (const Sequence& T : db.sequences) {
+    StateGrid grid = StateGrid::Build(T, N4Fst(), db.dict, options);
+    if (!grid.HasAcceptingRun()) continue;
+    PivotRewriter rewriter(T, grid);
+    for (ItemId k : rewriter.pivots()) {
+      partitions[k].push_back(rewriter.Rewrite(k));
+    }
+  }
+  ItemId pivot = kNoItem;
+  size_t largest = 0;
+  for (const auto& [k, rewrites] : partitions) {
+    if (rewrites.size() > largest) {
+      pivot = k;
+      largest = rewrites.size();
+    }
+  }
+  if (largest == 0) return;
+  const std::vector<Sequence>& partition = partitions[pivot];
+  RunBench("dseq_reduce_partition", partition.size(), [&] {
+    DfsInput input(N4Fst(), db.dict, kSigma, pivot);
+    for (const Sequence& rewrite : partition) input.Add(rewrite);
+    DesqDfsOptions local;
+    local.sigma = kSigma;
+    local.pivot = pivot;
+    MiningResult result = MineDesqDfs(input, local);
+    volatile size_t sink = result.size();
+    (void)sink;
+  });
+}
+
 void BenchTraceOverhead() {
   // The disabled-run cost of the instrumentation pattern (trace.h's
   // overhead doctrine): the same ~1µs workload measured bare and wrapped
@@ -501,6 +542,7 @@ int main(int argc, char** argv) {
   BenchBlockCodec();
   BenchExternalMerge();
   BenchDesqDfsSmall();
+  BenchDSeqReducePartition();
   BenchTraceOverhead();
   if (g_config.json) PrintJson();
   return 0;

@@ -1,186 +1,384 @@
 #include "src/core/desq_dfs.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_set>
+#include <deque>
+#include <limits>
+
+#include "src/core/pivot.h"
+#include "src/util/check.h"
 
 namespace dseq {
 namespace {
 
-struct Posting {
-  uint32_t seq;
-  uint32_t pos;
-  StateId state;
+// Per-coordinate bits of a DfsInput: pivot.h's two seen-k liveness bits and
+// "the end of the sequence is reachable in a final state over ε edges".
+constexpr uint8_t kLive = kLiveUnseen | kLiveSeen;
+constexpr uint8_t kEpsAccept = 4;
 
-  bool operator<(const Posting& o) const {
-    if (seq != o.seq) return seq < o.seq;
-    if (pos != o.pos) return pos < o.pos;
-    return state < o.state;
-  }
-  bool operator==(const Posting& o) const {
-    return seq == o.seq && pos == o.pos && state == o.state;
-  }
-};
+constexpr uint64_t kMaxIndex = std::numeric_limits<uint32_t>::max();
 
-class Miner {
- public:
-  Miner(const std::vector<StateGrid>& grids,
-        const std::vector<uint64_t>* weights, const DesqDfsOptions& options,
-        MiningResult* out)
-      : grids_(grids), weights_(weights), options_(options), out_(out) {
-    eps_accept_.resize(grids.size());
-    last_pivot_layer_.assign(grids.size(), -1);
-    for (size_t s = 0; s < grids.size(); ++s) {
-      const StateGrid& grid = grids[s];
-      if (!grid.HasAcceptingRun()) continue;
-      eps_accept_[s] = grid.ComputeEpsAcceptTable();
-      if (options.pivot != kNoItem && options.early_stop) {
-        for (size_t i = 0; i < grid.length(); ++i) {
-          for (const auto& e : grid.EdgesAt(i)) {
-            if (std::binary_search(e.out.begin(), e.out.end(),
-                                   options.pivot)) {
-              last_pivot_layer_[s] =
-                  std::max(last_pivot_layer_[s], static_cast<int64_t>(i));
-            }
-          }
+}  // namespace
+
+// --- DfsInput --------------------------------------------------------------
+
+DfsInput::DfsInput(const Fst& fst, const Dictionary& dict,
+                   uint64_t prune_sigma, ItemId pivot)
+    : fst_(&fst),
+      dict_(&dict),
+      prune_sigma_(prune_sigma),
+      pivot_(pivot),
+      bound_(pivot == kNoItem ? std::numeric_limits<ItemId>::max() : pivot),
+      num_states_(fst.num_states()),
+      initial_(fst.initial()) {
+  edge_begin_.push_back(0);
+}
+
+DfsInput::DfsInput(ItemId pivot)
+    : pivot_(pivot),
+      bound_(pivot == kNoItem ? std::numeric_limits<ItemId>::max() : pivot) {
+  edge_begin_.push_back(0);
+}
+
+bool DfsInput::AddPending(size_t i, StateId from, StateId to,
+                          const Sequence& out) {
+  // TestPivotEdge's label: out ∩ [0, k]; a non-ε edge left empty is dead.
+  size_t size =
+      std::upper_bound(out.begin(), out.end(), bound_) - out.begin();
+  if (size == 0 && !out.empty()) {
+    ++dropped_edges_;
+    return false;
+  }
+  pending_.push_back(
+      PendingEdge{static_cast<uint32_t>(i * num_states_ + from),
+                  static_cast<uint32_t>((i + 1) * num_states_ + to),
+                  static_cast<uint32_t>(pending_labels_.size()),
+                  static_cast<uint32_t>(size)});
+  pending_labels_.insert(pending_labels_.end(), out.begin(),
+                         out.begin() + size);
+  return true;
+}
+
+void DfsInput::SealLayer(size_t begin) {
+  // Distinct FST transitions can collapse to the same (from, to, label)
+  // edge; with no pivot this keeps the edges exactly StateGrid's.
+  auto label = [this](const PendingEdge& e) {
+    return pending_labels_.begin() + e.label_begin;
+  };
+  auto less = [&](const PendingEdge& a, const PendingEdge& b) {
+    if (a.from != b.from) return a.from < b.from;
+    if (a.target != b.target) return a.target < b.target;
+    return std::lexicographical_compare(label(a), label(a) + a.label_size,
+                                        label(b), label(b) + b.label_size);
+  };
+  auto equal = [&](const PendingEdge& a, const PendingEdge& b) {
+    return a.from == b.from && a.target == b.target &&
+           std::equal(label(a), label(a) + a.label_size, label(b),
+                      label(b) + b.label_size);
+  };
+  std::sort(pending_.begin() + begin, pending_.end(), less);
+  pending_.erase(std::unique(pending_.begin() + begin, pending_.end(), equal),
+                 pending_.end());
+}
+
+void DfsInput::Add(const Sequence& T, uint64_t weight) {
+  DSEQ_CHECK_MSG(fst_ != nullptr, "DfsInput built without an FST");
+  const size_t n = T.size();
+  const size_t ns = num_states_;
+  if (ns == 0) return;
+  if ((n + 1) * ns > kMaxIndex) {
+    throw std::length_error("DESQ-DFS input sequence too long");
+  }
+  active_.assign((n + 1) * ns, 0);
+  active_[initial_] = 1;
+  pending_.clear();
+  pending_labels_.clear();
+  layer_begin_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    layer_begin_.push_back(pending_.size());
+    for (StateId q = 0; q < ns; ++q) {
+      if (!active_[i * ns + q]) continue;
+      for (const Transition& tr : fst_->From(q)) {
+        if (!StepTransition(*fst_, tr, T[i], *dict_, prune_sigma_, &out_)) {
+          continue;
         }
+        if (AddPending(i, q, tr.to, out_)) active_[(i + 1) * ns + tr.to] = 1;
       }
     }
+    SealLayer(layer_begin_.back());
   }
+  layer_begin_.push_back(pending_.size());
+  final_at_end_.assign(ns, 0);
+  for (StateId q = 0; q < ns; ++q) {
+    final_at_end_[q] = active_[n * ns + q] && fst_->IsFinal(q);
+  }
+  Commit(n, weight);
+}
+
+void DfsInput::Add(const StateGrid& grid, uint64_t weight) {
+  if (!grid.HasAcceptingRun()) return;
+  DSEQ_DCHECK(weights_.empty() || (num_states_ == grid.num_states() &&
+                                   initial_ == grid.initial_state()));
+  num_states_ = grid.num_states();
+  initial_ = grid.initial_state();
+  const size_t n = grid.length();
+  pending_.clear();
+  pending_labels_.clear();
+  layer_begin_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    layer_begin_.push_back(pending_.size());
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+      AddPending(i, e.from, e.to, e.out);
+    }
+    SealLayer(layer_begin_.back());
+  }
+  layer_begin_.push_back(pending_.size());
+  final_at_end_.assign(num_states_, 0);
+  for (StateId q = 0; q < num_states_; ++q) {
+    final_at_end_[q] = grid.Alive(n, q) && grid.IsFinalState(q);
+  }
+  Commit(n, weight);
+}
+
+void DfsInput::Commit(size_t length, uint64_t weight) {
+  const size_t ns = num_states_;
+  const size_t coords = (length + 1) * ns;
+
+  // Backward pass (ComputePivotLiveness over the pending edges, plus the
+  // ε-accept table). An edge is kept iff its target is live.
+  pending_bits_.assign(coords, 0);
+  for (StateId q = 0; q < ns; ++q) {
+    if (final_at_end_[q]) pending_bits_[length * ns + q] = kLiveSeen | kEpsAccept;
+  }
+  keep_.assign(pending_.size(), 0);
+  size_t kept = 0;
+  size_t kept_labels = 0;
+  for (size_t i = length; i-- > 0;) {
+    for (size_t j = layer_begin_[i]; j < layer_begin_[i + 1]; ++j) {
+      const PendingEdge& e = pending_[j];
+      const uint8_t next = pending_bits_[e.target];
+      uint8_t live = next & kLive;
+      if (live == 0) continue;
+      keep_[j] = 1;
+      ++kept;
+      kept_labels += e.label_size;
+      if (e.label_size == 0) {
+        pending_bits_[e.from] |= next & kEpsAccept;
+      } else if (pivot_ != kNoItem && (live & kLiveSeen) &&
+                 pending_labels_[e.label_begin + e.label_size - 1] == pivot_) {
+        // Carrying k sets the bit, so both entry values reach a seen suffix.
+        live = kLive;
+      }
+      pending_bits_[e.from] |= live;
+    }
+  }
+  // The run starts unseen with a pivot; without one every run counts.
+  const uint8_t root = pivot_ == kNoItem ? kLiveSeen : kLiveUnseen;
+  if ((pending_bits_[initial_] & root) == 0) {
+    dropped_edges_ += pending_.size();
+    return;
+  }
+  dropped_edges_ += pending_.size() - kept;
+  if (edges_.size() + kept > kMaxIndex ||
+      labels_.size() + kept_labels > kMaxIndex) {
+    throw std::length_error("DESQ-DFS input exceeds its index range");
+  }
+
+  // CSR append. Pending edges are ordered by source coordinate: layers in
+  // order, each sorted by SealLayer.
+  weights_.push_back(weight);
+  coord_begin_.push_back(bits_.size());
+  bits_.insert(bits_.end(), pending_bits_.begin(), pending_bits_.end());
+  size_t j = 0;
+  for (size_t c = 0; c < coords; ++c) {
+    for (; j < pending_.size() && pending_[j].from == c; ++j) {
+      if (!keep_[j]) continue;
+      const PendingEdge& e = pending_[j];
+      edges_.push_back(Edge{e.target, static_cast<uint32_t>(labels_.size()),
+                            e.label_size});
+      labels_.insert(labels_.end(), pending_labels_.begin() + e.label_begin,
+                     pending_labels_.begin() + e.label_begin + e.label_size);
+    }
+    edge_begin_.push_back(edges_.size());
+  }
+  DSEQ_DCHECK_EQ(j, pending_.size());
+}
+
+// --- The miner -------------------------------------------------------------
+
+class DfsMiner {
+ public:
+  DfsMiner(const DfsInput& input, const DesqDfsOptions& options,
+           MiningResult* out)
+      : in_(input),
+        options_(options),
+        out_(out),
+        pivot_mode_(options.pivot != kNoItem),
+        prune_(options.early_stop && pivot_mode_),
+        stamp_(input.bits_.size(), 0) {}
+
+  const DesqDfsStats& stats() const { return stats_; }
 
   void Run() {
     std::vector<Posting> roots;
-    for (size_t s = 0; s < grids_.size(); ++s) {
-      if (!grids_[s].HasAcceptingRun()) continue;
-      roots.push_back(Posting{static_cast<uint32_t>(s), 0,
-                              grids_[s].initial_state()});
+    roots.reserve(in_.num_sequences());
+    for (size_t s = 0; s < in_.num_sequences(); ++s) {
+      roots.push_back(Posting{0, static_cast<uint32_t>(s), in_.initial_});
     }
-    Expand(roots, /*has_pivot=*/false);
+    Expand(roots.data(), roots.data() + roots.size(), /*has_pivot=*/false,
+           0);
   }
 
  private:
-  uint64_t Weight(uint32_t seq) const {
-    return weights_ == nullptr ? 1 : (*weights_)[seq];
+  // A posting (sequence, coordinate local to it), tagged with the item that
+  // produced it while children are collected.
+  struct Posting {
+    ItemId item;
+    uint32_t seq;
+    uint32_t coord;
+
+    bool operator<(const Posting& o) const {
+      if (item != o.item) return item < o.item;
+      if (seq != o.seq) return seq < o.seq;
+      return coord < o.coord;
+    }
+    bool operator==(const Posting& o) const {
+      return item == o.item && seq == o.seq && coord == o.coord;
+    }
+  };
+
+  uint8_t Bits(const Posting& p) const {
+    return in_.bits_[in_.coord_begin_[p.seq] + p.coord];
   }
 
   // Total weight of distinct sequences with postings: an upper bound on the
   // support of the prefix and all of its extensions.
-  uint64_t PotentialSupport(const std::vector<Posting>& postings) const {
+  uint64_t PotentialSupport(const Posting* begin, const Posting* end) const {
     uint64_t total = 0;
     uint32_t prev = UINT32_MAX;
-    for (const Posting& p : postings) {
-      if (p.seq != prev) {
-        total += Weight(p.seq);
-        prev = p.seq;
+    for (const Posting* p = begin; p != end; ++p) {
+      if (p->seq != prev) {
+        total += in_.weights_[p->seq];
+        prev = p->seq;
       }
     }
     return total;
   }
 
-  uint64_t Support(const std::vector<Posting>& postings) const {
+  uint64_t Support(const Posting* begin, const Posting* end) const {
     uint64_t support = 0;
-    uint32_t prev = UINT32_MAX;
-    bool counted = false;
-    for (const Posting& p : postings) {
-      if (p.seq != prev) {
-        prev = p.seq;
-        counted = false;
-      }
-      if (counted) continue;
-      const StateGrid& grid = grids_[p.seq];
-      if (eps_accept_[p.seq][p.pos * grid.num_states() + p.state]) {
-        support += Weight(p.seq);
-        counted = true;
+    uint32_t counted = UINT32_MAX;
+    for (const Posting* p = begin; p != end; ++p) {
+      if (p->seq != counted && (Bits(*p) & kEpsAccept)) {
+        support += in_.weights_[p->seq];
+        counted = p->seq;
       }
     }
     return support;
   }
 
-  // Expands the current prefix (postings sorted & deduplicated).
-  void Expand(const std::vector<Posting>& postings, bool has_pivot) {
-    if (PotentialSupport(postings) < options_.sigma) return;
+  // Children of one search-tree depth, reused across siblings. A deque, so
+  // deeper levels appended during recursion leave this one in place.
+  std::vector<Posting>& Level(size_t depth) {
+    if (levels_.size() <= depth) levels_.emplace_back();
+    return levels_[depth];
+  }
 
-    if (!prefix_.empty() &&
-        (options_.pivot == kNoItem || has_pivot)) {
-      uint64_t support = Support(postings);
+  void NextEpoch() {
+    if (++epoch_ == 0) {
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+
+  // Expands the current prefix; [begin, end) are its postings, sorted by
+  // (seq, coord) and deduplicated.
+  void Expand(const Posting* begin, const Posting* end, bool has_pivot,
+              size_t depth) {
+    if (PotentialSupport(begin, end) < options_.sigma) return;
+    if (!prefix_.empty() && (!pivot_mode_ || has_pivot)) {
+      uint64_t support = Support(begin, end);
       if (support >= options_.sigma) {
         out_->push_back(PatternCount{prefix_, support});
       }
     }
+    ++stats_.expansions;
 
-    // Build children projected databases. std::map keeps item order
-    // deterministic.
-    std::map<ItemId, std::vector<Posting>> children;
-    std::unordered_set<uint64_t> visited;
-    std::vector<std::pair<uint32_t, StateId>> stack;
-    for (const Posting& p : postings) {
-      const StateGrid& grid = grids_[p.seq];
-      size_t ns = grid.num_states();
-      // ε-output closure from (p.pos, p.state) within this grid (a DAG, so
-      // a visited set gives linear traversal).
-      visited.clear();
-      stack.clear();
-      stack.emplace_back(p.pos, p.state);
-      visited.insert((static_cast<uint64_t>(p.seq) << 32) | (p.pos * ns + p.state));
-      while (!stack.empty()) {
-        auto [pos, state] = stack.back();
-        stack.pop_back();
-        if (pos >= grid.length()) continue;
-        for (const StateGrid::Edge& e : grid.EdgesAt(pos)) {
-          if (e.from != state) continue;
-          if (e.out.empty()) {
-            uint64_t key = (static_cast<uint64_t>(p.seq) << 32) |
-                           ((pos + 1) * ns + e.to);
-            if (visited.insert(key).second) {
-              stack.emplace_back(pos + 1, e.to);
+    // The ε-closure of every posting, collecting (item, child posting). One
+    // epoch for all postings: a coordinate reached before yields the same
+    // children again, so it is skipped.
+    std::vector<Posting>& children = Level(depth);
+    children.clear();
+    NextEpoch();
+    for (const Posting* p = begin; p != end; ++p) {
+      const uint64_t base = in_.coord_begin_[p->seq];
+      if (stamp_[base + p->coord] == epoch_) continue;
+      stamp_[base + p->coord] = epoch_;
+      stack_.clear();
+      stack_.push_back(p->coord);
+      while (!stack_.empty()) {
+        const uint64_t c = base + stack_.back();
+        stack_.pop_back();
+        for (uint64_t k = in_.edge_begin_[c]; k < in_.edge_begin_[c + 1];
+             ++k) {
+          const DfsInput::Edge& e = in_.edges_[k];
+          if (e.label_size == 0) {
+            if (stamp_[base + e.target] != epoch_) {
+              stamp_[base + e.target] = epoch_;
+              stack_.push_back(e.target);
             }
             continue;
           }
-          for (ItemId w : e.out) {
-            if (options_.pivot != kNoItem && w > options_.pivot) continue;
-            bool child_has_pivot = has_pivot || w == options_.pivot;
-            if (options_.pivot != kNoItem && options_.early_stop &&
-                !child_has_pivot &&
-                static_cast<int64_t>(pos) + 1 > last_pivot_layer_[p.seq]) {
-              // This sequence can no longer contribute the pivot item to a
-              // pivot-free prefix (Sec. V-C early stopping).
-              continue;
+          const uint8_t target_bits = in_.bits_[base + e.target];
+          const ItemId* label = in_.labels_.data() + e.label_begin;
+          for (const ItemId* w = label; w != label + e.label_size; ++w) {
+            if (prune_) {
+              bool seen = has_pivot || *w == options_.pivot;
+              if ((target_bits & (seen ? kLiveSeen : kLiveUnseen)) == 0) {
+                ++stats_.postings_pruned;
+                continue;
+              }
             }
-            children[w].push_back(
-                Posting{p.seq, static_cast<uint32_t>(pos + 1), e.to});
+            children.push_back(Posting{*w, p->seq, e.target});
           }
         }
       }
     }
+    std::sort(children.begin(), children.end());
+    children.erase(std::unique(children.begin(), children.end()),
+                   children.end());
 
-    for (auto& [w, child_postings] : children) {
-      std::sort(child_postings.begin(), child_postings.end());
-      child_postings.erase(
-          std::unique(child_postings.begin(), child_postings.end()),
-          child_postings.end());
-      if (PotentialSupport(child_postings) < options_.sigma) continue;
+    const Posting* data = children.data();
+    for (size_t a = 0, b = 0; a < children.size(); a = b) {
+      const ItemId w = children[a].item;
+      while (b < children.size() && children[b].item == w) ++b;
       prefix_.push_back(w);
-      Expand(child_postings, has_pivot || w == options_.pivot);
+      Expand(data + a, data + b, has_pivot || w == options_.pivot, depth + 1);
       prefix_.pop_back();
     }
   }
 
-  const std::vector<StateGrid>& grids_;
-  const std::vector<uint64_t>* weights_;
+  const DfsInput& in_;
   const DesqDfsOptions& options_;
   MiningResult* out_;
-  std::vector<std::vector<uint8_t>> eps_accept_;
-  std::vector<int64_t> last_pivot_layer_;
+  const bool pivot_mode_;
+  const bool prune_;  // posting-level early stopping
+  std::vector<uint32_t> stamp_;  // per global coordinate: last epoch seen
+  uint32_t epoch_ = 0;
+  std::vector<uint32_t> stack_;
+  std::deque<std::vector<Posting>> levels_;
   Sequence prefix_;
+  DesqDfsStats stats_;
 };
 
-}  // namespace
-
-MiningResult MineDesqDfsGrids(const std::vector<StateGrid>& grids,
-                              const DesqDfsOptions& options) {
+MiningResult MineDesqDfs(const DfsInput& input, const DesqDfsOptions& options,
+                         DesqDfsStats* stats) {
+  if (options.pivot != input.pivot()) {
+    throw std::invalid_argument("DESQ-DFS pivot differs from its input's");
+  }
   MiningResult result;
-  Miner miner(grids, nullptr, options, &result);
+  DfsMiner miner(input, options, &result);
   miner.Run();
+  if (stats != nullptr) *stats = miner.stats();
   Canonicalize(&result);
   return result;
 }
@@ -188,30 +386,24 @@ MiningResult MineDesqDfsGrids(const std::vector<StateGrid>& grids,
 MiningResult MineDesqDfsGrids(const std::vector<StateGrid>& grids,
                               const std::vector<uint64_t>& weights,
                               const DesqDfsOptions& options) {
-  MiningResult result;
-  Miner miner(grids, &weights, options, &result);
-  miner.Run();
-  Canonicalize(&result);
-  return result;
+  DSEQ_CHECK_EQ(grids.size(), weights.size());
+  DfsInput input(options.pivot);
+  for (size_t i = 0; i < grids.size(); ++i) input.Add(grids[i], weights[i]);
+  return MineDesqDfs(input, options);
 }
 
 MiningResult MineDesqDfs(const std::vector<Sequence>& db, const Fst& fst,
                          const Dictionary& dict,
                          const DesqDfsOptions& options) {
-  GridOptions grid_options;
-  grid_options.prune_sigma = options.sigma;
-  std::vector<StateGrid> grids;
-  grids.reserve(db.size());
-  uint64_t total_edges = 0;
+  DfsInput input(fst, dict, options.sigma, options.pivot);
   for (const Sequence& T : db) {
-    grids.push_back(StateGrid::Build(T, fst, dict, grid_options));
-    total_edges += grids.back().num_edges();
+    input.Add(T);
     if (options.max_total_grid_edges > 0 &&
-        total_edges > options.max_total_grid_edges) {
+        input.num_edges() > options.max_total_grid_edges) {
       throw MiningBudgetError("DESQ-DFS grid memory budget exceeded");
     }
   }
-  return MineDesqDfsGrids(grids, options);
+  return MineDesqDfs(input, options);
 }
 
 }  // namespace dseq

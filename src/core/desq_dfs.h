@@ -8,11 +8,25 @@
 // produced; a sequence supports the prefix if some posting can reach the end
 // of the sequence in a final state via ε-output transitions only.
 //
-// Pivot restriction (local mining at partition P_k):
-//  * items larger than the pivot are never used to extend a prefix,
-//  * only sequences containing the pivot item are output,
-//  * early stopping: a sequence no longer extends a pivot-free prefix once
-//    its last position that can produce the pivot item has passed.
+// The miner reads its sequences from a DfsInput: one flat, append-only
+// store of their position–state grids (coordinates, edges, labels), built
+// straight from the sequences by the same FST step as StateGrid
+// (StepTransition) but without a StateGrid or an output vector per edge.
+//
+// Pivot restriction (local mining at partition P_k), with a store built for
+// pivot k:
+//  * every output set is cut to its items <= k (TestPivotEdge's label), and
+//    an edge left with no item is dropped, so items larger than the pivot
+//    are never used to extend a prefix;
+//  * only the edges whose target lies on an accepting run that can still
+//    end with k output are kept (ComputePivotLiveness's seen-k bits), and a
+//    sequence whose first coordinate cannot reach such a run is not stored;
+//  * only sequences containing the pivot item are output;
+//  * early stopping (Sec. V-C, exact form): a posting is kept only if its
+//    coordinate is live for the prefix — kLiveSeen when the prefix holds k,
+//    kLiveUnseen (an accepting suffix that outputs k) when it does not. A
+//    sequence therefore stops extending a pivot-free prefix as soon as it
+//    can no longer produce k.
 #ifndef DSEQ_CORE_DESQ_DFS_H_
 #define DSEQ_CORE_DESQ_DFS_H_
 
@@ -36,13 +50,16 @@ class MiningBudgetError : public std::runtime_error {
 };
 
 struct DesqDfsOptions {
+  /// Support threshold of the mined patterns.
   uint64_t sigma = 1;
 
   /// If not kNoItem: mine only sequences whose pivot (max item) equals this
   /// item; larger items are never expanded.
   ItemId pivot = kNoItem;
 
-  /// Early-stopping heuristic for pivot-restricted mining (Sec. V-C).
+  /// Early-stopping heuristic for pivot-restricted mining (Sec. V-C): prune
+  /// postings whose coordinate is not live for the prefix (see above). Off,
+  /// the miner keeps every posting the store's edges produce.
   bool early_stop = true;
 
   /// If > 0: abort with MiningBudgetError when the total number of live grid
@@ -50,19 +67,127 @@ struct DesqDfsOptions {
   uint64_t max_total_grid_edges = 0;
 };
 
+/// Work counters of one DESQ-DFS call.
+struct DesqDfsStats {
+  uint64_t expansions = 0;       // search-tree nodes expanded
+  uint64_t postings_pruned = 0;  // child postings cut by early stopping
+};
+
+/// The sequences one DESQ-DFS call mines, as one flat store of their pruned
+/// position–state grids. A coordinate (i, q) of a sequence of length n is
+/// stored as its local index i * num_states + q; per coordinate the store
+/// keeps two liveness bits, an ε-accept bit and a range of out-edges (CSR),
+/// and per edge its target coordinate and a range of a single label array.
+/// Only edges whose target is live are kept: live means "on an accepting run
+/// that can still output the pivot" (the seen-k bits of
+/// ComputePivotLiveness) with a pivot, and "on an accepting run" without.
+/// With no pivot, the edges kept per sequence are exactly StateGrid's, so
+/// num_edges() equals the sum of StateGrid::num_edges() (the budget of
+/// DesqDfsOptions::max_total_grid_edges does not depend on the store).
+class DfsInput {
+ public:
+  /// A store fed by Add(T, weight). `prune_sigma` removes infrequent items
+  /// as GridOptions::prune_sigma does; it is apart from the support
+  /// threshold the store is later mined with. `pivot` is kNoItem or the
+  /// partition's pivot k. `fst` and `dict` must outlive the store.
+  DfsInput(const Fst& fst, const Dictionary& dict, uint64_t prune_sigma,
+           ItemId pivot);
+
+  /// A store fed only by Add(const StateGrid&, weight).
+  explicit DfsInput(ItemId pivot);
+
+  /// Simulates the FST over `T` and stores its pruned grid with the given
+  /// multiplicity. A sequence with no live run is not stored.
+  void Add(const Sequence& T, uint64_t weight = 1);
+
+  /// Stores an already built (σ-pruned) grid, cut to the pivot like
+  /// Add(T, weight).
+  void Add(const StateGrid& grid, uint64_t weight = 1);
+
+  ItemId pivot() const { return pivot_; }
+
+  /// Sequences stored (those with a live run).
+  size_t num_sequences() const { return weights_.size(); }
+
+  /// Edges kept over all stored sequences.
+  uint64_t num_edges() const { return edges_.size(); }
+
+  /// Edges removed by the pivot bound (no item <= k) or by liveness.
+  uint64_t num_dropped_edges() const { return dropped_edges_; }
+
+ private:
+  friend class DfsMiner;
+
+  // A stored edge: target coordinate (local to its sequence) and its label,
+  // labels_[label_begin, label_begin + label_size); label_size 0 is ε.
+  struct Edge {
+    uint32_t target;
+    uint32_t label_begin;
+    uint32_t label_size;
+  };
+  // An edge of the sequence being added, before the backward pass.
+  struct PendingEdge {
+    uint32_t from;
+    uint32_t target;
+    uint32_t label_begin;  // into pending_labels_
+    uint32_t label_size;
+  };
+
+  // Adds one pending edge from (i, from) to (i + 1, to) with output `out`,
+  // cut to the pivot; returns false if the cut left nothing.
+  bool AddPending(size_t i, StateId from, StateId to, const Sequence& out);
+  // Sorts and deduplicates the pending edges of one layer.
+  void SealLayer(size_t begin);
+  // The backward pass and the CSR append of the pending sequence.
+  void Commit(size_t length, uint64_t weight);
+
+  const Fst* fst_ = nullptr;
+  const Dictionary* dict_ = nullptr;
+  uint64_t prune_sigma_ = 0;
+  ItemId pivot_;
+  ItemId bound_;  // largest item kept on a label
+
+  size_t num_states_ = 0;
+  StateId initial_ = 0;
+
+  // Per stored sequence: weight and first global coordinate.
+  std::vector<uint64_t> weights_;
+  std::vector<uint64_t> coord_begin_;
+  // Per global coordinate: liveness / ε-accept bits, and the out-edge range
+  // [edge_begin_[c], edge_begin_[c + 1]) (one trailing sentinel).
+  std::vector<uint8_t> bits_;
+  std::vector<uint32_t> edge_begin_;
+  std::vector<Edge> edges_;
+  std::vector<ItemId> labels_;
+  uint64_t dropped_edges_ = 0;
+
+  // Scratch of the sequence being added.
+  std::vector<uint8_t> active_;
+  std::vector<uint8_t> final_at_end_;  // per state: final and reached
+  std::vector<PendingEdge> pending_;
+  std::vector<ItemId> pending_labels_;
+  std::vector<size_t> layer_begin_;
+  std::vector<uint8_t> pending_bits_;
+  std::vector<uint8_t> keep_;
+  Sequence out_;
+};
+
+/// Mines the sequences of `input` with threshold `options.sigma`.
+/// `options.pivot` must be the store's pivot (std::invalid_argument
+/// otherwise); `options.max_total_grid_edges` is checked while a store is
+/// filled (MineDesqDfs over sequences), not here. `stats` (may be null) receives the call's work counters.
+/// Result is canonicalized.
+MiningResult MineDesqDfs(const DfsInput& input, const DesqDfsOptions& options,
+                         DesqDfsStats* stats = nullptr);
+
 /// Mines all frequent subsequences of `db` under the FST with threshold
-/// `options.sigma`. Builds one grid per sequence (σ-pruned) and runs
+/// `options.sigma`: one DfsInput built σ-pruned with `options.pivot`, then
 /// pattern growth. Result is canonicalized (sorted by pattern).
 MiningResult MineDesqDfs(const std::vector<Sequence>& db, const Fst& fst,
                          const Dictionary& dict, const DesqDfsOptions& options);
 
-/// Same, over pre-built grids (used by D-SEQ local mining, which receives
-/// rewritten sequences and has already built their grids).
-MiningResult MineDesqDfsGrids(const std::vector<StateGrid>& grids,
-                              const DesqDfsOptions& options);
-
-/// Weighted variant: grid i counts with multiplicity weights[i] (used when
-/// identical rewritten input sequences were aggregated in the shuffle).
+/// Same, over pre-built grids, grid i counting with multiplicity
+/// weights[i]: an adapter that adds each grid to a DfsInput.
 MiningResult MineDesqDfsGrids(const std::vector<StateGrid>& grids,
                               const std::vector<uint64_t>& weights,
                               const DesqDfsOptions& options);

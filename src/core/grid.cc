@@ -30,18 +30,8 @@ StateGrid StateGrid::Build(const Sequence& T, const Fst& fst,
     for (StateId q = 0; q < ns; ++q) {
       if (!active[i * ns + q]) continue;
       for (const Transition& tr : fst.From(q)) {
-        if (!fst.Matches(tr, t, dict)) continue;
-        fst.ComputeOutput(tr, t, dict, &out);
-        if (options.prune_sigma > 0 && !out.empty()) {
-          out.erase(std::remove_if(out.begin(), out.end(),
-                                   [&](ItemId w) {
-                                     return dict.DocFrequency(w) <
-                                            options.prune_sigma;
-                                   }),
-                    out.end());
-          // Non-ε transition with no frequent output item: no σ-candidate
-          // can use this edge.
-          if (out.empty() && tr.out_kind != OutputKind::kEpsilon) continue;
+        if (!StepTransition(fst, tr, t, dict, options.prune_sigma, &out)) {
+          continue;
         }
         active[(i + 1) * ns + tr.to] = true;
         layer_edges.push_back(Edge{q, tr.to, out});

@@ -7,12 +7,15 @@
 // pruned to coordinates that lie on at least one *accepting* run — the
 // paper's dynamic-programming dead-end elimination.
 //
-// The grid is the single structure behind pivot search (Theorem 1),
-// candidate enumeration, DESQ-DFS postings, sequence rewriting, and D-CAND
-// run enumeration.
+// The grid is the structure behind pivot search (Theorem 1), sequence
+// rewriting, candidate enumeration (NAIVE, SEMI-NAIVE, DESQ-COUNT) and
+// D-CAND's per-pivot NFA construction. DESQ-DFS does not mine over grids:
+// it builds its own flat store (DfsInput, src/core/desq_dfs.h) with the
+// same FST step (StepTransition).
 #ifndef DSEQ_CORE_GRID_H_
 #define DSEQ_CORE_GRID_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -26,10 +29,30 @@ namespace dseq {
 struct GridOptions {
   /// If > 0, items with document frequency < sigma are removed from output
   /// sets (they cannot appear in a frequent subsequence; paper Sec. III-A).
-  /// A non-ε edge whose output set becomes empty is dropped entirely: no
-  /// candidate made of frequent items can traverse it.
+  /// See StepTransition.
   uint64_t prune_sigma = 0;
 };
+
+/// One step of the FST simulation on input item `t`: true iff `tr` matches
+/// `t` and yields an edge, whose sorted output set (empty = ε) is left in
+/// `*out`. When prune_sigma > 0, items with document frequency <
+/// prune_sigma are removed, and a non-ε transition left with no item yields
+/// no edge: no candidate made of frequent items can traverse it.
+/// StateGrid::Build, DfsInput::Add and the no-grid pivot search all step
+/// through here, so the σ rule lives in one place.
+inline bool StepTransition(const Fst& fst, const Transition& tr, ItemId t,
+                           const Dictionary& dict, uint64_t prune_sigma,
+                           Sequence* out) {
+  if (!fst.Matches(tr, t, dict)) return false;
+  fst.ComputeOutput(tr, t, dict, out);
+  if (prune_sigma == 0 || out->empty()) return true;
+  out->erase(std::remove_if(out->begin(), out->end(),
+                            [&](ItemId w) {
+                              return dict.DocFrequency(w) < prune_sigma;
+                            }),
+             out->end());
+  return !out->empty() || tr.out_kind == OutputKind::kEpsilon;
+}
 
 /// Layered DAG of live FST simulation coordinates for one input sequence.
 class StateGrid {

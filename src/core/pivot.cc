@@ -163,18 +163,8 @@ struct NoGridSearch {
       return true;
     }
     for (const Transition& tr : fst.From(q)) {
-      if (!fst.Matches(tr, T[i], dict)) continue;
-      fst.ComputeOutput(tr, T[i], dict, &scratch_out);
-      if (sigma > 0 && !scratch_out.empty()) {
-        scratch_out.erase(
-            std::remove_if(scratch_out.begin(), scratch_out.end(),
-                           [&](ItemId w) {
-                             return dict.DocFrequency(w) < sigma;
-                           }),
-            scratch_out.end());
-        if (scratch_out.empty() && tr.out_kind != OutputKind::kEpsilon) {
-          continue;
-        }
+      if (!StepTransition(fst, tr, T[i], dict, sigma, &scratch_out)) {
+        continue;
       }
       PivotSet next =
           scratch_out.empty()

@@ -6,6 +6,8 @@
 #include <optional>
 #include <stdexcept>
 
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/thread_pool.h"
 
@@ -197,52 +199,65 @@ MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
   };
 }
 
-// Deserializes one partition's shuffled (possibly weighted) sequences into
-// σ-pruned grids — the shared front half of every D-SEQ reduce.
-void BuildPartitionGrids(const std::vector<std::string_view>& values,
-                         const Fst& fst, const Dictionary& dict,
-                         const GridOptions& grid_options,
-                         bool aggregate_sequences,
-                         std::vector<StateGrid>* grids,
-                         std::vector<uint64_t>* weights) {
-  grids->reserve(values.size());
-  weights->reserve(values.size());
+// One D-SEQ partition's local mining, the shared body of every D-SEQ
+// reduce: each shuffled (possibly weighted) rewrite is decoded straight into
+// a DfsInput for the partition's pivot, with items pruned at the run's σ,
+// and the store is mined with threshold `mine_sigma`. Work counts reach the
+// obs registry once per key group, so proc workers ship them too.
+MiningResult MinePartition(const std::vector<std::string_view>& values,
+                           const Fst& fst, const Dictionary& dict,
+                           const DSeqOptions& options, ItemId pivot,
+                           uint64_t mine_sigma) {
+  DSEQ_TRACE_SPAN("mining", "dseq_reduce");
+  DfsInput input(fst, dict, options.sigma, pivot);
   Sequence seq;
   for (std::string_view v : values) {
     size_t pos = 0;
     uint64_t weight = 1;
-    if (aggregate_sequences && !GetVarint(v, &pos, &weight)) {
+    if (options.aggregate_sequences && !GetVarint(v, &pos, &weight)) {
       throw std::invalid_argument("malformed weighted shuffle record");
     }
     if (!GetSequence(v, &pos, &seq) || pos != v.size()) {
       throw std::invalid_argument("malformed D-SEQ shuffle record");
     }
-    grids->push_back(StateGrid::Build(seq, fst, dict, grid_options));
-    weights->push_back(weight);
+    input.Add(seq, weight);
   }
+
+  DesqDfsOptions local;
+  local.sigma = mine_sigma;
+  local.pivot = pivot;
+  local.early_stop = options.early_stop;
+  DesqDfsStats stats;
+  MiningResult result = MineDesqDfs(input, local, &stats);
+  if (obs::Enabled()) {
+    static obs::Counter& sequences =
+        obs::GetCounter("mining.reduce_sequences");
+    static obs::Counter& edges_kept =
+        obs::GetCounter("mining.reduce_edges_kept");
+    static obs::Counter& edges_dropped =
+        obs::GetCounter("mining.reduce_edges_dropped");
+    static obs::Counter& expansions =
+        obs::GetCounter("mining.reduce_dfs_expansions");
+    static obs::Counter& postings_pruned =
+        obs::GetCounter("mining.reduce_postings_pruned");
+    sequences.Add(values.size());
+    edges_kept.Add(input.num_edges());
+    edges_dropped.Add(input.num_dropped_edges());
+    expansions.Add(stats.expansions);
+    postings_pruned.Add(stats.postings_pruned);
+  }
+  return result;
 }
 
 PartitionReduceFn MakeDSeqReduceFn(const Fst& fst, const Dictionary& dict,
                                    const DSeqOptions& options) {
-  GridOptions grid_options;
-  grid_options.prune_sigma = options.sigma;
-
-  return [&fst, &dict, &options, grid_options](
-             std::string_view key, std::vector<std::string_view>& values,
-             MiningResult& out) {
-    ItemId pivot = DecodePivotKey(key);
-    std::vector<StateGrid> grids;
-    std::vector<uint64_t> weights;
-    BuildPartitionGrids(values, fst, dict, grid_options,
-                        options.aggregate_sequences, &grids, &weights);
-
-    DesqDfsOptions local;
-    local.sigma = options.sigma;
-    local.pivot = pivot;
-    local.early_stop = options.early_stop;
-    MiningResult local_result = MineDesqDfsGrids(grids, weights, local);
-    out.insert(out.end(), std::make_move_iterator(local_result.begin()),
-               std::make_move_iterator(local_result.end()));
+  return [&fst, &dict, &options](std::string_view key,
+                                 std::vector<std::string_view>& values,
+                                 MiningResult& out) {
+    MiningResult local = MinePartition(values, fst, dict, options,
+                                       DecodePivotKey(key), options.sigma);
+    out.insert(out.end(), std::make_move_iterator(local.begin()),
+               std::make_move_iterator(local.end()));
   };
 }
 
@@ -301,9 +316,6 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
   chained.partitioner = plan.MakePartitioner();
   DataflowJob job(chained);
 
-  GridOptions grid_options;
-  grid_options.prune_sigma = options.sigma;
-
   // Mining round. Unsplit partitions finish here exactly as in MineDSeq.
   // Sub-partitions of a split pivot see only a slice of the pivot's
   // sequences, so their local support proves nothing about σ — they mine at
@@ -318,16 +330,10 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
                         std::vector<std::string_view>& values,
                         const EmitFn& emit) {
     PivotKeyParts parts = DecodePivotKeyParts(key);
-    std::vector<StateGrid> grids;
-    std::vector<uint64_t> weights;
-    BuildPartitionGrids(values, fst, dict, grid_options,
-                        options.aggregate_sequences, &grids, &weights);
-
-    DesqDfsOptions local;
-    local.pivot = parts.pivot;
-    local.early_stop = options.early_stop;
-    local.sigma = parts.subpartition < 0 ? options.sigma : 1;
-    MiningResult local_result = MineDesqDfsGrids(grids, weights, local);
+    // Split sub-partitions prune items at σ but mine at 1 (see above).
+    MiningResult local_result =
+        MinePartition(values, fst, dict, options, parts.pivot,
+                      parts.subpartition < 0 ? options.sigma : 1);
     const char tag = parts.subpartition < 0 ? 'F' : 'S';
     std::string k;
     std::string v;

@@ -20,7 +20,9 @@
 // in-memory pass: no fan-in limit, no intermediate run, no pass counted.
 //
 // Memory: one block per file-backed source plus the values of the current
-// group; never a whole run, never the whole column.
+// group; never a whole run, never the whole column. Open files: a run is
+// opened when a merge pass first reads it, so at most one pass's fan-in of
+// runs is open at once, however many runs the plan holds.
 #ifndef DSEQ_SPILL_EXTERNAL_MERGER_H_
 #define DSEQ_SPILL_EXTERNAL_MERGER_H_
 
@@ -50,7 +52,8 @@ class RecordSource {
 /// the run's backing file with it, so dropping the source (e.g. once an
 /// intermediate merge consumed the run) deletes the file immediately.
 /// `budget` (may be null) is handed to the reader, which charges its block
-/// buffers against it while the source is alive.
+/// buffers against it while the source is alive, from the first Next() on
+/// (the reader opens the run then).
 class SpillRunSource : public RecordSource {
  public:
   SpillRunSource(const SpillFile& run, bool compressed,

@@ -192,13 +192,7 @@ uint64_t SpillWriter::Finish() {
 
 SpillRunReader::SpillRunReader(const SpillFile& file, bool compressed,
                                MemoryBudget* budget)
-    : path_(file.path()), compressed_(compressed), budget_(budget) {
-  handle_ = std::fopen(path_.c_str(), "rb");
-  if (handle_ == nullptr) {
-    throw std::runtime_error("cannot open spill run " + path_ + ": " +
-                             std::strerror(errno));
-  }
-}
+    : path_(file.path()), compressed_(compressed), budget_(budget) {}
 
 SpillRunReader::~SpillRunReader() {
   if (handle_ != nullptr) std::fclose(handle_);
@@ -224,6 +218,13 @@ bool SpillRunReader::ReadBlock() {
   if (f.action == fault::Action::kErrno) {
     errno = f.param;
     throw std::runtime_error("read error on spill run " + path_);
+  }
+  if (handle_ == nullptr) {
+    handle_ = std::fopen(path_.c_str(), "rb");
+    if (handle_ == nullptr) {
+      throw std::runtime_error("cannot open spill run " + path_ + ": " +
+                               std::strerror(errno));
+    }
   }
   // Block length varint, byte by byte (at most 10 bytes).
   uint64_t stored_size = 0;

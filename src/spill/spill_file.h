@@ -114,6 +114,10 @@ class SpillWriter {
 /// corruption must fail loudly, exactly like the shuffle codecs.
 class SpillRunReader {
  public:
+  /// The run is opened by the first Next(), not here: a merge plan holds a
+  /// reader per run, and only the runs a merge pass reads may hold a file
+  /// descriptor, so a column with more runs than the process may open
+  /// files still merges.
   /// `budget` (may be null) is charged with the reader's actual block-buffer
   /// footprint while the reader is alive — merge-side memory is accounted,
   /// not free. The charge uses ForceCharge semantics when the budget is
@@ -134,7 +138,7 @@ class SpillRunReader {
   bool ReadBlock();
   void ChargeBuffers();
 
-  std::FILE* handle_ = nullptr;
+  std::FILE* handle_ = nullptr;  // null until the first read
   std::string path_;
   bool compressed_;
   MemoryBudget* budget_ = nullptr;

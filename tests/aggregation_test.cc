@@ -3,6 +3,9 @@
 // DESQ-DFS.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "src/core/desq_dfs.h"
 #include "src/dict/sequence.h"
 #include "src/dist/dseq_miner.h"
@@ -17,24 +20,26 @@ constexpr char kPatternEx[] = ".*(A)[(.^).*]*(b).*";
 TEST(WeightedDesqDfsTest, WeightsMultiplySupport) {
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(kPatternEx, db.dict);
-  GridOptions grid_options;
-  grid_options.prune_sigma = 2;
-
-  // T5 = a1 a1 b with weight 3 is equivalent to three copies of T5.
-  std::vector<StateGrid> grids;
-  grids.push_back(
-      StateGrid::Build(db.sequences[4], fst, db.dict, grid_options));
   DesqDfsOptions options;
   options.sigma = 3;
-  MiningResult weighted = MineDesqDfsGrids(grids, {3}, options);
+
+  // T5 = a1 a1 b with weight 3 is equivalent to three copies of T5, whether
+  // the store simulates the FST itself or adapts a built grid.
+  DfsInput direct(fst, db.dict, options.sigma, kNoItem);
+  direct.Add(db.sequences[4], 3);
+  GridOptions grid_options;
+  grid_options.prune_sigma = options.sigma;
+  std::vector<StateGrid> grids = {
+      StateGrid::Build(db.sequences[4], fst, db.dict, grid_options)};
 
   std::vector<Sequence> copies(3, db.sequences[4]);
   MiningResult expected = MineDesqDfs(copies, fst, db.dict, options);
-  EXPECT_EQ(weighted, expected);
-  EXPECT_FALSE(weighted.empty());
+  EXPECT_EQ(MineDesqDfs(direct, options), expected);
+  EXPECT_EQ(MineDesqDfsGrids(grids, {3}, options), expected);
+  EXPECT_FALSE(expected.empty());
 }
 
-TEST(WeightedDesqDfsTest, UnitWeightsMatchUnweighted) {
+TEST(WeightedDesqDfsTest, UnitWeightsMatchSequences) {
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(kPatternEx, db.dict);
   GridOptions grid_options;
@@ -47,7 +52,49 @@ TEST(WeightedDesqDfsTest, UnitWeightsMatchUnweighted) {
   options.sigma = 2;
   std::vector<uint64_t> ones(grids.size(), 1);
   EXPECT_EQ(MineDesqDfsGrids(grids, ones, options),
-            MineDesqDfsGrids(grids, options));
+            MineDesqDfs(db.sequences, fst, db.dict, options));
+}
+
+// Add(T, w), Add(grid, w) and w copies of T mine the same patterns, with and
+// without a pivot, on random databases and weights.
+TEST(WeightedDesqDfsTest, WeightedAddsMatchCopies) {
+  for (int seed : {1, 2, 3}) {
+    SequenceDatabase db = testing::RandomDatabase(seed + 200, 8, 20, 8);
+    std::mt19937_64 rng(seed);
+    std::vector<uint64_t> weights;
+    std::vector<Sequence> copies;
+    for (const Sequence& T : db.sequences) {
+      weights.push_back(1 + rng() % 3);
+      copies.insert(copies.end(), weights.back(), T);
+    }
+    for (const std::string& pattern : testing::PropertyPatterns()) {
+      Fst fst = CompileFst(pattern, db.dict);
+      for (uint64_t sigma : {2, 5}) {
+        GridOptions grid_options;
+        grid_options.prune_sigma = sigma;
+        std::vector<StateGrid> grids;
+        for (const Sequence& T : db.sequences) {
+          grids.push_back(StateGrid::Build(T, fst, db.dict, grid_options));
+        }
+        for (ItemId pivot = kNoItem; pivot <= db.dict.size(); ++pivot) {
+          DesqDfsOptions options;
+          options.sigma = sigma;
+          options.pivot = pivot;
+          DfsInput direct(fst, db.dict, sigma, pivot);
+          for (size_t i = 0; i < db.sequences.size(); ++i) {
+            direct.Add(db.sequences[i], weights[i]);
+          }
+          MiningResult expected = MineDesqDfs(copies, fst, db.dict, options);
+          EXPECT_EQ(MineDesqDfs(direct, options), expected)
+              << "pattern=" << pattern << " sigma=" << sigma
+              << " pivot=" << pivot;
+          EXPECT_EQ(MineDesqDfsGrids(grids, weights, options), expected)
+              << "pattern=" << pattern << " sigma=" << sigma
+              << " pivot=" << pivot;
+        }
+      }
+    }
+  }
 }
 
 TEST(DSeqAggregationTest, ResultsUnchanged) {

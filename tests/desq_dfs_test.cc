@@ -101,6 +101,21 @@ TEST(DesqDfsTest, EarlyStoppingDoesNotChangeResults) {
   }
 }
 
+TEST(DesqDfsTest, StoreRejectsAnotherPivot) {
+  // A store is cut and pruned for its pivot; mining it for another would
+  // silently drop patterns.
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  ItemId a1 = db.dict.ItemByName("a1");
+  DfsInput input(fst, db.dict, 2, a1);
+  for (const Sequence& T : db.sequences) input.Add(T);
+  DesqDfsOptions options;
+  options.sigma = 2;
+  EXPECT_THROW(MineDesqDfs(input, options), std::invalid_argument);
+  options.pivot = a1;
+  EXPECT_EQ(MineDesqDfs(input, options).size(), 3u);
+}
+
 TEST(DesqDfsTest, MemoryBudgetThrows) {
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(kPatternEx, db.dict);
@@ -138,6 +153,49 @@ TEST_P(DesqDfsPropertyTest, MatchesBruteForce) {
         << "pattern=" << pattern << " sigma=" << sigma << "\nactual:\n"
         << testing::Format(actual, db.dict) << "expected:\n"
         << testing::Format(expected, db.dict);
+
+    // Pivot-restricted mining, with and without early stopping, yields
+    // exactly the patterns whose max item is the pivot.
+    for (ItemId k = 1; k <= db.dict.size(); ++k) {
+      MiningResult with_pivot;
+      for (const PatternCount& pc : expected) {
+        if (PivotItem(pc.pattern) == k) with_pivot.push_back(pc);
+      }
+      for (bool early_stop : {true, false}) {
+        DesqDfsOptions local = options;
+        local.pivot = k;
+        local.early_stop = early_stop;
+        EXPECT_EQ(MineDesqDfs(db.sequences, fst, db.dict, local), with_pivot)
+            << "pattern=" << pattern << " sigma=" << sigma << " pivot=" << k
+            << " early_stop=" << early_stop;
+      }
+    }
+  }
+}
+
+// With no pivot the store keeps exactly the σ-pruned grids' edges, so the
+// max_total_grid_edges budget (the OOM emulation of Tab. V and Fig. 13)
+// means what it meant over StateGrids.
+TEST_P(DesqDfsPropertyTest, StoreEdgesMatchGridEdges) {
+  auto [seed, pattern] = GetParam();
+  SequenceDatabase db = testing::RandomDatabase(seed + 100, 8, 40, 8);
+  Fst fst = CompileFst(pattern, db.dict);
+  for (uint64_t sigma : {0, 1, 3, 5}) {
+    GridOptions grid_options;
+    grid_options.prune_sigma = sigma;
+    DfsInput input(fst, db.dict, sigma, kNoItem);
+    uint64_t grid_edges = 0;
+    size_t accepting = 0;
+    for (const Sequence& T : db.sequences) {
+      StateGrid grid = StateGrid::Build(T, fst, db.dict, grid_options);
+      grid_edges += grid.num_edges();
+      accepting += grid.HasAcceptingRun() ? 1 : 0;
+      input.Add(T);
+    }
+    EXPECT_EQ(input.num_edges(), grid_edges)
+        << "pattern=" << pattern << " sigma=" << sigma;
+    EXPECT_EQ(input.num_sequences(), accepting)
+        << "pattern=" << pattern << " sigma=" << sigma;
   }
 }
 

@@ -279,6 +279,35 @@ TEST(ExternalMergerTest, MergeBudgetClampsFanInAndChargesReadBuffers) {
   EXPECT_EQ(budget.used_bytes(), 0u);
 }
 
+TEST(ExternalMergerTest, RunsOpenOnlyWhenAMergePassReadsThem) {
+  // A plan holds one source per run, but only the runs a merge pass reads
+  // may be open: a column with more runs than the process's file limit must
+  // still merge. 240 runs at fan-in 16 keep at most 16 readers (plus one
+  // intermediate writer) open, before and during the merge.
+  ScopedSpillDir dir;
+  SpillStats stats;
+  constexpr int kFanIn = 16;
+  constexpr int kRuns = 240;
+  // Slack for the /proc/self/fd listing's own handle and the writer.
+  constexpr size_t kSlack = 4;
+  const size_t baseline = CountDirEntries("/proc/self/fd");
+  ExternalMergePlan plan(dir.path(), /*compress=*/false, kFanIn, &stats);
+  for (int i = 0; i < kRuns; ++i) {
+    plan.AddRun(WriteRun(dir.path(), false, &stats,
+                         {{"k" + std::to_string(i % 7), std::to_string(i)},
+                          {"z", std::to_string(i)}}));
+  }
+  EXPECT_LE(CountDirEntries("/proc/self/fd"), baseline + kSlack);
+  size_t peak = 0;
+  uint64_t values = 0;
+  plan.MergeGroups([&](std::string_view, std::vector<std::string_view>& vs) {
+    peak = std::max(peak, CountDirEntries("/proc/self/fd"));
+    values += vs.size();
+  });
+  EXPECT_EQ(values, 2u * kRuns);
+  EXPECT_LE(peak, baseline + kFanIn + kSlack);
+}
+
 // --- Engine out-of-core runs ------------------------------------------------
 
 using Emissions =

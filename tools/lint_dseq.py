@@ -46,6 +46,13 @@ the offending line or the line above it):
                        the one way to run a round, on either backend; a
                        second caller of the coordinator would be a second
                        backend dispatch.
+  dfs-input            calls of MineDesqDfsGrids in src/ outside
+                       src/core/desq_dfs.{h,cc} — DESQ-DFS mines from the
+                       flat DfsInput store, built straight from the
+                       sequences; the grid adapter exists for the frozen
+                       benchmark replay, and a miner that builds a StateGrid
+                       per sequence only to mine it pays the per-edge
+                       allocations the store removed.
   header-guard         src/ and tests/ headers must use the canonical
                        DSEQ_<PATH>_H_ include guard.
   header-self-contained (--check-headers) every header must compile on its
@@ -282,6 +289,21 @@ class Linter:
                             "through RunMapReduce with options.backend = "
                             "DataflowBackend::kProc", raw_lines)
 
+    # Miners feed DESQ-DFS through DfsInput::Add; only the adapter's own
+    # files may name the StateGrid entry point.
+    DFS_INPUT_EXEMPT = {"src/core/desq_dfs.h", "src/core/desq_dfs.cc"}
+    DFS_INPUT_RE = re.compile(r"\bMineDesqDfsGrids\s*\(")
+
+    def check_dfs_input(self, path, raw_lines, code_lines):
+        if not path.startswith("src/") or path in self.DFS_INPUT_EXEMPT:
+            return
+        for i, line in enumerate(code_lines, start=1):
+            if self.DFS_INPUT_RE.search(line):
+                self.report(path, i, "dfs-input",
+                            "MineDesqDfsGrids called in src/ — add the "
+                            "sequences to a DfsInput (DfsInput::Add) and "
+                            "mine it with MineDesqDfs", raw_lines)
+
     def check_header_guard(self, path, raw_lines, code_lines):
         expected = "DSEQ_" + re.sub(r"[/.]", "_", path.upper()
                                     .removeprefix("SRC/")).rstrip("_") + "_"
@@ -311,6 +333,7 @@ class Linter:
         self.check_raw_clock_call(path, raw_lines, code_lines)
         self.check_reduce_body(path, raw_lines, code_lines)
         self.check_round_entry(path, raw_lines, code_lines)
+        self.check_dfs_input(path, raw_lines, code_lines)
         if path.endswith(".h") and (path.startswith("src/") or
                                     path.startswith("tests/")):
             self.check_header_guard(path, raw_lines, code_lines)
@@ -438,6 +461,24 @@ SELFTEST_CASES = [
     ("round-entry: allow() escape", "bench/foo_bench.cc",
      "RunProcRound(n, m, false, r, o);  // dseq-lint: allow(round-entry)\n",
      "round-entry", 0),
+    # dfs-input: miners build a DfsInput, not a StateGrid per sequence.
+    ("dfs-input: grid mining in a reduce", "src/dist/dseq_miner.cc",
+     "MiningResult r = MineDesqDfsGrids(grids, weights, local);\n",
+     "dfs-input", 1),
+    ("dfs-input: the adapter in desq_dfs.cc", "src/core/desq_dfs.cc",
+     "MiningResult MineDesqDfsGrids(const std::vector<StateGrid>& grids,\n",
+     "dfs-input", 0),
+    ("dfs-input: the declaration in desq_dfs.h", "src/core/desq_dfs.h",
+     "MiningResult MineDesqDfsGrids(const std::vector<StateGrid>& grids,\n",
+     "dfs-input", 0),
+    ("dfs-input: scoped to src/", "perfbench/perfbench.cc",
+     "MineDesqDfsGrids(grids, weights, local);\n", "dfs-input", 0),
+    ("dfs-input: comment is not a call", "src/dist/dseq_miner.cc",
+     "// replaces MineDesqDfsGrids(grids, weights, local)\n",
+     "dfs-input", 0),
+    ("dfs-input: allow() escape", "src/dist/naive.cc",
+     "MineDesqDfsGrids(g, w, o);  // dseq-lint: allow(dfs-input)\n",
+     "dfs-input", 0),
     # Regression cases for the pre-existing rules.
     ("naked-new fires in src", "src/foo/bar.cc",
      "int* p = new int(3);\n", "naked-new", 1),
