@@ -123,5 +123,5 @@ int main() {
     PrintRow({c.name, std::to_string(summary.num_partitions),
               FormatBytes(summary.total_bytes), buf[0], buf[1]});
   }
-  return 0;
+  return AgreementExitStatus();
 }

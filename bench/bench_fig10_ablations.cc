@@ -102,5 +102,5 @@ int main() {
       "constraints (many runs); rewrites\nand early stopping help "
       "hierarchy-heavy constraints; NFA aggregation is decisive for N4-style"
       "\nconstraints that produce many identical NFAs.\n");
-  return 0;
+  return AgreementExitStatus();
 }

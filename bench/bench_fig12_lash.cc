@@ -72,5 +72,5 @@ int main() {
       false);
   Row("T2(" + std::to_string(sig(250)) + ",0,5)", Cw50(), sig(250), 0, 5,
       false);
-  return 0;
+  return AgreementExitStatus();
 }

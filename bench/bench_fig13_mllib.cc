@@ -63,5 +63,5 @@ int main() {
       "\nExpected shape (paper Fig. 13): specialized miners fastest, D-SEQ "
       "competitive, D-CAND OOMs\n(the MLlib setting is the worst case for "
       "candidate representation).\n");
-  return 0;
+  return AgreementExitStatus();
 }

@@ -83,5 +83,5 @@ int main() {
       "\nExpected shape (paper): naive methods shuffle up to 100x more than "
       "D-SEQ/D-CAND; the D-CAND\nNFA representation is almost as concise as "
       "D-SEQ's rewritten sequences.\n");
-  return 0;
+  return AgreementExitStatus();
 }

@@ -231,7 +231,8 @@ void BenchPivotDp() {
 
 void BenchRewriteAllPivots() {
   // The D-SEQ map's per-sequence rewrite work: one PivotRewriter per grid
-  // (pivot DPs and per-layer blocks), then ρk(T) for every pivot k.
+  // (pivot DPs, then each pivot's bounds off its departure and arrival
+  // edges), then ρk(T) for every pivot k.
   const SequenceDatabase& db = Corpus();
   std::vector<StateGrid> grids = BuildGrids(64);
   size_t i = 0;

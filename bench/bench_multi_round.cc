@@ -152,5 +152,5 @@ void BenchRecountMiners() {
 int main() {
   BenchChainedPrefixSpan();
   BenchRecountMiners();
-  return 0;
+  return AgreementExitStatus();
 }

@@ -71,5 +71,5 @@ int main() {
       T2Pattern(0, 5), sig(100), single_machine_budget);
   Row("T2(" + std::to_string(sig(250)) + ",0,5), CW50'", Cw50(),
       T2Pattern(0, 5), sig(250), single_machine_budget);
-  return 0;
+  return AgreementExitStatus();
 }

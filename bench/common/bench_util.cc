@@ -309,10 +309,13 @@ std::string FormatRun(const RunRow& row) {
   return row.oom ? "n/a (OOM)" : FormatSeconds(row.total_s);
 }
 
-bool CheckAgreement(const std::vector<RunRow>& rows,
+namespace {
+bool disagreed = false;  // set by CheckAgreement, read by main's return
+}  // namespace
+
+void CheckAgreement(const std::vector<RunRow>& rows,
                     const std::string& where) {
   const RunRow* reference = nullptr;
-  bool ok = true;
   for (const RunRow& row : rows) {
     if (row.oom) continue;
     if (reference == nullptr) {
@@ -324,11 +327,12 @@ bool CheckAgreement(const std::vector<RunRow>& rows,
                    "(%zu patterns)\n",
                    where.c_str(), row.algo.c_str(), row.num_patterns,
                    reference->algo.c_str(), reference->num_patterns);
-      ok = false;
+      disagreed = true;
     }
   }
-  return ok;
 }
+
+int AgreementExitStatus() { return disagreed ? 1 : 0; }
 
 }  // namespace bench
 }  // namespace dseq

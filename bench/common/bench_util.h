@@ -103,8 +103,14 @@ std::string FormatSeconds(double seconds);
 std::string FormatBytes(uint64_t bytes);
 std::string FormatRun(const RunRow& row);  // "12.3s" or "n/a (OOM)"
 
-/// Warns on stderr and returns false if checksums of non-OOM rows disagree.
-bool CheckAgreement(const std::vector<RunRow>& rows, const std::string& where);
+/// Warns on stderr if checksums of non-OOM rows disagree, and remembers it
+/// for AgreementExitStatus.
+void CheckAgreement(const std::vector<RunRow>& rows, const std::string& where);
+
+/// A harness's exit status: 1 if any CheckAgreement in this process found a
+/// disagreement, else 0. Every harness that cross-checks returns it from
+/// main, so a disagreeing run fails its caller (CI included).
+int AgreementExitStatus();
 
 }  // namespace bench
 }  // namespace dseq

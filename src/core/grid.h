@@ -103,8 +103,9 @@ class StateGrid {
   size_t num_edges() const;
 
   /// Computes, for every coordinate (i,q), whether (length(), f∈F) is
-  /// reachable using only ε-output edges. Used by DESQ-DFS to decide whether
-  /// a prefix is a *complete* output for this sequence. Indexed i*num_states+q.
+  /// reachable using only ε-output edges. Indexed i*num_states+q. The D-SEQ
+  /// rewriter's cut check computes the same bits layer by layer from the
+  /// top, only as far down as it needs them.
   std::vector<uint8_t> ComputeEpsAcceptTable() const;
 
  private:

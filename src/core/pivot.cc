@@ -20,38 +20,44 @@ void PivotSet::UnionWith(const PivotSet& other) {
   items = std::move(merged);
 }
 
+namespace {
+
+// U ⊕ Q over sorted, duplicate-free item ranges. min(Q) = ε if Q contains ε,
+// else its smallest item. An element ω of U survives iff ω >= min(Q), i.e.
+// all of U if Q has ε, else ω >= Q's first item. Each survivor set is a
+// sorted tail range of its side, so the union is written straight into the
+// result — no temporaries. Both sides must be non-empty.
+template <typename UIt, typename QIt>
+PivotSet MergeRanges(bool u_eps, UIt ubegin, UIt uend, bool q_eps, QIt qbegin,
+                     QIt qend) {
+  PivotSet result;
+  result.has_eps = u_eps && q_eps;
+  UIt ufrom = q_eps ? ubegin : std::lower_bound(ubegin, uend, *qbegin);
+  QIt qfrom = u_eps ? qbegin : std::lower_bound(qbegin, qend, *ubegin);
+  result.items.reserve((uend - ufrom) + (qend - qfrom));
+  std::set_union(ufrom, uend, qfrom, qend, std::back_inserter(result.items));
+  return result;
+}
+
+}  // namespace
+
 PivotSet PivotMerge(const PivotSet& u, const PivotSet& q) {
   if (u.IsEmpty() || q.IsEmpty()) return PivotSet{};
-  PivotSet result;
-  result.has_eps = u.has_eps && q.has_eps;
+  return MergeRanges(u.has_eps, u.items.begin(), u.items.end(), q.has_eps,
+                     q.items.begin(), q.items.end());
+}
 
-  // min(Q) = ε if Q contains ε, else its smallest item. An element ω of U
-  // survives iff ω >= min(Q), i.e. all of U if Q has ε, else ω >= Q.front().
-  // Each survivor set is a sorted tail range of its side, so the union is
-  // written straight into the result — no temporaries.
-  auto survivors = [](const PivotSet& from, const PivotSet& other)
-      -> std::pair<PivotItemVec::const_iterator,
-                   PivotItemVec::const_iterator> {
-    if (other.has_eps) return {from.items.begin(), from.items.end()};
-    ItemId min_other = other.items.front();
-    auto it =
-        std::lower_bound(from.items.begin(), from.items.end(), min_other);
-    return {it, from.items.end()};
-  };
-
-  auto [ubegin, uend] = survivors(u, q);
-  auto [qbegin, qend] = survivors(q, u);
-  result.items.reserve((uend - ubegin) + (qend - qbegin));
-  std::set_union(ubegin, uend, qbegin, qend,
-                 std::back_inserter(result.items));
-  return result;
+PivotSet PivotMerge(const PivotSet& u, const Sequence& out) {
+  if (u.IsEmpty()) return PivotSet{};
+  if (out.empty()) return u;
+  return MergeRanges(u.has_eps, u.items.begin(), u.items.end(), false,
+                     out.begin(), out.end());
 }
 
 PivotSet PivotsOfOutputSets(const std::vector<Sequence>& output_sets) {
   PivotSet acc = PivotSet::Eps();
   for (const Sequence& out : output_sets) {
-    PivotSet next = out.empty() ? PivotSet::Eps() : PivotSet::Items(out);
-    acc = PivotMerge(acc, next);
+    acc = PivotMerge(acc, out);
     if (acc.IsEmpty()) return acc;
   }
   return acc;
@@ -67,10 +73,12 @@ std::vector<PivotSet> ComputeForwardPivots(const StateGrid& grid) {
     for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
       const PivotSet& prev = fwd[i * ns + e.from];
       if (prev.IsEmpty()) continue;
-      PivotSet contrib =
-          e.out.empty() ? prev
-                        : PivotMerge(prev, PivotSet::Items(e.out));
-      fwd[(i + 1) * ns + e.to].UnionWith(contrib);
+      PivotSet& to = fwd[(i + 1) * ns + e.to];
+      if (e.out.empty()) {
+        to.UnionWith(prev);
+      } else {
+        to.UnionWith(PivotMerge(prev, e.out));
+      }
     }
   }
   return fwd;
@@ -90,10 +98,12 @@ std::vector<PivotSet> ComputeBackwardPivots(const StateGrid& grid) {
     for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
       const PivotSet& next = bwd[(i + 1) * ns + e.to];
       if (next.IsEmpty()) continue;
-      PivotSet contrib =
-          e.out.empty() ? next
-                        : PivotMerge(next, PivotSet::Items(e.out));
-      bwd[i * ns + e.from].UnionWith(contrib);
+      PivotSet& from = bwd[i * ns + e.from];
+      if (e.out.empty()) {
+        from.UnionWith(next);
+      } else {
+        from.UnionWith(PivotMerge(next, e.out));
+      }
     }
   }
   return bwd;
@@ -101,12 +111,7 @@ std::vector<PivotSet> ComputeBackwardPivots(const StateGrid& grid) {
 
 Sequence FindPivotItems(const StateGrid& grid) {
   if (!grid.HasAcceptingRun()) return {};
-  return PivotItemsFromForward(grid, ComputeForwardPivots(grid));
-}
-
-Sequence PivotItemsFromForward(const StateGrid& grid,
-                               const std::vector<PivotSet>& fwd) {
-  if (!grid.HasAcceptingRun()) return {};
+  std::vector<PivotSet> fwd = ComputeForwardPivots(grid);
   size_t n = grid.length();
   size_t ns = grid.num_states();
   PivotSet result;
@@ -166,10 +171,7 @@ struct NoGridSearch {
       if (!StepTransition(fst, tr, T[i], dict, sigma, &scratch_out)) {
         continue;
       }
-      PivotSet next =
-          scratch_out.empty()
-              ? acc
-              : PivotMerge(acc, PivotSet::Items(scratch_out));
+      PivotSet next = PivotMerge(acc, scratch_out);
       if (next.IsEmpty()) continue;
       if (!Dfs(i + 1, tr.to, next)) return false;
     }

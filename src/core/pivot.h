@@ -209,6 +209,10 @@ struct PivotSet {
 /// If either side is empty (no ε, no items), the result is empty.
 PivotSet PivotMerge(const PivotSet& u, const PivotSet& q);
 
+/// U ⊕ out for an edge's sorted output set `out` (empty = ε), without
+/// copying `out` into a PivotSet.
+PivotSet PivotMerge(const PivotSet& u, const Sequence& out);
+
 /// Theorem 1: pivots of a run given its output sets (empty vector = ε).
 /// Folds ⊕ left to right starting from {ε}.
 PivotSet PivotsOfOutputSets(const std::vector<Sequence>& output_sets);
@@ -224,12 +228,6 @@ std::vector<PivotSet> ComputeBackwardPivots(const StateGrid& grid);
 /// K(T): all pivot items of the grid's candidate subsequences, sorted
 /// ascending. Assumes the grid was built with the desired σ pruning.
 Sequence FindPivotItems(const StateGrid& grid);
-
-/// K(T) read off an already computed forward table `fwd` of `grid` (the
-/// union of K(n,q) over the alive final states q). FindPivotItems is this
-/// applied to ComputeForwardPivots(grid).
-Sequence PivotItemsFromForward(const StateGrid& grid,
-                               const std::vector<PivotSet>& fwd);
 
 /// Theorem 1 read per edge, for one pivot k: k ∈ K(r) iff every non-ε output
 /// set of run r has an item <= k and some output set contains k. An edge is

@@ -1,7 +1,6 @@
 #include "src/dist/dseq_miner.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -17,117 +16,142 @@ namespace dseq {
 //
 // The rewriter trims a prefix and a suffix of T while preserving the set of
 // pivot-k candidate subsequences exactly. A leading position i can be
-// dropped while (a) the grid has an alive ε self-loop on the initial state
-// at layer i (so runs of the trimmed sequence extend back to runs of T by
-// idling in the initial state) and (b) no other alive edge at layer i lies
-// on a run producing a pivot-k candidate (so every pivot-k run of T idles
-// in the initial state through layer i and survives the trim). Trailing
-// positions are symmetric with "ε self-loop on a final state"; additionally
-// the cut layer must not expose new acceptances: every final state that is
-// forward-reachable at the cut must have an ε-only completion in T
-// (otherwise the trimmed sequence would accept a candidate T does not).
+// dropped while (a) the grid has an ε self-loop on the initial state at
+// layer i (so runs of the trimmed sequence extend back to runs of T by
+// idling in the initial state) and (b) no pivot-k run uses another edge at
+// layer i (so every pivot-k run of T idles through layer i and survives the
+// trim). Trailing positions are symmetric with "ε self-loop on a final
+// state"; additionally the cut layer must not expose new acceptances: every
+// final state that is forward-reachable at the cut must have an ε-only
+// completion in T (otherwise the trimmed sequence would accept a candidate
+// T does not).
 //
-// "Lies on a run producing a pivot-k candidate" is decided with the pivot
-// DPs: the pivots of all candidates of runs through edge e at layer i are
-// its through-set K(i, e.from) ⊕ out(e) ⊕ B(i+1, e.to), because ⊕
-// distributes over the per-coordinate unions the DP tables take.
+// Rule (b) is read off each run's two ends. A run idles on the initial ε
+// self-loop until its *departure*, its first other edge, and after its
+// *arrival*, its last edge that is not a final ε self-loop, it idles on
+// final ε self-loops. So the lead of pivot k is the first layer at which
+// some pivot-k run departs, and the cut is one past the last layer at which
+// some pivot-k run arrives (or past the last layer failing the acceptance
+// check, if that comes later). Because ⊕ distributes over the unions the DP
+// tables take:
+//   - the pivots of runs departing at layer i via edge e out of the initial
+//     state are out(e) ⊕ B(i+1, e.to): their prefix is all ε. This holds
+//     up to the first layer without an initial ε self-loop, and every run
+//     has departed by then, so the lead scan never needs a later layer;
+//   - the pivots of runs arriving at layer i via edge e are
+//     K(i, e.from) ⊕ out(e), provided e.to idles on final ε self-loops
+//     through layer n: their suffix is all ε.
+// The trail scan takes every edge into a final state, idling or not, and
+// stays exact. If (i+1, e.to) does not idle to the end, then either it has
+// no ε-only completion, so the acceptance check fails at layer i+1 and the
+// scan stops before layer i, or each prefix through e extends by an ε-only
+// completion to a run with the prefix's pivots that arrives after layer i.
+// Either way the edge cannot move a pivot's cut.
 //
-// None of this depends on k except the final membership test, so the
-// constructor computes every edge's through-set once and folds it into two
-// sorted per-layer unions: the lead block (all edges but the initial ε
-// self-loop) and the trail block (all edges but final ε self-loops). The
-// initial-self-loop flag and the cut-layer acceptance check do not depend
-// on k either and are per-layer flags. Rewrite(k) then walks layers from
-// both ends with one binary search per layer. The cost is O(|E|) pivot
-// merges and one small sort per layer per sequence, plus O(n log |K(T)|)
-// per pivot, instead of the per-edge merges being redone for every pivot.
-
-void PivotRewriter::LayerBlocks::Close(Sequence* scratch) {
-  std::sort(scratch->begin(), scratch->end());
-  scratch->erase(std::unique(scratch->begin(), scratch->end()),
-                 scratch->end());
-  auto first = items.insert(items.end(), scratch->begin(), scratch->end());
-  DSEQ_DCHECK(std::adjacent_find(first, items.end(),
-                                 std::greater_equal<ItemId>()) == items.end());
-  begin.push_back(static_cast<uint32_t>(items.size()));
-  scratch->clear();
-}
-
-bool PivotRewriter::LayerBlocks::Contains(size_t layer, ItemId pivot) const {
-  return std::binary_search(items.begin() + begin[layer],
-                            items.begin() + begin[layer + 1], pivot);
-}
+// The constructor walks layers up from 0 until every pivot has departed, and
+// down from n−1 until every pivot has arrived or a layer fails the
+// acceptance check, with one ⊕ per edge out of the initial state, or into a
+// final state, on the layers it visits. It stores one [lead, cut) pair per
+// pivot, so Rewrite(k) is one binary search plus the copy.
 
 PivotRewriter::PivotRewriter(const Sequence& T, const StateGrid& grid)
     : T_(T) {
   if (!grid.HasAcceptingRun()) return;
-  std::vector<PivotSet> fwd = ComputeForwardPivots(grid);
-  pivots_ = PivotItemsFromForward(grid, fwd);
-  if (pivots_.empty()) return;  // Rewrite has no pivot to be called with
-  std::vector<PivotSet> bwd = ComputeBackwardPivots(grid);
-  std::vector<uint8_t> eps_accept = grid.ComputeEpsAcceptTable();
-
   const size_t n = grid.length();
   const size_t ns = grid.num_states();
   const StateId initial = grid.initial_state();
-  initial_self_loop_.assign(n, 0);
-  cut_accepts_.assign(n, 1);
-  Sequence lead;
-  Sequence trail;
-  for (size_t i = 0; i < n; ++i) {
-    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
-      bool idle = e.from == e.to && e.out.empty();
-      bool initial_loop = idle && e.from == initial;
-      bool final_loop = idle && grid.IsFinalState(e.from);
-      if (initial_loop) initial_self_loop_[i] = 1;
-      if (initial_loop && final_loop) continue;
-      const PivotSet& before = fwd[i * ns + e.from];
-      if (before.IsEmpty()) continue;
-      const PivotSet& after = bwd[(i + 1) * ns + e.to];
-      PivotSet through =
-          e.out.empty()
-              ? PivotMerge(before, after)
-              : PivotMerge(PivotMerge(before, PivotSet::Items(e.out)), after);
-      const PivotItemVec& items = through.items;
-      if (!initial_loop) lead.insert(lead.end(), items.begin(), items.end());
-      if (!final_loop) trail.insert(trail.end(), items.begin(), items.end());
+  std::vector<PivotSet> bwd = ComputeBackwardPivots(grid);
+  pivots_ = bwd[initial].items.ToSequence();  // ε is never a pivot
+  if (pivots_.empty()) return;  // Rewrite has no pivot to be called with
+
+  // Records `layer` as the bound of every pivot in `items` that has none
+  // yet; `*open` counts the pivots still without one.
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  auto settle = [this](const PivotItemVec& items, uint32_t layer,
+                       std::vector<uint32_t>* bound, size_t* open) {
+    auto from = pivots_.begin();
+    for (ItemId k : items) {
+      from = std::lower_bound(from, pivots_.end(), k);
+      DSEQ_DCHECK(from != pivots_.end() && *from == k);
+      uint32_t& b = (*bound)[from - pivots_.begin()];
+      if (b == kNone) {
+        b = layer;
+        --*open;
+      }
     }
-    lead_.Close(&lead);
-    trail_.Close(&trail);
+  };
+
+  // Lead: the first departure layer of each pivot's runs. Every pivot has
+  // departed by the first layer without an initial ε self-loop, so the scan
+  // ends before any layer where an all-ε prefix no longer exists.
+  lead_.assign(pivots_.size(), kNone);
+  size_t open = pivots_.size();
+  for (size_t i = 0; i < n && open > 0; ++i) {
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+      if (e.from != initial) continue;
+      if (e.to == initial && e.out.empty()) continue;  // initial ε self-loop
+      settle(PivotMerge(bwd[(i + 1) * ns + e.to], e.out).items, i, &lead_,
+             &open);
+    }
+  }
+  DSEQ_DCHECK_EQ(open, 0u);
+
+  // Trail: the last arrival layer of each pivot's runs, down to the last
+  // layer failing the cut-acceptance check. `accept` holds, per state at the
+  // layer above, "ε-only completion to an accepting end", rolled down one
+  // layer at a time.
+  std::vector<PivotSet> fwd = ComputeForwardPivots(grid);
+  cut_.assign(pivots_.size(), kNone);
+  open = pivots_.size();
+  size_t cut_floor = 0;  // one past the last layer failing the cut check
+  std::vector<uint8_t> accept(ns);
+  for (StateId q = 0; q < ns; ++q) {
+    accept[q] = grid.Alive(n, q) && grid.IsFinalState(q);
+  }
+  std::vector<uint8_t> accept_below(ns);
+  for (size_t i = n; i-- > 0 && open > 0;) {
+    const std::vector<StateGrid::Edge>& edges = grid.EdgesAt(i);
+    std::fill(accept_below.begin(), accept_below.end(), 0);
+    for (const StateGrid::Edge& e : edges) {
+      if (e.out.empty() && accept[e.to]) accept_below[e.from] = 1;
+    }
+    accept.swap(accept_below);
     // Cut-layer acceptance check: a run of the trimmed sequence ends in any
     // forward-reachable final state at layer i; its candidate is one of T's
     // only if T can finish from there without further output.
-    for (StateId q = 0; q < ns; ++q) {
+    bool cut_accepts = true;
+    for (StateId q = 0; q < ns && cut_accepts; ++q) {
       if (!grid.IsFinalState(q) || !grid.ForwardActive(i, q)) continue;
-      if (!grid.Alive(i, q) || !eps_accept[i * ns + q]) {
-        cut_accepts_[i] = 0;
-        break;
-      }
+      cut_accepts = grid.Alive(i, q) && accept[q];
     }
+    if (!cut_accepts) {
+      cut_floor = i + 1;
+      break;
+    }
+    for (const StateGrid::Edge& e : edges) {
+      if (!grid.IsFinalState(e.to)) continue;
+      if (e.from == e.to && e.out.empty()) continue;  // final ε self-loop
+      settle(PivotMerge(fwd[i * ns + e.from], e.out).items,
+             static_cast<uint32_t>(i + 1), &cut_, &open);
+    }
+  }
+  // Some run of each pivot arrives no earlier than another one departs, so
+  // every cut lies past its lead.
+  for (size_t p = 0; p < pivots_.size(); ++p) {
+    if (cut_[p] == kNone) cut_[p] = static_cast<uint32_t>(cut_floor);
+    DSEQ_DCHECK_LT(lead_[p], cut_[p]);
+    DSEQ_DCHECK_LE(cut_[p], n);
   }
 }
 
 Sequence PivotRewriter::Rewrite(ItemId pivot) const {
-  DSEQ_DCHECK(std::binary_search(pivots_.begin(), pivots_.end(), pivot));
-  if (pivots_.empty()) return T_;
-  const size_t n = T_.size();
-
-  // Leading trim.
-  size_t lead = 0;
-  while (lead < n && initial_self_loop_[lead] &&
-         !lead_.Contains(lead, pivot)) {
-    ++lead;
-  }
-
-  // Trailing trim: keep T[lead..cut).
-  size_t cut = n;
-  while (cut > lead + 1 && cut_accepts_[cut - 1] &&
-         !trail_.Contains(cut - 1, pivot)) {
-    --cut;
-  }
-
-  DSEQ_DCHECK_LT(lead, cut);
-  if (lead == 0 && cut == n) return T_;
+  auto it = std::lower_bound(pivots_.begin(), pivots_.end(), pivot);
+  DSEQ_DCHECK(it != pivots_.end() && *it == pivot);
+  if (it == pivots_.end() || *it != pivot) return T_;
+  const size_t p = it - pivots_.begin();
+  const size_t lead = lead_[p];
+  const size_t cut = cut_[p];
+  if (lead == 0 && cut == T_.size()) return T_;
   return Sequence(T_.begin() + lead, T_.begin() + cut);
 }
 
@@ -139,6 +163,34 @@ Sequence RewriteForPivot(const Sequence& T, const StateGrid& grid,
 // --- The miner -------------------------------------------------------------
 
 namespace {
+
+// Work counts of one D-SEQ map input, flushed to the obs registry once per
+// input (proc workers ship them too). The grid counts stay 0 under the
+// no-grid ablation, which builds no grid.
+struct MapCounts {
+  uint64_t sequences = 0;      // grids with an accepting run
+  uint64_t grid_edges = 0;
+  uint64_t pivots = 0;         // |K(T)| = records emitted
+  uint64_t input_items = 0;    // |T| per shipped copy
+  uint64_t shipped_items = 0;  // |ρk(T)| per shipped copy
+
+  void Flush() const {
+    static obs::Counter& sequences_counter =
+        obs::GetCounter("mining.map_sequences");
+    static obs::Counter& grid_edges_counter =
+        obs::GetCounter("mining.map_grid_edges");
+    static obs::Counter& pivots_counter = obs::GetCounter("mining.map_pivots");
+    static obs::Counter& input_items_counter =
+        obs::GetCounter("mining.map_input_items");
+    static obs::Counter& shipped_items_counter =
+        obs::GetCounter("mining.map_shipped_items");
+    sequences_counter.Add(sequences);
+    grid_edges_counter.Add(grid_edges);
+    pivots_counter.Add(pivots);
+    input_items_counter.Add(input_items);
+    shipped_items_counter.Add(shipped_items);
+  }
+};
 
 // Map/reduce phases shared by the single-round miner, the chained recount
 // driver, and the plan-driven balanced miner. The returned closures capture
@@ -163,7 +215,7 @@ MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
     const Sequence* pivots = &found;
     // Only pay for the rewriting DPs when rewriting is on — the Fig. 10a
     // "no rewriting" ablation must not include their cost in map time. When
-    // it is on, the rewriter's forward DP also yields K(T).
+    // it is on, the rewriter's backward DP also yields K(T).
     std::optional<PivotRewriter> rewriter;
     if (options.use_grid) {
       grid = StateGrid::Build(T, fst, dict, grid_options);
@@ -181,11 +233,19 @@ MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
       }
     }
 
+    MapCounts counts;
     std::string value;
     for (ItemId k : *pivots) {
       value.clear();
       if (options.aggregate_sequences) PutVarint(&value, 1);
-      PutSequence(&value, rewriter ? rewriter->Rewrite(k) : T);
+      if (rewriter) {
+        Sequence rewritten = rewriter->Rewrite(k);
+        counts.shipped_items += rewritten.size();
+        PutSequence(&value, rewritten);
+      } else {
+        counts.shipped_items += T.size();
+        PutSequence(&value, T);
+      }
       const PivotSplit* split =
           plan != nullptr ? plan->FindSplit(k) : nullptr;
       if (split != nullptr) {
@@ -195,6 +255,13 @@ MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
       } else {
         emit(EncodePivotKey(k), value);
       }
+    }
+    if (obs::Enabled()) {
+      counts.sequences = options.use_grid ? 1 : 0;
+      counts.grid_edges = options.use_grid ? grid.num_edges() : 0;
+      counts.pivots = pivots->size();
+      counts.input_items = pivots->size() * T.size();
+      counts.Flush();
     }
   };
 }

@@ -53,16 +53,17 @@ struct DSeqOptions : DistributedRunOptions {
   uint64_t nogrid_step_budget = 1'000'000'000;
 };
 
-/// Per-grid rewriter: runs the forward/backward pivot DPs once, folds them
-/// into per-layer rewrite facts, then rewrites for any number of pivots.
-/// Used by the D-SEQ map phase and the partition planner (one sequence,
-/// many pivots).
+/// Per-grid rewriter: runs the backward and forward pivot DPs once, reads
+/// every pivot's kept range off the layers where its runs depart the
+/// initial state and arrive at their final idle state, then rewrites for any
+/// number of pivots. Used by the D-SEQ map phase and the partition planner
+/// (one sequence, many pivots).
 class PivotRewriter {
  public:
   PivotRewriter(const Sequence& T, const StateGrid& grid);
 
   /// K(T), sorted ascending: the same items FindPivotItems(grid) returns,
-  /// read off the rewriter's own forward DP.
+  /// read off the rewriter's own backward DP at (0, initial).
   const Sequence& pivots() const { return pivots_; }
 
   /// ρk(T): T with irrelevant leading/trailing positions removed, such that
@@ -72,24 +73,11 @@ class PivotRewriter {
   Sequence Rewrite(ItemId pivot) const;
 
  private:
-  // Per-layer sorted, duplicate-free item blocks stored back to back.
-  struct LayerBlocks {
-    std::vector<ItemId> items;
-    std::vector<uint32_t> begin{0};  // block i is items[begin[i], begin[i+1])
-
-    // Sorts and dedups `*scratch` into the next layer's block; clears it.
-    void Close(Sequence* scratch);
-    bool Contains(size_t layer, ItemId pivot) const;
-  };
-
   const Sequence& T_;
   Sequence pivots_;
-  // Pivots of the runs through each layer's edges, except the initial ε
-  // self-loop (lead) or the final ε self-loops (trail).
-  LayerBlocks lead_;
-  LayerBlocks trail_;
-  std::vector<uint8_t> initial_self_loop_;  // per layer
-  std::vector<uint8_t> cut_accepts_;        // per layer
+  // ρk(T) = T[lead_[p], cut_[p]) for k = pivots_[p].
+  std::vector<uint32_t> lead_;
+  std::vector<uint32_t> cut_;
 };
 
 /// One-shot convenience wrapper around PivotRewriter.

@@ -85,6 +85,29 @@ TEST(PivotMergeTest, Commutative) {
   }
 }
 
+// The output-set overload is U ⊕ {ε} for an empty set and U ⊕ out
+// otherwise, on sets on both sides of the inline capacity.
+TEST(PivotMergeTest, OutputSetOverloadMatchesPivotSets) {
+  std::mt19937_64 rng(29);
+  auto random_items = [&](size_t max_size) {
+    Sequence items;
+    size_t n = rng() % (max_size + 1);
+    for (size_t i = 0; i < n; ++i) {
+      items.push_back(static_cast<ItemId>(rng() % 24 + 1));
+    }
+    std::sort(items.begin(), items.end());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
+    return items;
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    PivotSet u = PivotSet::Items(random_items(12));
+    u.has_eps = rng() % 3 == 0;
+    Sequence out = random_items(12);
+    PivotSet q = out.empty() ? PivotSet::Eps() : PivotSet::Items(out);
+    EXPECT_EQ(PivotMerge(u, out), PivotMerge(u, q));
+  }
+}
+
 TEST(PivotMergeTest, Associative) {
   std::mt19937_64 rng(23);
   for (int trial = 0; trial < 200; ++trial) {

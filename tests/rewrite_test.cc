@@ -29,6 +29,11 @@ struct ReferenceRewriter {
     size_t lead_trims = 0;        // rewrites with lead > 0
     size_t trail_trims = 0;       // rewrites with cut < n
     size_t acceptance_stops = 0;  // trail stopped only by the cut check
+    size_t idle_stops = 0;        // lead > 0 stopped where the initial
+                                  // state has no ε self-loop
+    size_t departure_stops = 0;   // lead > 0 stopped by a pivot-k edge
+                                  // beside the initial ε self-loop
+    size_t arrival_stops = 0;     // trail stopped by a pivot-k edge
   };
 
   const Sequence& T;
@@ -58,21 +63,24 @@ struct ReferenceRewriter {
     ++counts->rewrites;
 
     size_t lead = 0;
-    while (lead < n) {
+    for (; lead < n; ++lead) {
       bool has_initial_self_loop = false;
-      bool safe = true;
+      bool produces = false;
       for (const StateGrid::Edge& e : grid.EdgesAt(lead)) {
         if (e.from == initial && e.to == initial && e.out.empty()) {
           has_initial_self_loop = true;
-          continue;
-        }
-        if (EdgeProducesPivot(lead, e, pivot)) {
-          safe = false;
-          break;
+        } else if (EdgeProducesPivot(lead, e, pivot)) {
+          produces = true;
         }
       }
-      if (!safe || !has_initial_self_loop) break;
-      ++lead;
+      if (!has_initial_self_loop) {
+        if (lead > 0) ++counts->idle_stops;
+        break;
+      }
+      if (produces) {
+        if (lead > 0) ++counts->departure_stops;
+        break;
+      }
     }
 
     size_t cut = n;
@@ -87,7 +95,10 @@ struct ReferenceRewriter {
           break;
         }
       }
-      if (!safe) break;
+      if (!safe) {
+        ++counts->arrival_stops;
+        break;
+      }
       for (StateId q = 0; q < ns && safe; ++q) {
         if (!grid.IsFinalState(q) || !grid.ForwardActive(layer, q)) continue;
         if (!grid.Alive(layer, q) || !eps_accept[layer * ns + q]) {
@@ -144,15 +155,24 @@ TEST(RewriteDifferentialTest, RunningExampleMatchesPerPivotScan) {
 // otherwise agreement with the reference would prove nothing about it. The
 // property patterns all end in an unanchored gap, which never trips the
 // cut-layer acceptance check, so end-anchored patterns are added for it.
+// Two more patterns compile to an FST whose initial state is final, so one
+// ε self-loop is both the initial and a final idle loop.
 TEST(RewriteDifferentialTest, RandomDatabasesMatchPerPivotScan) {
+  const std::vector<std::string> initial_final = {
+      ".*[(i0).*]*", "[.*(i0^)[.*(i1)]*]{0,1}"};
   std::vector<std::string> patterns = testing::PropertyPatterns();
   patterns.insert(patterns.end(), {".*(i0)", "[.*(i0).*]|[.*(i1)]",
                                    ".*(i0^)[.*(i1)]{0,1}"});
+  patterns.insert(patterns.end(), initial_final.begin(), initial_final.end());
   ReferenceRewriter::RuleCounts counts;
   for (int seed : {1, 2, 3, 4}) {
     SequenceDatabase db = testing::RandomDatabase(seed + 800, 8, 40, 12);
     for (const std::string& pattern : patterns) {
       Fst fst = CompileFst(pattern, db.dict);
+      if (std::find(initial_final.begin(), initial_final.end(), pattern) !=
+          initial_final.end()) {
+        ASSERT_TRUE(fst.IsFinal(fst.initial())) << pattern;
+      }
       for (uint64_t sigma : {1, 2}) {
         SCOPED_TRACE("seed=" + std::to_string(seed) + " pattern=" + pattern +
                      " sigma=" + std::to_string(sigma));
@@ -169,6 +189,9 @@ TEST(RewriteDifferentialTest, RandomDatabasesMatchPerPivotScan) {
   EXPECT_GT(counts.lead_trims, 0u);
   EXPECT_GT(counts.trail_trims, 0u);
   EXPECT_GT(counts.acceptance_stops, 0u);
+  EXPECT_GT(counts.idle_stops, 0u);
+  EXPECT_GT(counts.departure_stops, 0u);
+  EXPECT_GT(counts.arrival_stops, 0u);
 }
 
 TEST(RewriteTest, PaperExampleT2ForPivotA1) {

@@ -96,6 +96,53 @@ TEST_F(TraceProcTest, ProcRoundMergesCoordinatorAndWorkerSpans) {
   }
 }
 
+// D-SEQ's mining-layer counters are tallied by the map and reduce functions
+// wherever they run, so a proc run (workers ship registry deltas) must
+// report exactly what a local run does.
+TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
+  const std::vector<std::string> names = {
+      "mining.map_sequences",       "mining.map_grid_edges",
+      "mining.map_pivots",          "mining.map_input_items",
+      "mining.map_shipped_items",   "mining.reduce_sequences",
+      "mining.reduce_edges_kept",   "mining.reduce_edges_dropped",
+      "mining.reduce_dfs_expansions", "mining.reduce_postings_pruned"};
+  SequenceDatabase db = testing::RandomDatabase(4300, 7, 60, 10);
+  Fst fst = CompileFst(".*(i0^)[.*(.^)]{1,2}.*", db.dict);
+  DSeqOptions options;
+  options.sigma = 2;
+  options.num_map_workers = 3;
+  options.num_reduce_workers = 3;
+
+  std::vector<std::vector<uint64_t>> counters;
+  std::vector<DistributedResult> results;
+  for (DataflowBackend backend :
+       {DataflowBackend::kLocal, DataflowBackend::kProc}) {
+    obs::ResetTraceForTest();
+    obs::ResetMetricsForTest();
+    options.backend = backend;
+    results.push_back(MineDSeq(db.sequences, fst, db.dict, options));
+    std::vector<uint64_t>& values = counters.emplace_back();
+    for (const std::string& name : names) {
+      values.push_back(obs::GetCounter(name).Value());
+    }
+    // One shuffled record per pivot of every input.
+    EXPECT_EQ(obs::GetCounter("mining.map_pivots").Value(),
+              results.back().metrics.map_output_records);
+  }
+  EXPECT_EQ(results[1].patterns, results[0].patterns);
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(counters[1][i], counters[0][i]) << names[i];
+  }
+  // Nothing above is vacuous: the run mined, and rewriting trimmed copies.
+  EXPECT_FALSE(results[0].patterns.empty());
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == "mining.reduce_postings_pruned") continue;
+    EXPECT_GT(counters[0][i], 0u) << names[i];
+  }
+  EXPECT_LT(obs::GetCounter("mining.map_shipped_items").Value(),
+            obs::GetCounter("mining.map_input_items").Value());
+}
+
 TEST_F(TraceProcTest, DisabledTracingLeavesProcRoundSilent) {
   obs::SetEnabled(false);
   SequenceDatabase db = testing::RandomDatabase(600, 6, 30, 8);
