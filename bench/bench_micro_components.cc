@@ -313,6 +313,16 @@ void BenchNfaDeserialize() {
     volatile size_t sink = nfa.num_states();
     (void)sink;
   });
+  // The same bytes through D-CAND's reduce decode: appended to one store,
+  // as a key group's records are, which starts afresh every 1024 NFAs so
+  // the bench's memory stays flat. No pivot, so no edge is cut.
+  DfsInput store(kNoItem);
+  size_t decoded = 0;
+  RunBench("nfa_decode_store", 0, [&] {
+    if (++decoded % 1024 == 0) store = DfsInput(kNoItem);
+    size_t pos = 0;
+    store.AddNfa(bytes, &pos, /*weight=*/1);
+  });
 }
 
 void BenchVarintSequenceRoundTrip() {

@@ -94,6 +94,13 @@ void NfaSeeds() {
   WriteSeed("fuzz_nfa", "malformed", "\xff\xff\xff");
   // A {5} self-loop on the root: well-formed records, rejected as cyclic.
   WriteSeed("fuzz_nfa", "self_loop", std::string("\x01\x02\x01\x05\x00", 5));
+  // Explicit sources number the states out of DFS order; written back by
+  // id instead of by visit order, they re-parse as a cycle.
+  WriteSeed("fuzz_nfa", "dfs_order",
+            std::string("\x06\x00\x01\x04\x01\x00\x01\x02\x04\x01\x05\x03"
+                        "\x01\x01\x03\x03\x01\x00\x02\x01\x03\x02\x01\x02"
+                        "\x03",
+                        25));
 }
 
 void BlockCodecSeeds() {

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <numeric>
 
 #include "src/core/pivot.h"
+#include "src/nfa/serializer.h"
 #include "src/util/check.h"
 
 namespace dseq {
@@ -39,8 +41,7 @@ DfsInput::DfsInput(ItemId pivot)
   edge_begin_.push_back(0);
 }
 
-bool DfsInput::AddPending(size_t i, StateId from, StateId to,
-                          const Sequence& out) {
+bool DfsInput::AddPending(size_t from, size_t target, const Sequence& out) {
   // TestPivotEdge's label: out ∩ [0, k]; a non-ε edge left empty is dead.
   size_t size =
       std::upper_bound(out.begin(), out.end(), bound_) - out.begin();
@@ -48,11 +49,10 @@ bool DfsInput::AddPending(size_t i, StateId from, StateId to,
     ++dropped_edges_;
     return false;
   }
-  pending_.push_back(
-      PendingEdge{static_cast<uint32_t>(i * num_states_ + from),
-                  static_cast<uint32_t>((i + 1) * num_states_ + to),
-                  static_cast<uint32_t>(pending_labels_.size()),
-                  static_cast<uint32_t>(size)});
+  pending_.push_back(PendingEdge{static_cast<uint32_t>(from),
+                                 static_cast<uint32_t>(target),
+                                 static_cast<uint32_t>(pending_labels_.size()),
+                                 static_cast<uint32_t>(size)});
   pending_labels_.insert(pending_labels_.end(), out.begin(),
                          out.begin() + size);
   return true;
@@ -92,84 +92,139 @@ void DfsInput::Add(const Sequence& T, uint64_t weight) {
   active_[initial_] = 1;
   pending_.clear();
   pending_labels_.clear();
-  layer_begin_.clear();
   for (size_t i = 0; i < n; ++i) {
-    layer_begin_.push_back(pending_.size());
+    const size_t begin = pending_.size();
     for (StateId q = 0; q < ns; ++q) {
       if (!active_[i * ns + q]) continue;
       for (const Transition& tr : fst_->From(q)) {
         if (!StepTransition(*fst_, tr, T[i], *dict_, prune_sigma_, &out_)) {
           continue;
         }
-        if (AddPending(i, q, tr.to, out_)) active_[(i + 1) * ns + tr.to] = 1;
+        if (AddPending(i * ns + q, (i + 1) * ns + tr.to, out_)) {
+          active_[(i + 1) * ns + tr.to] = 1;
+        }
       }
     }
-    SealLayer(layer_begin_.back());
+    SealLayer(begin);
   }
-  layer_begin_.push_back(pending_.size());
-  final_at_end_.assign(ns, 0);
+  pending_bits_.assign((n + 1) * ns, 0);
   for (StateId q = 0; q < ns; ++q) {
-    final_at_end_[q] = active_[n * ns + q] && fst_->IsFinal(q);
+    if (active_[n * ns + q] && fst_->IsFinal(q)) {
+      pending_bits_[n * ns + q] = kLiveSeen | kEpsAccept;
+    }
   }
-  Commit(n, weight);
+  Commit(weight);
 }
 
 void DfsInput::Add(const StateGrid& grid, uint64_t weight) {
   if (!grid.HasAcceptingRun()) return;
-  DSEQ_DCHECK(weights_.empty() || (num_states_ == grid.num_states() &&
-                                   initial_ == grid.initial_state()));
+  DSEQ_DCHECK(!holds_nfas_ &&
+              (weights_.empty() || (num_states_ == grid.num_states() &&
+                                    initial_ == grid.initial_state())));
   num_states_ = grid.num_states();
   initial_ = grid.initial_state();
   const size_t n = grid.length();
+  const size_t ns = num_states_;
   pending_.clear();
   pending_labels_.clear();
-  layer_begin_.clear();
   for (size_t i = 0; i < n; ++i) {
-    layer_begin_.push_back(pending_.size());
+    const size_t begin = pending_.size();
     for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
-      AddPending(i, e.from, e.to, e.out);
+      AddPending(i * ns + e.from, (i + 1) * ns + e.to, e.out);
     }
-    SealLayer(layer_begin_.back());
+    SealLayer(begin);
   }
-  layer_begin_.push_back(pending_.size());
-  final_at_end_.assign(num_states_, 0);
-  for (StateId q = 0; q < num_states_; ++q) {
-    final_at_end_[q] = grid.Alive(n, q) && grid.IsFinalState(q);
+  pending_bits_.assign((n + 1) * ns, 0);
+  for (StateId q = 0; q < ns; ++q) {
+    if (grid.Alive(n, q) && grid.IsFinalState(q)) {
+      pending_bits_[n * ns + q] = kLiveSeen | kEpsAccept;
+    }
   }
-  Commit(n, weight);
+  Commit(weight);
 }
 
-void DfsInput::Commit(size_t length, uint64_t weight) {
-  const size_t ns = num_states_;
-  const size_t coords = (length + 1) * ns;
+void DfsInput::AddNfa(std::string_view bytes, size_t* pos, uint64_t weight) {
+  DSEQ_DCHECK(fst_ == nullptr && (weights_.empty() || holds_nfas_));
+  holds_nfas_ = true;
+  num_states_ = 1;
+  initial_ = 0;
+  pending_.clear();
+  pending_labels_.clear();
+  arcs_.clear();
+  finals_.clear();
+  const size_t n = ReadNfaEdges(
+      bytes, pos,
+      [this](StateId from, const Sequence& label, StateId to, bool /*created*/,
+             bool final) {
+        arcs_.emplace_back(from, to);
+        if (final) finals_.push_back(to);
+        AddPending(from, to, label);
+      });
+
+  // Kahn's algorithm over every decoded edge, the ones the pivot cut dropped
+  // included, so a cycle is rejected as DeserializeNfa rejects it. Every
+  // state but the root is the target of the edge that created it, so the
+  // order starts at the root, and a state it misses lies on a cycle.
+  std::sort(arcs_.begin(), arcs_.end());
+  arc_begin_.assign(n + 1, 0);
+  in_degree_.assign(n, 0);
+  for (const auto& [from, to] : arcs_) {
+    ++arc_begin_[from + 1];
+    ++in_degree_[to];
+  }
+  std::partial_sum(arc_begin_.begin(), arc_begin_.end(), arc_begin_.begin());
+  rank_.assign(n, 0);
+  ready_.assign(in_degree_[0] == 0 ? 1 : 0, 0);
+  uint32_t ordered = 0;
+  while (!ready_.empty()) {
+    const StateId q = ready_.back();
+    ready_.pop_back();
+    rank_[q] = ordered++;
+    for (uint32_t k = arc_begin_[q]; k < arc_begin_[q + 1]; ++k) {
+      const StateId next = arcs_[k].second;
+      if (--in_degree_[next] == 0) ready_.push_back(next);
+    }
+  }
+  if (ordered != n) throw NfaParseError("cyclic NFA");
+
+  // The ranks are the coordinates: every edge leads to a larger one.
+  for (PendingEdge& e : pending_) {
+    e.from = rank_[e.from];
+    e.target = rank_[e.target];
+  }
+  SealLayer(0);
+  pending_bits_.assign(n, 0);
+  for (StateId q : finals_) pending_bits_[rank_[q]] = kLiveSeen | kEpsAccept;
+  Commit(weight);
+}
+
+void DfsInput::Commit(uint64_t weight) {
+  const size_t coords = pending_bits_.size();
 
   // Backward pass (ComputePivotLiveness over the pending edges, plus the
-  // ε-accept table). An edge is kept iff its target is live.
-  pending_bits_.assign(coords, 0);
-  for (StateId q = 0; q < ns; ++q) {
-    if (final_at_end_[q]) pending_bits_[length * ns + q] = kLiveSeen | kEpsAccept;
-  }
+  // ε-accept table). An edge is kept iff its target is live. Sorted by
+  // source, with every target larger, the edges out of a coordinate are all
+  // swept before any edge into it.
   keep_.assign(pending_.size(), 0);
   size_t kept = 0;
   size_t kept_labels = 0;
-  for (size_t i = length; i-- > 0;) {
-    for (size_t j = layer_begin_[i]; j < layer_begin_[i + 1]; ++j) {
-      const PendingEdge& e = pending_[j];
-      const uint8_t next = pending_bits_[e.target];
-      uint8_t live = next & kLive;
-      if (live == 0) continue;
-      keep_[j] = 1;
-      ++kept;
-      kept_labels += e.label_size;
-      if (e.label_size == 0) {
-        pending_bits_[e.from] |= next & kEpsAccept;
-      } else if (pivot_ != kNoItem && (live & kLiveSeen) &&
-                 pending_labels_[e.label_begin + e.label_size - 1] == pivot_) {
-        // Carrying k sets the bit, so both entry values reach a seen suffix.
-        live = kLive;
-      }
-      pending_bits_[e.from] |= live;
+  for (size_t j = pending_.size(); j-- > 0;) {
+    const PendingEdge& e = pending_[j];
+    DSEQ_DCHECK_LT(e.from, e.target);
+    const uint8_t next = pending_bits_[e.target];
+    uint8_t live = next & kLive;
+    if (live == 0) continue;
+    keep_[j] = 1;
+    ++kept;
+    kept_labels += e.label_size;
+    if (e.label_size == 0) {
+      pending_bits_[e.from] |= next & kEpsAccept;
+    } else if (pivot_ != kNoItem && (live & kLiveSeen) &&
+               pending_labels_[e.label_begin + e.label_size - 1] == pivot_) {
+      // Carrying k sets the bit, so both entry values reach a seen suffix.
+      live = kLive;
     }
+    pending_bits_[e.from] |= live;
   }
   // The run starts unseen with a pivot; without one every run counts.
   const uint8_t root = pivot_ == kNoItem ? kLiveSeen : kLiveUnseen;
@@ -183,8 +238,7 @@ void DfsInput::Commit(size_t length, uint64_t weight) {
     throw std::length_error("DESQ-DFS input exceeds its index range");
   }
 
-  // CSR append. Pending edges are ordered by source coordinate: layers in
-  // order, each sorted by SealLayer.
+  // CSR append, in the pending edges' source order.
   weights_.push_back(weight);
   coord_begin_.push_back(bits_.size());
   bits_.insert(bits_.end(), pending_bits_.begin(), pending_bits_.end());

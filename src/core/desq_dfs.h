@@ -1,17 +1,21 @@
 // DESQ-DFS: pattern-growth mining under flexible constraints.
 //
 // Sequential baseline (Beedkar & Gemulla, ICDM'16; paper Tab. V) and — in
-// its pivot-restricted form — the local miner of D-SEQ partitions (paper
-// Sec. V-C). Mining starts from the empty prefix and extends it one output
-// item at a time. Each search-tree node has a projected database of postings
-// (sequence, last-read position, FST state) from which the prefix can be
-// produced; a sequence supports the prefix if some posting can reach the end
-// of the sequence in a final state via ε-output transitions only.
+// its pivot-restricted form — the one local miner of both partitioned
+// algorithms: D-SEQ's rewritten sequences (paper Sec. V-C) and D-CAND's
+// weighted candidate NFAs (Sec. VI-B). Mining starts from the empty prefix
+// and extends it one output item at a time. Each search-tree node has a
+// projected database of postings (sequence, last-read position, FST state)
+// from which the prefix can be produced; a sequence supports the prefix if
+// some posting can reach the end of the sequence in a final state via
+// ε-output transitions only.
 //
 // The miner reads its sequences from a DfsInput: one flat, append-only
 // store of their position–state grids (coordinates, edges, labels), built
 // straight from the sequences by the same FST step as StateGrid
 // (StepTransition) but without a StateGrid or an output vector per edge.
+// D-CAND's NFAs decode into the same store: an NFA state is a coordinate,
+// an NFA edge a labeled edge, and a final state is ε-accepting.
 //
 // Pivot restriction (local mining at partition P_k), with a store built for
 // pivot k:
@@ -32,6 +36,8 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/grid.h"
@@ -75,9 +81,11 @@ struct DesqDfsStats {
 
 /// The sequences one DESQ-DFS call mines, as one flat store of their pruned
 /// position–state grids. A coordinate (i, q) of a sequence of length n is
-/// stored as its local index i * num_states + q; per coordinate the store
-/// keeps two liveness bits, an ε-accept bit and a range of out-edges (CSR),
-/// and per edge its target coordinate and a range of a single label array.
+/// stored as its local index i * num_states + q, and a state of an NFA fed
+/// by AddNfa as its rank in a topological order (the root is 0); in both,
+/// every edge leads to a larger index. Per coordinate the store keeps two
+/// liveness bits, an ε-accept bit and a range of out-edges (CSR), and per
+/// edge its target coordinate and a range of a single label array.
 /// Only edges whose target is live are kept: live means "on an accepting run
 /// that can still output the pivot" (the seen-k bits of
 /// ComputePivotLiveness) with a pivot, and "on an accepting run" without.
@@ -93,7 +101,7 @@ class DfsInput {
   DfsInput(const Fst& fst, const Dictionary& dict, uint64_t prune_sigma,
            ItemId pivot);
 
-  /// A store fed only by Add(const StateGrid&, weight).
+  /// A store fed only by Add(const StateGrid&, weight), or only by AddNfa.
   explicit DfsInput(ItemId pivot);
 
   /// Simulates the FST over `T` and stores its pruned grid with the given
@@ -103,6 +111,14 @@ class DfsInput {
   /// Stores an already built (σ-pruned) grid, cut to the pivot like
   /// Add(T, weight).
   void Add(const StateGrid& grid, uint64_t weight = 1);
+
+  /// Decodes one serialized NFA (serializer.h) starting at `*pos` and
+  /// stores it with the given multiplicity, each label cut to the pivot;
+  /// advances `*pos` past it. A sequence is an accepted label string, so an
+  /// NFA counts once for a pattern it accepts along several paths. Throws
+  /// NfaParseError exactly where DeserializeNfa does, cycles included. An
+  /// NFA with no accepting path that outputs the pivot is not stored.
+  void AddNfa(std::string_view bytes, size_t* pos, uint64_t weight);
 
   ItemId pivot() const { return pivot_; }
 
@@ -133,13 +149,15 @@ class DfsInput {
     uint32_t label_size;
   };
 
-  // Adds one pending edge from (i, from) to (i + 1, to) with output `out`,
-  // cut to the pivot; returns false if the cut left nothing.
-  bool AddPending(size_t i, StateId from, StateId to, const Sequence& out);
-  // Sorts and deduplicates the pending edges of one layer.
+  // Adds one pending edge between two coordinates with output `out`, cut
+  // to the pivot; returns false if the cut left nothing.
+  bool AddPending(size_t from, size_t target, const Sequence& out);
+  // Sorts and deduplicates the pending edges from `begin` on.
   void SealLayer(size_t begin);
-  // The backward pass and the CSR append of the pending sequence.
-  void Commit(size_t length, uint64_t weight);
+  // The backward pass and the CSR append of the pending sequence. The
+  // pending edges are sorted by source and lead to larger coordinates, and
+  // pending_bits_ holds one entry per coordinate, the accepting ones seeded.
+  void Commit(uint64_t weight);
 
   const Fst* fst_ = nullptr;
   const Dictionary* dict_ = nullptr;
@@ -149,6 +167,7 @@ class DfsInput {
 
   size_t num_states_ = 0;
   StateId initial_ = 0;
+  bool holds_nfas_ = false;
 
   // Per stored sequence: weight and first global coordinate.
   std::vector<uint64_t> weights_;
@@ -163,13 +182,19 @@ class DfsInput {
 
   // Scratch of the sequence being added.
   std::vector<uint8_t> active_;
-  std::vector<uint8_t> final_at_end_;  // per state: final and reached
   std::vector<PendingEdge> pending_;
   std::vector<ItemId> pending_labels_;
-  std::vector<size_t> layer_begin_;
   std::vector<uint8_t> pending_bits_;
   std::vector<uint8_t> keep_;
   Sequence out_;
+  // Scratch of the NFA being added: every decoded edge (sorted into a CSR
+  // by source, arc_begin_) and final state, and Kahn's order as ranks.
+  std::vector<std::pair<StateId, StateId>> arcs_;
+  std::vector<StateId> finals_;
+  std::vector<uint32_t> arc_begin_;
+  std::vector<uint32_t> in_degree_;
+  std::vector<StateId> ready_;
+  std::vector<uint32_t> rank_;
 };
 
 /// Mines the sequences of `input` with threshold `options.sigma`.

@@ -1,129 +1,32 @@
 #include "src/dist/dcand_miner.h"
 
-#include <algorithm>
-#include <map>
-#include <stdexcept>
+#include <iterator>
+#include <string>
 
 #include "src/core/grid.h"
 #include "src/core/pivot.h"
 #include "src/nfa/serializer.h"
+#include "src/obs/trace.h"
+#include "src/util/check.h"
 
 namespace dseq {
-namespace {
-
-// Pattern growth over weighted NFAs: the candidate partition's local miner.
-// Mirrors the DESQ-DFS posting structure with (nfa, state) postings; the
-// NFAs are acyclic, so expansion terminates without position tracking.
-class NfaMiner {
- public:
-  NfaMiner(const std::vector<OutputNfa>& nfas,
-           const std::vector<uint64_t>& weights, uint64_t sigma, ItemId pivot,
-           MiningResult* out)
-      : nfas_(nfas), weights_(weights), sigma_(sigma), pivot_(pivot),
-        out_(out) {}
-
-  void Run() {
-    std::vector<Posting> roots;
-    for (uint32_t n = 0; n < nfas_.size(); ++n) {
-      if (!nfas_[n].empty()) roots.push_back(Posting{n, 0});
-    }
-    Expand(roots, /*has_pivot=*/false);
-  }
-
- private:
-  struct Posting {
-    uint32_t nfa;
-    StateId state;
-
-    bool operator<(const Posting& o) const {
-      if (nfa != o.nfa) return nfa < o.nfa;
-      return state < o.state;
-    }
-    bool operator==(const Posting& o) const {
-      return nfa == o.nfa && state == o.state;
-    }
-  };
-
-  // Total weight of distinct NFAs in the postings: an upper bound on the
-  // support of the prefix and all of its extensions.
-  uint64_t PotentialSupport(const std::vector<Posting>& postings) const {
-    uint64_t total = 0;
-    uint32_t prev = UINT32_MAX;
-    for (const Posting& p : postings) {
-      if (p.nfa != prev) {
-        total += weights_[p.nfa];
-        prev = p.nfa;
-      }
-    }
-    return total;
-  }
-
-  // Weight of distinct NFAs with a final-state posting: each NFA counts a
-  // candidate once, regardless of how many accepting paths produce it.
-  uint64_t Support(const std::vector<Posting>& postings) const {
-    uint64_t support = 0;
-    uint32_t prev = UINT32_MAX;
-    bool counted = false;
-    for (const Posting& p : postings) {
-      if (p.nfa != prev) {
-        prev = p.nfa;
-        counted = false;
-      }
-      if (counted) continue;
-      if (nfas_[p.nfa].IsFinal(p.state)) {
-        support += weights_[p.nfa];
-        counted = true;
-      }
-    }
-    return support;
-  }
-
-  void Expand(const std::vector<Posting>& postings, bool has_pivot) {
-    if (PotentialSupport(postings) < sigma_) return;
-    if (!prefix_.empty() && has_pivot) {
-      uint64_t support = Support(postings);
-      if (support >= sigma_) {
-        out_->push_back(PatternCount{prefix_, support});
-      }
-    }
-
-    std::map<ItemId, std::vector<Posting>> children;
-    for (const Posting& p : postings) {
-      const OutputNfa& nfa = nfas_[p.nfa];
-      for (const OutputNfa::Edge& e : nfa.EdgesOf(p.state)) {
-        for (ItemId w : nfa.Label(e.label)) {
-          if (w > pivot_) continue;
-          children[w].push_back(Posting{p.nfa, e.target});
-        }
-      }
-    }
-    for (auto& [w, child] : children) {
-      std::sort(child.begin(), child.end());
-      child.erase(std::unique(child.begin(), child.end()), child.end());
-      prefix_.push_back(w);
-      Expand(child, has_pivot || w == pivot_);
-      prefix_.pop_back();
-    }
-  }
-
-  const std::vector<OutputNfa>& nfas_;
-  const std::vector<uint64_t>& weights_;
-  uint64_t sigma_;
-  ItemId pivot_;
-  MiningResult* out_;
-  Sequence prefix_;
-};
-
-}  // namespace
 
 MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
                       const std::vector<uint64_t>& weights, uint64_t sigma,
                       ItemId pivot) {
-  MiningResult result;
-  NfaMiner miner(nfas, weights, sigma, pivot, &result);
-  miner.Run();
-  Canonicalize(&result);
-  return result;
+  DSEQ_CHECK_EQ(nfas.size(), weights.size());
+  DfsInput input(pivot);
+  std::string bytes;
+  for (size_t i = 0; i < nfas.size(); ++i) {
+    bytes.clear();
+    SerializeNfaTo(nfas[i], &bytes);
+    size_t pos = 0;
+    input.AddNfa(bytes, &pos, weights[i]);
+  }
+  DesqDfsOptions options;
+  options.sigma = sigma;
+  options.pivot = pivot;
+  return MineDesqDfs(input, options);
 }
 
 DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
@@ -165,26 +68,25 @@ DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
   PartitionReduceFn reduce_fn = [&](std::string_view key,
                                     std::vector<std::string_view>& values,
                                     MiningResult& out) {
-    ItemId pivot = DecodePivotKey(key);
-    std::vector<OutputNfa> nfas;
-    nfas.reserve(values.size());
-    std::vector<uint64_t> weights;
-    weights.reserve(values.size());
+    DSEQ_TRACE_SPAN("mining", "dcand_reduce");
+    DesqDfsOptions local;
+    local.sigma = options.sigma;
+    local.pivot = DecodePivotKey(key);
+    DfsInput input(local.pivot);
     for (std::string_view v : values) {
       size_t pos = 0;
       uint64_t weight = 0;
       if (!GetVarint(v, &pos, &weight) || weight == 0) {
         throw NfaParseError("malformed weighted NFA record");
       }
-      nfas.push_back(DeserializeNfa(v, &pos));
+      input.AddNfa(v, &pos, weight);
       if (pos != v.size()) {
         throw NfaParseError("trailing bytes after NFA record");
       }
-      weights.push_back(weight);
     }
-    MiningResult local = MineNfas(nfas, weights, options.sigma, pivot);
-    out.insert(out.end(), std::make_move_iterator(local.begin()),
-               std::make_move_iterator(local.end()));
+    MiningResult mined = MinePartitionInput(input, local, values.size());
+    out.insert(out.end(), std::make_move_iterator(mined.begin()),
+               std::make_move_iterator(mined.end()));
   };
 
   return RunDistributedMining(db.size(), map_fn, options.aggregate_nfas,

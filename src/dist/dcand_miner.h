@@ -9,8 +9,9 @@
 //            serialize each NFA in DFS order
 //   shuffle: partitions keyed by pivot item; a combiner aggregates identical
 //            serialized NFAs into weighted NFAs (Sec. VI-A)
-//   reduce : each partition mines its weighted NFAs directly by pattern
-//            growth over NFA states, counting distinct-NFA support
+//   reduce : each partition decodes its weighted NFAs straight into one
+//            DfsInput (NFA states as coordinates) and mines it with
+//            DESQ-DFS, counting distinct-NFA support
 #ifndef DSEQ_DIST_DCAND_MINER_H_
 #define DSEQ_DIST_DCAND_MINER_H_
 
@@ -46,10 +47,12 @@ struct DCandOptions : DistributedRunOptions {
   uint64_t max_nfa_states_per_sequence = 0;
 };
 
-/// Local miner of one candidate partition: pattern growth directly over the
-/// weighted NFAs. A candidate is counted once per NFA (distinct-sequence
-/// support) with the NFA's weight; only sequences containing `pivot` are
-/// reported. Result is canonicalized.
+/// Mines one candidate partition from in-memory NFAs, for the benchmark
+/// replay and tests: an adapter that serializes each NFA and decodes it
+/// into a DfsInput, as D-CAND's reduce decodes shuffled records, with
+/// weight weights[i] (the two vectors must have equal size). A candidate is
+/// counted once per NFA (distinct-sequence support) with the NFA's weight;
+/// only sequences containing `pivot` are reported. Result is canonicalized.
 MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
                       const std::vector<uint64_t>& weights, uint64_t sigma,
                       ItemId pivot);

@@ -4,10 +4,36 @@
 #include <limits>
 #include <stdexcept>
 
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
 
 namespace dseq {
+
+MiningResult MinePartitionInput(const DfsInput& input,
+                                const DesqDfsOptions& options,
+                                size_t num_records) {
+  DesqDfsStats stats;
+  MiningResult result = MineDesqDfs(input, options, &stats);
+  if (obs::Enabled()) {
+    static obs::Counter& sequences =
+        obs::GetCounter("mining.reduce_sequences");
+    static obs::Counter& edges_kept =
+        obs::GetCounter("mining.reduce_edges_kept");
+    static obs::Counter& edges_dropped =
+        obs::GetCounter("mining.reduce_edges_dropped");
+    static obs::Counter& expansions =
+        obs::GetCounter("mining.reduce_dfs_expansions");
+    static obs::Counter& postings_pruned =
+        obs::GetCounter("mining.reduce_postings_pruned");
+    sequences.Add(num_records);
+    edges_kept.Add(input.num_edges());
+    edges_dropped.Add(input.num_dropped_edges());
+    expansions.Add(stats.expansions);
+    postings_pruned.Add(stats.postings_pruned);
+  }
+  return result;
+}
 
 std::string EncodePivotKey(ItemId pivot) {
   std::string key;

@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/desq_dfs.h"
 #include "src/core/mining.h"
 #include "src/dataflow/chained.h"
 #include "src/dataflow/engine.h"
@@ -150,6 +151,15 @@ void EncodePatternRecord(const PatternCount& mined, std::string* key,
 /// Decodes a record written by EncodePatternRecord (with any key prefix
 /// already stripped). Throws std::invalid_argument on malformed bytes.
 PatternCount DecodePatternRecord(std::string_view key, std::string_view value);
+
+/// The local mining of one pivot partition, shared by the D-SEQ and D-CAND
+/// reduces: mines `input` with MineDesqDfs and, under obs::Enabled(), adds
+/// the group's work to the mining.reduce_* counters — `num_records` shuffled
+/// records, the store's kept and dropped edges, and the search's expansions
+/// and pruned postings. Once per key group, so proc workers ship them too.
+MiningResult MinePartitionInput(const DfsInput& input,
+                                const DesqDfsOptions& options,
+                                size_t num_records);
 
 /// Number of distinct sequences in `sequences` (order-insensitive). Used for
 /// distinct-sequence support accounting in tests and diagnostics.

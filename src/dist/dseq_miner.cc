@@ -269,8 +269,7 @@ MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
 // One D-SEQ partition's local mining, the shared body of every D-SEQ
 // reduce: each shuffled (possibly weighted) rewrite is decoded straight into
 // a DfsInput for the partition's pivot, with items pruned at the run's σ,
-// and the store is mined with threshold `mine_sigma`. Work counts reach the
-// obs registry once per key group, so proc workers ship them too.
+// and the store is mined with threshold `mine_sigma`.
 MiningResult MinePartition(const std::vector<std::string_view>& values,
                            const Fst& fst, const Dictionary& dict,
                            const DSeqOptions& options, ItemId pivot,
@@ -294,26 +293,7 @@ MiningResult MinePartition(const std::vector<std::string_view>& values,
   local.sigma = mine_sigma;
   local.pivot = pivot;
   local.early_stop = options.early_stop;
-  DesqDfsStats stats;
-  MiningResult result = MineDesqDfs(input, local, &stats);
-  if (obs::Enabled()) {
-    static obs::Counter& sequences =
-        obs::GetCounter("mining.reduce_sequences");
-    static obs::Counter& edges_kept =
-        obs::GetCounter("mining.reduce_edges_kept");
-    static obs::Counter& edges_dropped =
-        obs::GetCounter("mining.reduce_edges_dropped");
-    static obs::Counter& expansions =
-        obs::GetCounter("mining.reduce_dfs_expansions");
-    static obs::Counter& postings_pruned =
-        obs::GetCounter("mining.reduce_postings_pruned");
-    sequences.Add(values.size());
-    edges_kept.Add(input.num_edges());
-    edges_dropped.Add(input.num_dropped_edges());
-    expansions.Add(stats.expansions);
-    postings_pruned.Add(stats.postings_pruned);
-  }
-  return result;
+  return MinePartitionInput(input, local, values.size());
 }
 
 PartitionReduceFn MakeDSeqReduceFn(const Fst& fst, const Dictionary& dict,

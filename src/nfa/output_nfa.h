@@ -73,8 +73,9 @@ class OutputNfa {
   void Canonicalize();
 
   /// True iff no state reaches itself, in O(V+E). Every construction keeps
-  /// this; DeserializeNfa checks it on untrusted input, because the miners
-  /// recurse along edges.
+  /// this; DeserializeNfa checks it on untrusted input, as DfsInput::AddNfa
+  /// checks it over the edges it decodes, because DESQ-DFS needs an order
+  /// of the states in which every edge leads forward.
   bool IsAcyclic() const;
 
   /// Enumerates the accepted language (expanding output sets), deduplicated

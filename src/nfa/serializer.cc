@@ -51,11 +51,14 @@ void SerializeNfaTo(const OutputNfa& nfa, std::string* out) {
   PutVarint(out, nfa.num_edges());
   if (nfa.num_edges() == 0) return;
 
-  // DFS in state-id order (ids are DFS preorder after Canonicalize or
-  // Minimize). Track visited states and the previous record's target to
-  // apply the paper's implicit source/target compression.
-  std::vector<uint8_t> visited(nfa.num_states(), 0);
-  visited[0] = 1;
+  // DFS in edge order. States are written by their DFS visit order, the
+  // numbering the parser gives them (the state ids themselves after
+  // Canonicalize or Minimize). Track the previous record's target to apply
+  // the paper's implicit source/target compression.
+  constexpr StateId kUnvisited = std::numeric_limits<StateId>::max();
+  std::vector<StateId> dfs_id(nfa.num_states(), kUnvisited);
+  dfs_id[0] = 0;
+  StateId next_id = 1;
   StateId prev_target = 0;
   std::vector<std::pair<StateId, size_t>> stack;
   stack.emplace_back(0, 0);
@@ -69,18 +72,18 @@ void SerializeNfaTo(const OutputNfa& nfa, std::string* out) {
     ++ei;
 
     uint8_t header = 0;
-    bool target_new = !visited[e.target];
+    bool target_new = dfs_id[e.target] == kUnvisited;
     if (q != prev_target) header |= kHasSource;
     if (!target_new) header |= kHasTarget;
     if (target_new && nfa.IsFinal(e.target)) header |= kFinalMarker;
     out->push_back(static_cast<char>(header));
-    if (header & kHasSource) PutVarint(out, q);
+    if (header & kHasSource) PutVarint(out, dfs_id[q]);
     PutLabel(out, nfa.Label(e.label));
-    if (header & kHasTarget) PutVarint(out, e.target);
+    if (header & kHasTarget) PutVarint(out, dfs_id[e.target]);
 
     prev_target = e.target;
     if (target_new) {
-      visited[e.target] = 1;
+      dfs_id[e.target] = next_id++;
       stack.emplace_back(e.target, 0);
     }
   }
@@ -92,7 +95,8 @@ std::string SerializeNfa(const OutputNfa& nfa) {
   return out;
 }
 
-OutputNfa DeserializeNfa(std::string_view bytes, size_t* pos) {
+size_t ReadNfaEdges(std::string_view bytes, size_t* pos,
+                    const NfaEdgeFn& edge_fn) {
   uint64_t num_edges = 0;
   if (!GetVarint(bytes, pos, &num_edges)) {
     throw NfaParseError("truncated NFA header");
@@ -102,7 +106,7 @@ OutputNfa DeserializeNfa(std::string_view bytes, size_t* pos) {
   if (num_edges > (bytes.size() - *pos) / 2) {
     throw NfaParseError("NFA edge count exceeds input size");
   }
-  OutputNfa nfa;
+  size_t num_states = 1;
   StateId prev_target = 0;
   Sequence label;
   for (uint64_t i = 0; i < num_edges; ++i) {
@@ -113,27 +117,37 @@ OutputNfa DeserializeNfa(std::string_view bytes, size_t* pos) {
     if (header & kHasSource) {
       uint64_t v = 0;
       if (!GetVarint(bytes, pos, &v)) throw NfaParseError("bad source state");
+      if (v >= num_states) throw NfaParseError("source out of range");
       src = static_cast<StateId>(v);
     }
-    if (src >= nfa.num_states()) throw NfaParseError("source out of range");
     if (!GetLabel(bytes, pos, &label) || label.empty()) {
       throw NfaParseError("bad label");
     }
-    StateId tgt;
-    if (header & kHasTarget) {
+    const bool created = (header & kHasTarget) == 0;
+    StateId tgt = static_cast<StateId>(num_states);
+    if (!created) {
       uint64_t v = 0;
       if (!GetVarint(bytes, pos, &v)) throw NfaParseError("bad target state");
-      if (v >= nfa.num_states()) throw NfaParseError("target out of range");
-      tgt = nfa.AddEdge(src, label, static_cast<StateId>(v),
-                        /*create_new=*/false, /*mark_final=*/false);
+      if (v >= num_states) throw NfaParseError("target out of range");
+      tgt = static_cast<StateId>(v);
     } else {
-      tgt = nfa.AddEdge(src, label, 0, /*create_new=*/true,
-                        /*mark_final=*/(header & kFinalMarker) != 0);
+      ++num_states;
     }
+    edge_fn(src, label, tgt, created, created && (header & kFinalMarker));
     prev_target = tgt;
   }
+  return num_states;
+}
+
+OutputNfa DeserializeNfa(std::string_view bytes, size_t* pos) {
+  OutputNfa nfa;
+  ReadNfaEdges(bytes, pos,
+               [&nfa](StateId from, const Sequence& label, StateId to,
+                      bool created, bool final) {
+                 nfa.AddEdge(from, label, to, created, final);
+               });
   // Targets may be any earlier state (DFS preorder has cross edges to lower
-  // ids), so a back edge can close a cycle; the miners assume none.
+  // ids), so a back edge can close a cycle; DESQ-DFS assumes none.
   if (!nfa.IsAcyclic()) throw NfaParseError("cyclic NFA");
   return nfa;
 }

@@ -17,6 +17,7 @@
 #define DSEQ_NFA_SERIALIZER_H_
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -31,16 +32,32 @@ class NfaParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Serializes the NFA (call Minimize() or Canonicalize() first so that state
-/// numbering is DFS preorder; the serializer asserts this layout).
+/// Serializes the NFA, numbering its states in DFS order from the root.
+/// Call Minimize() or Canonicalize() first so that equal NFAs serialize to
+/// equal bytes (shuffle aggregation relies on it).
 std::string SerializeNfa(const OutputNfa& nfa);
 
 /// Appends the serialization to `*out` (avoids a copy in hot paths).
 void SerializeNfaTo(const OutputNfa& nfa, std::string* out);
 
+/// Receives one decoded edge: its source, its label (ascending, non-empty;
+/// valid only during the call) and its target. `created` marks a target that
+/// the edge creates, numbered next in creation order (the root is 0);
+/// `final` marks a created target as final.
+using NfaEdgeFn = std::function<void(StateId from, const Sequence& label,
+                                     StateId to, bool created, bool final)>;
+
+/// The one parser of the wire format: decodes the NFA starting at `*pos`
+/// edge by edge into `edge_fn`, advances `*pos` past it and returns its
+/// number of states. Throws NfaParseError on malformed input; it does not
+/// check for cycles, which its callers do over the decoded edges.
+size_t ReadNfaEdges(std::string_view bytes, size_t* pos,
+                    const NfaEdgeFn& edge_fn);
+
 /// Parses a serialized NFA starting at `*pos`; advances `*pos` to the end of
 /// the consumed bytes. Throws NfaParseError on malformed input, cyclic NFAs
-/// included. Takes a view so shuffle records can be decoded in place.
+/// included. For tests, fuzzing and the benchmark replay: D-CAND's reduce
+/// decodes shuffle records with DfsInput::AddNfa instead.
 OutputNfa DeserializeNfa(std::string_view bytes, size_t* pos);
 
 /// Convenience whole-string parse.

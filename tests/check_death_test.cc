@@ -9,6 +9,7 @@
 #include <string_view>
 #include <utility>
 
+#include "src/dist/dcand_miner.h"
 #include "src/dist/distributed.h"
 #include "src/dist/dseq_miner.h"
 #include "src/dist/partition_plan.h"
@@ -130,6 +131,18 @@ TEST(PartitionPlanTest, InRangePlanRoutesWithoutAborting) {
   plan.num_reducers = 4;
   plan.assignments.emplace_back(ItemId{7}, 3);
   EXPECT_EQ(plan.ReducerForKey(EncodePivotKey(ItemId{7})), 3);
+}
+
+// --- MineNfas with fewer weights than NFAs (always-on CHECK) -----------------
+
+TEST(MineNfasDeathTest, WeightCountMismatchAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  OutputNfa nfa;
+  nfa.AddLabelString({{5}});
+  nfa.Canonicalize();
+  // Every NFA needs its weight; a short vector must not be read past.
+  EXPECT_DEATH(MineNfas({nfa, nfa}, {1}, /*sigma=*/1, /*pivot=*/5),
+               "nfas.size\\(\\) == weights.size\\(\\) \\(2 vs 1\\)");
 }
 
 // --- PivotRewriter called with a non-pivot (DCHECK) -------------------------

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+
 #include "src/core/desq_dfs.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
@@ -118,6 +122,56 @@ TEST(MineNfasTest, CandidateCountedOncePerNfa) {
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].pattern, (Sequence{5}));
   EXPECT_EQ(result[0].frequency, 2u);
+}
+
+// Differential test of the decode-and-mine path against the NFAs'
+// languages: a pattern's support in partition k is the weight of the
+// distinct NFAs that accept it, over the strings with every item <= k that
+// contain k. Minimized tries share suffixes, so their DFS numbering has
+// edges to lower states, which AddNfa's topological renumbering handles.
+TEST(MineNfasTest, MatchesLanguageOracle) {
+  std::mt19937_64 rng(2024);
+  bool saw_lower_target = false;
+  for (int trial = 0; trial < 300; ++trial) {
+    const ItemId pivot = static_cast<ItemId>(1 + rng() % 8);
+    const uint64_t sigma = 1 + rng() % 4;
+    std::vector<OutputNfa> nfas(1 + rng() % 10);
+    std::vector<uint64_t> weights;
+    std::map<Sequence, uint64_t> support;
+    for (OutputNfa& nfa : nfas) {
+      for (size_t r = 1 + rng() % 5; r > 0; --r) {
+        std::vector<Sequence> label_string(1 + rng() % 4);
+        for (Sequence& label : label_string) {
+          for (size_t j = 1 + rng() % 3; j > 0; --j) {
+            label.push_back(static_cast<ItemId>(1 + rng() % 10));
+          }
+          std::sort(label.begin(), label.end());
+          label.erase(std::unique(label.begin(), label.end()), label.end());
+        }
+        nfa.AddLabelString(label_string);
+      }
+      nfa.Minimize();
+      for (StateId q = 0; q < nfa.num_states(); ++q) {
+        for (const OutputNfa::Edge& e : nfa.EdgesOf(q)) {
+          saw_lower_target |= e.target < q;
+        }
+      }
+      weights.push_back(1 + rng() % 3);
+      std::vector<Sequence> language;
+      ASSERT_TRUE(nfa.Language(1'000'000, &language));
+      for (const Sequence& s : language) {
+        if (PivotItem(s) == pivot) support[s] += weights.back();
+      }
+    }
+    MiningResult expected;
+    for (const auto& [pattern, count] : support) {
+      if (count >= sigma) expected.push_back(PatternCount{pattern, count});
+    }
+    Canonicalize(&expected);
+    EXPECT_EQ(MineNfas(nfas, weights, sigma, pivot), expected)
+        << "trial " << trial << " pivot=" << pivot << " sigma=" << sigma;
+  }
+  EXPECT_TRUE(saw_lower_target);
 }
 
 class DCandPropertyTest

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "src/core/candidates.h"
+#include "src/core/desq_dfs.h"
 #include "src/core/mining.h"
 #include "src/core/pivot.h"
 #include "src/dict/sequence.h"
@@ -320,25 +321,43 @@ TEST(SerializerTest, RandomTriesRoundTrip) {
   }
 }
 
+// D-CAND's reduce decode of one record's NFA bytes: into a DfsInput for
+// `pivot`, and the NFA must end the record.
+void AddNfaRecord(std::string_view bytes, ItemId pivot = kNoItem) {
+  DfsInput input(pivot);
+  size_t pos = 0;
+  input.AddNfa(bytes, &pos, /*weight=*/1);
+  if (pos != bytes.size()) throw NfaParseError("trailing bytes after NFA");
+}
+
 TEST(SerializerTest, MalformedInputThrows) {
   EXPECT_THROW(DeserializeNfa("\xff\xff\xff"), NfaParseError);
+  EXPECT_THROW(AddNfaRecord("\xff\xff\xff"), NfaParseError);
   OutputNfa trie;
   trie.AddLabelString({{1}, {2}});
   trie.Canonicalize();
   std::string bytes = SerializeNfa(trie);
   bytes.pop_back();
   EXPECT_THROW(DeserializeNfa(bytes), NfaParseError);
+  EXPECT_THROW(AddNfaRecord(bytes), NfaParseError);
   bytes = SerializeNfa(trie) + "x";
   EXPECT_THROW(DeserializeNfa(bytes), NfaParseError);
+  EXPECT_THROW(AddNfaRecord(bytes), NfaParseError);
 }
 
 TEST(SerializerTest, CyclicInputThrows) {
   // One edge {5} from the root back to the root: a self-loop.
   std::string_view self_loop("\x01\x02\x01\x05\x00", 5);
   EXPECT_THROW(DeserializeNfa(self_loop), NfaParseError);
+  EXPECT_THROW(AddNfaRecord(self_loop), NfaParseError);
   // root -{1}-> s1, then s1 -{2}-> root: a two-state back edge.
   std::string_view back_edge("\x02\x00\x01\x01\x02\x01\x02\x00", 8);
   EXPECT_THROW(DeserializeNfa(back_edge), NfaParseError);
+  EXPECT_THROW(AddNfaRecord(back_edge), NfaParseError);
+  // The store cuts labels to the pivot, but checks the cycle first: with
+  // pivot 1 the back edge {2} and the self-loop {5} would be dropped.
+  EXPECT_THROW(AddNfaRecord(back_edge, /*pivot=*/1), NfaParseError);
+  EXPECT_THROW(AddNfaRecord(self_loop, /*pivot=*/3), NfaParseError);
   // The same edge into a sibling subtree is a cross edge, not a cycle:
   // root -{1}-> s1 -{2}-> s2, root -{3}-> s2.
   std::string_view cross_edge(
@@ -347,6 +366,24 @@ TEST(SerializerTest, CyclicInputThrows) {
   EXPECT_TRUE(parsed.IsAcyclic());
   EXPECT_EQ(parsed.num_states(), 3u);
   EXPECT_EQ(parsed.num_edges(), 3u);
+  EXPECT_NO_THROW(AddNfaRecord(cross_edge));
+}
+
+TEST(SerializerTest, AnyStateNumberingRoundTrips) {
+  // Parsed from explicit sources, the states are not numbered in DFS order:
+  // root -{1}-> s1, root -{2}-> s2 (final), s1 -{3}-> s3 (final),
+  // s3 -{4}-> s2. The DFS visits s3 before s2, so the serializer must
+  // write them by visit order, not by id.
+  std::string_view bytes(
+      "\x04\x00\x01\x01\x05\x00\x01\x02\x05\x01\x01\x03\x02\x01\x04\x02",
+      16);
+  OutputNfa parsed = DeserializeNfa(bytes);
+  std::vector<Sequence> before;
+  ASSERT_TRUE(parsed.Language(1000, &before));
+  EXPECT_EQ(before, (std::vector<Sequence>{{1, 3}, {1, 3, 4}, {2}}));
+  std::vector<Sequence> after;
+  ASSERT_TRUE(DeserializeNfa(SerializeNfa(parsed)).Language(1000, &after));
+  EXPECT_EQ(after, before);
 }
 
 TEST(SerializerTest, MinimizationShrinksSerialization) {

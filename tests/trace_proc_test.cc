@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/dist/dcand_miner.h"
 #include "src/dist/dseq_miner.h"
 #include "src/fst/compiler.h"
 #include "src/obs/metrics.h"
@@ -96,51 +97,80 @@ TEST_F(TraceProcTest, ProcRoundMergesCoordinatorAndWorkerSpans) {
   }
 }
 
-// D-SEQ's mining-layer counters are tallied by the map and reduce functions
+// The mining-layer counters are tallied by the map and reduce functions
 // wherever they run, so a proc run (workers ship registry deltas) must
-// report exactly what a local run does.
+// report exactly what a local run does. D-SEQ counts its map and reduce;
+// D-CAND's reduce shares D-SEQ's reduce counters (MinePartitionInput).
 TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
-  const std::vector<std::string> names = {
-      "mining.map_sequences",       "mining.map_grid_edges",
-      "mining.map_pivots",          "mining.map_input_items",
-      "mining.map_shipped_items",   "mining.reduce_sequences",
-      "mining.reduce_edges_kept",   "mining.reduce_edges_dropped",
-      "mining.reduce_dfs_expansions", "mining.reduce_postings_pruned"};
+  const std::vector<std::string> reduce_names = {
+      "mining.reduce_sequences", "mining.reduce_edges_kept",
+      "mining.reduce_edges_dropped", "mining.reduce_dfs_expansions",
+      "mining.reduce_postings_pruned"};
+  std::vector<std::string> names = {
+      "mining.map_sequences", "mining.map_grid_edges", "mining.map_pivots",
+      "mining.map_input_items", "mining.map_shipped_items"};
+  names.insert(names.end(), reduce_names.begin(), reduce_names.end());
   SequenceDatabase db = testing::RandomDatabase(4300, 7, 60, 10);
   Fst fst = CompileFst(".*(i0^)[.*(.^)]{1,2}.*", db.dict);
   DSeqOptions options;
   options.sigma = 2;
   options.num_map_workers = 3;
   options.num_reduce_workers = 3;
+  DCandOptions dcand_options;
+  dcand_options.sigma = 2;
+  dcand_options.num_map_workers = 3;
+  dcand_options.num_reduce_workers = 3;
 
-  std::vector<std::vector<uint64_t>> counters;
-  std::vector<DistributedResult> results;
-  for (DataflowBackend backend :
-       {DataflowBackend::kLocal, DataflowBackend::kProc}) {
-    obs::ResetTraceForTest();
-    obs::ResetMetricsForTest();
-    options.backend = backend;
-    results.push_back(MineDSeq(db.sequences, fst, db.dict, options));
-    std::vector<uint64_t>& values = counters.emplace_back();
-    for (const std::string& name : names) {
-      values.push_back(obs::GetCounter(name).Value());
+  for (bool dcand : {false, true}) {
+    SCOPED_TRACE(dcand ? "D-CAND" : "D-SEQ");
+    const std::vector<std::string>& checked = dcand ? reduce_names : names;
+    std::vector<std::vector<uint64_t>> counters;
+    std::vector<DistributedResult> results;
+    for (DataflowBackend backend :
+         {DataflowBackend::kLocal, DataflowBackend::kProc}) {
+      obs::ResetTraceForTest();
+      obs::ResetMetricsForTest();
+      options.backend = backend;
+      dcand_options.backend = backend;
+      results.push_back(
+          dcand ? MineDCand(db.sequences, fst, db.dict, dcand_options)
+                : MineDSeq(db.sequences, fst, db.dict, options));
+      std::vector<uint64_t>& values = counters.emplace_back();
+      for (const std::string& name : checked) {
+        values.push_back(obs::GetCounter(name).Value());
+      }
+      if (dcand) {
+        // The reduce decodes every shuffled record: one weighted NFA.
+        EXPECT_EQ(obs::GetCounter("mining.reduce_sequences").Value(),
+                  results.back().metrics.shuffle_records);
+      } else {
+        // One shuffled record per pivot of every input.
+        EXPECT_EQ(obs::GetCounter("mining.map_pivots").Value(),
+                  results.back().metrics.map_output_records);
+      }
     }
-    // One shuffled record per pivot of every input.
-    EXPECT_EQ(obs::GetCounter("mining.map_pivots").Value(),
-              results.back().metrics.map_output_records);
+    EXPECT_EQ(results[1].patterns, results[0].patterns);
+    for (size_t i = 0; i < checked.size(); ++i) {
+      EXPECT_EQ(counters[1][i], counters[0][i]) << checked[i];
+    }
+    // Nothing above is vacuous: the run mined, D-SEQ's rewriting trimmed
+    // copies, and D-CAND's early stopping pruned postings. D-CAND's map
+    // ships each NFA with its labels cut to the pivot and every state on an
+    // accepting path that outputs it, so its reduce drops no edge.
+    EXPECT_FALSE(results[0].patterns.empty());
+    for (size_t i = 0; i < checked.size(); ++i) {
+      if (!dcand && checked[i] == "mining.reduce_postings_pruned") continue;
+      if (dcand && checked[i] == "mining.reduce_edges_dropped") {
+        EXPECT_EQ(counters[0][i], 0u) << checked[i];
+        continue;
+      }
+      EXPECT_GT(counters[0][i], 0u) << checked[i];
+    }
+    if (!dcand) {
+      EXPECT_LT(obs::GetCounter("mining.map_shipped_items").Value(),
+                obs::GetCounter("mining.map_input_items").Value());
+    }
   }
-  EXPECT_EQ(results[1].patterns, results[0].patterns);
-  for (size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(counters[1][i], counters[0][i]) << names[i];
-  }
-  // Nothing above is vacuous: the run mined, and rewriting trimmed copies.
-  EXPECT_FALSE(results[0].patterns.empty());
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == "mining.reduce_postings_pruned") continue;
-    EXPECT_GT(counters[0][i], 0u) << names[i];
-  }
-  EXPECT_LT(obs::GetCounter("mining.map_shipped_items").Value(),
-            obs::GetCounter("mining.map_input_items").Value());
 }
 
 TEST_F(TraceProcTest, DisabledTracingLeavesProcRoundSilent) {

@@ -47,12 +47,15 @@ the offending line or the line above it):
                        second caller of the coordinator would be a second
                        backend dispatch.
   dfs-input            calls of MineDesqDfsGrids in src/ outside
-                       src/core/desq_dfs.{h,cc} — DESQ-DFS mines from the
-                       flat DfsInput store, built straight from the
-                       sequences; the grid adapter exists for the frozen
-                       benchmark replay, and a miner that builds a StateGrid
-                       per sequence only to mine it pays the per-edge
-                       allocations the store removed.
+                       src/core/desq_dfs.{h,cc}, and of DeserializeNfa in
+                       src/ outside src/nfa/serializer.{h,cc} — DESQ-DFS
+                       mines from the flat DfsInput store, built straight
+                       from the sequences or decoded straight from the NFA
+                       bytes (DfsInput::AddNfa); the grid adapter exists for
+                       the frozen benchmark replay, and a miner that builds
+                       a StateGrid per sequence or an OutputNfa per record
+                       only to mine it pays the per-edge allocations and the
+                       label map the store removed.
   header-guard         src/ and tests/ headers must use the canonical
                        DSEQ_<PATH>_H_ include guard.
   header-self-contained (--check-headers) every header must compile on its
@@ -289,20 +292,29 @@ class Linter:
                             "through RunMapReduce with options.backend = "
                             "DataflowBackend::kProc", raw_lines)
 
-    # Miners feed DESQ-DFS through DfsInput::Add; only the adapter's own
-    # files may name the StateGrid entry point.
-    DFS_INPUT_EXEMPT = {"src/core/desq_dfs.h", "src/core/desq_dfs.cc"}
-    DFS_INPUT_RE = re.compile(r"\bMineDesqDfsGrids\s*\(")
+    # Miners feed DESQ-DFS through DfsInput::Add and DfsInput::AddNfa; only
+    # the defining files may name the StateGrid adapter or the OutputNfa
+    # decoder.
+    DFS_INPUT_RULES = [
+        (re.compile(r"\bMineDesqDfsGrids\s*\("),
+         {"src/core/desq_dfs.h", "src/core/desq_dfs.cc"},
+         "MineDesqDfsGrids called in src/ — add the sequences to a DfsInput "
+         "(DfsInput::Add) and mine it with MineDesqDfs"),
+        (re.compile(r"\bDeserializeNfa\s*\("),
+         {"src/nfa/serializer.h", "src/nfa/serializer.cc"},
+         "DeserializeNfa called in src/ — decode the NFA bytes into a "
+         "DfsInput (DfsInput::AddNfa) and mine it with MineDesqDfs"),
+    ]
 
     def check_dfs_input(self, path, raw_lines, code_lines):
-        if not path.startswith("src/") or path in self.DFS_INPUT_EXEMPT:
+        if not path.startswith("src/"):
             return
-        for i, line in enumerate(code_lines, start=1):
-            if self.DFS_INPUT_RE.search(line):
-                self.report(path, i, "dfs-input",
-                            "MineDesqDfsGrids called in src/ — add the "
-                            "sequences to a DfsInput (DfsInput::Add) and "
-                            "mine it with MineDesqDfs", raw_lines)
+        for pattern, exempt, message in self.DFS_INPUT_RULES:
+            if path in exempt:
+                continue
+            for i, line in enumerate(code_lines, start=1):
+                if pattern.search(line):
+                    self.report(path, i, "dfs-input", message, raw_lines)
 
     def check_header_guard(self, path, raw_lines, code_lines):
         expected = "DSEQ_" + re.sub(r"[/.]", "_", path.upper()
@@ -479,6 +491,19 @@ SELFTEST_CASES = [
     ("dfs-input: allow() escape", "src/dist/naive.cc",
      "MineDesqDfsGrids(g, w, o);  // dseq-lint: allow(dfs-input)\n",
      "dfs-input", 0),
+    ("dfs-input: NFA decode in a reduce", "src/dist/dcand_miner.cc",
+     "nfas.push_back(DeserializeNfa(v, &pos));\n", "dfs-input", 1),
+    ("dfs-input: NFA decode elsewhere in src/", "src/core/desq_dfs.cc",
+     "OutputNfa nfa = DeserializeNfa (bytes);\n", "dfs-input", 1),
+    ("dfs-input: the decoder in serializer.cc", "src/nfa/serializer.cc",
+     "OutputNfa nfa = DeserializeNfa(bytes, &pos);\n", "dfs-input", 0),
+    ("dfs-input: the declaration in serializer.h", "src/nfa/serializer.h",
+     "OutputNfa DeserializeNfa(std::string_view bytes);\n", "dfs-input", 0),
+    ("dfs-input: NFA decode in tests and fuzzers", "fuzz/fuzz_nfa.cc",
+     "nfa = dseq::DeserializeNfa(input, &pos);\n", "dfs-input", 0),
+    ("dfs-input: DeserializeNfa comment is not a call",
+     "src/dist/dcand_miner.cc",
+     "// no DeserializeNfa(bytes) on this path\n", "dfs-input", 0),
     # Regression cases for the pre-existing rules.
     ("naked-new fires in src", "src/foo/bar.cc",
      "int* p = new int(3);\n", "naked-new", 1),
