@@ -1,10 +1,11 @@
 // Micro-benchmarks for the core components: grid construction, pivot
 // search, the forward/backward pivot DPs, rewriting, D-SEQ's partition
-// reduce (DfsInput build + pivot-restricted DESQ-DFS), D-CAND's NFA
-// construction, NFA minimization/serialization, varint coding, the map-side
-// combiner over weighted values and counts (the zero-copy shuffle hot
-// path), the shuffle block codec, and the external spill-run merger (the
-// out-of-core reduce path).
+// reduce (DfsInput build + pivot-restricted DESQ-DFS), D-CAND's one-pass
+// minimal-DFA construction and bytes, run-trie minimization/serialization,
+// varint coding, the map-side combiner over weighted values and counts (the
+// zero-copy shuffle hot path), the shuffle block codec, the external
+// spill-run merger (the out-of-core reduce path), and the tracing-off cost
+// of the instrumentation.
 //
 // Self-contained harness — no google-benchmark dependency — so the binary
 // always builds and CI can track regressions. Each benchmark runs until a
@@ -37,6 +38,7 @@
 #include "src/dataflow/engine.h"
 #include "src/dataflow/shuffle_buffer.h"
 #include "src/datagen/text_corpus.h"
+#include "src/dist/dcand_miner.h"
 #include "src/dist/dseq_miner.h"
 #include "src/fst/compiler.h"
 #include "src/nfa/output_nfa.h"
@@ -71,6 +73,26 @@ double Now() {
   return std::chrono::duration<double>(obs::Now().time_since_epoch()).count();
 }
 
+void Report(const std::string& name, uint64_t iterations, double elapsed,
+            uint64_t items_per_op) {
+  BenchRow row;
+  row.name = name;
+  row.iterations = iterations;
+  row.ns_per_op = elapsed / iterations * 1e9;
+  if (items_per_op > 0) {
+    row.items_per_sec = items_per_op / (elapsed / iterations);
+  }
+  g_rows.push_back(row);
+  if (!g_config.json) {
+    std::printf("%-36s %12.0f ns/op %10llu iters", row.name.c_str(),
+                row.ns_per_op, (unsigned long long)row.iterations);
+    if (row.items_per_sec > 0) {
+      std::printf("  %12.0f items/s", row.items_per_sec);
+    }
+    std::printf("\n");
+  }
+}
+
 // `items_per_op` > 0 reports throughput (an op processes that many items).
 template <typename Fn>
 void RunBench(const std::string& name, uint64_t items_per_op, const Fn& fn) {
@@ -90,22 +112,46 @@ void RunBench(const std::string& name, uint64_t items_per_op, const Fn& fn) {
     // overhead stays negligible without overshooting the budget.
     if (d < g_config.min_time_s / 10) batch *= 2;
   } while (elapsed < g_config.min_time_s);
-  BenchRow row;
-  row.name = name;
-  row.iterations = iterations;
-  row.ns_per_op = elapsed / iterations * 1e9;
-  if (items_per_op > 0) {
-    row.items_per_sec = items_per_op / (elapsed / iterations);
+  Report(name, iterations, elapsed, items_per_op);
+}
+
+// An A/B pair measured in alternating short batches (A B, then B A, ...),
+// so drift in the machine's speed falls on both rows alike; each row gets
+// about `min_time` in total. The tracing-off overhead rows use it.
+template <typename FnA, typename FnB>
+void RunBenchPair(const std::string& name_a, const FnA& fn_a,
+                  const std::string& name_b, const FnB& fn_b) {
+  fn_a();  // warm-up
+  fn_b();
+  uint64_t batch = 1;
+  for (;;) {
+    double start = Now();
+    for (uint64_t i = 0; i < batch; ++i) fn_a();
+    if (Now() - start >= g_config.min_time_s / 1000) break;
+    batch *= 2;
   }
-  g_rows.push_back(row);
-  if (!g_config.json) {
-    std::printf("%-28s %12.0f ns/op %10llu iters", row.name.c_str(),
-                row.ns_per_op, (unsigned long long)row.iterations);
-    if (row.items_per_sec > 0) {
-      std::printf("  %12.0f items/s", row.items_per_sec);
+  uint64_t iterations = 0;
+  double elapsed_a = 0.0;
+  double elapsed_b = 0.0;
+  auto time_batch = [&](auto& fn, double* elapsed) {
+    double start = Now();
+    for (uint64_t i = 0; i < batch; ++i) fn();
+    *elapsed += Now() - start;
+  };
+  for (bool a_first = true;
+       iterations == 0 || std::min(elapsed_a, elapsed_b) < g_config.min_time_s;
+       a_first = !a_first) {
+    if (a_first) {
+      time_batch(fn_a, &elapsed_a);
+      time_batch(fn_b, &elapsed_b);
+    } else {
+      time_batch(fn_b, &elapsed_b);
+      time_batch(fn_a, &elapsed_a);
     }
-    std::printf("\n");
+    iterations += batch;
   }
+  Report(name_a, iterations, elapsed_a, 0);
+  Report(name_b, iterations, elapsed_b, 0);
 }
 
 // --- shared fixtures --------------------------------------------------------
@@ -248,6 +294,9 @@ void BenchRewriteAllPivots() {
 }
 
 void BenchNfaMinimizeAndSerialize() {
+  // Minimize + serialize of a run trie (the paper's path, kept for the
+  // benchmark replay and tests): the first pivot trie of the corpus with
+  // more than 16 states, unfolded from PivotNfaBuilder's minimal DFA.
   const SequenceDatabase& db = Corpus();
   GridOptions options;
   options.prune_sigma = 10;
@@ -257,11 +306,11 @@ void BenchNfaMinimizeAndSerialize() {
     if (!grid.HasAcceptingRun()) continue;
     Sequence pivots = FindPivotItems(grid);
     if (pivots.empty()) continue;
-    ItemId pivot = pivots.back();
-    ForEachAcceptingRun(grid, 10'000,
-                        [&](const std::vector<const StateGrid::Edge*>& run) {
-                          prototype.AddRun(run, pivot);
-                        });
+    PivotNfaBuilder builder(grid);
+    builder.Build(pivots.back());
+    OutputNfa trie;
+    builder.Unfold(&trie);
+    prototype = std::move(trie);
     if (prototype.num_states() > 16) break;
   }
   RunBench("nfa_minimize_serialize", 0, [&] {
@@ -274,23 +323,22 @@ void BenchNfaMinimizeAndSerialize() {
 }
 
 void BenchDCandNfaBuild() {
-  // The D-CAND map's per-sequence NFA construction: one PivotNfaBuilder per
-  // grid, then the DFA of every pivot k ∈ K(T) (minimization is timed by
-  // nfa_minimize_serialize).
+  // The D-CAND map's per-sequence NFA work: one PivotNfaBuilder per grid,
+  // then for every pivot k ∈ K(T) the one-pass minimal DFA and its bytes.
   std::vector<StateGrid> grids = BuildGrids(64);
   std::vector<Sequence> pivots;
   for (const StateGrid& grid : grids) pivots.push_back(FindPivotItems(grid));
   size_t i = 0;
+  std::string bytes;
   RunBench("dcand_nfa_build", 0, [&] {
     size_t g = i % grids.size();
     PivotNfaBuilder builder(grids[g]);
-    size_t states = 0;
+    bytes.clear();
     for (ItemId k : pivots[g]) {
-      OutputNfa nfa;
-      builder.Build(k, &nfa);
-      states += nfa.num_states();
+      builder.Build(k);
+      builder.SerializeTo(&bytes);
     }
-    volatile size_t sink = states;
+    volatile size_t sink = bytes.size();
     (void)sink;
     ++i;
   });
@@ -501,13 +549,66 @@ void BenchTraceOverhead() {
     (void)sink;
     return buf.size();
   };
-  RunBench("trace_overhead_baseline", 0, [&] { workload(); });
-  RunBench("trace_overhead_traced_off", 0, [&] {
-    DSEQ_TRACE_SPAN("bench", "overhead_probe");
-    size_t bytes = workload();
-    static obs::Histogram& h = obs::GetHistogram("bench.overhead_bytes");
-    if (obs::Enabled()) h.Observe(bytes);
-  });
+  RunBenchPair(
+      "trace_overhead_baseline", [&] { workload(); },
+      "trace_overhead_traced_off", [&] {
+        DSEQ_TRACE_SPAN("bench", "overhead_probe");
+        size_t bytes = workload();
+        static obs::Histogram& h = obs::GetHistogram("bench.overhead_bytes");
+        if (obs::Enabled()) h.Observe(bytes);
+      });
+}
+
+void BenchDCandMapTraceOverhead() {
+  // The same A/B over one D-CAND map input: MapDCandInput, as the miner
+  // runs it with tracing off (its MapCounts and the Enabled()-gated
+  // flush), against the same work with no counting. The CI trace job
+  // asserts this pair within 2% too.
+  obs::SetEnabled(false);
+  const SequenceDatabase& db = Corpus();
+  DCandOptions options;
+  options.sigma = 10;
+  GridOptions grid_options;
+  grid_options.prune_sigma = options.sigma;
+  // The input with the most pivots among the first 64, so the row times
+  // NFA work rather than call overhead.
+  const Sequence* input = nullptr;
+  size_t most = 0;
+  for (size_t i = 0; i < 64 && i < db.size(); ++i) {
+    StateGrid grid =
+        StateGrid::Build(db.sequences[i], N4Fst(), db.dict, grid_options);
+    size_t pivots = grid.HasAcceptingRun() ? FindPivotItems(grid).size() : 0;
+    if (pivots > most) {
+      most = pivots;
+      input = &db.sequences[i];
+    }
+  }
+  if (input == nullptr) return;
+  size_t emitted = 0;
+  EmitFn emit = [&](std::string_view key, std::string_view value) {
+    emitted += key.size() + value.size();
+  };
+  auto bare_map = [&] {
+    StateGrid grid = StateGrid::Build(*input, N4Fst(), db.dict, grid_options);
+    if (!grid.HasAcceptingRun()) return;
+    Sequence pivots = FindPivotItems(grid);
+    PivotNfaBuilder builder(grid);
+    std::string value;
+    for (ItemId k : pivots) {
+      builder.Build(k);
+      if (builder.empty()) continue;
+      value.clear();
+      PutVarint(&value, 1);
+      builder.SerializeTo(&value);
+      emit(EncodePivotKey(k), value);
+    }
+  };
+  RunBenchPair("trace_overhead_dcand_map_baseline", bare_map,
+               "trace_overhead_dcand_map_traced_off", [&] {
+                 MapDCandInput(*input, N4Fst(), db.dict, options, emit);
+               });
+  volatile size_t sink = emitted;
+  (void)sink;
 }
 
 void PrintJson() {
@@ -555,6 +656,7 @@ int main(int argc, char** argv) {
   BenchDesqDfsSmall();
   BenchDSeqReducePartition();
   BenchTraceOverhead();
+  BenchDCandMapTraceOverhead();
   if (g_config.json) PrintJson();
   return 0;
 }

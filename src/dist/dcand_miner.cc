@@ -10,6 +10,14 @@
 #include "src/util/check.h"
 
 namespace dseq {
+namespace {
+
+[[noreturn]] void ThrowBudgetError() {
+  throw MiningBudgetError(
+      "D-CAND NFA construction exceeded its per-sequence state budget");
+}
+
+}  // namespace
 
 MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
                       const std::vector<uint64_t>& weights, uint64_t sigma,
@@ -29,40 +37,52 @@ MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
   return MineDesqDfs(input, options);
 }
 
-DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
-                            const Dictionary& dict,
-                            const DCandOptions& options) {
+void MapDCandInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+                   const DCandOptions& options, const EmitFn& emit) {
   GridOptions grid_options;
   grid_options.prune_sigma = options.sigma;
-
-  MapFn map_fn = [&](size_t index, const EmitFn& emit) {
-    StateGrid grid = StateGrid::Build(db[index], fst, dict, grid_options);
-    if (!grid.HasAcceptingRun()) return;
-    Sequence pivots = FindPivotItems(grid);
-    if (pivots.empty()) return;
-
-    // One NFA per pivot partition, built from the grid (no run is
-    // enumerated); the unminimized ablation ships the equivalent trie.
+  StateGrid grid = StateGrid::Build(T, fst, dict, grid_options);
+  if (!grid.HasAcceptingRun()) return;
+  MapCounts counts;
+  Sequence pivots = FindPivotItems(grid);
+  if (!pivots.empty()) {
+    // One NFA per pivot partition, built from the grid as the minimal DFA
+    // (no run is enumerated); the unminimized ablation ships its unfolding.
     PivotNfaBuilder builder(grid, options.max_nfa_states_per_sequence);
     std::string value;
     for (ItemId pivot : pivots) {
-      OutputNfa nfa;
-      if (!builder.Build(pivot, &nfa) ||
-          (!options.minimize_nfas && !builder.Unfold(&nfa))) {
-        throw MiningBudgetError(
-            "D-CAND NFA construction exceeded its per-sequence state budget");
-      }
-      if (nfa.empty()) continue;
-      if (options.minimize_nfas) {
-        nfa.Minimize();
-      } else {
-        nfa.Canonicalize();
-      }
+      const uint64_t created = builder.states_created();
+      if (!builder.Build(pivot)) ThrowBudgetError();
+      counts.dfa_states += builder.states_created() - created;
+      counts.min_states += builder.num_states();
+      if (builder.empty()) continue;
       value.clear();
       PutVarint(&value, 1);
-      SerializeNfaTo(nfa, &value);
+      const size_t weight_bytes = value.size();
+      if (options.minimize_nfas) {
+        builder.SerializeTo(&value);
+      } else {
+        OutputNfa trie;
+        if (!builder.Unfold(&trie)) ThrowBudgetError();
+        SerializeNfaTo(trie, &value);
+      }
+      counts.nfa_bytes += value.size() - weight_bytes;
       emit(EncodePivotKey(pivot), value);
     }
+  }
+  if (obs::Enabled()) {
+    counts.sequences = 1;
+    counts.grid_edges = grid.num_edges();
+    counts.pivots = pivots.size();
+    counts.Flush();
+  }
+}
+
+DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
+                            const Dictionary& dict,
+                            const DCandOptions& options) {
+  MapFn map_fn = [&](size_t index, const EmitFn& emit) {
+    MapDCandInput(db[index], fst, dict, options, emit);
   };
 
   PartitionReduceFn reduce_fn = [&](std::string_view key,

@@ -3,10 +3,11 @@
 //
 // One map-shuffle-reduce round:
 //   map    : per input sequence T, build from the σ-pruned grid the output
-//            NFA of every pivot k ∈ K(T), as a DFA by subset construction
-//            (PivotNfaBuilder; no accepting run is enumerated); minimize it
-//            (or unfold it into the paper's run trie and canonicalize) and
-//            serialize each NFA in DFS order
+//            NFA of every pivot k ∈ K(T) as its minimal DFA, in one
+//            depth-first subset construction (PivotNfaBuilder; no accepting
+//            run is enumerated), and write its bytes in DFS order straight
+//            from it (or unfold it into the paper's run trie and serialize
+//            that)
 //   shuffle: partitions keyed by pivot item; a combiner aggregates identical
 //            serialized NFAs into weighted NFAs (Sec. VI-A)
 //   reduce : each partition decodes its weighted NFAs straight into one
@@ -29,10 +30,10 @@ namespace dseq {
 struct DCandOptions : DistributedRunOptions {
   uint64_t sigma = 1;
 
-  /// Minimize NFAs before serialization (Revuz, linear for the acyclic
-  /// DFAs). When false, each DFA is unfolded into the trie of its accepted
-  /// label strings and only canonicalized (paper Fig. 10b "tries"
-  /// ablation).
+  /// Ship each NFA as its minimal DFA, which the map builds in one pass
+  /// (registering states bottom-up as Revuz's minimization does). When
+  /// false, the minimal DFA is unfolded into the trie of its accepted label
+  /// strings and that is shipped (paper Fig. 10b "tries" ablation).
   bool minimize_nfas = true;
 
   /// Aggregate identical serialized NFAs into weighted NFAs in the shuffle
@@ -40,10 +41,11 @@ struct DCandOptions : DistributedRunOptions {
   bool aggregate_nfas = true;
 
   /// Per-sequence budget on the states created while building the
-  /// sequence's partition NFAs (DFA states, plus trie states when
-  /// unfolding), checked as they are created; exceeding it throws
-  /// MiningBudgetError (the paper's per-container memory limit).
-  /// 0 = unlimited.
+  /// sequence's partition NFAs: the subsets the one-pass construction
+  /// creates (PivotNfaBuilder::states_created, each pivot's root included),
+  /// plus the trie states when unfolding. Checked as they are created;
+  /// exceeding it throws MiningBudgetError (the paper's per-container
+  /// memory limit). 0 = unlimited.
   uint64_t max_nfa_states_per_sequence = 0;
 };
 
@@ -56,6 +58,14 @@ struct DCandOptions : DistributedRunOptions {
 MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
                       const std::vector<uint64_t>& weights, uint64_t sigma,
                       ItemId pivot);
+
+/// D-CAND's map of one input sequence, the map function of MineDCand: emits
+/// one weighted NFA record (weight 1) per pivot k ∈ K(T) under k's
+/// partition key, and under obs::Enabled() flushes the input's work to the
+/// mining.map_* counters (MapCounts). Throws MiningBudgetError when the
+/// state budget is exceeded.
+void MapDCandInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+                   const DCandOptions& options, const EmitFn& emit);
 
 /// Runs D-CAND. `db` must be fid-recoded with `dict`.
 DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,

@@ -35,6 +35,32 @@ MiningResult MinePartitionInput(const DfsInput& input,
   return result;
 }
 
+void MapCounts::Flush() const {
+  static obs::Counter& sequences_counter =
+      obs::GetCounter("mining.map_sequences");
+  static obs::Counter& grid_edges_counter =
+      obs::GetCounter("mining.map_grid_edges");
+  static obs::Counter& pivots_counter = obs::GetCounter("mining.map_pivots");
+  static obs::Counter& input_items_counter =
+      obs::GetCounter("mining.map_input_items");
+  static obs::Counter& shipped_items_counter =
+      obs::GetCounter("mining.map_shipped_items");
+  static obs::Counter& dfa_states_counter =
+      obs::GetCounter("mining.map_dfa_states");
+  static obs::Counter& min_states_counter =
+      obs::GetCounter("mining.map_min_states");
+  static obs::Counter& nfa_bytes_counter =
+      obs::GetCounter("mining.map_nfa_bytes");
+  sequences_counter.Add(sequences);
+  grid_edges_counter.Add(grid_edges);
+  pivots_counter.Add(pivots);
+  input_items_counter.Add(input_items);
+  shipped_items_counter.Add(shipped_items);
+  dfa_states_counter.Add(dfa_states);
+  min_states_counter.Add(min_states);
+  nfa_bytes_counter.Add(nfa_bytes);
+}
+
 std::string EncodePivotKey(ItemId pivot) {
   std::string key;
   PutVarint(&key, pivot);

@@ -152,6 +152,23 @@ void EncodePatternRecord(const PatternCount& mined, std::string* key,
 /// already stripped). Throws std::invalid_argument on malformed bytes.
 PatternCount DecodePatternRecord(std::string_view key, std::string_view value);
 
+/// Work counts of one D-SEQ or D-CAND map input, accumulated on the stack
+/// and flushed to the mining.map_* counters once per input under
+/// obs::Enabled(), so proc workers ship them too. Each miner fills the
+/// fields of the work it does; the rest stay 0.
+struct MapCounts {
+  uint64_t sequences = 0;      // grids with an accepting run
+  uint64_t grid_edges = 0;
+  uint64_t pivots = 0;         // |K(T)|
+  uint64_t input_items = 0;    // D-SEQ: |T| per shipped copy
+  uint64_t shipped_items = 0;  // D-SEQ: |ρk(T)| per shipped copy
+  uint64_t dfa_states = 0;     // D-CAND: subsets the one pass creates
+  uint64_t min_states = 0;     // D-CAND: states of the minimal DFAs
+  uint64_t nfa_bytes = 0;      // D-CAND: serialized NFA bytes
+
+  void Flush() const;
+};
+
 /// The local mining of one pivot partition, shared by the D-SEQ and D-CAND
 /// reduces: mines `input` with MineDesqDfs and, under obs::Enabled(), adds
 /// the group's work to the mining.reduce_* counters — `num_records` shuffled

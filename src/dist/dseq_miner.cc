@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/thread_pool.h"
@@ -163,34 +162,6 @@ Sequence RewriteForPivot(const Sequence& T, const StateGrid& grid,
 // --- The miner -------------------------------------------------------------
 
 namespace {
-
-// Work counts of one D-SEQ map input, flushed to the obs registry once per
-// input (proc workers ship them too). The grid counts stay 0 under the
-// no-grid ablation, which builds no grid.
-struct MapCounts {
-  uint64_t sequences = 0;      // grids with an accepting run
-  uint64_t grid_edges = 0;
-  uint64_t pivots = 0;         // |K(T)| = records emitted
-  uint64_t input_items = 0;    // |T| per shipped copy
-  uint64_t shipped_items = 0;  // |ρk(T)| per shipped copy
-
-  void Flush() const {
-    static obs::Counter& sequences_counter =
-        obs::GetCounter("mining.map_sequences");
-    static obs::Counter& grid_edges_counter =
-        obs::GetCounter("mining.map_grid_edges");
-    static obs::Counter& pivots_counter = obs::GetCounter("mining.map_pivots");
-    static obs::Counter& input_items_counter =
-        obs::GetCounter("mining.map_input_items");
-    static obs::Counter& shipped_items_counter =
-        obs::GetCounter("mining.map_shipped_items");
-    sequences_counter.Add(sequences);
-    grid_edges_counter.Add(grid_edges);
-    pivots_counter.Add(pivots);
-    input_items_counter.Add(input_items);
-    shipped_items_counter.Add(shipped_items);
-  }
-};
 
 // Map/reduce phases shared by the single-round miner, the chained recount
 // driver, and the plan-driven balanced miner. The returned closures capture

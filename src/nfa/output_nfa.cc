@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "src/core/pivot.h"
+#include "src/nfa/serializer.h"
 #include "src/util/check.h"
 
 namespace dseq {
@@ -234,25 +235,71 @@ constexpr uint32_t kEpsMove = UINT32_MAX;
 constexpr uint32_t kDeadMove = UINT32_MAX - 1;
 constexpr uint32_t kNoLabel = UINT32_MAX;
 constexpr uint32_t kEmptySlot = UINT32_MAX;
+constexpr StateId kPending = UINT32_MAX;
 
 // The ComputePivotLiveness bit of an element with the given seen-k bit.
 constexpr uint8_t LiveBit(uint32_t seen) {
   return seen != 0 ? kLiveSeen : kLiveUnseen;
 }
 
-uint64_t HashSubset(const uint32_t* codes, size_t size) {
-  uint64_t h = size;
-  for (size_t i = 0; i < size; ++i) {
-    h = (h ^ codes[i]) * 0x9e3779b97f4a7c15ULL;
-    h ^= h >> 32;
-  }
-  return h;
+uint64_t HashWord(uint32_t code) { return code; }
+uint64_t HashWord(const OutputNfa::Edge& e) {
+  return uint64_t{e.label} << 32 | e.target;
 }
 
 }  // namespace
 
+template <typename T>
+void PivotNfaBuilder::InternTable<T>::Clear() {
+  pool.clear();
+  begin.assign(1, 0);
+  tag.clear();
+  hash.clear();
+  table.assign(64, kEmptySlot);
+}
+
+template <typename T>
+uint32_t PivotNfaBuilder::InternTable<T>::Intern(uint8_t t,
+                                                 const std::vector<T>& values) {
+  uint64_t h = values.size() << 1 | t;
+  for (const T& v : values) {
+    h = (h ^ HashWord(v)) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 32;
+  }
+  const size_t mask = table.size() - 1;
+  size_t slot = h & mask;
+  for (; table[slot] != kEmptySlot; slot = (slot + 1) & mask) {
+    const uint32_t id = table[slot];
+    if (hash[id] != h || tag[id] != t) continue;
+    const Span<T> stored = At(id);
+    if (stored.size() == values.size() &&
+        std::equal(values.begin(), values.end(), stored.begin())) {
+      return id;
+    }
+  }
+  const uint32_t id = static_cast<uint32_t>(tag.size());
+  table[slot] = id;
+  tag.push_back(t);
+  hash.push_back(h);
+  pool.insert(pool.end(), values.begin(), values.end());
+  begin.push_back(static_cast<uint32_t>(pool.size()));
+  if (2 * tag.size() > table.size()) {
+    table.assign(table.size() * 2, kEmptySlot);
+    const size_t grown_mask = table.size() - 1;
+    for (uint32_t s = 0; s < tag.size(); ++s) {
+      size_t at = hash[s] & grown_mask;
+      while (table[at] != kEmptySlot) at = (at + 1) & grown_mask;
+      table[at] = s;
+    }
+  }
+  return id;
+}
+
 PivotNfaBuilder::PivotNfaBuilder(const StateGrid& grid, uint64_t max_states)
-    : grid_(grid), max_states_(max_states), num_states_(grid.num_states()) {
+    : grid_(grid),
+      max_states_(max_states),
+      num_states_(grid.num_states()),
+      last_layer_(static_cast<uint32_t>(grid.length() * grid.num_states())) {
   const size_t n = grid.length();
   const size_t ns = num_states_;
   // Element codes (coordinate << 1 | seen-k) must fit 32 bits.
@@ -272,6 +319,9 @@ PivotNfaBuilder::PivotNfaBuilder(const StateGrid& grid, uint64_t max_states)
 
   // Label trie: in content order, outputs sharing a prefix are adjacent, so
   // each one reuses the nodes of its common prefix with the previous one.
+  // A node is created by the first output with its prefix, so node ids
+  // follow label content: a prefix precedes its extensions, and outputs
+  // with a smaller prefix come first.
   label_base_.resize(edges_.size());
   std::vector<uint32_t> order;
   uint32_t total = 0;
@@ -308,6 +358,14 @@ PivotNfaBuilder::PivotNfaBuilder(const StateGrid& grid, uint64_t max_states)
     prev = &out;
     prev_base = label_base_[g];
   }
+#if DSEQ_DCHECK_IS_ON
+  for (uint32_t x = 1; x < node_edge_.size(); ++x) {
+    const Span<ItemId> a = Label(x - 1);
+    const Span<ItemId> b = Label(x);
+    DSEQ_CHECK(std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                            b.end()));
+  }
+#endif
   visited_.assign((n + 1) * ns * 2, 0);
 }
 
@@ -316,24 +374,17 @@ bool PivotNfaBuilder::CountState() {
   return max_states_ == 0 || states_created_ <= max_states_;
 }
 
-OutputNfa::LabelId PivotNfaBuilder::LabelOf(uint32_t node, OutputNfa* nfa) {
-  if (node_label_[node] == kNoLabel) {
-    node_label_[node] = static_cast<OutputNfa::LabelId>(nfa->labels_.size());
-    const Sequence& out = edges_[node_edge_[node]]->out;
-    nfa->labels_.emplace_back(out.begin(), out.begin() + node_depth_[node]);
-  }
-  return node_label_[node];
-}
-
-bool PivotNfaBuilder::Build(ItemId pivot, OutputNfa* nfa) {
-  DSEQ_DCHECK(nfa->num_states() == 1 && nfa->labels_.empty());
+bool PivotNfaBuilder::Build(ItemId pivot) {
+  dfa_.Clear();
+  root_ = 0;
   if (!CountState()) return false;  // the root
-  if (!grid_.HasAcceptingRun()) return true;
-  const size_t ns = num_states_;
-  const uint32_t last_layer = static_cast<uint32_t>(grid_.length() * ns);
-  live_ = ComputePivotLiveness(grid_, pivot);
   const uint32_t start = grid_.initial_state();  // coordinate (0, initial)
-  if ((live_[start] & kLiveUnseen) == 0) return true;  // pivot ∉ K(T)
+  if (grid_.HasAcceptingRun()) live_ = ComputePivotLiveness(grid_, pivot);
+  if (!grid_.HasAcceptingRun() || (live_[start] & kLiveUnseen) == 0) {
+    signature_.clear();
+    dfa_.Intern(0, signature_);  // pivot ∉ K(T): the root alone
+    return true;
+  }
 
   move_.resize(edges_.size());
   for (uint32_t g = 0; g < edges_.size(); ++g) {
@@ -347,82 +398,88 @@ bool PivotNfaBuilder::Build(ItemId pivot, OutputNfa* nfa) {
       move_[g] = node << 1 | (test.carries_pivot ? 1 : 0);
     }
   }
-  node_label_.assign(node_edge_.size(), kNoLabel);
-  pool_.clear();
-  subset_begin_.assign(1, 0);
-  subset_hash_.clear();
-  table_.assign(64, kEmptySlot);
+  subsets_.Clear();
+  canon_.clear();
+  frames_.clear();
+  children_.clear();
 
-  std::vector<OutputNfa::State>& states = nfa->states_;
   stack_.assign(1, start << 1);
   Closure();
-  InternSubset();
-  for (uint32_t s = 0; s + 1 < subset_begin_.size(); ++s) {
-    moves_.clear();
-    for (uint32_t x = subset_begin_[s]; x < subset_begin_[s + 1]; ++x) {
-      uint32_t code = pool_[x];
-      uint32_t coord = code >> 1;
-      if (coord >= last_layer) continue;
-      uint32_t seen = code & 1;
-      uint32_t next_layer = (coord / ns + 1) * ns;
-      for (uint32_t g = coord_edges_[coord]; g < coord_edges_[coord + 1];
-           ++g) {
-        uint32_t move = move_[g];
-        if (move >= kDeadMove) continue;  // ε (in the closure) or dead
-        uint32_t next_seen = seen | (move & 1);
-        uint32_t to = next_layer + edges_[g]->to;
-        if ((live_[to] & LiveBit(next_seen)) == 0) continue;
-        moves_.emplace_back(move >> 1, to << 1 | next_seen);
-      }
+  subsets_.Intern(0, scratch_);
+  canon_.push_back(kPending);
+  if (!Expand(0)) return false;
+  while (!frames_.empty()) {
+    Frame& top = frames_.back();
+    if (top.next == top.end) {
+      Register();
+      continue;
     }
-    // One edge per label: the targets of its moves, ε-closed.
-    std::sort(moves_.begin(), moves_.end());
-    for (size_t lo = 0; lo < moves_.size();) {
-      size_t hi = lo;
-      stack_.clear();
-      while (hi < moves_.size() && moves_[hi].first == moves_[lo].first) {
-        stack_.push_back(moves_[hi++].second);
-      }
-      Closure();
-      uint32_t target = InternSubset();
-      if (target == states.size()) {
-        if (!CountState()) return false;
-        states.emplace_back();
-        // Only seen-k elements are live on the last layer: they accept.
-        states.back().final = (scratch_.back() >> 1) >= last_layer;
-      }
-      states[s].edges.push_back(
-          OutputNfa::Edge{LabelOf(moves_[lo].first, nfa), target});
-      lo = hi;
-    }
-    // Every state is live: it accepts or has a way on.
-    DSEQ_DCHECK(states[s].final || !states[s].edges.empty());
+    const uint32_t child = children_[top.next++].second;
+    if (canon_[child] == kPending && !Expand(child)) return false;
   }
-
-  // Renumber by the input position of each subset's smallest element
-  // (stable counting sort); the root keeps id 0.
-  const size_t num_subsets = states.size();
-  std::vector<uint32_t> rank(grid_.length() + 2, 0);
-  for (uint32_t s = 0; s < num_subsets; ++s) {
-    ++rank[pool_[subset_begin_[s]] / 2 / ns + 1];
-  }
-  for (size_t p = 1; p < rank.size(); ++p) rank[p] += rank[p - 1];
-  std::vector<StateId> new_id(num_subsets);
-  for (uint32_t s = 0; s < num_subsets; ++s) {
-    new_id[s] = rank[pool_[subset_begin_[s]] / 2 / ns]++;
-  }
-  std::vector<OutputNfa::State> renumbered(num_subsets);
-  for (uint32_t s = 0; s < num_subsets; ++s) {
-    OutputNfa::State& state = renumbered[new_id[s]];
-    state = std::move(states[s]);
-    for (OutputNfa::Edge& e : state.edges) {
-      e.target = new_id[e.target];
-      // Minimize's precondition: edges point to higher ids.
-      DSEQ_DCHECK_GT(e.target, new_id[s]);
-    }
-  }
-  states = std::move(renumbered);
+  root_ = canon_[0];
   return true;
+}
+
+bool PivotNfaBuilder::Expand(uint32_t subset) {
+  const size_t ns = num_states_;
+  moves_.clear();
+  for (uint32_t code : subsets_.At(subset)) {
+    uint32_t coord = code >> 1;
+    if (coord >= last_layer_) continue;
+    uint32_t seen = code & 1;
+    uint32_t next_layer = (coord / ns + 1) * ns;
+    for (uint32_t g = coord_edges_[coord]; g < coord_edges_[coord + 1]; ++g) {
+      uint32_t move = move_[g];
+      if (move >= kDeadMove) continue;  // ε (in the closure) or dead
+      uint32_t next_seen = seen | (move & 1);
+      uint32_t to = next_layer + edges_[g]->to;
+      if ((live_[to] & LiveBit(next_seen)) == 0) continue;
+      moves_.emplace_back(move >> 1, to << 1 | next_seen);
+    }
+  }
+  // One edge per label: the targets of its moves, ε-closed. Sorted moves
+  // give the edges in ascending label-node order.
+  std::sort(moves_.begin(), moves_.end());
+  const uint32_t begin = static_cast<uint32_t>(children_.size());
+  for (size_t lo = 0; lo < moves_.size();) {
+    size_t hi = lo;
+    stack_.clear();
+    while (hi < moves_.size() && moves_[hi].first == moves_[lo].first) {
+      stack_.push_back(moves_[hi++].second);
+    }
+    Closure();
+    const uint32_t target = subsets_.Intern(0, scratch_);
+    if (target == canon_.size()) {
+      if (!CountState()) return false;
+      canon_.push_back(kPending);
+    }
+    children_.emplace_back(moves_[lo].first, target);
+    lo = hi;
+  }
+  const uint32_t end = static_cast<uint32_t>(children_.size());
+  frames_.push_back(Frame{subset, begin, end, begin});
+  return true;
+}
+
+void PivotNfaBuilder::Register() {
+  const Frame& top = frames_.back();
+  signature_.clear();
+  for (uint32_t c = top.begin; c < top.end; ++c) {
+    const auto& [node, child] = children_[c];
+    // Post order: every successor is registered before its predecessor.
+    DSEQ_DCHECK_NE(canon_[child], kPending);
+    DSEQ_DCHECK(signature_.empty() || signature_.back().label < node);
+    signature_.push_back(OutputNfa::Edge{node, canon_[child]});
+  }
+  const Span<uint32_t> elements = subsets_.At(top.subset);
+  // Only seen-k elements are live on the last layer: they accept. Every
+  // state is live: it accepts or has a way on.
+  const bool final = (elements[elements.size() - 1] >> 1) >= last_layer_;
+  DSEQ_DCHECK(final || !signature_.empty());
+  canon_[top.subset] = dfa_.Intern(final ? 1 : 0, signature_);
+  children_.resize(top.begin);
+  frames_.pop_back();
 }
 
 void PivotNfaBuilder::Closure() {
@@ -431,7 +488,6 @@ void PivotNfaBuilder::Closure() {
     stamp_ = 1;
   }
   const size_t ns = num_states_;
-  const uint32_t last_layer = static_cast<uint32_t>(grid_.length() * ns);
   scratch_.clear();
   while (!stack_.empty()) {
     uint32_t code = stack_.back();
@@ -440,7 +496,7 @@ void PivotNfaBuilder::Closure() {
     visited_[code] = stamp_;
     scratch_.push_back(code);
     uint32_t coord = code >> 1;
-    if (coord >= last_layer) continue;
+    if (coord >= last_layer_) continue;
     uint32_t seen = code & 1;
     uint32_t next_layer = (coord / ns + 1) * ns;
     for (uint32_t g = coord_edges_[coord]; g < coord_edges_[coord + 1]; ++g) {
@@ -452,57 +508,42 @@ void PivotNfaBuilder::Closure() {
     }
   }
   std::sort(scratch_.begin(), scratch_.end());
+  // A label carries k iff it contains k, so the seen bit is a function of
+  // the label string read: a subset never holds both (c, unseen) and
+  // (c, seen), and no element of it dominates another.
+#if DSEQ_DCHECK_IS_ON
+  for (uint32_t code : scratch_) DSEQ_CHECK_EQ(code & 1, scratch_[0] & 1);
+#endif
 }
 
-uint32_t PivotNfaBuilder::InternSubset() {
-  const uint64_t hash = HashSubset(scratch_.data(), scratch_.size());
-  const size_t mask = table_.size() - 1;
-  size_t slot = hash & mask;
-  for (; table_[slot] != kEmptySlot; slot = (slot + 1) & mask) {
-    uint32_t id = table_[slot];
-    if (subset_hash_[id] != hash) continue;
-    uint32_t begin = subset_begin_[id];
-    uint32_t size = subset_begin_[id + 1] - begin;
-    if (size == scratch_.size() &&
-        std::equal(scratch_.begin(), scratch_.end(), pool_.begin() + begin)) {
-      return id;
-    }
-  }
-  const uint32_t id = static_cast<uint32_t>(subset_hash_.size());
-  table_[slot] = id;
-  subset_hash_.push_back(hash);
-  pool_.insert(pool_.end(), scratch_.begin(), scratch_.end());
-  subset_begin_.push_back(static_cast<uint32_t>(pool_.size()));
-  if (2 * subset_hash_.size() > table_.size()) {
-    table_.assign(table_.size() * 2, kEmptySlot);
-    const size_t grown_mask = table_.size() - 1;
-    for (uint32_t s = 0; s < subset_hash_.size(); ++s) {
-      size_t at = subset_hash_[s] & grown_mask;
-      while (table_[at] != kEmptySlot) at = (at + 1) & grown_mask;
-      table_[at] = s;
-    }
-  }
-  return id;
+void PivotNfaBuilder::SerializeTo(std::string* out) const {
+  WriteNfaDfs(*this, root_, out);
 }
 
-bool PivotNfaBuilder::Unfold(OutputNfa* nfa) {
-  OutputNfa trie;
-  trie.labels_ = std::move(nfa->labels_);
+bool PivotNfaBuilder::Unfold(OutputNfa* trie) {
+  DSEQ_DCHECK(trie->num_states() == 1 && trie->labels_.empty());
+  node_label_.assign(node_edge_.size(), kNoLabel);
   // (DFA state, trie state) pairs still to expand.
-  std::vector<std::pair<StateId, StateId>> stack = {{0, 0}};
+  std::vector<std::pair<StateId, StateId>> stack = {{root_, 0}};
   while (!stack.empty()) {
     auto [from, at] = stack.back();
     stack.pop_back();
-    for (const OutputNfa::Edge& e : nfa->states_[from].edges) {
+    for (const OutputNfa::Edge& e : EdgesOf(from)) {
       if (!CountState()) return false;
-      StateId child = static_cast<StateId>(trie.states_.size());
-      trie.states_.emplace_back();
-      trie.states_[child].final = nfa->states_[e.target].final;
-      trie.states_[at].edges.push_back(OutputNfa::Edge{e.label, child});
+      if (node_label_[e.label] == kNoLabel) {
+        node_label_[e.label] =
+            static_cast<OutputNfa::LabelId>(trie->labels_.size());
+        const Span<ItemId> label = Label(e.label);
+        trie->labels_.emplace_back(label.begin(), label.end());
+      }
+      StateId child = static_cast<StateId>(trie->states_.size());
+      trie->states_.emplace_back();
+      trie->states_[child].final = IsFinal(e.target);
+      trie->states_[at].edges.push_back(
+          OutputNfa::Edge{node_label_[e.label], child});
       stack.emplace_back(e.target, child);
     }
   }
-  *nfa = std::move(trie);
   return true;
 }
 

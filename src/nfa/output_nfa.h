@@ -4,16 +4,20 @@
 // candidate subsequences of T with pivot item k. The NFA's edges are labeled
 // with *output sets* (one edge per non-ε output set of an accepting run;
 // items larger than the pivot are dropped — they can only produce candidates
-// with a larger pivot). PivotNfaBuilder builds it straight from the grid as a
-// DFA over these labels, by subset construction; the automaton is acyclic, so
-// minimization is linear (Revuz). The paper's construction — insert every
-// accepting run into a trie (AddRun), then minimize — yields the same
-// minimized bytes and remains available for tests and benchmarks.
+// with a larger pivot). PivotNfaBuilder builds it straight from the grid as
+// the minimal DFA over these labels, in one depth-first subset construction
+// that registers each state once its successors are done (Revuz's bottom-up
+// minimization during construction), and writes the wire bytes from it
+// directly. The paper's construction — insert every accepting run into a
+// trie (AddRun), then Minimize — yields the same bytes and remains
+// available for tests and benchmarks.
 #ifndef DSEQ_NFA_OUTPUT_NFA_H_
 #define DSEQ_NFA_OUTPUT_NFA_H_
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/grid.h"
@@ -34,6 +38,10 @@ class OutputNfa {
   struct Edge {
     LabelId label;
     StateId target;
+
+    bool operator==(const Edge& o) const {
+      return label == o.label && target == o.target;
+    }
   };
 
   OutputNfa() { states_.emplace_back(); }
@@ -109,48 +117,106 @@ class OutputNfa {
 /// labels by subset construction over grid × {seen-k}: a DFA state is the
 /// ε-closure of the coordinates reached on one label string, restricted to
 /// the live ones (ComputePivotLiveness), so every state lies on an accepting
-/// path. States are numbered by the input position of their subset's
-/// smallest element, which strictly grows along every edge; Minimize() thus
-/// applies as to a trie. A finite language has one minimal DFA, so the
-/// minimized bytes equal those of the run trie (AddRun), and Unfold() turns
-/// the DFA into exactly that trie.
+/// path. A label carries k iff it contains k, so all elements of a subset
+/// share one seen-k bit.
+///
+/// The construction runs depth-first. The automaton is acyclic, so a
+/// subset's successors are all done before it is; it is then registered by
+/// its signature (final, (label, minimal successor)...) in a hash table, and
+/// equal signatures share one state. By Revuz's argument this yields the
+/// minimal DFA, which a finite language has only one of: its bytes
+/// (SerializeTo) equal those of the run trie after Minimize(), and Unfold()
+/// turns it into exactly that trie.
 ///
 /// Labels are interned per sequence through a trie of the grid's output
 /// sets: out ∩ [0,k] is the node at depth |out ∩ [0,k]| on out's path, so
-/// equal labels share a node without any copy or map lookup.
+/// equal labels share a node without any copy or map lookup. Nodes are
+/// numbered in label-content order, so edges sorted by node are in the
+/// canonical order Minimize() sorts by.
+///
+/// The builder also presents the minimal DFA of the last Build() as an
+/// automaton (num_states, EdgesOf, ...; state ids are registration order,
+/// the root is root()), as WriteNfaDfs in serializer.h reads it.
 class PivotNfaBuilder {
  public:
   /// `grid` must outlive the builder. `max_states` bounds the states
   /// created over all Build() and Unfold() calls (0 = unlimited).
   explicit PivotNfaBuilder(const StateGrid& grid, uint64_t max_states = 0);
 
-  /// Builds pivot k's DFA into `*nfa`, which must be a fresh OutputNfa. The
-  /// DFA is empty if k ∉ K(T). Returns false once the state budget is
-  /// exceeded; `*nfa` is then incomplete.
-  bool Build(ItemId pivot, OutputNfa* nfa);
+  /// Builds pivot k's minimal DFA, replacing the previous one. The DFA is
+  /// empty if k ∉ K(T). Returns false once the state budget is exceeded;
+  /// the DFA is then unusable.
+  bool Build(ItemId pivot);
 
-  /// Replaces the DFA `*nfa` (from Build) by its unfolding: the trie with
-  /// one state per prefix of an accepted label string, as the paper's run
-  /// insertion builds it (Fig. 10b's unminimized "tries"). Returns false
-  /// once the state budget is exceeded.
-  bool Unfold(OutputNfa* nfa);
+  /// Appends the wire bytes of the DFA, equal to SerializeNfaTo of the run
+  /// trie after Minimize().
+  void SerializeTo(std::string* out) const;
 
-  /// States created so far (DFA states, plus trie states of Unfold).
+  /// Makes `*trie` (a fresh OutputNfa) the unfolding of the DFA: the trie
+  /// with one state per prefix of an accepted label string, as the paper's
+  /// run insertion builds it (Fig. 10b's unminimized "tries"), edges in
+  /// canonical order. Returns false once the state budget is exceeded.
+  bool Unfold(OutputNfa* trie);
+
+  /// States created so far: the subsets of every Build() (the root
+  /// included), plus the trie states of every Unfold().
   uint64_t states_created() const { return states_created_; }
 
+  // The minimal DFA of the last Build(). Edge labels are label-trie nodes.
+  StateId root() const { return root_; }
+  size_t num_states() const { return dfa_.size(); }
+  size_t num_edges() const { return dfa_.pool.size(); }
+  bool empty() const { return num_edges() == 0; }
+  bool IsFinal(StateId q) const { return dfa_.tag[q] != 0; }
+  Span<OutputNfa::Edge> EdgesOf(StateId q) const { return dfa_.At(q); }
+  Span<ItemId> Label(uint32_t node) const {
+    return {edges_[node_edge_[node]]->out.data(), node_depth_[node]};
+  }
+
  private:
+  // Interns strings of T, each with a small tag: one pool, one
+  // open-addressing table of ids.
+  template <typename T>
+  struct InternTable {
+    std::vector<T> pool;
+    std::vector<uint32_t> begin;  // one entry per string, plus end
+    std::vector<uint8_t> tag;
+    std::vector<uint64_t> hash;
+    std::vector<uint32_t> table;
+
+    void Clear();
+    size_t size() const { return tag.size(); }
+    Span<T> At(uint32_t id) const {
+      return {pool.data() + begin[id], begin[id + 1] - begin[id]};
+    }
+    // Id of (tag, values); a new string gets the next id.
+    uint32_t Intern(uint8_t tag, const std::vector<T>& values);
+  };
+
+  // A subset on the depth-first stack, and the range of its
+  // (label node, subset) successors in children_.
+  struct Frame {
+    uint32_t subset;
+    uint32_t begin;
+    uint32_t end;
+    uint32_t next;
+  };
+
   bool CountState();
   // Empties stack_ (live elements) into scratch_ as their ε-closure over
   // live elements, sorted.
   void Closure();
-  // Id of the subset in scratch_; a new subset gets the next id.
-  uint32_t InternSubset();
-  OutputNfa::LabelId LabelOf(uint32_t node, OutputNfa* nfa);
+  // Pushes the frame of `subset`, its successors appended to children_.
+  // Returns false once the state budget is exceeded.
+  bool Expand(uint32_t subset);
+  // Registers the top frame's subset in dfa_ and pops the frame.
+  void Register();
 
   const StateGrid& grid_;
   uint64_t max_states_;
   uint64_t states_created_ = 0;
-  size_t num_states_;  // FST states per layer
+  size_t num_states_;    // FST states per layer
+  uint32_t last_layer_;  // the first coordinate of the last layer
 
   // Per sequence. Grid edges flattened in (layer, from) order; the edges
   // out of coordinate c = i * num_states_ + q are
@@ -169,17 +235,21 @@ class PivotNfaBuilder {
   // edge, or kEpsMove / kDeadMove. live_: ComputePivotLiveness.
   std::vector<uint32_t> move_;
   std::vector<uint8_t> live_;
-  std::vector<OutputNfa::LabelId> node_label_;
-  // DFA subsets: sorted element codes (coordinate << 1 | seen-k) in one
-  // pool, found through an open-addressing table of subset ids.
-  std::vector<uint32_t> pool_;
-  std::vector<uint32_t> subset_begin_;  // one entry per subset, plus end
-  std::vector<uint64_t> subset_hash_;
-  std::vector<uint32_t> table_;
+  // DFA subsets: sorted element codes (coordinate << 1 | seen-k).
+  InternTable<uint32_t> subsets_;
+  // canon_[s]: the minimal state of subset s, or kPending until registered.
+  std::vector<StateId> canon_;
+  // The minimal DFA: tag = final, edges ascending by label node.
+  InternTable<OutputNfa::Edge> dfa_;
+  StateId root_ = 0;
+  std::vector<Frame> frames_;
+  std::vector<std::pair<uint32_t, uint32_t>> children_;
+  std::vector<OutputNfa::Edge> signature_;
   std::vector<std::pair<uint32_t, uint32_t>> moves_;  // (label node, code)
   std::vector<uint32_t> scratch_;  // the subset being interned
   std::vector<uint32_t> stack_;    // elements whose closure is taken next
   std::vector<uint32_t> visited_;  // closure stamp per element code
+  std::vector<OutputNfa::LabelId> node_label_;  // Unfold's label per node
   uint32_t stamp_ = 0;
 };
 

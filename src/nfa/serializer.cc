@@ -6,13 +6,9 @@
 #include "src/util/varint.h"
 
 namespace dseq {
-namespace {
+namespace nfa_wire {
 
-constexpr uint8_t kHasSource = 1;
-constexpr uint8_t kHasTarget = 2;
-constexpr uint8_t kFinalMarker = 4;
-
-void PutLabel(std::string* out, const Sequence& label) {
+void PutLabel(std::string* out, Span<ItemId> label) {
   PutVarint(out, label.size());
   ItemId prev = 0;
   for (ItemId w : label) {
@@ -21,6 +17,14 @@ void PutLabel(std::string* out, const Sequence& label) {
     prev = w;
   }
 }
+
+}  // namespace nfa_wire
+
+namespace {
+
+using nfa_wire::kFinalMarker;
+using nfa_wire::kHasSource;
+using nfa_wire::kHasTarget;
 
 bool GetLabel(std::string_view data, size_t* pos, Sequence* label) {
   uint64_t n = 0;
@@ -48,45 +52,7 @@ bool GetLabel(std::string_view data, size_t* pos, Sequence* label) {
 }  // namespace
 
 void SerializeNfaTo(const OutputNfa& nfa, std::string* out) {
-  PutVarint(out, nfa.num_edges());
-  if (nfa.num_edges() == 0) return;
-
-  // DFS in edge order. States are written by their DFS visit order, the
-  // numbering the parser gives them (the state ids themselves after
-  // Canonicalize or Minimize). Track the previous record's target to apply
-  // the paper's implicit source/target compression.
-  constexpr StateId kUnvisited = std::numeric_limits<StateId>::max();
-  std::vector<StateId> dfs_id(nfa.num_states(), kUnvisited);
-  dfs_id[0] = 0;
-  StateId next_id = 1;
-  StateId prev_target = 0;
-  std::vector<std::pair<StateId, size_t>> stack;
-  stack.emplace_back(0, 0);
-  while (!stack.empty()) {
-    auto& [q, ei] = stack.back();
-    if (ei >= nfa.EdgesOf(q).size()) {
-      stack.pop_back();
-      continue;
-    }
-    const OutputNfa::Edge& e = nfa.EdgesOf(q)[ei];
-    ++ei;
-
-    uint8_t header = 0;
-    bool target_new = dfs_id[e.target] == kUnvisited;
-    if (q != prev_target) header |= kHasSource;
-    if (!target_new) header |= kHasTarget;
-    if (target_new && nfa.IsFinal(e.target)) header |= kFinalMarker;
-    out->push_back(static_cast<char>(header));
-    if (header & kHasSource) PutVarint(out, dfs_id[q]);
-    PutLabel(out, nfa.Label(e.label));
-    if (header & kHasTarget) PutVarint(out, dfs_id[e.target]);
-
-    prev_target = e.target;
-    if (target_new) {
-      dfs_id[e.target] = next_id++;
-      stack.emplace_back(e.target, 0);
-    }
-  }
+  WriteNfaDfs(nfa, 0, out);
 }
 
 std::string SerializeNfa(const OutputNfa& nfa) {

@@ -2,6 +2,7 @@
 #ifndef DSEQ_UTIL_COMMON_H_
 #define DSEQ_UTIL_COMMON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,6 +23,23 @@ using Sequence = std::vector<ItemId>;
 
 /// FST / NFA state identifier.
 using StateId = uint32_t;
+
+/// A read-only view of `size` contiguous values (C++17 has no std::span).
+template <typename T>
+class Span {
+ public:
+  Span(const T* data, size_t size) : data_(data), size_(size) {}
+  const T* data() const { return data_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& operator[](size_t i) const { return data_[i]; }
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+
+ private:
+  const T* data_;
+  size_t size_;
+};
 
 }  // namespace dseq
 

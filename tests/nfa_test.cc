@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
+#include <set>
+#include <string>
 
 #include "src/core/candidates.h"
 #include "src/core/desq_dfs.h"
@@ -135,28 +138,97 @@ TEST(OutputNfaTest, InsertionOrderInvariance) {
   EXPECT_EQ(SerializeNfa(forward), SerializeNfa(backward));
 }
 
+// The subset construction without the builder's machinery: breadth-first
+// over sets of (coordinate << 1 | seen-k) codes, each the live ε-closure
+// of the codes reached on one label string. Returns the number of distinct
+// subsets, the root included, or 0 if k ∉ K(T).
+size_t ReferenceSubsetCount(const StateGrid& grid, ItemId pivot) {
+  if (!grid.HasAcceptingRun()) return 0;
+  const uint32_t ns = static_cast<uint32_t>(grid.num_states());
+  const uint32_t last_layer = static_cast<uint32_t>(grid.length()) * ns;
+  std::vector<uint8_t> live = ComputePivotLiveness(grid, pivot);
+  const uint32_t start = grid.initial_state();
+  if ((live[start] & kLiveUnseen) == 0) return 0;
+  auto is_live = [&](uint32_t code) {
+    return (live[code >> 1] & ((code & 1) ? kLiveSeen : kLiveUnseen)) != 0;
+  };
+  auto closure = [&](std::set<uint32_t> codes) {
+    std::vector<uint32_t> todo(codes.begin(), codes.end());
+    while (!todo.empty()) {
+      uint32_t code = todo.back();
+      todo.pop_back();
+      uint32_t coord = code >> 1;
+      if (coord >= last_layer) continue;
+      for (const StateGrid::Edge& e : grid.EdgesAt(coord / ns)) {
+        if (e.from != coord % ns || !e.out.empty()) continue;
+        uint32_t next = ((coord / ns + 1) * ns + e.to) << 1 | (code & 1);
+        if (is_live(next) && codes.insert(next).second) todo.push_back(next);
+      }
+    }
+    return codes;
+  };
+  std::set<std::set<uint32_t>> seen;
+  std::vector<std::set<uint32_t>> queue = {closure({start << 1})};
+  seen.insert(queue[0]);
+  for (size_t next = 0; next < queue.size(); ++next) {
+    std::map<Sequence, std::set<uint32_t>> moves;
+    for (uint32_t code : queue[next]) {
+      uint32_t coord = code >> 1;
+      if (coord >= last_layer) continue;
+      for (const StateGrid::Edge& e : grid.EdgesAt(coord / ns)) {
+        PivotEdge test = TestPivotEdge(e.out, pivot);
+        if (e.from != coord % ns || test.kind != PivotEdge::kAdmissible) {
+          continue;
+        }
+        uint32_t to = ((coord / ns + 1) * ns + e.to) << 1 |
+                      (code & 1) | (test.carries_pivot ? 1 : 0);
+        if (!is_live(to)) continue;
+        moves[Sequence(e.out.begin(), e.out.begin() + test.label_size)]
+            .insert(to);
+      }
+    }
+    for (auto& [label, targets] : moves) {
+      std::set<uint32_t> subset = closure(std::move(targets));
+      if (seen.insert(subset).second) queue.push_back(std::move(subset));
+    }
+  }
+  return queue.size();
+}
+
+// Paper Fig. 7: the one pass yields the minimized NFA (7 vertices, 10
+// edges) directly, and unfolds into the trie (13 vertices, 12 edges).
 TEST(PivotNfaBuilderTest, PaperFig7Shapes) {
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(kPatternEx, db.dict);
   GridOptions options;
   options.prune_sigma = 2;
   StateGrid grid = StateGrid::Build(db.sequences[0], fst, db.dict, options);
+  ItemId c = db.dict.ItemByName("c");
   PivotNfaBuilder builder(grid);
-  OutputNfa dfa;
-  ASSERT_TRUE(builder.Build(db.dict.ItemByName("c"), &dfa));
-  EXPECT_LE(dfa.num_states(), 13u);
-  EXPECT_EQ(builder.states_created(), dfa.num_states());
-  for (StateId q = 0; q < dfa.num_states(); ++q) {
-    EXPECT_TRUE(dfa.IsFinal(q) || !dfa.EdgesOf(q).empty()) << "state " << q;
-    for (const OutputNfa::Edge& e : dfa.EdgesOf(q)) EXPECT_GT(e.target, q);
+  ASSERT_TRUE(builder.Build(c));
+  EXPECT_EQ(builder.num_states(), 7u);
+  EXPECT_EQ(builder.num_edges(), 10u);
+  EXPECT_LE(builder.states_created(), 13u);
+  EXPECT_EQ(builder.states_created(), ReferenceSubsetCount(grid, c));
+  for (StateId q = 0; q < builder.num_states(); ++q) {
+    EXPECT_TRUE(builder.IsFinal(q) || !builder.EdgesOf(q).empty())
+        << "state " << q;
+    // Registered bottom-up: successors have smaller ids.
+    for (const OutputNfa::Edge& e : builder.EdgesOf(q)) EXPECT_LT(e.target, q);
   }
-  OutputNfa trie = dfa;
+  EXPECT_EQ(builder.root(), builder.num_states() - 1);
+  EXPECT_FALSE(builder.IsFinal(builder.root()));
+
+  OutputNfa reference = BuildTrie(db, fst, db.sequences[0], c, 2);
+  reference.Minimize();
+  std::string bytes;
+  builder.SerializeTo(&bytes);
+  EXPECT_EQ(bytes, SerializeNfa(reference));
+
+  OutputNfa trie;
   ASSERT_TRUE(builder.Unfold(&trie));
   EXPECT_EQ(trie.num_states(), 13u);
   EXPECT_EQ(trie.num_edges(), 12u);
-  dfa.Minimize();
-  EXPECT_EQ(dfa.num_states(), 7u);
-  EXPECT_EQ(dfa.num_edges(), 10u);
 }
 
 TEST(PivotNfaBuilderTest, EmptyForNonPivots) {
@@ -164,11 +236,16 @@ TEST(PivotNfaBuilderTest, EmptyForNonPivots) {
   Fst fst = CompileFst(kPatternEx, db.dict);
   StateGrid grid = StateGrid::Build(db.sequences[1], fst, db.dict, {});
   PivotNfaBuilder builder(grid);
-  OutputNfa nfa;
-  ASSERT_TRUE(builder.Build(db.dict.ItemByName("c"), &nfa));  // c ∉ K(T2)
-  EXPECT_TRUE(nfa.empty());
+  ASSERT_TRUE(builder.Build(db.dict.ItemByName("c")));  // c ∉ K(T2)
+  EXPECT_TRUE(builder.empty());
+  EXPECT_EQ(builder.num_states(), 1u);
+  std::string bytes;
+  builder.SerializeTo(&bytes);
+  EXPECT_EQ(bytes, SerializeNfa(OutputNfa()));
 }
 
+// The budget counts the subsets of the one pass and the trie states of
+// Unfold: one short fails, the exact budget passes.
 TEST(PivotNfaBuilderTest, StateBudgetCoversBuildAndUnfold) {
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(kPatternEx, db.dict);
@@ -176,29 +253,31 @@ TEST(PivotNfaBuilderTest, StateBudgetCoversBuildAndUnfold) {
   options.prune_sigma = 2;
   StateGrid grid = StateGrid::Build(db.sequences[0], fst, db.dict, options);
   ItemId c = db.dict.ItemByName("c");
-  OutputNfa dfa;
   PivotNfaBuilder unlimited(grid);
-  ASSERT_TRUE(unlimited.Build(c, &dfa));
-  const uint64_t dfa_states = dfa.num_states();
+  ASSERT_TRUE(unlimited.Build(c));
+  const uint64_t subsets = unlimited.states_created();
 
-  OutputNfa partial;
-  PivotNfaBuilder tight(grid, dfa_states - 1);
-  EXPECT_FALSE(tight.Build(c, &partial));
+  PivotNfaBuilder tight(grid, subsets - 1);
+  EXPECT_FALSE(tight.Build(c));
+  PivotNfaBuilder exact_build(grid, subsets);
+  EXPECT_TRUE(exact_build.Build(c));
 
-  // Unfolding creates the 12 non-root trie states on top of the DFA's.
+  // Unfolding creates the 12 non-root trie states on top of the subsets.
+  PivotNfaBuilder exact(grid, subsets + 12);
+  ASSERT_TRUE(exact.Build(c));
   OutputNfa unfolded;
-  PivotNfaBuilder exact(grid, dfa_states + 12);
-  ASSERT_TRUE(exact.Build(c, &unfolded));
   EXPECT_TRUE(exact.Unfold(&unfolded));
+  PivotNfaBuilder over(grid, subsets + 11);
+  ASSERT_TRUE(over.Build(c));
   OutputNfa short_of_one;
-  PivotNfaBuilder over(grid, dfa_states + 11);
-  ASSERT_TRUE(over.Build(c, &short_of_one));
   EXPECT_FALSE(over.Unfold(&short_of_one));
 }
 
-// Differential: the grid DFA against the run trie (BuildTrie), per sequence
-// and pivot. Minimized bytes, canonical trie bytes and the DFA's size bound
-// must hold for every random database, property pattern and σ.
+// Differential: the one-pass minimal DFA against the run trie (BuildTrie),
+// per sequence and pivot. Its bytes must equal the minimized trie's, its
+// unfolding the trie (as shipped, and canonicalized), and it may create no
+// more subsets than the trie has states, exactly as many as the reference
+// subset construction.
 class PivotNfaBuilderPropertyTest
     : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 
@@ -217,20 +296,26 @@ TEST_P(PivotNfaBuilderPropertyTest, MatchesRunTries) {
       PivotNfaBuilder builder(grid);
       for (ItemId k : FindPivotItems(grid)) {
         OutputNfa reference = BuildTrie(db, fst, db.sequences[t], k, sigma);
-        OutputNfa dfa;
-        ASSERT_TRUE(builder.Build(k, &dfa));
-        EXPECT_LE(dfa.num_states(), reference.num_states());
+        const uint64_t created = builder.states_created();
+        ASSERT_TRUE(builder.Build(k));
+        const uint64_t subsets = builder.states_created() - created;
+        EXPECT_LE(subsets, reference.num_states());
+        EXPECT_EQ(subsets, ReferenceSubsetCount(grid, k));
 
-        OutputNfa trie = dfa;
+        OutputNfa trie;
         ASSERT_TRUE(builder.Unfold(&trie));
-        trie.Canonicalize();
         OutputNfa reference_trie = reference;
         reference_trie.Canonicalize();
         EXPECT_EQ(SerializeNfa(trie), SerializeNfa(reference_trie));
+        trie.Canonicalize();
+        EXPECT_EQ(SerializeNfa(trie), SerializeNfa(reference_trie));
 
-        dfa.Minimize();
         reference.Minimize();
-        EXPECT_EQ(SerializeNfa(dfa), SerializeNfa(reference));
+        EXPECT_EQ(builder.num_states(), reference.num_states());
+        EXPECT_LE(builder.num_states(), subsets);
+        std::string bytes;
+        builder.SerializeTo(&bytes);
+        EXPECT_EQ(bytes, SerializeNfa(reference));
       }
     }
   }

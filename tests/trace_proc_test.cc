@@ -99,17 +99,27 @@ TEST_F(TraceProcTest, ProcRoundMergesCoordinatorAndWorkerSpans) {
 
 // The mining-layer counters are tallied by the map and reduce functions
 // wherever they run, so a proc run (workers ship registry deltas) must
-// report exactly what a local run does. D-SEQ counts its map and reduce;
-// D-CAND's reduce shares D-SEQ's reduce counters (MinePartitionInput).
+// report exactly what a local run does. Both miners count their map
+// (MapCounts: the grid and pivot fields, then D-SEQ's rewrite items or
+// D-CAND's DFA states and bytes) and their reduce (MinePartitionInput).
 TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
   const std::vector<std::string> reduce_names = {
       "mining.reduce_sequences", "mining.reduce_edges_kept",
       "mining.reduce_edges_dropped", "mining.reduce_dfs_expansions",
       "mining.reduce_postings_pruned"};
-  std::vector<std::string> names = {
-      "mining.map_sequences", "mining.map_grid_edges", "mining.map_pivots",
-      "mining.map_input_items", "mining.map_shipped_items"};
-  names.insert(names.end(), reduce_names.begin(), reduce_names.end());
+  const std::vector<std::string> map_names = {
+      "mining.map_sequences", "mining.map_grid_edges", "mining.map_pivots"};
+  std::vector<std::string> dseq_names = map_names;
+  dseq_names.insert(dseq_names.end(),
+                    {"mining.map_input_items", "mining.map_shipped_items"});
+  dseq_names.insert(dseq_names.end(), reduce_names.begin(),
+                    reduce_names.end());
+  std::vector<std::string> dcand_names = map_names;
+  dcand_names.insert(dcand_names.end(),
+                     {"mining.map_dfa_states", "mining.map_min_states",
+                      "mining.map_nfa_bytes"});
+  dcand_names.insert(dcand_names.end(), reduce_names.begin(),
+                     reduce_names.end());
   SequenceDatabase db = testing::RandomDatabase(4300, 7, 60, 10);
   Fst fst = CompileFst(".*(i0^)[.*(.^)]{1,2}.*", db.dict);
   DSeqOptions options;
@@ -123,7 +133,7 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
 
   for (bool dcand : {false, true}) {
     SCOPED_TRACE(dcand ? "D-CAND" : "D-SEQ");
-    const std::vector<std::string>& checked = dcand ? reduce_names : names;
+    const std::vector<std::string>& checked = dcand ? dcand_names : dseq_names;
     std::vector<std::vector<uint64_t>> counters;
     std::vector<DistributedResult> results;
     for (DataflowBackend backend :
@@ -139,14 +149,16 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
       for (const std::string& name : checked) {
         values.push_back(obs::GetCounter(name).Value());
       }
+      // One shuffled record per pivot of every input.
+      EXPECT_EQ(obs::GetCounter("mining.map_pivots").Value(),
+                results.back().metrics.map_output_records);
       if (dcand) {
         // The reduce decodes every shuffled record: one weighted NFA.
         EXPECT_EQ(obs::GetCounter("mining.reduce_sequences").Value(),
                   results.back().metrics.shuffle_records);
-      } else {
-        // One shuffled record per pivot of every input.
-        EXPECT_EQ(obs::GetCounter("mining.map_pivots").Value(),
-                  results.back().metrics.map_output_records);
+        // Every subset maps onto one state of its minimal DFA.
+        EXPECT_LE(obs::GetCounter("mining.map_min_states").Value(),
+                  obs::GetCounter("mining.map_dfa_states").Value());
       }
     }
     EXPECT_EQ(results[1].patterns, results[0].patterns);
