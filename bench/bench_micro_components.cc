@@ -611,6 +611,47 @@ void BenchDCandMapTraceOverhead() {
   (void)sink;
 }
 
+void BenchDSeqMapTraceOverhead() {
+  // The same A/B over the D-SEQ map: MapDSeqInput over the first 64
+  // inputs, as the miner runs it with tracing off (its MapCounts and the
+  // Enabled()-gated flush), against the same work with no counting. The CI
+  // trace job asserts this pair within 2% too.
+  obs::SetEnabled(false);
+  const SequenceDatabase& db = Corpus();
+  DSeqOptions options;
+  options.sigma = 10;
+  GridOptions grid_options;
+  grid_options.prune_sigma = options.sigma;
+  const size_t inputs = std::min<size_t>(64, db.size());
+  size_t emitted = 0;
+  EmitFn emit = [&](std::string_view key, std::string_view value) {
+    emitted += key.size() + value.size();
+  };
+  auto bare_map = [&] {
+    std::string value;
+    for (size_t i = 0; i < inputs; ++i) {
+      const Sequence& T = db.sequences[i];
+      StateGrid grid = StateGrid::Build(T, N4Fst(), db.dict, grid_options);
+      if (!grid.HasAcceptingRun()) continue;
+      PivotRewriter rewriter(T, grid);
+      for (ItemId k : rewriter.pivots()) {
+        value.clear();
+        PutSequence(&value, rewriter.Rewrite(k));
+        emit(EncodePivotKey(k), value);
+      }
+    }
+  };
+  RunBenchPair("trace_overhead_dseq_map_baseline", bare_map,
+               "trace_overhead_dseq_map_traced_off", [&] {
+                 for (size_t i = 0; i < inputs; ++i) {
+                   MapDSeqInput(db.sequences[i], N4Fst(), db.dict, options,
+                                emit);
+                 }
+               });
+  volatile size_t sink = emitted;
+  (void)sink;
+}
+
 void PrintJson() {
   std::printf("{\n  \"benchmarks\": [\n");
   for (size_t i = 0; i < g_rows.size(); ++i) {
@@ -657,6 +698,7 @@ int main(int argc, char** argv) {
   BenchDSeqReducePartition();
   BenchTraceOverhead();
   BenchDCandMapTraceOverhead();
+  BenchDSeqMapTraceOverhead();
   if (g_config.json) PrintJson();
   return 0;
 }

@@ -5,23 +5,6 @@
 namespace dseq {
 namespace {
 
-// Edges of one layer grouped by source state (EdgesAt is sorted by `from`).
-struct FromRange {
-  const StateGrid::Edge* begin;
-  const StateGrid::Edge* end;
-};
-
-FromRange EdgesFrom(const StateGrid& grid, size_t layer, StateId q) {
-  const auto& edges = grid.EdgesAt(layer);
-  size_t lo = std::lower_bound(
-                  edges.begin(), edges.end(), q,
-                  [](const StateGrid::Edge& e, StateId s) { return e.from < s; }) -
-              edges.begin();
-  size_t hi = lo;
-  while (hi < edges.size() && edges[hi].from == q) ++hi;
-  return {edges.data() + lo, edges.data() + hi};
-}
-
 struct CandidateSearch {
   const StateGrid& grid;
   size_t budget;
@@ -41,14 +24,13 @@ struct CandidateSearch {
       }
       return;
     }
-    FromRange range = EdgesFrom(grid, i, q);
-    for (const StateGrid::Edge* e = range.begin; e != range.end; ++e) {
-      if (e->out.empty()) {
-        Dfs(i + 1, e->to);
+    for (const StateGrid::Edge& e : grid.EdgesOf(i * grid.num_states() + q)) {
+      if (e.out.empty()) {
+        Dfs(i + 1, e.to);
       } else {
-        for (ItemId w : e->out) {
+        for (ItemId w : e.out) {
           prefix.push_back(w);
-          Dfs(i + 1, e->to);
+          Dfs(i + 1, e.to);
           prefix.pop_back();
           if (!within_budget) return;
         }
@@ -79,10 +61,9 @@ struct RunSearch {
       }
       return;
     }
-    FromRange range = EdgesFrom(grid, i, q);
-    for (const StateGrid::Edge* e = range.begin; e != range.end; ++e) {
-      run.push_back(e);
-      Dfs(i + 1, e->to);
+    for (const StateGrid::Edge& e : grid.EdgesOf(i * grid.num_states() + q)) {
+      run.push_back(&e);
+      Dfs(i + 1, e.to);
       run.pop_back();
       if (!within_budget) return;
     }
@@ -109,15 +90,6 @@ bool ForEachAcceptingRun(
   RunSearch search{grid, max_runs, fn, {}, 0, true};
   search.Dfs(0, grid.initial_state());
   return search.within_budget;
-}
-
-uint64_t CountAcceptingRuns(const StateGrid& grid, uint64_t max_runs) {
-  uint64_t count = 0;
-  ForEachAcceptingRun(grid, max_runs,
-                      [&](const std::vector<const StateGrid::Edge*>&) {
-                        ++count;
-                      });
-  return count;
 }
 
 }  // namespace dseq

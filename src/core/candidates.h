@@ -30,9 +30,6 @@ bool ForEachAcceptingRun(
     const StateGrid& grid, uint64_t max_runs,
     const std::function<void(const std::vector<const StateGrid::Edge*>&)>& fn);
 
-/// Number of accepting runs (capped at `max_runs`).
-uint64_t CountAcceptingRuns(const StateGrid& grid, uint64_t max_runs);
-
 }  // namespace dseq
 
 #endif  // DSEQ_CORE_CANDIDATES_H_

@@ -201,7 +201,7 @@ void DfsInput::AddNfa(std::string_view bytes, size_t* pos, uint64_t weight) {
 void DfsInput::Commit(uint64_t weight) {
   const size_t coords = pending_bits_.size();
 
-  // Backward pass (ComputePivotLiveness over the pending edges, plus the
+  // Backward pass (the seen-k liveness bits over the pending edges, plus the
   // ε-accept table). An edge is kept iff its target is live. Sorted by
   // source, with every target larger, the edges out of a coordinate are all
   // swept before any edge into it.

@@ -13,7 +13,10 @@
 // The miner reads its sequences from a DfsInput: one flat, append-only
 // store of their position–state grids (coordinates, edges, labels), built
 // straight from the sequences by the same FST step as StateGrid
-// (StepTransition) but without a StateGrid or an output vector per edge.
+// (StepTransition). It indexes coordinates and their out-edges as StateGrid
+// does (one offset per coordinate into one edge array), but keeps every
+// label in one item array instead of an output vector per edge, and many
+// sequences in one store.
 // D-CAND's NFAs decode into the same store: an NFA state is a coordinate,
 // an NFA edge a labeled edge, and a final state is ε-accepting.
 //
@@ -23,8 +26,9 @@
 //    an edge left with no item is dropped, so items larger than the pivot
 //    are never used to extend a prefix;
 //  * only the edges whose target lies on an accepting run that can still
-//    end with k output are kept (ComputePivotLiveness's seen-k bits), and a
-//    sequence whose first coordinate cannot reach such a run is not stored;
+//    end with k output are kept (the seen-k bits kLiveSeen/kLiveUnseen of
+//    pivot.h), and a sequence whose first coordinate cannot reach such a
+//    run is not stored;
 //  * only sequences containing the pivot item are output;
 //  * early stopping (Sec. V-C, exact form): a posting is kept only if its
 //    coordinate is live for the prefix — kLiveSeen when the prefix holds k,
@@ -87,8 +91,8 @@ struct DesqDfsStats {
 /// liveness bits, an ε-accept bit and a range of out-edges (CSR), and per
 /// edge its target coordinate and a range of a single label array.
 /// Only edges whose target is live are kept: live means "on an accepting run
-/// that can still output the pivot" (the seen-k bits of
-/// ComputePivotLiveness) with a pivot, and "on an accepting run" without.
+/// that can still output the pivot" (the seen-k bits kLiveSeen/kLiveUnseen,
+/// pivot.h) with a pivot, and "on an accepting run" without.
 /// With no pivot, the edges kept per sequence are exactly StateGrid's, so
 /// num_edges() equals the sum of StateGrid::num_edges() (the budget of
 /// DesqDfsOptions::max_total_grid_edges does not depend on the store).

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/util/check.h"
+
 namespace dseq {
 
 StateGrid StateGrid::Build(const Sequence& T, const Fst& fst,
@@ -15,96 +17,103 @@ StateGrid StateGrid::Build(const Sequence& T, const Fst& fst,
   grid.initial_ = fst.initial();
   grid.finals_.resize(ns);
   for (StateId q = 0; q < ns; ++q) grid.finals_[q] = fst.IsFinal(q);
-  grid.edges_.resize(n);
   grid.alive_.assign((n + 1) * ns, false);
+  grid.offsets_.assign((n + 1) * ns + 1, 0);
   if (ns == 0) return grid;
 
-  // Forward simulation.
+  // Forward simulation, one coordinate c = i * ns + q at a time in
+  // coordinate order.
   grid.forward_active_.assign((n + 1) * ns, false);
   std::vector<bool>& active = grid.forward_active_;
+  std::vector<bool>& alive = grid.alive_;
+  std::vector<uint32_t>& offsets = grid.offsets_;
+  std::vector<Edge>& edges = grid.edges_;
   active[fst.initial()] = true;
   Sequence out;
   for (size_t i = 0; i < n; ++i) {
-    ItemId t = T[i];
-    auto& layer_edges = grid.edges_[i];
+    const ItemId t = T[i];
     for (StateId q = 0; q < ns; ++q) {
+      const size_t begin = edges.size();
+      offsets[i * ns + q] = static_cast<uint32_t>(begin);
       if (!active[i * ns + q]) continue;
       for (const Transition& tr : fst.From(q)) {
         if (!StepTransition(fst, tr, t, dict, options.prune_sigma, &out)) {
           continue;
         }
         active[(i + 1) * ns + tr.to] = true;
-        layer_edges.push_back(Edge{q, tr.to, out});
+        edges.push_back(Edge{q, tr.to, out});
       }
+      // Deduplicate edges (distinct FST transitions can collapse to the same
+      // (from, to, output-set) edge, which would inflate run enumeration).
+      if (edges.size() - begin < 2) continue;
+      std::sort(edges.begin() + begin, edges.end(),
+                [](const Edge& a, const Edge& b) {
+                  if (a.to != b.to) return a.to < b.to;
+                  return a.out < b.out;
+                });
+      edges.erase(std::unique(edges.begin() + begin, edges.end(),
+                              [](const Edge& a, const Edge& b) {
+                                return a.to == b.to && a.out == b.out;
+                              }),
+                  edges.end());
     }
-    // Deduplicate edges (distinct FST transitions can collapse to the same
-    // (from, to, output-set) edge, which would inflate run enumeration).
-    std::sort(layer_edges.begin(), layer_edges.end(),
-              [](const Edge& a, const Edge& b) {
-                if (a.from != b.from) return a.from < b.from;
-                if (a.to != b.to) return a.to < b.to;
-                return a.out < b.out;
-              });
-    layer_edges.erase(std::unique(layer_edges.begin(), layer_edges.end(),
-                                  [](const Edge& a, const Edge& b) {
-                                    return a.from == b.from && a.to == b.to &&
-                                           a.out == b.out;
-                                  }),
-                      layer_edges.end());
   }
+  DSEQ_CHECK_LE(edges.size(), size_t{UINT32_MAX});
+  std::fill(offsets.begin() + n * ns, offsets.end(),
+            static_cast<uint32_t>(edges.size()));
 
   // Backward pruning: keep only coordinates that reach an accepting
   // (n, q ∈ F) coordinate.
   for (StateId q = 0; q < ns; ++q) {
     if (active[n * ns + q] && grid.finals_[q]) {
-      grid.alive_[n * ns + q] = true;
+      alive[n * ns + q] = true;
       grid.accepting_ = true;
     }
   }
-  if (!grid.accepting_) {
-    for (auto& e : grid.edges_) e.clear();
-    return grid;
-  }
-  for (size_t i = n; i-- > 0;) {
-    auto& layer_edges = grid.edges_[i];
-    layer_edges.erase(
-        std::remove_if(layer_edges.begin(), layer_edges.end(),
-                       [&](const Edge& e) {
-                         return !grid.alive_[(i + 1) * ns + e.to];
-                       }),
-        layer_edges.end());
-    for (const Edge& e : layer_edges) grid.alive_[i * ns + e.from] = true;
-  }
-  // A grid is accepting only if layer 0 retained the initial state.
-  if (!grid.alive_[fst.initial()]) {
-    grid.accepting_ = false;
-    for (auto& e : grid.edges_) e.clear();
-    std::fill(grid.alive_.begin(), grid.alive_.end(), false);
-  }
-  return grid;
-}
-
-size_t StateGrid::num_edges() const {
-  size_t total = 0;
-  for (const auto& layer : edges_) total += layer.size();
-  return total;
-}
-
-std::vector<uint8_t> StateGrid::ComputeEpsAcceptTable() const {
-  size_t n = length_;
-  size_t ns = num_states_;
-  std::vector<uint8_t> eps_accept((n + 1) * ns, 0);
-  for (StateId q = 0; q < ns; ++q) {
-    if (alive_[n * ns + q] && finals_[q]) eps_accept[n * ns + q] = 1;
-  }
-  for (size_t i = n; i-- > 0;) {
-    for (const Edge& e : edges_[i]) {
-      if (e.out.empty() && eps_accept[(i + 1) * ns + e.to]) {
-        eps_accept[i * ns + e.from] = 1;
-      }
+  for (size_t i = n; grid.accepting_ && i-- > 0;) {
+    for (const Edge& e : grid.EdgesAt(i)) {
+      if (alive[(i + 1) * ns + e.to]) alive[i * ns + e.from] = true;
     }
   }
-  return eps_accept;
+  // A grid is accepting only if layer 0 retained the initial state.
+  if (!grid.accepting_ || !alive[fst.initial()]) {
+    grid.accepting_ = false;
+    edges.clear();
+    std::fill(offsets.begin(), offsets.end(), 0);
+    std::fill(alive.begin(), alive.end(), false);
+    return grid;
+  }
+
+  // Compaction: move the edges into an alive coordinate to the front, layer
+  // by layer, and set each coordinate's offset to where its first kept edge
+  // lands (edges are sorted by source within a layer).
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t begin = offsets[i * ns];
+    const size_t end = offsets[(i + 1) * ns];
+    uint32_t* const layer = &offsets[i * ns];
+    StateId next = 0;  // the first state of layer i without an offset yet
+    for (size_t g = begin; g < end; ++g) {
+      if (!alive[(i + 1) * ns + edges[g].to]) continue;
+      const StateId from = edges[g].from;
+      while (next <= from) layer[next++] = static_cast<uint32_t>(kept);
+      if (g != kept) edges[kept] = std::move(edges[g]);
+      ++kept;
+    }
+    while (next < ns) layer[next++] = static_cast<uint32_t>(kept);
+  }
+  edges.erase(edges.begin() + kept, edges.end());
+  std::fill(offsets.begin() + n * ns, offsets.end(),
+            static_cast<uint32_t>(kept));
+
+#if DSEQ_DCHECK_IS_ON
+  DSEQ_CHECK_EQ(offsets.back(), edges.size());
+  for (size_t c = 0; c < n * ns; ++c) {
+    DSEQ_CHECK_LE(offsets[c], offsets[c + 1]);
+    for (const Edge& e : grid.EdgesOf(c)) DSEQ_CHECK_EQ(e.from, c % ns);
+  }
+#endif
+  return grid;
 }
 
 }  // namespace dseq

@@ -7,6 +7,14 @@
 // pruned to coordinates that lie on at least one *accepting* run — the
 // paper's dynamic-programming dead-end elimination.
 //
+// Layout: coordinate (i, q) has the index c = i * num_states() + q, and the
+// edges live in one array in coordinate order, those out of c at
+// [offset(c), offset(c + 1)) (a CSR: one offset per coordinate into one
+// edge array). Within a coordinate they are sorted by (to, out), so a layer
+// is a contiguous range sorted by (from, to, out). Readers that work per
+// coordinate take EdgesOf(c), readers that work per layer EdgesAt(i), and
+// readers that keep per-edge state index it by EdgeIndex().
+//
 // The grid is the structure behind pivot search (Theorem 1), sequence
 // rewriting, candidate enumeration (NAIVE, SEMI-NAIVE, DESQ-COUNT) and
 // D-CAND's per-pivot NFA construction. DESQ-DFS does not mine over grids:
@@ -78,8 +86,21 @@ class StateGrid {
   /// True iff at least one accepting run exists (grid non-empty).
   bool HasAcceptingRun() const { return accepting_; }
 
-  /// Edges out of layer `pos` (consuming input item T[pos]), 0 <= pos < length.
-  const std::vector<Edge>& EdgesAt(size_t pos) const { return edges_[pos]; }
+  /// Edges out of layer `pos` (consuming input item T[pos]), 0 <= pos <
+  /// length(), sorted by (from, to, out).
+  Span<Edge> EdgesAt(size_t pos) const {
+    return Range(pos * num_states_, (pos + 1) * num_states_);
+  }
+
+  /// Edges out of coordinate c = i * num_states() + q, 0 <= i <= length(),
+  /// sorted by (to, out); empty on the last layer.
+  Span<Edge> EdgesOf(size_t coord) const { return Range(coord, coord + 1); }
+
+  /// Every edge, in coordinate order.
+  Span<Edge> edges() const { return {edges_.data(), edges_.size()}; }
+
+  /// Index of `e` (an edge of this grid) in edges().
+  size_t EdgeIndex(const Edge& e) const { return &e - edges_.data(); }
 
   /// True iff coordinate (pos, q) lies on an accepting run.
   bool Alive(size_t pos, StateId q) const {
@@ -100,22 +121,22 @@ class StateGrid {
   StateId initial_state() const { return initial_; }
 
   /// Total number of live edges (grid size metric).
-  size_t num_edges() const;
-
-  /// Computes, for every coordinate (i,q), whether (length(), f∈F) is
-  /// reachable using only ε-output edges. Indexed i*num_states+q. The D-SEQ
-  /// rewriter's cut check computes the same bits layer by layer from the
-  /// top, only as far down as it needs them.
-  std::vector<uint8_t> ComputeEpsAcceptTable() const;
+  size_t num_edges() const { return edges_.size(); }
 
  private:
+  // The edges out of coordinates [first, last).
+  Span<Edge> Range(size_t first, size_t last) const {
+    return {edges_.data() + offsets_[first], offsets_[last] - offsets_[first]};
+  }
+
   size_t length_ = 0;
   size_t num_states_ = 0;
   StateId initial_ = 0;
   bool accepting_ = false;
   std::vector<bool> alive_;             // (length+1) x num_states
   std::vector<bool> forward_active_;    // (length+1) x num_states
-  std::vector<std::vector<Edge>> edges_;  // per layer
+  std::vector<Edge> edges_;             // in coordinate order
+  std::vector<uint32_t> offsets_;       // (length+1) x num_states, plus end
   std::vector<bool> finals_;
 };
 

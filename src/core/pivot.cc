@@ -123,31 +123,6 @@ Sequence FindPivotItems(const StateGrid& grid) {
   return result.items.ToSequence();  // ε (the empty candidate) is never a pivot
 }
 
-std::vector<uint8_t> ComputePivotLiveness(const StateGrid& grid,
-                                          ItemId pivot) {
-  size_t n = grid.length();
-  size_t ns = grid.num_states();
-  std::vector<uint8_t> live((n + 1) * ns, 0);
-  if (!grid.HasAcceptingRun()) return live;
-  for (StateId q = 0; q < ns; ++q) {
-    if (grid.Alive(n, q) && grid.IsFinalState(q)) live[n * ns + q] = kLiveSeen;
-  }
-  for (size_t i = n; i-- > 0;) {
-    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
-      uint8_t next = live[(i + 1) * ns + e.to];
-      if (next == 0) continue;
-      PivotEdge test = TestPivotEdge(e.out, pivot);
-      if (test.kind == PivotEdge::kDead) continue;
-      // Carrying k sets the bit, so both entry values reach a seen suffix.
-      if (test.carries_pivot && (next & kLiveSeen)) {
-        next = kLiveUnseen | kLiveSeen;
-      }
-      live[i * ns + e.from] |= next;
-    }
-  }
-  return live;
-}
-
 namespace {
 
 // Raw DFS FST simulation for the no-grid ablation.

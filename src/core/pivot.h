@@ -9,8 +9,9 @@
 //  * the commutative/associative "pivot merge" ⊕ on output sets (Theorem 1),
 //  * the forward DP K(i,q) and backward DP B(i,q) over the position–state
 //    grid (linear in |T| for a fixed FST),
-//  * for one pivot k, Theorem 1 as a per-edge test and a backward liveness
-//    pass over grid × {seen-k} (D-CAND's per-pivot NFA construction),
+//  * for one pivot k, Theorem 1 as a per-edge test (TestPivotEdge) and the
+//    liveness bits over grid × {seen-k} that D-CAND's per-pivot NFA
+//    construction and the pivot-k DESQ-DFS store compute with it,
 //  * a no-grid variant that naively folds ⊕ over every accepting run
 //    (exponential; kept for the Fig. 10a ablation).
 #ifndef DSEQ_CORE_PIVOT_H_
@@ -248,17 +249,15 @@ inline PivotEdge TestPivotEdge(const Sequence& out, ItemId pivot) {
                    out[size - 1] == pivot};
 }
 
-/// Liveness bits of ComputePivotLiveness, one per value of the seen-k bit.
+/// Liveness bits over grid × {seen-k} for one pivot k, one per value of the
+/// seen-k bit: coordinate (i, q) has kLiveSeen (kLiveUnseen) set iff some
+/// accepting suffix from (i, q) uses only ε and admissible edges
+/// (TestPivotEdge) and ends with k output, given that k has (has not) been
+/// output on the way to (i, q). In particular (0, initial) is kLiveUnseen
+/// iff k ∈ K(T). PivotNfaBuilder and DfsInput each compute them in one
+/// backward pass over their edges.
 inline constexpr uint8_t kLiveUnseen = 1;
 inline constexpr uint8_t kLiveSeen = 2;
-
-/// Backward pass over grid × {seen-k}. Entry i * num_states + q has
-/// kLiveSeen (kLiveUnseen) set iff some accepting suffix from (i, q) uses
-/// only ε and admissible edges (TestPivotEdge) and ends with k output, given
-/// that k has (has not) been output on the way to (i, q). In particular
-/// (0, initial) is kLiveUnseen iff k ∈ K(T).
-std::vector<uint8_t> ComputePivotLiveness(const StateGrid& grid,
-                                          ItemId pivot);
 
 /// Ablation variant (Fig. 10a, "no grid"): enumerates accepting runs by raw
 /// DFS over the FST (exploring dead ends, no memoization) and folds ⊕ per

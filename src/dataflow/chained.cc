@@ -41,15 +41,6 @@ const DataflowMetrics& DataflowJob::RunRound(size_t num_inputs,
   return round_metrics_.back();
 }
 
-const DataflowMetrics& DataflowJob::RunChainedRound(
-    const RecordMapFn& map_fn, bool combine, const ReduceFn& reduce_fn) {
-  std::vector<Record> inputs = TakeRecords();
-  MapFn wrapped_map = [&](size_t index, const EmitFn& emit) {
-    map_fn(index, inputs[index], emit);
-  };
-  return RunRound(inputs.size(), wrapped_map, combine, reduce_fn);
-}
-
 DataflowMetrics DataflowJob::aggregate_metrics() const {
   DataflowMetrics total;
   for (const DataflowMetrics& m : round_metrics_) total.Accumulate(m);

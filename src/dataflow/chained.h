@@ -31,19 +31,14 @@ struct ChainedDataflowOptions : DataflowOptions {
   uint64_t cumulative_shuffle_budget_bytes = 0;
 };
 
-/// Map function of a chained round: called once per record of the previous
-/// round's reduce output.
-using RecordMapFn = std::function<void(size_t input_index, const Record& input,
-                                       const EmitFn& emit)>;
-
 /// A chain of map-shuffle-reduce rounds with shared budgets and metrics.
 ///
-/// Usage: seed the chain with RunRound (map input = external indices, e.g.
-/// the sequence database), then call RunChainedRound any number of times
-/// (map input = previous round's output records). Rounds may also be
-/// re-seeded with RunRound mid-chain after collecting records() — the
-/// in-process analogue of Spark's collect-and-broadcast between jobs (used
-/// by the frequency-recount drivers).
+/// Usage: every round is a RunRound. A round whose input is the previous
+/// round's output takes it with TakeRecords() and maps over the taken
+/// records by index; a driver may also collect records() and re-seed the
+/// chain from external input — the in-process analogue of Spark's
+/// collect-and-broadcast between jobs (used by the frequency-recount
+/// drivers).
 ///
 /// After a ShuffleOverflowError the job is dead: per-round metrics cover
 /// only completed rounds and records() is unspecified.
@@ -58,17 +53,11 @@ class DataflowJob {
   const DataflowMetrics& RunRound(size_t num_inputs, const MapFn& map_fn,
                                   bool combine, const ReduceFn& reduce_fn);
 
-  /// Runs a round whose map input is the previous round's output records
-  /// (consumed by this call).
-  const DataflowMetrics& RunChainedRound(const RecordMapFn& map_fn,
-                                         bool combine,
-                                         const ReduceFn& reduce_fn);
-
   /// Output records of the last completed round (RoundResult::records).
   const std::vector<Record>& records() const { return records_; }
 
-  /// Moves the boundary records out (e.g. to collect a side result and then
-  /// re-seed the chain with RunRound). Leaves records() empty.
+  /// Moves the boundary records out, to feed them to the next round's map
+  /// or to collect a side result. Leaves records() empty.
   std::vector<Record> TakeRecords() {
     std::vector<Record> out = std::move(records_);
     records_.clear();

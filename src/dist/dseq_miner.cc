@@ -86,8 +86,7 @@ PivotRewriter::PivotRewriter(const Sequence& T, const StateGrid& grid)
   lead_.assign(pivots_.size(), kNone);
   size_t open = pivots_.size();
   for (size_t i = 0; i < n && open > 0; ++i) {
-    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
-      if (e.from != initial) continue;
+    for (const StateGrid::Edge& e : grid.EdgesOf(i * ns + initial)) {
       if (e.to == initial && e.out.empty()) continue;  // initial ε self-loop
       settle(PivotMerge(bwd[(i + 1) * ns + e.to], e.out).items, i, &lead_,
              &open);
@@ -109,7 +108,7 @@ PivotRewriter::PivotRewriter(const Sequence& T, const StateGrid& grid)
   }
   std::vector<uint8_t> accept_below(ns);
   for (size_t i = n; i-- > 0 && open > 0;) {
-    const std::vector<StateGrid::Edge>& edges = grid.EdgesAt(i);
+    const Span<StateGrid::Edge> edges = grid.EdgesAt(i);
     std::fill(accept_below.begin(), accept_below.end(), 0);
     for (const StateGrid::Edge& e : edges) {
       if (e.out.empty() && accept[e.to]) accept_below[e.from] = 1;
@@ -154,17 +153,70 @@ Sequence PivotRewriter::Rewrite(ItemId pivot) const {
   return Sequence(T_.begin() + lead, T_.begin() + cut);
 }
 
-Sequence RewriteForPivot(const Sequence& T, const StateGrid& grid,
-                         ItemId pivot) {
-  return PivotRewriter(T, grid).Rewrite(pivot);
-}
-
 // --- The miner -------------------------------------------------------------
+
+void MapDSeqInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+                  const DSeqOptions& options, const EmitFn& emit,
+                  const PartitionPlan* plan, size_t index) {
+  StateGrid grid;
+  Sequence found;
+  const Sequence* pivots = &found;
+  // Only pay for the rewriting DPs when rewriting is on — the Fig. 10a
+  // "no rewriting" ablation must not include their cost in map time. When
+  // it is on, the rewriter's backward DP also yields K(T).
+  std::optional<PivotRewriter> rewriter;
+  if (options.use_grid) {
+    GridOptions grid_options;
+    grid_options.prune_sigma = options.sigma;
+    grid = StateGrid::Build(T, fst, dict, grid_options);
+    if (!grid.HasAcceptingRun()) return;
+    if (options.rewrite) {
+      pivots = &rewriter.emplace(T, grid).pivots();
+    } else {
+      found = FindPivotItems(grid);
+    }
+  } else {
+    if (!FindPivotItemsNoGrid(T, fst, dict, options.sigma,
+                              options.nogrid_step_budget, &found)) {
+      throw MiningBudgetError(
+          "D-SEQ no-grid pivot search exceeded its step budget");
+    }
+  }
+
+  MapCounts counts;
+  std::string value;
+  for (ItemId k : *pivots) {
+    value.clear();
+    if (options.aggregate_sequences) PutVarint(&value, 1);
+    if (rewriter) {
+      Sequence rewritten = rewriter->Rewrite(k);
+      counts.shipped_items += rewritten.size();
+      PutSequence(&value, rewritten);
+    } else {
+      counts.shipped_items += T.size();
+      PutSequence(&value, T);
+    }
+    const PivotSplit* split = plan != nullptr ? plan->FindSplit(k) : nullptr;
+    if (split != nullptr) {
+      emit(EncodeSubpartitionKey(k, plan->SubpartitionForIndex(*split, index)),
+           value);
+    } else {
+      emit(EncodePivotKey(k), value);
+    }
+  }
+  if (obs::Enabled()) {
+    counts.sequences = options.use_grid ? 1 : 0;
+    counts.grid_edges = options.use_grid ? grid.num_edges() : 0;
+    counts.pivots = pivots->size();
+    counts.input_items = pivots->size() * T.size();
+    counts.Flush();
+  }
+}
 
 namespace {
 
-// Map/reduce phases shared by the single-round miner, the chained recount
-// driver, and the plan-driven balanced miner. The returned closures capture
+// The map function shared by the single-round miner, the chained recount
+// driver, and the plan-driven balanced miner. The returned closure captures
 // `db`, `fst`, `dict`, `options` (and `plan`, when given) by reference;
 // callers keep them alive for the round. The recount driver passes its
 // cross-round CachedDatabase so round 2 is served from the round-1 cache;
@@ -174,66 +226,11 @@ MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
                     const Dictionary& dict, const DSeqOptions& options,
                     CachedDatabase* cached_db = nullptr,
                     const PartitionPlan* plan = nullptr) {
-  GridOptions grid_options;
-  grid_options.prune_sigma = options.sigma;
-
-  return [&db, &fst, &dict, &options, grid_options, cached_db, plan](
-             size_t index, const EmitFn& emit) {
+  return [&db, &fst, &dict, &options, cached_db, plan](size_t index,
+                                                       const EmitFn& emit) {
     const Sequence& T =
         cached_db != nullptr ? cached_db->Read(index) : db[index];
-    StateGrid grid;
-    Sequence found;
-    const Sequence* pivots = &found;
-    // Only pay for the rewriting DPs when rewriting is on — the Fig. 10a
-    // "no rewriting" ablation must not include their cost in map time. When
-    // it is on, the rewriter's backward DP also yields K(T).
-    std::optional<PivotRewriter> rewriter;
-    if (options.use_grid) {
-      grid = StateGrid::Build(T, fst, dict, grid_options);
-      if (!grid.HasAcceptingRun()) return;
-      if (options.rewrite) {
-        pivots = &rewriter.emplace(T, grid).pivots();
-      } else {
-        found = FindPivotItems(grid);
-      }
-    } else {
-      if (!FindPivotItemsNoGrid(T, fst, dict, options.sigma,
-                                options.nogrid_step_budget, &found)) {
-        throw MiningBudgetError(
-            "D-SEQ no-grid pivot search exceeded its step budget");
-      }
-    }
-
-    MapCounts counts;
-    std::string value;
-    for (ItemId k : *pivots) {
-      value.clear();
-      if (options.aggregate_sequences) PutVarint(&value, 1);
-      if (rewriter) {
-        Sequence rewritten = rewriter->Rewrite(k);
-        counts.shipped_items += rewritten.size();
-        PutSequence(&value, rewritten);
-      } else {
-        counts.shipped_items += T.size();
-        PutSequence(&value, T);
-      }
-      const PivotSplit* split =
-          plan != nullptr ? plan->FindSplit(k) : nullptr;
-      if (split != nullptr) {
-        emit(EncodeSubpartitionKey(k, plan->SubpartitionForIndex(*split,
-                                                                 index)),
-             value);
-      } else {
-        emit(EncodePivotKey(k), value);
-      }
-    }
-    if (obs::Enabled()) {
-      counts.sequences = options.use_grid ? 1 : 0;
-      counts.grid_edges = options.use_grid ? grid.num_edges() : 0;
-      counts.pivots = pivots->size();
-      counts.input_items = pivots->size() * T.size();
-      counts.Flush();
-    }
+    MapDSeqInput(T, fst, dict, options, emit, plan, index);
   };
 }
 

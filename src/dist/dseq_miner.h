@@ -80,9 +80,17 @@ class PivotRewriter {
   std::vector<uint32_t> cut_;
 };
 
-/// One-shot convenience wrapper around PivotRewriter.
-Sequence RewriteForPivot(const Sequence& T, const StateGrid& grid,
-                         ItemId pivot);
+/// D-SEQ's map of one input sequence, the map function of every D-SEQ
+/// miner: emits ρk(T) (T itself without rewriting) under k's partition key
+/// for every pivot k ∈ K(T), preceded by a weight varint of 1 under
+/// aggregate_sequences, and under obs::Enabled() flushes the input's work to
+/// the mining.map_* counters (MapCounts). Under a `plan`, a pivot the plan
+/// splits ships under the sub-partition key of `index`, the input's index in
+/// the database. Throws MiningBudgetError when the no-grid pivot search
+/// exceeds its step budget.
+void MapDSeqInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+                  const DSeqOptions& options, const EmitFn& emit,
+                  const PartitionPlan* plan = nullptr, size_t index = 0);
 
 /// Runs D-SEQ. `db` must be fid-recoded with `dict`'s frequencies (the state
 /// SequenceDatabase::Recode leaves behind).

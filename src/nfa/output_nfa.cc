@@ -237,7 +237,8 @@ constexpr uint32_t kNoLabel = UINT32_MAX;
 constexpr uint32_t kEmptySlot = UINT32_MAX;
 constexpr StateId kPending = UINT32_MAX;
 
-// The ComputePivotLiveness bit of an element with the given seen-k bit.
+// The liveness bit (kLiveSeen or kLiveUnseen) of an element with the given
+// seen-k bit.
 constexpr uint8_t LiveBit(uint32_t seen) {
   return seen != 0 ? kLiveSeen : kLiveUnseen;
 }
@@ -304,40 +305,29 @@ PivotNfaBuilder::PivotNfaBuilder(const StateGrid& grid, uint64_t max_states)
   const size_t ns = num_states_;
   // Element codes (coordinate << 1 | seen-k) must fit 32 bits.
   DSEQ_CHECK_LT((n + 1) * ns, size_t{1} << 31);
-  coord_edges_.assign(n * ns + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
-      // The grid keeps each layer's edges sorted by source state.
-      DSEQ_DCHECK(&e == grid.EdgesAt(i).data() || (&e - 1)->from <= e.from);
-      ++coord_edges_[i * ns + e.from + 1];
-      edges_.push_back(&e);
-    }
-  }
-  for (size_t c = 1; c < coord_edges_.size(); ++c) {
-    coord_edges_[c] += coord_edges_[c - 1];
-  }
+  const Span<StateGrid::Edge> edges = grid.edges();
 
   // Label trie: in content order, outputs sharing a prefix are adjacent, so
   // each one reuses the nodes of its common prefix with the previous one.
   // A node is created by the first output with its prefix, so node ids
   // follow label content: a prefix precedes its extensions, and outputs
   // with a smaller prefix come first.
-  label_base_.resize(edges_.size());
+  label_base_.resize(edges.size());
   std::vector<uint32_t> order;
   uint32_t total = 0;
-  for (uint32_t g = 0; g < edges_.size(); ++g) {
+  for (uint32_t g = 0; g < edges.size(); ++g) {
     label_base_[g] = total;
-    total += edges_[g]->out.size();
-    if (!edges_[g]->out.empty()) order.push_back(g);
+    total += edges[g].out.size();
+    if (!edges[g].out.empty()) order.push_back(g);
   }
   prefix_nodes_.resize(total);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return edges_[a]->out < edges_[b]->out;
+    return edges[a].out < edges[b].out;
   });
   const Sequence* prev = nullptr;
   uint32_t prev_base = 0;
   for (uint32_t g : order) {
-    const Sequence& out = edges_[g]->out;
+    const Sequence& out = edges[g].out;
     size_t common = 0;
     if (prev != nullptr) {
       while (common < out.size() && common < prev->size() &&
@@ -379,25 +369,12 @@ bool PivotNfaBuilder::Build(ItemId pivot) {
   root_ = 0;
   if (!CountState()) return false;  // the root
   const uint32_t start = grid_.initial_state();  // coordinate (0, initial)
-  if (grid_.HasAcceptingRun()) live_ = ComputePivotLiveness(grid_, pivot);
-  if (!grid_.HasAcceptingRun() || (live_[start] & kLiveUnseen) == 0) {
+  if (!Sweep(pivot) || (live_[start] & kLiveUnseen) == 0) {
     signature_.clear();
     dfa_.Intern(0, signature_);  // pivot ∉ K(T): the root alone
     return true;
   }
 
-  move_.resize(edges_.size());
-  for (uint32_t g = 0; g < edges_.size(); ++g) {
-    PivotEdge test = TestPivotEdge(edges_[g]->out, pivot);
-    if (test.kind == PivotEdge::kEpsilon) {
-      move_[g] = kEpsMove;
-    } else if (test.kind == PivotEdge::kDead) {
-      move_[g] = kDeadMove;
-    } else {
-      uint32_t node = prefix_nodes_[label_base_[g] + test.label_size - 1];
-      move_[g] = node << 1 | (test.carries_pivot ? 1 : 0);
-    }
-  }
   subsets_.Clear();
   canon_.clear();
   frames_.clear();
@@ -421,19 +398,58 @@ bool PivotNfaBuilder::Build(ItemId pivot) {
   return true;
 }
 
+bool PivotNfaBuilder::Sweep(ItemId pivot) {
+  if (!grid_.HasAcceptingRun()) return false;
+  const size_t n = grid_.length();
+  const size_t ns = num_states_;
+  live_.assign((n + 1) * ns, 0);
+  move_.resize(grid_.num_edges());
+  for (StateId q = 0; q < ns; ++q) {
+    if (grid_.Alive(n, q) && grid_.IsFinalState(q)) {
+      live_[last_layer_ + q] = kLiveSeen;
+    }
+  }
+  // Every edge leads one layer up, so descending layers settle a layer's
+  // bits before the layer below reads them.
+  for (size_t i = n; i-- > 0;) {
+    uint8_t* const live = &live_[i * ns];
+    const uint8_t* const above = live + ns;
+    for (const StateGrid::Edge& e : grid_.EdgesAt(i)) {
+      const size_t g = grid_.EdgeIndex(e);
+      move_[g] = kDeadMove;
+      uint8_t next = above[e.to];
+      if (next == 0) continue;  // no live target: as good as dead
+      const PivotEdge test = TestPivotEdge(e.out, pivot);
+      if (test.kind == PivotEdge::kDead) continue;
+      if (test.kind == PivotEdge::kEpsilon) {
+        move_[g] = kEpsMove;
+      } else {
+        const uint32_t node =
+            prefix_nodes_[label_base_[g] + test.label_size - 1];
+        move_[g] = node << 1 | (test.carries_pivot ? 1 : 0);
+        // Carrying k sets the bit, so both entry values reach a seen suffix.
+        if (test.carries_pivot && (next & kLiveSeen)) {
+          next = kLiveUnseen | kLiveSeen;
+        }
+      }
+      live[e.from] |= next;
+    }
+  }
+  return true;
+}
+
 bool PivotNfaBuilder::Expand(uint32_t subset) {
   const size_t ns = num_states_;
   moves_.clear();
   for (uint32_t code : subsets_.At(subset)) {
     uint32_t coord = code >> 1;
-    if (coord >= last_layer_) continue;
     uint32_t seen = code & 1;
     uint32_t next_layer = (coord / ns + 1) * ns;
-    for (uint32_t g = coord_edges_[coord]; g < coord_edges_[coord + 1]; ++g) {
-      uint32_t move = move_[g];
+    for (const StateGrid::Edge& e : grid_.EdgesOf(coord)) {
+      uint32_t move = move_[grid_.EdgeIndex(e)];
       if (move >= kDeadMove) continue;  // ε (in the closure) or dead
       uint32_t next_seen = seen | (move & 1);
-      uint32_t to = next_layer + edges_[g]->to;
+      uint32_t to = next_layer + e.to;
       if ((live_[to] & LiveBit(next_seen)) == 0) continue;
       moves_.emplace_back(move >> 1, to << 1 | next_seen);
     }
@@ -496,12 +512,11 @@ void PivotNfaBuilder::Closure() {
     visited_[code] = stamp_;
     scratch_.push_back(code);
     uint32_t coord = code >> 1;
-    if (coord >= last_layer_) continue;
     uint32_t seen = code & 1;
     uint32_t next_layer = (coord / ns + 1) * ns;
-    for (uint32_t g = coord_edges_[coord]; g < coord_edges_[coord + 1]; ++g) {
-      if (move_[g] != kEpsMove) continue;
-      uint32_t to = next_layer + edges_[g]->to;
+    for (const StateGrid::Edge& e : grid_.EdgesOf(coord)) {
+      if (move_[grid_.EdgeIndex(e)] != kEpsMove) continue;
+      uint32_t to = next_layer + e.to;
       if ((live_[to] & LiveBit(seen)) == 0) continue;
       uint32_t next = to << 1 | seen;  // ε edges keep the seen bit
       if (visited_[next] != stamp_) stack_.push_back(next);

@@ -116,9 +116,12 @@ class OutputNfa {
 /// edge contributing out ∩ [0,k]. Build() makes pivot k's DFA over these
 /// labels by subset construction over grid × {seen-k}: a DFA state is the
 /// ε-closure of the coordinates reached on one label string, restricted to
-/// the live ones (ComputePivotLiveness), so every state lies on an accepting
-/// path. A label carries k iff it contains k, so all elements of a subset
-/// share one seen-k bit.
+/// the live ones (kLiveSeen/kLiveUnseen, pivot.h), so every state lies on an
+/// accepting path. A label carries k iff it contains k, so all elements of a
+/// subset share one seen-k bit. Build() first sweeps the grid's edge array
+/// once, backward in coordinate order, for both each edge's move and each
+/// coordinate's liveness; the construction then reads a coordinate's moves
+/// off the grid's own per-coordinate edge ranges (StateGrid::EdgesOf).
 ///
 /// The construction runs depth-first. The automaton is acyclic, so a
 /// subset's successors are all done before it is; it is then registered by
@@ -170,7 +173,7 @@ class PivotNfaBuilder {
   bool IsFinal(StateId q) const { return dfa_.tag[q] != 0; }
   Span<OutputNfa::Edge> EdgesOf(StateId q) const { return dfa_.At(q); }
   Span<ItemId> Label(uint32_t node) const {
-    return {edges_[node_edge_[node]]->out.data(), node_depth_[node]};
+    return {grid_.edges()[node_edge_[node]].out.data(), node_depth_[node]};
   }
 
  private:
@@ -203,6 +206,9 @@ class PivotNfaBuilder {
   };
 
   bool CountState();
+  // Fills move_ and live_ for `pivot` in one backward sweep over the grid's
+  // edges. False if the grid has no accepting run.
+  bool Sweep(ItemId pivot);
   // Empties stack_ (live elements) into scratch_ as their ε-closure over
   // live elements, sorted.
   void Closure();
@@ -218,21 +224,18 @@ class PivotNfaBuilder {
   size_t num_states_;    // FST states per layer
   uint32_t last_layer_;  // the first coordinate of the last layer
 
-  // Per sequence. Grid edges flattened in (layer, from) order; the edges
-  // out of coordinate c = i * num_states_ + q are
-  // edges_[coord_edges_[c] .. coord_edges_[c + 1]).
-  std::vector<const StateGrid::Edge*> edges_;
-  std::vector<uint32_t> coord_edges_;
+  // Per sequence, indexed by the grid's edge index g (EdgeIndex).
   // prefix_nodes_[label_base_[g] + j - 1]: label-trie node of the first j
-  // items of edges_[g]->out. node_edge_[x]: an edge whose out starts with
+  // items of edge g's out. node_edge_[x]: an edge whose out starts with
   // node x's label, node_depth_[x] its length.
   std::vector<uint32_t> label_base_;
   std::vector<uint32_t> prefix_nodes_;
   std::vector<uint32_t> node_edge_;
   std::vector<uint32_t> node_depth_;
 
-  // Per pivot. move_[g]: (label node << 1 | carries k) of an admissible
-  // edge, or kEpsMove / kDeadMove. live_: ComputePivotLiveness.
+  // Per pivot (Sweep). move_[g]: (label node << 1 | carries k) of an
+  // admissible edge with a live target, else kEpsMove or kDeadMove.
+  // live_[c]: coordinate c's liveness bits.
   std::vector<uint32_t> move_;
   std::vector<uint8_t> live_;
   // DFA subsets: sorted element codes (coordinate << 1 | seen-k).

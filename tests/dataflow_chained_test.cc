@@ -66,10 +66,11 @@ TEST(DataflowJobTest, RecordsFlowBetweenRounds) {
   EXPECT_EQ(words, (std::map<std::string, uint64_t>{
                        {"apple", 2}, {"ant", 2}, {"bee", 2}}));
 
-  RecordMapFn rekey = [](size_t, const Record& r, const EmitFn& emit) {
-    emit(r.key.substr(0, 1), r.value);
+  std::vector<Record> inputs = job.TakeRecords();
+  MapFn rekey = [&](size_t i, const EmitFn& emit) {
+    emit(inputs[i].key.substr(0, 1), inputs[i].value);
   };
-  job.RunChainedRound(rekey, true, SumReduce());
+  job.RunRound(inputs.size(), rekey, true, SumReduce());
 
   std::map<std::string, uint64_t> letters;
   for (const Record& r : job.records()) letters[r.key] = DecodeVarint(r.value);
@@ -112,10 +113,11 @@ TEST(DataflowJobTest, EmptyChainedRoundRunsCleanly) {
                      const EmitFn&) {};
   job.RunRound(1, map_fn, false, sink);
   EXPECT_TRUE(job.records().empty());
-  RecordMapFn identity = [](size_t, const Record& r, const EmitFn& emit) {
-    emit(r.key, r.value);
+  std::vector<Record> inputs = job.TakeRecords();
+  MapFn identity = [&](size_t i, const EmitFn& emit) {
+    emit(inputs[i].key, inputs[i].value);
   };
-  job.RunChainedRound(identity, false, sink);
+  job.RunRound(inputs.size(), identity, false, sink);
   EXPECT_EQ(job.num_rounds(), 2u);
   EXPECT_EQ(job.round_metrics()[1].shuffle_records, 0u);
 }
@@ -217,10 +219,11 @@ class BudgetedChain {
     job_.RunRound(kRecords, map_fn, false, PassThrough());
   }
   void RunEchoRound() {
-    RecordMapFn map_fn = [](size_t, const Record& r, const EmitFn& emit) {
-      emit(r.key, r.value);
+    std::vector<Record> inputs = job_.TakeRecords();
+    MapFn map_fn = [&](size_t i, const EmitFn& emit) {
+      emit(inputs[i].key, inputs[i].value);
     };
-    job_.RunChainedRound(map_fn, false, PassThrough());
+    job_.RunRound(inputs.size(), map_fn, false, PassThrough());
   }
   DataflowJob& job() { return job_; }
 

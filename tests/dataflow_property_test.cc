@@ -316,8 +316,9 @@ std::vector<std::pair<std::string, uint64_t>> RunChainedPipeline(
   };
   job.RunRound(p.emissions.size(), map_fn, true, sum_reduce);
 
-  RecordMapFn rekey = [](size_t, const Record& record, const EmitFn& emit) {
-    emit("g" + std::to_string(record.key.size() % 3), record.value);
+  std::vector<Record> sums = job.TakeRecords();
+  MapFn rekey = [&](size_t i, const EmitFn& emit) {
+    emit("g" + std::to_string(sums[i].key.size() % 3), sums[i].value);
   };
   std::vector<std::vector<std::pair<std::string, uint64_t>>> per_worker(
       workers);
@@ -333,7 +334,7 @@ std::vector<std::pair<std::string, uint64_t>> RunChainedPipeline(
     }
     per_worker[worker].emplace_back(std::string(key), total);
   };
-  job.RunChainedRound(rekey, true, collect);
+  job.RunRound(sums.size(), rekey, true, collect);
 
   if (rounds_out != nullptr) *rounds_out = job.round_metrics();
   DataflowMetrics aggregate = job.aggregate_metrics();

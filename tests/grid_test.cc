@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/core/candidates.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
+#include "tests/test_util.h"
 
 namespace dseq {
 namespace {
@@ -84,23 +88,6 @@ TEST(GridTest, ForwardActiveSupersetOfAlive) {
   }
 }
 
-TEST(GridTest, EpsAcceptTable) {
-  SequenceDatabase db = MakeRunningExample();
-  Fst fst = CompileFst(kPatternEx, db.dict);
-  StateGrid grid = StateGrid::Build(db.sequences[0], fst, db.dict, {});
-  std::vector<uint8_t> eps = grid.ComputeEpsAcceptTable();
-  size_t ns = grid.num_states();
-  // Final coordinates are ε-accepting by definition.
-  for (StateId q = 0; q < ns; ++q) {
-    if (grid.Alive(grid.length(), q) && grid.IsFinalState(q)) {
-      EXPECT_TRUE(eps[grid.length() * ns + q]);
-    }
-  }
-  // The initial coordinate is not ε-accepting: producing a1...b requires
-  // output.
-  EXPECT_FALSE(eps[0 * ns + grid.initial_state()]);
-}
-
 TEST(GridTest, EmptySequence) {
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(".*", db.dict);
@@ -132,6 +119,130 @@ TEST(GridTest, OutputSetsSortedAscending) {
   }
 }
 
+// The grid as the per-layer construction built it: one edge vector per
+// layer, sorted by (from, to, out) and deduplicated, then pruned from the top
+// layer down to the edges into a coordinate on an accepting run; every layer
+// is emptied if (0, initial) is not on one. `*pruned` counts the edges the
+// pruning removed from accepting grids.
+std::vector<std::vector<StateGrid::Edge>> ReferenceLayers(
+    const Sequence& T, const Fst& fst, const Dictionary& dict, uint64_t sigma,
+    size_t* pruned) {
+  const size_t n = T.size();
+  const size_t ns = fst.num_states();
+  std::vector<std::vector<StateGrid::Edge>> layers(n);
+  std::vector<bool> reached((n + 1) * ns, false);
+  reached[fst.initial()] = true;
+  Sequence out;
+  for (size_t i = 0; i < n; ++i) {
+    for (StateId q = 0; q < ns; ++q) {
+      if (!reached[i * ns + q]) continue;
+      for (const Transition& tr : fst.From(q)) {
+        if (!StepTransition(fst, tr, T[i], dict, sigma, &out)) continue;
+        reached[(i + 1) * ns + tr.to] = true;
+        layers[i].push_back(StateGrid::Edge{q, tr.to, out});
+      }
+    }
+    auto key = [](const StateGrid::Edge& e) {
+      return std::tie(e.from, e.to, e.out);
+    };
+    std::sort(layers[i].begin(), layers[i].end(),
+              [&](const auto& a, const auto& b) { return key(a) < key(b); });
+    layers[i].erase(std::unique(layers[i].begin(), layers[i].end(),
+                                [&](const auto& a, const auto& b) {
+                                  return key(a) == key(b);
+                                }),
+                    layers[i].end());
+  }
+  std::vector<bool> alive((n + 1) * ns, false);
+  for (StateId q = 0; q < ns; ++q) {
+    alive[n * ns + q] = reached[n * ns + q] && fst.IsFinal(q);
+  }
+  size_t removed = 0;
+  for (size_t i = n; i-- > 0;) {
+    const size_t before = layers[i].size();
+    layers[i].erase(std::remove_if(layers[i].begin(), layers[i].end(),
+                                   [&](const StateGrid::Edge& e) {
+                                     return !alive[(i + 1) * ns + e.to];
+                                   }),
+                    layers[i].end());
+    removed += before - layers[i].size();
+    for (const StateGrid::Edge& e : layers[i]) alive[i * ns + e.from] = true;
+  }
+  if (ns == 0 || !alive[fst.initial()]) {
+    for (auto& layer : layers) layer.clear();
+  } else {
+    *pruned += removed;
+  }
+  return layers;
+}
+
+// Edges as comparable (from, to, out) tuples.
+template <typename Edges>
+std::vector<std::tuple<StateId, StateId, Sequence>> Tuples(const Edges& edges) {
+  std::vector<std::tuple<StateId, StateId, Sequence>> tuples;
+  for (const StateGrid::Edge& e : edges) {
+    tuples.emplace_back(e.from, e.to, e.out);
+  }
+  return tuples;
+}
+
+// The coordinate index against the per-layer construction: the ranges
+// EdgesOf(c) tile edges() in coordinate order, each holds exactly the edges
+// of its layer out of its state, and every layer equals the reference's.
+TEST(GridTest, CoordinateIndexMatchesPerLayerConstruction) {
+  size_t grids = 0;
+  size_t pruned = 0;
+  for (int seed : {1, 2, 3}) {
+    SequenceDatabase db = testing::RandomDatabase(seed + 300, 8, 30, 10);
+    for (const std::string& pattern : testing::PropertyPatterns()) {
+      Fst fst = CompileFst(pattern, db.dict);
+      for (uint64_t sigma : {1, 2, 4}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) + " pattern=" + pattern +
+                     " sigma=" + std::to_string(sigma));
+        GridOptions options;
+        options.prune_sigma = sigma;
+        for (const Sequence& T : db.sequences) {
+          StateGrid grid = StateGrid::Build(T, fst, db.dict, options);
+          auto reference = ReferenceLayers(T, fst, db.dict, sigma, &pruned);
+          ASSERT_EQ(reference.size(), grid.length());
+          const size_t ns = grid.num_states();
+          const Span<StateGrid::Edge> all = grid.edges();
+          size_t next = 0;
+          for (size_t i = 0; i <= grid.length(); ++i) {
+            if (i < grid.length()) {
+              EXPECT_EQ(Tuples(grid.EdgesAt(i)), Tuples(reference[i]))
+                  << "layer " << i;
+            }
+            for (StateId q = 0; q < ns; ++q) {
+              const Span<StateGrid::Edge> of = grid.EdgesOf(i * ns + q);
+              ASSERT_EQ(of.data(), all.data() + next)
+                  << "(" << i << ", " << q << ")";
+              if (!of.empty()) {
+                EXPECT_EQ(grid.EdgeIndex(of[0]), next);
+              }
+              next += of.size();
+              std::vector<StateGrid::Edge> expected;
+              if (i < grid.length()) {
+                for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+                  if (e.from == q) expected.push_back(e);
+                }
+              }
+              EXPECT_EQ(Tuples(of), Tuples(expected))
+                  << "(" << i << ", " << q << ")";
+            }
+          }
+          EXPECT_EQ(next, grid.num_edges());
+          EXPECT_EQ(next, all.size());
+          if (grid.num_edges() > 0) ++grids;
+        }
+      }
+    }
+  }
+  // Non-trivial grids, and accepting ones the pruning shrank.
+  EXPECT_GT(grids, 100u);
+  EXPECT_GT(pruned, 0u);
+}
+
 TEST(CandidatesTest, BudgetRespected) {
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(kPatternEx, db.dict);
@@ -145,7 +256,10 @@ TEST(CandidatesTest, RunCounting) {
   Fst fst = CompileFst(kPatternEx, db.dict);
   // T5 = a1 a1 b has exactly 3 accepting runs (paper Sec. IV).
   StateGrid grid = StateGrid::Build(db.sequences[4], fst, db.dict, {});
-  EXPECT_EQ(CountAcceptingRuns(grid, 1000), 3u);
+  uint64_t runs = 0;
+  EXPECT_TRUE(ForEachAcceptingRun(
+      grid, 1000, [&](const std::vector<const StateGrid::Edge*>&) { ++runs; }));
+  EXPECT_EQ(runs, 3u);
 }
 
 TEST(CandidatesTest, RunEnumerationYieldsFullRuns) {

@@ -146,7 +146,7 @@ size_t ReferenceSubsetCount(const StateGrid& grid, ItemId pivot) {
   if (!grid.HasAcceptingRun()) return 0;
   const uint32_t ns = static_cast<uint32_t>(grid.num_states());
   const uint32_t last_layer = static_cast<uint32_t>(grid.length()) * ns;
-  std::vector<uint8_t> live = ComputePivotLiveness(grid, pivot);
+  std::vector<uint8_t> live = testing::ReferencePivotLiveness(grid, pivot);
   const uint32_t start = grid.initial_state();
   if ((live[start] & kLiveUnseen) == 0) return 0;
   auto is_live = [&](uint32_t code) {

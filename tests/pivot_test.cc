@@ -8,6 +8,7 @@
 #include "src/core/mining.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
+#include "src/nfa/output_nfa.h"
 #include "tests/test_util.h"
 
 namespace dseq {
@@ -253,19 +254,21 @@ bool LiveByDfs(const StateGrid& grid, size_t i, StateId q, bool seen,
   return false;
 }
 
-TEST(PivotLivenessTest, RunningExampleT2MatchesBruteForce) {
-  // The unfiltered grid of T2 = e e a1 e a1 e b (paper Fig. 5b), whose
-  // pivots are K(T2) = {a1, e}.
-  SequenceDatabase db = MakeRunningExample();
-  Fst fst = CompileFst(kPatternEx, db.dict);
-  StateGrid grid = StateGrid::Build(db.sequences[1], fst, db.dict, {});
+// Checks, for every item k of `dict`, the reference liveness against the
+// brute force at every coordinate, and that PivotNfaBuilder's one sweep
+// finds k live at (0, initial), i.e. yields a non-empty DFA, iff k ∈ K(T).
+void ExpectLivenessMatchesBruteForce(const StateGrid& grid,
+                                     const Dictionary& dict) {
   const Sequence pivots = FindPivotItems(grid);
   const size_t ns = grid.num_states();
-  for (ItemId k = 1; k <= db.dict.size(); ++k) {
-    SCOPED_TRACE("pivot " + db.dict.Name(k));
-    std::vector<uint8_t> live = ComputePivotLiveness(grid, k);
+  PivotNfaBuilder builder(grid);
+  for (ItemId k = 1; k <= dict.size(); ++k) {
+    SCOPED_TRACE("pivot " + dict.Name(k));
+    std::vector<uint8_t> live = testing::ReferencePivotLiveness(grid, k);
     ASSERT_EQ(live.size(), (grid.length() + 1) * ns);
     bool is_pivot = std::binary_search(pivots.begin(), pivots.end(), k);
+    ASSERT_TRUE(builder.Build(k));
+    EXPECT_EQ(!builder.empty(), is_pivot);
     EXPECT_EQ((live[grid.initial_state()] & kLiveUnseen) != 0, is_pivot);
     for (size_t i = 0; i <= grid.length(); ++i) {
       for (StateId q = 0; q < ns; ++q) {
@@ -274,6 +277,31 @@ TEST(PivotLivenessTest, RunningExampleT2MatchesBruteForce) {
             << "(" << i << ", " << q << ")";
         EXPECT_EQ((bits & kLiveSeen) != 0, LiveByDfs(grid, i, q, true, k))
             << "(" << i << ", " << q << ")";
+      }
+    }
+  }
+}
+
+TEST(PivotLivenessTest, RunningExampleT2MatchesBruteForce) {
+  // The unfiltered grid of T2 = e e a1 e a1 e b (paper Fig. 5b), whose
+  // pivots are K(T2) = {a1, e}.
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  StateGrid grid = StateGrid::Build(db.sequences[1], fst, db.dict, {});
+  ExpectLivenessMatchesBruteForce(grid, db.dict);
+}
+
+TEST(PivotLivenessTest, RandomGridsMatchBruteForce) {
+  SequenceDatabase db = testing::RandomDatabase(41, 8, 12, 7);
+  for (const std::string& pattern : testing::PropertyPatterns()) {
+    Fst fst = CompileFst(pattern, db.dict);
+    for (uint64_t sigma : {1, 2}) {
+      SCOPED_TRACE("pattern=" + pattern + " sigma=" + std::to_string(sigma));
+      GridOptions options;
+      options.prune_sigma = sigma;
+      for (const Sequence& T : db.sequences) {
+        ExpectLivenessMatchesBruteForce(
+            StateGrid::Build(T, fst, db.dict, options), db.dict);
       }
     }
   }

@@ -537,8 +537,9 @@ TEST(ProcBackendTest, DataflowJobRoundsMatchAcrossBackends) {
     };
     job.RunRound(inputs.size(), map_fn, false, count);
     // Round 2: re-key every count under one bucket and sum it.
-    RecordMapFn rekey = [](size_t, const Record& record, const EmitFn& emit) {
-      emit("total:" + record.key, record.value);
+    std::vector<Record> counts = job.TakeRecords();
+    MapFn rekey = [&](size_t i, const EmitFn& emit) {
+      emit("total:" + counts[i].key, counts[i].value);
     };
     ReduceFn sum = [](int, std::string_view key,
                       std::vector<std::string_view>& values,
@@ -554,7 +555,7 @@ TEST(ProcBackendTest, DataflowJobRoundsMatchAcrossBackends) {
       PutVarint(&value, total);
       emit(key, value);
     };
-    job.RunChainedRound(rekey, true, sum);
+    job.RunRound(counts.size(), rekey, true, sum);
     return std::make_pair(job.TakeRecords(), job.round_metrics());
   };
 

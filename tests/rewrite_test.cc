@@ -17,6 +17,43 @@ namespace {
 
 constexpr char kPatternEx[] = ".*(A)[(.^).*]*(b).*";
 
+// For every coordinate (i,q), whether (length(), f∈F) is reachable using
+// only ε-output edges; indexed i*num_states+q. PivotRewriter computes the
+// same bits layer by layer from the top, only as far down as it needs them.
+std::vector<uint8_t> EpsAcceptTable(const StateGrid& grid) {
+  size_t n = grid.length();
+  size_t ns = grid.num_states();
+  std::vector<uint8_t> eps_accept((n + 1) * ns, 0);
+  for (StateId q = 0; q < ns; ++q) {
+    if (grid.Alive(n, q) && grid.IsFinalState(q)) eps_accept[n * ns + q] = 1;
+  }
+  for (size_t i = n; i-- > 0;) {
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+      if (e.out.empty() && eps_accept[(i + 1) * ns + e.to]) {
+        eps_accept[i * ns + e.from] = 1;
+      }
+    }
+  }
+  return eps_accept;
+}
+
+TEST(RewriteTest, EpsAcceptTable) {
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  StateGrid grid = StateGrid::Build(db.sequences[0], fst, db.dict, {});
+  std::vector<uint8_t> eps = EpsAcceptTable(grid);
+  size_t ns = grid.num_states();
+  // Final coordinates are ε-accepting by definition.
+  for (StateId q = 0; q < ns; ++q) {
+    if (grid.Alive(grid.length(), q) && grid.IsFinalState(q)) {
+      EXPECT_TRUE(eps[grid.length() * ns + q]);
+    }
+  }
+  // The initial coordinate is not ε-accepting: producing a1...b requires
+  // output.
+  EXPECT_FALSE(eps[0 * ns + grid.initial_state()]);
+}
+
 // Reference rewriter for the differential tests: the original per-pivot
 // edge scan, which recomputes every edge's through-set
 // K(i, e.from) ⊕ out(e) ⊕ B(i+1, e.to) for every layer it inspects and
@@ -40,7 +77,7 @@ struct ReferenceRewriter {
   const StateGrid& grid;
   std::vector<PivotSet> fwd = ComputeForwardPivots(grid);
   std::vector<PivotSet> bwd = ComputeBackwardPivots(grid);
-  std::vector<uint8_t> eps_accept = grid.ComputeEpsAcceptTable();
+  std::vector<uint8_t> eps_accept = EpsAcceptTable(grid);
 
   bool EdgeProducesPivot(size_t layer, const StateGrid::Edge& edge,
                          ItemId pivot) const {
@@ -204,7 +241,8 @@ TEST(RewriteTest, PaperExampleT2ForPivotA1) {
   const Sequence& T2 = db.sequences[1];
   StateGrid grid = StateGrid::Build(T2, fst, db.dict, options);
   ASSERT_TRUE(grid.HasAcceptingRun());
-  Sequence rewritten = RewriteForPivot(T2, grid, db.dict.ItemByName("a1"));
+  Sequence rewritten =
+      PivotRewriter(T2, grid).Rewrite(db.dict.ItemByName("a1"));
   EXPECT_EQ(db.FormatSequence(rewritten), "a1 e a1 e b");
 }
 
@@ -215,7 +253,8 @@ TEST(RewriteTest, NoTrimWhenEverythingRelevant) {
   options.prune_sigma = 2;
   const Sequence& T5 = db.sequences[4];  // a1 a1 b
   StateGrid grid = StateGrid::Build(T5, fst, db.dict, options);
-  Sequence rewritten = RewriteForPivot(T5, grid, db.dict.ItemByName("a1"));
+  Sequence rewritten =
+      PivotRewriter(T5, grid).Rewrite(db.dict.ItemByName("a1"));
   EXPECT_EQ(rewritten, T5);
 }
 
@@ -227,8 +266,9 @@ TEST(RewriteTest, RewrittenNeverLongerThanInput) {
   for (const Sequence& T : db.sequences) {
     StateGrid grid = StateGrid::Build(T, fst, db.dict, options);
     if (!grid.HasAcceptingRun()) continue;
+    PivotRewriter rewriter(T, grid);
     for (ItemId k : FindPivotItems(grid)) {
-      Sequence rewritten = RewriteForPivot(T, grid, k);
+      Sequence rewritten = rewriter.Rewrite(k);
       EXPECT_LE(rewritten.size(), T.size());
       EXPECT_FALSE(rewritten.empty());
     }
@@ -254,6 +294,7 @@ TEST_P(RewritePropertyTest, RewritePreservesPivotCandidates) {
       std::vector<Sequence> candidates;
       ASSERT_TRUE(EnumerateCandidates(grid, 1'000'000, &candidates));
 
+      PivotRewriter rewriter(T, grid);
       for (ItemId k : FindPivotItems(grid)) {
         // Expected: pivot-k candidates of the original sequence.
         std::vector<Sequence> expected;
@@ -263,7 +304,7 @@ TEST_P(RewritePropertyTest, RewritePreservesPivotCandidates) {
         std::sort(expected.begin(), expected.end());
 
         // Actual: pivot-k candidates of the rewritten sequence.
-        Sequence rewritten = RewriteForPivot(T, grid, k);
+        Sequence rewritten = rewriter.Rewrite(k);
         StateGrid regrid = StateGrid::Build(rewritten, fst, db.dict, options);
         std::vector<Sequence> recand;
         ASSERT_TRUE(EnumerateCandidates(regrid, 1'000'000, &recand));

@@ -597,10 +597,11 @@ TEST(ChainedSpillTest, PerRoundSpillMetricsAggregate) {
     for (std::string_view v : values) emit(key, v);
   };
   job.RunRound(emissions.size(), map_fn, false, echo);
-  RecordMapFn rekey = [](size_t, const Record& record, const EmitFn& emit) {
-    emit(record.key + "!", record.value);
+  std::vector<Record> echoed = job.TakeRecords();
+  MapFn rekey = [&](size_t i, const EmitFn& emit) {
+    emit(echoed[i].key + "!", echoed[i].value);
   };
-  job.RunChainedRound(rekey, false, echo);
+  job.RunRound(echoed.size(), rekey, false, echo);
 
   ASSERT_EQ(job.num_rounds(), 2u);
   uint64_t files = 0;

@@ -19,6 +19,7 @@
 #include "src/core/candidates.h"
 #include "src/core/grid.h"
 #include "src/core/mining.h"
+#include "src/core/pivot.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
 
@@ -196,6 +197,38 @@ inline std::vector<std::string> PropertyPatterns() {
       ".*(i0^=)[.*(i1^=)]{0,2}.*",
       "(.)(.).*",
   };
+}
+
+/// Reference liveness over grid × {seen-k} for pivot k (kLiveSeen and
+/// kLiveUnseen, src/core/pivot.h), by a backward pass layer by layer over
+/// every edge: entry i * num_states + q has kLiveSeen (kLiveUnseen) set iff
+/// some accepting suffix from (i, q) uses only ε and admissible edges
+/// (TestPivotEdge) and ends with k output, given that k has (has not) been
+/// output on the way to (i, q). pivot_test checks it against a brute-force
+/// search of the suffixes; nfa_test's reference subset construction reads it.
+inline std::vector<uint8_t> ReferencePivotLiveness(const StateGrid& grid,
+                                                   ItemId pivot) {
+  const size_t n = grid.length();
+  const size_t ns = grid.num_states();
+  std::vector<uint8_t> live((n + 1) * ns, 0);
+  if (!grid.HasAcceptingRun()) return live;
+  for (StateId q = 0; q < ns; ++q) {
+    if (grid.Alive(n, q) && grid.IsFinalState(q)) live[n * ns + q] = kLiveSeen;
+  }
+  for (size_t i = n; i-- > 0;) {
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+      uint8_t next = live[(i + 1) * ns + e.to];
+      if (next == 0) continue;
+      PivotEdge test = TestPivotEdge(e.out, pivot);
+      if (test.kind == PivotEdge::kDead) continue;
+      // Carrying k sets the bit, so both entry values reach a seen suffix.
+      if (test.carries_pivot && (next & kLiveSeen)) {
+        next = kLiveUnseen | kLiveSeen;
+      }
+      live[i * ns + e.from] |= next;
+    }
+  }
+  return live;
 }
 
 }  // namespace testing
