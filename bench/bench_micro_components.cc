@@ -3,9 +3,10 @@
 // reduce (DfsInput build + pivot-restricted DESQ-DFS), D-CAND's one-pass
 // minimal-DFA construction and bytes, run-trie minimization/serialization,
 // varint coding, the map-side combiner over weighted values and counts (the
-// zero-copy shuffle hot path), the shuffle block codec, the external
-// spill-run merger (the out-of-core reduce path), and the tracing-off cost
-// of the instrumentation.
+// zero-copy shuffle hot path, in memory and budgeted with spills),
+// SEMI-NAIVE's map (grid, candidate keys, budgeted combiner), the shuffle
+// block codec, the external spill-run merger (the out-of-core reduce path),
+// and the tracing-off cost of the instrumentation.
 //
 // Self-contained harness — no google-benchmark dependency — so the binary
 // always builds and CI can track regressions. Each benchmark runs until a
@@ -35,17 +36,20 @@
 #include "src/core/desq_dfs.h"
 #include "src/core/grid.h"
 #include "src/core/pivot.h"
+#include "src/dataflow/combiner.h"
 #include "src/dataflow/engine.h"
 #include "src/dataflow/shuffle_buffer.h"
 #include "src/datagen/text_corpus.h"
 #include "src/dist/dcand_miner.h"
 #include "src/dist/dseq_miner.h"
+#include "src/dist/naive.h"
 #include "src/fst/compiler.h"
 #include "src/nfa/output_nfa.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/nfa/serializer.h"
 #include "src/spill/external_merger.h"
+#include "src/spill/memory_budget.h"
 #include "src/spill/spill_file.h"
 #include "src/util/block_codec.h"
 #include "src/util/varint.h"
@@ -172,6 +176,12 @@ const Fst& N4Fst() {
   return fst;
 }
 
+const Fst& N5Fst() {
+  static Fst fst =
+      CompileFst(".* ([.^. .]|[. .^.]|[. . .^]) .*", Corpus().dict);
+  return fst;
+}
+
 // Deterministic weighted-value records for the map+combine microbench: 64
 // distinct pivot keys, payloads from a pool of 512 short serialized
 // sequences, varint weight prefix. The workload of the D-SEQ aggregation
@@ -204,10 +214,11 @@ std::vector<std::pair<std::string, std::string>> MakeWeightedRecords(
 }
 
 // One map+combine round over `records` through the real engine (sink
-// reduce), with `per_input` records per map call.
-void RunCombineRound(
+// reduce), with `per_input` records per map call, under `options` (one map
+// worker, in memory, by default).
+DataflowMetrics RunCombineRound(
     const std::vector<std::pair<std::string, std::string>>& records,
-    size_t per_input) {
+    size_t per_input, const DataflowOptions& options = {}) {
   size_t num_inputs = records.size() / per_input;
   MapFn map_fn = [&](size_t i, const EmitFn& emit) {
     size_t begin = i * per_input;
@@ -217,8 +228,8 @@ void RunCombineRound(
   };
   ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
                      const EmitFn&) {};
-  DataflowOptions options;
-  RunMapReduce(num_inputs, map_fn, /*combine=*/true, sink, options);
+  return RunMapReduce(num_inputs, map_fn, /*combine=*/true, sink, options)
+      .metrics;
 }
 
 // --- benchmarks -------------------------------------------------------------
@@ -410,6 +421,67 @@ void BenchCombiners() {
   }
   RunBench("map_combine_sum_" + std::to_string(count / 1000) + "k", count,
            [&] { RunCombineRound(counts, 100); });
+
+  // The same counts over 20x the distinct keys through a budgeted combiner
+  // with a spill dir (the seminaive-nyt-proc path): every spill and the
+  // final flush sort the table, and the flush merges the spilled runs.
+  char templ[] = "/tmp/dseq_micro_spill_XXXXXX";
+  char* dir = mkdtemp(templ);
+  if (dir == nullptr) return;
+  std::vector<std::pair<std::string, std::string>> spread;
+  spread.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    spread.emplace_back("w" + std::to_string(rng() % 40'000), one);
+  }
+  DataflowOptions spilled;
+  spilled.memory_budget_bytes = 256 << 10;
+  spilled.spill_dir = dir;
+  uint64_t spill_files = 0;
+  RunBench("map_combine_sum_spilled_" + std::to_string(count / 1000) + "k",
+           count, [&] {
+             spill_files = RunCombineRound(spread, 100, spilled).spill_files;
+           });
+  if (!g_config.json) {
+    std::printf("map_combine_sum_spilled: %llu spilled runs per round\n",
+                (unsigned long long)spill_files);
+  }
+  rmdir(dir);
+}
+
+void BenchSemiNaiveMap() {
+  // SEMI-NAIVE's map on one worker: per N5 input the σ-pruned grid, its
+  // distinct candidate keys (MapNaiveInput), and the budgeted combiner
+  // with a spill dir they go into, flushed once per op, as the
+  // seminaive-nyt-proc workload runs it (8 MiB budget per worker).
+  char templ[] = "/tmp/dseq_micro_spill_XXXXXX";
+  char* dir = mkdtemp(templ);
+  if (dir == nullptr) return;
+  const SequenceDatabase& db = Corpus();
+  NaiveOptions naive;
+  naive.sigma = g_config.tiny ? 2 : 5;
+  naive.semi_naive = true;
+  DataflowOptions options;
+  options.memory_budget_bytes = uint64_t{8} << 20;
+  options.spill_dir = dir;
+  uint64_t records = 0;
+  RunBench("seminaive_map", db.size(), [&] {
+    MemoryBudget budget(options.memory_budget_bytes);
+    SpillStats stats;
+    Combiner combiner(options, &budget, &stats, /*map_worker=*/0);
+    EmitFn add = [&](std::string_view key, std::string_view value) {
+      combiner.Add(key, value);
+    };
+    for (const Sequence& T : db.sequences) {
+      MapNaiveInput(T, N5Fst(), db.dict, naive, add);
+    }
+    records = 0;
+    combiner.Flush([&](std::string_view, std::string_view) { ++records; });
+  });
+  if (!g_config.json) {
+    std::printf("seminaive_map: %llu distinct candidates per op\n",
+                (unsigned long long)records);
+  }
+  rmdir(dir);
 }
 
 void BenchBlockCodec() {
@@ -652,6 +724,45 @@ void BenchDSeqMapTraceOverhead() {
   (void)sink;
 }
 
+void BenchSemiNaiveMapTraceOverhead() {
+  // The same A/B over the SEMI-NAIVE map: MapNaiveInput over the first 64
+  // N5 inputs, as the miner runs it with tracing off (its MapCounts and the
+  // Enabled()-gated flush), against the same work with no counting. The CI
+  // trace job asserts this pair within 2% too.
+  obs::SetEnabled(false);
+  const SequenceDatabase& db = Corpus();
+  NaiveOptions options;
+  options.sigma = 10;
+  options.semi_naive = true;
+  GridOptions grid_options;
+  grid_options.prune_sigma = options.sigma;
+  const size_t inputs = std::min<size_t>(64, db.size());
+  size_t emitted = 0;
+  EmitFn emit = [&](std::string_view key, std::string_view value) {
+    emitted += key.size() + value.size();
+  };
+  auto bare_map = [&] {
+    for (size_t i = 0; i < inputs; ++i) {
+      StateGrid grid =
+          StateGrid::Build(db.sequences[i], N5Fst(), db.dict, grid_options);
+      if (!grid.HasAcceptingRun()) continue;
+      std::string value;
+      PutVarint(&value, 1);
+      ForEachCandidateKey(grid, options.candidates_per_sequence_budget,
+                          [&](std::string_view key) { emit(key, value); });
+    }
+  };
+  RunBenchPair("trace_overhead_seminaive_map_baseline", bare_map,
+               "trace_overhead_seminaive_map_traced_off", [&] {
+                 for (size_t i = 0; i < inputs; ++i) {
+                   MapNaiveInput(db.sequences[i], N5Fst(), db.dict, options,
+                                 emit);
+                 }
+               });
+  volatile size_t sink = emitted;
+  (void)sink;
+}
+
 void PrintJson() {
   std::printf("{\n  \"benchmarks\": [\n");
   for (size_t i = 0; i < g_rows.size(); ++i) {
@@ -692,6 +803,7 @@ int main(int argc, char** argv) {
   BenchNfaDeserialize();
   BenchVarintSequenceRoundTrip();
   BenchCombiners();
+  BenchSemiNaiveMap();
   BenchBlockCodec();
   BenchExternalMerge();
   BenchDesqDfsSmall();
@@ -699,6 +811,7 @@ int main(int argc, char** argv) {
   BenchTraceOverhead();
   BenchDCandMapTraceOverhead();
   BenchDSeqMapTraceOverhead();
+  BenchSemiNaiveMapTraceOverhead();
   if (g_config.json) PrintJson();
   return 0;
 }

@@ -1,26 +1,17 @@
 #include "src/core/desq_count.h"
 
+#include <algorithm>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "src/core/candidates.h"
 #include "src/core/desq_dfs.h"
 #include "src/core/grid.h"
 #include "src/util/thread_pool.h"
+#include "src/util/varint.h"
 
 namespace dseq {
-namespace {
-
-struct SequenceHash {
-  size_t operator()(const Sequence& s) const {
-    size_t h = 1469598103934665603ULL;
-    for (ItemId w : s) h = (h ^ w) * 1099511628211ULL;
-    return h;
-  }
-};
-
-using CountMap = std::unordered_map<Sequence, uint64_t, SequenceHash>;
-
-}  // namespace
 
 MiningResult MineDesqCount(const std::vector<Sequence>& db, const Fst& fst,
                            const Dictionary& dict,
@@ -29,33 +20,38 @@ MiningResult MineDesqCount(const std::vector<Sequence>& db, const Fst& fst,
   grid_options.prune_sigma = options.sigma;
   int workers = std::max(1, options.num_workers);
 
+  // Counts by candidate key (PutSequence bytes); only the frequent keys are
+  // decoded.
+  using CountMap = std::unordered_map<std::string, uint64_t>;
   std::vector<CountMap> partial(workers);
   ParallelShards(db.size(), workers, [&](int w, size_t begin, size_t end) {
     CountMap& counts = partial[w];
-    std::vector<Sequence> candidates;
+    auto count = [&counts](std::string_view key) {
+      ++counts[std::string(key)];
+    };
     for (size_t s = begin; s < end; ++s) {
       StateGrid grid = StateGrid::Build(db[s], fst, dict, grid_options);
-      if (!grid.HasAcceptingRun()) continue;
-      if (!EnumerateCandidates(grid, options.candidates_per_sequence_budget,
-                               &candidates)) {
+      if (!ForEachCandidateKey(grid, options.candidates_per_sequence_budget,
+                               count)) {
         throw MiningBudgetError(
             "DESQ-COUNT: candidate budget exceeded for one sequence");
       }
-      for (const Sequence& c : candidates) counts[c] += 1;
     }
   });
 
   CountMap& total = partial[0];
   for (int w = 1; w < workers; ++w) {
-    for (auto& [pattern, count] : partial[w]) total[pattern] += count;
+    for (auto& [key, count] : partial[w]) total[key] += count;
     partial[w].clear();
   }
 
   MiningResult result;
-  for (auto& [pattern, count] : total) {
-    if (count >= options.sigma) {
-      result.push_back(PatternCount{pattern, count});
-    }
+  for (const auto& [key, count] : total) {
+    if (count < options.sigma) continue;
+    PatternCount mined{{}, count};
+    size_t pos = 0;
+    GetSequence(key, &pos, &mined.pattern);
+    result.push_back(std::move(mined));
   }
   Canonicalize(&result);
   return result;

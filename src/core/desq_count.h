@@ -22,8 +22,10 @@ struct DesqCountOptions {
   uint64_t sigma = 1;
   /// Parallelize candidate generation over input shards (counts are merged).
   int num_workers = 1;
-  /// Per-sequence enumeration budget; exceeding it throws MiningBudgetError
-  /// (candidate explosion — use DESQ-DFS instead).
+  /// Per-sequence enumeration budget on raw (pre-dedup) candidates;
+  /// exceeding it throws MiningBudgetError (candidate explosion — use
+  /// DESQ-DFS instead). 0 = unlimited (the rule of ForEachCandidateKey,
+  /// shared with NaiveOptions::candidates_per_sequence_budget).
   uint64_t candidates_per_sequence_budget = 10'000'000;
 };
 

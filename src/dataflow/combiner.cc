@@ -1,6 +1,7 @@
 #include "src/dataflow/combiner.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -35,6 +36,20 @@ size_t HashRecord(std::string_view key, std::string_view payload) {
   size_t h = HashBytes(key);
   if (payload.empty()) return h;
   return h ^ (HashBytes(payload) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+// The first 8 bytes of `key` as a big-endian integer, zero-padded. Keys
+// whose prefixes differ order as their prefixes do; keys that share their
+// first 8 bytes tie, and so does a key shorter than 8 bytes with itself
+// followed by 0x00 bytes.
+uint64_t KeyPrefix(std::string_view key) {
+  unsigned char bytes[8] = {};
+  if (!key.empty()) {
+    std::memcpy(bytes, key.data(), std::min<size_t>(key.size(), 8));
+  }
+  uint64_t prefix = 0;
+  for (unsigned char b : bytes) prefix = prefix << 8 | b;
+  return prefix;
 }
 
 // Emits (key, varint(sum) + payload), building the value in `*value`.
@@ -149,16 +164,18 @@ void Combiner::Grow() {
   }
 }
 
-std::vector<const Combiner::Slot*> Combiner::SortedSlots() const {
-  std::vector<const Slot*> live;
+std::vector<Combiner::SortEntry> Combiner::SortedSlots() const {
+  std::vector<SortEntry> live;
   live.reserve(size_);
   for (const Slot& slot : slots_) {
-    if (slot.used) live.push_back(&slot);
+    if (slot.used) live.push_back({KeyPrefix(slot.key()), &slot});
   }
-  std::sort(live.begin(), live.end(), [](const Slot* a, const Slot* b) {
-    int c = a->key().compare(b->key());
-    return c != 0 ? c < 0 : a->payload() < b->payload();
-  });
+  std::sort(live.begin(), live.end(),
+            [](const SortEntry& a, const SortEntry& b) {
+              if (a.prefix != b.prefix) return a.prefix < b.prefix;
+              int c = a.slot->key().compare(b.slot->key());
+              return c != 0 ? c < 0 : a.slot->payload() < b.slot->payload();
+            });
   return live;
 }
 
@@ -214,7 +231,8 @@ Combiner::RunRecords(StringArena* scratch) const {
   std::vector<std::pair<std::string_view, std::string_view>> records;
   records.reserve(size_);
   std::string bytes;
-  for (const Slot* slot : SortedSlots()) {
+  for (const SortEntry& entry : SortedSlots()) {
+    const Slot* slot = entry.slot;
     std::string_view composite = slot->key();
     if (!slot->payload().empty() ||
         composite.find('\0') != std::string_view::npos) {
@@ -277,7 +295,8 @@ void Combiner::Flush(const EmitFn& emit) {
   sorted_emit = &checked_emit;
 #endif
   if (runs_.empty()) {
-    for (const Slot* slot : SortedSlots()) {
+    for (const SortEntry& entry : SortedSlots()) {
+      const Slot* slot = entry.slot;
       EmitRecord(*sorted_emit, slot->key(), slot->sum, slot->payload(),
                  &value);
     }

@@ -20,6 +20,14 @@
 // path. A budgeted flush always emits in strictly increasing (key, payload)
 // order; the unbudgeted flush emits in table order, with no sort. Either
 // way RunMapShard stable-sorts each bucket by key when it seals it.
+//
+// The budgeted sort (every spill and the final flush) sorts 16-byte
+// entries of (key prefix, slot): the first 8 key bytes as a big-endian,
+// zero-padded integer. Different prefixes order as their keys do, so most
+// comparisons read no slot; equal prefixes (a shared first 8 bytes, or a
+// short key against the same key plus 0x00 bytes) fall back to the full
+// (key, payload) comparison. The order is thus exactly (key, payload)
+// order, and the spilled runs and their merge keep it.
 #ifndef DSEQ_DATAFLOW_COMBINER_H_
 #define DSEQ_DATAFLOW_COMBINER_H_
 
@@ -77,8 +85,16 @@ class Combiner {
   static_assert(sizeof(void*) != 8 || sizeof(Slot) == 40,
                 "Slot size is part of the budget's spill timing");
 
+  // A budgeted flush's sort entry: the slot's first 8 key bytes read
+  // big-endian and zero-padded, so integer order on prefixes is byte order
+  // on keys wherever the prefixes differ.
+  struct SortEntry {
+    uint64_t prefix;
+    const Slot* slot;
+  };
+
   void Grow();
-  std::vector<const Slot*> SortedSlots() const;
+  std::vector<SortEntry> SortedSlots() const;
   std::vector<std::pair<std::string_view, std::string_view>> RunRecords(
       StringArena* scratch) const;
   void ChargeResident();

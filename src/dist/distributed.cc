@@ -51,6 +51,8 @@ void MapCounts::Flush() const {
       obs::GetCounter("mining.map_min_states");
   static obs::Counter& nfa_bytes_counter =
       obs::GetCounter("mining.map_nfa_bytes");
+  static obs::Counter& candidates_counter =
+      obs::GetCounter("mining.map_candidates");
   sequences_counter.Add(sequences);
   grid_edges_counter.Add(grid_edges);
   pivots_counter.Add(pivots);
@@ -59,6 +61,7 @@ void MapCounts::Flush() const {
   dfa_states_counter.Add(dfa_states);
   min_states_counter.Add(min_states);
   nfa_bytes_counter.Add(nfa_bytes);
+  candidates_counter.Add(candidates);
 }
 
 std::string EncodePivotKey(ItemId pivot) {

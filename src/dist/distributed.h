@@ -152,10 +152,10 @@ void EncodePatternRecord(const PatternCount& mined, std::string* key,
 /// already stripped). Throws std::invalid_argument on malformed bytes.
 PatternCount DecodePatternRecord(std::string_view key, std::string_view value);
 
-/// Work counts of one D-SEQ or D-CAND map input, accumulated on the stack
-/// and flushed to the mining.map_* counters once per input under
-/// obs::Enabled(), so proc workers ship them too. Each miner fills the
-/// fields of the work it does; the rest stay 0.
+/// Work counts of one D-SEQ, D-CAND or NAIVE/SEMI-NAIVE map input,
+/// accumulated on the stack and flushed to the mining.map_* counters once
+/// per input under obs::Enabled(), so proc workers ship them too. Each
+/// miner fills the fields of the work it does; the rest stay 0.
 struct MapCounts {
   uint64_t sequences = 0;      // grids with an accepting run
   uint64_t grid_edges = 0;
@@ -165,6 +165,7 @@ struct MapCounts {
   uint64_t dfa_states = 0;     // D-CAND: subsets the one pass creates
   uint64_t min_states = 0;     // D-CAND: states of the minimal DFAs
   uint64_t nfa_bytes = 0;      // D-CAND: serialized NFA bytes
+  uint64_t candidates = 0;     // NAIVE: distinct candidates emitted
 
   void Flush() const;
 };

@@ -1,13 +1,42 @@
 #include "src/dist/naive.h"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "src/core/candidates.h"
 #include "src/core/grid.h"
+#include "src/obs/trace.h"
 
 namespace dseq {
+
+void MapNaiveInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+                   const NaiveOptions& options, const EmitFn& emit) {
+  GridOptions grid_options;
+  // SEMI-NAIVE communicates only candidates made of frequent items; NAIVE
+  // ships the raw candidate space and lets the reducers discard the rest.
+  grid_options.prune_sigma = options.semi_naive ? options.sigma : 0;
+  StateGrid grid = StateGrid::Build(T, fst, dict, grid_options);
+  if (!grid.HasAcceptingRun()) return;
+  // The key set is deduplicated per sequence, so each candidate counts the
+  // input sequence once (distinct-sequence support).
+  MapCounts counts;
+  std::string value;
+  PutVarint(&value, 1);
+  if (!ForEachCandidateKey(grid, options.candidates_per_sequence_budget,
+                           [&](std::string_view key) {
+                             ++counts.candidates;
+                             emit(key, value);
+                           })) {
+    throw MiningBudgetError(
+        "NAIVE candidate enumeration exceeded its per-sequence budget");
+  }
+  if (obs::Enabled()) {
+    counts.sequences = 1;
+    counts.grid_edges = grid.num_edges();
+    counts.Flush();
+  }
+}
+
 namespace {
 
 // Map/reduce phases shared by the single-round miner and the chained
@@ -18,36 +47,11 @@ namespace {
 MapFn MakeNaiveMapFn(const std::vector<Sequence>& db, const Fst& fst,
                      const Dictionary& dict, const NaiveOptions& options,
                      CachedDatabase* cached_db = nullptr) {
-  GridOptions grid_options;
-  // SEMI-NAIVE communicates only candidates made of frequent items; NAIVE
-  // ships the raw candidate space and lets the reducers discard the rest.
-  grid_options.prune_sigma = options.semi_naive ? options.sigma : 0;
-  const size_t budget =
-      options.candidates_per_sequence_budget == 0
-          ? std::numeric_limits<size_t>::max()
-          : static_cast<size_t>(options.candidates_per_sequence_budget);
-
-  return [&db, &fst, &dict, grid_options, budget, cached_db](
-             size_t index, const EmitFn& emit) {
+  return [&db, &fst, &dict, &options, cached_db](size_t index,
+                                                 const EmitFn& emit) {
     const Sequence& T =
         cached_db != nullptr ? cached_db->Read(index) : db[index];
-    StateGrid grid = StateGrid::Build(T, fst, dict, grid_options);
-    if (!grid.HasAcceptingRun()) return;
-    std::vector<Sequence> candidates;
-    if (!EnumerateCandidates(grid, budget, &candidates)) {
-      throw MiningBudgetError(
-          "NAIVE candidate enumeration exceeded its per-sequence budget");
-    }
-    std::string value;
-    PutVarint(&value, 1);
-    // EnumerateCandidates deduplicates, so each candidate counts the input
-    // sequence once (distinct-sequence support).
-    std::string key;
-    for (const Sequence& candidate : candidates) {
-      key.clear();
-      PutSequence(&key, candidate);
-      emit(key, value);
-    }
+    MapNaiveInput(T, fst, dict, options, emit);
   };
 }
 

@@ -27,11 +27,22 @@ struct NaiveOptions : DistributedRunOptions {
   /// Prune infrequent items before candidate enumeration (SEMI-NAIVE).
   bool semi_naive = false;
 
-  /// Per-sequence candidate enumeration budget; exceeding it throws
+  /// Per-sequence budget on raw (pre-dedup) candidates; exceeding it throws
   /// MiningBudgetError (candidate explosion = certain OOM at cluster
-  /// scale). 0 = unlimited.
+  /// scale). 0 = unlimited (ForEachCandidateKey's rule).
   uint64_t candidates_per_sequence_budget = 0;
 };
+
+/// NAIVE/SEMI-NAIVE's map of one input sequence, the map function of both
+/// miners: builds T's grid (σ-pruned for SEMI-NAIVE) and emits (key,
+/// varint(1)) once per distinct candidate, with the key its PutSequence
+/// encoding (ForEachCandidateKey). Under obs::Enabled() it flushes the
+/// input's work to the mining.map_* counters (MapCounts: sequences,
+/// grid_edges and candidates, the distinct candidates emitted). Throws
+/// MiningBudgetError when T has more raw candidates than
+/// candidates_per_sequence_budget (0 = unlimited), and then emits nothing.
+void MapNaiveInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+                   const NaiveOptions& options, const EmitFn& emit);
 
 /// Runs NAIVE (or SEMI-NAIVE). `db` must be fid-recoded with `dict`.
 DistributedResult MineNaive(const std::vector<Sequence>& db, const Fst& fst,

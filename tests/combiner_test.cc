@@ -268,12 +268,30 @@ std::vector<Triple> Decode(const Records& records) {
 void CheckBudgetedFlushOrder(bool with_payloads, bool spill) {
   SCOPED_TRACE(std::string(with_payloads ? "payloads" : "counts") +
                (spill ? ", spilled" : ", resident"));
+  // The budgeted sort compares 8-byte key prefixes first, so the keys
+  // include ties it must break on the full bytes: keys sharing their first
+  // 8 bytes (0x00 and 0xff among them) that differ at byte 8 or later, an
+  // exactly-8-byte key beside itself plus 0x00, and short keys beside
+  // themselves plus 0x00 bytes.
+  const std::string shared("a\0b\xff\x01\0\xffz", 8);
   const std::vector<std::string> keys = {
       "",    std::string(1, '\0'), std::string("\0\0", 2),
       std::string("\0\x01", 2),    "\x01",
       "a",   std::string("a\0", 2), std::string("a\0b", 3),
       "ab",  "b",                   "\xff",
-      std::string("\xff\0", 2)};
+      std::string("\xff\0", 2),
+      shared,
+      shared + std::string(1, '\0'),
+      shared + std::string("\0a", 2),
+      shared + "a",
+      shared + "aa",
+      shared + "ab",
+      shared + "a\xff",
+      shared + "b",
+      shared + "\xff",
+      std::string("xyz\0\0\0\0\0", 8),
+      std::string("xyz\0\0\0\0\0\0", 9),
+      "xyz"};
   const std::vector<std::string> payloads =
       with_payloads ? std::vector<std::string>{"", std::string(1, '\0'),
                                                "\x01", "x", "xy", "\xff"}

@@ -48,6 +48,21 @@ TEST(DesqCountTest, BudgetThrows) {
                MiningBudgetError);
 }
 
+// A budget of 0 means unlimited, as for NAIVE/SEMI-NAIVE: it must not
+// throw on the first candidate.
+TEST(DesqCountTest, ZeroBudgetIsUnlimited) {
+  SequenceDatabase db = testing::RandomDatabase(31, 8, 60, 8);
+  Fst fst = CompileFst(".*(i0)[(.^).*]*(i1).*", db.dict);
+  DesqCountOptions options;
+  options.sigma = 2;
+  options.candidates_per_sequence_budget = 0;
+  DesqDfsOptions dfs_options;
+  dfs_options.sigma = 2;
+  MiningResult expected = MineDesqDfs(db.sequences, fst, db.dict, dfs_options);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(MineDesqCount(db.sequences, fst, db.dict, options), expected);
+}
+
 class DesqCountPropertyTest
     : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 

@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "src/core/candidates.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
+#include "src/util/varint.h"
 #include "tests/test_util.h"
 
 namespace dseq {
@@ -249,6 +251,84 @@ TEST(CandidatesTest, BudgetRespected) {
   StateGrid grid = StateGrid::Build(db.sequences[1], fst, db.dict, {});
   std::vector<Sequence> candidates;
   EXPECT_FALSE(EnumerateCandidates(grid, 3, &candidates));
+}
+
+// The key search against the reference DFS: every distinct candidate's
+// PutSequence key exactly once, and the raw-count budget exact at its
+// boundary (budget = raw passes; raw - 1 fails and emits nothing). Besides
+// the property patterns, one whose ε tail after the last output has many
+// accepting paths (`[. .|.]*`: every split of the tail into steps of one
+// and two items is a run), which the search counts without walking them.
+TEST(CandidatesTest, KeysMatchReferenceSearch) {
+  std::vector<std::string> patterns = testing::PropertyPatterns();
+  patterns.push_back(".*(.^)[. .|.]*");
+  size_t grids = 0;
+  size_t deduplicated = 0;
+  size_t boundaries = 0;
+  for (int seed : {1, 2, 3}) {
+    SequenceDatabase db = testing::RandomDatabase(seed + 500, 8, 30, 8);
+    for (const std::string& pattern : patterns) {
+      Fst fst = CompileFst(pattern, db.dict);
+      for (uint64_t sigma : {0, 1, 2, 4}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) + " pattern=" + pattern +
+                     " sigma=" + std::to_string(sigma));
+        GridOptions options;
+        options.prune_sigma = sigma;
+        for (const Sequence& T : db.sequences) {
+          StateGrid grid = StateGrid::Build(T, fst, db.dict, options);
+          std::vector<Sequence> raw;
+          ASSERT_TRUE(testing::ReferenceCandidates(grid, 1'000'000, &raw));
+          std::vector<std::string> expected;
+          for (const Sequence& c : raw) {
+            std::string key;
+            PutSequence(&key, c);
+            expected.push_back(std::move(key));
+          }
+          std::sort(expected.begin(), expected.end());
+          expected.erase(std::unique(expected.begin(), expected.end()),
+                         expected.end());
+
+          std::vector<std::string> keys;
+          auto collect = [&keys](std::string_view key) {
+            keys.emplace_back(key);
+          };
+          // Exactly `raw` candidates fit (0 is unlimited, so a grid with no
+          // candidate passes either way).
+          ASSERT_TRUE(ForEachCandidateKey(grid, raw.size(), collect));
+          std::sort(keys.begin(), keys.end());
+          EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+              << "a key was emitted twice";
+          EXPECT_EQ(keys, expected);
+          if (raw.empty()) continue;
+          ++grids;
+          if (raw.size() > expected.size()) ++deduplicated;
+
+          // One raw candidate over the budget: false, and no key at all.
+          if (raw.size() >= 2) {
+            keys.clear();
+            EXPECT_FALSE(ForEachCandidateKey(grid, raw.size() - 1, collect));
+            EXPECT_TRUE(keys.empty());
+            ++boundaries;
+          }
+          // 0 = unlimited.
+          keys.clear();
+          ASSERT_TRUE(ForEachCandidateKey(grid, 0, collect));
+          EXPECT_EQ(keys.size(), expected.size());
+
+          std::vector<Sequence> decoded;
+          ASSERT_TRUE(EnumerateCandidates(grid, raw.size(), &decoded));
+          std::sort(raw.begin(), raw.end());
+          raw.erase(std::unique(raw.begin(), raw.end()), raw.end());
+          EXPECT_EQ(decoded, raw);
+        }
+      }
+    }
+  }
+  // Nothing above is vacuous: grids with candidates, sequences whose runs
+  // repeat a candidate, and budget boundaries below the raw count.
+  EXPECT_GT(grids, 100u);
+  EXPECT_GT(deduplicated, 0u);
+  EXPECT_GT(boundaries, 0u);
 }
 
 TEST(CandidatesTest, RunCounting) {

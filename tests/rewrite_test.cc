@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/candidates.h"
 #include "src/core/desq_dfs.h"
 #include "src/core/pivot.h"
 #include "src/dict/sequence.h"

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
@@ -16,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/candidates.h"
 #include "src/core/grid.h"
 #include "src/core/mining.h"
 #include "src/core/pivot.h"
@@ -128,9 +128,60 @@ inline SequenceDatabase RandomDatabase(uint64_t seed, size_t num_items,
   return db;
 }
 
+/// Reference candidate search, a plain DFS over every accepting run:
+/// appends every raw candidate of the grid to `*out` as a Sequence, one per
+/// accepting run and choice of one item from each non-ε output set on it,
+/// duplicates kept and the empty sequence skipped. Stops and returns false
+/// when the (budget+1)-th raw candidate comes up. grid_test checks
+/// ForEachCandidateKey against it.
+inline bool ReferenceCandidates(const StateGrid& grid, size_t budget,
+                                std::vector<Sequence>* out) {
+  struct Search {
+    const StateGrid& grid;
+    size_t budget;
+    std::vector<Sequence>* out;
+    Sequence prefix;
+    bool within_budget = true;
+
+    void Dfs(size_t i, StateId q) {
+      if (!within_budget) return;
+      if (i == grid.length()) {
+        if (grid.IsFinalState(q) && !prefix.empty()) {
+          if (out->size() >= budget) {
+            within_budget = false;
+            return;
+          }
+          out->push_back(prefix);
+        }
+        return;
+      }
+      for (const StateGrid::Edge& e :
+           grid.EdgesOf(i * grid.num_states() + q)) {
+        if (e.out.empty()) {
+          Dfs(i + 1, e.to);
+        } else {
+          for (ItemId w : e.out) {
+            prefix.push_back(w);
+            Dfs(i + 1, e.to);
+            prefix.pop_back();
+            if (!within_budget) return;
+          }
+        }
+        if (!within_budget) return;
+      }
+    }
+  };
+  out->clear();
+  if (!grid.HasAcceptingRun()) return true;
+  Search search{grid, budget, out, {}, true};
+  search.Dfs(0, grid.initial_state());
+  return search.within_budget;
+}
+
 /// Brute-force reference miner: enumerates Gσπ(T) per sequence via the grid
-/// and counts distinct-sequence support. Independent of the pattern-growth
-/// code paths.
+/// (ReferenceCandidates, deduplicated per sequence) and counts
+/// distinct-sequence support. Independent of the pattern-growth code paths
+/// and of the library's candidate search.
 inline MiningResult BruteForceMine(const std::vector<Sequence>& db,
                                    const Fst& fst, const Dictionary& dict,
                                    uint64_t sigma) {
@@ -148,7 +199,10 @@ inline MiningResult BruteForceMine(const std::vector<Sequence>& db,
     StateGrid grid = StateGrid::Build(T, fst, dict, options);
     if (!grid.HasAcceptingRun()) continue;
     std::vector<Sequence> candidates;
-    EnumerateCandidates(grid, 10'000'000, &candidates);
+    ReferenceCandidates(grid, 10'000'000, &candidates);
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
     for (const Sequence& s : candidates) counts[s] += 1;
   }
   MiningResult result;

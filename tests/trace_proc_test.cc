@@ -11,6 +11,7 @@
 
 #include "src/dist/dcand_miner.h"
 #include "src/dist/dseq_miner.h"
+#include "src/dist/naive.h"
 #include "src/fst/compiler.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -102,6 +103,7 @@ TEST_F(TraceProcTest, ProcRoundMergesCoordinatorAndWorkerSpans) {
 // report exactly what a local run does. Both miners count their map
 // (MapCounts: the grid and pivot fields, then D-SEQ's rewrite items or
 // D-CAND's DFA states and bytes) and their reduce (MinePartitionInput).
+// SEMI-NAIVE's map counts its grids and the distinct candidates it emits.
 TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
   const std::vector<std::string> reduce_names = {
       "mining.reduce_sequences", "mining.reduce_edges_kept",
@@ -131,6 +133,7 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
   dcand_options.num_map_workers = 3;
   dcand_options.num_reduce_workers = 3;
 
+  MiningResult dseq_patterns;
   for (bool dcand : {false, true}) {
     SCOPED_TRACE(dcand ? "D-CAND" : "D-SEQ");
     const std::vector<std::string>& checked = dcand ? dcand_names : dseq_names;
@@ -162,6 +165,7 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
       }
     }
     EXPECT_EQ(results[1].patterns, results[0].patterns);
+    if (!dcand) dseq_patterns = results[0].patterns;
     for (size_t i = 0; i < checked.size(); ++i) {
       EXPECT_EQ(counters[1][i], counters[0][i]) << checked[i];
     }
@@ -182,6 +186,40 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
       EXPECT_LT(obs::GetCounter("mining.map_shipped_items").Value(),
                 obs::GetCounter("mining.map_input_items").Value());
     }
+  }
+
+  SCOPED_TRACE("SEMI-NAIVE");
+  const std::vector<std::string> naive_names = {
+      "mining.map_sequences", "mining.map_grid_edges",
+      "mining.map_candidates"};
+  NaiveOptions naive_options;
+  naive_options.sigma = 2;
+  naive_options.semi_naive = true;
+  naive_options.num_map_workers = 3;
+  naive_options.num_reduce_workers = 3;
+  std::vector<std::vector<uint64_t>> naive_counters;
+  std::vector<DistributedResult> naive_results;
+  for (DataflowBackend backend :
+       {DataflowBackend::kLocal, DataflowBackend::kProc}) {
+    obs::ResetTraceForTest();
+    obs::ResetMetricsForTest();
+    naive_options.backend = backend;
+    naive_results.push_back(
+        MineNaive(db.sequences, fst, db.dict, naive_options));
+    std::vector<uint64_t>& values = naive_counters.emplace_back();
+    for (const std::string& name : naive_names) {
+      values.push_back(obs::GetCounter(name).Value());
+    }
+    // One (candidate, 1) record per distinct candidate of every input.
+    EXPECT_EQ(obs::GetCounter("mining.map_candidates").Value(),
+              naive_results.back().metrics.map_output_records);
+    EXPECT_EQ(obs::GetCounter("mining.map_pivots").Value(), 0u);
+  }
+  EXPECT_EQ(naive_results[1].patterns, naive_results[0].patterns);
+  EXPECT_EQ(naive_results[0].patterns, dseq_patterns);
+  for (size_t i = 0; i < naive_names.size(); ++i) {
+    EXPECT_EQ(naive_counters[1][i], naive_counters[0][i]) << naive_names[i];
+    EXPECT_GT(naive_counters[0][i], 0u) << naive_names[i];
   }
 }
 
