@@ -142,9 +142,6 @@ void BenchRecountMiners() {
   std::printf(
       "(recount round 1 recomputes the f-list the single-round miners read "
       "from the dictionary)\n");
-  std::printf("D-SEQ+recount input reads: %llu storage, %llu cache\n",
-              (unsigned long long)dseq_result.metrics.input_storage_reads,
-              (unsigned long long)dseq_result.metrics.input_cache_hits);
 }
 
 }  // namespace

@@ -30,9 +30,8 @@ DistributedResult MinePrefixSpan(const std::vector<Sequence>& db,
 /// prefixes grow one shuffle round at a time. Runs at most `lambda` rounds,
 /// stopping early once no prefix survives. Patterns are identical to
 /// MinePrefixSpan's; the per-round metrics expose what the collapsed
-/// single-round baseline avoids shipping. Budgets follow
-/// DistributedRunOptions: shuffle_budget_bytes bounds each round,
-/// cumulative_shuffle_budget_bytes the whole chain.
+/// single-round baseline avoids shipping. shuffle_budget_bytes bounds each
+/// round.
 DistributedResult MineChainedPrefixSpan(const std::vector<Sequence>& db,
                                         const Dictionary& dict,
                                         const PrefixSpanOptions& options);

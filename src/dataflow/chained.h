@@ -9,11 +9,10 @@
 // deserialized state from one round into the next.
 //
 // Metrics are collected per round (the paper's per-stage `shuffleWriteBytes`)
-// and as an aggregate. The shuffle budget is enforced at two levels: the
-// inherited DataflowOptions::shuffle_budget_bytes applies to each round
-// independently, and cumulative_shuffle_budget_bytes bounds the total volume
-// of the whole chain — both throw ShuffleOverflowError mid-round, exactly
-// when the offending record is buffered.
+// and as an aggregate. Every round runs under the same DataflowOptions, so
+// DataflowOptions::shuffle_budget_bytes bounds each round on its own and
+// throws ShuffleOverflowError mid-round, exactly when the offending record is
+// buffered.
 #ifndef DSEQ_DATAFLOW_CHAINED_H_
 #define DSEQ_DATAFLOW_CHAINED_H_
 
@@ -24,14 +23,7 @@
 
 namespace dseq {
 
-struct ChainedDataflowOptions : DataflowOptions {
-  /// 0 = unlimited. Otherwise ShuffleOverflowError once the total shuffle
-  /// volume across all rounds of the job exceeds this many bytes. The
-  /// inherited shuffle_budget_bytes still applies to every round on its own.
-  uint64_t cumulative_shuffle_budget_bytes = 0;
-};
-
-/// A chain of map-shuffle-reduce rounds with shared budgets and metrics.
+/// A chain of map-shuffle-reduce rounds with shared options and metrics.
 ///
 /// Usage: every round is a RunRound. A round whose input is the previous
 /// round's output takes it with TakeRecords() and maps over the taken
@@ -44,8 +36,7 @@ struct ChainedDataflowOptions : DataflowOptions {
 /// only completed rounds and records() is unspecified.
 class DataflowJob {
  public:
-  explicit DataflowJob(const ChainedDataflowOptions& options)
-      : options_(options) {}
+  explicit DataflowJob(const DataflowOptions& options) : options_(options) {}
 
   /// Runs a round whose map input is external: `map_fn` is called once per
   /// index in [0, num_inputs). `combine` as in RunMapReduce. Returns the
@@ -73,15 +64,10 @@ class DataflowJob {
   /// is the chain's cumulative shuffle volume.
   DataflowMetrics aggregate_metrics() const;
 
-  uint64_t cumulative_shuffle_bytes() const { return cumulative_shuffle_bytes_; }
-
-  const ChainedDataflowOptions& options() const { return options_; }
-
  private:
-  ChainedDataflowOptions options_;
+  DataflowOptions options_;
   std::vector<Record> records_;
   std::vector<DataflowMetrics> round_metrics_;
-  uint64_t cumulative_shuffle_bytes_ = 0;
 };
 
 }  // namespace dseq

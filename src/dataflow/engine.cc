@@ -37,19 +37,12 @@ void DataflowMetrics::Accumulate(const DataflowMetrics& other) {
   spill_files += other.spill_files;
   spill_bytes_written += other.spill_bytes_written;
   spill_merge_passes += other.spill_merge_passes;
-  input_storage_reads += other.input_storage_reads;
-  input_cache_hits += other.input_cache_hits;
   proc_task_attempts += other.proc_task_attempts;
   proc_task_retries += other.proc_task_retries;
   proc_worker_kills += other.proc_worker_kills;
   proc_workers_respawned += other.proc_workers_respawned;
   proc_segment_chunks += other.proc_segment_chunks;
-  proc_parked_tails += other.proc_parked_tails;
-}
-
-InputReads& ThreadInputReads() {
-  thread_local InputReads reads;
-  return reads;
+  proc_parked_segments += other.proc_parked_segments;
 }
 
 namespace {

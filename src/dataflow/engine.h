@@ -96,13 +96,6 @@ struct DataflowMetrics {
   uint64_t spill_files = 0;
   uint64_t spill_bytes_written = 0;
   uint64_t spill_merge_passes = 0;
-  /// Input reads the map functions made through a caching reader
-  /// (CachedDatabase in src/dist): reads served from backing storage vs.
-  /// from the cross-round cache. RunMapShard counts them per shard on both
-  /// backends (see ThreadInputReads); 0 for maps that read their input
-  /// directly.
-  uint64_t input_storage_reads = 0;
-  uint64_t input_cache_hits = 0;
   /// Proc-backend failure-policy counters (all 0 under kLocal): task
   /// assignments (first tries + retries), reassignments after a worker
   /// death/stall, workers SIGKILLed by stall detection, and replacement
@@ -113,10 +106,11 @@ struct DataflowMetrics {
   uint64_t proc_worker_kills = 0;
   uint64_t proc_workers_respawned = 0;
   /// Transport-shape counters (kLocal: 0): continuation frames used to chunk
-  /// oversized segments against the frame cap, and staged tail segments the
-  /// coordinator parked in SpillFiles instead of memory.
+  /// oversized segments against the frame cap, and committed segments (runs
+  /// and tails) the coordinator parked in SpillFiles because its
+  /// memory_budget_bytes was full.
   uint64_t proc_segment_chunks = 0;
-  uint64_t proc_parked_tails = 0;
+  uint64_t proc_parked_segments = 0;
 
   double total_seconds() const { return map_seconds + reduce_seconds; }
 
@@ -125,17 +119,6 @@ struct DataflowMetrics {
   /// round, proc tasks into a round, rounds into a job's aggregate.
   void Accumulate(const DataflowMetrics& other);
 };
-
-/// Input reads of the calling thread, counted by caching input readers
-/// (CachedDatabase in src/dist) from inside a map function. RunMapShard
-/// reports the counters' change across a shard as that shard's
-/// DataflowMetrics::input_* — a shard runs on one thread on both backends,
-/// so the change is exactly the shard's reads.
-struct InputReads {
-  uint64_t storage_reads = 0;
-  uint64_t cache_hits = 0;
-};
-InputReads& ThreadInputReads();
 
 /// How workers execute.
 enum class Execution {
@@ -203,7 +186,10 @@ struct DataflowOptions {
   /// to spill_dir, or throws ShuffleOverflowError when spill_dir is empty.
   /// Charged with the engine's record byte accounting (key + value +
   /// kShuffleRecordOverheadBytes), so results and raw shuffle metrics are
-  /// identical with and without a budget.
+  /// identical with and without a budget. Under kProc every worker process
+  /// and the coordinator each get the whole budget: the coordinator holds
+  /// a committed segment in memory while it fits and parks it in a spill
+  /// file otherwise (it never throws; without spill_dir it holds).
   uint64_t memory_budget_bytes = 0;
   /// Directory for spill files (must exist and be writable). Empty =
   /// spilling disabled; memory_budget_bytes then acts as a hard ceiling.
@@ -234,11 +220,6 @@ struct DataflowOptions {
   /// Proc backend only: wall-clock ceiling for one round (map + reduce).
   /// Exceeding it throws ProcDeadlineError. 0 = no deadline.
   int proc_round_deadline_ms = 0;
-  /// Proc backend only: staged tail segments at least this large are parked
-  /// in SpillFiles at the coordinator instead of held in memory (requires
-  /// spill_dir; charged to DataflowMetrics::proc_parked_tails). 0 disables
-  /// parking.
-  uint64_t proc_tail_park_bytes = uint64_t{1} << 20;
 };
 
 /// One serialized output record of a reduce function: the round's result,

@@ -22,7 +22,6 @@ void RunMapShard(const MapShardContext& ctx) {
   DataflowMetrics& shard = *ctx.metrics;
   shard = DataflowMetrics();
   shard.reducer_bytes.assign(reduce_workers, 0);
-  const InputReads reads_before = ThreadInputReads();
 
   // Drains every resident bucket of this worker to a sorted run on disk,
   // returning the freed bytes to the budget. A worker can only ever free
@@ -166,11 +165,6 @@ void RunMapShard(const MapShardContext& ctx) {
       }
     }
   }
-  // The map functions ran on this thread, so these are the shard's reads.
-  const InputReads& reads_after = ThreadInputReads();
-  shard.input_storage_reads =
-      reads_after.storage_reads - reads_before.storage_reads;
-  shard.input_cache_hits = reads_after.cache_hits - reads_before.cache_hits;
 }
 
 void RunReduceColumn(std::vector<ReduceColumnSource> sources,

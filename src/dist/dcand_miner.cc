@@ -78,6 +78,28 @@ void MapDCandInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
   }
 }
 
+MiningResult MineDCandPartition(std::string_view key,
+                                const std::vector<std::string_view>& values,
+                                const DCandOptions& options) {
+  DSEQ_TRACE_SPAN("mining", "dcand_reduce");
+  DesqDfsOptions local;
+  local.sigma = options.sigma;
+  local.pivot = DecodePivotKey(key);
+  DfsInput input(local.pivot);
+  for (std::string_view v : values) {
+    size_t pos = 0;
+    uint64_t weight = 0;
+    if (!GetVarint(v, &pos, &weight) || weight == 0) {
+      throw NfaParseError("malformed weighted NFA record");
+    }
+    input.AddNfa(v, &pos, weight);
+    if (pos != v.size()) {
+      throw NfaParseError("trailing bytes after NFA record");
+    }
+  }
+  return MinePartitionInput(input, local, values.size());
+}
+
 DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
                             const Dictionary& dict,
                             const DCandOptions& options) {
@@ -88,23 +110,7 @@ DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
   PartitionReduceFn reduce_fn = [&](std::string_view key,
                                     std::vector<std::string_view>& values,
                                     MiningResult& out) {
-    DSEQ_TRACE_SPAN("mining", "dcand_reduce");
-    DesqDfsOptions local;
-    local.sigma = options.sigma;
-    local.pivot = DecodePivotKey(key);
-    DfsInput input(local.pivot);
-    for (std::string_view v : values) {
-      size_t pos = 0;
-      uint64_t weight = 0;
-      if (!GetVarint(v, &pos, &weight) || weight == 0) {
-        throw NfaParseError("malformed weighted NFA record");
-      }
-      input.AddNfa(v, &pos, weight);
-      if (pos != v.size()) {
-        throw NfaParseError("trailing bytes after NFA record");
-      }
-    }
-    MiningResult mined = MinePartitionInput(input, local, values.size());
+    MiningResult mined = MineDCandPartition(key, values, options);
     out.insert(out.end(), std::make_move_iterator(mined.begin()),
                std::make_move_iterator(mined.end()));
   };

@@ -17,6 +17,7 @@
 #define DSEQ_DIST_DCAND_MINER_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "src/core/desq_dfs.h"
@@ -66,6 +67,14 @@ MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
 /// state budget is exceeded.
 void MapDCandInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
                    const DCandOptions& options, const EmitFn& emit);
+
+/// D-CAND's reduce of one partition, the reduce function of MineDCand:
+/// decodes the weighted NFA records in `values` into a DfsInput for the
+/// pivot named by `key` and mines it. Throws std::invalid_argument on a key
+/// DecodePivotKey rejects and NfaParseError on a malformed record.
+MiningResult MineDCandPartition(std::string_view key,
+                                const std::vector<std::string_view>& values,
+                                const DCandOptions& options);
 
 /// Runs D-CAND. `db` must be fid-recoded with `dict`.
 DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,

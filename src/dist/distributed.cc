@@ -70,14 +70,31 @@ std::string EncodePivotKey(ItemId pivot) {
   return key;
 }
 
-ItemId DecodePivotKey(std::string_view key) {
+bool TryDecodePivotKeyParts(std::string_view key, PivotKeyParts* parts) {
   size_t pos = 0;
-  uint64_t value = 0;
-  if (!GetVarint(key, &pos, &value) || pos != key.size() ||
-      value > std::numeric_limits<ItemId>::max()) {
+  uint64_t pivot = 0;
+  if (!GetVarint(key, &pos, &pivot) || pivot == kNoItem ||
+      pivot > std::numeric_limits<ItemId>::max()) {
+    return false;
+  }
+  parts->pivot = static_cast<ItemId>(pivot);
+  parts->subpartition = -1;
+  if (pos == key.size()) return true;
+  uint64_t sub = 0;
+  if (!GetVarint(key, &pos, &sub) || pos != key.size() ||
+      sub > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return false;
+  }
+  parts->subpartition = static_cast<int>(sub);
+  return true;
+}
+
+ItemId DecodePivotKey(std::string_view key) {
+  PivotKeyParts parts;
+  if (!TryDecodePivotKeyParts(key, &parts) || parts.subpartition >= 0) {
     throw std::invalid_argument("malformed pivot partition key");
   }
-  return static_cast<ItemId>(value);
+  return parts.pivot;
 }
 
 void EncodePatternRecord(const PatternCount& mined, std::string* key,
@@ -156,8 +173,7 @@ DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
 
 Dictionary RecountFrequencies(DataflowJob& job,
                               const std::vector<Sequence>& db,
-                              const Dictionary& dict, uint32_t sample_every,
-                              CachedDatabase* cached_db) {
+                              const Dictionary& dict, uint32_t sample_every) {
   if (sample_every == 0) sample_every = 1;
   const size_t n = dict.size();
 
@@ -165,8 +181,7 @@ Dictionary RecountFrequencies(DataflowJob& job,
   // sequence — the distributed form of ComputeDocFrequencies' stamp loop.
   // The stamp array (allocated once per worker thread, not per sequence)
   // avoids clearing a seen-set per sequence, as in ComputeDocFrequencies.
-  MapFn map_fn = [&, sample_every, cached_db](size_t index,
-                                              const EmitFn& emit) {
+  MapFn map_fn = [&, sample_every](size_t index, const EmitFn& emit) {
     if (index % sample_every != 0) return;
     thread_local std::vector<uint64_t> stamp;
     thread_local uint64_t cur = 0;
@@ -174,9 +189,7 @@ Dictionary RecountFrequencies(DataflowJob& job,
     ++cur;
     std::string one;
     PutVarint(&one, 1);
-    const Sequence& T = cached_db != nullptr ? cached_db->Read(index)
-                                             : db[index];
-    for (ItemId t : T) {
+    for (ItemId t : db[index]) {
       for (ItemId a : dict.Ancestors(t)) {
         if (stamp[a] == cur) continue;
         stamp[a] = cur;
@@ -215,8 +228,7 @@ Dictionary RecountFrequencies(DataflowJob& job,
     ItemId item = DecodePivotKey(record.key);
     size_t pos = 0;
     uint64_t count = 0;
-    if (item == kNoItem || item > n ||
-        !GetVarint(record.value, &pos, &count) ||
+    if (item > n || !GetVarint(record.value, &pos, &count) ||
         pos != record.value.size()) {
       throw std::invalid_argument("malformed frequency-recount result");
     }

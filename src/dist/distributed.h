@@ -9,9 +9,7 @@
 #ifndef DSEQ_DIST_DISTRIBUTED_H_
 #define DSEQ_DIST_DISTRIBUTED_H_
 
-#include <atomic>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,45 +41,7 @@ struct DistributedResult {
 /// (DataflowJob slices a miner's options down to it), so a dataflow setting
 /// is declared once, in DataflowOptions. `round_index` is overwritten by
 /// DataflowJob every round.
-using DistributedRunOptions = ChainedDataflowOptions;
-
-/// Cross-round cache of database reads for chained drivers — the in-process
-/// analogue of Spark's RDD cache. The first read of an index goes to
-/// backing storage and marks it cached; later reads (typically by the next
-/// round's map phase) are cache hits. Thread-safe. Reads count in the
-/// calling thread's ThreadInputReads, which the map shard running the read
-/// reports as DataflowMetrics::input_*.
-class CachedDatabase {
- public:
-  explicit CachedDatabase(const std::vector<Sequence>& storage)
-      : storage_(storage),
-        cached_(std::make_unique<std::atomic<uint8_t>[]>(storage.size())) {
-    // Relaxed: the object is published to worker threads only after
-    // construction (thread creation orders these stores before any Read).
-    for (size_t i = 0; i < storage.size(); ++i) {
-      cached_[i].store(0, std::memory_order_relaxed);
-    }
-  }
-
-  const Sequence& Read(size_t index) {
-    InputReads& reads = ThreadInputReads();
-    if (cached_[index].exchange(1, std::memory_order_relaxed) != 0) {
-      ++reads.cache_hits;
-    } else {
-      ++reads.storage_reads;
-    }
-    return storage_[index];
-  }
-
-  size_t size() const { return storage_.size(); }
-
- private:
-  const std::vector<Sequence>& storage_;
-  // cached_[i] is a once-only latch, not a data-publication flag: the data
-  // (storage_) is immutable, so the relaxed exchange in Read only needs the
-  // RMW's atomicity to pick exactly one "first" reader per index.
-  std::unique_ptr<std::atomic<uint8_t>[]> cached_;
-};
+using DistributedRunOptions = DataflowOptions;
 
 /// Reduce callback of the shared driver: one call per distinct shuffle key,
 /// appending the partition's frequent patterns to `out` (a per-reduce-worker
@@ -124,22 +84,35 @@ DistributedResult MakeChainedResult(MiningResult patterns,
 /// the recounted frequencies installed. With `sample_every` > 1 only every
 /// sample_every-th sequence is counted and counts are scaled back up (the
 /// paper's sampled f-list); sample_every == 1 reproduces the exact counts,
-/// so downstream mining results are unchanged. If `cached_db` is non-null,
-/// sampled sequences are read through it (populating the cross-round cache).
+/// so downstream mining results are unchanged.
 Dictionary RecountFrequencies(DataflowJob& job,
                               const std::vector<Sequence>& db,
                               const Dictionary& dict,
-                              uint32_t sample_every = 1,
-                              CachedDatabase* cached_db = nullptr);
+                              uint32_t sample_every = 1);
 
 /// Encodes an item-partition key (the pivot item) as a shuffle key. Varint
 /// coded so that shuffle-size accounting stays honest for frequent (small
 /// fid) pivots.
 std::string EncodePivotKey(ItemId pivot);
 
+/// A decoded pivot-partition key: subpartition is -1 for plain pivot keys
+/// (EncodePivotKey), >= 0 for a split pivot's sub-partition keys
+/// (EncodeSubpartitionKey, src/dist/partition_plan.h).
+struct PivotKeyParts {
+  ItemId pivot = kNoItem;
+  int subpartition = -1;
+};
+
+/// The one pivot-key parser: varint(pivot)[ + varint(subpartition)].
+/// Returns false, without throwing, unless the bytes are exactly such a
+/// key with a real pivot (kNoItem names no partition).
+bool TryDecodePivotKeyParts(std::string_view key, PivotKeyParts* parts);
+
 /// Decodes a key written by EncodePivotKey. Throws std::invalid_argument on
-/// malformed keys (they never cross a trust boundary, but the shuffle is
-/// serialized end-to-end and decoding errors should fail loudly).
+/// malformed keys, on pivot kNoItem and on sub-partition keys (they never
+/// cross a trust boundary, but the shuffle is serialized end-to-end and
+/// decoding errors should fail loudly: a reduce handed kNoItem would mine
+/// an unrestricted store, i.e. other partitions' patterns).
 ItemId DecodePivotKey(std::string_view key);
 
 /// Appends the record encoding of one mined pattern: PutSequence(pattern) to

@@ -218,19 +218,15 @@ namespace {
 // The map function shared by the single-round miner, the chained recount
 // driver, and the plan-driven balanced miner. The returned closure captures
 // `db`, `fst`, `dict`, `options` (and `plan`, when given) by reference;
-// callers keep them alive for the round. The recount driver passes its
-// cross-round CachedDatabase so round 2 is served from the round-1 cache;
-// the balanced miner passes its PartitionPlan so pivots the plan split ship
-// under range-split sub-partition keys.
+// callers keep them alive for the round. The balanced miner passes its
+// PartitionPlan so pivots the plan split ship under range-split
+// sub-partition keys.
 MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
                     const Dictionary& dict, const DSeqOptions& options,
-                    CachedDatabase* cached_db = nullptr,
                     const PartitionPlan* plan = nullptr) {
-  return [&db, &fst, &dict, &options, cached_db, plan](size_t index,
-                                                       const EmitFn& emit) {
-    const Sequence& T =
-        cached_db != nullptr ? cached_db->Read(index) : db[index];
-    MapDSeqInput(T, fst, dict, options, emit, plan, index);
+  return [&db, &fst, &dict, &options, plan](size_t index,
+                                            const EmitFn& emit) {
+    MapDSeqInput(db[index], fst, dict, options, emit, plan, index);
   };
 }
 
@@ -290,16 +286,13 @@ DistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
                                   const Fst& fst,
                                   const Dictionary& dict,
                                   const DSeqRecountOptions& options) {
-  // Round 1 recounts the f-list and populates the cross-round cache; round
-  // 2 builds σ-pruned grids against it, reading the database from the cache
-  // instead of backing storage (Spark's RDD cache).
+  // Round 1 recounts the f-list; round 2 builds σ-pruned grids against it.
   DataflowJob job(options);
-  CachedDatabase cached_db(db);
-  Dictionary recounted = RecountFrequencies(
-      job, db, dict, options.recount_sample_every, &cached_db);
+  Dictionary recounted =
+      RecountFrequencies(job, db, dict, options.recount_sample_every);
   return MakeChainedResult(
       RunMiningRound(job, db.size(),
-                     MakeDSeqMapFn(db, fst, recounted, options, &cached_db),
+                     MakeDSeqMapFn(db, fst, recounted, options),
                      options.aggregate_sequences,
                      MakeDSeqReduceFn(fst, recounted, options)),
       job);
@@ -322,14 +315,15 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
   // would ship per pivot and pack it onto the configured reducers.
   std::vector<PartitionStats> stats = ComputePartitionStats(
       db, fst, dict, options.sigma, options.num_map_workers);
-  PartitionPlanOptions plan_options = options.plan;
+  PartitionPlanOptions plan_options;
   plan_options.num_reducers = ClampWorkers(options.num_reduce_workers);
+  plan_options.split_factor = options.split_factor;
   PartitionPlan plan = BuildPartitionPlan(stats, db.size(), plan_options);
   if (plan_out != nullptr) *plan_out = plan;
 
-  ChainedDataflowOptions chained = options;
-  chained.partitioner = plan.MakePartitioner();
-  DataflowJob job(chained);
+  DataflowOptions planned = options;
+  planned.partitioner = plan.MakePartitioner();
+  DataflowJob job(planned);
 
   // Mining round. Unsplit partitions finish here exactly as in MineDSeq.
   // Sub-partitions of a split pivot see only a slice of the pivot's
@@ -360,7 +354,7 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
     }
   };
   job.RunRound(db.size(),
-               MakeDSeqMapFn(db, fst, dict, options, nullptr, &plan),
+               MakeDSeqMapFn(db, fst, dict, options, &plan),
                options.aggregate_sequences, reduce);
 
   // Partition the boundary records by tag: finished patterns are final,

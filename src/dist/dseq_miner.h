@@ -106,18 +106,17 @@ struct DSeqRecountOptions : DSeqOptions {
 /// Two-round chained D-SEQ: round 1 recounts the item document frequencies
 /// on the dataflow, round 2 runs the D-SEQ map/shuffle/reduce with grids
 /// σ-pruned by the recounted f-list. Item ids (and with them pivots) stay
-/// fixed; only pruning decisions see the new counts. Budgets follow
-/// DistributedRunOptions: shuffle_budget_bytes bounds each round,
-/// cumulative_shuffle_budget_bytes the whole chain.
+/// fixed; only pruning decisions see the new counts. shuffle_budget_bytes
+/// bounds each round.
 DistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
                                   const Fst& fst,
                                   const Dictionary& dict,
                                   const DSeqRecountOptions& options);
 
 struct DSeqBalanceOptions : DSeqOptions {
-  /// Planning knobs (plan.num_reducers is overridden by
-  /// num_reduce_workers — the plan always packs for the actual run).
-  PartitionPlanOptions plan;
+  /// PartitionPlanOptions::split_factor of the plan; the plan always packs
+  /// for num_reduce_workers.
+  double split_factor = 1.0;
 };
 
 /// Plan-driven D-SEQ (ROADMAP "partition balance actions"): measures the

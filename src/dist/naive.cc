@@ -41,17 +41,11 @@ namespace {
 
 // Map/reduce phases shared by the single-round miner and the chained
 // recount driver. The returned closures capture `db`, `fst`, `dict`, and
-// `options` by reference; callers keep them alive for the round. The
-// recount driver passes its cross-round CachedDatabase so round 2 is served
-// from the round-1 cache.
+// `options` by reference; callers keep them alive for the round.
 MapFn MakeNaiveMapFn(const std::vector<Sequence>& db, const Fst& fst,
-                     const Dictionary& dict, const NaiveOptions& options,
-                     CachedDatabase* cached_db = nullptr) {
-  return [&db, &fst, &dict, &options, cached_db](size_t index,
-                                                 const EmitFn& emit) {
-    const Sequence& T =
-        cached_db != nullptr ? cached_db->Read(index) : db[index];
-    MapNaiveInput(T, fst, dict, options, emit);
+                     const Dictionary& dict, const NaiveOptions& options) {
+  return [&db, &fst, &dict, &options](size_t index, const EmitFn& emit) {
+    MapNaiveInput(db[index], fst, dict, options, emit);
   };
 }
 
@@ -94,16 +88,13 @@ DistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
                                    const Fst& fst,
                                    const Dictionary& dict,
                                    const NaiveRecountOptions& options) {
-  // Round 1 recounts the f-list and populates the cross-round cache; round
-  // 2 prunes with the recounted counts, reading the database from the cache
-  // instead of backing storage (Spark's RDD cache).
+  // Round 1 recounts the f-list; round 2 prunes with the recounted counts.
   DataflowJob job(options);
-  CachedDatabase cached_db(db);
-  Dictionary recounted = RecountFrequencies(
-      job, db, dict, options.recount_sample_every, &cached_db);
+  Dictionary recounted =
+      RecountFrequencies(job, db, dict, options.recount_sample_every);
   return MakeChainedResult(
       RunMiningRound(job, db.size(),
-                     MakeNaiveMapFn(db, fst, recounted, options, &cached_db),
+                     MakeNaiveMapFn(db, fst, recounted, options),
                      /*combine=*/true, MakeNaiveReduceFn(options)),
       job);
 }

@@ -57,9 +57,8 @@ struct NaiveRecountOptions : NaiveOptions {
 
 /// Two-round chained NAIVE/SEMI-NAIVE: round 1 recounts the item document
 /// frequencies on the dataflow (the f-list job real deployments run first),
-/// round 2 mines with the recounted f-list. Budgets follow
-/// DistributedRunOptions: shuffle_budget_bytes bounds each round,
-/// cumulative_shuffle_budget_bytes the whole chain.
+/// round 2 mines with the recounted f-list. shuffle_budget_bytes bounds each
+/// round.
 DistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
                                    const Fst& fst,
                                    const Dictionary& dict,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "src/dist/distributed.h"
@@ -11,31 +10,6 @@
 #include "src/util/varint.h"
 
 namespace dseq {
-
-namespace {
-
-// Parses varint(pivot)[ + varint(subpartition)] without throwing. Returns
-// false if the bytes are not a well-formed pivot / sub-partition key.
-bool TryDecodePivotKeyParts(std::string_view key, PivotKeyParts* parts) {
-  size_t pos = 0;
-  uint64_t pivot = 0;
-  if (!GetVarint(key, &pos, &pivot) || pivot == kNoItem ||
-      pivot > std::numeric_limits<ItemId>::max()) {
-    return false;
-  }
-  parts->pivot = static_cast<ItemId>(pivot);
-  parts->subpartition = -1;
-  if (pos == key.size()) return true;
-  uint64_t sub = 0;
-  if (!GetVarint(key, &pos, &sub) || pos != key.size() ||
-      sub > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return false;
-  }
-  parts->subpartition = static_cast<int>(sub);
-  return true;
-}
-
-}  // namespace
 
 std::string EncodeSubpartitionKey(ItemId pivot, int subpartition) {
   std::string key = EncodePivotKey(pivot);

@@ -100,14 +100,9 @@ PartitionPlan BuildPartitionPlan(const std::vector<PartitionStats>& stats,
 /// EncodePivotKey coding.
 std::string EncodeSubpartitionKey(ItemId pivot, int subpartition);
 
-/// A decoded pivot-partition key: subpartition is -1 for plain pivot keys.
-struct PivotKeyParts {
-  ItemId pivot = kNoItem;
-  int subpartition = -1;
-};
-
-/// Decodes EncodePivotKey / EncodeSubpartitionKey keys. Throws
-/// std::invalid_argument on malformed keys.
+/// Decodes EncodePivotKey / EncodeSubpartitionKey keys
+/// (TryDecodePivotKeyParts). Throws std::invalid_argument on malformed
+/// keys.
 PivotKeyParts DecodePivotKeyParts(std::string_view key);
 
 /// Balance summary of the plan's projected per-reducer loads (the planning

@@ -83,8 +83,8 @@ std::string RenderBlock(const std::string& prefix, const DataflowMetrics& m,
     out.append(" workers respawned, ");
     AppendUint(&out, m.proc_segment_chunks);
     out.append(" segment chunks, ");
-    AppendUint(&out, m.proc_parked_tails);
-    out.append(" parked tails\n");
+    AppendUint(&out, m.proc_parked_segments);
+    out.append(" parked segments\n");
   }
   return out;
 }
@@ -104,11 +104,6 @@ std::string RenderStats(const std::vector<DataflowMetrics>& rounds,
   }
   out.append(RenderBlock(rounds.size() == 1 ? "run" : "total", total,
                          proc_backend));
-  out.append("input reads: ");
-  AppendUint(&out, total.input_storage_reads);
-  out.append(" from storage, ");
-  AppendUint(&out, total.input_cache_hits);
-  out.append(" from the round-1 cache\n");
   return out;
 }
 
@@ -136,14 +131,12 @@ std::string DataflowMetricsJson(const DataflowMetrics& m, bool proc_backend) {
   field_u("spill_files", m.spill_files);
   field_u("spill_bytes_written", m.spill_bytes_written);
   field_u("spill_merge_passes", m.spill_merge_passes);
-  field_u("input_storage_reads", m.input_storage_reads);
-  field_u("input_cache_hits", m.input_cache_hits);
   field_u("proc_task_attempts", m.proc_task_attempts);
   field_u("proc_task_retries", m.proc_task_retries);
   field_u("proc_worker_kills", m.proc_worker_kills);
   field_u("proc_workers_respawned", m.proc_workers_respawned);
   field_u("proc_segment_chunks", m.proc_segment_chunks);
-  field_u("proc_parked_tails", m.proc_parked_tails);
+  field_u("proc_parked_segments", m.proc_parked_segments);
   out.append(",\"reducer_bytes\":[");
   for (size_t i = 0; i < m.reducer_bytes.size(); ++i) {
     if (i > 0) out.push_back(',');

@@ -28,13 +28,11 @@ namespace obs {
 ///             compressed N bytes, reducer max/mean X.XX
 ///   <prefix> spill: N runs, N bytes written, N merge passes
 ///   <prefix> proc: N task attempts (N retries), N stall kills, N workers
-///             respawned, N segment chunks, N parked tails
+///             respawned, N segment chunks, N parked segments
 ///
 /// The report is one block per round ("round 1", ...) only when there is
 /// more than one round, then the field-wise sum ("run" for one round,
-/// "total" otherwise), then the summed input reads:
-///
-///   input reads: N from storage, N from the round-1 cache
+/// "total" otherwise).
 ///
 /// Under the local backend the proc line renders as
 /// `<prefix> proc: n/a (local backend)`; a reducer-balance ratio without

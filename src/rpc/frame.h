@@ -54,7 +54,6 @@ enum class MsgType : uint8_t {
   /// Payload: varint(task) varint(map_output_records) varint(shuffle_records)
   /// varint(shuffle_bytes) varint(shuffle_compressed_bytes)
   /// varint(spill_files) varint(spill_bytes_written) varint(spill_merge_passes)
-  /// varint(input_storage_reads) varint(input_cache_hits)
   /// varint(num_reducers) num_reducers * varint(reducer_bytes[r]).
   kMapDone = 4,
   /// coordinator -> worker: varint(reducer) varint(num_segments) — reduce

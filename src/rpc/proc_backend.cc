@@ -33,6 +33,7 @@
 #include "src/spill/memory_budget.h"
 #include "src/spill/spill_file.h"
 #include "src/util/block_codec.h"
+#include "src/util/check.h"
 #include "src/util/sync.h"
 #include "src/util/thread_pool.h"
 #include "src/util/varint.h"
@@ -170,6 +171,48 @@ bool ForEachSegmentFrame(uint64_t task, uint64_t reducer, uint64_t kind,
   seg.append(bytes.data(), bytes.size());
   return emit(seg);
 }
+
+// Reassembles logical segments from kSegment frames, on both ends of the
+// transport: kSegmentPart chunks accumulate until the frame carrying the
+// real kind terminates them. Chunks of one segment are never interleaved
+// with another segment's (see MsgType::kSegment), so a chunk or terminator
+// naming a different (task, reducer) than the open chunks is a protocol
+// error.
+class SegmentAssembler {
+ public:
+  /// Feeds one parsed frame. Returns true when it completes a segment,
+  /// whose bytes are then in `*full`.
+  bool Add(const SegmentHeader& h, std::string* full) {
+    if (open_ && (task_ != h.task || reducer_ != h.reducer)) {
+      ProtocolError(h.kind == kSegmentPart
+                        ? "interleaved segment chunks"
+                        : "segment chunk terminator mismatch");
+    }
+    if (h.kind == kSegmentPart) {
+      open_ = true;
+      task_ = h.task;
+      reducer_ = h.reducer;
+      bytes_.append(h.bytes.data(), h.bytes.size());
+      return false;
+    }
+    *full = std::move(bytes_);
+    Reset();
+    full->append(h.bytes.data(), h.bytes.size());
+    return true;
+  }
+
+  /// Drops any open chunks (a new task, or a dead worker's stream).
+  void Reset() {
+    open_ = false;
+    std::string().swap(bytes_);
+  }
+
+ private:
+  bool open_ = false;
+  uint64_t task_ = 0;
+  uint64_t reducer_ = 0;
+  std::string bytes_;
+};
 
 // Heartbeat cadence: a fraction of the stall timeout, so a slow-but-working
 // task always beats well inside the kill window. 0 disables heartbeats.
@@ -395,8 +438,6 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
   PutVarint(&done, spill_stats.files.load(std::memory_order_relaxed));
   PutVarint(&done, spill_stats.bytes_written.load(std::memory_order_relaxed));
   PutVarint(&done, spill_stats.merge_passes.load(std::memory_order_relaxed));
-  PutVarint(&done, shard.input_storage_reads);
-  PutVarint(&done, shard.input_cache_hits);
   PutVarint(&done, reduce_workers);
   for (uint64_t bytes : shard.reducer_bytes) PutVarint(&done, bytes);
   // Close the task span, then ship the observability snapshot ahead of the
@@ -435,8 +476,7 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
   // sending, then reads it as this task's kError instead of a connection
   // dropped mid-send.
   std::exception_ptr failure;
-  std::string parts;  // pending kSegmentPart chunks of the current segment
-  bool part_open = false;
+  SegmentAssembler assembler;
   const int64_t stream_start_ns = obs::NowNs();
   for (uint64_t i = 0; i < num_segments;) {
     MsgType type;
@@ -451,18 +491,8 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
     if (type != MsgType::kSegment) ProtocolError("expected a segment frame");
     SegmentHeader h = ParseSegment(frame);
     if (h.reducer != reducer) ProtocolError("segment for the wrong reducer");
-    if (h.kind == kSegmentPart) {
-      part_open = true;
-      parts.append(h.bytes.data(), h.bytes.size());
-      continue;
-    }
     std::string full;
-    if (part_open) {
-      full = std::move(parts);
-      parts = std::string();
-      part_open = false;
-    }
-    full.append(h.bytes.data(), h.bytes.size());
+    if (!assembler.Add(h, &full)) continue;
     if (failure == nullptr) {
       try {
         if (sources.empty() || h.task != source_task) {
@@ -497,7 +527,6 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
     progress.fetch_add(1, std::memory_order_relaxed);
     ++i;
   }
-  if (part_open) ProtocolError("unterminated segment chunk stream");
   obs::EmitSpan("worker", "segment_stream", stream_start_ns, obs::NowNs());
   if (failure != nullptr) std::rethrow_exception(failure);
 
@@ -604,19 +633,29 @@ int WorkerBody(int ordinal, uint16_t port, const MapFn& map_fn, bool combine,
 // ---------------------------------------------------------------------------
 // Coordinator side.
 
-// One committed shuffle segment held between the phases. Run segments are
-// parked in spill files (they only exist when a spill directory is
-// configured, and they can dominate the shuffle volume); tails stay in
-// memory like the local backend's resident buckets, unless they exceed
-// proc_tail_park_bytes — then they are parked on disk too.
+// One shuffle segment held between the phases: its bytes in memory,
+// charged to the coordinator's MemoryBudget, or parked in a spill file
+// (Coordinator::StoreSegment decides). Move-only; destroying it — a
+// discarded stage, a re-executed task's replaced output, the end of the
+// round — releases its charge.
 struct StoredSegment {
-  uint64_t kind = 0;
-  std::string bytes;
-  std::unique_ptr<SpillFile> file;
-
-  std::string Bytes() const {
-    return file != nullptr ? ReadFileBytes(file->path()) : bytes;
+  StoredSegment() = default;
+  StoredSegment(StoredSegment&& other) noexcept
+      : kind(other.kind),
+        bytes(std::move(other.bytes)),
+        file(std::move(other.file)),
+        budget(other.budget),
+        charged(std::exchange(other.charged, 0)) {}
+  StoredSegment& operator=(StoredSegment&&) = delete;
+  ~StoredSegment() {
+    if (charged > 0) budget->Release(charged);
   }
+
+  uint64_t kind = 0;
+  std::string bytes;                // held in memory, or
+  std::unique_ptr<SpillFile> file;  // parked on disk
+  MemoryBudget* budget = nullptr;
+  uint64_t charged = 0;
 };
 
 class Coordinator {
@@ -630,7 +669,8 @@ class Coordinator {
         options_(options),
         map_tasks_(ClampWorkers(options.num_map_workers)),
         reduce_tasks_(ClampWorkers(options.num_reduce_workers)),
-        max_attempts_(std::max(1, options.proc_max_task_attempts)) {
+        max_attempts_(std::max(1, options.proc_max_task_attempts)),
+        budget_(options.memory_budget_bytes) {
     // Sized here, not via a fill constructor: StoredSegment is move-only
     // (it owns its parked SpillFile), and vector's fill path copies.
     for (auto& per_task : store_) {
@@ -638,7 +678,13 @@ class Coordinator {
     }
   }
 
-  ~Coordinator() { Cleanup(); }
+  ~Coordinator() {
+    Cleanup();
+    // Every held segment releases its charge when it dies.
+    store_.clear();
+    workers_.clear();
+    DSEQ_DCHECK_EQ(budget_.used_bytes(), 0u);
+  }
 
   RoundResult Run() {
     rpc::IgnoreSigPipe();
@@ -677,7 +723,7 @@ class Coordinator {
     m.proc_worker_kills = kills_;
     m.proc_workers_respawned = respawns_;
     m.proc_segment_chunks = segment_chunks_;
-    m.proc_parked_tails = parked_tails_;
+    m.proc_parked_segments = parked_segments_;
     size_t total = 0;
     for (const auto& records : reduce_records_) total += records.size();
     result.records.reserve(total);
@@ -708,11 +754,7 @@ class Coordinator {
     // Segments of the in-flight map task, discarded if the worker dies
     // before kMapDone commits them.
     std::vector<std::pair<int, StoredSegment>> staged;
-    // Reassembly buffer for kSegmentPart continuation chunks.
-    bool part_open = false;
-    uint64_t part_task = 0;
-    uint64_t part_reducer = 0;
-    std::string part_bytes;
+    SegmentAssembler assembler;
   };
 
   // Per-task retry bookkeeping of the current phase.
@@ -734,11 +776,6 @@ class Coordinator {
       if (w.respawn_pending || w.spawning) return true;
     }
     return false;
-  }
-
-  static void ResetPartBuffer(Worker& w) {
-    w.part_open = false;
-    std::string().swap(w.part_bytes);
   }
 
   void Spawn() {
@@ -892,7 +929,7 @@ class Coordinator {
   void MarkDead(Worker& w, std::deque<int>* pending, const std::string& reason) {
     w.conn.reset();
     w.staged.clear();
-    ResetPartBuffer(w);
+    w.assembler.Reset();
     int task = w.task;
     w.task = -1;
     ScheduleRespawn(w);
@@ -959,7 +996,7 @@ class Coordinator {
         w.task = pending.front();
         pending.pop_front();
         w.staged.clear();
-        ResetPartBuffer(w);
+        w.assembler.Reset();
         TaskState& ts = task_state_[w.task];
         ++ts.attempts;
         ++attempts_total_;
@@ -1050,7 +1087,7 @@ class Coordinator {
               ++done;
               w.task = -1;
               w.staged.clear();
-              ResetPartBuffer(w);
+              w.assembler.Reset();
             }
           }
           if (!io_ok) {
@@ -1105,56 +1142,17 @@ class Coordinator {
           h.reducer >= static_cast<uint64_t>(reduce_tasks_)) {
         ProtocolError("segment outside the worker's in-flight task");
       }
-      if (h.kind == kSegmentPart) {
-        if (w.part_open &&
-            (w.part_task != h.task || w.part_reducer != h.reducer)) {
-          ProtocolError("interleaved segment chunks");
-        }
-        w.part_open = true;
-        w.part_task = h.task;
-        w.part_reducer = h.reducer;
-        w.part_bytes.append(h.bytes.data(), h.bytes.size());
-        ++segment_chunks_;
-        return false;
-      }
+      if (h.kind == kSegmentPart) ++segment_chunks_;
       std::string full;
-      if (w.part_open) {
-        if (w.part_task != h.task || w.part_reducer != h.reducer) {
-          ProtocolError("segment chunk terminator mismatch");
-        }
-        full = std::move(w.part_bytes);
-        ResetPartBuffer(w);
-      }
-      full.append(h.bytes.data(), h.bytes.size());
+      if (!w.assembler.Add(h, &full)) return false;
       static obs::Histogram& seg_bytes_hist =
           obs::GetHistogram("proc.segment_bytes");
       if (obs::Enabled()) seg_bytes_hist.Observe(full.size());
-      StoredSegment seg;
-      seg.kind = h.kind;
-      if (h.kind == kSegmentRun) {
-        if (options_.spill_dir.empty()) {
-          ProtocolError("run segment without a spill directory");
-        }
-        // Park run bytes on disk: the SpillFile doubles as the shuffle
-        // segment store, and a discarded stage cleans itself up via RAII.
-        seg.file = std::make_unique<SpillFile>(
-            SpillFile::Create(options_.spill_dir));
-        seg.file->Append(full.data(), full.size());
-        seg.file->FinishWrite();
-      } else if (!options_.spill_dir.empty() &&
-                 options_.proc_tail_park_bytes > 0 &&
-                 full.size() >= options_.proc_tail_park_bytes) {
-        // Large staged tail: park it on disk instead of holding the bytes
-        // resident until the reduce phase replays them.
-        seg.file = std::make_unique<SpillFile>(
-            SpillFile::Create(options_.spill_dir));
-        seg.file->Append(full.data(), full.size());
-        seg.file->FinishWrite();
-        ++parked_tails_;
-      } else {
-        seg.bytes = std::move(full);
+      if (h.kind == kSegmentRun && options_.spill_dir.empty()) {
+        ProtocolError("run segment without a spill directory");
       }
-      w.staged.emplace_back(static_cast<int>(h.reducer), std::move(seg));
+      w.staged.emplace_back(static_cast<int>(h.reducer),
+                            StoreSegment(h.kind, std::move(full)));
       return false;
     }
     if (type == MsgType::kMapDone) {
@@ -1173,8 +1171,6 @@ class Coordinator {
       RequireVarint(payload, &pos, &report.spill_files, "map-done");
       RequireVarint(payload, &pos, &report.spill_bytes_written, "map-done");
       RequireVarint(payload, &pos, &report.spill_merge_passes, "map-done");
-      RequireVarint(payload, &pos, &report.input_storage_reads, "map-done");
-      RequireVarint(payload, &pos, &report.input_cache_hits, "map-done");
       uint64_t num_reducers = 0;
       RequireVarint(payload, &pos, &num_reducers, "map-done reducer count");
       if (num_reducers != static_cast<uint64_t>(reduce_tasks_)) {
@@ -1213,6 +1209,31 @@ class Coordinator {
     ProtocolError("unexpected frame during the map phase");
   }
 
+  // Holds a segment in memory while the round's budget has room for it and
+  // parks it in a spill file otherwise. Without a spill directory it is
+  // held regardless (ForceCharge), so the budget never fails the
+  // coordinator; budget 0 holds everything, like the local backend.
+  StoredSegment StoreSegment(uint64_t kind, std::string bytes) {
+    StoredSegment seg;
+    seg.kind = kind;
+    const uint64_t size = bytes.size();
+    if (!budget_.TryCharge(size)) {
+      if (!options_.spill_dir.empty()) {
+        seg.file = std::make_unique<SpillFile>(
+            SpillFile::Create(options_.spill_dir));
+        seg.file->Append(bytes.data(), size);
+        seg.file->FinishWrite();
+        ++parked_segments_;
+        return seg;
+      }
+      budget_.ForceCharge(size);
+    }
+    seg.bytes = std::move(bytes);
+    seg.budget = &budget_;
+    seg.charged = size;
+    return seg;
+  }
+
   bool SendReduceTask(Worker& w, int reducer) {
     // Covers the replay of every committed segment to the reduce worker.
     DSEQ_TRACE_SPAN("proc", "segment_replay");
@@ -1233,7 +1254,12 @@ class Coordinator {
     };
     for (int t = 0; t < map_tasks_; ++t) {
       for (const StoredSegment& s : store_[t][reducer]) {
-        std::string bytes = s.Bytes();
+        // Held bytes go out in place; a parked segment is read back whole.
+        std::string parked;
+        if (s.file != nullptr) parked = ReadFileBytes(s.file->path());
+        std::string_view bytes = s.file != nullptr
+                                     ? std::string_view(parked)
+                                     : std::string_view(s.bytes);
         if (!ForEachSegmentFrame(t, reducer, s.kind, bytes, emit,
                                  &segment_chunks_)) {
           return false;
@@ -1390,6 +1416,10 @@ class Coordinator {
   const int map_tasks_;
   const int reduce_tasks_;
   const int max_attempts_;
+  // The round's coordinator-side budget: every held segment in store_ and
+  // in a worker's stage is charged here (declared before both, so it
+  // outlives them).
+  MemoryBudget budget_;
 
   std::vector<Worker> workers_;
   int listen_fd_ = -1;
@@ -1416,7 +1446,7 @@ class Coordinator {
   uint64_t kills_ = 0;
   uint64_t respawns_ = 0;
   uint64_t segment_chunks_ = 0;
-  uint64_t parked_tails_ = 0;
+  uint64_t parked_segments_ = 0;
   // Every pid the round ever forked (for the orphan spill sweep) and
   // replaced-but-unreaped pids awaiting waitpid.
   std::vector<pid_t> all_pids_;

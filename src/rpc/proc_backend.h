@@ -17,7 +17,10 @@
 //      resident bucket tail, sorted at seal, in stored form (compressed iff
 //      compress_shuffle, like spill runs). kMapDone carries the task's raw
 //      shuffle metrics and commits its segments; the coordinator enforces
-//      the global shuffle budget on the committed sum.
+//      the global shuffle budget on the committed sum. It holds each
+//      segment in memory while its own memory_budget_bytes has room and
+//      parks it in a SpillFile otherwise (DataflowMetrics::
+//      proc_parked_segments).
 //   3. Reduce tasks replay each reducer's committed segments in map-task
 //      order — exactly the source order of the local reduce phase, so the
 //      one stable merge of RunReduceColumn yields byte-identical groups and

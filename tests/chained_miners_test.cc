@@ -5,6 +5,7 @@
 // exactly when the recount is unsampled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -102,24 +103,9 @@ TEST(ChainedPrefixSpanTest, LambdaZeroYieldsNothingInBothVariants) {
   EXPECT_EQ(chained.num_rounds(), 0u);
 }
 
-TEST(ChainedPrefixSpanTest, RespectsCumulativeBudget) {
-  SequenceDatabase db = testing::RandomDatabase(4500, 6, 40, 8);
-  PrefixSpanOptions options;
-  options.sigma = 1;
-  options.lambda = 4;
-  DistributedResult free_run =
-      MineChainedPrefixSpan(db.sequences, db.dict, options);
-  ASSERT_GT(free_run.num_rounds(), 1u);
-
-  options.cumulative_shuffle_budget_bytes =
-      free_run.metrics.shuffle_bytes - 1;
-  EXPECT_THROW(MineChainedPrefixSpan(db.sequences, db.dict, options),
-               ShuffleOverflowError);
-}
-
 TEST(RecountFrequenciesTest, ExactRecountMatchesDictionary) {
   SequenceDatabase db = testing::RandomDatabase(4600, 7, 50, 8);
-  DataflowJob job(ChainedDataflowOptions{});
+  DataflowJob job(DataflowOptions{});
   Dictionary recounted = RecountFrequencies(job, db.sequences, db.dict);
   ASSERT_EQ(recounted.size(), db.dict.size());
   for (ItemId w = 1; w <= db.dict.size(); ++w) {
@@ -145,7 +131,7 @@ TEST(RecountFrequenciesTest, SampledRecountScalesUp) {
   db.sequences.push_back({1, 2});
   db.Recode();
 
-  DataflowJob job(ChainedDataflowOptions{});
+  DataflowJob job(DataflowOptions{});
   Dictionary recounted =
       RecountFrequencies(job, db.sequences, db.dict, /*sample_every=*/2);
   for (ItemId w = 1; w <= db.dict.size(); ++w) {
@@ -164,7 +150,7 @@ TEST(RecountFrequenciesTest, SampledRecountScalesByTrueRatio) {
   for (int i = 0; i < 5; ++i) db.sequences.push_back({1});
   db.Recode();
 
-  DataflowJob job(ChainedDataflowOptions{});
+  DataflowJob job(DataflowOptions{});
   Dictionary recounted =
       RecountFrequencies(job, db.sequences, db.dict, /*sample_every=*/4);
   EXPECT_EQ(recounted.DocFrequency(1), 5u);
@@ -221,78 +207,32 @@ INSTANTIATE_TEST_SUITE_P(
                                          ".*(.)[.*(.)]{0,2}.*",
                                          ".*(i0^=)[.*(i1^=)]{0,2}.*")));
 
-TEST(RecountMinerTest, RoundTwoIsServedFromTheRoundOneCache) {
-  // The recount drivers read the database once from backing storage (round
-  // 1) and serve round 2 entirely from the cross-round cache.
+TEST(RecountMinerTest, ExactRecountReproducesMinersOnEveryExecution) {
+  // On threads and in the sequential simulation alike (there several map
+  // shards share one thread), both recount drivers mine what their
+  // single-round miners mine, and a result's metrics are its rounds' sum.
   SequenceDatabase db = testing::RandomDatabase(4900, 7, 40, 8);
   Fst fst = CompileFst(".*(.)[.*(.)]{0,2}.*", db.dict);
-  const uint64_t n = db.sequences.size();
-
-  DSeqRecountOptions dseq;
-  dseq.sigma = 2;
-  dseq.num_map_workers = 2;
-  dseq.num_reduce_workers = 2;
-  DistributedResult exact =
-      MineDSeqRecount(db.sequences, fst, db.dict, dseq);
-  EXPECT_EQ(exact.metrics.input_storage_reads, n);
-  EXPECT_EQ(exact.metrics.input_cache_hits, n);
-
-  NaiveRecountOptions naive;
-  naive.sigma = 2;
-  DistributedResult naive_run =
-      MineNaiveRecount(db.sequences, fst, db.dict, naive);
-  EXPECT_EQ(naive_run.metrics.input_storage_reads, n);
-  EXPECT_EQ(naive_run.metrics.input_cache_hits, n);
-
-  // Sampling: round 1 reads only the sampled sequences; round 2 hits the
-  // cache for those and goes to storage for the rest — every sequence is
-  // read from storage exactly once either way.
-  DSeqRecountOptions sampled = dseq;
-  sampled.recount_sample_every = 3;
-  DistributedResult sampled_run =
-      MineDSeqRecount(db.sequences, fst, db.dict, sampled);
-  uint64_t num_sampled = (n + 2) / 3;
-  EXPECT_EQ(sampled_run.metrics.input_storage_reads, n);
-  EXPECT_EQ(sampled_run.metrics.input_cache_hits, num_sampled);
-
-  // Single-round miners have no cache.
-  DistributedResult single = MineDSeq(db.sequences, fst, db.dict, dseq);
-  EXPECT_EQ(MineNaive(db.sequences, fst, db.dict, naive).patterns,
-            naive_run.patterns);
-  EXPECT_EQ(single.patterns, exact.patterns);
-  EXPECT_EQ(single.metrics.input_storage_reads, 0u);
-  EXPECT_EQ(single.metrics.input_cache_hits, 0u);
-}
-
-TEST(RecountMinerTest, ResultInputReadsAreTheRoundTotals) {
-  // Each map shard counts its own reads, on threads and in the sequential
-  // simulation alike (there several shards share one thread). The result's
-  // metrics are the field-wise sum of its rounds.
-  SequenceDatabase db = testing::RandomDatabase(4960, 7, 40, 8);
-  Fst fst = CompileFst(".*(.)[.*(.)]{0,2}.*", db.dict);
-  const uint64_t n = db.sequences.size();
   for (Execution execution : {Execution::kThreads, Execution::kSimulated}) {
-    DSeqRecountOptions options;
-    options.sigma = 2;
-    options.num_map_workers = 3;
-    options.num_reduce_workers = 2;
-    options.execution = execution;
-    DistributedResult result =
-        MineDSeqRecount(db.sequences, fst, db.dict, options);
-    ASSERT_EQ(result.num_rounds(), 2u);
-    uint64_t storage_reads = 0;
-    uint64_t cache_hits = 0;
-    for (const DataflowMetrics& round : result.round_metrics) {
-      storage_reads += round.input_storage_reads;
-      cache_hits += round.input_cache_hits;
-    }
-    EXPECT_EQ(result.metrics.input_storage_reads, storage_reads);
-    EXPECT_EQ(result.metrics.input_cache_hits, cache_hits);
-    // Round 1 fills the cache from storage; round 2 is served from it.
-    EXPECT_EQ(result.round_metrics[0].input_storage_reads, n);
-    EXPECT_EQ(result.round_metrics[0].input_cache_hits, 0u);
-    EXPECT_EQ(result.round_metrics[1].input_storage_reads, 0u);
-    EXPECT_EQ(result.round_metrics[1].input_cache_hits, n);
+    DSeqRecountOptions dseq;
+    dseq.sigma = 2;
+    dseq.num_map_workers = 3;
+    dseq.num_reduce_workers = 2;
+    dseq.execution = execution;
+    DistributedResult exact =
+        MineDSeqRecount(db.sequences, fst, db.dict, dseq);
+    EXPECT_EQ(exact.patterns,
+              MineDSeq(db.sequences, fst, db.dict, dseq).patterns);
+    ASSERT_EQ(exact.num_rounds(), 2u);
+    EXPECT_EQ(exact.metrics.shuffle_bytes,
+              exact.round_metrics[0].shuffle_bytes +
+                  exact.round_metrics[1].shuffle_bytes);
+
+    NaiveRecountOptions naive;
+    naive.sigma = 2;
+    naive.execution = execution;
+    EXPECT_EQ(MineNaiveRecount(db.sequences, fst, db.dict, naive).patterns,
+              MineNaive(db.sequences, fst, db.dict, naive).patterns);
   }
 }
 
@@ -320,7 +260,7 @@ TEST(RecountMinerTest, CompressionLeavesRecountResultsUnchanged) {
   EXPECT_GT(compressed.metrics.shuffle_compressed_bytes, 0u);
 }
 
-TEST(RecountMinerTest, MineNaiveRecountRespectsCumulativeBudget) {
+TEST(RecountMinerTest, MineNaiveRecountRespectsThePerRoundBudget) {
   SequenceDatabase db = testing::RandomDatabase(4800, 6, 40, 8);
   Fst fst = CompileFst(".*(.)[.*(.)]{0,2}.*", db.dict);
   NaiveRecountOptions options;
@@ -329,15 +269,15 @@ TEST(RecountMinerTest, MineNaiveRecountRespectsCumulativeBudget) {
       MineNaiveRecount(db.sequences, fst, db.dict, options);
   ASSERT_EQ(free_run.num_rounds(), 2u);
 
-  // A cumulative budget below the recount round's own volume dies in
-  // round 1; one below the two-round total dies in round 2.
+  // The budget bounds each round on its own: the larger round's volume
+  // lets the whole chain through, one byte less fails it.
+  const uint64_t largest = std::max(free_run.round_metrics[0].shuffle_bytes,
+                                    free_run.round_metrics[1].shuffle_bytes);
   NaiveRecountOptions tight = options;
-  tight.cumulative_shuffle_budget_bytes =
-      free_run.round_metrics[0].shuffle_bytes - 1;
-  EXPECT_THROW(MineNaiveRecount(db.sequences, fst, db.dict, tight),
-               ShuffleOverflowError);
-  tight.cumulative_shuffle_budget_bytes =
-      free_run.metrics.shuffle_bytes - 1;
+  tight.shuffle_budget_bytes = largest;
+  EXPECT_EQ(MineNaiveRecount(db.sequences, fst, db.dict, tight).patterns,
+            free_run.patterns);
+  tight.shuffle_budget_bytes = largest - 1;
   EXPECT_THROW(MineNaiveRecount(db.sequences, fst, db.dict, tight),
                ShuffleOverflowError);
 }

@@ -56,15 +56,15 @@ std::vector<uint64_t> ChaosSeeds() {
 }
 
 // One dataflow shape per seed (rotated): worker counts, compression,
-// out-of-core spilling, coordinator tail parking, and lowered segment-chunk
-// caps all change which protocol paths the faults land on.
+// out-of-core spilling, coordinator segment parking, and lowered
+// segment-chunk caps all change which protocol paths the faults land on.
 struct ChaosConfig {
   const char* name;
   int map_workers;
   int reduce_workers;
   bool compress = false;
-  bool spill = false;            // memory budget + spill dir in the workers
-  bool park_tails = false;       // coordinator-side tail parking
+  bool spill = false;   // memory budget + spill dir, workers and coordinator
+  bool parks = false;   // spill, and the fault-free proc run must park
   const char* chunk_bytes = nullptr;  // DSEQ_PROC_TEST_CHUNK_BYTES override
 };
 
@@ -74,7 +74,7 @@ const ChaosConfig kConfigs[] = {
     {"compress-3x3", 3, 3, /*compress=*/true},
     {"spill-2x2", 2, 2, false, /*spill=*/true},
     {"compress-spill-4x2", 4, 2, true, true},
-    {"park-tails-2x4", 2, 4, false, false, /*park_tails=*/true},
+    {"park-segments-2x4", 2, 4, false, /*spill=*/true, /*parks=*/true},
     {"chunked-3x3", 3, 3, false, false, false, "64"},
     {"compress-chunked-4x4", 4, 4, true, false, false, "128"},
 };
@@ -171,10 +171,7 @@ TEST(ChaosTest, MinerUnderSeededFaultsIsIdenticalOrFailsTyped) {
     options.num_map_workers = config.map_workers;
     options.num_reduce_workers = config.reduce_workers;
     options.compress_shuffle = config.compress;
-    if (config.spill || config.park_tails) {
-      options.spill_dir = spill_dir.path();
-    }
-    if (config.park_tails) options.proc_tail_park_bytes = 1;
+    if (config.spill) options.spill_dir = spill_dir.path();
 
     // Fault-free local reference for this config (run before any schedule
     // is installed — the local path shares the spill injection sites). For
@@ -194,6 +191,15 @@ TEST(ChaosTest, MinerUnderSeededFaultsIsIdenticalOrFailsTyped) {
     options.proc_worker_timeout_ms = 500;
     options.proc_max_task_attempts = 3;
     options.proc_round_deadline_ms = 60000;
+    if (config.parks) {
+      // The budget that makes the workers spill leaves the coordinator's
+      // memory short of the round's segments, so the faults below land on
+      // parked segments too.
+      DistributedResult fault_free =
+          MineDSeq(db.sequences, fst, db.dict, options);
+      EXPECT_EQ(fault_free.patterns, local.patterns);
+      EXPECT_GT(fault_free.metrics.proc_parked_segments, 0u);
+    }
 
     if (config.chunk_bytes != nullptr) {
       ASSERT_EQ(::setenv("DSEQ_PROC_TEST_CHUNK_BYTES", config.chunk_bytes, 1),

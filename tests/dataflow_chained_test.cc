@@ -1,6 +1,6 @@
 // Unit tests of the chained-round dataflow API (DataflowJob) and regression
 // tests pinning the shuffle-budget semantics: exact thresholds, where in the
-// round the budget trips, and per-round vs cumulative accounting.
+// round the budget trips, and that it bounds every round on its own.
 #include "src/dataflow/chained.h"
 
 #include <gtest/gtest.h>
@@ -42,7 +42,7 @@ ReduceFn SumReduce() {
 TEST(DataflowJobTest, RecordsFlowBetweenRounds) {
   // Round 1: word count. Round 2: re-key by first letter, sum again.
   std::vector<std::string> docs = {"apple ant bee", "bee apple", "ant"};
-  ChainedDataflowOptions options;
+  DataflowOptions options;
   options.num_map_workers = 2;
   options.num_reduce_workers = 2;
   DataflowJob job(options);
@@ -87,11 +87,10 @@ TEST(DataflowJobTest, RecordsFlowBetweenRounds) {
             rounds[0].shuffle_records + rounds[1].shuffle_records);
   EXPECT_EQ(aggregate.map_output_records,
             rounds[0].map_output_records + rounds[1].map_output_records);
-  EXPECT_EQ(job.cumulative_shuffle_bytes(), aggregate.shuffle_bytes);
 }
 
 TEST(DataflowJobTest, TakeRecordsConsumes) {
-  DataflowJob job(ChainedDataflowOptions{});
+  DataflowJob job(DataflowOptions{});
   MapFn map_fn = [](size_t, const EmitFn& emit) { emit("k", "v"); };
   ReduceFn pass = [](int, std::string_view key,
                      std::vector<std::string_view>& values,
@@ -106,7 +105,7 @@ TEST(DataflowJobTest, TakeRecordsConsumes) {
 }
 
 TEST(DataflowJobTest, EmptyChainedRoundRunsCleanly) {
-  DataflowJob job(ChainedDataflowOptions{});
+  DataflowJob job(DataflowOptions{});
   MapFn map_fn = [](size_t, const EmitFn& emit) { emit("k", Varint(1)); };
   // Reduce emits nothing: the chain's data ends here.
   ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
@@ -127,7 +126,7 @@ TEST(DataflowJobTest, EmptyChainedRoundRunsCleanly) {
 // One round shuffling a fixed set of records, no combiner. Returns its exact
 // shuffle volume when unbudgeted.
 uint64_t MeasureVolume() {
-  DataflowJob job(ChainedDataflowOptions{});
+  DataflowJob job(DataflowOptions{});
   MapFn map_fn = [](size_t i, const EmitFn& emit) {
     emit("key" + std::to_string(i), std::string(10, 'v'));
   };
@@ -209,7 +208,7 @@ TEST(ShuffleBudgetTest, PreCombineVolumeAboveBudgetDoesNotTrip) {
 // Chained job where each round shuffles the same fixed volume.
 class BudgetedChain {
  public:
-  explicit BudgetedChain(ChainedDataflowOptions options) : job_(options) {}
+  explicit BudgetedChain(const DataflowOptions& options) : job_(options) {}
 
   // Round 1 ships `kRecords` records; every chained round re-ships them.
   void RunSeedRound() {
@@ -241,54 +240,13 @@ class BudgetedChain {
 
 TEST(ShuffleBudgetTest, PerRoundBudgetResetsEachRound) {
   uint64_t volume = MeasureVolume();
-  ChainedDataflowOptions options;
+  DataflowOptions options;
   options.shuffle_budget_bytes = volume;  // exactly one round's volume
   BudgetedChain chain(options);
   chain.RunSeedRound();
   chain.RunEchoRound();
   chain.RunEchoRound();
-  EXPECT_EQ(chain.job().cumulative_shuffle_bytes(), 3 * volume);
-}
-
-TEST(ShuffleBudgetTest, CumulativeBudgetSpansRounds) {
-  uint64_t volume = MeasureVolume();
-  {
-    ChainedDataflowOptions options;
-    options.cumulative_shuffle_budget_bytes = 2 * volume;
-    BudgetedChain chain(options);
-    chain.RunSeedRound();
-    chain.RunEchoRound();  // exactly exhausts the budget
-    EXPECT_EQ(chain.job().cumulative_shuffle_bytes(), 2 * volume);
-    // Any further shuffled byte overflows, even though the per-round volume
-    // would be fine on its own.
-    EXPECT_THROW(chain.RunEchoRound(), ShuffleOverflowError);
-  }
-  {
-    ChainedDataflowOptions options;
-    options.cumulative_shuffle_budget_bytes = 2 * volume - 1;
-    BudgetedChain chain(options);
-    chain.RunSeedRound();
-    EXPECT_THROW(chain.RunEchoRound(), ShuffleOverflowError);
-  }
-  {
-    ChainedDataflowOptions options;
-    options.cumulative_shuffle_budget_bytes = volume - 1;
-    BudgetedChain chain(options);
-    EXPECT_THROW(chain.RunSeedRound(), ShuffleOverflowError);
-  }
-}
-
-TEST(ShuffleBudgetTest, PerRoundAndCumulativeCompose) {
-  uint64_t volume = MeasureVolume();
-  // Per-round allows each round; the cumulative budget ends the chain first.
-  ChainedDataflowOptions options;
-  options.shuffle_budget_bytes = volume;
-  options.cumulative_shuffle_budget_bytes = 2 * volume + volume / 2;
-  BudgetedChain chain(options);
-  chain.RunSeedRound();
-  chain.RunEchoRound();
-  EXPECT_THROW(chain.RunEchoRound(), ShuffleOverflowError);
-  EXPECT_EQ(chain.job().num_rounds(), 2u);
+  EXPECT_EQ(chain.job().aggregate_metrics().shuffle_bytes, 3 * volume);
 }
 
 }  // namespace

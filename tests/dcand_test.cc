@@ -5,6 +5,10 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/core/desq_dfs.h"
 #include "src/dict/sequence.h"
@@ -30,6 +34,29 @@ TEST(DCandTest, RunningExampleGolden) {
   Canonicalize(&expected);
   EXPECT_EQ(result.patterns, expected)
       << testing::Format(result.patterns, db.dict);
+}
+
+TEST(DCandTest, PartitionReduceRejectsTheNoItemPivotKey) {
+  // A reduce handed pivot kNoItem would mine its NFAs unrestricted, i.e.
+  // patterns that belong to other partitions; the key decoder rejects it.
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  DCandOptions options;
+  options.sigma = 1;
+  std::map<std::string, std::vector<std::string>> partitions;
+  for (const Sequence& T : db.sequences) {
+    MapDCandInput(T, fst, db.dict, options,
+                  [&](std::string_view key, std::string_view value) {
+                    partitions[std::string(key)].emplace_back(value);
+                  });
+  }
+  ASSERT_FALSE(partitions.empty());
+  for (const auto& [key, records] : partitions) {
+    std::vector<std::string_view> values(records.begin(), records.end());
+    EXPECT_FALSE(MineDCandPartition(key, values, options).empty());
+    EXPECT_THROW(MineDCandPartition(std::string(1, '\0'), values, options),
+                 std::invalid_argument);
+  }
 }
 
 TEST(DCandTest, AggregationReducesShuffleRecords) {

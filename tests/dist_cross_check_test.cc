@@ -150,6 +150,11 @@ TEST(DistributedHelpersTest, PivotKeyRoundTrip) {
   }
   EXPECT_THROW(DecodePivotKey(""), std::invalid_argument);
   EXPECT_THROW(DecodePivotKey(std::string(1, '\x80')), std::invalid_argument);
+  // Pivot kNoItem names no partition, and a sub-partition key (pivot 5,
+  // sub-partition 1) is no plain pivot key.
+  EXPECT_THROW(DecodePivotKey(std::string(1, '\0')), std::invalid_argument);
+  EXPECT_THROW(DecodePivotKey(EncodePivotKey(5) + EncodePivotKey(1)),
+               std::invalid_argument);
 }
 
 TEST(DistributedHelpersTest, PatternRecordRoundTrip) {

@@ -251,36 +251,29 @@ std::vector<std::string> Lines(const std::string& s) {
   return out;
 }
 
-TEST(StatsRenderTest, OneRoundReportIsTheRunBlockAndTheInputLine) {
+TEST(StatsRenderTest, OneRoundReportIsTheRunBlock) {
   DataflowMetrics m = SampleMetrics();
-  m.input_storage_reads = 7;
   std::vector<std::string> lines =
       Lines(obs::RenderStats({m}, /*proc_backend=*/false));
-  ASSERT_EQ(lines.size(), 4u);
+  ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[0].rfind("run: map 1.500s, reduce 0.500s, shuffle 4096", 0),
             0u);
   EXPECT_EQ(lines[1], "run spill: 2 runs, 2048 bytes written, 1 merge passes");
   EXPECT_EQ(lines[2], "run proc: n/a (local backend)");
-  EXPECT_EQ(lines[3], "input reads: 7 from storage, 0 from the round-1 cache");
 }
 
 TEST(StatsRenderTest, TwoRoundReportRendersPerRoundAndTotalBlocks) {
   DataflowMetrics first = SampleMetrics();
-  first.input_storage_reads = 10;
   DataflowMetrics second = SampleMetrics();
-  second.input_cache_hits = 5;
   std::string report =
       obs::RenderStats({first, second}, /*proc_backend=*/false);
-  EXPECT_EQ(Lines(report).size(), 10u);
+  EXPECT_EQ(Lines(report).size(), 9u);
   EXPECT_NE(report.find("round 1:"), std::string::npos);
   EXPECT_NE(report.find("round 2:"), std::string::npos);
   // The total block is the field-wise sum of the rounds.
   EXPECT_NE(report.find("total: map 3.000s, reduce 1.000s, shuffle 8192"),
             std::string::npos);
   EXPECT_EQ(report.find("run:"), std::string::npos);
-  EXPECT_NE(
-      report.find("input reads: 10 from storage, 5 from the round-1 cache"),
-      std::string::npos);
 }
 
 TEST(StatsRenderTest, LocalAndProcRenderTheSameFieldSet) {
@@ -304,6 +297,7 @@ TEST(StatsRenderTest, LocalAndProcRenderTheSameFieldSet) {
       // locally.
       EXPECT_NE(local[i].find("proc: n/a (local backend)"), std::string::npos);
       EXPECT_NE(proc[i].find("task attempts"), std::string::npos);
+      EXPECT_NE(proc[i].find("parked segments"), std::string::npos);
     }
   }
 }
@@ -314,6 +308,7 @@ TEST_F(ObsTest, MetricsReportJsonEmbedsDataflowAndRegistry) {
   std::string with = obs::MetricsReportJson(&m, /*proc_backend=*/true);
   EXPECT_NE(with.find("\"dataflow\":{"), std::string::npos);
   EXPECT_NE(with.find("\"backend\":\"proc\""), std::string::npos);
+  EXPECT_NE(with.find("\"proc_parked_segments\":0"), std::string::npos);
   EXPECT_NE(with.find("\"registry\":{"), std::string::npos);
   EXPECT_NE(with.find("\"test.report\":1"), std::string::npos);
   // Algorithms without dataflow metrics report an explicit null, not a

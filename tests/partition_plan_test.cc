@@ -182,7 +182,7 @@ TEST(MineDSeqBalancedTest, ByteIdenticalToHashAndBruteForce) {
 
         // Aggressive splitting (everything above a quarter of the fair
         // share) must not change results either.
-        balanced_options.plan.split_factor = 0.25;
+        balanced_options.split_factor = 0.25;
         PartitionPlan plan;
         EXPECT_EQ(MineDSeqBalanced(db.sequences, fst, db.dict,
                                    balanced_options, &plan)
@@ -209,7 +209,7 @@ TEST(MineDSeqBalancedTest, AggregatedSequencesStayIdentical) {
       MineDSeq(db.sequences, fst, db.dict, hash_options).patterns;
   DSeqBalanceOptions balanced_options;
   static_cast<DSeqOptions&>(balanced_options) = hash_options;
-  balanced_options.plan.split_factor = 0.5;
+  balanced_options.split_factor = 0.5;
   EXPECT_EQ(
       MineDSeqBalanced(db.sequences, fst, db.dict, balanced_options).patterns,
       expected);

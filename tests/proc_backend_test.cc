@@ -240,7 +240,7 @@ const std::vector<std::vector<std::string>>& PolicyInputs() {
 // inside the map before input i is processed. Returns the boundary records
 // and the round's metrics.
 std::pair<std::vector<Record>, DataflowMetrics> RunPolicyRound(
-    const ChainedDataflowOptions& options,
+    const DataflowOptions& options,
     std::function<void(size_t)> before = nullptr) {
   DataflowJob job(options);
   MapFn map_fn = [before](size_t i, const EmitFn& emit) {
@@ -264,7 +264,7 @@ TEST(ProcFailurePolicyTest, KilledWorkerIsReExecutedWithIdenticalResults) {
   // A pool of exactly one worker, so the kill leaves it empty: the round
   // can only finish if the coordinator respawns a replacement (with
   // backoff) and re-executes the task on it.
-  ChainedDataflowOptions options;
+  DataflowOptions options;
   options.num_map_workers = 1;
   options.num_reduce_workers = 1;
   auto [local_records, local_metrics] = RunPolicyRound(options);
@@ -295,7 +295,7 @@ TEST(ProcFailurePolicyTest, KilledWorkerIsReExecutedWithIdenticalResults) {
 }
 
 TEST(ProcFailurePolicyTest, CrashingTaskFailsAfterExactlyMaxAttempts) {
-  ChainedDataflowOptions options;
+  DataflowOptions options;
   options.num_map_workers = 2;
   options.num_reduce_workers = 2;
   options.backend = DataflowBackend::kProc;
@@ -320,7 +320,7 @@ TEST(ProcFailurePolicyTest, CrashingTaskFailsAfterExactlyMaxAttempts) {
 }
 
 TEST(ProcFailurePolicyTest, HeartbeatsKeepSlowWorkersAlive) {
-  ChainedDataflowOptions options;
+  DataflowOptions options;
   options.num_map_workers = 1;
   options.num_reduce_workers = 1;
   auto [local_records, local_metrics] = RunPolicyRound(options);
@@ -343,7 +343,7 @@ TEST(ProcFailurePolicyTest, HeartbeatsKeepSlowWorkersAlive) {
 }
 
 TEST(ProcFailurePolicyTest, HungTaskIsKilledAndExhaustsItsAttempts) {
-  ChainedDataflowOptions options;
+  DataflowOptions options;
   options.num_map_workers = 2;
   options.num_reduce_workers = 1;
   options.backend = DataflowBackend::kProc;
@@ -369,7 +369,7 @@ TEST(ProcFailurePolicyTest, HungTaskIsKilledAndExhaustsItsAttempts) {
 }
 
 TEST(ProcBackendTest, SegmentChunkingRoundTripsWithLoweredCap) {
-  ChainedDataflowOptions options;
+  DataflowOptions options;
   options.num_map_workers = 2;
   options.num_reduce_workers = 2;
   auto [local_records, local_metrics] = RunPolicyRound(options);
@@ -388,65 +388,45 @@ TEST(ProcBackendTest, SegmentChunkingRoundTripsWithLoweredCap) {
   EXPECT_GT(proc_metrics.proc_segment_chunks, 0u);
 }
 
-TEST(ProcBackendTest, LargeTailsAreParkedInSpillFilesAtTheCoordinator) {
-  ChainedDataflowOptions options;
+TEST(ProcBackendTest, SegmentsOverTheBudgetAreParkedAtTheCoordinator) {
+  DataflowOptions options;
   options.num_map_workers = 2;
   options.num_reduce_workers = 2;
   auto [local_records, local_metrics] = RunPolicyRound(options);
 
-  // With the parking threshold floored at one byte, every staged tail goes
-  // to a coordinator-side spill file instead of resident memory. Results
-  // and raw metrics are unchanged, and the temp dir must be empty again by
-  // destruction (ScopedTempDir asserts it).
+  // A 16-byte budget holds hardly any committed segment in the
+  // coordinator's memory: the rest are parked in spill files and read back
+  // at replay (the map workers spill under the same budget, so runs are
+  // parked too). Results and raw metrics are unchanged, and the temp dir
+  // is empty again afterwards.
   testing::ScopedTempDir dir;
   options.backend = DataflowBackend::kProc;
   options.spill_dir = dir.path();
-  options.proc_tail_park_bytes = 1;
+  options.memory_budget_bytes = 16;
   auto [proc_records, proc_metrics] = RunPolicyRound(options);
 
   EXPECT_EQ(local_records, proc_records);
   ExpectSameRawMetrics(local_metrics, proc_metrics);
-  EXPECT_GT(proc_metrics.proc_parked_tails, 0u);
+  EXPECT_GT(proc_metrics.proc_parked_segments, 0u);
+  EXPECT_EQ(testing::CountDirEntries(dir.path()), 0u);
 }
 
-TEST(ProcBackendTest, RecountCacheCountersMatchAcrossBackends) {
-  SequenceDatabase db = testing::RandomDatabase(4800, 7, 50, 8);
-  Fst fst = CompileFst(".*(.)[.*(.)]{0,2}.*", db.dict);
-  DSeqRecountOptions options;
-  options.sigma = 2;
+TEST(ProcBackendTest, NothingIsParkedWithoutAMemoryBudget) {
+  // Budget 0 is unlimited at the coordinator too: a spill directory alone
+  // parks nothing.
+  DataflowOptions options;
   options.num_map_workers = 2;
   options.num_reduce_workers = 2;
-  DistributedResult local =
-      MineDSeqRecount(db.sequences, fst, db.dict, options);
-  options.backend = DataflowBackend::kProc;
-  DistributedResult proc =
-      MineDSeqRecount(db.sequences, fst, db.dict, options);
+  auto [local_records, local_metrics] = RunPolicyRound(options);
 
-  EXPECT_EQ(local.patterns, proc.patterns);
-  // Both backends count reads in the shared map-shard body, so every
-  // database read shows up once per (round, index) either way. The round-1
-  // cache does not survive the fork boundary, which only shifts proc's
-  // round-2 reads from the hit column to the storage column.
-  const uint64_t n = db.sequences.size();
-  ASSERT_EQ(local.num_rounds(), 2u);
-  ASSERT_EQ(proc.num_rounds(), 2u);
-  for (size_t r = 0; r < 2; ++r) {
-    SCOPED_TRACE("round " + std::to_string(r + 1));
-    const DataflowMetrics& l = local.round_metrics[r];
-    const DataflowMetrics& p = proc.round_metrics[r];
-    EXPECT_EQ(l.input_storage_reads + l.input_cache_hits,
-              p.input_storage_reads + p.input_cache_hits);
-  }
-  EXPECT_EQ(local.round_metrics[1].input_cache_hits, n);
-  // The results' totals are the round sums on both backends.
-  for (const DistributedResult* result : {&local, &proc}) {
-    EXPECT_EQ(result->metrics.input_storage_reads,
-              result->round_metrics[0].input_storage_reads +
-                  result->round_metrics[1].input_storage_reads);
-    EXPECT_EQ(result->metrics.input_cache_hits,
-              result->round_metrics[0].input_cache_hits +
-                  result->round_metrics[1].input_cache_hits);
-  }
+  testing::ScopedTempDir dir;
+  options.backend = DataflowBackend::kProc;
+  options.spill_dir = dir.path();
+  auto [proc_records, proc_metrics] = RunPolicyRound(options);
+
+  EXPECT_EQ(local_records, proc_records);
+  ExpectSameRawMetrics(local_metrics, proc_metrics);
+  EXPECT_EQ(proc_metrics.proc_parked_segments, 0u);
 }
 
 TEST(ProcBackendTest, ChainedMinersMatchAcrossBackends) {
@@ -464,12 +444,12 @@ TEST(ProcBackendTest, ChainedMinersMatchAcrossBackends) {
     }
   };
 
-  {
+  for (int workers : {2, 3}) {
     // Two-round recount chain (collect-and-broadcast between rounds).
     DSeqRecountOptions options;
     options.sigma = 2;
-    options.num_map_workers = 3;
-    options.num_reduce_workers = 3;
+    options.num_map_workers = workers;
+    options.num_reduce_workers = workers;
     DistributedResult local =
         MineDSeqRecount(db.sequences, fst, db.dict, options);
     options.backend = DataflowBackend::kProc;
@@ -485,7 +465,7 @@ TEST(ProcBackendTest, ChainedMinersMatchAcrossBackends) {
     options.sigma = 2;
     options.num_map_workers = 3;
     options.num_reduce_workers = 3;
-    options.plan.split_factor = 0.5;  // force splits
+    options.split_factor = 0.5;  // force splits
     DistributedResult local =
         MineDSeqBalanced(db.sequences, fst, db.dict, options);
     options.backend = DataflowBackend::kProc;
@@ -518,7 +498,7 @@ TEST(ProcBackendTest, DataflowJobRoundsMatchAcrossBackends) {
       {"d", "a", "c"}, {"e"},           {"a", "e"},
   };
   auto run = [&](DataflowBackend backend) {
-    ChainedDataflowOptions options;
+    DataflowOptions options;
     options.num_map_workers = 3;
     options.num_reduce_workers = 2;
     options.backend = backend;
@@ -613,7 +593,7 @@ TEST(ProcBackendTest, ValueOrderWithinKeysIsIdenticalAcrossBackends) {
   }
 
   testing::ScopedTempDir spill_dir;
-  auto run = [&](ChainedDataflowOptions options, DataflowBackend backend) {
+  auto run = [&](DataflowOptions options, DataflowBackend backend) {
     options.num_map_workers = 4;
     options.num_reduce_workers = 2;
     options.partitioner = [](std::string_view key, int) {
@@ -649,13 +629,13 @@ TEST(ProcBackendTest, ValueOrderWithinKeysIsIdenticalAcrossBackends) {
                            reduce_spans);
   };
 
-  ChainedDataflowOptions in_memory;
-  ChainedDataflowOptions compressed;
+  DataflowOptions in_memory;
+  DataflowOptions compressed;
   compressed.compress_shuffle = true;
-  ChainedDataflowOptions budgeted;
+  DataflowOptions budgeted;
   budgeted.memory_budget_bytes = kBudget;
   budgeted.spill_dir = spill_dir.path();
-  const std::vector<std::pair<const char*, ChainedDataflowOptions>> configs = {
+  const std::vector<std::pair<const char*, DataflowOptions>> configs = {
       {"in-memory", in_memory},
       {"compressed", compressed},
       {"budgeted", budgeted},

@@ -560,14 +560,10 @@ TEST(EngineSpillTest, MidRoundFailureLeavesSpillDirEmpty) {
   EXPECT_EQ(CountDirEntries(dir.path()), 0u);
   EXPECT_EQ(ShuffleBufferLiveBytes(), 0u);
 
-  // Same hygiene when a *chained* job trips its cumulative shuffle budget
-  // mid-round while spilling is enabled.
-  ChainedDataflowOptions chained_options;
-  chained_options.num_map_workers = 2;
-  chained_options.num_reduce_workers = 2;
-  chained_options.memory_budget_bytes = 256;
-  chained_options.spill_dir = dir.path();
-  chained_options.cumulative_shuffle_budget_bytes = 1;  // trips immediately
+  // Same hygiene when a *chained* job trips its shuffle budget mid-round
+  // while spilling is enabled.
+  DataflowOptions chained_options = options;
+  chained_options.shuffle_budget_bytes = 1;  // trips immediately
   DataflowJob job(chained_options);
   ReduceFn chain_reduce = [](int, std::string_view,
                              std::vector<std::string_view>&,
@@ -580,7 +576,7 @@ TEST(EngineSpillTest, MidRoundFailureLeavesSpillDirEmpty) {
 
 TEST(ChainedSpillTest, PerRoundSpillMetricsAggregate) {
   ScopedSpillDir dir;
-  ChainedDataflowOptions options;
+  DataflowOptions options;
   options.num_map_workers = 2;
   options.num_reduce_workers = 2;
   options.memory_budget_bytes = SpillTestBudget(256);

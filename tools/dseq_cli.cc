@@ -16,9 +16,7 @@
 // Iterative (multi-round) jobs: --recount prepends a distributed
 // frequency-recount round to naive/semi-naive/dseq, and
 // `--algorithm prefix-span-chained` grows PrefixSpan prefixes one shuffle
-// round at a time; --stats prints per-round metrics for both. Every
-// distributed run's --stats ends with its input-read line (database reads
-// served from storage vs. the recount drivers' round-1 cache). --compress
+// round at a time; --stats prints per-round metrics for both. --compress
 // runs the shuffle through the block codec; --stats then reports the
 // compressed volume next to the raw one. --balance (dseq only) measures the per-pivot
 // shuffle volume first and mines under a PartitionPlan — light pivots
@@ -495,7 +493,7 @@ int main(int argc, char** argv) {
     PartitionPlan plan;
     if (args.algorithm == "dseq" && args.balance) {
       auto options = RunOptions<DSeqBalanceOptions>(args, workers);
-      options.plan.split_factor = args.split_factor;
+      options.split_factor = args.split_factor;
       result = MineDSeqBalanced(db.sequences, fst, db.dict, options, &plan);
     } else if (args.algorithm == "dseq") {
       auto options = RunOptions<DSeqRecountOptions>(args, workers);

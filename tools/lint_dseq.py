@@ -56,6 +56,11 @@ the offending line or the line above it):
                        a StateGrid per sequence or an OutputNfa per record
                        only to mine it pays the per-edge allocations and the
                        label map the store removed.
+  env-knob             getenv in src/ — the library is configured through
+                       DataflowOptions and the miners' options structs,
+                       never the environment; the one exemption is the
+                       DSEQ_PROC_TEST_CHUNK_BYTES test hook read by
+                       MaxSegmentChunkBytes in src/rpc/proc_backend.cc.
   header-guard         src/ and tests/ headers must use the canonical
                        DSEQ_<PATH>_H_ include guard.
   header-self-contained (--check-headers) every header must compile on its
@@ -316,6 +321,26 @@ class Linter:
                 if pattern.search(line):
                     self.report(path, i, "dfs-input", message, raw_lines)
 
+    # Options structs are the library's one configuration surface. The
+    # exempt site is pinned by file and by the variable it reads (the raw
+    # line names it; the stripped line has the string blanked).
+    ENV_KNOB_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
+    ENV_KNOB_EXEMPT = ("src/rpc/proc_backend.cc",
+                       '"DSEQ_PROC_TEST_CHUNK_BYTES"')
+
+    def check_env_knob(self, path, raw_lines, code_lines):
+        if not path.startswith("src/"):
+            return
+        exempt_path, exempt_var = self.ENV_KNOB_EXEMPT
+        for i, line in enumerate(code_lines, start=1):
+            if not self.ENV_KNOB_RE.search(line):
+                continue
+            if path == exempt_path and exempt_var in raw_lines[i - 1]:
+                continue
+            self.report(path, i, "env-knob",
+                        "getenv in src/ — add a field to the options struct "
+                        "instead of an environment knob", raw_lines)
+
     def check_header_guard(self, path, raw_lines, code_lines):
         expected = "DSEQ_" + re.sub(r"[/.]", "_", path.upper()
                                     .removeprefix("SRC/")).rstrip("_") + "_"
@@ -346,6 +371,7 @@ class Linter:
         self.check_reduce_body(path, raw_lines, code_lines)
         self.check_round_entry(path, raw_lines, code_lines)
         self.check_dfs_input(path, raw_lines, code_lines)
+        self.check_env_knob(path, raw_lines, code_lines)
         if path.endswith(".h") and (path.startswith("src/") or
                                     path.startswith("tests/")):
             self.check_header_guard(path, raw_lines, code_lines)
@@ -504,6 +530,25 @@ SELFTEST_CASES = [
     ("dfs-input: DeserializeNfa comment is not a call",
      "src/dist/dcand_miner.cc",
      "// no DeserializeNfa(bytes) on this path\n", "dfs-input", 0),
+    # env-knob: no configuration through the environment in src/.
+    ("env-knob: getenv in src", "src/dataflow/engine.cc",
+     'const char* dir = std::getenv("DSEQ_SPILL_DIR");\n', "env-knob", 1),
+    ("env-knob: unqualified getenv in src", "src/dist/naive.cc",
+     'if (getenv ("DSEQ_BUDGET") != nullptr) {}\n', "env-knob", 1),
+    ("env-knob: the chunk-size test hook", "src/rpc/proc_backend.cc",
+     'const char* env = std::getenv("DSEQ_PROC_TEST_CHUNK_BYTES");\n',
+     "env-knob", 0),
+    ("env-knob: another variable in the exempt file",
+     "src/rpc/proc_backend.cc",
+     'const char* env = std::getenv("DSEQ_PROC_PARK");\n', "env-knob", 1),
+    ("env-knob: bench/ not in scope", "bench/common/bench_util.cc",
+     'const char* env = std::getenv("DSEQ_BENCH_SCALE");\n', "env-knob", 0),
+    ("env-knob: comment is not a call", "src/dataflow/engine.cc",
+     "// never std::getenv(\"X\") here\nint x = 0;\n", "env-knob", 0),
+    ("env-knob: string is not a call", "src/obs/stats.cc",
+     'const char* kMsg = "getenv(X) is banned";\n', "env-knob", 0),
+    ("env-knob: allow() escape", "src/foo/bar.cc",
+     'std::getenv("X");  // dseq-lint: allow(env-knob)\n', "env-knob", 0),
     # Regression cases for the pre-existing rules.
     ("naked-new fires in src", "src/foo/bar.cc",
      "int* p = new int(3);\n", "naked-new", 1),
