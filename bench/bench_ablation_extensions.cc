@@ -114,7 +114,8 @@ int main() {
   for (const Case& c : cases) {
     Fst fst = CompileFst(c.pattern, c.db->dict);
     std::vector<PartitionStats> stats = ComputePartitionStats(
-        c.db->sequences, fst, c.db->dict, c.sigma, GetConfig().workers);
+        c.db->sequences, StepTable(fst, c.db->dict, c.sigma),
+        GetConfig().workers);
     BalanceSummary summary = SummarizeBalance(stats);
     char buf[2][32];
     std::snprintf(buf[0], sizeof(buf[0]), "%.1fx", summary.max_to_mean_bytes);

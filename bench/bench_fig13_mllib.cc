@@ -7,7 +7,9 @@
 // accepting runs, the worst case for candidate representation. Here D-CAND
 // builds each NFA from the grid without enumerating runs, and on AMZN' it
 // stays within the state budget below, so its column shows times, not OOM.
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench/common/bench_util.h"
 
@@ -22,9 +24,15 @@ int main() {
                "# frequent"});
 
   Fst fst = CompileFst(T1Pattern(5), db.dict);
+  // The σ sweep after scaling, descending. Small scales send several σ to
+  // the floor of 2; each σ runs once.
+  std::vector<uint64_t> sigmas;
   for (uint64_t base : {200, 100, 50, 20, 10}) {
-    uint64_t sigma =
-        std::max<uint64_t>(2, static_cast<uint64_t>(base * scale));
+    sigmas.push_back(
+        std::max<uint64_t>(2, static_cast<uint64_t>(base * scale)));
+  }
+  sigmas.erase(std::unique(sigmas.begin(), sigmas.end()), sigmas.end());
+  for (uint64_t sigma : sigmas) {
 
     PrefixSpanOptions ps_options;
     ps_options.sigma = sigma;

@@ -1,6 +1,7 @@
 // Micro-benchmarks for the core components: grid construction, pivot
 // search, the forward/backward pivot DPs, rewriting, D-SEQ's partition
-// reduce (DfsInput build + pivot-restricted DESQ-DFS), D-CAND's one-pass
+// reduce (DfsInput build + pivot-restricted DESQ-DFS, and the whole
+// MineDSeqPartition), D-CAND's one-pass
 // minimal-DFA construction and bytes, run-trie minimization/serialization,
 // varint coding, the map-side combiner over weighted values and counts (the
 // zero-copy shuffle hot path, in memory and budgeted with spills),
@@ -29,6 +30,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -182,6 +184,13 @@ const Fst& N5Fst() {
   return fst;
 }
 
+// N4's step table at the grid rows' σ = 10, built once as a miner's driver
+// builds it once per job.
+const StepTable& N4Table() {
+  static StepTable table(N4Fst(), Corpus().dict, 10);
+  return table;
+}
+
 // Deterministic weighted-value records for the map+combine microbench: 64
 // distinct pivot keys, payloads from a pool of 512 short serialized
 // sequences, varint weight prefix. The workload of the D-SEQ aggregation
@@ -236,12 +245,9 @@ DataflowMetrics RunCombineRound(
 
 void BenchGridBuild() {
   const SequenceDatabase& db = Corpus();
-  GridOptions options;
-  options.prune_sigma = 10;
   size_t i = 0;
   RunBench("grid_build", 0, [&] {
-    StateGrid grid = StateGrid::Build(db.sequences[i % db.size()], N4Fst(),
-                                      db.dict, options);
+    StateGrid grid = StateGrid::Build(db.sequences[i % db.size()], N4Table());
     volatile size_t sink = grid.num_edges();
     (void)sink;
     ++i;
@@ -250,12 +256,9 @@ void BenchGridBuild() {
 
 std::vector<StateGrid> BuildGrids(size_t count) {
   const SequenceDatabase& db = Corpus();
-  GridOptions options;
-  options.prune_sigma = 10;
   std::vector<StateGrid> grids;
   for (size_t i = 0; i < count && i < db.size(); ++i) {
-    grids.push_back(
-        StateGrid::Build(db.sequences[i], N4Fst(), db.dict, options));
+    grids.push_back(StateGrid::Build(db.sequences[i], N4Table()));
   }
   return grids;
 }
@@ -460,6 +463,7 @@ void BenchSemiNaiveMap() {
   NaiveOptions naive;
   naive.sigma = g_config.tiny ? 2 : 5;
   naive.semi_naive = true;
+  const StepTable table(N5Fst(), db.dict, naive.sigma);
   DataflowOptions options;
   options.memory_budget_bytes = uint64_t{8} << 20;
   options.spill_dir = dir;
@@ -472,7 +476,7 @@ void BenchSemiNaiveMap() {
       combiner.Add(key, value);
     };
     for (const Sequence& T : db.sequences) {
-      MapNaiveInput(T, N5Fst(), db.dict, naive, add);
+      MapNaiveInput(T, table, naive, add);
     }
     records = 0;
     combiner.Flush([&](std::string_view, std::string_view) { ++records; });
@@ -562,15 +566,20 @@ void BenchDesqDfsSmall() {
 
 void BenchDSeqReducePartition() {
   // The D-SEQ reduce of one partition: the largest N4 pivot partition of
-  // the corpus (the rewrites the map would ship), decoded into a pivot-k
-  // DfsInput and mined by pivot-restricted DESQ-DFS with early stopping.
+  // the corpus (the rewrites the map would ship). dseq_reduce_partition
+  // times the DfsInput build + pivot-restricted DESQ-DFS with early
+  // stopping; dseq_reduce the whole reduce, MineDSeqPartition, with the
+  // records' decode. Then the tracing-off A/B of that reduce: the same work
+  // with no span or counting against MineDSeqPartition as the miner runs it
+  // with tracing off (its span and the Enabled()-gated mining.reduce_*
+  // flush). The CI trace job asserts this pair within 2%.
+  obs::SetEnabled(false);
   const SequenceDatabase& db = Corpus();
   constexpr uint64_t kSigma = 10;
-  GridOptions options;
-  options.prune_sigma = kSigma;
+  const StepTable& table = N4Table();
   std::map<ItemId, std::vector<Sequence>> partitions;
   for (const Sequence& T : db.sequences) {
-    StateGrid grid = StateGrid::Build(T, N4Fst(), db.dict, options);
+    StateGrid grid = StateGrid::Build(T, table);
     if (!grid.HasAcceptingRun()) continue;
     PivotRewriter rewriter(T, grid);
     for (ItemId k : rewriter.pivots()) {
@@ -588,7 +597,7 @@ void BenchDSeqReducePartition() {
   if (largest == 0) return;
   const std::vector<Sequence>& partition = partitions[pivot];
   RunBench("dseq_reduce_partition", partition.size(), [&] {
-    DfsInput input(N4Fst(), db.dict, kSigma, pivot);
+    DfsInput input(table, pivot);
     for (const Sequence& rewrite : partition) input.Add(rewrite);
     DesqDfsOptions local;
     local.sigma = kSigma;
@@ -597,6 +606,38 @@ void BenchDSeqReducePartition() {
     volatile size_t sink = result.size();
     (void)sink;
   });
+
+  std::vector<std::string> records;
+  for (const Sequence& rewrite : partition) {
+    records.emplace_back();
+    PutSequence(&records.back(), rewrite);
+  }
+  const std::vector<std::string_view> values(records.begin(), records.end());
+  const std::string key = EncodePivotKey(pivot);
+  DSeqOptions options;
+  options.sigma = kSigma;
+  size_t mined = 0;
+  auto reduce = [&] {
+    mined += MineDSeqPartition(key, values, table, options).size();
+  };
+  RunBench("dseq_reduce", partition.size(), reduce);
+  auto bare_reduce = [&] {
+    DfsInput input(table, pivot);
+    Sequence seq;
+    for (std::string_view v : values) {
+      size_t pos = 0;
+      GetSequence(v, &pos, &seq);
+      input.Add(seq);
+    }
+    DesqDfsOptions local;
+    local.sigma = kSigma;
+    local.pivot = pivot;
+    mined += MineDesqDfs(input, local).size();
+  };
+  RunBenchPair("trace_overhead_dseq_reduce_baseline", bare_reduce,
+               "trace_overhead_dseq_reduce_traced_off", reduce);
+  volatile size_t sink = mined;
+  (void)sink;
 }
 
 void BenchTraceOverhead() {
@@ -640,15 +681,13 @@ void BenchDCandMapTraceOverhead() {
   const SequenceDatabase& db = Corpus();
   DCandOptions options;
   options.sigma = 10;
-  GridOptions grid_options;
-  grid_options.prune_sigma = options.sigma;
+  const StepTable& table = N4Table();
   // The input with the most pivots among the first 64, so the row times
   // NFA work rather than call overhead.
   const Sequence* input = nullptr;
   size_t most = 0;
   for (size_t i = 0; i < 64 && i < db.size(); ++i) {
-    StateGrid grid =
-        StateGrid::Build(db.sequences[i], N4Fst(), db.dict, grid_options);
+    StateGrid grid = StateGrid::Build(db.sequences[i], table);
     size_t pivots = grid.HasAcceptingRun() ? FindPivotItems(grid).size() : 0;
     if (pivots > most) {
       most = pivots;
@@ -661,7 +700,7 @@ void BenchDCandMapTraceOverhead() {
     emitted += key.size() + value.size();
   };
   auto bare_map = [&] {
-    StateGrid grid = StateGrid::Build(*input, N4Fst(), db.dict, grid_options);
+    StateGrid grid = StateGrid::Build(*input, table);
     if (!grid.HasAcceptingRun()) return;
     Sequence pivots = FindPivotItems(grid);
     PivotNfaBuilder builder(grid);
@@ -677,7 +716,7 @@ void BenchDCandMapTraceOverhead() {
   };
   RunBenchPair("trace_overhead_dcand_map_baseline", bare_map,
                "trace_overhead_dcand_map_traced_off", [&] {
-                 MapDCandInput(*input, N4Fst(), db.dict, options, emit);
+                 MapDCandInput(*input, table, options, emit);
                });
   volatile size_t sink = emitted;
   (void)sink;
@@ -692,8 +731,7 @@ void BenchDSeqMapTraceOverhead() {
   const SequenceDatabase& db = Corpus();
   DSeqOptions options;
   options.sigma = 10;
-  GridOptions grid_options;
-  grid_options.prune_sigma = options.sigma;
+  const StepTable& table = N4Table();
   const size_t inputs = std::min<size_t>(64, db.size());
   size_t emitted = 0;
   EmitFn emit = [&](std::string_view key, std::string_view value) {
@@ -703,7 +741,7 @@ void BenchDSeqMapTraceOverhead() {
     std::string value;
     for (size_t i = 0; i < inputs; ++i) {
       const Sequence& T = db.sequences[i];
-      StateGrid grid = StateGrid::Build(T, N4Fst(), db.dict, grid_options);
+      StateGrid grid = StateGrid::Build(T, table);
       if (!grid.HasAcceptingRun()) continue;
       PivotRewriter rewriter(T, grid);
       for (ItemId k : rewriter.pivots()) {
@@ -716,8 +754,7 @@ void BenchDSeqMapTraceOverhead() {
   RunBenchPair("trace_overhead_dseq_map_baseline", bare_map,
                "trace_overhead_dseq_map_traced_off", [&] {
                  for (size_t i = 0; i < inputs; ++i) {
-                   MapDSeqInput(db.sequences[i], N4Fst(), db.dict, options,
-                                emit);
+                   MapDSeqInput(db.sequences[i], table, options, emit);
                  }
                });
   volatile size_t sink = emitted;
@@ -734,8 +771,7 @@ void BenchSemiNaiveMapTraceOverhead() {
   NaiveOptions options;
   options.sigma = 10;
   options.semi_naive = true;
-  GridOptions grid_options;
-  grid_options.prune_sigma = options.sigma;
+  const StepTable table(N5Fst(), db.dict, options.sigma);
   const size_t inputs = std::min<size_t>(64, db.size());
   size_t emitted = 0;
   EmitFn emit = [&](std::string_view key, std::string_view value) {
@@ -743,8 +779,7 @@ void BenchSemiNaiveMapTraceOverhead() {
   };
   auto bare_map = [&] {
     for (size_t i = 0; i < inputs; ++i) {
-      StateGrid grid =
-          StateGrid::Build(db.sequences[i], N5Fst(), db.dict, grid_options);
+      StateGrid grid = StateGrid::Build(db.sequences[i], table);
       if (!grid.HasAcceptingRun()) continue;
       std::string value;
       PutVarint(&value, 1);
@@ -755,8 +790,7 @@ void BenchSemiNaiveMapTraceOverhead() {
   RunBenchPair("trace_overhead_seminaive_map_baseline", bare_map,
                "trace_overhead_seminaive_map_traced_off", [&] {
                  for (size_t i = 0; i < inputs; ++i) {
-                   MapNaiveInput(db.sequences[i], N5Fst(), db.dict, options,
-                                 emit);
+                   MapNaiveInput(db.sequences[i], table, options, emit);
                  }
                });
   volatile size_t sink = emitted;

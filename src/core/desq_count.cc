@@ -16,8 +16,7 @@ namespace dseq {
 MiningResult MineDesqCount(const std::vector<Sequence>& db, const Fst& fst,
                            const Dictionary& dict,
                            const DesqCountOptions& options) {
-  GridOptions grid_options;
-  grid_options.prune_sigma = options.sigma;
+  const StepTable table(fst, dict, options.sigma);
   int workers = std::max(1, options.num_workers);
 
   // Counts by candidate key (PutSequence bytes); only the frequent keys are
@@ -30,7 +29,7 @@ MiningResult MineDesqCount(const std::vector<Sequence>& db, const Fst& fst,
       ++counts[std::string(key)];
     };
     for (size_t s = begin; s < end; ++s) {
-      StateGrid grid = StateGrid::Build(db[s], fst, dict, grid_options);
+      StateGrid grid = StateGrid::Build(db[s], table);
       if (!ForEachCandidateKey(grid, options.candidates_per_sequence_budget,
                                count)) {
         throw MiningBudgetError(

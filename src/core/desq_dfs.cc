@@ -23,15 +23,12 @@ constexpr uint64_t kMaxIndex = std::numeric_limits<uint32_t>::max();
 
 // --- DfsInput --------------------------------------------------------------
 
-DfsInput::DfsInput(const Fst& fst, const Dictionary& dict,
-                   uint64_t prune_sigma, ItemId pivot)
-    : fst_(&fst),
-      dict_(&dict),
-      prune_sigma_(prune_sigma),
+DfsInput::DfsInput(const StepTable& table, ItemId pivot)
+    : table_(&table),
       pivot_(pivot),
       bound_(pivot == kNoItem ? std::numeric_limits<ItemId>::max() : pivot),
-      num_states_(fst.num_states()),
-      initial_(fst.initial()) {
+      num_states_(table.num_states()),
+      initial_(table.initial()) {
   edge_begin_.push_back(0);
 }
 
@@ -41,7 +38,7 @@ DfsInput::DfsInput(ItemId pivot)
   edge_begin_.push_back(0);
 }
 
-bool DfsInput::AddPending(size_t from, size_t target, const Sequence& out) {
+bool DfsInput::AddPending(size_t from, size_t target, Span<ItemId> out) {
   // TestPivotEdge's label: out ∩ [0, k]; a non-ε edge left empty is dead.
   size_t size =
       std::upper_bound(out.begin(), out.end(), bound_) - out.begin();
@@ -49,24 +46,33 @@ bool DfsInput::AddPending(size_t from, size_t target, const Sequence& out) {
     ++dropped_edges_;
     return false;
   }
+  size_t label_begin;
+  if (table_ != nullptr) {
+    label_begin = out.data() - table_->label_pool();  // cut, not copied
+  } else {
+    label_begin = pending_labels_.size();
+    pending_labels_.insert(pending_labels_.end(), out.begin(),
+                           out.begin() + size);
+  }
   pending_.push_back(PendingEdge{static_cast<uint32_t>(from),
                                  static_cast<uint32_t>(target),
-                                 static_cast<uint32_t>(pending_labels_.size()),
+                                 static_cast<uint32_t>(label_begin),
                                  static_cast<uint32_t>(size)});
-  pending_labels_.insert(pending_labels_.end(), out.begin(),
-                         out.begin() + size);
   return true;
 }
 
 void DfsInput::SealLayer(size_t begin) {
   // Distinct FST transitions can collapse to the same (from, to, label)
   // edge; with no pivot this keeps the edges exactly StateGrid's.
-  auto label = [this](const PendingEdge& e) {
-    return pending_labels_.begin() + e.label_begin;
+  const ItemId* const labels = PendingLabels();
+  auto label = [labels](const PendingEdge& e) {
+    return labels + e.label_begin;
+  };
+  auto ends_less = [](const PendingEdge& a, const PendingEdge& b) {
+    return a.from != b.from ? a.from < b.from : a.target < b.target;
   };
   auto less = [&](const PendingEdge& a, const PendingEdge& b) {
-    if (a.from != b.from) return a.from < b.from;
-    if (a.target != b.target) return a.target < b.target;
+    if (a.from != b.from || a.target != b.target) return ends_less(a, b);
     return std::lexicographical_compare(label(a), label(a) + a.label_size,
                                         label(b), label(b) + b.label_size);
   };
@@ -75,41 +81,40 @@ void DfsInput::SealLayer(size_t begin) {
            std::equal(label(a), label(a) + a.label_size, label(b),
                       label(b) + b.label_size);
   };
-  std::sort(pending_.begin() + begin, pending_.end(), less);
-  pending_.erase(std::unique(pending_.begin() + begin, pending_.end(), equal),
-                 pending_.end());
+  auto first = pending_.begin() + begin;
+  // A simulated layer comes out sorted by (from, to) (StepTable::Simulate),
+  // and so does a grid's; only an NFA's edges need the full sort.
+  if (std::is_sorted(first, pending_.end(), ends_less)) {
+    SortWithinRuns(first, pending_.end(), ends_less, less);
+  } else {
+    std::sort(first, pending_.end(), less);
+  }
+  pending_.erase(std::unique(first, pending_.end(), equal), pending_.end());
 }
 
 void DfsInput::Add(const Sequence& T, uint64_t weight) {
-  DSEQ_CHECK_MSG(fst_ != nullptr, "DfsInput built without an FST");
+  DSEQ_CHECK_MSG(table_ != nullptr, "DfsInput built without a step table");
   const size_t n = T.size();
   const size_t ns = num_states_;
   if (ns == 0) return;
   if ((n + 1) * ns > kMaxIndex) {
     throw std::length_error("DESQ-DFS input sequence too long");
   }
-  active_.assign((n + 1) * ns, 0);
-  active_[initial_] = 1;
   pending_.clear();
   pending_labels_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    const size_t begin = pending_.size();
-    for (StateId q = 0; q < ns; ++q) {
-      if (!active_[i * ns + q]) continue;
-      for (const Transition& tr : fst_->From(q)) {
-        if (!StepTransition(*fst_, tr, T[i], *dict_, prune_sigma_, &out_)) {
-          continue;
-        }
-        if (AddPending(i * ns + q, (i + 1) * ns + tr.to, out_)) {
-          active_[(i + 1) * ns + tr.to] = 1;
-        }
-      }
-    }
-    SealLayer(begin);
-  }
+  size_t begin = 0;
+  table_->Simulate(
+      T, &active_,
+      [&](size_t i, StateId q, StateId to, Span<ItemId> label) {
+        return AddPending(i * ns + q, (i + 1) * ns + to, label);
+      },
+      [&](size_t) {
+        SealLayer(begin);
+        begin = pending_.size();
+      });
   pending_bits_.assign((n + 1) * ns, 0);
   for (StateId q = 0; q < ns; ++q) {
-    if (active_[n * ns + q] && fst_->IsFinal(q)) {
+    if (active_[n * ns + q] && table_->IsFinal(q)) {
       pending_bits_[n * ns + q] = kLiveSeen | kEpsAccept;
     }
   }
@@ -117,6 +122,7 @@ void DfsInput::Add(const Sequence& T, uint64_t weight) {
 }
 
 void DfsInput::Add(const StateGrid& grid, uint64_t weight) {
+  DSEQ_CHECK_MSG(table_ == nullptr, "grid added to a table-fed DfsInput");
   if (!grid.HasAcceptingRun()) return;
   DSEQ_DCHECK(!holds_nfas_ &&
               (weights_.empty() || (num_states_ == grid.num_states() &&
@@ -144,7 +150,7 @@ void DfsInput::Add(const StateGrid& grid, uint64_t weight) {
 }
 
 void DfsInput::AddNfa(std::string_view bytes, size_t* pos, uint64_t weight) {
-  DSEQ_DCHECK(fst_ == nullptr && (weights_.empty() || holds_nfas_));
+  DSEQ_DCHECK(table_ == nullptr && (weights_.empty() || holds_nfas_));
   holds_nfas_ = true;
   num_states_ = 1;
   initial_ = 0;
@@ -205,6 +211,7 @@ void DfsInput::Commit(uint64_t weight) {
   // ε-accept table). An edge is kept iff its target is live. Sorted by
   // source, with every target larger, the edges out of a coordinate are all
   // swept before any edge into it.
+  const ItemId* const labels = PendingLabels();
   keep_.assign(pending_.size(), 0);
   size_t kept = 0;
   size_t kept_labels = 0;
@@ -220,7 +227,7 @@ void DfsInput::Commit(uint64_t weight) {
     if (e.label_size == 0) {
       pending_bits_[e.from] |= next & kEpsAccept;
     } else if (pivot_ != kNoItem && (live & kLiveSeen) &&
-               pending_labels_[e.label_begin + e.label_size - 1] == pivot_) {
+               labels[e.label_begin + e.label_size - 1] == pivot_) {
       // Carrying k sets the bit, so both entry values reach a seen suffix.
       live = kLive;
     }
@@ -234,25 +241,33 @@ void DfsInput::Commit(uint64_t weight) {
   }
   dropped_edges_ += pending_.size() - kept;
   if (edges_.size() + kept > kMaxIndex ||
-      labels_.size() + kept_labels > kMaxIndex) {
+      (table_ == nullptr && labels_.size() + kept_labels > kMaxIndex)) {
     throw std::length_error("DESQ-DFS input exceeds its index range");
   }
 
-  // CSR append, in the pending edges' source order.
+  // CSR append, in the pending edges' source order. A table-fed store's
+  // labels stay in the table's pool.
   weights_.push_back(weight);
   coord_begin_.push_back(bits_.size());
   bits_.insert(bits_.end(), pending_bits_.begin(), pending_bits_.end());
+  const size_t first_coord = edge_begin_.size();
+  edge_begin_.resize(first_coord + coords);
+  uint32_t* const ends = &edge_begin_[first_coord];
   size_t j = 0;
   for (size_t c = 0; c < coords; ++c) {
     for (; j < pending_.size() && pending_[j].from == c; ++j) {
       if (!keep_[j]) continue;
       const PendingEdge& e = pending_[j];
+      if (table_ != nullptr) {
+        edges_.push_back(Edge{e.target, e.label_begin, e.label_size});
+        continue;
+      }
       edges_.push_back(Edge{e.target, static_cast<uint32_t>(labels_.size()),
                             e.label_size});
-      labels_.insert(labels_.end(), pending_labels_.begin() + e.label_begin,
-                     pending_labels_.begin() + e.label_begin + e.label_size);
+      labels_.insert(labels_.end(), labels + e.label_begin,
+                     labels + e.label_begin + e.label_size);
     }
-    edge_begin_.push_back(edges_.size());
+    ends[c] = static_cast<uint32_t>(edges_.size());
   }
   DSEQ_DCHECK_EQ(j, pending_.size());
 }
@@ -266,6 +281,7 @@ class DfsMiner {
       : in_(input),
         options_(options),
         out_(out),
+        labels_(input.Labels()),
         pivot_mode_(options.pivot != kNoItem),
         prune_(options.early_stop && pivot_mode_),
         stamp_(input.bits_.size(), 0) {}
@@ -383,7 +399,7 @@ class DfsMiner {
             continue;
           }
           const uint8_t target_bits = in_.bits_[base + e.target];
-          const ItemId* label = in_.labels_.data() + e.label_begin;
+          const ItemId* label = labels_ + e.label_begin;
           for (const ItemId* w = label; w != label + e.label_size; ++w) {
             if (prune_) {
               bool seen = has_pivot || *w == options_.pivot;
@@ -414,6 +430,7 @@ class DfsMiner {
   const DfsInput& in_;
   const DesqDfsOptions& options_;
   MiningResult* out_;
+  const ItemId* const labels_;
   const bool pivot_mode_;
   const bool prune_;  // posting-level early stopping
   std::vector<uint32_t> stamp_;  // per global coordinate: last epoch seen
@@ -449,7 +466,8 @@ MiningResult MineDesqDfsGrids(const std::vector<StateGrid>& grids,
 MiningResult MineDesqDfs(const std::vector<Sequence>& db, const Fst& fst,
                          const Dictionary& dict,
                          const DesqDfsOptions& options) {
-  DfsInput input(fst, dict, options.sigma, options.pivot);
+  const StepTable table(fst, dict, options.sigma);
+  DfsInput input(table, options.pivot);
   for (const Sequence& T : db) {
     input.Add(T);
     if (options.max_total_grid_edges > 0 &&

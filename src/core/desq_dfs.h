@@ -12,11 +12,12 @@
 //
 // The miner reads its sequences from a DfsInput: one flat, append-only
 // store of their position–state grids (coordinates, edges, labels), built
-// straight from the sequences by the same FST step as StateGrid
-// (StepTransition). It indexes coordinates and their out-edges as StateGrid
-// does (one offset per coordinate into one edge array), but keeps every
-// label in one item array instead of an output vector per edge, and many
-// sequences in one store.
+// straight from the sequences by the same forward loop as StateGrid
+// (StepTable::Simulate over the job's step table, src/core/grid.h). It
+// indexes coordinates and their out-edges as StateGrid does (one offset
+// per coordinate into one edge array), but keeps every label in one item
+// array instead of an output vector per edge, and many sequences in one
+// store.
 // D-CAND's NFAs decode into the same store: an NFA state is a coordinate,
 // an NFA edge a labeled edge, and a final state is ε-accepting.
 //
@@ -89,7 +90,8 @@ struct DesqDfsStats {
 /// by AddNfa as its rank in a topological order (the root is 0); in both,
 /// every edge leads to a larger index. Per coordinate the store keeps two
 /// liveness bits, an ε-accept bit and a range of out-edges (CSR), and per
-/// edge its target coordinate and a range of a single label array.
+/// edge its target coordinate and a range of a single label array: the
+/// step table's pool when fed by Add(T, weight), its own otherwise.
 /// Only edges whose target is live are kept: live means "on an accepting run
 /// that can still output the pivot" (the seen-k bits kLiveSeen/kLiveUnseen,
 /// pivot.h) with a pivot, and "on an accepting run" without.
@@ -98,18 +100,19 @@ struct DesqDfsStats {
 /// DesqDfsOptions::max_total_grid_edges does not depend on the store).
 class DfsInput {
  public:
-  /// A store fed by Add(T, weight). `prune_sigma` removes infrequent items
-  /// as GridOptions::prune_sigma does; it is apart from the support
-  /// threshold the store is later mined with. `pivot` is kNoItem or the
-  /// partition's pivot k. `fst` and `dict` must outlive the store.
-  DfsInput(const Fst& fst, const Dictionary& dict, uint64_t prune_sigma,
-           ItemId pivot);
+  /// A store fed by Add(T, weight), which walks `table` (it must outlive
+  /// the store). The table's prune_sigma removes infrequent items; it is
+  /// apart from the support threshold the store is later mined with.
+  /// `pivot` is kNoItem or the partition's pivot k.
+  DfsInput(const StepTable& table, ItemId pivot);
 
   /// A store fed only by Add(const StateGrid&, weight), or only by AddNfa.
   explicit DfsInput(ItemId pivot);
 
-  /// Simulates the FST over `T` and stores its pruned grid with the given
-  /// multiplicity. A sequence with no live run is not stored.
+  /// Simulates the FST over `T` (StepTable::Simulate) and stores its pruned
+  /// grid with the given multiplicity. A sequence with no live run is not
+  /// stored. Throws std::invalid_argument on an item the table does not
+  /// hold.
   void Add(const Sequence& T, uint64_t weight = 1);
 
   /// Stores an already built (σ-pruned) grid, cut to the pivot like
@@ -139,7 +142,7 @@ class DfsInput {
   friend class DfsMiner;
 
   // A stored edge: target coordinate (local to its sequence) and its label,
-  // labels_[label_begin, label_begin + label_size); label_size 0 is ε.
+  // Labels()[label_begin, label_begin + label_size); label_size 0 is ε.
   struct Edge {
     uint32_t target;
     uint32_t label_begin;
@@ -149,13 +152,24 @@ class DfsInput {
   struct PendingEdge {
     uint32_t from;
     uint32_t target;
-    uint32_t label_begin;  // into pending_labels_
+    uint32_t label_begin;  // into PendingLabels()
     uint32_t label_size;
   };
 
+  // The item arrays labels index. A table-fed store's labels are prefixes
+  // of the table's output sets (the pivot cut), so its edges index the
+  // table's pool, pending or stored; NFA- and grid-fed stores copy theirs
+  // into pending_labels_ and then labels_.
+  const ItemId* PendingLabels() const {
+    return table_ != nullptr ? table_->label_pool() : pending_labels_.data();
+  }
+  const ItemId* Labels() const {
+    return table_ != nullptr ? table_->label_pool() : labels_.data();
+  }
+
   // Adds one pending edge between two coordinates with output `out`, cut
   // to the pivot; returns false if the cut left nothing.
-  bool AddPending(size_t from, size_t target, const Sequence& out);
+  bool AddPending(size_t from, size_t target, Span<ItemId> out);
   // Sorts and deduplicates the pending edges from `begin` on.
   void SealLayer(size_t begin);
   // The backward pass and the CSR append of the pending sequence. The
@@ -163,9 +177,7 @@ class DfsInput {
   // pending_bits_ holds one entry per coordinate, the accepting ones seeded.
   void Commit(uint64_t weight);
 
-  const Fst* fst_ = nullptr;
-  const Dictionary* dict_ = nullptr;
-  uint64_t prune_sigma_ = 0;
+  const StepTable* table_ = nullptr;
   ItemId pivot_;
   ItemId bound_;  // largest item kept on a label
 
@@ -181,7 +193,7 @@ class DfsInput {
   std::vector<uint8_t> bits_;
   std::vector<uint32_t> edge_begin_;
   std::vector<Edge> edges_;
-  std::vector<ItemId> labels_;
+  std::vector<ItemId> labels_;  // empty when table-fed
   uint64_t dropped_edges_ = 0;
 
   // Scratch of the sequence being added.
@@ -190,7 +202,6 @@ class DfsInput {
   std::vector<ItemId> pending_labels_;
   std::vector<uint8_t> pending_bits_;
   std::vector<uint8_t> keep_;
-  Sequence out_;
   // Scratch of the NFA being added: every decoded edge (sorted into a CSR
   // by source, arc_begin_) and final state, and Kahn's order as ranks.
   std::vector<std::pair<StateId, StateId>> arcs_;
@@ -210,8 +221,9 @@ MiningResult MineDesqDfs(const DfsInput& input, const DesqDfsOptions& options,
                          DesqDfsStats* stats = nullptr);
 
 /// Mines all frequent subsequences of `db` under the FST with threshold
-/// `options.sigma`: one DfsInput built σ-pruned with `options.pivot`, then
-/// pattern growth. Result is canonicalized (sorted by pattern).
+/// `options.sigma`: one step table σ-pruned at `options.sigma`, one
+/// DfsInput over it with `options.pivot`, then pattern growth. Result is
+/// canonicalized (sorted by pattern).
 MiningResult MineDesqDfs(const std::vector<Sequence>& db, const Fst& fst,
                          const Dictionary& dict, const DesqDfsOptions& options);
 

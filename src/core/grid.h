@@ -15,11 +15,19 @@
 // coordinate take EdgesOf(c), readers that work per layer EdgesAt(i), and
 // readers that keep per-edge state index it by EdgeIndex().
 //
+// The FST step — does a transition match item t, and which σ-pruned output
+// set does it yield — is a pure function of the transition's class
+// (in_kind, in_item, out_kind, out_item) and t, for a fixed FST, dictionary
+// and σ. A job has only a handful of classes, so each miner's driver
+// tabulates the step once per job in a StepTable, before its round (proc
+// workers inherit it through fork). Every simulation reads the table
+// through StepTable::Simulate, the one forward loop: StateGrid::Build and
+// DESQ-DFS's flat store (DfsInput::Add, src/core/desq_dfs.h); the no-grid
+// pivot search reads the table's moves and cells directly.
+//
 // The grid is the structure behind pivot search (Theorem 1), sequence
 // rewriting, candidate enumeration (NAIVE, SEMI-NAIVE, DESQ-COUNT) and
-// D-CAND's per-pivot NFA construction. DESQ-DFS does not mine over grids:
-// it builds its own flat store (DfsInput, src/core/desq_dfs.h) with the
-// same FST step (StepTransition).
+// D-CAND's per-pivot NFA construction.
 #ifndef DSEQ_CORE_GRID_H_
 #define DSEQ_CORE_GRID_H_
 
@@ -37,29 +45,137 @@ namespace dseq {
 struct GridOptions {
   /// If > 0, items with document frequency < sigma are removed from output
   /// sets (they cannot appear in a frequent subsequence; paper Sec. III-A).
-  /// See StepTransition.
+  /// See StepTable.
   uint64_t prune_sigma = 0;
 };
 
-/// One step of the FST simulation on input item `t`: true iff `tr` matches
-/// `t` and yields an edge, whose sorted output set (empty = ε) is left in
-/// `*out`. When prune_sigma > 0, items with document frequency <
-/// prune_sigma are removed, and a non-ε transition left with no item yields
-/// no edge: no candidate made of frequent items can traverse it.
-/// StateGrid::Build, DfsInput::Add and the no-grid pivot search all step
-/// through here, so the σ rule lives in one place.
-inline bool StepTransition(const Fst& fst, const Transition& tr, ItemId t,
-                           const Dictionary& dict, uint64_t prune_sigma,
-                           Sequence* out) {
-  if (!fst.Matches(tr, t, dict)) return false;
-  fst.ComputeOutput(tr, t, dict, out);
-  if (prune_sigma == 0 || out->empty()) return true;
-  out->erase(std::remove_if(out->begin(), out->end(),
-                            [&](ItemId w) {
-                              return dict.DocFrequency(w) < prune_sigma;
-                            }),
-             out->end());
-  return !out->empty() || tr.out_kind == OutputKind::kEpsilon;
+/// The FST step of one job, tabulated over (transition class, item). A
+/// class is a distinct (in_kind, in_item, out_kind, out_item) of the FST's
+/// transitions. Per (class, item) the table holds "no edge" or the edge's
+/// sorted output set (empty = ε), a span of one pooled item array; per
+/// state it holds the (to, class) moves of the state's transitions, sorted
+/// by (to, class). With prune_sigma > 0, items of document frequency <
+/// prune_sigma are removed from output sets, and a non-ε transition left
+/// with no item yields no edge: no candidate made of frequent items can
+/// traverse it. The table's build is the one place that steps the FST and
+/// applies that σ rule. Immutable once built.
+class StepTable {
+ public:
+  /// One move out of a state: a transition's target and class.
+  struct Move {
+    StateId to;
+    uint32_t cls;
+  };
+
+  /// Tabulates every class over every item 1..dict.size(): a job's table.
+  StepTable(const Fst& fst, const Dictionary& dict, uint64_t prune_sigma);
+
+  /// Tabulates every class over `items` only (sorted, distinct, each one of
+  /// `dict`'s): the table of the sequences made of them.
+  StepTable(const Fst& fst, const Dictionary& dict, uint64_t prune_sigma,
+            Sequence items);
+
+  size_t num_states() const { return finals_.size(); }
+  StateId initial() const { return initial_; }
+  bool IsFinal(StateId q) const { return finals_[q] != 0; }
+  uint64_t prune_sigma() const { return prune_sigma_; }
+  size_t num_classes() const { return num_classes_; }
+
+  /// The moves out of state q, sorted by (to, class).
+  Span<Move> MovesFrom(StateId q) const {
+    return {moves_.data() + move_begin_[q],
+            move_begin_[q + 1] - move_begin_[q]};
+  }
+
+  /// The table column of item `w`. Throws std::invalid_argument if the
+  /// table does not hold `w` (an id outside the dictionary, or an item
+  /// left out of a partial table).
+  size_t Column(ItemId w) const;
+
+  /// The step of class `cls` on the item in column `col`: false if it yields
+  /// no edge; otherwise true, with the edge's output set in `*label`.
+  bool Step(size_t col, uint32_t cls, Span<ItemId>* label) const {
+    const Cell& cell = cells_[col * num_classes_ + cls];
+    if (cell.begin == kNoEdge) return false;
+    *label = Span<ItemId>(labels_.data() + cell.begin, cell.size);
+    return true;
+  }
+
+  /// The pooled output sets: every label Step returns lies in this array.
+  const ItemId* label_pool() const { return labels_.data(); }
+
+  /// The forward FST simulation of `T`, the one loop behind StateGrid::Build
+  /// and DfsInput::Add. `*active` becomes (|T| + 1) x num_states() flags,
+  /// one per coordinate i * num_states() + q, with (0, initial) set. For
+  /// every active coordinate (i, q), in coordinate order, and every move out
+  /// of q whose step on T[i] yields an edge, it calls
+  /// on_edge(i, q, to, label); (i + 1, to) becomes active iff that returns
+  /// true. After layer i it calls on_layer(i). Throws std::invalid_argument
+  /// on an item the table does not hold. num_states() must be > 0.
+  template <typename OnEdge, typename OnLayer>
+  void Simulate(const Sequence& T, std::vector<uint8_t>* active,
+                OnEdge&& on_edge, OnLayer&& on_layer) const {
+    const size_t n = T.size();
+    const size_t ns = num_states();
+    active->assign((n + 1) * ns, 0);
+    uint8_t* const flags = active->data();
+    flags[initial_] = 1;
+    for (size_t i = 0; i < n; ++i) {
+      const Cell* const cells = &cells_[Column(T[i]) * num_classes_];
+      for (StateId q = 0; q < ns; ++q) {
+        if (!flags[i * ns + q]) continue;
+        for (const Move& m : MovesFrom(q)) {
+          const Cell& cell = cells[m.cls];
+          if (cell.begin == kNoEdge) continue;
+          if (on_edge(i, q, m.to,
+                      Span<ItemId>(labels_.data() + cell.begin, cell.size))) {
+            flags[(i + 1) * ns + m.to] = 1;
+          }
+        }
+      }
+      on_layer(i);
+    }
+  }
+
+ private:
+  // An edge's output set, labels_[begin, begin + size); begin kNoEdge is
+  // "no edge".
+  struct Cell {
+    uint32_t begin;
+    uint32_t size;
+  };
+  static constexpr uint32_t kNoEdge = UINT32_MAX;
+
+  // The moves, and one column of cells per item of items_ (every item
+  // 1..dict.size() when dense_).
+  void Tabulate(const Fst& fst, const Dictionary& dict);
+
+  StateId initial_ = 0;
+  std::vector<uint8_t> finals_;
+  uint64_t prune_sigma_ = 0;
+  size_t num_classes_ = 0;
+  std::vector<uint32_t> move_begin_;  // num_states() + 1
+  std::vector<Move> moves_;
+  // Column c of item w: w - 1 when dense, w's index in items_ otherwise.
+  bool dense_ = true;
+  size_t num_items_ = 0;
+  Sequence items_;
+  std::vector<Cell> cells_;  // column-major: col * num_classes_ + cls
+  std::vector<ItemId> labels_;
+};
+
+/// Sorts [first, last), already sorted by `key_less`, by `less`, which must
+/// order key-equal elements within the key order: only runs of key-equal
+/// elements are sorted. The simulated layers come out sorted by their
+/// edges' ends, so their sort by label is run-local.
+template <typename It, typename KeyLess, typename Less>
+void SortWithinRuns(It first, It last, KeyLess key_less, Less less) {
+  while (first != last) {
+    It run = first + 1;
+    while (run != last && !key_less(*first, *run)) ++run;
+    if (run - first > 1) std::sort(first, run, less);
+    first = run;
+  }
 }
 
 /// Layered DAG of live FST simulation coordinates for one input sequence.
@@ -73,7 +189,11 @@ class StateGrid {
 
   StateGrid() = default;
 
-  /// Builds the pruned grid for `T` under `fst`.
+  /// Builds the pruned grid for `T` from a job's step table.
+  static StateGrid Build(const Sequence& T, const StepTable& table);
+
+  /// Builds the pruned grid for `T` under `fst`: the same loop over a table
+  /// of T's own distinct items.
   static StateGrid Build(const Sequence& T, const Fst& fst,
                          const Dictionary& dict, const GridOptions& options = {});
 
@@ -134,10 +254,10 @@ class StateGrid {
   StateId initial_ = 0;
   bool accepting_ = false;
   std::vector<bool> alive_;             // (length+1) x num_states
-  std::vector<bool> forward_active_;    // (length+1) x num_states
+  std::vector<uint8_t> forward_active_;  // (length+1) x num_states
   std::vector<Edge> edges_;             // in coordinate order
   std::vector<uint32_t> offsets_;       // (length+1) x num_states, plus end
-  std::vector<bool> finals_;
+  std::vector<uint8_t> finals_;
 };
 
 }  // namespace dseq

@@ -47,7 +47,7 @@ PivotSet PivotMerge(const PivotSet& u, const PivotSet& q) {
                      q.items.begin(), q.items.end());
 }
 
-PivotSet PivotMerge(const PivotSet& u, const Sequence& out) {
+PivotSet PivotMerge(const PivotSet& u, Span<ItemId> out) {
   if (u.IsEmpty()) return PivotSet{};
   if (out.empty()) return u;
   return MergeRanges(u.has_eps, u.items.begin(), u.items.end(), false,
@@ -125,30 +125,26 @@ Sequence FindPivotItems(const StateGrid& grid) {
 
 namespace {
 
-// Raw DFS FST simulation for the no-grid ablation.
+// Raw DFS FST simulation for the no-grid ablation, over T's table columns.
 struct NoGridSearch {
-  const Sequence& T;
-  const Fst& fst;
-  const Dictionary& dict;
-  uint64_t sigma;
+  const StepTable& table;
+  std::vector<size_t> columns;
   uint64_t max_steps;
   uint64_t steps = 0;
   PivotSet result;
-  Sequence scratch_out;
 
   bool Dfs(size_t i, StateId q, const PivotSet& acc) {
     if (++steps > max_steps) return false;
-    if (i == T.size()) {
-      if (fst.IsFinal(q)) result.UnionWith(acc);
+    if (i == columns.size()) {
+      if (table.IsFinal(q)) result.UnionWith(acc);
       return true;
     }
-    for (const Transition& tr : fst.From(q)) {
-      if (!StepTransition(fst, tr, T[i], dict, sigma, &scratch_out)) {
-        continue;
-      }
-      PivotSet next = PivotMerge(acc, scratch_out);
+    Span<ItemId> out(nullptr, 0);
+    for (const StepTable::Move& m : table.MovesFrom(q)) {
+      if (!table.Step(columns[i], m.cls, &out)) continue;
+      PivotSet next = PivotMerge(acc, out);
       if (next.IsEmpty()) continue;
-      if (!Dfs(i + 1, tr.to, next)) return false;
+      if (!Dfs(i + 1, m.to, next)) return false;
     }
     return true;
   }
@@ -156,11 +152,13 @@ struct NoGridSearch {
 
 }  // namespace
 
-bool FindPivotItemsNoGrid(const Sequence& T, const Fst& fst,
-                          const Dictionary& dict, uint64_t sigma,
+bool FindPivotItemsNoGrid(const Sequence& T, const StepTable& table,
                           uint64_t max_steps, Sequence* pivots) {
-  NoGridSearch search{T, fst, dict, sigma, max_steps, 0, {}, {}};
-  bool complete = search.Dfs(0, fst.initial(), PivotSet::Eps());
+  NoGridSearch search{table, {}, max_steps, 0, {}};
+  pivots->clear();
+  if (table.num_states() == 0) return true;
+  for (ItemId t : T) search.columns.push_back(table.Column(t));
+  bool complete = search.Dfs(0, table.initial(), PivotSet::Eps());
   *pivots = search.result.items.ToSequence();
   return complete;
 }

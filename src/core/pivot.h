@@ -212,7 +212,7 @@ PivotSet PivotMerge(const PivotSet& u, const PivotSet& q);
 
 /// U ⊕ out for an edge's sorted output set `out` (empty = ε), without
 /// copying `out` into a PivotSet.
-PivotSet PivotMerge(const PivotSet& u, const Sequence& out);
+PivotSet PivotMerge(const PivotSet& u, Span<ItemId> out);
 
 /// Theorem 1: pivots of a run given its output sets (empty vector = ε).
 /// Folds ⊕ left to right starting from {ε}.
@@ -261,11 +261,12 @@ inline constexpr uint8_t kLiveSeen = 2;
 
 /// Ablation variant (Fig. 10a, "no grid"): enumerates accepting runs by raw
 /// DFS over the FST (exploring dead ends, no memoization) and folds ⊕ per
-/// run. Infrequent items (doc freq < sigma) are pruned from output sets when
-/// sigma > 0. Returns false if more than `max_steps` simulation steps were
-/// taken (guard against exponential blow-up); `*pivots` is then incomplete.
-bool FindPivotItemsNoGrid(const Sequence& T, const Fst& fst,
-                          const Dictionary& dict, uint64_t sigma,
+/// run, stepping through the job's `table` (its prune_sigma prunes the
+/// output sets). Returns false if more than `max_steps` simulation steps
+/// were taken (guard against exponential blow-up); `*pivots` is then
+/// incomplete. Throws std::invalid_argument on an item the table does not
+/// hold.
+bool FindPivotItemsNoGrid(const Sequence& T, const StepTable& table,
                           uint64_t max_steps, Sequence* pivots);
 
 }  // namespace dseq

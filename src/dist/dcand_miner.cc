@@ -37,11 +37,10 @@ MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
   return MineDesqDfs(input, options);
 }
 
-void MapDCandInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+void MapDCandInput(const Sequence& T, const StepTable& table,
                    const DCandOptions& options, const EmitFn& emit) {
-  GridOptions grid_options;
-  grid_options.prune_sigma = options.sigma;
-  StateGrid grid = StateGrid::Build(T, fst, dict, grid_options);
+  DSEQ_DCHECK_EQ(table.prune_sigma(), options.sigma);
+  StateGrid grid = StateGrid::Build(T, table);
   if (!grid.HasAcceptingRun()) return;
   MapCounts counts;
   Sequence pivots = FindPivotItems(grid);
@@ -103,8 +102,9 @@ MiningResult MineDCandPartition(std::string_view key,
 DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
                             const Dictionary& dict,
                             const DCandOptions& options) {
+  const StepTable table(fst, dict, options.sigma);
   MapFn map_fn = [&](size_t index, const EmitFn& emit) {
-    MapDCandInput(db[index], fst, dict, options, emit);
+    MapDCandInput(db[index], table, options, emit);
   };
 
   PartitionReduceFn reduce_fn = [&](std::string_view key,

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/core/desq_dfs.h"
+#include "src/core/grid.h"
 #include "src/dict/dictionary.h"
 #include "src/dist/distributed.h"
 #include "src/fst/fst.h"
@@ -63,9 +64,10 @@ MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
 /// D-CAND's map of one input sequence, the map function of MineDCand: emits
 /// one weighted NFA record (weight 1) per pivot k ∈ K(T) under k's
 /// partition key, and under obs::Enabled() flushes the input's work to the
-/// mining.map_* counters (MapCounts). Throws MiningBudgetError when the
-/// state budget is exceeded.
-void MapDCandInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+/// mining.map_* counters (MapCounts). `table` is the job's step table,
+/// σ-pruned at options.sigma. Throws MiningBudgetError when the state budget
+/// is exceeded.
+void MapDCandInput(const Sequence& T, const StepTable& table,
                    const DCandOptions& options, const EmitFn& emit);
 
 /// D-CAND's reduce of one partition, the reduce function of MineDCand:

@@ -6,6 +6,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/check.h"
 #include "src/util/thread_pool.h"
 
 namespace dseq {
@@ -15,6 +16,15 @@ MiningResult MinePartitionInput(const DfsInput& input,
                                 size_t num_records) {
   DesqDfsStats stats;
   MiningResult result = MineDesqDfs(input, options, &stats);
+#if DSEQ_DCHECK_IS_ON
+  // A partition mines only its own pivot's patterns: each one's largest
+  // item is the store's pivot.
+  if (input.pivot() != kNoItem) {
+    for (const PatternCount& pc : result) {
+      DSEQ_CHECK_EQ(PivotItem(pc.pattern), input.pivot());
+    }
+  }
+#endif
   if (obs::Enabled()) {
     static obs::Counter& sequences =
         obs::GetCounter("mining.reduce_sequences");

@@ -148,6 +148,7 @@ struct MapCounts {
 /// the group's work to the mining.reduce_* counters — `num_records` shuffled
 /// records, the store's kept and dropped edges, and the search's expansions
 /// and pruned postings. Once per key group, so proc workers ship them too.
+/// DCHECKs that every mined pattern's largest item is the store's pivot.
 MiningResult MinePartitionInput(const DfsInput& input,
                                 const DesqDfsOptions& options,
                                 size_t num_records);

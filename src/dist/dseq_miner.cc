@@ -155,9 +155,10 @@ Sequence PivotRewriter::Rewrite(ItemId pivot) const {
 
 // --- The miner -------------------------------------------------------------
 
-void MapDSeqInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+void MapDSeqInput(const Sequence& T, const StepTable& table,
                   const DSeqOptions& options, const EmitFn& emit,
                   const PartitionPlan* plan, size_t index) {
+  DSEQ_DCHECK_EQ(table.prune_sigma(), options.sigma);
   StateGrid grid;
   Sequence found;
   const Sequence* pivots = &found;
@@ -166,9 +167,7 @@ void MapDSeqInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
   // it is on, the rewriter's backward DP also yields K(T).
   std::optional<PivotRewriter> rewriter;
   if (options.use_grid) {
-    GridOptions grid_options;
-    grid_options.prune_sigma = options.sigma;
-    grid = StateGrid::Build(T, fst, dict, grid_options);
+    grid = StateGrid::Build(T, table);
     if (!grid.HasAcceptingRun()) return;
     if (options.rewrite) {
       pivots = &rewriter.emplace(T, grid).pivots();
@@ -176,8 +175,7 @@ void MapDSeqInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
       found = FindPivotItems(grid);
     }
   } else {
-    if (!FindPivotItemsNoGrid(T, fst, dict, options.sigma,
-                              options.nogrid_step_budget, &found)) {
+    if (!FindPivotItemsNoGrid(T, table, options.nogrid_step_budget, &found)) {
       throw MiningBudgetError(
           "D-SEQ no-grid pivot search exceeded its step budget");
     }
@@ -217,29 +215,39 @@ namespace {
 
 // The map function shared by the single-round miner, the chained recount
 // driver, and the plan-driven balanced miner. The returned closure captures
-// `db`, `fst`, `dict`, `options` (and `plan`, when given) by reference;
-// callers keep them alive for the round. The balanced miner passes its
+// `db`, `table`, `options` (and `plan`, when given) by reference; callers
+// keep them alive for the round. The balanced miner passes its
 // PartitionPlan so pivots the plan split ship under range-split
 // sub-partition keys.
-MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
-                    const Dictionary& dict, const DSeqOptions& options,
+MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const StepTable& table,
+                    const DSeqOptions& options,
                     const PartitionPlan* plan = nullptr) {
-  return [&db, &fst, &dict, &options, plan](size_t index,
-                                            const EmitFn& emit) {
-    MapDSeqInput(db[index], fst, dict, options, emit, plan, index);
+  return [&db, &table, &options, plan](size_t index, const EmitFn& emit) {
+    MapDSeqInput(db[index], table, options, emit, plan, index);
   };
 }
 
-// One D-SEQ partition's local mining, the shared body of every D-SEQ
-// reduce: each shuffled (possibly weighted) rewrite is decoded straight into
-// a DfsInput for the partition's pivot, with items pruned at the run's σ,
-// and the store is mined with threshold `mine_sigma`.
-MiningResult MinePartition(const std::vector<std::string_view>& values,
-                           const Fst& fst, const Dictionary& dict,
-                           const DSeqOptions& options, ItemId pivot,
-                           uint64_t mine_sigma) {
+PartitionReduceFn MakeDSeqReduceFn(const StepTable& table,
+                                   const DSeqOptions& options) {
+  return [&table, &options](std::string_view key,
+                            std::vector<std::string_view>& values,
+                            MiningResult& out) {
+    MiningResult local = MineDSeqPartition(key, values, table, options);
+    out.insert(out.end(), std::make_move_iterator(local.begin()),
+               std::make_move_iterator(local.end()));
+  };
+}
+
+}  // namespace
+
+MiningResult MineDSeqPartition(std::string_view key,
+                               const std::vector<std::string_view>& values,
+                               const StepTable& table,
+                               const DSeqOptions& options) {
   DSEQ_TRACE_SPAN("mining", "dseq_reduce");
-  DfsInput input(fst, dict, options.sigma, pivot);
+  DSEQ_DCHECK_EQ(table.prune_sigma(), options.sigma);
+  const PivotKeyParts parts = DecodePivotKeyParts(key);
+  DfsInput input(table, parts.pivot);
   Sequence seq;
   for (std::string_view v : values) {
     size_t pos = 0;
@@ -254,32 +262,21 @@ MiningResult MinePartition(const std::vector<std::string_view>& values,
   }
 
   DesqDfsOptions local;
-  local.sigma = mine_sigma;
-  local.pivot = pivot;
+  // A sub-partition sees a slice of its pivot's sequences, so its local
+  // support proves nothing about σ: it mines at 1 (items stay pruned at σ).
+  local.sigma = parts.subpartition < 0 ? options.sigma : 1;
+  local.pivot = parts.pivot;
   local.early_stop = options.early_stop;
   return MinePartitionInput(input, local, values.size());
 }
 
-PartitionReduceFn MakeDSeqReduceFn(const Fst& fst, const Dictionary& dict,
-                                   const DSeqOptions& options) {
-  return [&fst, &dict, &options](std::string_view key,
-                                 std::vector<std::string_view>& values,
-                                 MiningResult& out) {
-    MiningResult local = MinePartition(values, fst, dict, options,
-                                       DecodePivotKey(key), options.sigma);
-    out.insert(out.end(), std::make_move_iterator(local.begin()),
-               std::make_move_iterator(local.end()));
-  };
-}
-
-}  // namespace
-
 DistributedResult MineDSeq(const std::vector<Sequence>& db, const Fst& fst,
                            const Dictionary& dict,
                            const DSeqOptions& options) {
-  return RunDistributedMining(db.size(), MakeDSeqMapFn(db, fst, dict, options),
+  const StepTable table(fst, dict, options.sigma);
+  return RunDistributedMining(db.size(), MakeDSeqMapFn(db, table, options),
                               options.aggregate_sequences,
-                              MakeDSeqReduceFn(fst, dict, options), options);
+                              MakeDSeqReduceFn(table, options), options);
 }
 
 DistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
@@ -290,11 +287,11 @@ DistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
   DataflowJob job(options);
   Dictionary recounted =
       RecountFrequencies(job, db, dict, options.recount_sample_every);
+  const StepTable table(fst, recounted, options.sigma);
   return MakeChainedResult(
-      RunMiningRound(job, db.size(),
-                     MakeDSeqMapFn(db, fst, recounted, options),
+      RunMiningRound(job, db.size(), MakeDSeqMapFn(db, table, options),
                      options.aggregate_sequences,
-                     MakeDSeqReduceFn(fst, recounted, options)),
+                     MakeDSeqReduceFn(table, options)),
       job);
 }
 
@@ -313,8 +310,9 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
   }
   // Planning pass (driver-local, no shuffle): measure what the map phase
   // would ship per pivot and pack it onto the configured reducers.
-  std::vector<PartitionStats> stats = ComputePartitionStats(
-      db, fst, dict, options.sigma, options.num_map_workers);
+  const StepTable table(fst, dict, options.sigma);
+  std::vector<PartitionStats> stats =
+      ComputePartitionStats(db, table, options.num_map_workers);
   PartitionPlanOptions plan_options;
   plan_options.num_reducers = ClampWorkers(options.num_reduce_workers);
   plan_options.split_factor = options.split_factor;
@@ -338,12 +336,8 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
   ReduceFn reduce = [&](int /*worker*/, std::string_view key,
                         std::vector<std::string_view>& values,
                         const EmitFn& emit) {
-    PivotKeyParts parts = DecodePivotKeyParts(key);
-    // Split sub-partitions prune items at σ but mine at 1 (see above).
-    MiningResult local_result =
-        MinePartition(values, fst, dict, options, parts.pivot,
-                      parts.subpartition < 0 ? options.sigma : 1);
-    const char tag = parts.subpartition < 0 ? 'F' : 'S';
+    MiningResult local_result = MineDSeqPartition(key, values, table, options);
+    const char tag = DecodePivotKeyParts(key).subpartition < 0 ? 'F' : 'S';
     std::string k;
     std::string v;
     for (const PatternCount& pc : local_result) {
@@ -354,7 +348,7 @@ DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
     }
   };
   job.RunRound(db.size(),
-               MakeDSeqMapFn(db, fst, dict, options, &plan),
+               MakeDSeqMapFn(db, table, options, &plan),
                options.aggregate_sequences, reduce);
 
   // Partition the boundary records by tag: finished patterns are final,

@@ -17,6 +17,7 @@
 #define DSEQ_DIST_DSEQ_MINER_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "src/core/desq_dfs.h"
@@ -84,13 +85,27 @@ class PivotRewriter {
 /// miner: emits ρk(T) (T itself without rewriting) under k's partition key
 /// for every pivot k ∈ K(T), preceded by a weight varint of 1 under
 /// aggregate_sequences, and under obs::Enabled() flushes the input's work to
-/// the mining.map_* counters (MapCounts). Under a `plan`, a pivot the plan
-/// splits ships under the sub-partition key of `index`, the input's index in
-/// the database. Throws MiningBudgetError when the no-grid pivot search
-/// exceeds its step budget.
-void MapDSeqInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+/// the mining.map_* counters (MapCounts). `table` is the job's step table,
+/// σ-pruned at options.sigma. Under a `plan`, a pivot the plan splits ships
+/// under the sub-partition key of `index`, the input's index in the
+/// database. Throws MiningBudgetError when the no-grid pivot search exceeds
+/// its step budget.
+void MapDSeqInput(const Sequence& T, const StepTable& table,
                   const DSeqOptions& options, const EmitFn& emit,
                   const PartitionPlan* plan = nullptr, size_t index = 0);
+
+/// D-SEQ's reduce of one partition, the reduce function of every D-SEQ
+/// miner: decodes each (weighted, under aggregate_sequences) rewrite in
+/// `values` straight into a DfsInput over `table` for the pivot named by
+/// `key`, and mines it with pivot-restricted DESQ-DFS (MinePartitionInput).
+/// A pivot key mines at options.sigma; a sub-partition key
+/// (EncodeSubpartitionKey) mines at 1, since a slice of the pivot's
+/// sequences proves nothing about σ. Throws std::invalid_argument on a
+/// malformed key or record, or an item outside the table.
+MiningResult MineDSeqPartition(std::string_view key,
+                               const std::vector<std::string_view>& values,
+                               const StepTable& table,
+                               const DSeqOptions& options);
 
 /// Runs D-SEQ. `db` must be fid-recoded with `dict`'s frequencies (the state
 /// SequenceDatabase::Recode leaves behind).

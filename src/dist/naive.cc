@@ -6,16 +6,14 @@
 #include "src/core/candidates.h"
 #include "src/core/grid.h"
 #include "src/obs/trace.h"
+#include "src/util/check.h"
 
 namespace dseq {
 
-void MapNaiveInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+void MapNaiveInput(const Sequence& T, const StepTable& table,
                    const NaiveOptions& options, const EmitFn& emit) {
-  GridOptions grid_options;
-  // SEMI-NAIVE communicates only candidates made of frequent items; NAIVE
-  // ships the raw candidate space and lets the reducers discard the rest.
-  grid_options.prune_sigma = options.semi_naive ? options.sigma : 0;
-  StateGrid grid = StateGrid::Build(T, fst, dict, grid_options);
+  DSEQ_DCHECK_EQ(table.prune_sigma(), options.semi_naive ? options.sigma : 0);
+  StateGrid grid = StateGrid::Build(T, table);
   if (!grid.HasAcceptingRun()) return;
   // The key set is deduplicated per sequence, so each candidate counts the
   // input sequence once (distinct-sequence support).
@@ -39,13 +37,21 @@ void MapNaiveInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
 
 namespace {
 
+// The job's step table. SEMI-NAIVE communicates only candidates made of
+// frequent items; NAIVE ships the raw candidate space and lets the reducers
+// discard the rest.
+StepTable NaiveStepTable(const Fst& fst, const Dictionary& dict,
+                         const NaiveOptions& options) {
+  return StepTable(fst, dict, options.semi_naive ? options.sigma : 0);
+}
+
 // Map/reduce phases shared by the single-round miner and the chained
-// recount driver. The returned closures capture `db`, `fst`, `dict`, and
-// `options` by reference; callers keep them alive for the round.
-MapFn MakeNaiveMapFn(const std::vector<Sequence>& db, const Fst& fst,
-                     const Dictionary& dict, const NaiveOptions& options) {
-  return [&db, &fst, &dict, &options](size_t index, const EmitFn& emit) {
-    MapNaiveInput(db[index], fst, dict, options, emit);
+// recount driver. The returned closures capture `db`, `table` and `options`
+// by reference; callers keep them alive for the round.
+MapFn MakeNaiveMapFn(const std::vector<Sequence>& db, const StepTable& table,
+                     const NaiveOptions& options) {
+  return [&db, &table, &options](size_t index, const EmitFn& emit) {
+    MapNaiveInput(db[index], table, options, emit);
   };
 }
 
@@ -79,7 +85,8 @@ PartitionReduceFn MakeNaiveReduceFn(const NaiveOptions& options) {
 DistributedResult MineNaive(const std::vector<Sequence>& db, const Fst& fst,
                             const Dictionary& dict,
                             const NaiveOptions& options) {
-  return RunDistributedMining(db.size(), MakeNaiveMapFn(db, fst, dict, options),
+  const StepTable table = NaiveStepTable(fst, dict, options);
+  return RunDistributedMining(db.size(), MakeNaiveMapFn(db, table, options),
                               /*combine=*/true, MakeNaiveReduceFn(options),
                               options);
 }
@@ -92,9 +99,9 @@ DistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
   DataflowJob job(options);
   Dictionary recounted =
       RecountFrequencies(job, db, dict, options.recount_sample_every);
+  const StepTable table = NaiveStepTable(fst, recounted, options);
   return MakeChainedResult(
-      RunMiningRound(job, db.size(),
-                     MakeNaiveMapFn(db, fst, recounted, options),
+      RunMiningRound(job, db.size(), MakeNaiveMapFn(db, table, options),
                      /*combine=*/true, MakeNaiveReduceFn(options)),
       job);
 }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/core/desq_dfs.h"
+#include "src/core/grid.h"
 #include "src/dict/dictionary.h"
 #include "src/dist/distributed.h"
 #include "src/fst/fst.h"
@@ -41,7 +42,9 @@ struct NaiveOptions : DistributedRunOptions {
 /// grid_edges and candidates, the distinct candidates emitted). Throws
 /// MiningBudgetError when T has more raw candidates than
 /// candidates_per_sequence_budget (0 = unlimited), and then emits nothing.
-void MapNaiveInput(const Sequence& T, const Fst& fst, const Dictionary& dict,
+/// `table` is the job's step table: σ-pruned at options.sigma for
+/// SEMI-NAIVE, unpruned (0) for NAIVE.
+void MapNaiveInput(const Sequence& T, const StepTable& table,
                    const NaiveOptions& options, const EmitFn& emit);
 
 /// Runs NAIVE (or SEMI-NAIVE). `db` must be fid-recoded with `dict`.

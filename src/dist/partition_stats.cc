@@ -10,11 +10,8 @@
 namespace dseq {
 
 std::vector<PartitionStats> ComputePartitionStats(
-    const std::vector<Sequence>& db, const Fst& fst, const Dictionary& dict,
-    uint64_t sigma, int num_workers) {
-  GridOptions grid_options;
-  grid_options.prune_sigma = sigma;
-
+    const std::vector<Sequence>& db, const StepTable& table,
+    int num_workers) {
   int workers = ClampWorkers(num_workers);
   std::vector<std::map<ItemId, PartitionStats>> per_worker(workers);
   ParallelShards(db.size(), workers, [&](int w, size_t begin, size_t end) {
@@ -22,7 +19,7 @@ std::vector<PartitionStats> ComputePartitionStats(
     std::string value;
     for (size_t i = begin; i < end; ++i) {
       const Sequence& T = db[i];
-      StateGrid grid = StateGrid::Build(T, fst, dict, grid_options);
+      StateGrid grid = StateGrid::Build(T, table);
       if (!grid.HasAcceptingRun()) continue;
       PivotRewriter rewriter(T, grid);
       for (ItemId k : rewriter.pivots()) {

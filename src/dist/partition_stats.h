@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/core/grid.h"
 #include "src/dict/dictionary.h"
 #include "src/dist/distributed.h"
 #include "src/fst/fst.h"
@@ -29,9 +30,10 @@ struct PartitionStats {
 };
 
 /// Computes the per-partition statistics of D-SEQ's map output for `db`
-/// under `fst` with threshold `sigma` (grid σ-pruning + rewriting, exactly
-/// what MineDSeq ships). Result is sorted by pivot ascending; partitions
-/// that receive no data are omitted. Deterministic for any `num_workers`.
+/// under the job's step `table` (grid σ-pruning at the table's σ +
+/// rewriting, exactly what MineDSeq ships). Result is sorted by pivot
+/// ascending; partitions that receive no data are omitted. Deterministic
+/// for any `num_workers`.
 ///
 /// The stats model the *uncombined* shuffle: with
 /// DSeqOptions::aggregate_sequences the run additionally prepends a weight
@@ -40,8 +42,8 @@ struct PartitionStats {
 /// (pre-combine volume is still the right packing signal — it bounds what
 /// any worker sharding can ship).
 std::vector<PartitionStats> ComputePartitionStats(
-    const std::vector<Sequence>& db, const Fst& fst, const Dictionary& dict,
-    uint64_t sigma, int num_workers = 1);
+    const std::vector<Sequence>& db, const StepTable& table,
+    int num_workers = 1);
 
 /// Aggregate balance measures over a partitioning. Two views:
 ///  * per pivot: over the pivots that received data (the historical view);

@@ -29,6 +29,7 @@ template <typename T>
 class Span {
  public:
   Span(const T* data, size_t size) : data_(data), size_(size) {}
+  Span(const std::vector<T>& v) : data_(v.data()), size_(v.size()) {}
   const T* data() const { return data_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

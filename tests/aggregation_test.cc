@@ -25,7 +25,8 @@ TEST(WeightedDesqDfsTest, WeightsMultiplySupport) {
 
   // T5 = a1 a1 b with weight 3 is equivalent to three copies of T5, whether
   // the store simulates the FST itself or adapts a built grid.
-  DfsInput direct(fst, db.dict, options.sigma, kNoItem);
+  const StepTable table(fst, db.dict, options.sigma);
+  DfsInput direct(table, kNoItem);
   direct.Add(db.sequences[4], 3);
   GridOptions grid_options;
   grid_options.prune_sigma = options.sigma;
@@ -76,11 +77,12 @@ TEST(WeightedDesqDfsTest, WeightedAddsMatchCopies) {
         for (const Sequence& T : db.sequences) {
           grids.push_back(StateGrid::Build(T, fst, db.dict, grid_options));
         }
+        const StepTable table(fst, db.dict, sigma);
         for (ItemId pivot = kNoItem; pivot <= db.dict.size(); ++pivot) {
           DesqDfsOptions options;
           options.sigma = sigma;
           options.pivot = pivot;
-          DfsInput direct(fst, db.dict, sigma, pivot);
+          DfsInput direct(table, pivot);
           for (size_t i = 0; i < db.sequences.size(); ++i) {
             direct.Add(db.sequences[i], weights[i]);
           }

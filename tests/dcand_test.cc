@@ -44,8 +44,9 @@ TEST(DCandTest, PartitionReduceRejectsTheNoItemPivotKey) {
   DCandOptions options;
   options.sigma = 1;
   std::map<std::string, std::vector<std::string>> partitions;
+  const StepTable table(fst, db.dict, options.sigma);
   for (const Sequence& T : db.sequences) {
-    MapDCandInput(T, fst, db.dict, options,
+    MapDCandInput(T, table, options,
                   [&](std::string_view key, std::string_view value) {
                     partitions[std::string(key)].emplace_back(value);
                   });

@@ -107,13 +107,28 @@ TEST(DesqDfsTest, StoreRejectsAnotherPivot) {
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(kPatternEx, db.dict);
   ItemId a1 = db.dict.ItemByName("a1");
-  DfsInput input(fst, db.dict, 2, a1);
+  const StepTable table(fst, db.dict, 2);
+  DfsInput input(table, a1);
   for (const Sequence& T : db.sequences) input.Add(T);
   DesqDfsOptions options;
   options.sigma = 2;
   EXPECT_THROW(MineDesqDfs(input, options), std::invalid_argument);
   options.pivot = a1;
   EXPECT_EQ(MineDesqDfs(input, options).size(), 3u);
+}
+
+TEST(DesqDfsTest, StoreRejectsItemsOutsideItsTable) {
+  // Reduce inputs are decoded bytes; an id outside the dictionary must not
+  // index the step table.
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  const StepTable table(fst, db.dict, 2);
+  DfsInput input(table, kNoItem);
+  EXPECT_THROW(input.Add({kNoItem}), std::invalid_argument);
+  EXPECT_THROW(input.Add({1, static_cast<ItemId>(db.dict.size() + 1)}),
+               std::invalid_argument);
+  input.Add(db.sequences[0]);
+  EXPECT_EQ(input.num_sequences(), 1u);
 }
 
 TEST(DesqDfsTest, MemoryBudgetThrows) {
@@ -183,7 +198,8 @@ TEST_P(DesqDfsPropertyTest, StoreEdgesMatchGridEdges) {
   for (uint64_t sigma : {0, 1, 3, 5}) {
     GridOptions grid_options;
     grid_options.prune_sigma = sigma;
-    DfsInput input(fst, db.dict, sigma, kNoItem);
+    const StepTable table(fst, db.dict, sigma);
+    DfsInput input(table, kNoItem);
     uint64_t grid_edges = 0;
     size_t accepting = 0;
     for (const Sequence& T : db.sequences) {

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "src/core/desq_dfs.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
+#include "src/util/varint.h"
 #include "tests/test_util.h"
 
 namespace dseq {
@@ -26,6 +33,47 @@ TEST(DSeqTest, RunningExampleGolden) {
   Canonicalize(&expected);
   EXPECT_EQ(result.patterns, expected)
       << testing::Format(result.patterns, db.dict);
+}
+
+// The exposed map and reduce, run by hand per partition key, give MineDSeq's
+// patterns; the reduce rejects malformed keys and records, and items the
+// job's table does not hold.
+TEST(DSeqTest, PartitionReduceMatchesMiner) {
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  DSeqOptions options;
+  options.sigma = 2;
+  const StepTable table(fst, db.dict, options.sigma);
+  std::map<std::string, std::vector<std::string>> partitions;
+  for (const Sequence& T : db.sequences) {
+    MapDSeqInput(T, table, options,
+                 [&](std::string_view key, std::string_view value) {
+                   partitions[std::string(key)].emplace_back(value);
+                 });
+  }
+  ASSERT_FALSE(partitions.empty());
+  MiningResult mined;
+  for (const auto& [key, records] : partitions) {
+    std::vector<std::string_view> values(records.begin(), records.end());
+    MiningResult local = MineDSeqPartition(key, values, table, options);
+    mined.insert(mined.end(), local.begin(), local.end());
+    EXPECT_THROW(MineDSeqPartition(std::string(1, '\0'), values, table,
+                                   options),
+                 std::invalid_argument);
+  }
+  Canonicalize(&mined);
+  EXPECT_EQ(mined, MineDSeq(db.sequences, fst, db.dict, options).patterns);
+
+  const std::string key = partitions.begin()->first;
+  std::string truncated = partitions.begin()->second.front();
+  truncated.pop_back();
+  std::string outside;
+  PutSequence(&outside, {static_cast<ItemId>(db.dict.size() + 1)});
+  for (const std::string& bad : {truncated, outside}) {
+    std::vector<std::string_view> values = {bad};
+    EXPECT_THROW(MineDSeqPartition(key, values, table, options),
+                 std::invalid_argument);
+  }
 }
 
 TEST(DSeqTest, RewritingReducesShuffle) {

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "src/core/candidates.h"
+#include "src/datagen/market_baskets.h"
+#include "src/datagen/text_corpus.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
 #include "src/util/varint.h"
@@ -121,63 +125,6 @@ TEST(GridTest, OutputSetsSortedAscending) {
   }
 }
 
-// The grid as the per-layer construction built it: one edge vector per
-// layer, sorted by (from, to, out) and deduplicated, then pruned from the top
-// layer down to the edges into a coordinate on an accepting run; every layer
-// is emptied if (0, initial) is not on one. `*pruned` counts the edges the
-// pruning removed from accepting grids.
-std::vector<std::vector<StateGrid::Edge>> ReferenceLayers(
-    const Sequence& T, const Fst& fst, const Dictionary& dict, uint64_t sigma,
-    size_t* pruned) {
-  const size_t n = T.size();
-  const size_t ns = fst.num_states();
-  std::vector<std::vector<StateGrid::Edge>> layers(n);
-  std::vector<bool> reached((n + 1) * ns, false);
-  reached[fst.initial()] = true;
-  Sequence out;
-  for (size_t i = 0; i < n; ++i) {
-    for (StateId q = 0; q < ns; ++q) {
-      if (!reached[i * ns + q]) continue;
-      for (const Transition& tr : fst.From(q)) {
-        if (!StepTransition(fst, tr, T[i], dict, sigma, &out)) continue;
-        reached[(i + 1) * ns + tr.to] = true;
-        layers[i].push_back(StateGrid::Edge{q, tr.to, out});
-      }
-    }
-    auto key = [](const StateGrid::Edge& e) {
-      return std::tie(e.from, e.to, e.out);
-    };
-    std::sort(layers[i].begin(), layers[i].end(),
-              [&](const auto& a, const auto& b) { return key(a) < key(b); });
-    layers[i].erase(std::unique(layers[i].begin(), layers[i].end(),
-                                [&](const auto& a, const auto& b) {
-                                  return key(a) == key(b);
-                                }),
-                    layers[i].end());
-  }
-  std::vector<bool> alive((n + 1) * ns, false);
-  for (StateId q = 0; q < ns; ++q) {
-    alive[n * ns + q] = reached[n * ns + q] && fst.IsFinal(q);
-  }
-  size_t removed = 0;
-  for (size_t i = n; i-- > 0;) {
-    const size_t before = layers[i].size();
-    layers[i].erase(std::remove_if(layers[i].begin(), layers[i].end(),
-                                   [&](const StateGrid::Edge& e) {
-                                     return !alive[(i + 1) * ns + e.to];
-                                   }),
-                    layers[i].end());
-    removed += before - layers[i].size();
-    for (const StateGrid::Edge& e : layers[i]) alive[i * ns + e.from] = true;
-  }
-  if (ns == 0 || !alive[fst.initial()]) {
-    for (auto& layer : layers) layer.clear();
-  } else {
-    *pruned += removed;
-  }
-  return layers;
-}
-
 // Edges as comparable (from, to, out) tuples.
 template <typename Edges>
 std::vector<std::tuple<StateId, StateId, Sequence>> Tuples(const Edges& edges) {
@@ -203,9 +150,15 @@ TEST(GridTest, CoordinateIndexMatchesPerLayerConstruction) {
                      " sigma=" + std::to_string(sigma));
         GridOptions options;
         options.prune_sigma = sigma;
+        const StepTable table(fst, db.dict, sigma);
         for (const Sequence& T : db.sequences) {
-          StateGrid grid = StateGrid::Build(T, fst, db.dict, options);
-          auto reference = ReferenceLayers(T, fst, db.dict, sigma, &pruned);
+          StateGrid grid = StateGrid::Build(T, table);
+          auto reference =
+              testing::ReferenceLayers(T, fst, db.dict, sigma, &pruned);
+          // The per-sequence overload runs the same loop over T's items.
+          StateGrid local = StateGrid::Build(T, fst, db.dict, options);
+          EXPECT_EQ(Tuples(local.edges()), Tuples(grid.edges()));
+          EXPECT_EQ(local.HasAcceptingRun(), grid.HasAcceptingRun());
           ASSERT_EQ(reference.size(), grid.length());
           const size_t ns = grid.num_states();
           const Span<StateGrid::Edge> all = grid.edges();
@@ -235,6 +188,12 @@ TEST(GridTest, CoordinateIndexMatchesPerLayerConstruction) {
           }
           EXPECT_EQ(next, grid.num_edges());
           EXPECT_EQ(next, all.size());
+          for (size_t i = 0; i <= grid.length(); ++i) {
+            for (StateId q = 0; q < ns; ++q) {
+              EXPECT_EQ(local.Alive(i, q), grid.Alive(i, q));
+              EXPECT_EQ(local.ForwardActive(i, q), grid.ForwardActive(i, q));
+            }
+          }
           if (grid.num_edges() > 0) ++grids;
         }
       }
@@ -243,6 +202,142 @@ TEST(GridTest, CoordinateIndexMatchesPerLayerConstruction) {
   // Non-trivial grids, and accepting ones the pruning shrank.
   EXPECT_GT(grids, 100u);
   EXPECT_GT(pruned, 0u);
+}
+
+// --- StepTable --------------------------------------------------------------
+
+// Checks every cell of the job's table for `pattern` against ReferenceStep:
+// per state, the (to, step result) of each move equals that of each FST
+// transition, for every item of the dictionary. Returns the cells checked.
+size_t ExpectTableMatchesReference(const std::string& pattern,
+                                   const Dictionary& dict, uint64_t sigma) {
+  SCOPED_TRACE("pattern=" + pattern + " sigma=" + std::to_string(sigma));
+  Fst fst = CompileFst(pattern, dict);
+  const StepTable table(fst, dict, sigma);
+  EXPECT_EQ(table.num_states(), fst.num_states());
+  EXPECT_EQ(table.initial(), fst.initial());
+  EXPECT_EQ(table.prune_sigma(), sigma);
+  EXPECT_LE(table.num_classes(), fst.num_transitions());
+  using Step = std::tuple<StateId, bool, Sequence>;
+  size_t cells = 0;
+  Sequence out;
+  for (StateId q = 0; q < fst.num_states(); ++q) {
+    EXPECT_EQ(table.IsFinal(q), fst.IsFinal(q));
+    const Span<StepTable::Move> moves = table.MovesFrom(q);
+    EXPECT_EQ(moves.size(), fst.From(q).size());
+    for (ItemId w = 1; w <= dict.size(); ++w) {
+      std::vector<Step> expected;
+      for (const Transition& tr : fst.From(q)) {
+        bool edge = testing::ReferenceStep(fst, tr, w, dict, sigma, &out);
+        expected.emplace_back(tr.to, edge, edge ? out : Sequence{});
+      }
+      std::vector<Step> actual;
+      for (const StepTable::Move& m : moves) {
+        Span<ItemId> label(nullptr, 0);
+        bool edge = table.Step(table.Column(w), m.cls, &label);
+        actual.emplace_back(m.to, edge,
+                            Sequence(label.begin(), edge ? label.end()
+                                                         : label.begin()));
+      }
+      std::sort(expected.begin(), expected.end());
+      std::sort(actual.begin(), actual.end());
+      EXPECT_EQ(actual, expected) << "state " << q << " item " << w;
+      cells += expected.size();
+    }
+  }
+  return cells;
+}
+
+TEST(StepTableTest, CellsMatchReferenceOnPaperConstraints) {
+  // Tab. III's N1–N5 on a small NYT', A1–A4 on a small AMZN', and the
+  // traditional T1(3), T2(1, 4) and T3(1, 5) constraints.
+  TextCorpusOptions nyt_options;
+  nyt_options.num_sentences = 300;
+  nyt_options.lemmas_per_pos = 40;
+  nyt_options.num_entities = 30;
+  SequenceDatabase nyt = GenerateTextCorpus(nyt_options);
+  MarketBasketOptions amzn_options;
+  amzn_options.num_customers = 200;
+  SequenceDatabase amzn = GenerateMarketBaskets(amzn_options);
+  const std::vector<std::string> nyt_patterns = {
+      ".* ENTITY (VERB+ NOUN+? PREP?) ENTITY .*",
+      ".* (ENTITY^ VERB+ NOUN+? PREP? ENTITY^) .*",
+      ".* (ENTITY^ be^=) DET? (ADV? ADJ? NOUN) .*",
+      ".* (.^){3} NOUN .*",
+      ".* ([.^. .]|[. .^.]|[. . .^]) .*",
+      ".*(.)[.*(.)]{0,2}.*",
+      ".*(.)[.{0,1}(.)]{1,3}.*",
+  };
+  const std::vector<std::string> amzn_patterns = {
+      ".*(Electr^)[.{0,2}(Electr^)]{1,4}.*",
+      ".*(Book)[.{0,2}(Book)]{1,4}.*",
+      ".*DigitalCamera[.{0,3}(.^)]{1,4}.*",
+      ".*(MusicInstr^)[.{0,2}(MusicInstr^)]{1,4}.*",
+      ".*(.^)[.{0,1}(.^)]{1,4}.*",
+  };
+  size_t cells = 0;
+  for (uint64_t sigma : {0, 2, 20}) {
+    for (const std::string& p : nyt_patterns) {
+      cells += ExpectTableMatchesReference(p, nyt.dict, sigma);
+    }
+    for (const std::string& p : amzn_patterns) {
+      cells += ExpectTableMatchesReference(p, amzn.dict, sigma);
+    }
+  }
+  EXPECT_GT(cells, 100'000u);
+}
+
+// A random pattern over items i0..i5 of `.`, `^`, `^=` and `=` atoms,
+// captured or not, with quantifiers and alternation.
+std::string RandomPattern(std::mt19937_64& rng) {
+  const std::vector<std::string> atoms = {
+      ".",     "(.)",    "(.^)",   "i0",      "(i1)",    "(i2^)",
+      "(i3=)", "i4=",    "(i0^=)", "(i5^)",   "(i1^=)",  "i2"};
+  const std::vector<std::string> quantifiers = {"", "", "?", "*", "{0,2}",
+                                                "{1,2}"};
+  auto sequence = [&] {
+    std::string s;
+    for (size_t k = 0, n = 1 + rng() % 3; k < n; ++k) {
+      s += atoms[rng() % atoms.size()] +
+           quantifiers[rng() % quantifiers.size()] + " ";
+    }
+    return s;
+  };
+  std::string body = sequence();
+  if (rng() % 3 == 0) body = "[" + body + "|" + sequence() + "]";
+  return (rng() % 2 ? ".* " : "") + body + (rng() % 2 ? " .*" : "");
+}
+
+TEST(StepTableTest, CellsMatchReferenceOnRandomFsts) {
+  size_t cells = 0;
+  for (int seed : {1, 2, 3}) {
+    SequenceDatabase db = testing::RandomDatabase(seed + 700, 12, 30, 8);
+    std::mt19937_64 rng(seed);
+    std::vector<std::string> patterns = testing::PropertyPatterns();
+    for (int k = 0; k < 20; ++k) patterns.push_back(RandomPattern(rng));
+    for (const std::string& pattern : patterns) {
+      for (uint64_t sigma : {0, 1, 3, 8}) {
+        cells += ExpectTableMatchesReference(pattern, db.dict, sigma);
+      }
+    }
+  }
+  EXPECT_GT(cells, 10'000u);
+}
+
+TEST(StepTableTest, RejectsItemsItDoesNotHold) {
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  const StepTable table(fst, db.dict, 0);
+  const ItemId past = static_cast<ItemId>(db.dict.size() + 1);
+  EXPECT_THROW(table.Column(kNoItem), std::invalid_argument);
+  EXPECT_THROW(table.Column(past), std::invalid_argument);
+  EXPECT_THROW(StateGrid::Build({1, past}, table), std::invalid_argument);
+  EXPECT_THROW(StateGrid::Build({kNoItem}, fst, db.dict, {}),
+               std::invalid_argument);
+  // A table of some items holds only those.
+  const StepTable partial(fst, db.dict, 0, {2, 3});
+  EXPECT_EQ(partial.Column(3), 1u);
+  EXPECT_THROW(partial.Column(1), std::invalid_argument);
 }
 
 TEST(CandidatesTest, BudgetRespected) {

@@ -17,7 +17,7 @@ TEST(PartitionStatsTest, RunningExamplePartitions) {
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(kPatternEx, db.dict);
   std::vector<PartitionStats> stats =
-      ComputePartitionStats(db.sequences, fst, db.dict, 2);
+      ComputePartitionStats(db.sequences, StepTable(fst, db.dict, 2));
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_EQ(stats[0].pivot, db.dict.ItemByName("a1"));
   EXPECT_EQ(stats[0].num_sequences, 3u);
@@ -29,10 +29,10 @@ TEST(PartitionStatsTest, RunningExamplePartitions) {
 TEST(PartitionStatsTest, ParallelMatchesSerial) {
   SequenceDatabase db = testing::RandomDatabase(31, 8, 80, 8);
   Fst fst = CompileFst(".*(.^)[.{0,1}(.^)]{1,2}.*", db.dict);
-  auto serial = ComputePartitionStats(db.sequences, fst, db.dict, 2, 1);
+  const StepTable table(fst, db.dict, 2);
+  auto serial = ComputePartitionStats(db.sequences, table, 1);
   testing::ForEachWorkerCount([&](int workers) {
-    auto parallel =
-        ComputePartitionStats(db.sequences, fst, db.dict, 2, workers);
+    auto parallel = ComputePartitionStats(db.sequences, table, workers);
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i].pivot, parallel[i].pivot);
@@ -104,8 +104,9 @@ TEST(PartitionStatsTest, MoreWorkersThanSequencesRegression) {
   SequenceDatabase db = MakeRunningExample();
   db.sequences.resize(3);
   Fst fst = CompileFst(kPatternEx, db.dict);
-  auto serial = ComputePartitionStats(db.sequences, fst, db.dict, 1, 1);
-  auto wide = ComputePartitionStats(db.sequences, fst, db.dict, 1, 8);
+  const StepTable table(fst, db.dict, 1);
+  auto serial = ComputePartitionStats(db.sequences, table, 1);
+  auto wide = ComputePartitionStats(db.sequences, table, 8);
   ASSERT_EQ(serial.size(), wide.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].pivot, wide[i].pivot);
@@ -113,8 +114,7 @@ TEST(PartitionStatsTest, MoreWorkersThanSequencesRegression) {
     EXPECT_EQ(serial[i].total_bytes, wide[i].total_bytes);
   }
   // Degenerate sizes stay well-defined.
-  EXPECT_TRUE(
-      ComputePartitionStats({}, fst, db.dict, 1, 8).empty());
+  EXPECT_TRUE(ComputePartitionStats({}, table, 8).empty());
 }
 
 TEST(PartitionStatsTest, StatsMatchEngineShuffleAccounting) {
@@ -125,7 +125,7 @@ TEST(PartitionStatsTest, StatsMatchEngineShuffleAccounting) {
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(kPatternEx, db.dict);
   std::vector<PartitionStats> stats =
-      ComputePartitionStats(db.sequences, fst, db.dict, 2);
+      ComputePartitionStats(db.sequences, StepTable(fst, db.dict, 2));
   uint64_t stats_bytes = 0;
   for (const PartitionStats& p : stats) stats_bytes += p.total_bytes;
 
@@ -141,7 +141,7 @@ TEST(PartitionStatsTest, FrequentItemsReceiveLittleData) {
   SequenceDatabase db = testing::RandomDatabase(33, 10, 300, 10);
   Fst fst = CompileFst(".*(.^)[.{0,1}(.^)]{1,2}.*", db.dict);
   std::vector<PartitionStats> stats =
-      ComputePartitionStats(db.sequences, fst, db.dict, 2);
+      ComputePartitionStats(db.sequences, StepTable(fst, db.dict, 2));
   ASSERT_GT(stats.size(), 2u);
   BalanceSummary summary = SummarizeBalance(stats);
   // No partition holds everything.

@@ -335,8 +335,8 @@ TEST_P(PivotPropertyTest, GridMatchesBruteForce) {
 
       // The no-grid ablation must agree as well.
       Sequence via_nogrid;
-      ASSERT_TRUE(FindPivotItemsNoGrid(T, fst, db.dict, sigma, 100'000'000,
-                                       &via_nogrid));
+      ASSERT_TRUE(FindPivotItemsNoGrid(T, StepTable(fst, db.dict, sigma),
+                                       100'000'000, &via_nogrid));
       EXPECT_EQ(via_nogrid, expected) << "sigma=" << sigma << " (no grid)";
     }
   }

@@ -14,6 +14,7 @@
 #include <initializer_list>
 #include <random>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -126,6 +127,84 @@ inline SequenceDatabase RandomDatabase(uint64_t seed, size_t num_items,
   }
   db.Recode();
   return db;
+}
+
+/// Reference FST step, straight from its definition (the rule StepTable
+/// tabulates): true iff `tr` matches `t` and yields an edge, whose sorted
+/// output set (empty = ε) is left in `*out`. With sigma > 0, items of
+/// document frequency < sigma are removed, and a non-ε transition left with
+/// no item yields no edge.
+inline bool ReferenceStep(const Fst& fst, const Transition& tr, ItemId t,
+                          const Dictionary& dict, uint64_t sigma,
+                          Sequence* out) {
+  if (!fst.Matches(tr, t, dict)) return false;
+  fst.ComputeOutput(tr, t, dict, out);
+  if (sigma == 0 || out->empty()) return true;
+  Sequence kept;
+  for (ItemId w : *out) {
+    if (dict.DocFrequency(w) >= sigma) kept.push_back(w);
+  }
+  out->swap(kept);
+  return !out->empty() || tr.out_kind == OutputKind::kEpsilon;
+}
+
+/// Reference grid, the per-transition construction StateGrid::Build
+/// replaced: one edge vector per layer, stepping every transition out of
+/// every reached coordinate with ReferenceStep, sorted by (from, to, out)
+/// and deduplicated, then pruned from the top layer down to the edges into
+/// a coordinate on an accepting run; every layer is emptied if
+/// (0, initial) is not on one. `*pruned` counts the edges the pruning
+/// removed from accepting grids. grid_test pins StateGrid::Build against it.
+inline std::vector<std::vector<StateGrid::Edge>> ReferenceLayers(
+    const Sequence& T, const Fst& fst, const Dictionary& dict, uint64_t sigma,
+    size_t* pruned) {
+  const size_t n = T.size();
+  const size_t ns = fst.num_states();
+  std::vector<std::vector<StateGrid::Edge>> layers(n);
+  std::vector<bool> reached((n + 1) * ns, false);
+  reached[fst.initial()] = true;
+  Sequence out;
+  for (size_t i = 0; i < n; ++i) {
+    for (StateId q = 0; q < ns; ++q) {
+      if (!reached[i * ns + q]) continue;
+      for (const Transition& tr : fst.From(q)) {
+        if (!ReferenceStep(fst, tr, T[i], dict, sigma, &out)) continue;
+        reached[(i + 1) * ns + tr.to] = true;
+        layers[i].push_back(StateGrid::Edge{q, tr.to, out});
+      }
+    }
+    auto key = [](const StateGrid::Edge& e) {
+      return std::tie(e.from, e.to, e.out);
+    };
+    std::sort(layers[i].begin(), layers[i].end(),
+              [&](const auto& a, const auto& b) { return key(a) < key(b); });
+    layers[i].erase(std::unique(layers[i].begin(), layers[i].end(),
+                                [&](const auto& a, const auto& b) {
+                                  return key(a) == key(b);
+                                }),
+                    layers[i].end());
+  }
+  std::vector<bool> alive((n + 1) * ns, false);
+  for (StateId q = 0; q < ns; ++q) {
+    alive[n * ns + q] = reached[n * ns + q] && fst.IsFinal(q);
+  }
+  size_t removed = 0;
+  for (size_t i = n; i-- > 0;) {
+    const size_t before = layers[i].size();
+    layers[i].erase(std::remove_if(layers[i].begin(), layers[i].end(),
+                                   [&](const StateGrid::Edge& e) {
+                                     return !alive[(i + 1) * ns + e.to];
+                                   }),
+                    layers[i].end());
+    removed += before - layers[i].size();
+    for (const StateGrid::Edge& e : layers[i]) alive[i * ns + e.from] = true;
+  }
+  if (ns == 0 || !alive[fst.initial()]) {
+    for (auto& layer : layers) layer.clear();
+  } else {
+    *pruned += removed;
+  }
+  return layers;
 }
 
 /// Reference candidate search, a plain DFS over every accepting run:

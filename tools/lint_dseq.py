@@ -56,6 +56,14 @@ the offending line or the line above it):
                        a StateGrid per sequence or an OutputNfa per record
                        only to mine it pays the per-edge allocations and the
                        label map the store removed.
+  fst-step             calls of StepTransition and of the FST's .Matches /
+                       .ComputeOutput (or ->) in src/ outside
+                       src/fst/fst.{h,cc} and src/core/grid.{h,cc} — the
+                       FST step and its σ rule run once per (transition
+                       class, item) in the StepTable build; every
+                       simulation reads the job's table, and a second
+                       stepping site would redo the per-step work the table
+                       removed and could drift from its σ rule.
   env-knob             getenv in src/ — the library is configured through
                        DataflowOptions and the miners' options structs,
                        never the environment; the one exemption is the
@@ -321,6 +329,23 @@ class Linter:
                 if pattern.search(line):
                     self.report(path, i, "dfs-input", message, raw_lines)
 
+    # The FST step runs in one place: the StepTable build (grid.{h,cc}) over
+    # the Fst's own predicates (fst.{h,cc}).
+    FST_STEP_RE = re.compile(
+        r"\bStepTransition\s*\(|(?:\.|->)\s*(?:Matches|ComputeOutput)\s*\(")
+    FST_STEP_EXEMPT = {"src/fst/fst.h", "src/fst/fst.cc", "src/core/grid.h",
+                       "src/core/grid.cc"}
+
+    def check_fst_step(self, path, raw_lines, code_lines):
+        if not path.startswith("src/") or path in self.FST_STEP_EXEMPT:
+            return
+        for i, line in enumerate(code_lines, start=1):
+            if self.FST_STEP_RE.search(line):
+                self.report(path, i, "fst-step",
+                            "FST step outside the StepTable build — read the "
+                            "job's StepTable (StepTable::Simulate, Step)",
+                            raw_lines)
+
     # Options structs are the library's one configuration surface. The
     # exempt site is pinned by file and by the variable it reads (the raw
     # line names it; the stripped line has the string blanked).
@@ -371,6 +396,7 @@ class Linter:
         self.check_reduce_body(path, raw_lines, code_lines)
         self.check_round_entry(path, raw_lines, code_lines)
         self.check_dfs_input(path, raw_lines, code_lines)
+        self.check_fst_step(path, raw_lines, code_lines)
         self.check_env_knob(path, raw_lines, code_lines)
         if path.endswith(".h") and (path.startswith("src/") or
                                     path.startswith("tests/")):
@@ -530,6 +556,30 @@ SELFTEST_CASES = [
     ("dfs-input: DeserializeNfa comment is not a call",
      "src/dist/dcand_miner.cc",
      "// no DeserializeNfa(bytes) on this path\n", "dfs-input", 0),
+    # fst-step: the FST step runs only in the StepTable build.
+    ("fst-step: StepTransition in a miner", "src/dist/dseq_miner.cc",
+     "if (!StepTransition(fst, tr, t, dict, sigma, &out)) continue;\n",
+     "fst-step", 1),
+    ("fst-step: Matches in the store", "src/core/desq_dfs.cc",
+     "if (!fst_->Matches(tr, T[i], *dict_)) continue;\n", "fst-step", 1),
+    ("fst-step: ComputeOutput in the pivot search", "src/core/pivot.cc",
+     "fst.ComputeOutput(tr, T[i], dict, &out);\n", "fst-step", 1),
+    ("fst-step: spaced member call", "src/core/candidates.cc",
+     "bool m = fst . Matches (tr, t, dict);\n", "fst-step", 1),
+    ("fst-step: the table build in grid.cc", "src/core/grid.cc",
+     "if (!StepTransition(fst, reps[cls], w, dict, prune_sigma_, &out)) {\n",
+     "fst-step", 0),
+    ("fst-step: the predicates in fst.cc", "src/fst/fst.cc",
+     "bool Fst::Matches(const Transition& tr, ItemId t,\n", "fst-step", 0),
+    ("fst-step: scoped to src/", "tests/test_util.h",
+     "if (!fst.Matches(tr, t, dict)) return false;\n", "fst-step", 0),
+    ("fst-step: another name is not the step", "src/dist/naive.cc",
+     "bool ok = filter.MatchesAll(key);\n", "fst-step", 0),
+    ("fst-step: comment is not a call", "src/core/desq_dfs.cc",
+     "// no fst.Matches(tr, t, dict) here\n", "fst-step", 0),
+    ("fst-step: allow() escape", "src/core/pivot.cc",
+     "fst.ComputeOutput(tr, t, d, &o);  // dseq-lint: allow(fst-step)\n",
+     "fst-step", 0),
     # env-knob: no configuration through the environment in src/.
     ("env-knob: getenv in src", "src/dataflow/engine.cc",
      'const char* dir = std::getenv("DSEQ_SPILL_DIR");\n', "env-knob", 1),
