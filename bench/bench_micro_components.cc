@@ -275,18 +275,35 @@ void BenchPivotSearch() {
 }
 
 void BenchPivotDp() {
-  // The forward+backward DP tables the PivotRewriter constructor starts
-  // from — the PivotSet-merge hot path of the D-SEQ map phase.
-  std::vector<StateGrid> grids = BuildGrids(64);
-  size_t i = 0;
-  RunBench("pivot_dp_fwd_bwd", 0, [&] {
-    const StateGrid& grid = grids[i % grids.size()];
-    std::vector<PivotSet> fwd = ComputeForwardPivots(grid);
-    std::vector<PivotSet> bwd = ComputeBackwardPivots(grid);
-    volatile size_t sink = fwd.size() + bwd.size();
-    (void)sink;
-    ++i;
-  });
+  // The backward+forward bitset DP tables the PivotRewriter constructor
+  // starts from (PivotDp: rank the grid's output items, mask every edge,
+  // fold ⊕ over W words per coordinate), the D-SEQ map's pivot hot path.
+  // pivot_dp_fwd_bwd runs them on N4 grids; pivot_dp_fwd_bwd_n5 on the N5
+  // grids (σ = 10) whose pivot sets span more than one word (W > 1), the
+  // first 64 of the corpus.
+  auto run = [](const std::string& name, const std::vector<StateGrid>& grids) {
+    if (grids.empty()) return;
+    PivotDp dp;
+    size_t i = 0;
+    RunBench(name, 0, [&] {
+      dp.Load(grids[i % grids.size()]);
+      dp.ComputeForward();
+      volatile size_t sink = dp.width();
+      (void)sink;
+      ++i;
+    });
+  };
+  run("pivot_dp_fwd_bwd", BuildGrids(64));
+  const SequenceDatabase& db = Corpus();
+  const StepTable n5(N5Fst(), db.dict, 10);
+  std::vector<StateGrid> wide;
+  PivotDp dp;
+  for (size_t i = 0; i < db.size() && wide.size() < 64; ++i) {
+    StateGrid grid = StateGrid::Build(db.sequences[i], n5);
+    dp.Load(grid);
+    if (dp.width() > 1) wide.push_back(std::move(grid));
+  }
+  run("pivot_dp_fwd_bwd_n5", wide);
 }
 
 void BenchRewriteAllPivots() {

@@ -8,7 +8,10 @@
 // This module implements:
 //  * the commutative/associative "pivot merge" ⊕ on output sets (Theorem 1),
 //  * the forward DP K(i,q) and backward DP B(i,q) over the position–state
-//    grid (linear in |T| for a fixed FST),
+//    grid (linear in |T| for a fixed FST), on bitsets over the grid's
+//    ranked output items (PivotDp): ⊕ is a few word-level ANDs and ORs per
+//    edge, and the same kernel settles PivotRewriter's rewrite bounds and
+//    runs the no-grid search,
 //  * for one pivot k, Theorem 1 as a per-edge test (TestPivotEdge) and the
 //    liveness bits over grid × {seen-k} that D-CAND's per-pivot NFA
 //    construction and the pivot-k DESQ-DFS store compute with it,
@@ -19,9 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <initializer_list>
-#include <ostream>
+#include <utility>
 #include <vector>
 
 #include "src/core/grid.h"
@@ -29,177 +30,18 @@
 
 namespace dseq {
 
-/// Small-vector of item ids with inline storage for up to 8 items — the
-/// hot value type of the pivot DP tables. Output sets are tiny in practice
-/// (most positions produce at most a handful of pivot candidates), so the
-/// DP's per-coordinate PivotMerge/UnionWith stay allocation-free; only the
-/// rare larger set spills to the heap. Always sorted ascending and
-/// duplicate-free when used inside a PivotSet.
-class PivotItemVec {
- public:
-  static constexpr size_t kInlineCapacity = 8;
-
-  using value_type = ItemId;
-  using iterator = ItemId*;
-  using const_iterator = const ItemId*;
-
-  PivotItemVec() = default;
-  PivotItemVec(std::initializer_list<ItemId> items) {
-    Append(items.begin(), items.end());
-  }
-  /// Converting constructor from a plain Sequence (copies the items).
-  PivotItemVec(const Sequence& items) {  // NOLINT: implicit by design
-    Append(items.data(), items.data() + items.size());
-  }
-
-  PivotItemVec(const PivotItemVec& other) { Append(other.begin(), other.end()); }
-  PivotItemVec(PivotItemVec&& other) noexcept { MoveFrom(other); }
-  PivotItemVec& operator=(const PivotItemVec& other) {
-    if (this != &other) {
-      clear();
-      Append(other.begin(), other.end());
-    }
-    return *this;
-  }
-  PivotItemVec& operator=(PivotItemVec&& other) noexcept {
-    if (this != &other) {
-      FreeHeap();
-      MoveFrom(other);
-    }
-    return *this;
-  }
-  ~PivotItemVec() { FreeHeap(); }
-
-  iterator begin() { return data_; }
-  iterator end() { return data_ + size_; }
-  const_iterator begin() const { return data_; }
-  const_iterator end() const { return data_ + size_; }
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  size_t capacity() const { return capacity_; }
-  bool is_inline() const { return data_ == inline_; }
-
-  ItemId& operator[](size_t i) { return data_[i]; }
-  ItemId operator[](size_t i) const { return data_[i]; }
-  ItemId front() const { return data_[0]; }
-  ItemId back() const { return data_[size_ - 1]; }
-
-  void clear() { size_ = 0; }
-
-  void reserve(size_t n) {
-    if (n > capacity_) Grow(n);
-  }
-
-  void push_back(ItemId w) {
-    if (size_ == capacity_) Grow(size_ + 1);
-    data_[size_++] = w;
-  }
-
-  /// Appends [first, last). Pivot sets are built in sorted order, so
-  /// end-append is the only bulk insertion this type offers (no positional
-  /// insert — it would invite silently unsorted sets).
-  template <typename It>
-  void Append(It first, It last) {
-    size_t n = static_cast<size_t>(std::distance(first, last));
-    if (size_ + n > capacity_) Grow(size_ + n);
-    std::copy(first, last, data_ + size_);
-    size_ += n;
-  }
-
-  iterator erase(iterator first, iterator last) {
-    std::copy(last, end(), first);
-    size_ -= static_cast<size_t>(last - first);
-    return first;
-  }
-
-  Sequence ToSequence() const { return Sequence(begin(), end()); }
-
-  friend bool operator==(const PivotItemVec& a, const PivotItemVec& b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
-  }
-  friend bool operator!=(const PivotItemVec& a, const PivotItemVec& b) {
-    return !(a == b);
-  }
-  friend bool operator==(const PivotItemVec& a, const Sequence& b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
-  }
-  friend bool operator==(const Sequence& a, const PivotItemVec& b) {
-    return b == a;
-  }
-  friend bool operator!=(const PivotItemVec& a, const Sequence& b) {
-    return !(a == b);
-  }
-  friend bool operator!=(const Sequence& a, const PivotItemVec& b) {
-    return !(b == a);
-  }
-
-  friend std::ostream& operator<<(std::ostream& os, const PivotItemVec& v) {
-    os << '[';
-    for (size_t i = 0; i < v.size(); ++i) {
-      if (i > 0) os << ' ';
-      os << v[i];
-    }
-    return os << ']';
-  }
-
- private:
-  void Grow(size_t min_capacity) {
-    size_t new_capacity = capacity_ * 2;
-    if (new_capacity < min_capacity) new_capacity = min_capacity;
-    // This *is* the owning RAII type: the small-vector's heap storage,
-    // paired with FreeHeap() below. dseq-lint: allow(naked-new)
-    ItemId* heap = new ItemId[new_capacity];
-    std::memcpy(heap, data_, size_ * sizeof(ItemId));
-    FreeHeap();
-    data_ = heap;
-    capacity_ = new_capacity;
-  }
-
-  void FreeHeap() {
-    // dseq-lint: allow(naked-new)
-    if (data_ != inline_) delete[] data_;
-  }
-
-  // Steals `other`'s heap buffer (or copies its inline items) and leaves it
-  // empty-inline. Assumes *this holds no heap buffer.
-  void MoveFrom(PivotItemVec& other) {
-    if (other.is_inline()) {
-      data_ = inline_;
-      capacity_ = kInlineCapacity;
-      size_ = other.size_;
-      std::memcpy(inline_, other.inline_, size_ * sizeof(ItemId));
-    } else {
-      data_ = other.data_;
-      capacity_ = other.capacity_;
-      size_ = other.size_;
-    }
-    other.data_ = other.inline_;
-    other.capacity_ = kInlineCapacity;
-    other.size_ = 0;
-  }
-
-  ItemId inline_[kInlineCapacity];
-  ItemId* data_ = inline_;
-  uint32_t size_ = 0;
-  uint32_t capacity_ = kInlineCapacity;
-};
-
 /// A set of items plus an optional ε element; ε is smaller than every item.
 /// Item vectors are sorted ascending and duplicate-free.
 struct PivotSet {
   bool has_eps = false;
-  PivotItemVec items;
+  Sequence items;
 
   bool IsEmpty() const { return !has_eps && items.empty(); }
 
   static PivotSet Eps() { return PivotSet{true, {}}; }
-  static PivotSet Items(PivotItemVec sorted_items) {
+  static PivotSet Items(Sequence sorted_items) {
     return PivotSet{false, std::move(sorted_items)};
   }
-
-  /// Set union (not ⊕). Used to combine pivot sets of alternative runs.
-  void UnionWith(const PivotSet& other);
 
   bool operator==(const PivotSet& o) const {
     return has_eps == o.has_eps && items == o.items;
@@ -215,16 +57,96 @@ PivotSet PivotMerge(const PivotSet& u, const PivotSet& q);
 PivotSet PivotMerge(const PivotSet& u, Span<ItemId> out);
 
 /// Theorem 1: pivots of a run given its output sets (empty vector = ε).
-/// Folds ⊕ left to right starting from {ε}.
+/// Folds ⊕ left to right starting from {ε}. (PivotMerge and this are ⊕ on
+/// item vectors, for one run; the DP tables run on PivotDp's bitsets.)
 PivotSet PivotsOfOutputSets(const std::vector<Sequence>& output_sets);
 
-/// Forward DP table K(i,q): pivot items of the partial accepting runs whose
-/// i-th transition ends in q. Indexed i * grid.num_states() + q. Coordinates
-/// not on an accepting path have empty sets.
-std::vector<PivotSet> ComputeForwardPivots(const StateGrid& grid);
+/// The pivot DPs of one grid on bitsets. Load ranks ε and the grid's d
+/// distinct output items in item order, ε first (it is smaller than every
+/// item); a set is then W = ⌈(d+1)/64⌉ words, bit r for rank r, and each
+/// edge gets one mask (an ε output is the set {ε}). ⊕ is
+/// (U & ≥min Q) | (Q & ≥min U) over W words, with no ε or empty-set case,
+/// and ∪ is OR. The tables, by coordinate i * grid.num_states() + q (empty
+/// off every accepting run): backward B(i,q), the pivots of run suffixes
+/// from (i,q), so K(T) is B(0, initial) less ε; forward K(i,q), the pivots
+/// of run prefixes to (i,q).
+///
+/// Ranks come from an item→rank array stamped per grid, so only the d
+/// items are sorted, and every buffer keeps its capacity across loads.
+/// FindPivotItems, FindPivotItemsNoGrid and PivotRewriter use the calling
+/// thread's instance; each load overwrites the last.
+class PivotDp {
+ public:
+  using Word = uint64_t;
 
-/// Backward DP table B(i,q): pivot items of run *suffixes* starting at (i,q).
-std::vector<PivotSet> ComputeBackwardPivots(const StateGrid& grid);
+  static PivotDp& ForThisThread();
+
+  /// Ranks `grid`'s items, masks its edges and computes the backward table.
+  /// `grid` must outlive the use of this load.
+  void Load(const StateGrid& grid);
+  void ComputeForward();
+
+  size_t num_items() const { return items_.size(); }  // d
+  size_t width() const { return width_; }             // W
+
+  /// K(T), sorted ascending.
+  Sequence Pivots() const { return Backward(grid_->initial_state()).items; }
+  PivotSet Backward(size_t coord) const { return Decode(bwd_, coord); }
+  PivotSet Forward(size_t coord) const { return Decode(fwd_, coord); }
+
+  /// PivotRewriter's scans. BeginScan settles no pivot yet and returns
+  /// |K(T)|. Departing(i, e) is out(e) ⊕ B(i+1, e.to), Arriving(i, e) is
+  /// K(i, e.from) ⊕ out(e) (after ComputeForward), for edge e of layer i.
+  /// Settle sets bounds[p] = value for every pivot of `set` ∩ K(T) not
+  /// settled yet, p its index in Pivots(), and returns how many are left.
+  size_t BeginScan();
+  const Word* Departing(size_t i, const StateGrid::Edge& e);
+  const Word* Arriving(size_t i, const StateGrid::Edge& e);
+  size_t Settle(const Word* set, uint32_t value, std::vector<uint32_t>* bounds);
+
+ private:
+  friend bool FindPivotItemsNoGrid(const Sequence& T, const StepTable& table,
+                                   uint64_t max_steps, Sequence* pivots);
+
+  // mask_min_ of a label slot SetMask did not write (a no-grid cell
+  // without an edge).
+  static constexpr uint32_t kNoEdge = UINT32_MAX;
+
+  // Ranks the items of every label fed to `for_each_label`, then sizes the
+  // masks of `num_labels` labels for SetMask.
+  template <typename ForEachLabel>
+  void Rank(size_t num_labels, ForEachLabel&& for_each_label);
+  void SetMask(size_t slot, Span<ItemId> label);
+  // The kernel: dst ∪= u ⊕ label `slot`.
+  void OrStep(const Word* u, size_t slot, Word* dst) const;
+  // Folds OrStep over the grid's edges into `table`, from the top layer
+  // down (backward) or up.
+  void Fold(std::vector<Word>* table, bool backward);
+  const Word* Through(const std::vector<Word>& table, size_t coord,
+                      size_t slot);
+  PivotSet Decode(const std::vector<Word>& table, size_t set) const;
+  bool NoGridDfs(const StepTable& table, size_t i, StateId q);
+
+  const StateGrid* grid_ = nullptr;
+  std::vector<std::pair<uint32_t, uint32_t>> rank_;  // item: (stamp, rank)
+  uint32_t stamp_ = 0;
+  Sequence items_;  // of rank 1..d
+  size_t width_ = 0;
+  // Labels: the grid's edges, or the no-grid search's (position, class)
+  // cells; per label W words and the min rank (or kNoEdge).
+  std::vector<Word> masks_;
+  std::vector<uint32_t> mask_min_;
+  std::vector<Word> bwd_, fwd_;  // W words per coordinate
+  std::vector<Word> merged_;     // Through's result
+  std::vector<Word> keys_;       // K(T) (ε cleared) and its settled part
+  std::vector<Word> settled_;
+  size_t open_ = 0;
+  // The no-grid search: W words per depth, then the union of the accepting
+  // paths' sets; its labels per position and its remaining step budget.
+  std::vector<Word> acc_;
+  size_t num_classes_ = 0;
+  uint64_t steps_left_ = 0;
+};
 
 /// K(T): all pivot items of the grid's candidate subsequences, sorted
 /// ascending. Assumes the grid was built with the desired σ pruning.

@@ -63,15 +63,28 @@ void MapCounts::Flush() const {
       obs::GetCounter("mining.map_nfa_bytes");
   static obs::Counter& candidates_counter =
       obs::GetCounter("mining.map_candidates");
-  sequences_counter.Add(sequences);
-  grid_edges_counter.Add(grid_edges);
-  pivots_counter.Add(pivots);
-  input_items_counter.Add(input_items);
-  shipped_items_counter.Add(shipped_items);
-  dfa_states_counter.Add(dfa_states);
-  min_states_counter.Add(min_states);
-  nfa_bytes_counter.Add(nfa_bytes);
-  candidates_counter.Add(candidates);
+  static obs::Counter& grid_ns_counter = obs::GetCounter("mining.map_grid_ns");
+  static obs::Counter& pivots_ns_counter =
+      obs::GetCounter("mining.map_pivots_ns");
+  static obs::Counter& rewrite_ns_counter =
+      obs::GetCounter("mining.map_rewrite_ns");
+  // A field left 0 skips its counter: each add is an atomic read-modify-
+  // write on a cache line every map worker shares.
+  auto add = [](obs::Counter& counter, uint64_t n) {
+    if (n != 0) counter.Add(n);
+  };
+  add(sequences_counter, sequences);
+  add(grid_edges_counter, grid_edges);
+  add(pivots_counter, pivots);
+  add(input_items_counter, input_items);
+  add(shipped_items_counter, shipped_items);
+  add(dfa_states_counter, dfa_states);
+  add(min_states_counter, min_states);
+  add(nfa_bytes_counter, nfa_bytes);
+  add(candidates_counter, candidates);
+  add(grid_ns_counter, grid_ns);
+  add(pivots_ns_counter, pivots_ns);
+  add(rewrite_ns_counter, rewrite_ns);
 }
 
 std::string EncodePivotKey(ItemId pivot) {

@@ -59,37 +59,20 @@ PivotRewriter::PivotRewriter(const Sequence& T, const StateGrid& grid)
   const size_t n = grid.length();
   const size_t ns = grid.num_states();
   const StateId initial = grid.initial_state();
-  std::vector<PivotSet> bwd = ComputeBackwardPivots(grid);
-  pivots_ = bwd[initial].items.ToSequence();  // ε is never a pivot
+  PivotDp& dp = PivotDp::ForThisThread();
+  dp.Load(grid);
+  pivots_ = dp.Pivots();
   if (pivots_.empty()) return;  // Rewrite has no pivot to be called with
-
-  // Records `layer` as the bound of every pivot in `items` that has none
-  // yet; `*open` counts the pivots still without one.
-  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
-  auto settle = [this](const PivotItemVec& items, uint32_t layer,
-                       std::vector<uint32_t>* bound, size_t* open) {
-    auto from = pivots_.begin();
-    for (ItemId k : items) {
-      from = std::lower_bound(from, pivots_.end(), k);
-      DSEQ_DCHECK(from != pivots_.end() && *from == k);
-      uint32_t& b = (*bound)[from - pivots_.begin()];
-      if (b == kNone) {
-        b = layer;
-        --*open;
-      }
-    }
-  };
 
   // Lead: the first departure layer of each pivot's runs. Every pivot has
   // departed by the first layer without an initial ε self-loop, so the scan
   // ends before any layer where an all-ε prefix no longer exists.
-  lead_.assign(pivots_.size(), kNone);
-  size_t open = pivots_.size();
+  lead_.resize(pivots_.size());
+  size_t open = dp.BeginScan();
   for (size_t i = 0; i < n && open > 0; ++i) {
     for (const StateGrid::Edge& e : grid.EdgesOf(i * ns + initial)) {
       if (e.to == initial && e.out.empty()) continue;  // initial ε self-loop
-      settle(PivotMerge(bwd[(i + 1) * ns + e.to], e.out).items, i, &lead_,
-             &open);
+      open = dp.Settle(dp.Departing(i, e), static_cast<uint32_t>(i), &lead_);
     }
   }
   DSEQ_DCHECK_EQ(open, 0u);
@@ -98,9 +81,10 @@ PivotRewriter::PivotRewriter(const Sequence& T, const StateGrid& grid)
   // layer failing the cut-acceptance check. `accept` holds, per state at the
   // layer above, "ε-only completion to an accepting end", rolled down one
   // layer at a time.
-  std::vector<PivotSet> fwd = ComputeForwardPivots(grid);
+  dp.ComputeForward();
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
   cut_.assign(pivots_.size(), kNone);
-  open = pivots_.size();
+  open = dp.BeginScan();
   size_t cut_floor = 0;  // one past the last layer failing the cut check
   std::vector<uint8_t> accept(ns);
   for (StateId q = 0; q < ns; ++q) {
@@ -129,8 +113,7 @@ PivotRewriter::PivotRewriter(const Sequence& T, const StateGrid& grid)
     for (const StateGrid::Edge& e : edges) {
       if (!grid.IsFinalState(e.to)) continue;
       if (e.from == e.to && e.out.empty()) continue;  // final ε self-loop
-      settle(PivotMerge(fwd[i * ns + e.from], e.out).items,
-             static_cast<uint32_t>(i + 1), &cut_, &open);
+      open = dp.Settle(dp.Arriving(i, e), static_cast<uint32_t>(i + 1), &cut_);
     }
   }
   // Some run of each pivot arrives no earlier than another one departs, so
@@ -159,6 +142,18 @@ void MapDSeqInput(const Sequence& T, const StepTable& table,
                   const DSeqOptions& options, const EmitFn& emit,
                   const PartitionPlan* plan, size_t index) {
   DSEQ_DCHECK_EQ(table.prune_sigma(), options.sigma);
+  // Under obs::Enabled(), lap(&phase) charges the time since the previous
+  // lap to one of the map's phases. The laps are per input, not per pivot:
+  // a clock read costs tens of nanoseconds, as much as a short rewrite.
+  MapCounts counts;
+  const bool traced = obs::Enabled();
+  int64_t mark = traced ? obs::NowNs() : 0;
+  auto lap = [&](uint64_t* phase_ns) {
+    if (!traced) return;
+    const int64_t now = obs::NowNs();
+    *phase_ns += static_cast<uint64_t>(now - mark);
+    mark = now;
+  };
   StateGrid grid;
   Sequence found;
   const Sequence* pivots = &found;
@@ -168,7 +163,11 @@ void MapDSeqInput(const Sequence& T, const StepTable& table,
   std::optional<PivotRewriter> rewriter;
   if (options.use_grid) {
     grid = StateGrid::Build(T, table);
-    if (!grid.HasAcceptingRun()) return;
+    lap(&counts.grid_ns);
+    if (!grid.HasAcceptingRun()) {
+      if (traced) counts.Flush();
+      return;
+    }
     if (options.rewrite) {
       pivots = &rewriter.emplace(T, grid).pivots();
     } else {
@@ -180,8 +179,8 @@ void MapDSeqInput(const Sequence& T, const StepTable& table,
           "D-SEQ no-grid pivot search exceeded its step budget");
     }
   }
+  lap(&counts.pivots_ns);
 
-  MapCounts counts;
   std::string value;
   for (ItemId k : *pivots) {
     value.clear();
@@ -202,7 +201,8 @@ void MapDSeqInput(const Sequence& T, const StepTable& table,
       emit(EncodePivotKey(k), value);
     }
   }
-  if (obs::Enabled()) {
+  lap(&counts.rewrite_ns);
+  if (traced) {
     counts.sequences = options.use_grid ? 1 : 0;
     counts.grid_edges = options.use_grid ? grid.num_edges() : 0;
     counts.pivots = pivots->size();

@@ -54,11 +54,13 @@ struct DSeqOptions : DistributedRunOptions {
   uint64_t nogrid_step_budget = 1'000'000'000;
 };
 
-/// Per-grid rewriter: runs the backward and forward pivot DPs once, reads
-/// every pivot's kept range off the layers where its runs depart the
-/// initial state and arrive at their final idle state, then rewrites for any
-/// number of pivots. Used by the D-SEQ map phase and the partition planner
-/// (one sequence, many pivots).
+/// Per-grid rewriter: runs the backward and forward pivot DPs once on the
+/// calling thread's PivotDp (bitsets over the grid's ranked output items),
+/// reads every pivot's kept range off the layers where its runs depart the
+/// initial state and arrive at their final idle state (each departure or
+/// arrival edge settles its not yet settled pivots with one word-level ⊕),
+/// then rewrites for any number of pivots. Used by the D-SEQ map phase and
+/// the partition planner (one sequence, many pivots).
 class PivotRewriter {
  public:
   PivotRewriter(const Sequence& T, const StateGrid& grid);
@@ -85,7 +87,10 @@ class PivotRewriter {
 /// miner: emits ρk(T) (T itself without rewriting) under k's partition key
 /// for every pivot k ∈ K(T), preceded by a weight varint of 1 under
 /// aggregate_sequences, and under obs::Enabled() flushes the input's work to
-/// the mining.map_* counters (MapCounts). `table` is the job's step table,
+/// the mining.map_* counters (MapCounts), its phase times included:
+/// map_grid_ns (grid build), map_pivots_ns (pivot tables and rewrite
+/// bounds) and map_rewrite_ns (ρk(T) copies, their encoding and the emits
+/// they feed). `table` is the job's step table,
 /// σ-pruned at options.sigma. Under a `plan`, a pivot the plan splits ships
 /// under the sub-partition key of `index`, the input's index in the
 /// database. Throws MiningBudgetError when the no-grid pivot search exceeds

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <random>
 
+#include "src/util/common.h"
 #include "src/util/sync.h"
 #endif
 
@@ -73,7 +74,7 @@ struct GlobalState {
 };
 
 GlobalState& State() {
-  static GlobalState* state = new GlobalState();  // dseq-lint: allow(naked-new)
+  static NoDestructor<GlobalState> state;
   return *state;
 }
 

@@ -3,6 +3,7 @@
 #include <map>
 #include <vector>
 
+#include "src/util/common.h"
 #include "src/util/sync.h"
 #include "src/util/varint.h"
 
@@ -15,15 +16,15 @@ namespace {
 // valid after the lock drops; hot sites cache them in static locals anyway.
 struct RegistryState {
   Mutex mu;
-  std::map<std::string, Counter*> counters DSEQ_GUARDED_BY(mu);
-  std::map<std::string, Gauge*> gauges DSEQ_GUARDED_BY(mu);
-  std::map<std::string, Histogram*> histograms DSEQ_GUARDED_BY(mu);
+  std::map<std::string, Counter> counters DSEQ_GUARDED_BY(mu);
+  std::map<std::string, Gauge> gauges DSEQ_GUARDED_BY(mu);
+  std::map<std::string, Histogram> histograms DSEQ_GUARDED_BY(mu);
 };
 
 RegistryState& State() {
-  // Leaked singleton: metrics outlive every user, including static
+  // Never destroyed: metrics outlive every user, including static
   // destructors of other translation units.
-  static RegistryState* s = new RegistryState;  // dseq-lint: allow(naked-new)
+  static NoDestructor<RegistryState> s;
   return *s;
 }
 
@@ -73,27 +74,22 @@ uint64_t Histogram::TotalCount() const {
 Counter& GetCounter(const std::string& name) {
   RegistryState& s = State();
   MutexLock lock(s.mu);
-  Counter*& slot = s.counters[name];
-  // Leaked find-or-create: hot sites cache the returned reference in a
-  // static local, so the object must live for the process.
-  if (slot == nullptr) slot = new Counter;  // dseq-lint: allow(naked-new)
-  return *slot;
+  // Find-or-create in the never-destroyed registry: hot sites cache the
+  // returned reference in a static local, so the object must live for the
+  // process (map nodes never move).
+  return s.counters[name];
 }
 
 Gauge& GetGauge(const std::string& name) {
   RegistryState& s = State();
   MutexLock lock(s.mu);
-  Gauge*& slot = s.gauges[name];
-  if (slot == nullptr) slot = new Gauge;  // dseq-lint: allow(naked-new)
-  return *slot;
+  return s.gauges[name];
 }
 
 Histogram& GetHistogram(const std::string& name) {
   RegistryState& s = State();
   MutexLock lock(s.mu);
-  Histogram*& slot = s.histograms[name];
-  if (slot == nullptr) slot = new Histogram;  // dseq-lint: allow(naked-new)
-  return *slot;
+  return s.histograms[name];
 }
 
 std::string RegistryJson() {
@@ -101,39 +97,39 @@ std::string RegistryJson() {
   MutexLock lock(s.mu);
   std::string out = "{\"counters\":{";
   bool first = true;
-  for (const auto& [name, c] : s.counters) {
+  for (auto& [name, c] : s.counters) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
     AppendJsonEscaped(&out, name);
     out.append("\":");
-    out.append(std::to_string(c->Value()));
+    out.append(std::to_string(c.Value()));
   }
   out.append("},\"gauges\":{");
   first = true;
-  for (const auto& [name, g] : s.gauges) {
+  for (auto& [name, g] : s.gauges) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
     AppendJsonEscaped(&out, name);
     out.append("\":");
-    out.append(std::to_string(g->Value()));
+    out.append(std::to_string(g.Value()));
   }
   out.append("},\"histograms\":{");
   first = true;
-  for (const auto& [name, h] : s.histograms) {
+  for (auto& [name, h] : s.histograms) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
     AppendJsonEscaped(&out, name);
     out.append("\":{\"count\":");
-    out.append(std::to_string(h->TotalCount()));
+    out.append(std::to_string(h.TotalCount()));
     out.append(",\"sum\":");
-    out.append(std::to_string(h->Sum()));
+    out.append(std::to_string(h.Sum()));
     out.append(",\"buckets\":{");
     bool bfirst = true;
     for (int i = 0; i < Histogram::kBuckets; ++i) {
-      uint64_t n = h->BucketCount(i);
+      uint64_t n = h.BucketCount(i);
       if (n == 0) continue;
       if (!bfirst) out.push_back(',');
       bfirst = false;
@@ -161,12 +157,12 @@ void AppendRegistryDeltas(std::string* out) {
   MutexLock lock(s.mu);
   // Counters: name + delta since the shipped watermark.
   std::vector<std::pair<std::string_view, uint64_t>> counter_deltas;
-  for (const auto& [name, c] : s.counters) {
-    uint64_t now = c->Value();
-    uint64_t base = c->wire_base_.load(std::memory_order_relaxed);
+  for (auto& [name, c] : s.counters) {
+    uint64_t now = c.Value();
+    uint64_t base = c.wire_base_.load(std::memory_order_relaxed);
     if (now > base) {
       counter_deltas.emplace_back(name, now - base);
-      c->wire_base_.store(now, std::memory_order_relaxed);
+      c.wire_base_.store(now, std::memory_order_relaxed);
     }
   }
   PutVarint(out, counter_deltas.size());
@@ -177,30 +173,30 @@ void AppendRegistryDeltas(std::string* out) {
   // Gauges: absolute values (last writer wins on the coordinator — a gauge
   // is a sample, deltas would be meaningless).
   PutVarint(out, s.gauges.size());
-  for (const auto& [name, g] : s.gauges) {
+  for (auto& [name, g] : s.gauges) {
     AppendLengthPrefixed(out, name);
-    PutVarint(out, ZigzagEncode(g->Value()));
+    PutVarint(out, ZigzagEncode(g.Value()));
   }
   // Histograms: sparse per-bucket deltas + sum delta.
   std::string hist_block;
   uint64_t num_hists = 0;
-  for (const auto& [name, h] : s.histograms) {
+  for (auto& [name, h] : s.histograms) {
     std::string buckets;
     uint64_t num_buckets = 0;
     for (int i = 0; i < Histogram::kBuckets; ++i) {
-      uint64_t now = h->BucketCount(i);
-      uint64_t base = h->bucket_wire_base_[i].load(std::memory_order_relaxed);
+      uint64_t now = h.BucketCount(i);
+      uint64_t base = h.bucket_wire_base_[i].load(std::memory_order_relaxed);
       if (now > base) {
         PutVarint(&buckets, static_cast<uint64_t>(i));
         PutVarint(&buckets, now - base);
-        h->bucket_wire_base_[i].store(now, std::memory_order_relaxed);
+        h.bucket_wire_base_[i].store(now, std::memory_order_relaxed);
         ++num_buckets;
       }
     }
-    uint64_t sum_now = h->Sum();
-    uint64_t sum_base = h->sum_wire_base_.load(std::memory_order_relaxed);
+    uint64_t sum_now = h.Sum();
+    uint64_t sum_base = h.sum_wire_base_.load(std::memory_order_relaxed);
     uint64_t sum_delta = sum_now > sum_base ? sum_now - sum_base : 0;
-    h->sum_wire_base_.store(sum_now, std::memory_order_relaxed);
+    h.sum_wire_base_.store(sum_now, std::memory_order_relaxed);
     if (num_buckets == 0 && sum_delta == 0) continue;
     ++num_hists;
     AppendLengthPrefixed(&hist_block, name);
@@ -264,33 +260,33 @@ bool IngestRegistryDeltas(std::string_view data, size_t* pos) {
 void RebaselineRegistryDeltas() {
   RegistryState& s = State();
   MutexLock lock(s.mu);
-  for (const auto& [name, c] : s.counters) {
-    c->wire_base_.store(c->Value(), std::memory_order_relaxed);
+  for (auto& [name, c] : s.counters) {
+    c.wire_base_.store(c.Value(), std::memory_order_relaxed);
   }
-  for (const auto& [name, h] : s.histograms) {
+  for (auto& [name, h] : s.histograms) {
     for (int i = 0; i < Histogram::kBuckets; ++i) {
-      h->bucket_wire_base_[i].store(h->BucketCount(i),
+      h.bucket_wire_base_[i].store(h.BucketCount(i),
                                     std::memory_order_relaxed);
     }
-    h->sum_wire_base_.store(h->Sum(), std::memory_order_relaxed);
+    h.sum_wire_base_.store(h.Sum(), std::memory_order_relaxed);
   }
 }
 
 void ResetMetricsForTest() {
   RegistryState& s = State();
   MutexLock lock(s.mu);
-  for (const auto& [name, c] : s.counters) {
-    c->value_.store(0, std::memory_order_relaxed);
-    c->wire_base_.store(0, std::memory_order_relaxed);
+  for (auto& [name, c] : s.counters) {
+    c.value_.store(0, std::memory_order_relaxed);
+    c.wire_base_.store(0, std::memory_order_relaxed);
   }
-  for (const auto& [name, g] : s.gauges) g->Set(0);
-  for (const auto& [name, h] : s.histograms) {
+  for (auto& [name, g] : s.gauges) g.Set(0);
+  for (auto& [name, h] : s.histograms) {
     for (int i = 0; i < Histogram::kBuckets; ++i) {
-      h->buckets_[i].store(0, std::memory_order_relaxed);
-      h->bucket_wire_base_[i].store(0, std::memory_order_relaxed);
+      h.buckets_[i].store(0, std::memory_order_relaxed);
+      h.bucket_wire_base_[i].store(0, std::memory_order_relaxed);
     }
-    h->sum_.store(0, std::memory_order_relaxed);
-    h->sum_wire_base_.store(0, std::memory_order_relaxed);
+    h.sum_.store(0, std::memory_order_relaxed);
+    h.sum_wire_base_.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -2,8 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 
 #include "src/obs/metrics.h"
+#include "src/util/common.h"
 #include "src/util/sync.h"
 #include "src/util/varint.h"
 
@@ -63,9 +65,10 @@ class ThreadBuffer {
     }
     RawSpan* chunk = chunks_[chunk_idx].load(std::memory_order_relaxed);
     if (chunk == nullptr) {
-      // Chunks are owned by the (leaked) ThreadBuffer; a flusher may hold a
-      // pointer into one at any time, so they are never freed.
-      chunk = new RawSpan[kChunkSpans];  // dseq-lint: allow(naked-new)
+      // Chunks are owned by the never-destroyed ThreadBuffer; a flusher may
+      // hold a pointer into one at any time, so they are never freed.
+      owned_chunks_.push_back(std::make_unique<RawSpan[]>(kChunkSpans));
+      chunk = owned_chunks_.back().get();
       // Release: a flusher that acquires this pointer must see the
       // allocation complete.
       chunks_[chunk_idx].store(chunk, std::memory_order_release);
@@ -109,10 +112,12 @@ class ThreadBuffer {
   std::atomic<size_t> count_{0};
   std::atomic<uint64_t> dropped_{0};
   std::atomic<RawSpan*> chunks_[kMaxChunks] = {};
+  // The chunks' storage; only the owning thread touches it.
+  std::vector<std::unique_ptr<RawSpan[]>> owned_chunks_;
 };
 
 struct RegisteredBuffer {
-  ThreadBuffer* buffer = nullptr;
+  std::unique_ptr<ThreadBuffer> buffer;
   // How many of the buffer's spans previous flushes already collected.
   size_t flushed = 0;
 };
@@ -127,8 +132,8 @@ struct TraceState {
 };
 
 TraceState& State() {
-  // Leaked singleton — outlives thread exit and static destructors.
-  static TraceState* s = new TraceState;  // dseq-lint: allow(naked-new)
+  // Never destroyed: outlives thread exit and static destructors.
+  static NoDestructor<TraceState> s;
   return *s;
 }
 
@@ -137,10 +142,11 @@ ThreadBuffer& LocalBuffer() {
   if (t_buffer == nullptr) {
     TraceState& s = State();
     MutexLock lock(s.registry_mu);
-    // Leaked: the registry keeps a pointer for flushing after thread exit.
-    t_buffer = new ThreadBuffer(  // dseq-lint: allow(naked-new)
-        static_cast<int>(s.buffers.size()));
-    s.buffers.push_back(RegisteredBuffer{t_buffer, 0});
+    // The registry owns the buffer, so it outlives the thread for flushing.
+    s.buffers.push_back(RegisteredBuffer{
+        std::make_unique<ThreadBuffer>(static_cast<int>(s.buffers.size())),
+        0});
+    t_buffer = s.buffers.back().buffer.get();
   }
   return *t_buffer;
 }

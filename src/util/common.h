@@ -42,6 +42,22 @@ class Span {
   size_t size_;
 };
 
+/// A T that is never destroyed, for process-wide state that must outlive
+/// thread exit and static destructors (the metrics registry, the trace
+/// buffers, the fault-injection state). Declare it function-local static.
+template <typename T>
+class NoDestructor {
+ public:
+  NoDestructor() : value_() {}
+  ~NoDestructor() {}  // leaves value_ alive
+  T& operator*() { return value_; }
+
+ private:
+  union {
+    T value_;
+  };
+};
+
 }  // namespace dseq
 
 #endif  // DSEQ_UTIL_COMMON_H_

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
+#include <string>
 
 #include "src/core/candidates.h"
 #include "src/core/mining.h"
@@ -347,98 +349,119 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3),
                        ::testing::ValuesIn(testing::PropertyPatterns())));
 
-// --- PivotItemVec small-vector semantics ------------------------------------
+// --- PivotDp's bitset tables against the item-vector oracle -----------------
 
-TEST(PivotItemVecTest, StaysInlineUpToEightItems) {
-  PivotItemVec v;
-  EXPECT_TRUE(v.is_inline());
-  EXPECT_TRUE(v.empty());
-  for (ItemId w = 1; w <= PivotItemVec::kInlineCapacity; ++w) v.push_back(w);
-  EXPECT_TRUE(v.is_inline());
-  EXPECT_EQ(v.size(), PivotItemVec::kInlineCapacity);
-  v.push_back(99);
-  EXPECT_FALSE(v.is_inline());
-  EXPECT_EQ(v.size(), PivotItemVec::kInlineCapacity + 1);
-  EXPECT_EQ(v.back(), 99u);
-  EXPECT_EQ(v.front(), 1u);
+// The grid's distinct output items, sorted: PivotDp's ranks 1..d (ε is
+// rank 0).
+Sequence DistinctOutputItems(const StateGrid& grid) {
+  Sequence items;
+  for (const StateGrid::Edge& e : grid.edges()) {
+    items.insert(items.end(), e.out.begin(), e.out.end());
+  }
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
+  return items;
 }
 
-TEST(PivotItemVecTest, CopyAndMoveAcrossTheInlineBoundary) {
-  for (size_t n : {0u, 3u, 8u, 9u, 40u}) {
-    PivotItemVec v;
-    Sequence expected;
-    for (ItemId w = 1; w <= n; ++w) {
-      v.push_back(w * 7);
-      expected.push_back(w * 7);
+// What the wide-alphabet sweep covered, so agreement proves something about
+// every word width and every word boundary.
+struct WidthCoverage {
+  std::map<size_t, size_t> grids_by_width;  // W -> grids
+  size_t no_accepting_run = 0;
+  size_t eps_only = 0;  // accepting grids without output items
+  // Per boundary rank r (the last and first bits of words 0/1 and 1/2):
+  // sets holding the item of rank r, and sets whose smallest item it is
+  // (where ⊕'s ≥min masks cut).
+  std::map<size_t, size_t> holds_rank, min_at_rank;
+  size_t nogrid_checked = 0;
+};
+
+constexpr size_t kBoundaryRanks[] = {63, 64, 127, 128};
+
+void ExpectTablesMatchReference(const Sequence& T, const StateGrid& grid,
+                                const StepTable& table, PivotDp* dp,
+                                WidthCoverage* coverage) {
+  const Sequence ranked = DistinctOutputItems(grid);
+  dp->Load(grid);
+  dp->ComputeForward();
+  ASSERT_EQ(dp->num_items(), ranked.size());
+  ASSERT_EQ(dp->width(), (ranked.size() + 1 + 63) / 64);
+  if (!grid.HasAcceptingRun()) {
+    ++coverage->no_accepting_run;
+  } else if (ranked.empty()) {
+    ++coverage->eps_only;
+  } else {
+    ++coverage->grids_by_width[dp->width()];
+  }
+  const std::vector<PivotSet> fwd = testing::ReferenceForwardPivots(grid);
+  const std::vector<PivotSet> bwd = testing::ReferenceBackwardPivots(grid);
+  ASSERT_EQ(fwd.size(), (grid.length() + 1) * grid.num_states());
+  auto note = [&](const PivotSet& set) {
+    for (size_t r : kBoundaryRanks) {
+      if (r > ranked.size()) continue;
+      const ItemId item = ranked[r - 1];
+      if (std::binary_search(set.items.begin(), set.items.end(), item)) {
+        ++coverage->holds_rank[r];
+      }
+      if (!set.has_eps && !set.items.empty() && set.items[0] == item) {
+        ++coverage->min_at_rank[r];
+      }
     }
-    PivotItemVec copy = v;
-    EXPECT_EQ(copy, expected) << n;
-    EXPECT_EQ(v, expected) << n;
-    PivotItemVec moved = std::move(v);
-    EXPECT_EQ(moved, expected) << n;
-    EXPECT_TRUE(v.empty()) << n;  // NOLINT: deliberate use-after-move
-    v = std::move(moved);
-    EXPECT_EQ(v, expected) << n;
-    PivotItemVec assigned;
-    assigned.push_back(12345);
-    assigned = copy;
-    EXPECT_EQ(assigned, expected) << n;
+  };
+  for (size_t c = 0; c < fwd.size(); ++c) {
+    ASSERT_EQ(dp->Backward(c), bwd[c]) << "backward, coordinate " << c;
+    ASSERT_EQ(dp->Forward(c), fwd[c]) << "forward, coordinate " << c;
+    note(bwd[c]);
+    note(fwd[c]);
+  }
+  const Sequence pivots = bwd[grid.initial_state()].items;
+  EXPECT_EQ(dp->Pivots(), pivots);
+  EXPECT_EQ(FindPivotItems(grid), pivots);
+  Sequence via_nogrid;
+  if (FindPivotItemsNoGrid(T, table, 200'000, &via_nogrid)) {
+    EXPECT_EQ(via_nogrid, pivots) << "no grid";
+    if (dp->width() > 1) ++coverage->nogrid_checked;
   }
 }
 
-TEST(PivotItemVecTest, EraseAndSequenceConversion) {
-  PivotItemVec v{5, 1, 3, 3, 1};
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  EXPECT_EQ(v, (Sequence{1, 3, 5}));
-  EXPECT_EQ(v.ToSequence(), (Sequence{1, 3, 5}));
-  PivotItemVec from_seq(Sequence{2, 4});
-  EXPECT_EQ(from_seq, (Sequence{2, 4}));
-}
-
-TEST(PivotItemVecTest, MergeResultsAgreeAcrossTheSpillBoundary) {
-  // PivotMerge / UnionWith on sets larger than the inline capacity must
-  // agree with a plain-vector reference union/merge.
-  std::mt19937_64 rng(31);
-  for (int iter = 0; iter < 200; ++iter) {
-    auto random_set = [&](size_t max_size) {
-      Sequence s;
-      size_t n = rng() % (max_size + 1);
-      for (size_t i = 0; i < n; ++i) {
-        s.push_back(static_cast<ItemId>(rng() % 40 + 1));
+// Random databases over up to 300 items, so a grid's d + 1 ranks cross 64
+// and 128 (W = 1, 2, 3 and more), under patterns that capture and generalize, plus
+// an all-ε pattern and anchored ones most sequences do not match. The
+// property suites above use at most 16 items, i.e. one word. One instance
+// loads every grid, widths mixed, so a bit left over from an earlier load
+// shows too.
+TEST(PivotDpTest, WideAlphabetTablesMatchReference) {
+  const std::vector<std::string> patterns = {
+      ".*(.^).*",        ".*(.)[.*(.^)]{0,2}.*", ".*(.^).*(.^).*",
+      ".*(i0^)[.*(.^)]*", "[.*(.)]*",            ".*([.^ .]|[. .^]).*",
+      ".*",               "(.)(i1)",             "(i2^).*"};
+  WidthCoverage coverage;
+  PivotDp dp;
+  for (uint64_t seed : {1, 2}) {
+    SequenceDatabase db = testing::RandomDatabase(seed + 900, 300, 24, 240);
+    for (const std::string& pattern : patterns) {
+      Fst fst = CompileFst(pattern, db.dict);
+      for (uint64_t sigma : {1, 2}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) + " pattern=" + pattern +
+                     " sigma=" + std::to_string(sigma));
+        const StepTable table(fst, db.dict, sigma);
+        for (const Sequence& T : db.sequences) {
+          ExpectTablesMatchReference(T, StateGrid::Build(T, table), table,
+                                     &dp, &coverage);
+        }
       }
-      std::sort(s.begin(), s.end());
-      s.erase(std::unique(s.begin(), s.end()), s.end());
-      return s;
-    };
-    Sequence a = random_set(20);
-    Sequence b = random_set(20);
-
-    PivotSet u = PivotSet::Items(a);
-    u.UnionWith(PivotSet::Items(b));
-    Sequence expected_union;
-    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                   std::back_inserter(expected_union));
-    EXPECT_EQ(u.items, expected_union) << "iter " << iter;
-
-    if (!a.empty() && !b.empty()) {
-      PivotSet merged = PivotMerge(PivotSet::Items(a), PivotSet::Items(b));
-      Sequence expected_merge;
-      ItemId min_a = a.front();
-      ItemId min_b = b.front();
-      for (ItemId w : a) {
-        if (w >= min_b) expected_merge.push_back(w);
-      }
-      for (ItemId w : b) {
-        if (w >= min_a) expected_merge.push_back(w);
-      }
-      std::sort(expected_merge.begin(), expected_merge.end());
-      expected_merge.erase(
-          std::unique(expected_merge.begin(), expected_merge.end()),
-          expected_merge.end());
-      EXPECT_EQ(merged.items, expected_merge) << "iter " << iter;
     }
   }
+  for (size_t w : {1u, 2u, 3u}) {
+    EXPECT_GT(coverage.grids_by_width[w], 0u) << "W=" << w;
+  }
+  EXPECT_GT(coverage.no_accepting_run, 0u);
+  EXPECT_GT(coverage.eps_only, 0u);
+  for (size_t r : kBoundaryRanks) {
+    EXPECT_GT(coverage.holds_rank[r], 0u) << "rank " << r;
+    EXPECT_GT(coverage.min_at_rank[r], 0u) << "rank " << r;
+  }
+  EXPECT_GT(coverage.nogrid_checked, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "src/core/candidates.h"
 #include "src/core/desq_dfs.h"
 #include "src/core/pivot.h"
+#include "src/datagen/text_corpus.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
 #include "tests/test_util.h"
@@ -76,8 +77,8 @@ struct ReferenceRewriter {
 
   const Sequence& T;
   const StateGrid& grid;
-  std::vector<PivotSet> fwd = ComputeForwardPivots(grid);
-  std::vector<PivotSet> bwd = ComputeBackwardPivots(grid);
+  std::vector<PivotSet> fwd = testing::ReferenceForwardPivots(grid);
+  std::vector<PivotSet> bwd = testing::ReferenceBackwardPivots(grid);
   std::vector<uint8_t> eps_accept = EpsAcceptTable(grid);
 
   bool EdgeProducesPivot(size_t layer, const StateGrid::Edge& edge,
@@ -230,6 +231,36 @@ TEST(RewriteDifferentialTest, RandomDatabasesMatchPerPivotScan) {
   EXPECT_GT(counts.idle_stops, 0u);
   EXPECT_GT(counts.departure_stops, 0u);
   EXPECT_GT(counts.arrival_stops, 0u);
+}
+
+// A small NYT'-style text corpus under the N5 pattern: its `.^` outputs
+// give grids dozens to hundreds of distinct output items, so PivotRewriter's
+// scans run on multi-word pivot sets; the random databases above have at
+// most 12 items, one word.
+TEST(RewriteDifferentialTest, TextCorpusUnderN5MatchesPerPivotScan) {
+  TextCorpusOptions corpus;
+  corpus.num_sentences = 150;
+  corpus.lemmas_per_pos = 80;
+  corpus.num_entities = 40;
+  corpus.seed = 7;
+  SequenceDatabase db = GenerateTextCorpus(corpus);
+  Fst fst = CompileFst(".* ([.^. .]|[. .^.]|[. . .^]) .*", db.dict);
+  ReferenceRewriter::RuleCounts counts;
+  size_t multi_word = 0;
+  PivotDp dp;
+  for (uint64_t sigma : {1, 3}) {
+    SCOPED_TRACE("sigma=" + std::to_string(sigma));
+    const StepTable table(fst, db.dict, sigma);
+    for (const Sequence& T : db.sequences) {
+      StateGrid grid = StateGrid::Build(T, table);
+      dp.Load(grid);
+      if (dp.width() > 1) ++multi_word;
+      ExpectRewritesMatchReference(db, T, grid, &counts);
+    }
+  }
+  EXPECT_GT(multi_word, 0u);
+  EXPECT_GT(counts.lead_trims, 0u);
+  EXPECT_GT(counts.trail_trims, 0u);
 }
 
 TEST(RewriteTest, PaperExampleT2ForPivotA1) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
+#include <iterator>
 #include <random>
 #include <string>
 #include <tuple>
@@ -362,6 +363,59 @@ inline std::vector<uint8_t> ReferencePivotLiveness(const StateGrid& grid,
     }
   }
   return live;
+}
+
+/// Reference pivot-set union (not ⊕): the union of alternative runs'
+/// pivot sets, on sorted item vectors.
+inline void ReferenceUnion(PivotSet* into, const PivotSet& other) {
+  into->has_eps = into->has_eps || other.has_eps;
+  Sequence merged;
+  std::set_union(into->items.begin(), into->items.end(), other.items.begin(),
+                 other.items.end(), std::back_inserter(merged));
+  into->items = std::move(merged);
+}
+
+/// Reference pivot DPs on item-vector sets, the tables PivotDp keeps as
+/// bitsets: forward K(i,q) (pivots of the run prefixes from (0, initial) to
+/// (i,q)) and backward B(i,q) (pivots of the run suffixes from (i,q) to an
+/// accepting end), folding PivotMerge per edge and ReferenceUnion per
+/// coordinate. Indexed i * num_states + q; coordinates off every accepting
+/// run hold the empty set. pivot_test checks PivotDp against them per
+/// coordinate; rewrite_test's ReferenceRewriter reads them.
+inline std::vector<PivotSet> ReferenceForwardPivots(const StateGrid& grid) {
+  const size_t n = grid.length();
+  const size_t ns = grid.num_states();
+  std::vector<PivotSet> fwd((n + 1) * ns);
+  if (!grid.HasAcceptingRun()) return fwd;
+  fwd[grid.initial_state()] = PivotSet::Eps();
+  for (size_t i = 0; i < n; ++i) {
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+      const PivotSet& prev = fwd[i * ns + e.from];
+      if (prev.IsEmpty()) continue;
+      ReferenceUnion(&fwd[(i + 1) * ns + e.to], PivotMerge(prev, e.out));
+    }
+  }
+  return fwd;
+}
+
+inline std::vector<PivotSet> ReferenceBackwardPivots(const StateGrid& grid) {
+  const size_t n = grid.length();
+  const size_t ns = grid.num_states();
+  std::vector<PivotSet> bwd((n + 1) * ns);
+  if (!grid.HasAcceptingRun()) return bwd;
+  for (StateId q = 0; q < ns; ++q) {
+    if (grid.Alive(n, q) && grid.IsFinalState(q)) {
+      bwd[n * ns + q] = PivotSet::Eps();
+    }
+  }
+  for (size_t i = n; i-- > 0;) {
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+      const PivotSet& next = bwd[(i + 1) * ns + e.to];
+      if (next.IsEmpty()) continue;
+      ReferenceUnion(&bwd[i * ns + e.from], PivotMerge(next, e.out));
+    }
+  }
+  return bwd;
 }
 
 }  // namespace testing

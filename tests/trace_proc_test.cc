@@ -122,6 +122,10 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
                       "mining.map_nfa_bytes"});
   dcand_names.insert(dcand_names.end(), reduce_names.begin(),
                      reduce_names.end());
+  // D-SEQ's map phase timers: their values differ between backends, so
+  // only their presence (non-zero on both) is compared.
+  const std::vector<std::string> dseq_timers = {
+      "mining.map_grid_ns", "mining.map_pivots_ns", "mining.map_rewrite_ns"};
   SequenceDatabase db = testing::RandomDatabase(4300, 7, 60, 10);
   Fst fst = CompileFst(".*(i0^)[.*(.^)]{1,2}.*", db.dict);
   DSeqOptions options;
@@ -151,6 +155,12 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
       std::vector<uint64_t>& values = counters.emplace_back();
       for (const std::string& name : checked) {
         values.push_back(obs::GetCounter(name).Value());
+      }
+      if (!dcand) {
+        for (const std::string& name : dseq_timers) {
+          EXPECT_GT(obs::GetCounter(name).Value(), 0u)
+              << name << " on backend " << static_cast<int>(backend);
+        }
       }
       // One shuffled record per pivot of every input.
       EXPECT_EQ(obs::GetCounter("mining.map_pivots").Value(),

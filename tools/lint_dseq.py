@@ -5,9 +5,9 @@ Rules (suppress a finding with a `// dseq-lint: allow(<rule>)` comment on
 the offending line or the line above it):
 
   naked-new            `new`/`delete` expressions in src/ — ownership lives
-                       in containers and smart pointers; the one sanctioned
-                       exception (PivotItemVec's inline small-vector
-                       storage) carries an allow annotation.
+                       in containers and smart pointers, and process-wide
+                       state that is never destroyed in a NoDestructor
+                       (src/util/common.h). src/ has no exception.
   unseeded-rng         rand()/srand()/std::random_device outside
                        src/datagen/ — results must be reproducible from a
                        seed; benches and tests derive their RNGs from
