@@ -1,13 +1,14 @@
 // Regenerates the checked-in seed corpora under fuzz/corpus/<target>/.
 //
 // Seeds are produced by the real encoders (PutVarint/PutSequence,
-// SerializeNfa, CompressBlock, SpillWriter), so every fuzz target starts
+// SerializeNfa, CompressBlock, SpillWriter, EncodeWireSnapshot), so every fuzz target starts
 // from well-formed inputs that reach deep into its decoder before the
 // fuzzer begins mutating — plus a few deliberately malformed inputs that
 // pin the rejection paths. Usage: make_fuzz_corpus <corpus root>.
 #include <sys/stat.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -16,6 +17,8 @@
 
 #include "src/nfa/output_nfa.h"
 #include "src/nfa/serializer.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/rpc/frame.h"
 #include "src/spill/spill_file.h"
 #include "src/util/block_codec.h"
@@ -168,6 +171,40 @@ void RpcFrameSeeds() {
                          std::string(40, 'r'));
   WriteSeed("fuzz_rpc_frame", "truncated",
             std::string(1, '\0') + one_frame.substr(0, one_frame.size() / 2));
+  // Type 9, a retired liveness probe: malformed, and so is the stream after
+  // it.
+  std::string after;
+  dseq::rpc::AppendFrame(&after, dseq::rpc::MsgType::kShutdown, "");
+  WriteSeed("fuzz_rpc_frame", "retired_ping",
+            std::string(1, '\x07') + Varint(9) + Varint(0) + after);
+}
+
+void TraceSnapshotSeeds() {
+  // A worker's kTrace payload: two spans (one stamped with a worker
+  // ordinal, one without), a counter and a histogram delta.
+  dseq::obs::SetEnabled(true);
+  dseq::obs::SetCurrentRound(1);
+  dseq::obs::EmitSpan("worker", "map_task", 1000, 5000);
+  dseq::obs::SetProcessOrdinal(2);
+  dseq::obs::EmitSpan("engine", "map_shard", 1200, 4800);
+  dseq::obs::GetCounter("seed.records").Add(42);
+  dseq::obs::Histogram& hist = dseq::obs::GetHistogram("seed.record_bytes");
+  hist.Observe(0);
+  hist.Observe(300);
+  const std::string snapshot = dseq::obs::EncodeWireSnapshot();
+  // The largest process ordinal a snapshot can carry.
+  dseq::obs::SetProcessOrdinal(INT_MAX);
+  dseq::obs::EmitSpan("worker", "reduce_task", 6000, 9000);
+  const std::string max_ordinal = dseq::obs::EncodeWireSnapshot();
+  dseq::obs::SetEnabled(false);
+  WriteSeed("fuzz_trace_snapshot", "snapshot", snapshot);
+  WriteSeed("fuzz_trace_snapshot", "max_ordinal", max_ordinal);
+  // Cut mid-span: the truncation rejection path.
+  WriteSeed("fuzz_trace_snapshot", "truncated",
+            snapshot.substr(0, snapshot.size() / 2));
+  // The span count is a varint that never ends within 64 bits.
+  WriteSeed("fuzz_trace_snapshot", "bad_varint",
+            snapshot.substr(0, 1) + std::string(11, '\xff'));
 }
 
 void SpillRunSeeds() {
@@ -196,5 +233,6 @@ int main(int argc, char** argv) {
   BlockCodecSeeds();
   SpillRunSeeds();
   RpcFrameSeeds();
+  TraceSnapshotSeeds();
   return 0;
 }

@@ -203,9 +203,9 @@ struct DataflowOptions {
   /// shuffle (see DataflowBackend).
   DataflowBackend backend = DataflowBackend::kLocal;
   /// Proc backend only: kill and reassign an in-flight worker that has made
-  /// no progress for this long. "Progress" includes heartbeats: workers run
-  /// a progress-gated kPong pump while executing, beating every quarter of
-  /// this timeout (clamped to [10ms, 1s]), so a slow-but-working task
+  /// no progress for this long. "Progress" includes heartbeats: a worker's
+  /// task thread sends kPong as its task advances, at most once per quarter
+  /// of this timeout (clamped to [10ms, 1s]), so a slow-but-working task
   /// survives any timeout while a hung one goes silent and is killed. 0
   /// disables the timeout and the heartbeats (worker loss is still detected
   /// via connection EOF and the task re-executed).

@@ -143,9 +143,7 @@ void RunMapShard(const MapShardContext& ctx) {
 
   for (size_t i = ctx.begin; i < ctx.end; ++i) {
     (*ctx.map_fn)(i, map_emit);
-    if (ctx.progress != nullptr) {
-      ctx.progress->fetch_add(1, std::memory_order_relaxed);
-    }
+    if (ctx.on_input) ctx.on_input();
   }
   if (combiner) {
     DSEQ_TRACE_SPAN("engine", "combine_flush");

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -58,10 +59,10 @@ struct MapShardContext {
   /// Spill counters go to `spill_stats`.
   DataflowMetrics* metrics = nullptr;
 
-  /// Optional liveness counter, ticked once per processed input. The proc
-  /// backend's worker heartbeat thread samples it to decide whether the
-  /// task is advancing (beat) or hung (silence); local rounds leave it null.
-  std::atomic<uint64_t>* progress = nullptr;
+  /// Optional hook called after each processed input: a proc worker's
+  /// heartbeat tick (src/rpc/proc_backend.cc) while its stall timeout is
+  /// on. Local rounds, and proc rounds without a timeout, leave it empty.
+  std::function<void()> on_input;
 };
 
 /// Runs one map shard: maps each input of [begin, end), combines, and

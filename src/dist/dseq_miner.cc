@@ -181,7 +181,8 @@ void MapDSeqInput(const Sequence& T, const StepTable& table,
   }
   lap(&counts.pivots_ns);
 
-  std::string value;
+  // One record buffer per thread, reused from input to input.
+  thread_local std::string value;
   for (ItemId k : *pivots) {
     value.clear();
     if (options.aggregate_sequences) PutVarint(&value, 1);

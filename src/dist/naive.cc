@@ -35,6 +35,31 @@ void MapNaiveInput(const Sequence& T, const StepTable& table,
   }
 }
 
+MiningResult MineNaivePartition(std::string_view key,
+                                const std::vector<std::string_view>& values,
+                                const NaiveOptions& options) {
+  uint64_t support = 0;
+  for (std::string_view v : values) {
+    size_t pos = 0;
+    uint64_t count = 0;
+    // A count is exactly one varint: trailing bytes would be a payload,
+    // which no NAIVE mapper emits.
+    if (!GetVarint(v, &pos, &count) || pos != v.size()) {
+      throw std::invalid_argument("malformed NAIVE count record");
+    }
+    support += count;
+  }
+  if (support < options.sigma) return {};
+  size_t pos = 0;
+  Sequence pattern;
+  if (!GetSequence(key, &pos, &pattern) || pos != key.size()) {
+    throw std::invalid_argument("malformed NAIVE candidate key");
+  }
+  MiningResult result;
+  result.push_back(PatternCount{std::move(pattern), support});
+  return result;
+}
+
 namespace {
 
 // The job's step table. SEMI-NAIVE communicates only candidates made of
@@ -45,39 +70,22 @@ StepTable NaiveStepTable(const Fst& fst, const Dictionary& dict,
   return StepTable(fst, dict, options.semi_naive ? options.sigma : 0);
 }
 
-// Map/reduce phases shared by the single-round miner and the chained
-// recount driver. The returned closures capture `db`, `table` and `options`
-// by reference; callers keep them alive for the round.
-MapFn MakeNaiveMapFn(const std::vector<Sequence>& db, const StepTable& table,
-                     const NaiveOptions& options) {
-  return [&db, &table, &options](size_t index, const EmitFn& emit) {
+// Runs the mining round of both drivers on `job`: MapNaiveInput over `db`,
+// then MineNaivePartition per candidate.
+MiningResult RunNaiveRound(DataflowJob& job, const std::vector<Sequence>& db,
+                           const StepTable& table,
+                           const NaiveOptions& options) {
+  MapFn map_fn = [&db, &table, &options](size_t index, const EmitFn& emit) {
     MapNaiveInput(db[index], table, options, emit);
   };
-}
-
-PartitionReduceFn MakeNaiveReduceFn(const NaiveOptions& options) {
-  return [sigma = options.sigma](std::string_view key,
-                                 std::vector<std::string_view>& values,
-                                 MiningResult& out) {
-    uint64_t support = 0;
-    for (std::string_view v : values) {
-      size_t pos = 0;
-      uint64_t count = 0;
-      // A count is exactly one varint: trailing bytes would be a payload,
-      // which no NAIVE mapper emits.
-      if (!GetVarint(v, &pos, &count) || pos != v.size()) {
-        throw std::invalid_argument("malformed NAIVE count record");
-      }
-      support += count;
+  PartitionReduceFn reduce_fn = [&options](
+      std::string_view key, std::vector<std::string_view>& values,
+      MiningResult& out) {
+    for (PatternCount& p : MineNaivePartition(key, values, options)) {
+      out.push_back(std::move(p));
     }
-    if (support < sigma) return;
-    size_t pos = 0;
-    Sequence pattern;
-    if (!GetSequence(key, &pos, &pattern) || pos != key.size()) {
-      throw std::invalid_argument("malformed NAIVE candidate key");
-    }
-    out.push_back(PatternCount{std::move(pattern), support});
   };
+  return RunMiningRound(job, db.size(), map_fn, /*combine=*/true, reduce_fn);
 }
 
 }  // namespace
@@ -85,10 +93,10 @@ PartitionReduceFn MakeNaiveReduceFn(const NaiveOptions& options) {
 DistributedResult MineNaive(const std::vector<Sequence>& db, const Fst& fst,
                             const Dictionary& dict,
                             const NaiveOptions& options) {
-  const StepTable table = NaiveStepTable(fst, dict, options);
-  return RunDistributedMining(db.size(), MakeNaiveMapFn(db, table, options),
-                              /*combine=*/true, MakeNaiveReduceFn(options),
-                              options);
+  DataflowJob job(options);
+  MiningResult patterns =
+      RunNaiveRound(job, db, NaiveStepTable(fst, dict, options), options);
+  return MakeChainedResult(std::move(patterns), job);
 }
 
 DistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
@@ -99,11 +107,9 @@ DistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
   DataflowJob job(options);
   Dictionary recounted =
       RecountFrequencies(job, db, dict, options.recount_sample_every);
-  const StepTable table = NaiveStepTable(fst, recounted, options);
-  return MakeChainedResult(
-      RunMiningRound(job, db.size(), MakeNaiveMapFn(db, table, options),
-                     /*combine=*/true, MakeNaiveReduceFn(options)),
-      job);
+  MiningResult patterns = RunNaiveRound(
+      job, db, NaiveStepTable(fst, recounted, options), options);
+  return MakeChainedResult(std::move(patterns), job);
 }
 
 }  // namespace dseq

@@ -12,6 +12,7 @@
 #define DSEQ_DIST_NAIVE_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "src/core/desq_dfs.h"
@@ -46,6 +47,16 @@ struct NaiveOptions : DistributedRunOptions {
 /// SEMI-NAIVE, unpruned (0) for NAIVE.
 void MapNaiveInput(const Sequence& T, const StepTable& table,
                    const NaiveOptions& options, const EmitFn& emit);
+
+/// NAIVE/SEMI-NAIVE's reduce of one candidate, the reduce function of both
+/// miners: sums the counts in `values` (each exactly one varint) and, when
+/// the support reaches options.sigma, decodes `key` (one PutSequence
+/// candidate) into the one pattern returned; a group below σ yields nothing
+/// and its key is not decoded. Throws std::invalid_argument on a malformed
+/// count or, for a frequent group, a malformed key.
+MiningResult MineNaivePartition(std::string_view key,
+                                const std::vector<std::string_view>& values,
+                                const NaiveOptions& options);
 
 /// Runs NAIVE (or SEMI-NAIVE). `db` must be fid-recoded with `dict`.
 DistributedResult MineNaive(const std::vector<Sequence>& db, const Fst& fst,

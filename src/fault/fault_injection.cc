@@ -59,8 +59,8 @@ struct RuleState {
   uint64_t fired = 0;
 };
 
-// All mutable state lives behind one mutex; Evaluate is called from worker
-// heartbeat threads as well as the main thread. The atomic fast-path flag
+// All mutable state lives behind one mutex; Evaluate is called from every
+// thread that hits a site, the local engine's worker threads included. The atomic fast-path flag
 // keeps unconfigured enabled builds to a single load per site hit.
 struct GlobalState {
   Mutex mu;

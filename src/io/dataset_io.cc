@@ -3,20 +3,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/util/varint.h"
-
 namespace dseq {
-namespace {
-
-constexpr char kMagic[] = "DSEQv1\n";
-
-std::string ReadAll(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-}  // namespace
 
 SequenceDatabase ReadTextDatabase(std::istream& sequences,
                                   std::istream* hierarchy) {
@@ -96,104 +83,6 @@ void WriteTextHierarchy(const Dictionary& dict, std::ostream& out) {
       out << dict.Name(w) << ' ' << dict.Name(p) << '\n';
     }
   }
-}
-
-void WriteBinaryDatabase(const SequenceDatabase& db, std::ostream& out) {
-  std::string buffer = kMagic;
-  const Dictionary& dict = db.dict;
-  PutVarint(&buffer, dict.size());
-  for (ItemId w = 1; w <= dict.size(); ++w) {
-    const std::string& name = dict.Name(w);
-    PutVarint(&buffer, name.size());
-    buffer += name;
-    PutVarint(&buffer, dict.Parents(w).size());
-    for (ItemId p : dict.Parents(w)) PutVarint(&buffer, p);
-  }
-  PutVarint(&buffer, db.sequences.size());
-  for (const Sequence& seq : db.sequences) PutSequence(&buffer, seq);
-  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-}
-
-SequenceDatabase ReadBinaryDatabase(std::istream& in) {
-  std::string data = ReadAll(in);
-  size_t magic_len = sizeof(kMagic) - 1;
-  if (data.size() < magic_len || data.compare(0, magic_len, kMagic) != 0) {
-    throw DatasetIoError("not a dseq binary database (bad magic)");
-  }
-  size_t pos = magic_len;
-
-  auto get = [&](uint64_t* value) {
-    if (!GetVarint(data, &pos, value)) {
-      throw DatasetIoError("truncated binary database");
-    }
-  };
-
-  uint64_t num_items = 0;
-  get(&num_items);
-  DictionaryBuilder builder;
-  std::vector<std::vector<ItemId>> parents(num_items);
-  for (uint64_t w = 0; w < num_items; ++w) {
-    uint64_t name_len = 0;
-    get(&name_len);
-    if (pos + name_len > data.size()) {
-      throw DatasetIoError("truncated item name");
-    }
-    builder.AddItem(data.substr(pos, name_len));
-    pos += name_len;
-    uint64_t num_parents = 0;
-    get(&num_parents);
-    for (uint64_t p = 0; p < num_parents; ++p) {
-      uint64_t parent = 0;
-      get(&parent);
-      if (parent == 0 || parent > num_items) {
-        throw DatasetIoError("parent id out of range");
-      }
-      parents[w].push_back(static_cast<ItemId>(parent));
-    }
-  }
-  for (uint64_t w = 0; w < num_items; ++w) {
-    for (ItemId p : parents[w]) {
-      builder.AddParent(static_cast<ItemId>(w + 1), p);
-    }
-  }
-
-  SequenceDatabase db;
-  db.dict = builder.Build();
-  uint64_t num_sequences = 0;
-  get(&num_sequences);
-  db.sequences.reserve(num_sequences);
-  Sequence seq;
-  for (uint64_t s = 0; s < num_sequences; ++s) {
-    if (!GetSequence(data, &pos, &seq)) {
-      throw DatasetIoError("truncated sequence data");
-    }
-    for (ItemId t : seq) {
-      if (t == 0 || t > num_items) {
-        throw DatasetIoError("sequence item out of range");
-      }
-    }
-    db.sequences.push_back(seq);
-  }
-  if (pos != data.size()) {
-    throw DatasetIoError("trailing bytes in binary database");
-  }
-  // Ids in the file are already frequency-ordered; recompute frequencies
-  // without renumbering.
-  db.dict.ComputeDocFrequencies(db.sequences, /*num_workers=*/4);
-  return db;
-}
-
-void WriteBinaryDatabaseToFile(const SequenceDatabase& db,
-                               const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw DatasetIoError("cannot open for writing: " + path);
-  WriteBinaryDatabase(db, out);
-}
-
-SequenceDatabase ReadBinaryDatabaseFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw DatasetIoError("cannot open for reading: " + path);
-  return ReadBinaryDatabase(in);
 }
 
 }  // namespace dseq

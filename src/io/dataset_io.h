@@ -1,11 +1,6 @@
-// Dataset input/output.
-//
-// Two formats:
-//  * Text: one sequence per line, whitespace-separated item names, plus an
-//    optional hierarchy file with "child parent" lines. Human-editable; the
-//    format used by the CLI tool.
-//  * Binary: varint-coded dictionary + sequences, including precomputed
-//    frequencies. Fast to load; used to cache generated benchmark datasets.
+// Dataset input/output in the text format: one sequence per line,
+// whitespace-separated item names, plus an optional hierarchy file with
+// "child parent" lines. Human-editable; the format used by the CLI tool.
 #ifndef DSEQ_IO_DATASET_IO_H_
 #define DSEQ_IO_DATASET_IO_H_
 
@@ -36,13 +31,6 @@ SequenceDatabase ReadTextDatabaseFromFiles(const std::string& sequence_path,
 /// "child parent" line per hierarchy edge.
 void WriteTextDatabase(const SequenceDatabase& db, std::ostream& out);
 void WriteTextHierarchy(const Dictionary& dict, std::ostream& out);
-
-/// Binary round-trip (dictionary with hierarchy + frequencies + sequences).
-void WriteBinaryDatabase(const SequenceDatabase& db, std::ostream& out);
-SequenceDatabase ReadBinaryDatabase(std::istream& in);
-void WriteBinaryDatabaseToFile(const SequenceDatabase& db,
-                               const std::string& path);
-SequenceDatabase ReadBinaryDatabaseFromFile(const std::string& path);
 
 }  // namespace dseq
 

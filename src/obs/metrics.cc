@@ -17,7 +17,6 @@ namespace {
 struct RegistryState {
   Mutex mu;
   std::map<std::string, Counter> counters DSEQ_GUARDED_BY(mu);
-  std::map<std::string, Gauge> gauges DSEQ_GUARDED_BY(mu);
   std::map<std::string, Histogram> histograms DSEQ_GUARDED_BY(mu);
 };
 
@@ -80,12 +79,6 @@ Counter& GetCounter(const std::string& name) {
   return s.counters[name];
 }
 
-Gauge& GetGauge(const std::string& name) {
-  RegistryState& s = State();
-  MutexLock lock(s.mu);
-  return s.gauges[name];
-}
-
 Histogram& GetHistogram(const std::string& name) {
   RegistryState& s = State();
   MutexLock lock(s.mu);
@@ -104,16 +97,6 @@ std::string RegistryJson() {
     AppendJsonEscaped(&out, name);
     out.append("\":");
     out.append(std::to_string(c.Value()));
-  }
-  out.append("},\"gauges\":{");
-  first = true;
-  for (auto& [name, g] : s.gauges) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    AppendJsonEscaped(&out, name);
-    out.append("\":");
-    out.append(std::to_string(g.Value()));
   }
   out.append("},\"histograms\":{");
   first = true;
@@ -170,13 +153,6 @@ void AppendRegistryDeltas(std::string* out) {
     AppendLengthPrefixed(out, name);
     PutVarint(out, delta);
   }
-  // Gauges: absolute values (last writer wins on the coordinator — a gauge
-  // is a sample, deltas would be meaningless).
-  PutVarint(out, s.gauges.size());
-  for (auto& [name, g] : s.gauges) {
-    AppendLengthPrefixed(out, name);
-    PutVarint(out, ZigzagEncode(g.Value()));
-  }
   // Histograms: sparse per-bucket deltas + sum delta.
   std::string hist_block;
   uint64_t num_hists = 0;
@@ -221,15 +197,6 @@ bool IngestRegistryDeltas(std::string_view data, size_t* pos) {
     // Ingested foreign deltas count as already shipped: if this process
     // later encodes its own snapshot it must not re-ship them.
     c.wire_base_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  uint64_t num_gauges = 0;
-  if (!GetVarint(data, pos, &num_gauges)) return false;
-  for (uint64_t i = 0; i < num_gauges; ++i) {
-    std::string name;
-    uint64_t zz = 0;
-    if (!GetLengthPrefixed(data, pos, &name)) return false;
-    if (!GetVarint(data, pos, &zz)) return false;
-    GetGauge(name).Set(ZigzagDecode(zz));
   }
   uint64_t num_hists = 0;
   if (!GetVarint(data, pos, &num_hists)) return false;
@@ -279,7 +246,6 @@ void ResetMetricsForTest() {
     c.value_.store(0, std::memory_order_relaxed);
     c.wire_base_.store(0, std::memory_order_relaxed);
   }
-  for (auto& [name, g] : s.gauges) g.Set(0);
   for (auto& [name, h] : s.histograms) {
     for (int i = 0; i < Histogram::kBuckets; ++i) {
       h.buckets_[i].store(0, std::memory_order_relaxed);

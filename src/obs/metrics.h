@@ -1,4 +1,4 @@
-// Named metrics registry: counters, gauges, and log2-bucket histograms.
+// Named metrics registry: counters and log2-bucket histograms.
 //
 // Replaces ad-hoc counter plumbing for everything that is a *distribution*
 // or a cross-cutting tally rather than a per-round dataflow metric
@@ -9,8 +9,7 @@
 //
 // Naming scheme: `subsystem.measurement[_unit]`, lowercase, dot-separated
 // subsystem, e.g. `shuffle.record_bytes`, `spill.run_bytes`,
-// `proc.segment_bytes`, `rpc.frame_send_ns`, `proc.heartbeat_rtt_ns`,
-// `budget.charge_bytes`. Registered metrics live for the process (leaked
+// `proc.segment_bytes`, `rpc.frame_send_ns`, `budget.charge_bytes`. Registered metrics live for the process (leaked
 // singletons — the sanctioned pattern; ASan tracks real leaks).
 //
 // Cross-process: proc workers ship registry *deltas* (everything observed
@@ -53,19 +52,6 @@ class Counter {
   // Relaxed atomic: only the snapshot-encoding thread touches it, the
   // atomic exists so concurrent Value() readers stay analyzer-clean.
   std::atomic<uint64_t> wire_base_{0};
-};
-
-/// Last-written instantaneous value.
-class Gauge {
- public:
-  void Set(int64_t v) {
-    // Relaxed: a gauge is a monitoring sample, not a synchronization point.
-    value_.store(v, std::memory_order_relaxed);
-  }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
 };
 
 /// Log2-bucket histogram over uint64 observations: bucket 0 counts zeros,
@@ -112,11 +98,10 @@ class Histogram {
 ///   static obs::Histogram& h = obs::GetHistogram("shuffle.record_bytes");
 ///   if (obs::Enabled()) h.Observe(bytes);
 Counter& GetCounter(const std::string& name);
-Gauge& GetGauge(const std::string& name);
 Histogram& GetHistogram(const std::string& name);
 
 /// JSON snapshot of the whole registry, keys sorted:
-/// {"counters":{...},"gauges":{...},"histograms":{"name":{"count":..,
+/// {"counters":{...},"histograms":{"name":{"count":..,
 /// "sum":..,"buckets":{"8":n,...}}}} (bucket key = upper bound 2^k).
 std::string RegistryJson();
 

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <set>
 
 #include "src/obs/metrics.h"
 #include "src/util/common.h"
@@ -366,23 +367,19 @@ bool IngestWireSnapshot(std::string_view payload,
 std::string ChromeTraceJson() {
   std::vector<TraceEvent> events = SnapshotTrace();
   // pid 0 = coordinator / local process, pid k+1 = proc worker ordinal k.
-  std::vector<bool> worker_seen;
+  // Ordinals arrive in worker snapshots, so any int can occur: the pid is
+  // computed in 64 bits, and only ordinals present are kept.
+  std::set<int> workers;
   for (const TraceEvent& ev : events) {
-    if (ev.process_ordinal >= 0) {
-      if (worker_seen.size() <= static_cast<size_t>(ev.process_ordinal)) {
-        worker_seen.resize(ev.process_ordinal + 1, false);
-      }
-      worker_seen[ev.process_ordinal] = true;
-    }
+    if (ev.process_ordinal >= 0) workers.insert(ev.process_ordinal);
   }
   std::string out = "{\"traceEvents\":[";
   out.append(
       "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,"
       "\"args\":{\"name\":\"coordinator\"}}");
-  for (size_t k = 0; k < worker_seen.size(); ++k) {
-    if (!worker_seen[k]) continue;
+  for (int k : workers) {
     out.append(",{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
-    out.append(std::to_string(k + 1));
+    out.append(std::to_string(int64_t{k} + 1));
     out.append(",\"tid\":0,\"args\":{\"name\":\"worker ");
     out.append(std::to_string(k));
     out.append("\"}}");
@@ -397,8 +394,8 @@ std::string ChromeTraceJson() {
     out.append(",\"dur\":");
     AppendMicros(&out, ev.dur_ns);
     out.append(",\"pid\":");
-    out.append(std::to_string(ev.process_ordinal < 0 ? 0
-                                                     : ev.process_ordinal + 1));
+    out.append(std::to_string(
+        ev.process_ordinal < 0 ? 0 : int64_t{ev.process_ordinal} + 1));
     out.append(",\"tid\":");
     out.append(std::to_string(ev.thread_ordinal));
     out.append(",\"args\":{\"round\":");

@@ -110,8 +110,8 @@ struct TraceEvent {
 };
 
 /// Emits a closed span retrospectively (e.g. the coordinator's
-/// dispatch→done task spans or a heartbeat's ping→pong RTT, whose
-/// endpoints are observed at different poll-loop iterations). No-op when
+/// dispatch→done task spans, whose endpoints are observed at different
+/// poll-loop iterations). No-op when
 /// tracing is disabled. `category` and `name` must be string literals
 /// (or otherwise outlive the process) — emission stores the pointers.
 void EmitSpan(const char* category, const char* name, int64_t start_ns,

@@ -30,9 +30,10 @@ int ParseVarint(std::string_view data, size_t* pos, uint64_t* value) {
   }
 }
 
+// Type 9 is retired (see MsgType).
 bool ValidType(uint64_t type) {
   return type >= static_cast<uint64_t>(MsgType::kHello) &&
-         type <= static_cast<uint64_t>(MsgType::kTrace);
+         type <= static_cast<uint64_t>(MsgType::kTrace) && type != 9;
 }
 
 }  // namespace

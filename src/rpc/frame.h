@@ -13,7 +13,8 @@
 //
 // FrameDecoder is an incremental push parser over untrusted bytes: feed it
 // whatever arrived on the socket, drain complete frames. It never throws —
-// malformed input (overlong varint, unknown type, oversized payload) turns
+// malformed input (overlong varint, unknown or retired type, oversized
+// payload) turns
 // into kBadFrame before any allocation is sized from attacker-controlled
 // lengths, which is what the fuzz target (fuzz/fuzz_rpc_frame.cc) hammers.
 #ifndef DSEQ_RPC_FRAME_H_
@@ -71,15 +72,14 @@ enum class MsgType : uint8_t {
   kError = 7,
   /// coordinator -> worker: empty payload; the worker exits cleanly.
   kShutdown = 8,
-  /// coordinator -> worker: empty payload; liveness probe. A worker answers
-  /// kPong from its serve loop and from inside reduce-segment streaming.
-  kPing = 9,
-  /// worker -> coordinator: empty payload; heartbeat. Sent in reply to
-  /// kPing and spontaneously by the worker's progress-gated heartbeat
-  /// thread while a task is executing (only when the task's progress
-  /// counter advanced since the last beat, so a hung worker goes silent
-  /// and a slow-but-working one stays alive). The coordinator treats any
-  /// frame as progress and otherwise ignores kPong.
+  // 9 is retired (it was a coordinator -> worker liveness probe); a type-9
+  // frame is malformed.
+  /// worker -> coordinator: empty payload; heartbeat. The worker's task
+  /// thread sends it when the task made progress (a map input, a received
+  /// segment, a reduced key group) and the heartbeat interval has passed
+  /// since its last beat, so a hung worker goes silent and a
+  /// slow-but-working one stays alive. The coordinator treats any frame as
+  /// progress and otherwise ignores kPong.
   kPong = 10,
   /// worker -> coordinator: one observability snapshot (src/obs/trace.h
   /// wire codec — spans drained from the worker's buffers plus metric

@@ -34,7 +34,6 @@
 #include "src/spill/spill_file.h"
 #include "src/util/block_codec.h"
 #include "src/util/check.h"
-#include "src/util/sync.h"
 #include "src/util/thread_pool.h"
 #include "src/util/varint.h"
 
@@ -239,37 +238,22 @@ void ApplyLifecycleFault(const fault::Fault& f) {
 // leave through the connection, and the child never returns to the caller's
 // stack (it _exits).
 
-// The worker's connection to the coordinator. Sends are serialized with a
-// mutex because the heartbeat pump thread and the task thread both write
-// frames; receives stay single-threaded (task thread only).
-//
-// `conn` is deliberately NOT DSEQ_GUARDED_BY(send_mu): the connection is
-// shared under a split contract rather than a single lock. Its send path
-// (MsgConn::Send) is stateless beyond the fd and is serialized by send_mu;
-// its receive path owns the frame-decoder state and is confined to the task
-// thread, which must not take send_mu to read. Guarding the whole object
-// would force Recv under the lock and deadlock a task blocked on the
-// coordinator against the pump's next beat.
+// The worker's connection to the coordinator. The task thread is its only
+// user: it sends every frame, heartbeats included, and receives the reduce
+// task's segment stream.
 struct WorkerConn {
   explicit WorkerConn(MsgConn c) : conn(std::move(c)) {}
 
-  bool Send(MsgType type, std::string_view payload) DSEQ_EXCLUDES(send_mu) {
-    // Frame send latency (lock wait + encode + socket write). The registry
-    // lookup runs once; a disabled run pays only the relaxed flag load.
+  bool Send(MsgType type, std::string_view payload) {
+    // Frame send latency (encode + socket write). The registry lookup runs
+    // once; a disabled run pays only the relaxed flag load.
     static obs::Histogram& send_ns_hist =
         obs::GetHistogram("rpc.frame_send_ns");
-    if (obs::Enabled()) {
-      const int64_t t0 = obs::NowNs();
-      bool ok;
-      {
-        MutexLock lock(send_mu);
-        ok = conn.Send(type, payload);
-      }
-      send_ns_hist.Observe(obs::NowNs() - t0);
-      return ok;
-    }
-    MutexLock lock(send_mu);
-    return conn.Send(type, payload);
+    if (!obs::Enabled()) return conn.Send(type, payload);
+    const int64_t t0 = obs::NowNs();
+    const bool ok = conn.Send(type, payload);
+    send_ns_hist.Observe(obs::NowNs() - t0);
+    return ok;
   }
 
   bool Recv(MsgType* type, std::string* payload) {
@@ -277,7 +261,6 @@ struct WorkerConn {
   }
 
   MsgConn conn;
-  Mutex send_mu;
 };
 
 void SendOrThrow(WorkerConn& conn, MsgType type, std::string_view payload) {
@@ -286,59 +269,33 @@ void SendOrThrow(WorkerConn& conn, MsgType type, std::string_view payload) {
   }
 }
 
-// Progress-gated heartbeat: a thread that samples `progress` every
-// `interval_ms` and sends kPong only when it advanced since the last sample.
-// A hung task stops the beats (the coordinator's stall timeout then fires);
-// a slow-but-working one stays visibly alive indefinitely.
-class HeartbeatPump {
+// Progress-gated heartbeat, beaten by the task thread itself: Tick() marks
+// one unit of progress (a map input, a received segment, a reduced key
+// group) and sends kPong when `interval_ms` has passed since the last beat.
+// A hung task stops ticking and goes silent, so the coordinator's stall
+// timeout fires; a slow-but-working one keeps beating. Interval 0 (no stall
+// timeout) never beats.
+class Heartbeat {
  public:
-  HeartbeatPump(WorkerConn* conn, std::atomic<uint64_t>* progress,
-                int interval_ms)
+  Heartbeat(WorkerConn* conn, int interval_ms)
       : conn_(conn),
-        progress_(progress),
-        interval_(std::chrono::milliseconds(interval_ms)) {
-    thread_ = std::thread([this] { Loop(); });
-  }
+        interval_(std::chrono::milliseconds(interval_ms)),
+        last_beat_(obs::Now()) {}
 
-  ~HeartbeatPump() DSEQ_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      stop_ = true;
-    }
-    cv_.NotifyAll();
-    thread_.join();
+  bool enabled() const { return interval_.count() > 0; }
+
+  void Tick() {
+    if (!enabled()) return;
+    const auto now = obs::Now();
+    if (now - last_beat_ < interval_) return;
+    last_beat_ = now;
+    conn_->Send(MsgType::kPong, {});  // best effort; EOF surfaces elsewhere
   }
 
  private:
-  void Loop() DSEQ_EXCLUDES(mu_) {
-    uint64_t last = progress_->load(std::memory_order_relaxed);
-    for (;;) {
-      {
-        MutexLock lock(mu_);
-        if (stop_) return;
-        cv_.WaitFor(mu_, interval_);
-        if (stop_) return;
-      }
-      // Sample and send outside mu_: Send takes send_mu and can block on a
-      // slow socket, and holding mu_ across it would stall the destructor.
-      uint64_t cur = progress_->load(std::memory_order_relaxed);
-      if (cur == last) continue;  // no progress: stay silent
-      last = cur;
-      conn_->Send(MsgType::kPong, {});  // best effort; EOF surfaces elsewhere
-    }
-  }
-
-  // conn_/progress_/interval_ are immutable after construction and safe to
-  // read from the pump thread without mu_. The progress counter is a pure
-  // liveness gauge: relaxed loads suffice because no other memory is
-  // published through it — only "did the number change since last sample".
   WorkerConn* const conn_;
-  std::atomic<uint64_t>* const progress_;
   const std::chrono::milliseconds interval_;
-  Mutex mu_;
-  CondVar cv_;
-  bool stop_ DSEQ_GUARDED_BY(mu_) = false;
-  std::thread thread_;
+  std::chrono::steady_clock::time_point last_beat_;
 };
 
 // Runs one map task: the shared RunMapShard body over [begin, end), then
@@ -372,7 +329,7 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
   std::vector<uint64_t> bucket_charged(reduce_workers, 0);
   std::atomic<uint64_t> shuffle_bytes{0};
   DataflowMetrics shard;
-  std::atomic<uint64_t> progress{0};
+  Heartbeat heartbeat(&conn, heartbeat_ms);
 
   MapShardContext ctx;
   ctx.options = &options;
@@ -389,15 +346,8 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
   ctx.spill_stats = &spill_stats;
   ctx.shuffle_bytes = &shuffle_bytes;
   ctx.metrics = &shard;
-  ctx.progress = &progress;
-
-  {
-    std::unique_ptr<HeartbeatPump> pump;
-    if (heartbeat_ms > 0) {
-      pump = std::make_unique<HeartbeatPump>(&conn, &progress, heartbeat_ms);
-    }
-    RunMapShard(ctx);
-  }
+  if (heartbeat.enabled()) ctx.on_input = [&heartbeat] { heartbeat.Tick(); };
+  RunMapShard(ctx);
 
   // Ship: per reducer, the spilled runs in chronological order, then the
   // bucket tail in stored form. This is exactly the source order the local
@@ -427,8 +377,7 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
   ApplyLifecycleFault(fault::Evaluate(fault::Site::kWorkerCommit, task));
 
   // Relaxed: the spill counters were written by this thread during
-  // RunMapShard (the only other thread, the heartbeat pump, just joined in
-  // ~pump).
+  // RunMapShard.
   std::string done;
   PutVarint(&done, task);
   PutVarint(&done, shard.map_output_records);
@@ -463,12 +412,7 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
   RequireVarint(payload, &pos, &reducer, "reduce task");
   RequireVarint(payload, &pos, &num_segments, "reduce segment count");
 
-  std::atomic<uint64_t> progress{0};
-  std::unique_ptr<HeartbeatPump> pump;
-  if (heartbeat_ms > 0) {
-    pump = std::make_unique<HeartbeatPump>(&conn, &progress, heartbeat_ms);
-  }
-
+  Heartbeat heartbeat(&conn, heartbeat_ms);
   std::vector<ReduceColumnSource> sources;
   uint64_t source_task = 0;
   // A failure while folding a segment in (a full spill disk, a corrupt
@@ -483,10 +427,6 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
     std::string frame;
     if (!conn.Recv(&type, &frame)) {
       throw std::runtime_error("proc worker: coordinator connection lost");
-    }
-    if (type == MsgType::kPing) {
-      conn.Send(MsgType::kPong, {});
-      continue;
     }
     if (type != MsgType::kSegment) ProtocolError("expected a segment frame");
     SegmentHeader h = ParseSegment(frame);
@@ -524,7 +464,7 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
         failure = std::current_exception();
       }
     }
-    progress.fetch_add(1, std::memory_order_relaxed);
+    heartbeat.Tick();
     ++i;
   }
   obs::EmitSpan("worker", "segment_stream", stream_start_ns, obs::NowNs());
@@ -545,7 +485,7 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
       std::move(sources), options, &spill_stats, &budget,
       [&](std::string_view key, std::vector<std::string_view>& values) {
         reduce_fn(static_cast<int>(reducer), key, values, emit);
-        progress.fetch_add(1, std::memory_order_relaxed);
+        heartbeat.Tick();
       });
 
   // Relaxed: spill stats were written by this task thread only.
@@ -566,9 +506,7 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
 // The worker loop: connect, announce the ordinal, then serve tasks until
 // shutdown. Returns the child's exit code; the caller _exits with it (all
 // RAII state lives inside this function's scopes). Lifecycle faults
-// (worker.message) are evaluated once per *task* message — kPing probes are
-// excluded so nth-message rules stay deterministic under timing-dependent
-// heartbeat traffic.
+// (worker.message) are evaluated once per task message.
 int WorkerBody(int ordinal, uint16_t port, const MapFn& map_fn, bool combine,
                const ReduceFn& reduce_fn, const DataflowOptions& options) {
   rpc::IgnoreSigPipe();
@@ -595,10 +533,6 @@ int WorkerBody(int ordinal, uint16_t port, const MapFn& map_fn, bool combine,
       std::string payload;
       if (!conn->Recv(&type, &payload)) return 1;  // coordinator gone
       if (type == MsgType::kShutdown) return 0;
-      if (type == MsgType::kPing) {
-        conn->Send(MsgType::kPong, {});
-        continue;
-      }
       ++task_messages;
       ApplyLifecycleFault(
           fault::Evaluate(fault::Site::kWorkerMessage, task_messages));
@@ -745,12 +679,9 @@ class Coordinator {
     bool respawn_pending = false;
     std::chrono::steady_clock::time_point respawn_at;
     std::chrono::steady_clock::time_point last_progress;
-    std::chrono::steady_clock::time_point last_ping;
-    // Observability endpoints: when the in-flight task was dispatched, and
-    // when the last kPing left (-1 = no ping outstanding) — closed into
-    // retrospective spans when the done frame / kPong arrives.
+    // When the in-flight task was dispatched, closed into a retrospective
+    // span when its done frame arrives.
     int64_t dispatch_ns = 0;
-    int64_t ping_sent_ns = -1;
     // Segments of the in-flight map task, discarded if the worker dies
     // before kMapDone commits them.
     std::vector<std::pair<int, StoredSegment>> staged;
@@ -825,7 +756,7 @@ class Coordinator {
     Worker& w = workers_[ordinal];
     w.conn = std::make_unique<MsgConn>(std::move(conn));
     w.spawning = false;
-    w.last_progress = w.last_ping = obs::Now();
+    w.last_progress = obs::Now();
   }
 
   void AcceptWorkers() {
@@ -954,11 +885,10 @@ class Coordinator {
 
   // Generic phase driver: schedules tasks 0..num_tasks-1 onto idle workers,
   // pumps their connections, reassigns tasks of dead (or stalled) workers
-  // within the per-task attempt budget, pings for liveness, respawns
-  // replacements, and enforces the round deadline. `send_task` returns
-  // false when the worker died mid-send; `on_frame` returns true when the
-  // worker's in-flight task completed (and throws to abort the round, e.g.
-  // on kError).
+  // within the per-task attempt budget, respawns replacements, and enforces
+  // the round deadline. `send_task` returns false when the worker died
+  // mid-send; `on_frame` returns true when the worker's in-flight task
+  // completed (and throws to abort the round, e.g. on kError).
   void RunTasks(int num_tasks, const char* phase,
                 const std::function<bool(Worker&, int)>& send_task,
                 const std::function<bool(Worker&, MsgType, std::string_view)>&
@@ -1001,25 +931,11 @@ class Coordinator {
         ++ts.attempts;
         ++attempts_total_;
         if (ts.attempts > 1) ++retries_total_;
-        w.last_progress = w.last_ping = now;
+        w.last_progress = now;
         w.dispatch_ns = obs::ToNs(now);
         if (!send_task(w, w.task)) {
           MarkDead(w, &pending, "worker " + std::to_string(w.ordinal) +
                                     " connection lost sending the task");
-        }
-      }
-
-      if (hb_ms > 0) {
-        now = obs::Now();
-        for (Worker& w : workers_) {
-          if (!Alive(w)) continue;
-          if (now - w.last_ping < std::chrono::milliseconds(hb_ms)) continue;
-          w.last_ping = now;
-          w.ping_sent_ns = obs::ToNs(now);
-          if (!w.conn->Send(MsgType::kPing, {})) {
-            MarkDead(w, &pending, "worker " + std::to_string(w.ordinal) +
-                                      " connection lost sending a ping");
-          }
         }
       }
 
@@ -1058,22 +974,7 @@ class Coordinator {
             }
             // Every frame counts as progress; kPong exists only for that.
             w.last_progress = obs::Now();
-            if (type == MsgType::kPong) {
-              // Ping→first-pong RTT. Approximate under load: a spontaneous
-              // progress beat landing between ping and reply closes the
-              // span early — good enough for a liveness-latency signal.
-              if (w.ping_sent_ns >= 0) {
-                const int64_t now_ns = obs::NowNs();
-                obs::EmitSpan("proc", "heartbeat_rtt", w.ping_sent_ns, now_ns);
-                if (obs::Enabled()) {
-                  static obs::Histogram& rtt_hist =
-                      obs::GetHistogram("proc.heartbeat_rtt_ns");
-                  rtt_hist.Observe(now_ns - w.ping_sent_ns);
-                }
-                w.ping_sent_ns = -1;
-              }
-              continue;
-            }
+            if (type == MsgType::kPong) continue;
             if (type == MsgType::kTrace) {
               // Worker observability snapshot: merge spans (stamped with
               // the sender's ordinal) and fold metric deltas into the

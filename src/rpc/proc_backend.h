@@ -29,11 +29,14 @@
 //
 // Failure policy (see README "Failure model & fault injection"):
 //
-//   - Detection. A worker that dies surfaces as connection EOF; one that
-//     makes no observable progress for proc_worker_timeout_ms is SIGKILLed.
-//     "Progress" counts any frame, including kPong heartbeats a worker's
-//     progress-gated pump sends while its task advances — so a slow task
-//     outlives any timeout while a hung one goes silent and dies.
+//   - Detection. A worker that dies surfaces as connection EOF; one whose
+//     in-flight task makes no observable progress for
+//     proc_worker_timeout_ms is SIGKILLed. "Progress" counts any frame,
+//     including the kPong heartbeats the worker's task thread sends as its
+//     task advances (per map input, received segment and reduced key
+//     group, at most one per heartbeat interval) — so a slow task outlives
+//     any timeout while a hung one goes silent and dies. Liveness flows
+//     one way: the coordinator never probes its workers.
 //   - Retries. The dead worker's in-flight task has its uncommitted
 //     segments discarded and is reassigned, at most
 //     proc_max_task_attempts times total; exhausting the budget throws

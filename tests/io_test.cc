@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "src/core/desq_dfs.h"
-#include "src/datagen/market_baskets.h"
 #include "src/fst/compiler.h"
 #include "tests/test_util.h"
 
@@ -74,84 +73,6 @@ TEST(TextIoTest, WriteReadRoundTrip) {
     EXPECT_EQ(reloaded.FormatSequence(reloaded.sequences[i]),
               db.FormatSequence(db.sequences[i]));
   }
-}
-
-TEST(BinaryIoTest, RoundTripRunningExample) {
-  SequenceDatabase db = MakeRunningExample();
-  std::ostringstream out;
-  WriteBinaryDatabase(db, out);
-  std::istringstream in(out.str());
-  SequenceDatabase reloaded = ReadBinaryDatabase(in);
-
-  ASSERT_EQ(reloaded.size(), db.size());
-  ASSERT_EQ(reloaded.dict.size(), db.dict.size());
-  EXPECT_EQ(reloaded.sequences, db.sequences);
-  for (ItemId w = 1; w <= db.dict.size(); ++w) {
-    EXPECT_EQ(reloaded.dict.Name(w), db.dict.Name(w));
-    EXPECT_EQ(reloaded.dict.Parents(w), db.dict.Parents(w));
-    EXPECT_EQ(reloaded.dict.DocFrequency(w), db.dict.DocFrequency(w));
-  }
-}
-
-TEST(BinaryIoTest, RoundTripDagHierarchy) {
-  MarketBasketOptions options;
-  options.num_customers = 300;
-  SequenceDatabase db = GenerateMarketBaskets(options);
-  std::ostringstream out;
-  WriteBinaryDatabase(db, out);
-  std::istringstream in(out.str());
-  SequenceDatabase reloaded = ReadBinaryDatabase(in);
-  EXPECT_EQ(reloaded.sequences, db.sequences);
-  EXPECT_EQ(reloaded.dict.IsForest(), db.dict.IsForest());
-  EXPECT_EQ(reloaded.dict.MeanAncestors(), db.dict.MeanAncestors());
-}
-
-TEST(BinaryIoTest, MiningEquivalentAfterRoundTrip) {
-  SequenceDatabase db = testing::RandomDatabase(5, 8, 40, 8);
-  std::ostringstream out;
-  WriteBinaryDatabase(db, out);
-  std::istringstream in(out.str());
-  SequenceDatabase reloaded = ReadBinaryDatabase(in);
-
-  Fst fst1 = CompileFst(".*(i0)[(.^).*]*(i1).*", db.dict);
-  Fst fst2 = CompileFst(".*(i0)[(.^).*]*(i1).*", reloaded.dict);
-  DesqDfsOptions options;
-  options.sigma = 2;
-  EXPECT_EQ(MineDesqDfs(db.sequences, fst1, db.dict, options),
-            MineDesqDfs(reloaded.sequences, fst2, reloaded.dict, options));
-}
-
-TEST(BinaryIoTest, BadMagicThrows) {
-  std::istringstream in("NOTDSEQ");
-  EXPECT_THROW(ReadBinaryDatabase(in), DatasetIoError);
-}
-
-TEST(BinaryIoTest, TruncatedThrows) {
-  SequenceDatabase db = MakeRunningExample();
-  std::ostringstream out;
-  WriteBinaryDatabase(db, out);
-  std::string data = out.str();
-  for (size_t cut : {data.size() - 1, data.size() / 2, size_t{8}}) {
-    std::istringstream in(data.substr(0, cut));
-    EXPECT_THROW(ReadBinaryDatabase(in), DatasetIoError) << "cut " << cut;
-  }
-}
-
-TEST(BinaryIoTest, TrailingBytesThrow) {
-  SequenceDatabase db = MakeRunningExample();
-  std::ostringstream out;
-  WriteBinaryDatabase(db, out);
-  std::istringstream in(out.str() + "x");
-  EXPECT_THROW(ReadBinaryDatabase(in), DatasetIoError);
-}
-
-TEST(BinaryIoTest, FileRoundTrip) {
-  SequenceDatabase db = MakeRunningExample();
-  std::string path = ::testing::TempDir() + "/dseq_io_test.bin";
-  WriteBinaryDatabaseToFile(db, path);
-  SequenceDatabase reloaded = ReadBinaryDatabaseFromFile(path);
-  EXPECT_EQ(reloaded.sequences, db.sequences);
-  std::remove(path.c_str());
 }
 
 }  // namespace

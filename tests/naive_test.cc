@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "src/core/desq_dfs.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
+#include "src/util/varint.h"
 #include "tests/test_util.h"
 
 namespace dseq {
@@ -59,6 +65,67 @@ TEST(NaiveTest, CandidateBudgetProducesOom) {
   options.candidates_per_sequence_budget = 2;
   EXPECT_THROW(MineNaive(db.sequences, fst, db.dict, options),
                MiningBudgetError);
+}
+
+// --- MineNaivePartition: the reduce of one candidate ------------------------
+
+std::string Count(uint64_t n) {
+  std::string out;
+  PutVarint(&out, n);
+  return out;
+}
+
+std::string CandidateKey(const Sequence& candidate) {
+  std::string out;
+  PutSequence(&out, candidate);
+  return out;
+}
+
+TEST(NaivePartitionTest, GroupBelowSigmaYieldsNothing) {
+  NaiveOptions options;
+  const std::string key = CandidateKey({2, 5});
+  const std::string one = Count(1);
+  const std::string two = Count(2);
+  std::vector<std::string_view> values = {one, two};
+  options.sigma = 4;
+  EXPECT_TRUE(MineNaivePartition(key, values, options).empty());
+  options.sigma = 3;
+  MiningResult expected = {{Sequence{2, 5}, 3}};
+  EXPECT_EQ(MineNaivePartition(key, values, options), expected);
+}
+
+TEST(NaivePartitionTest, MalformedCountThrows) {
+  NaiveOptions options;
+  const std::string key = CandidateKey({1});
+  const std::string truncated = "\x80";  // a varint cut short
+  std::vector<std::string_view> values = {truncated};
+  EXPECT_THROW(MineNaivePartition(key, values, options),
+               std::invalid_argument);
+  std::vector<std::string_view> empty_value = {std::string_view()};
+  EXPECT_THROW(MineNaivePartition(key, empty_value, options),
+               std::invalid_argument);
+}
+
+TEST(NaivePartitionTest, CountWithTrailingBytesThrows) {
+  NaiveOptions options;
+  const std::string key = CandidateKey({1});
+  const std::string padded = Count(1) + "x";
+  std::vector<std::string_view> values = {padded};
+  EXPECT_THROW(MineNaivePartition(key, values, options),
+               std::invalid_argument);
+}
+
+TEST(NaivePartitionTest, MalformedKeyOfAFrequentGroupThrows) {
+  NaiveOptions options;
+  options.sigma = 1;
+  const std::string one = Count(1);
+  std::vector<std::string_view> values = {one};
+  // A length prefix promising more items than the key holds, and a valid
+  // candidate followed by a stray byte.
+  EXPECT_THROW(MineNaivePartition(Count(3) + Count(1), values, options),
+               std::invalid_argument);
+  EXPECT_THROW(MineNaivePartition(CandidateKey({1}) + "x", values, options),
+               std::invalid_argument);
 }
 
 class NaivePropertyTest

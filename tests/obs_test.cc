@@ -4,6 +4,7 @@
 // fixed-schema stats renderers that back `dseq_cli --stats`.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -192,6 +193,20 @@ TEST_F(ObsTest, ChromeTraceJsonMapsWorkerOrdinalsToDistinctPids) {
   EXPECT_NE(json.find("\"pid\":2,"), std::string::npos);
 }
 
+TEST_F(ObsTest, ChromeTraceJsonExportsTheLargestIngestedOrdinal) {
+  // A snapshot's process ordinal is any int the sender wrote; pid
+  // ordinal + 1 must not overflow, nor size anything by the ordinal.
+  obs::SetProcessOrdinal(INT_MAX);
+  obs::EmitSpan("worker", "map_task", 1000, 2000);
+  std::string snapshot = obs::EncodeWireSnapshot();
+  obs::SetProcessOrdinal(-1);
+  ASSERT_TRUE(obs::IngestWireSnapshot(snapshot, 0));
+  std::string json = obs::ChromeTraceJson();
+  EXPECT_NE(json.find("\"pid\":2147483648,"), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"name\":\"worker 2147483647\"}"),
+            std::string::npos);
+}
+
 // --- Metrics registry -------------------------------------------------------
 
 TEST(HistogramTest, BucketIndexIsLog2WithZeroAndSaturation) {
@@ -209,14 +224,12 @@ TEST(HistogramTest, BucketIndexIsLog2WithZeroAndSaturation) {
 
 TEST_F(ObsTest, RegistryJsonListsEveryKindWithSparseBuckets) {
   obs::GetCounter("test.json_counter").Add(11);
-  obs::GetGauge("test.json_gauge").Set(-4);
   obs::Histogram& h = obs::GetHistogram("test.json_hist");
   h.Observe(0);
   h.Observe(5);
   h.Observe(6);
   std::string json = obs::RegistryJson();
   EXPECT_NE(json.find("\"test.json_counter\":11"), std::string::npos);
-  EXPECT_NE(json.find("\"test.json_gauge\":-4"), std::string::npos);
   // Bucket keys are exclusive upper bounds: zeros under "0", [4,8) under
   // "8"; untouched buckets are omitted.
   EXPECT_NE(json.find("\"test.json_hist\":{\"count\":3,\"sum\":11,"

@@ -97,6 +97,30 @@ TEST(FrameCodecTest, UnknownMessageTypeIsRejected) {
             rpc::FrameDecoder::Status::kBadFrame);
 }
 
+TEST(FrameCodecTest, RetiredPingTypeIsRejected) {
+  // Type 9 was a coordinator -> worker liveness probe; it is no longer part
+  // of the protocol, so a frame carrying it is malformed.
+  std::string wire;
+  PutVarint(&wire, 9);
+  PutVarint(&wire, 0);
+  rpc::FrameDecoder decoder;
+  decoder.Append(wire);
+  rpc::MsgType type;
+  std::string_view payload;
+  EXPECT_EQ(decoder.Next(&type, &payload),
+            rpc::FrameDecoder::Status::kBadFrame);
+  // Its neighbours still decode.
+  std::string neighbours;
+  rpc::AppendFrame(&neighbours, rpc::MsgType::kShutdown, "");
+  rpc::AppendFrame(&neighbours, rpc::MsgType::kPong, "");
+  rpc::FrameDecoder fresh;
+  fresh.Append(neighbours);
+  ASSERT_EQ(fresh.Next(&type, &payload), rpc::FrameDecoder::Status::kFrame);
+  EXPECT_EQ(type, rpc::MsgType::kShutdown);
+  ASSERT_EQ(fresh.Next(&type, &payload), rpc::FrameDecoder::Status::kFrame);
+  EXPECT_EQ(type, rpc::MsgType::kPong);
+}
+
 TEST(FrameCodecTest, TruncatedFrameReportsNeedMore) {
   std::string wire;
   rpc::AppendFrame(&wire, rpc::MsgType::kMapTask, "payload");
@@ -237,11 +261,13 @@ const std::vector<std::vector<std::string>>& PolicyInputs() {
 }
 
 // Runs one word-count round under `options`, calling `before(i)` (if set)
-// inside the map before input i is processed. Returns the boundary records
-// and the round's metrics.
+// inside the map before input i is processed and `before_group()` (if set)
+// inside the reduce before each key group is counted. Returns the boundary
+// records and the round's metrics.
 std::pair<std::vector<Record>, DataflowMetrics> RunPolicyRound(
     const DataflowOptions& options,
-    std::function<void(size_t)> before = nullptr) {
+    std::function<void(size_t)> before = nullptr,
+    std::function<void()> before_group = nullptr) {
   DataflowJob job(options);
   MapFn map_fn = [before](size_t i, const EmitFn& emit) {
     if (before) before(i);
@@ -249,9 +275,10 @@ std::pair<std::vector<Record>, DataflowMetrics> RunPolicyRound(
     PutVarint(&one, 1);
     for (const std::string& word : PolicyInputs()[i]) emit(word, one);
   };
-  ReduceFn count = [](int, std::string_view key,
-                      std::vector<std::string_view>& values,
-                      const EmitFn& emit) {
+  ReduceFn count = [before_group](int, std::string_view key,
+                                  std::vector<std::string_view>& values,
+                                  const EmitFn& emit) {
+    if (before_group) before_group();
     std::string value;
     PutVarint(&value, values.size());
     emit(key, value);
@@ -336,6 +363,31 @@ TEST(ProcFailurePolicyTest, HeartbeatsKeepSlowWorkersAlive) {
   };
   auto [proc_records, proc_metrics] = RunPolicyRound(options, slow);
 
+  EXPECT_EQ(local_records, proc_records);
+  ExpectSameRawMetrics(local_metrics, proc_metrics);
+  EXPECT_EQ(proc_metrics.proc_worker_kills, 0u);
+  EXPECT_EQ(proc_metrics.proc_task_retries, 0u);
+}
+
+TEST(ProcFailurePolicyTest, HeartbeatsKeepSlowReduceWorkersAlive) {
+  DataflowOptions options;
+  options.num_map_workers = 1;
+  options.num_reduce_workers = 1;
+  auto [local_records, local_metrics] = RunPolicyRound(options);
+
+  // The map is quick, but every key group (5 of them) takes ~60 ms, so the
+  // reduce task far exceeds the 150 ms stall timeout. The task thread's
+  // per-group ticks drive its kPong heartbeats: zero kills, zero retries,
+  // identical results.
+  options.backend = DataflowBackend::kProc;
+  options.proc_worker_timeout_ms = 150;
+  auto slow_group = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  };
+  auto [proc_records, proc_metrics] =
+      RunPolicyRound(options, nullptr, slow_group);
+
+  EXPECT_EQ(local_records.size(), 5u);
   EXPECT_EQ(local_records, proc_records);
   ExpectSameRawMetrics(local_metrics, proc_metrics);
   EXPECT_EQ(proc_metrics.proc_worker_kills, 0u);
