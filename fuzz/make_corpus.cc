@@ -1,7 +1,8 @@
 // Regenerates the checked-in seed corpora under fuzz/corpus/<target>/.
 //
 // Seeds are produced by the real encoders (PutVarint/PutSequence,
-// SerializeNfa, CompressBlock, SpillWriter, EncodeWireSnapshot), so every fuzz target starts
+// SerializeNfa, CompressBlock, SpillWriter, EncodeWireSnapshot, the
+// miners' map functions), so every fuzz target starts
 // from well-formed inputs that reach deep into its decoder before the
 // fuzzer begins mutating — plus a few deliberately malformed inputs that
 // pin the rejection paths. Usage: make_fuzz_corpus <corpus root>.
@@ -12,8 +13,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
+
+#include "fuzz/reduce_fixture.h"
+#include "src/dist/partition_plan.h"
 
 #include "src/nfa/output_nfa.h"
 #include "src/nfa/serializer.h"
@@ -196,6 +201,8 @@ void TraceSnapshotSeeds() {
   dseq::obs::SetProcessOrdinal(INT_MAX);
   dseq::obs::EmitSpan("worker", "reduce_task", 6000, 9000);
   const std::string max_ordinal = dseq::obs::EncodeWireSnapshot();
+  // No span and no metric delta: version byte, count 0, registry block.
+  const std::string empty = dseq::obs::EncodeWireSnapshot();
   dseq::obs::SetEnabled(false);
   WriteSeed("fuzz_trace_snapshot", "snapshot", snapshot);
   WriteSeed("fuzz_trace_snapshot", "max_ordinal", max_ordinal);
@@ -205,6 +212,102 @@ void TraceSnapshotSeeds() {
   // The span count is a varint that never ends within 64 bits.
   WriteSeed("fuzz_trace_snapshot", "bad_varint",
             snapshot.substr(0, 1) + std::string(11, '\xff'));
+  // One span starting at 2^63, beyond int64: rejected, not exported as a
+  // negative time. Spliced into an empty snapshot's span count.
+  std::string wide_start = empty.substr(0, 1) + Varint(1);
+  for (std::string s : {"worker", "map_task"}) {
+    wide_start += Varint(s.size()) + s;
+  }
+  wide_start += Varint(uint64_t{1} << 63) + Varint(10) + Varint(0) +
+                Varint(0) + Varint(0);
+  WriteSeed("fuzz_trace_snapshot", "start_2_63",
+            wide_start + empty.substr(2));
+}
+
+// Every record a miner's map emits over the fixture's database, by key.
+using Partitions = std::map<std::string, std::vector<std::string>>;
+
+template <typename Map>
+Partitions MapFixture(Map map) {
+  Partitions partitions;
+  for (const dseq::Sequence& T : dseq::fuzz::Fixture().db.sequences) {
+    map(T, [&](std::string_view key, std::string_view value) {
+      partitions[std::string(key)].emplace_back(value);
+    });
+  }
+  return partitions;
+}
+
+// The partition with the most records.
+const Partitions::value_type& Largest(const Partitions& partitions) {
+  const Partitions::value_type* best = &*partitions.begin();
+  for (const auto& p : partitions) {
+    if (p.second.size() > best->second.size()) best = &p;
+  }
+  return *best;
+}
+
+// Per miner: a valid partition, the same with weighted records, under a
+// sub-partition key, and under pivot 0 (kNoItem, no partition).
+void ReduceSeeds() {
+  namespace fx = dseq::fuzz;
+  const dseq::StepTable& table = fx::Fixture().table;
+  const std::string pivot0 = Varint(dseq::kNoItem);
+  auto write = [](const char* miner, const char* name, uint8_t selector,
+                  const std::string& key,
+                  const std::vector<std::string>& values) {
+    WriteSeed("fuzz_reduce", std::string(miner) + "_" + name,
+              fx::EncodeReduceInput(selector, key, values));
+  };
+
+  dseq::NaiveOptions naive;
+  naive.sigma = fx::kSigma;
+  naive.semi_naive = true;  // the fixture's table is σ-pruned
+  const Partitions naive_parts =
+      MapFixture([&](const dseq::Sequence& T, const auto& emit) {
+        dseq::MapNaiveInput(T, table, naive, emit);
+      });
+  const auto& [candidate, counts] = Largest(naive_parts);
+  write("naive", "valid", fx::kNaive, candidate, counts);
+  write("naive", "weighted", fx::kNaive, candidate, {Varint(3)});
+  write("naive", "subpartition", fx::kNaive,
+        dseq::EncodeSubpartitionKey(1, 1), counts);
+  write("naive", "pivot0", fx::kNaive, pivot0, counts);
+
+  dseq::DSeqOptions dseq_options;
+  dseq_options.sigma = fx::kSigma;
+  const Partitions dseq_parts =
+      MapFixture([&](const dseq::Sequence& T, const auto& emit) {
+        dseq::MapDSeqInput(T, table, dseq_options, emit);
+      });
+  const auto& [dseq_key, rewrites] = Largest(dseq_parts);
+  std::vector<std::string> weighted_rewrites;
+  for (size_t i = 0; i < rewrites.size(); ++i) {
+    weighted_rewrites.push_back(Varint(i + 1) + rewrites[i]);
+  }
+  write("dseq", "valid", fx::kDSeq, dseq_key, rewrites);
+  write("dseq", "weighted", fx::kDSeq | fx::kWeighted, dseq_key,
+        weighted_rewrites);
+  write("dseq", "subpartition", fx::kDSeq,
+        dseq::EncodeSubpartitionKey(dseq::DecodePivotKey(dseq_key), 0),
+        rewrites);
+  write("dseq", "pivot0", fx::kDSeq, pivot0, rewrites);
+
+  dseq::DCandOptions dcand_options;
+  dcand_options.sigma = fx::kSigma;
+  const Partitions dcand_parts =
+      MapFixture([&](const dseq::Sequence& T, const auto& emit) {
+        dseq::MapDCandInput(T, table, dcand_options, emit);
+      });
+  const auto& [dcand_key, nfas] = Largest(dcand_parts);
+  // Each map record is varint(1) + NFA; reweight the first.
+  std::vector<std::string> weighted_nfas = nfas;
+  weighted_nfas.front() = Varint(3) + nfas.front().substr(1);
+  write("dcand", "valid", fx::kDCand, dcand_key, nfas);
+  write("dcand", "weighted", fx::kDCand, dcand_key, weighted_nfas);
+  write("dcand", "subpartition", fx::kDCand,
+        dseq::EncodeSubpartitionKey(dseq::DecodePivotKey(dcand_key), 0), nfas);
+  write("dcand", "pivot0", fx::kDCand, pivot0, nfas);
 }
 
 void SpillRunSeeds() {
@@ -234,5 +337,6 @@ int main(int argc, char** argv) {
   SpillRunSeeds();
   RpcFrameSeeds();
   TraceSnapshotSeeds();
+  ReduceSeeds();
   return 0;
 }

@@ -13,11 +13,39 @@ namespace dseq {
 namespace {
 
 // Per-coordinate bits of a DfsInput: pivot.h's two seen-k liveness bits and
-// "the end of the sequence is reachable in a final state over ε edges".
+// "the end of the sequence is reachable in a final state over ε edges",
+// the three a store keeps; and, while a sequence is built, "reached from
+// its root over kept edges".
 constexpr uint8_t kLive = kLiveUnseen | kLiveSeen;
 constexpr uint8_t kEpsAccept = 4;
+constexpr uint8_t kStoredBits = kLive | kEpsAccept;
+constexpr uint8_t kReached = 8;
+
+// DfsInput::Step kinds, ordered: the ones below kEpsStep yield no edge.
+constexpr uint8_t kNoStep = 0;     // the class does not match the item
+constexpr uint8_t kCutStep = 1;    // the pivot cut emptied the output set
+constexpr uint8_t kEpsStep = 2;    // ε output
+constexpr uint8_t kItemStep = 3;   // items <= k, k not among them
+constexpr uint8_t kPivotStep = 4;  // items <= k, the last one k
 
 constexpr uint64_t kMaxIndex = std::numeric_limits<uint32_t>::max();
+
+// The bit a root must have to be stored: a run starts unseen with a pivot;
+// without one every accepting run counts.
+uint8_t RootBit(ItemId pivot) {
+  return pivot == kNoItem ? kLiveSeen : kLiveUnseen;
+}
+
+// The bits an edge gives its source in the backward pass, from its
+// target's: the liveness bits, both when the edge carries k into a suffix
+// that is live seen (carrying k sets the bit, so both entry values reach
+// it), and over ε also the ε-accept bit.
+uint8_t BitsThrough(uint8_t target, bool eps, bool carries_pivot) {
+  const uint8_t live = target & kLive;
+  if (live == 0) return 0;
+  if (eps) return live | (target & kEpsAccept);
+  return carries_pivot && (live & kLiveSeen) ? kLive : live;
+}
 
 }  // namespace
 
@@ -26,9 +54,7 @@ constexpr uint64_t kMaxIndex = std::numeric_limits<uint32_t>::max();
 DfsInput::DfsInput(const StepTable& table, ItemId pivot)
     : table_(&table),
       pivot_(pivot),
-      bound_(pivot == kNoItem ? std::numeric_limits<ItemId>::max() : pivot),
-      num_states_(table.num_states()),
-      initial_(table.initial()) {
+      bound_(pivot == kNoItem ? std::numeric_limits<ItemId>::max() : pivot) {
   edge_begin_.push_back(0);
 }
 
@@ -38,33 +64,139 @@ DfsInput::DfsInput(ItemId pivot)
   edge_begin_.push_back(0);
 }
 
-bool DfsInput::AddPending(size_t from, size_t target, Span<ItemId> out) {
+void DfsInput::Add(const Sequence& T, uint64_t weight) {
+  DSEQ_CHECK_MSG(table_ != nullptr, "DfsInput built without a step table");
+  const StepTable& table = *table_;
+  const size_t n = T.size();
+  const size_t ns = table.num_states();
+  const size_t nc = table.num_classes();
+  if (ns == 0) return;
+  if ((n + 1) * ns > kMaxIndex) {
+    throw std::length_error("DESQ-DFS input sequence too long");
+  }
+
+  // Every position's step of every class, cut to the pivot (TestPivotEdge's
+  // label, out ∩ [0, k]): one search per cell instead of one per edge.
+  // Column throws here, before the store changes.
+  const ItemId* const pool = table.label_pool();
+  steps_.resize(n * nc);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t col = table.Column(T[i]);
+    for (uint32_t cls = 0; cls < nc; ++cls) {
+      Step& step = steps_[i * nc + cls];
+      Span<ItemId> out(nullptr, 0);
+      if (!table.Step(col, cls, &out)) {
+        step.kind = kNoStep;
+        continue;
+      }
+      const size_t size =
+          std::upper_bound(out.begin(), out.end(), bound_) - out.begin();
+      step.label_begin = static_cast<uint32_t>(out.data() - pool);
+      step.label_size = static_cast<uint32_t>(size);
+      if (size == 0) {
+        step.kind = out.empty() ? kEpsStep : kCutStep;
+      } else {
+        step.kind = out[size - 1] == pivot_ ? kPivotStep : kItemStep;
+      }
+    }
+  }
+
+  // Pass 1, backward over every coordinate: the seen-k liveness bits and
+  // the ε-accept bit over the steps, as Commit sets them over its edges.
+  const size_t coords = (n + 1) * ns;
+  scratch_.assign(coords, 0);
+  uint8_t* const bits = scratch_.data();
+  for (StateId q = 0; q < ns; ++q) {
+    if (table.IsFinal(q)) bits[n * ns + q] = kLiveSeen | kEpsAccept;
+  }
+  for (size_t i = n; i-- > 0;) {
+    const Step* const steps = &steps_[i * nc];
+    const uint8_t* const next = bits + (i + 1) * ns;
+    for (StateId q = 0; q < ns; ++q) {
+      uint8_t b = 0;
+      for (const StepTable::Move& m : table.MovesFrom(q)) {
+        const uint8_t kind = steps[m.cls].kind;
+        if (kind < kEpsStep) continue;
+        b |= BitsThrough(next[m.to], kind == kEpsStep, kind == kPivotStep);
+      }
+      bits[i * ns + q] = b;
+    }
+  }
+  const StateId root = table.initial();
+  if ((bits[root] & RootBit(pivot_)) == 0) return;
+
+  // Pass 2, forward from the root: the live coordinates it reaches, in
+  // coordinate order, and their edges into live targets. Moves are sorted
+  // by (to, class), so the kept edges into one target are adjacent and an
+  // identical (from, to, label) edge is caught within that run.
+  if (remap_.size() < coords) remap_.resize(coords);
+  const Mark at = BeginAppend();
+  bits[root] |= kReached;
+  uint32_t local = 0;
+  for (size_t i = 0; i <= n; ++i) {
+    for (StateId q = 0; q < ns; ++q) {
+      const size_t c = i * ns + q;
+      if ((bits[c] & kReached) == 0) continue;
+      remap_[c] = local++;
+      bits_.push_back(bits[c] & kStoredBits);
+      if (i < n) {
+        const Step* const steps = &steps_[i * nc];
+        const size_t next = (i + 1) * ns;
+        size_t run = edges_.size();
+        StateId run_to = ns;
+        for (const StepTable::Move& m : table.MovesFrom(q)) {
+          const Step& step = steps[m.cls];
+          if (step.kind == kNoStep) continue;
+          if (step.kind == kCutStep || (bits[next + m.to] & kLive) == 0) {
+            ++dropped_edges_;
+            continue;
+          }
+          if (m.to != run_to) {
+            run_to = m.to;
+            run = edges_.size();
+          } else if (std::any_of(
+                         edges_.begin() + run, edges_.end(),
+                         [&](const Edge& e) {
+                           return std::equal(
+                               pool + e.label_begin,
+                               pool + e.label_begin + e.label_size,
+                               pool + step.label_begin,
+                               pool + step.label_begin + step.label_size);
+                         })) {
+            continue;
+          }
+          edges_.push_back(Edge{static_cast<uint32_t>(next + m.to),
+                                step.label_begin, step.label_size});
+          bits[next + m.to] |= kReached;
+        }
+      }
+      edge_begin_.push_back(static_cast<uint32_t>(edges_.size()));
+    }
+  }
+  FinishAppend(at, weight);
+}
+
+void DfsInput::AddPending(size_t from, size_t target, Span<ItemId> out) {
   // TestPivotEdge's label: out ∩ [0, k]; a non-ε edge left empty is dead.
   size_t size =
       std::upper_bound(out.begin(), out.end(), bound_) - out.begin();
   if (size == 0 && !out.empty()) {
-    ++dropped_edges_;
-    return false;
-  }
-  size_t label_begin;
-  if (table_ != nullptr) {
-    label_begin = out.data() - table_->label_pool();  // cut, not copied
-  } else {
-    label_begin = pending_labels_.size();
-    pending_labels_.insert(pending_labels_.end(), out.begin(),
-                           out.begin() + size);
+    cut_from_.push_back(static_cast<uint32_t>(from));
+    return;
   }
   pending_.push_back(PendingEdge{static_cast<uint32_t>(from),
                                  static_cast<uint32_t>(target),
-                                 static_cast<uint32_t>(label_begin),
+                                 static_cast<uint32_t>(pending_labels_.size()),
                                  static_cast<uint32_t>(size)});
-  return true;
+  pending_labels_.insert(pending_labels_.end(), out.begin(),
+                         out.begin() + size);
 }
 
-void DfsInput::SealLayer(size_t begin) {
+void DfsInput::SealPending() {
   // Distinct FST transitions can collapse to the same (from, to, label)
-  // edge; with no pivot this keeps the edges exactly StateGrid's.
-  const ItemId* const labels = PendingLabels();
+  // edge, and distinct labels to the same cut; with no pivot this keeps the
+  // edges exactly StateGrid's.
+  const ItemId* const labels = pending_labels_.data();
   auto label = [labels](const PendingEdge& e) {
     return labels + e.label_begin;
   };
@@ -81,81 +213,45 @@ void DfsInput::SealLayer(size_t begin) {
            std::equal(label(a), label(a) + a.label_size, label(b),
                       label(b) + b.label_size);
   };
-  auto first = pending_.begin() + begin;
-  // A simulated layer comes out sorted by (from, to) (StepTable::Simulate),
-  // and so does a grid's; only an NFA's edges need the full sort.
-  if (std::is_sorted(first, pending_.end(), ends_less)) {
-    SortWithinRuns(first, pending_.end(), ends_less, less);
+  // A grid's edges come sorted by (from, to); only an NFA's need the full
+  // sort.
+  if (std::is_sorted(pending_.begin(), pending_.end(), ends_less)) {
+    SortWithinRuns(pending_.begin(), pending_.end(), ends_less, less);
   } else {
-    std::sort(first, pending_.end(), less);
+    std::sort(pending_.begin(), pending_.end(), less);
   }
-  pending_.erase(std::unique(first, pending_.end(), equal), pending_.end());
-}
-
-void DfsInput::Add(const Sequence& T, uint64_t weight) {
-  DSEQ_CHECK_MSG(table_ != nullptr, "DfsInput built without a step table");
-  const size_t n = T.size();
-  const size_t ns = num_states_;
-  if (ns == 0) return;
-  if ((n + 1) * ns > kMaxIndex) {
-    throw std::length_error("DESQ-DFS input sequence too long");
-  }
-  pending_.clear();
-  pending_labels_.clear();
-  size_t begin = 0;
-  table_->Simulate(
-      T, &active_,
-      [&](size_t i, StateId q, StateId to, Span<ItemId> label) {
-        return AddPending(i * ns + q, (i + 1) * ns + to, label);
-      },
-      [&](size_t) {
-        SealLayer(begin);
-        begin = pending_.size();
-      });
-  pending_bits_.assign((n + 1) * ns, 0);
-  for (StateId q = 0; q < ns; ++q) {
-    if (active_[n * ns + q] && table_->IsFinal(q)) {
-      pending_bits_[n * ns + q] = kLiveSeen | kEpsAccept;
-    }
-  }
-  Commit(weight);
+  pending_.erase(std::unique(pending_.begin(), pending_.end(), equal),
+                 pending_.end());
 }
 
 void DfsInput::Add(const StateGrid& grid, uint64_t weight) {
   DSEQ_CHECK_MSG(table_ == nullptr, "grid added to a table-fed DfsInput");
   if (!grid.HasAcceptingRun()) return;
-  DSEQ_DCHECK(!holds_nfas_ &&
-              (weights_.empty() || (num_states_ == grid.num_states() &&
-                                    initial_ == grid.initial_state())));
-  num_states_ = grid.num_states();
-  initial_ = grid.initial_state();
   const size_t n = grid.length();
-  const size_t ns = num_states_;
+  const size_t ns = grid.num_states();
   pending_.clear();
   pending_labels_.clear();
+  cut_from_.clear();
   for (size_t i = 0; i < n; ++i) {
-    const size_t begin = pending_.size();
     for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
       AddPending(i * ns + e.from, (i + 1) * ns + e.to, e.out);
     }
-    SealLayer(begin);
   }
-  pending_bits_.assign((n + 1) * ns, 0);
+  SealPending();
+  scratch_.assign((n + 1) * ns, 0);
   for (StateId q = 0; q < ns; ++q) {
     if (grid.Alive(n, q) && grid.IsFinalState(q)) {
-      pending_bits_[n * ns + q] = kLiveSeen | kEpsAccept;
+      scratch_[n * ns + q] = kLiveSeen | kEpsAccept;
     }
   }
-  Commit(weight);
+  Commit(grid.initial_state(), weight);
 }
 
 void DfsInput::AddNfa(std::string_view bytes, size_t* pos, uint64_t weight) {
-  DSEQ_DCHECK(table_ == nullptr && (weights_.empty() || holds_nfas_));
-  holds_nfas_ = true;
-  num_states_ = 1;
-  initial_ = 0;
+  DSEQ_DCHECK(table_ == nullptr);
   pending_.clear();
   pending_labels_.clear();
+  cut_from_.clear();
   arcs_.clear();
   finals_.clear();
   const size_t n = ReadNfaEdges(
@@ -193,83 +289,102 @@ void DfsInput::AddNfa(std::string_view bytes, size_t* pos, uint64_t weight) {
   }
   if (ordered != n) throw NfaParseError("cyclic NFA");
 
-  // The ranks are the coordinates: every edge leads to a larger one.
+  // The ranks are the coordinates (the root's is 0): every edge leads to a
+  // larger one.
   for (PendingEdge& e : pending_) {
     e.from = rank_[e.from];
     e.target = rank_[e.target];
   }
-  SealLayer(0);
-  pending_bits_.assign(n, 0);
-  for (StateId q : finals_) pending_bits_[rank_[q]] = kLiveSeen | kEpsAccept;
-  Commit(weight);
+  for (uint32_t& from : cut_from_) from = rank_[from];
+  SealPending();
+  scratch_.assign(n, 0);
+  for (StateId q : finals_) scratch_[rank_[q]] = kLiveSeen | kEpsAccept;
+  Commit(0, weight);
 }
 
-void DfsInput::Commit(uint64_t weight) {
-  const size_t coords = pending_bits_.size();
+void DfsInput::Commit(size_t root, uint64_t weight) {
+  const size_t coords = scratch_.size();
+  uint8_t* const bits = scratch_.data();
 
-  // Backward pass (the seen-k liveness bits over the pending edges, plus the
-  // ε-accept table). An edge is kept iff its target is live. Sorted by
-  // source, with every target larger, the edges out of a coordinate are all
-  // swept before any edge into it.
-  const ItemId* const labels = PendingLabels();
-  keep_.assign(pending_.size(), 0);
-  size_t kept = 0;
-  size_t kept_labels = 0;
+  // Backward pass: the seen-k liveness bits over the pending edges, plus
+  // the ε-accept table. Sorted by source, with every target larger, the
+  // edges out of a coordinate are all swept before any edge into it.
   for (size_t j = pending_.size(); j-- > 0;) {
     const PendingEdge& e = pending_[j];
     DSEQ_DCHECK_LT(e.from, e.target);
-    const uint8_t next = pending_bits_[e.target];
-    uint8_t live = next & kLive;
-    if (live == 0) continue;
-    keep_[j] = 1;
-    ++kept;
-    kept_labels += e.label_size;
-    if (e.label_size == 0) {
-      pending_bits_[e.from] |= next & kEpsAccept;
-    } else if (pivot_ != kNoItem && (live & kLiveSeen) &&
-               labels[e.label_begin + e.label_size - 1] == pivot_) {
-      // Carrying k sets the bit, so both entry values reach a seen suffix.
-      live = kLive;
-    }
-    pending_bits_[e.from] |= live;
+    const bool carries_pivot =
+        pivot_ != kNoItem && e.label_size != 0 &&
+        pending_labels_[e.label_begin + e.label_size - 1] == pivot_;
+    bits[e.from] |=
+        BitsThrough(bits[e.target], e.label_size == 0, carries_pivot);
   }
-  // The run starts unseen with a pivot; without one every run counts.
-  const uint8_t root = pivot_ == kNoItem ? kLiveSeen : kLiveUnseen;
-  if ((pending_bits_[initial_] & root) == 0) {
-    dropped_edges_ += pending_.size();
-    return;
-  }
-  dropped_edges_ += pending_.size() - kept;
-  if (edges_.size() + kept > kMaxIndex ||
-      (table_ == nullptr && labels_.size() + kept_labels > kMaxIndex)) {
-    throw std::length_error("DESQ-DFS input exceeds its index range");
-  }
+  if ((bits[root] & RootBit(pivot_)) == 0) return;
 
-  // CSR append, in the pending edges' source order. A table-fed store's
-  // labels stay in the table's pool.
-  weights_.push_back(weight);
-  coord_begin_.push_back(bits_.size());
-  bits_.insert(bits_.end(), pending_bits_.begin(), pending_bits_.end());
-  const size_t first_coord = edge_begin_.size();
-  edge_begin_.resize(first_coord + coords);
-  uint32_t* const ends = &edge_begin_[first_coord];
+  // Forward from the root, as Add(T, weight)'s second pass: the live
+  // coordinates it reaches, in coordinate order, and their edges into live
+  // targets.
+  if (remap_.size() < coords) remap_.resize(coords);
+  const Mark at = BeginAppend();
+  bits[root] |= kReached;
+  uint32_t local = 0;
   size_t j = 0;
   for (size_t c = 0; c < coords; ++c) {
+    const bool stored = (bits[c] & kReached) != 0;
+    if (stored) {
+      remap_[c] = local++;
+      bits_.push_back(bits[c] & kStoredBits);
+    }
     for (; j < pending_.size() && pending_[j].from == c; ++j) {
-      if (!keep_[j]) continue;
+      if (!stored) continue;
       const PendingEdge& e = pending_[j];
-      if (table_ != nullptr) {
-        edges_.push_back(Edge{e.target, e.label_begin, e.label_size});
+      if ((bits[e.target] & kLive) == 0) {
+        ++dropped_edges_;
         continue;
       }
+      bits[e.target] |= kReached;
       edges_.push_back(Edge{e.target, static_cast<uint32_t>(labels_.size()),
                             e.label_size});
-      labels_.insert(labels_.end(), labels + e.label_begin,
-                     labels + e.label_begin + e.label_size);
+      labels_.insert(labels_.end(), pending_labels_.begin() + e.label_begin,
+                     pending_labels_.begin() + e.label_begin + e.label_size);
     }
-    ends[c] = static_cast<uint32_t>(edges_.size());
+    if (stored) edge_begin_.push_back(static_cast<uint32_t>(edges_.size()));
   }
   DSEQ_DCHECK_EQ(j, pending_.size());
+  for (uint32_t c : cut_from_) {
+    if (bits[c] & kReached) ++dropped_edges_;
+  }
+  FinishAppend(at, weight);
+}
+
+void DfsInput::FinishAppend(const Mark& at, uint64_t weight) {
+  if (edges_.size() > kMaxIndex || labels_.size() > kMaxIndex) {
+    bits_.resize(at.coord);
+    edge_begin_.resize(at.coord + 1);
+    edges_.resize(at.edge);
+    labels_.resize(at.label);
+    dropped_edges_ = at.dropped;
+    throw std::length_error("DESQ-DFS input exceeds its index range");
+  }
+  for (size_t k = at.edge; k < edges_.size(); ++k) {
+    edges_[k].target = remap_[edges_[k].target];
+  }
+  weights_.push_back(weight);
+  coord_begin_.push_back(at.coord);
+#if DSEQ_DCHECK_IS_ON
+  // Only live coordinates are stored, the root first, and every edge leads
+  // to a larger one of the same sequence.
+  const size_t count = bits_.size() - at.coord;
+  DSEQ_CHECK_GT(count, 0u);
+  for (size_t c = 0; c < count; ++c) {
+    DSEQ_CHECK_NE(bits_[at.coord + c] & kLive, 0);
+    for (uint32_t k = edge_begin_[at.coord + c];
+         k < edge_begin_[at.coord + c + 1]; ++k) {
+      DSEQ_CHECK_GT(edges_[k].target, c);
+      DSEQ_CHECK_LT(edges_[k].target, count);
+    }
+  }
+  DSEQ_CHECK_NE(bits_[at.coord] & RootBit(pivot_), 0);
+#endif
 }
 
 // --- The miner -------------------------------------------------------------
@@ -292,7 +407,7 @@ class DfsMiner {
     std::vector<Posting> roots;
     roots.reserve(in_.num_sequences());
     for (size_t s = 0; s < in_.num_sequences(); ++s) {
-      roots.push_back(Posting{0, static_cast<uint32_t>(s), in_.initial_});
+      roots.push_back(Posting{0, static_cast<uint32_t>(s), 0});
     }
     Expand(roots.data(), roots.data() + roots.size(), /*has_pivot=*/false,
            0);

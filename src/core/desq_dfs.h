@@ -11,13 +11,16 @@
 // ε-output transitions only.
 //
 // The miner reads its sequences from a DfsInput: one flat, append-only
-// store of their position–state grids (coordinates, edges, labels), built
-// straight from the sequences by the same forward loop as StateGrid
-// (StepTable::Simulate over the job's step table, src/core/grid.h). It
-// indexes coordinates and their out-edges as StateGrid does (one offset
-// per coordinate into one edge array), but keeps every label in one item
+// store of their pruned position–state grids (coordinates, edges, labels).
+// It indexes coordinates and their out-edges as StateGrid does (one offset
+// per coordinate into one edge array), but keeps only each sequence's live
+// coordinates, numbered from its root (local 0), every label in one item
 // array instead of an output vector per edge, and many sequences in one
-// store.
+// store. Add(T, weight) builds a sequence straight from the job's step
+// table (StepTable, src/core/grid.h) in two passes: backward over the
+// table's cells for every coordinate's liveness bits, then forward from the
+// root over the live coordinates it reaches, appending their edges. No grid
+// and no buffer of pending edges is built.
 // D-CAND's NFAs decode into the same store: an NFA state is a coordinate,
 // an NFA edge a labeled edge, and a final state is ε-accepting.
 //
@@ -85,19 +88,23 @@ struct DesqDfsStats {
 };
 
 /// The sequences one DESQ-DFS call mines, as one flat store of their pruned
-/// position–state grids. A coordinate (i, q) of a sequence of length n is
-/// stored as its local index i * num_states + q, and a state of an NFA fed
-/// by AddNfa as its rank in a topological order (the root is 0); in both,
-/// every edge leads to a larger index. Per coordinate the store keeps two
-/// liveness bits, an ε-accept bit and a range of out-edges (CSR), and per
-/// edge its target coordinate and a range of a single label array: the
-/// step table's pool when fed by Add(T, weight), its own otherwise.
-/// Only edges whose target is live are kept: live means "on an accepting run
-/// that can still output the pivot" (the seen-k bits kLiveSeen/kLiveUnseen,
-/// pivot.h) with a pivot, and "on an accepting run" without.
-/// With no pivot, the edges kept per sequence are exactly StateGrid's, so
-/// num_edges() equals the sum of StateGrid::num_edges() (the budget of
-/// DesqDfsOptions::max_total_grid_edges does not depend on the store).
+/// position–state grids. Live means "on an accepting run that can still
+/// output the pivot" (the seen-k bits kLiveSeen/kLiveUnseen, pivot.h) with
+/// a pivot, and "on an accepting run" without. A sequence is stored only if
+/// its root is live, and then only its live coordinates that the root
+/// reaches over kept edges: a coordinate (i, q) of a sequence of length n,
+/// or a state of an NFA fed by AddNfa, is numbered by its rank among those
+/// in the order of i * num_states + q (of a topological order of the NFA),
+/// so the root is local 0 and every edge leads to a larger index. Per
+/// coordinate the store keeps two liveness bits, an ε-accept bit and a
+/// range of out-edges (CSR), and per edge its target coordinate and a range
+/// of a single label array: the step table's pool when fed by Add(T,
+/// weight), its own otherwise. An edge is kept iff its label cut to the
+/// pivot is not emptied and its target is live; identical (from, to, cut
+/// label) edges are kept once. With no pivot, the edges kept per sequence
+/// are exactly StateGrid's, so num_edges() equals the sum of
+/// StateGrid::num_edges() (the budget of DesqDfsOptions::max_total_grid_edges
+/// does not depend on the store).
 class DfsInput {
  public:
   /// A store fed by Add(T, weight), which walks `table` (it must outlive
@@ -106,25 +113,33 @@ class DfsInput {
   /// `pivot` is kNoItem or the partition's pivot k.
   DfsInput(const StepTable& table, ItemId pivot);
 
-  /// A store fed only by Add(const StateGrid&, weight), or only by AddNfa.
+  /// A store fed by Add(const StateGrid&, weight) and AddNfa.
   explicit DfsInput(ItemId pivot);
 
-  /// Simulates the FST over `T` (StepTable::Simulate) and stores its pruned
-  /// grid with the given multiplicity. A sequence with no live run is not
-  /// stored. Throws std::invalid_argument on an item the table does not
-  /// hold.
+  /// Stores the pruned grid of `T` with the given multiplicity, read off the
+  /// step table in two passes: backward, every coordinate's liveness and
+  /// ε-accept bits from the table's cells (one pivot cut per position and
+  /// transition class); then forward from the root, the live coordinates
+  /// it reaches and their edges into live targets. A sequence whose root
+  /// is not live is not stored. Throws std::invalid_argument on an item the
+  /// table does not hold and std::length_error when the sequence or the
+  /// store outgrows the 32-bit index range; the store is then unchanged.
   void Add(const Sequence& T, uint64_t weight = 1);
 
   /// Stores an already built (σ-pruned) grid, cut to the pivot like
-  /// Add(T, weight).
+  /// Add(T, weight): its edges are cut, sorted and deduplicated, then one
+  /// backward pass sets the bits and a forward one keeps what the root
+  /// reaches. Throws std::length_error, leaving the store unchanged, when
+  /// the store outgrows its index range.
   void Add(const StateGrid& grid, uint64_t weight = 1);
 
   /// Decodes one serialized NFA (serializer.h) starting at `*pos` and
   /// stores it with the given multiplicity, each label cut to the pivot;
   /// advances `*pos` past it. A sequence is an accepted label string, so an
   /// NFA counts once for a pattern it accepts along several paths. Throws
-  /// NfaParseError exactly where DeserializeNfa does, cycles included. An
-  /// NFA with no accepting path that outputs the pivot is not stored.
+  /// NfaParseError exactly where DeserializeNfa does, cycles included, and
+  /// std::length_error as Add(const StateGrid&, weight) does. An NFA with
+  /// no accepting path that outputs the pivot is not stored.
   void AddNfa(std::string_view bytes, size_t* pos, uint64_t weight);
 
   ItemId pivot() const { return pivot_; }
@@ -135,7 +150,9 @@ class DfsInput {
   /// Edges kept over all stored sequences.
   uint64_t num_edges() const { return edges_.size(); }
 
-  /// Edges removed by the pivot bound (no item <= k) or by liveness.
+  /// Edges out of stored coordinates that the pivot cut empties (no item
+  /// <= k) or that lead to a dead coordinate. A table-fed store counts one
+  /// per FST transition; unstored sequences and coordinates count nothing.
   uint64_t num_dropped_edges() const { return dropped_edges_; }
 
  private:
@@ -148,42 +165,58 @@ class DfsInput {
     uint32_t label_begin;
     uint32_t label_size;
   };
-  // An edge of the sequence being added, before the backward pass.
+  // The step of one transition class on one position of the sequence being
+  // added by Add(T, weight), cut to the pivot: its label is a prefix of the
+  // table cell's output set, indexed into the table's pool.
+  struct Step {
+    uint32_t label_begin;
+    uint32_t label_size;
+    uint8_t kind;  // kNoStep, kCutStep, kEpsStep, kItemStep or kPivotStep
+  };
+  // An edge of the NFA or grid being added, before the backward pass.
   struct PendingEdge {
     uint32_t from;
     uint32_t target;
-    uint32_t label_begin;  // into PendingLabels()
+    uint32_t label_begin;  // into pending_labels_
     uint32_t label_size;
   };
+  // Where the sequence being appended begins in each array.
+  struct Mark {
+    size_t coord;
+    size_t edge;
+    size_t label;
+    uint64_t dropped;
+  };
 
-  // The item arrays labels index. A table-fed store's labels are prefixes
-  // of the table's output sets (the pivot cut), so its edges index the
-  // table's pool, pending or stored; NFA- and grid-fed stores copy theirs
-  // into pending_labels_ and then labels_.
-  const ItemId* PendingLabels() const {
-    return table_ != nullptr ? table_->label_pool() : pending_labels_.data();
-  }
+  // The item array labels index: the step table's pool for a table-fed
+  // store (its labels are prefixes of the table's output sets), labels_
+  // otherwise.
   const ItemId* Labels() const {
     return table_ != nullptr ? table_->label_pool() : labels_.data();
   }
 
   // Adds one pending edge between two coordinates with output `out`, cut
-  // to the pivot; returns false if the cut left nothing.
-  bool AddPending(size_t from, size_t target, Span<ItemId> out);
-  // Sorts and deduplicates the pending edges from `begin` on.
-  void SealLayer(size_t begin);
-  // The backward pass and the CSR append of the pending sequence. The
-  // pending edges are sorted by source and lead to larger coordinates, and
-  // pending_bits_ holds one entry per coordinate, the accepting ones seeded.
-  void Commit(uint64_t weight);
+  // to the pivot; an edge the cut empties is only noted in cut_from_.
+  void AddPending(size_t from, size_t target, Span<ItemId> out);
+  // Sorts the pending edges by (from, to, label) and deduplicates them.
+  void SealPending();
+  // The backward pass and the forward append of the pending sequence,
+  // rooted at coordinate `root`. The pending edges are sorted by source
+  // and lead to larger coordinates, and scratch_ holds one entry per
+  // coordinate, the accepting ones seeded.
+  void Commit(size_t root, uint64_t weight);
+  Mark BeginAppend() const {
+    return Mark{bits_.size(), edges_.size(), labels_.size(), dropped_edges_};
+  }
+  // Ends the sequence appended since `at`: rewrites its edges' targets
+  // from pending coordinates to local ones (remap_) and records it, or,
+  // past the index range, rolls the store back to `at` and throws
+  // std::length_error.
+  void FinishAppend(const Mark& at, uint64_t weight);
 
   const StepTable* table_ = nullptr;
   ItemId pivot_;
   ItemId bound_;  // largest item kept on a label
-
-  size_t num_states_ = 0;
-  StateId initial_ = 0;
-  bool holds_nfas_ = false;
 
   // Per stored sequence: weight and first global coordinate.
   std::vector<uint64_t> weights_;
@@ -196,12 +229,17 @@ class DfsInput {
   std::vector<ItemId> labels_;  // empty when table-fed
   uint64_t dropped_edges_ = 0;
 
-  // Scratch of the sequence being added.
-  std::vector<uint8_t> active_;
+  // Scratch of the sequence being added: per coordinate its bits while it
+  // is built and its local index once stored.
+  std::vector<uint8_t> scratch_;
+  std::vector<uint32_t> remap_;
+  // Scratch of Add(T, weight): the steps, position-major.
+  std::vector<Step> steps_;
+  // Scratch of the NFA or grid being added, and the sources of its edges
+  // the pivot cut emptied.
   std::vector<PendingEdge> pending_;
   std::vector<ItemId> pending_labels_;
-  std::vector<uint8_t> pending_bits_;
-  std::vector<uint8_t> keep_;
+  std::vector<uint32_t> cut_from_;
   // Scratch of the NFA being added: every decoded edge (sorted into a CSR
   // by source, arc_begin_) and final state, and Kahn's order as ranks.
   std::vector<std::pair<StateId, StateId>> arcs_;

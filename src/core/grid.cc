@@ -152,7 +152,6 @@ StateGrid StateGrid::Build(const Sequence& T, const StepTable& table) {
       T, &active,
       [&](size_t, StateId from, StateId to, Span<ItemId> label) {
         edges.push_back(Edge{from, to, Sequence(label.begin(), label.end())});
-        return true;
       },
       [&](size_t i) {
         offsets[i * ns] = static_cast<uint32_t>(begin);

@@ -20,10 +20,10 @@
 // (in_kind, in_item, out_kind, out_item) and t, for a fixed FST, dictionary
 // and σ. A job has only a handful of classes, so each miner's driver
 // tabulates the step once per job in a StepTable, before its round (proc
-// workers inherit it through fork). Every simulation reads the table
-// through StepTable::Simulate, the one forward loop: StateGrid::Build and
-// DESQ-DFS's flat store (DfsInput::Add, src/core/desq_dfs.h); the no-grid
-// pivot search reads the table's moves and cells directly.
+// workers inherit it through fork). StateGrid::Build simulates the FST
+// forward through StepTable::Simulate; DESQ-DFS's flat store
+// (DfsInput::Add, src/core/desq_dfs.h) and the no-grid pivot search read
+// the table's moves and cells directly, the store backward first.
 //
 // The grid is the structure behind pivot search (Theorem 1), sequence
 // rewriting, candidate enumeration (NAIVE, SEMI-NAIVE, DESQ-COUNT) and
@@ -104,14 +104,14 @@ class StepTable {
   /// The pooled output sets: every label Step returns lies in this array.
   const ItemId* label_pool() const { return labels_.data(); }
 
-  /// The forward FST simulation of `T`, the one loop behind StateGrid::Build
-  /// and DfsInput::Add. `*active` becomes (|T| + 1) x num_states() flags,
-  /// one per coordinate i * num_states() + q, with (0, initial) set. For
-  /// every active coordinate (i, q), in coordinate order, and every move out
-  /// of q whose step on T[i] yields an edge, it calls
-  /// on_edge(i, q, to, label); (i + 1, to) becomes active iff that returns
-  /// true. After layer i it calls on_layer(i). Throws std::invalid_argument
-  /// on an item the table does not hold. num_states() must be > 0.
+  /// The forward FST simulation of `T`, StateGrid::Build's loop. `*active`
+  /// becomes (|T| + 1) x num_states() flags, one per coordinate
+  /// i * num_states() + q, with (0, initial) set. For every active
+  /// coordinate (i, q), in coordinate order, and every move out of q whose
+  /// step on T[i] yields an edge, it calls on_edge(i, q, to, label) and
+  /// activates (i + 1, to). After layer i it calls on_layer(i). Throws
+  /// std::invalid_argument on an item the table does not hold.
+  /// num_states() must be > 0.
   template <typename OnEdge, typename OnLayer>
   void Simulate(const Sequence& T, std::vector<uint8_t>* active,
                 OnEdge&& on_edge, OnLayer&& on_layer) const {
@@ -127,10 +127,9 @@ class StepTable {
         for (const Move& m : MovesFrom(q)) {
           const Cell& cell = cells[m.cls];
           if (cell.begin == kNoEdge) continue;
-          if (on_edge(i, q, m.to,
-                      Span<ItemId>(labels_.data() + cell.begin, cell.size))) {
-            flags[(i + 1) * ns + m.to] = 1;
-          }
+          on_edge(i, q, m.to,
+                  Span<ItemId>(labels_.data() + cell.begin, cell.size));
+          flags[(i + 1) * ns + m.to] = 1;
         }
       }
       on_layer(i);
@@ -166,7 +165,7 @@ class StepTable {
 
 /// Sorts [first, last), already sorted by `key_less`, by `less`, which must
 /// order key-equal elements within the key order: only runs of key-equal
-/// elements are sorted. The simulated layers come out sorted by their
+/// elements are sorted. Simulated layers and grids come out sorted by their
 /// edges' ends, so their sort by label is run-local.
 template <typename It, typename KeyLess, typename Less>
 void SortWithinRuns(It first, It last, KeyLess key_less, Less less) {

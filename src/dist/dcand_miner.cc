@@ -81,6 +81,7 @@ MiningResult MineDCandPartition(std::string_view key,
                                 const std::vector<std::string_view>& values,
                                 const DCandOptions& options) {
   DSEQ_TRACE_SPAN("mining", "dcand_reduce");
+  const int64_t start_ns = obs::Enabled() ? obs::NowNs() : -1;
   DesqDfsOptions local;
   local.sigma = options.sigma;
   local.pivot = DecodePivotKey(key);
@@ -96,7 +97,7 @@ MiningResult MineDCandPartition(std::string_view key,
       throw NfaParseError("trailing bytes after NFA record");
     }
   }
-  return MinePartitionInput(input, local, values.size());
+  return MinePartitionInput(input, local, values.size(), start_ns);
 }
 
 DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,

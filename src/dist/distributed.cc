@@ -13,7 +13,9 @@ namespace dseq {
 
 MiningResult MinePartitionInput(const DfsInput& input,
                                 const DesqDfsOptions& options,
-                                size_t num_records) {
+                                size_t num_records, int64_t store_start_ns) {
+  const bool traced = store_start_ns >= 0 && obs::Enabled();
+  const int64_t dfs_start_ns = traced ? obs::NowNs() : 0;
   DesqDfsStats stats;
   MiningResult result = MineDesqDfs(input, options, &stats);
 #if DSEQ_DCHECK_IS_ON
@@ -36,11 +38,17 @@ MiningResult MinePartitionInput(const DfsInput& input,
         obs::GetCounter("mining.reduce_dfs_expansions");
     static obs::Counter& postings_pruned =
         obs::GetCounter("mining.reduce_postings_pruned");
+    static obs::Counter& store_ns = obs::GetCounter("mining.reduce_store_ns");
+    static obs::Counter& dfs_ns = obs::GetCounter("mining.reduce_dfs_ns");
     sequences.Add(num_records);
     edges_kept.Add(input.num_edges());
     edges_dropped.Add(input.num_dropped_edges());
     expansions.Add(stats.expansions);
     postings_pruned.Add(stats.postings_pruned);
+    if (traced) {
+      store_ns.Add(static_cast<uint64_t>(dfs_start_ns - store_start_ns));
+      dfs_ns.Add(static_cast<uint64_t>(obs::NowNs() - dfs_start_ns));
+    }
   }
   return result;
 }

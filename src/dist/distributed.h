@@ -150,12 +150,15 @@ struct MapCounts {
 /// The local mining of one pivot partition, shared by the D-SEQ and D-CAND
 /// reduces: mines `input` with MineDesqDfs and, under obs::Enabled(), adds
 /// the group's work to the mining.reduce_* counters — `num_records` shuffled
-/// records, the store's kept and dropped edges, and the search's expansions
-/// and pruned postings. Once per key group, so proc workers ship them too.
-/// DCHECKs that every mined pattern's largest item is the store's pivot.
+/// records, the store's kept and dropped edges, the search's expansions
+/// and pruned postings, and two phase times in nanoseconds: reduce_store_ns
+/// from `store_start_ns` (obs::NowNs() before the caller decoded the first
+/// record, or -1 when untraced) to the search, reduce_dfs_ns the search.
+/// Once per key group, so proc workers ship them too. DCHECKs that every
+/// mined pattern's largest item is the store's pivot.
 MiningResult MinePartitionInput(const DfsInput& input,
                                 const DesqDfsOptions& options,
-                                size_t num_records);
+                                size_t num_records, int64_t store_start_ns);
 
 /// Number of distinct sequences in `sequences` (order-insensitive). Used for
 /// distinct-sequence support accounting in tests and diagnostics.

@@ -246,6 +246,7 @@ MiningResult MineDSeqPartition(std::string_view key,
                                const StepTable& table,
                                const DSeqOptions& options) {
   DSEQ_TRACE_SPAN("mining", "dseq_reduce");
+  const int64_t start_ns = obs::Enabled() ? obs::NowNs() : -1;
   DSEQ_DCHECK_EQ(table.prune_sigma(), options.sigma);
   const PivotKeyParts parts = DecodePivotKeyParts(key);
   DfsInput input(table, parts.pivot);
@@ -268,7 +269,7 @@ MiningResult MineDSeqPartition(std::string_view key,
   local.sigma = parts.subpartition < 0 ? options.sigma : 1;
   local.pivot = parts.pivot;
   local.early_stop = options.early_stop;
-  return MinePartitionInput(input, local, values.size());
+  return MinePartitionInput(input, local, values.size(), start_ns);
 }
 
 DistributedResult MineDSeq(const std::vector<Sequence>& db, const Fst& fst,

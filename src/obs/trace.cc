@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -333,6 +334,8 @@ std::string EncodeWireSnapshot() {
 
 bool IngestWireSnapshot(std::string_view payload,
                         int fallback_process_ordinal) {
+  constexpr uint64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+  constexpr uint64_t kMaxInt = std::numeric_limits<int>::max();
   if (payload.empty() || payload[0] != kWireVersion) return false;
   size_t pos = 1;
   uint64_t num_spans = 0;
@@ -343,14 +346,16 @@ bool IngestWireSnapshot(std::string_view payload,
     uint64_t u = 0;
     if (!GetLengthPrefixed(payload, &pos, &ev.category)) return false;
     if (!GetLengthPrefixed(payload, &pos, &ev.name)) return false;
-    if (!GetVarint(payload, &pos, &u)) return false;
+    // Times and the thread ordinal are written from non-negative values: a
+    // larger varint would turn negative here and break the JSON export.
+    if (!GetVarint(payload, &pos, &u) || u > kMaxInt64) return false;
     ev.start_ns = static_cast<int64_t>(u);
-    if (!GetVarint(payload, &pos, &u)) return false;
+    if (!GetVarint(payload, &pos, &u) || u > kMaxInt64) return false;
     ev.dur_ns = static_cast<int64_t>(u);
     if (!GetVarint(payload, &pos, &u)) return false;
     ev.process_ordinal = static_cast<int>(ZigzagDecode(u));
     if (ev.process_ordinal < 0) ev.process_ordinal = fallback_process_ordinal;
-    if (!GetVarint(payload, &pos, &u)) return false;
+    if (!GetVarint(payload, &pos, &u) || u > kMaxInt) return false;
     ev.thread_ordinal = static_cast<int>(u);
     if (!GetVarint(payload, &pos, &u)) return false;
     ev.round = static_cast<int>(ZigzagDecode(u));

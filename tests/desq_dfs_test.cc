@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
 #include "tests/test_util.h"
@@ -190,7 +192,9 @@ TEST_P(DesqDfsPropertyTest, MatchesBruteForce) {
 
 // With no pivot the store keeps exactly the σ-pruned grids' edges, so the
 // max_total_grid_edges budget (the OOM emulation of Tab. V and Fig. 13)
-// means what it meant over StateGrids.
+// means what it meant over StateGrids. For every pivot, the table-fed store
+// (two passes over the step table) keeps what a grid-fed store (the grids'
+// edges cut, sorted and committed) keeps, and mines the same patterns.
 TEST_P(DesqDfsPropertyTest, StoreEdgesMatchGridEdges) {
   auto [seed, pattern] = GetParam();
   SequenceDatabase db = testing::RandomDatabase(seed + 100, 8, 40, 8);
@@ -199,19 +203,40 @@ TEST_P(DesqDfsPropertyTest, StoreEdgesMatchGridEdges) {
     GridOptions grid_options;
     grid_options.prune_sigma = sigma;
     const StepTable table(fst, db.dict, sigma);
-    DfsInput input(table, kNoItem);
+    std::vector<StateGrid> grids;
     uint64_t grid_edges = 0;
     size_t accepting = 0;
     for (const Sequence& T : db.sequences) {
       StateGrid grid = StateGrid::Build(T, fst, db.dict, grid_options);
       grid_edges += grid.num_edges();
       accepting += grid.HasAcceptingRun() ? 1 : 0;
-      input.Add(T);
+      grids.push_back(StateGrid::Build(T, table));
     }
-    EXPECT_EQ(input.num_edges(), grid_edges)
-        << "pattern=" << pattern << " sigma=" << sigma;
-    EXPECT_EQ(input.num_sequences(), accepting)
-        << "pattern=" << pattern << " sigma=" << sigma;
+    for (ItemId k = 0; k <= db.dict.size(); ++k) {
+      SCOPED_TRACE(::testing::Message() << "pattern=" << pattern << " sigma="
+                                        << sigma << " pivot=" << k);
+      DfsInput from_table(table, k);
+      DfsInput from_grids(k);
+      for (size_t i = 0; i < grids.size(); ++i) {
+        from_table.Add(db.sequences[i]);
+        from_grids.Add(grids[i]);
+      }
+      EXPECT_EQ(from_table.num_sequences(), from_grids.num_sequences());
+      EXPECT_EQ(from_table.num_edges(), from_grids.num_edges());
+      if (k == kNoItem) {
+        EXPECT_EQ(from_table.num_edges(), grid_edges);
+        EXPECT_EQ(from_table.num_sequences(), accepting);
+      }
+      for (bool early_stop : {true, false}) {
+        DesqDfsOptions options;
+        options.sigma = std::max<uint64_t>(sigma, 1);
+        options.pivot = k;
+        options.early_stop = early_stop;
+        EXPECT_EQ(MineDesqDfs(from_table, options),
+                  MineDesqDfs(from_grids, options))
+            << "early_stop=" << early_stop;
+      }
+    }
   }
 }
 

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/dataflow/engine.h"
 #include "src/obs/metrics.h"
 #include "src/obs/stats.h"
 #include "src/obs/trace.h"
+#include "src/util/varint.h"
 
 namespace dseq {
 namespace {
@@ -152,6 +156,61 @@ TEST_F(ObsTest, MalformedWirePayloadIsRejected) {
   std::string payload = obs::EncodeWireSnapshot();
   EXPECT_FALSE(
       obs::IngestWireSnapshot(payload.substr(0, payload.size() / 2), 0));
+}
+
+// A snapshot of one span with the given varint fields, spliced from the
+// real encoder's empty snapshot (version byte, span count 0, registry
+// block).
+std::string OneSpanSnapshot(uint64_t start_ns, uint64_t dur_ns,
+                            uint64_t thread_ordinal) {
+  const std::string empty = obs::EncodeWireSnapshot();
+  std::string out = empty.substr(0, 1);
+  PutVarint(&out, 1);
+  for (std::string_view s : {"test", "span"}) {
+    PutVarint(&out, s.size());
+    out.append(s);
+  }
+  PutVarint(&out, start_ns);
+  PutVarint(&out, dur_ns);
+  PutVarint(&out, 0);  // zigzag(process ordinal 0)
+  PutVarint(&out, thread_ordinal);
+  PutVarint(&out, 0);  // zigzag(round 0)
+  return out + empty.substr(2);
+}
+
+TEST_F(ObsTest, WireSnapshotSpliceIsWellFormed) {
+  ASSERT_TRUE(obs::IngestWireSnapshot(OneSpanSnapshot(1000, 500, 3), 0));
+  std::vector<obs::TraceEvent> events = obs::SnapshotTrace();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].start_ns, 1000);
+  EXPECT_EQ(events[0].dur_ns, 500);
+  EXPECT_EQ(events[0].thread_ordinal, 3);
+}
+
+// Span times and thread ordinals are written from non-negative values; a
+// larger varint would wrap negative and make --trace-out write a number
+// like -1.-501, which is not JSON. Each such field rejects the snapshot.
+TEST_F(ObsTest, WireSpanStartBeyondInt64IsRejected) {
+  const uint64_t max = std::numeric_limits<int64_t>::max();
+  EXPECT_FALSE(obs::IngestWireSnapshot(OneSpanSnapshot(max + 1, 500, 0), 0));
+  EXPECT_FALSE(obs::IngestWireSnapshot(OneSpanSnapshot(~uint64_t{0}, 1, 0), 0));
+  EXPECT_TRUE(obs::SnapshotTrace().empty());
+  EXPECT_TRUE(obs::IngestWireSnapshot(OneSpanSnapshot(max, 0, 0), 0));
+}
+
+TEST_F(ObsTest, WireSpanDurationBeyondInt64IsRejected) {
+  const uint64_t max = std::numeric_limits<int64_t>::max();
+  EXPECT_FALSE(obs::IngestWireSnapshot(OneSpanSnapshot(0, max + 1, 0), 0));
+  EXPECT_TRUE(obs::SnapshotTrace().empty());
+  EXPECT_TRUE(obs::IngestWireSnapshot(OneSpanSnapshot(0, max, 0), 0));
+}
+
+TEST_F(ObsTest, WireThreadOrdinalBeyondIntIsRejected) {
+  const uint64_t max = INT_MAX;
+  EXPECT_FALSE(obs::IngestWireSnapshot(OneSpanSnapshot(0, 1, max + 1), 0));
+  EXPECT_TRUE(obs::SnapshotTrace().empty());
+  ASSERT_TRUE(obs::IngestWireSnapshot(OneSpanSnapshot(0, 1, max), 0));
+  EXPECT_EQ(obs::SnapshotTrace()[0].thread_ordinal, INT_MAX);
 }
 
 // --- Chrome trace-event JSON ------------------------------------------------

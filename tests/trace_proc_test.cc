@@ -122,10 +122,13 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
                       "mining.map_nfa_bytes"});
   dcand_names.insert(dcand_names.end(), reduce_names.begin(),
                      reduce_names.end());
-  // D-SEQ's map phase timers: their values differ between backends, so
-  // only their presence (non-zero on both) is compared.
+  // D-SEQ's map phase timers and both miners' reduce phase timers: their
+  // values differ between backends, so only their presence (non-zero on
+  // both) is compared.
   const std::vector<std::string> dseq_timers = {
       "mining.map_grid_ns", "mining.map_pivots_ns", "mining.map_rewrite_ns"};
+  const std::vector<std::string> reduce_timers = {"mining.reduce_store_ns",
+                                                  "mining.reduce_dfs_ns"};
   SequenceDatabase db = testing::RandomDatabase(4300, 7, 60, 10);
   Fst fst = CompileFst(".*(i0^)[.*(.^)]{1,2}.*", db.dict);
   DSeqOptions options;
@@ -156,11 +159,13 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
       for (const std::string& name : checked) {
         values.push_back(obs::GetCounter(name).Value());
       }
+      std::vector<std::string> timers = reduce_timers;
       if (!dcand) {
-        for (const std::string& name : dseq_timers) {
-          EXPECT_GT(obs::GetCounter(name).Value(), 0u)
-              << name << " on backend " << static_cast<int>(backend);
-        }
+        timers.insert(timers.end(), dseq_timers.begin(), dseq_timers.end());
+      }
+      for (const std::string& name : timers) {
+        EXPECT_GT(obs::GetCounter(name).Value(), 0u)
+            << name << " on backend " << static_cast<int>(backend);
       }
       // One shuffled record per pivot of every input.
       EXPECT_EQ(obs::GetCounter("mining.map_pivots").Value(),
