@@ -13,20 +13,10 @@ namespace dseq {
 namespace {
 
 // Per-coordinate bits of a DfsInput: pivot.h's two seen-k liveness bits and
-// "the end of the sequence is reachable in a final state over ε edges",
-// the three a store keeps; and, while a sequence is built, "reached from
-// its root over kept edges".
-constexpr uint8_t kLive = kLiveUnseen | kLiveSeen;
-constexpr uint8_t kEpsAccept = 4;
+// its ε-accept bit, the three a store keeps; and, while a sequence is
+// built, "reached from its root over kept edges".
 constexpr uint8_t kStoredBits = kLive | kEpsAccept;
 constexpr uint8_t kReached = 8;
-
-// DfsInput::Step kinds, ordered: the ones below kEpsStep yield no edge.
-constexpr uint8_t kNoStep = 0;     // the class does not match the item
-constexpr uint8_t kCutStep = 1;    // the pivot cut emptied the output set
-constexpr uint8_t kEpsStep = 2;    // ε output
-constexpr uint8_t kItemStep = 3;   // items <= k, k not among them
-constexpr uint8_t kPivotStep = 4;  // items <= k, the last one k
 
 constexpr uint64_t kMaxIndex = std::numeric_limits<uint32_t>::max();
 
@@ -34,17 +24,6 @@ constexpr uint64_t kMaxIndex = std::numeric_limits<uint32_t>::max();
 // without one every accepting run counts.
 uint8_t RootBit(ItemId pivot) {
   return pivot == kNoItem ? kLiveSeen : kLiveUnseen;
-}
-
-// The bits an edge gives its source in the backward pass, from its
-// target's: the liveness bits, both when the edge carries k into a suffix
-// that is live seen (carrying k sets the bit, so both entry values reach
-// it), and over ε also the ε-accept bit.
-uint8_t BitsThrough(uint8_t target, bool eps, bool carries_pivot) {
-  const uint8_t live = target & kLive;
-  if (live == 0) return 0;
-  if (eps) return live | (target & kEpsAccept);
-  return carries_pivot && (live & kLiveSeen) ? kLive : live;
 }
 
 }  // namespace
@@ -75,53 +54,10 @@ void DfsInput::Add(const Sequence& T, uint64_t weight) {
     throw std::length_error("DESQ-DFS input sequence too long");
   }
 
-  // Every position's step of every class, cut to the pivot (TestPivotEdge's
-  // label, out ∩ [0, k]): one search per cell instead of one per edge.
-  // Column throws here, before the store changes.
-  const ItemId* const pool = table.label_pool();
-  steps_.resize(n * nc);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t col = table.Column(T[i]);
-    for (uint32_t cls = 0; cls < nc; ++cls) {
-      Step& step = steps_[i * nc + cls];
-      Span<ItemId> out(nullptr, 0);
-      if (!table.Step(col, cls, &out)) {
-        step.kind = kNoStep;
-        continue;
-      }
-      const size_t size =
-          std::upper_bound(out.begin(), out.end(), bound_) - out.begin();
-      step.label_begin = static_cast<uint32_t>(out.data() - pool);
-      step.label_size = static_cast<uint32_t>(size);
-      if (size == 0) {
-        step.kind = out.empty() ? kEpsStep : kCutStep;
-      } else {
-        step.kind = out[size - 1] == pivot_ ? kPivotStep : kItemStep;
-      }
-    }
-  }
-
-  // Pass 1, backward over every coordinate: the seen-k liveness bits and
-  // the ε-accept bit over the steps, as Commit sets them over its edges.
-  const size_t coords = (n + 1) * ns;
-  scratch_.assign(coords, 0);
+  // Pass 1, the table's walk: every step cut to the pivot and every
+  // coordinate's bits. Column throws here, before the store changes.
+  table.Walk(T, pivot_, &steps_, &scratch_);
   uint8_t* const bits = scratch_.data();
-  for (StateId q = 0; q < ns; ++q) {
-    if (table.IsFinal(q)) bits[n * ns + q] = kLiveSeen | kEpsAccept;
-  }
-  for (size_t i = n; i-- > 0;) {
-    const Step* const steps = &steps_[i * nc];
-    const uint8_t* const next = bits + (i + 1) * ns;
-    for (StateId q = 0; q < ns; ++q) {
-      uint8_t b = 0;
-      for (const StepTable::Move& m : table.MovesFrom(q)) {
-        const uint8_t kind = steps[m.cls].kind;
-        if (kind < kEpsStep) continue;
-        b |= BitsThrough(next[m.to], kind == kEpsStep, kind == kPivotStep);
-      }
-      bits[i * ns + q] = b;
-    }
-  }
   const StateId root = table.initial();
   if ((bits[root] & RootBit(pivot_)) == 0) return;
 
@@ -129,7 +65,9 @@ void DfsInput::Add(const Sequence& T, uint64_t weight) {
   // coordinate order, and their edges into live targets. Moves are sorted
   // by (to, class), so the kept edges into one target are adjacent and an
   // identical (from, to, label) edge is caught within that run.
+  const size_t coords = (n + 1) * ns;
   if (remap_.size() < coords) remap_.resize(coords);
+  const ItemId* const pool = table.label_pool();
   const Mark at = BeginAppend();
   bits[root] |= kReached;
   uint32_t local = 0;
@@ -140,14 +78,15 @@ void DfsInput::Add(const Sequence& T, uint64_t weight) {
       remap_[c] = local++;
       bits_.push_back(bits[c] & kStoredBits);
       if (i < n) {
-        const Step* const steps = &steps_[i * nc];
+        const StepTable::WalkStep* const steps = &steps_[i * nc];
         const size_t next = (i + 1) * ns;
         size_t run = edges_.size();
         StateId run_to = ns;
         for (const StepTable::Move& m : table.MovesFrom(q)) {
-          const Step& step = steps[m.cls];
-          if (step.kind == kNoStep) continue;
-          if (step.kind == kCutStep || (bits[next + m.to] & kLive) == 0) {
+          const StepTable::WalkStep& step = steps[m.cls];
+          if (step.kind == StepTable::kNoStep) continue;
+          if (step.kind == StepTable::kCutStep ||
+              (bits[next + m.to] & kLive) == 0) {
             ++dropped_edges_;
             continue;
           }

@@ -17,10 +17,11 @@
 // coordinates, numbered from its root (local 0), every label in one item
 // array instead of an output vector per edge, and many sequences in one
 // store. Add(T, weight) builds a sequence straight from the job's step
-// table (StepTable, src/core/grid.h) in two passes: backward over the
-// table's cells for every coordinate's liveness bits, then forward from the
-// root over the live coordinates it reaches, appending their edges. No grid
-// and no buffer of pending edges is built.
+// table (StepTable, src/core/grid.h) with the walk StateGrid::Build also
+// runs: backward over the table's cells for every coordinate's liveness
+// bits, cut to the store's pivot; then forward from the root over the live
+// coordinates it reaches, appending their edges. No grid and no buffer of
+// pending edges is built.
 // D-CAND's NFAs decode into the same store: an NFA state is a coordinate,
 // an NFA edge a labeled edge, and a final state is ε-accepting.
 //
@@ -117,10 +118,10 @@ class DfsInput {
   explicit DfsInput(ItemId pivot);
 
   /// Stores the pruned grid of `T` with the given multiplicity, read off the
-  /// step table in two passes: backward, every coordinate's liveness and
-  /// ε-accept bits from the table's cells (one pivot cut per position and
-  /// transition class); then forward from the root, the live coordinates
-  /// it reaches and their edges into live targets. A sequence whose root
+  /// step table in two passes: its walk for the pivot (StepTable::Walk),
+  /// every coordinate's liveness and ε-accept bits; then forward from the
+  /// root, the live coordinates it reaches and their edges into live
+  /// targets. A sequence whose root
   /// is not live is not stored. Throws std::invalid_argument on an item the
   /// table does not hold and std::length_error when the sequence or the
   /// store outgrows the 32-bit index range; the store is then unchanged.
@@ -164,14 +165,6 @@ class DfsInput {
     uint32_t target;
     uint32_t label_begin;
     uint32_t label_size;
-  };
-  // The step of one transition class on one position of the sequence being
-  // added by Add(T, weight), cut to the pivot: its label is a prefix of the
-  // table cell's output set, indexed into the table's pool.
-  struct Step {
-    uint32_t label_begin;
-    uint32_t label_size;
-    uint8_t kind;  // kNoStep, kCutStep, kEpsStep, kItemStep or kPivotStep
   };
   // An edge of the NFA or grid being added, before the backward pass.
   struct PendingEdge {
@@ -233,8 +226,8 @@ class DfsInput {
   // is built and its local index once stored.
   std::vector<uint8_t> scratch_;
   std::vector<uint32_t> remap_;
-  // Scratch of Add(T, weight): the steps, position-major.
-  std::vector<Step> steps_;
+  // Scratch of Add(T, weight): the walk's steps.
+  std::vector<StepTable::WalkStep> steps_;
   // Scratch of the NFA or grid being added, and the sources of its edges
   // the pivot cut emptied.
   std::vector<PendingEdge> pending_;

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <utility>
 
+#include "src/core/pivot.h"
 #include "src/util/check.h"
 
 namespace dseq {
@@ -27,6 +28,10 @@ bool StepTransition(const Fst& fst, const Transition& tr, ItemId t,
              out->end());
   return !out->empty() || tr.out_kind == OutputKind::kEpsilon;
 }
+
+// The grid's own bit next to the walk's (pivot.h): reached from
+// (0, initial).
+constexpr uint8_t kForwardActive = 8;
 
 // A transition's class: everything but its endpoints.
 auto ClassKey(const Transition& tr) {
@@ -118,109 +123,143 @@ StateGrid StateGrid::Build(const Sequence& T, const Fst& fst,
   return Build(T, StepTable(fst, dict, options.prune_sigma, std::move(items)));
 }
 
+void StepTable::Walk(const Sequence& T, ItemId pivot,
+                     std::vector<WalkStep>* steps,
+                     std::vector<uint8_t>* bits) const {
+  const size_t n = T.size();
+  const size_t ns = num_states();
+  const size_t nc = num_classes_;
+
+  // Every position's step of every class, cut to the pivot (TestPivotEdge's
+  // label, out ∩ [0, k]): one cut per cell instead of one per edge. With no
+  // pivot no label is read.
+  steps->resize(n * nc);
+  for (size_t i = 0; i < n; ++i) {
+    const Cell* const cells = &cells_[Column(T[i]) * nc];
+    WalkStep* const row = steps->data() + i * nc;
+    for (size_t cls = 0; cls < nc; ++cls) {
+      const Cell& cell = cells[cls];
+      WalkStep& step = row[cls];
+      step = WalkStep{cell.begin, cell.size, kItemStep};
+      if (cell.begin == kNoEdge) {
+        step.kind = kNoStep;
+      } else if (cell.size == 0) {
+        step.kind = kEpsStep;
+      } else if (pivot != kNoItem) {
+        const ItemId* const out = labels_.data() + cell.begin;
+        if (out[cell.size - 1] > pivot) {
+          step.label_size = static_cast<uint32_t>(
+              std::upper_bound(out, out + cell.size, pivot) - out);
+        }
+        if (step.label_size == 0) {
+          step.kind = kCutStep;
+        } else if (out[step.label_size - 1] == pivot) {
+          step.kind = kPivotStep;
+        }
+      }
+    }
+  }
+
+  // Backward over every coordinate: the bits of layer i from layer i + 1's.
+  bits->assign((n + 1) * ns, 0);
+  uint8_t* const b = bits->data();
+  for (StateId q = 0; q < ns; ++q) {
+    if (IsFinal(q)) b[n * ns + q] = kLiveSeen | kEpsAccept;
+  }
+  for (size_t i = n; i-- > 0;) {
+    const WalkStep* const row = steps->data() + i * nc;
+    const uint8_t* const next = b + (i + 1) * ns;
+    for (StateId q = 0; q < ns; ++q) {
+      uint8_t through = 0;
+      for (const Move& m : MovesFrom(q)) {
+        const StepKind kind = row[m.cls].kind;
+        if (kind < kEpsStep) continue;
+        through |= BitsThrough(next[m.to], kind == kEpsStep,
+                               kind == kPivotStep);
+      }
+      b[i * ns + q] = through;
+    }
+  }
+}
+
 StateGrid StateGrid::Build(const Sequence& T, const StepTable& table) {
   StateGrid grid;
-  size_t n = T.size();
-  size_t ns = table.num_states();
+  const size_t n = T.size();
+  const size_t ns = table.num_states();
   grid.length_ = n;
   grid.num_states_ = ns;
   grid.initial_ = table.initial();
   grid.finals_.resize(ns);
   for (StateId q = 0; q < ns; ++q) grid.finals_[q] = table.IsFinal(q);
-  grid.alive_.assign((n + 1) * ns, false);
   grid.offsets_.assign((n + 1) * ns + 1, 0);
   if (ns == 0) return grid;
 
-  // Forward simulation. Each layer's edges come out sorted by (from, to);
-  // the layer is then sorted by (from, to, out) and deduplicated (distinct
-  // FST transitions can collapse to the same edge, which would inflate run
-  // enumeration). Only the layers' first offsets are set here, for EdgesAt;
-  // the compaction below sets the rest.
-  std::vector<uint8_t>& active = grid.forward_active_;
-  std::vector<bool>& alive = grid.alive_;
-  std::vector<uint32_t>& offsets = grid.offsets_;
+  thread_local std::vector<StepTable::WalkStep> steps;
+  table.Walk(T, kNoItem, &steps, &grid.bits_);
+  uint8_t* const bits = grid.bits_.data();
+  if ((bits[grid.initial_] & kLiveSeen) == 0) return grid;
+  grid.accepting_ = true;
+
+  // Forward over the forward-active coordinates. An edge into a live
+  // coordinate leaves a live one, so the target's bit alone decides. Moves
+  // are sorted by (to, class), so a coordinate's edges come out sorted by
+  // `to`, and an identical (to, out) edge is caught within its run of `to`.
+  const size_t nc = table.num_classes();
+  const ItemId* const pool = table.label_pool();
   std::vector<Edge>& edges = grid.edges_;
-  auto ends_less = [](const Edge& a, const Edge& b) {
-    return a.from != b.from ? a.from < b.from : a.to < b.to;
-  };
-  auto less = [&](const Edge& a, const Edge& b) {
-    if (a.from != b.from || a.to != b.to) return ends_less(a, b);
-    return a.out < b.out;
-  };
-  size_t begin = 0;
-  table.Simulate(
-      T, &active,
-      [&](size_t, StateId from, StateId to, Span<ItemId> label) {
-        edges.push_back(Edge{from, to, Sequence(label.begin(), label.end())});
-      },
-      [&](size_t i) {
-        offsets[i * ns] = static_cast<uint32_t>(begin);
-        auto first = edges.begin() + begin;
-        SortWithinRuns(first, edges.end(), ends_less, less);
-        edges.erase(std::unique(first, edges.end(),
-                                [](const Edge& a, const Edge& b) {
-                                  return a.from == b.from && a.to == b.to &&
-                                         a.out == b.out;
-                                }),
-                    edges.end());
-        begin = edges.size();
-      });
-  DSEQ_CHECK_LE(edges.size(), size_t{UINT32_MAX});
-  std::fill(offsets.begin() + n * ns, offsets.end(),
-            static_cast<uint32_t>(edges.size()));
-
-  // Backward pruning: keep only coordinates that reach an accepting
-  // (n, q ∈ F) coordinate.
-  for (StateId q = 0; q < ns; ++q) {
-    if (active[n * ns + q] && grid.finals_[q]) {
-      alive[n * ns + q] = true;
-      grid.accepting_ = true;
-    }
-  }
-  for (size_t i = n; grid.accepting_ && i-- > 0;) {
-    for (const Edge& e : grid.EdgesAt(i)) {
-      if (alive[(i + 1) * ns + e.to]) alive[i * ns + e.from] = true;
-    }
-  }
-  // A grid is accepting only if layer 0 retained the initial state.
-  if (!grid.accepting_ || !alive[grid.initial_]) {
-    grid.accepting_ = false;
-    edges.clear();
-    std::fill(offsets.begin(), offsets.end(), 0);
-    std::fill(alive.begin(), alive.end(), false);
-    return grid;
-  }
-
-  // Compaction: move the edges into an alive coordinate to the front, layer
-  // by layer, and set each coordinate's offset to where its first kept edge
-  // lands (edges are sorted by source within a layer).
-  size_t kept = 0;
+  auto to_less = [](const Edge& a, const Edge& b) { return a.to < b.to; };
+  auto out_less = [](const Edge& a, const Edge& b) { return a.out < b.out; };
+  bits[grid.initial_] |= kForwardActive;
   for (size_t i = 0; i < n; ++i) {
-    const size_t begin = offsets[i * ns];
-    const size_t end = offsets[(i + 1) * ns];
-    uint32_t* const layer = &offsets[i * ns];
-    StateId next = 0;  // the first state of layer i without an offset yet
-    for (size_t g = begin; g < end; ++g) {
-      if (!alive[(i + 1) * ns + edges[g].to]) continue;
-      const StateId from = edges[g].from;
-      while (next <= from) layer[next++] = static_cast<uint32_t>(kept);
-      if (g != kept) edges[kept] = std::move(edges[g]);
-      ++kept;
+    const StepTable::WalkStep* const row = steps.data() + i * nc;
+    uint8_t* const next = bits + (i + 1) * ns;
+    for (StateId q = 0; q < ns; ++q) {
+      const size_t first = edges.size();
+      grid.offsets_[i * ns + q] = static_cast<uint32_t>(first);
+      if ((bits[i * ns + q] & kForwardActive) == 0) continue;
+      size_t run = first;
+      StateId run_to = ns;
+      for (const StepTable::Move& m : table.MovesFrom(q)) {
+        const StepTable::WalkStep& step = row[m.cls];
+        if (step.kind < StepTable::kEpsStep) continue;
+        next[m.to] |= kForwardActive;
+        if ((next[m.to] & kLiveSeen) == 0) continue;
+        const ItemId* const label = pool + step.label_begin;
+        if (m.to != run_to) {
+          run_to = m.to;
+          run = edges.size();
+        } else if (std::any_of(edges.begin() + run, edges.end(),
+                               [&](const Edge& e) {
+                                 return std::equal(e.out.begin(), e.out.end(),
+                                                   label,
+                                                   label + step.label_size);
+                               })) {
+          continue;
+        }
+        edges.push_back(
+            Edge{q, m.to, Sequence(label, label + step.label_size)});
+      }
+      SortWithinRuns(edges.begin() + first, edges.end(), to_less, out_less);
     }
-    while (next < ns) layer[next++] = static_cast<uint32_t>(kept);
   }
-  edges.erase(edges.begin() + kept, edges.end());
-  std::fill(offsets.begin() + n * ns, offsets.end(),
-            static_cast<uint32_t>(kept));
-
-#if DSEQ_DCHECK_IS_ON
-  DSEQ_CHECK_EQ(offsets.back(), edges.size());
-  for (size_t c = 0; c < n * ns; ++c) {
-    DSEQ_CHECK_LE(offsets[c], offsets[c + 1]);
-    for (const Edge& e : grid.EdgesOf(c)) DSEQ_CHECK_EQ(e.from, c % ns);
-  }
-#endif
+  DSEQ_CHECK_LE(edges.size(), size_t{UINT32_MAX});
+  std::fill(grid.offsets_.begin() + n * ns, grid.offsets_.end(),
+            static_cast<uint32_t>(edges.size()));
   return grid;
+}
+
+bool StateGrid::Alive(size_t pos, StateId q) const {
+  const uint8_t b = bits_[pos * num_states_ + q];
+  return (b & kForwardActive) != 0 && (b & kLiveSeen) != 0;
+}
+
+bool StateGrid::ForwardActive(size_t pos, StateId q) const {
+  return (bits_[pos * num_states_ + q] & kForwardActive) != 0;
+}
+
+bool StateGrid::EpsAccept(size_t pos, StateId q) const {
+  const uint8_t b = bits_[pos * num_states_ + q];
+  return (b & kForwardActive) != 0 && (b & kEpsAccept) != 0;
 }
 
 }  // namespace dseq

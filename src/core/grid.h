@@ -20,10 +20,13 @@
 // (in_kind, in_item, out_kind, out_item) and t, for a fixed FST, dictionary
 // and σ. A job has only a handful of classes, so each miner's driver
 // tabulates the step once per job in a StepTable, before its round (proc
-// workers inherit it through fork). StateGrid::Build simulates the FST
-// forward through StepTable::Simulate; DESQ-DFS's flat store
-// (DfsInput::Add, src/core/desq_dfs.h) and the no-grid pivot search read
-// the table's moves and cells directly, the store backward first.
+// workers inherit it through fork). Every grid is built backward first by
+// the table's one walk (StepTable::Walk): each position's step of each
+// class, then every coordinate's liveness bits from the top layer down.
+// StateGrid::Build runs it with no pivot and then one forward pass that
+// appends only the edges between live coordinates; DESQ-DFS's flat store
+// (DfsInput::Add, src/core/desq_dfs.h) runs it with its pivot. The no-grid
+// pivot search reads the table's moves and cells directly.
 //
 // The grid is the structure behind pivot search (Theorem 1), sequence
 // rewriting, candidate enumeration (NAIVE, SEMI-NAIVE, DESQ-COUNT) and
@@ -101,40 +104,40 @@ class StepTable {
     return true;
   }
 
-  /// The pooled output sets: every label Step returns lies in this array.
+  /// The pooled output sets: every label Step and Walk return lies in this
+  /// array.
   const ItemId* label_pool() const { return labels_.data(); }
 
-  /// The forward FST simulation of `T`, StateGrid::Build's loop. `*active`
-  /// becomes (|T| + 1) x num_states() flags, one per coordinate
-  /// i * num_states() + q, with (0, initial) set. For every active
-  /// coordinate (i, q), in coordinate order, and every move out of q whose
-  /// step on T[i] yields an edge, it calls on_edge(i, q, to, label) and
-  /// activates (i + 1, to). After layer i it calls on_layer(i). Throws
-  /// std::invalid_argument on an item the table does not hold.
-  /// num_states() must be > 0.
-  template <typename OnEdge, typename OnLayer>
-  void Simulate(const Sequence& T, std::vector<uint8_t>* active,
-                OnEdge&& on_edge, OnLayer&& on_layer) const {
-    const size_t n = T.size();
-    const size_t ns = num_states();
-    active->assign((n + 1) * ns, 0);
-    uint8_t* const flags = active->data();
-    flags[initial_] = 1;
-    for (size_t i = 0; i < n; ++i) {
-      const Cell* const cells = &cells_[Column(T[i]) * num_classes_];
-      for (StateId q = 0; q < ns; ++q) {
-        if (!flags[i * ns + q]) continue;
-        for (const Move& m : MovesFrom(q)) {
-          const Cell& cell = cells[m.cls];
-          if (cell.begin == kNoEdge) continue;
-          on_edge(i, q, m.to,
-                  Span<ItemId>(labels_.data() + cell.begin, cell.size));
-          flags[(i + 1) * ns + m.to] = 1;
-        }
-      }
-      on_layer(i);
-    }
-  }
+  /// What a walked step yields, ordered: the kinds below kEpsStep yield no
+  /// edge.
+  enum StepKind : uint8_t {
+    kNoStep,     // the class does not match the item
+    kCutStep,    // the pivot cut emptied the output set
+    kEpsStep,    // ε output
+    kItemStep,   // items <= k, k not among them
+    kPivotStep,  // items <= k, the last one k
+  };
+  /// The step of one class at one position of a walked sequence, its
+  /// output set cut to the walk's pivot k (out ∩ [0, k], the whole set with
+  /// no pivot): the label is pool[label_begin, label_begin + label_size), a
+  /// prefix of the table cell's.
+  struct WalkStep {
+    uint32_t label_begin;
+    uint32_t label_size;
+    StepKind kind;
+  };
+
+  /// The walk every grid of `T` is built from, for `pivot` (kNoItem: none).
+  /// First every position's step of every class, cut to the pivot, into
+  /// `*steps` at i * num_classes() + cls; a label whose last item is <= k
+  /// is taken whole, so with no pivot nothing is searched. Then, backward
+  /// from layer |T|, every coordinate's bits into `*bits`, at
+  /// i * num_states() + q: pivot.h's kLiveSeen / kLiveUnseen (the final
+  /// states of layer |T| are live seen) and kEpsAccept, combined over the
+  /// coordinate's steps by BitsThrough. Throws std::invalid_argument on an
+  /// item the table does not hold.
+  void Walk(const Sequence& T, ItemId pivot, std::vector<WalkStep>* steps,
+            std::vector<uint8_t>* bits) const;
 
  private:
   // An edge's output set, labels_[begin, begin + size); begin kNoEdge is
@@ -165,8 +168,8 @@ class StepTable {
 
 /// Sorts [first, last), already sorted by `key_less`, by `less`, which must
 /// order key-equal elements within the key order: only runs of key-equal
-/// elements are sorted. Simulated layers and grids come out sorted by their
-/// edges' ends, so their sort by label is run-local.
+/// elements are sorted. A walked coordinate's edges come out sorted by their
+/// ends (the moves' order), so their sort by label is run-local.
 template <typename It, typename KeyLess, typename Less>
 void SortWithinRuns(It first, It last, KeyLess key_less, Less less) {
   while (first != last) {
@@ -188,7 +191,11 @@ class StateGrid {
 
   StateGrid() = default;
 
-  /// Builds the pruned grid for `T` from a job's step table.
+  /// Builds the pruned grid for `T` from a job's step table: the table's
+  /// walk with no pivot, then, if (0, initial) is live, one forward pass
+  /// over the forward-active coordinates that marks them and appends the
+  /// edges from a live coordinate into a live one, each (from, to, out)
+  /// once. Throws std::invalid_argument on an item the table does not hold.
   static StateGrid Build(const Sequence& T, const StepTable& table);
 
   /// Builds the pruned grid for `T` under `fst`: the same loop over a table
@@ -222,16 +229,18 @@ class StateGrid {
   size_t EdgeIndex(const Edge& e) const { return &e - edges_.data(); }
 
   /// True iff coordinate (pos, q) lies on an accepting run.
-  bool Alive(size_t pos, StateId q) const {
-    return alive_[pos * num_states_ + q];
-  }
+  bool Alive(size_t pos, StateId q) const;
 
   /// True iff coordinate (pos, q) is forward-reachable from (0, initial),
-  /// regardless of whether an accepting run passes through it. Used by the
-  /// D-SEQ rewriter's trailing-trim safety check.
-  bool ForwardActive(size_t pos, StateId q) const {
-    return forward_active_[pos * num_states_ + q];
-  }
+  /// regardless of whether an accepting run passes through it; false
+  /// everywhere on a grid without an accepting run. Used by the D-SEQ
+  /// rewriter's trailing-trim safety check.
+  bool ForwardActive(size_t pos, StateId q) const;
+
+  /// True iff coordinate (pos, q) is forward-active and T can finish from
+  /// it in a final state over ε-output edges only (so it is alive too).
+  /// Used by the same check.
+  bool EpsAccept(size_t pos, StateId q) const;
 
   /// True iff q is a final FST state (acceptance test at pos == length()).
   bool IsFinalState(StateId q) const { return finals_[q]; }
@@ -252,10 +261,11 @@ class StateGrid {
   size_t num_states_ = 0;
   StateId initial_ = 0;
   bool accepting_ = false;
-  std::vector<bool> alive_;             // (length+1) x num_states
-  std::vector<uint8_t> forward_active_;  // (length+1) x num_states
-  std::vector<Edge> edges_;             // in coordinate order
-  std::vector<uint32_t> offsets_;       // (length+1) x num_states, plus end
+  // (length+1) x num_states: the walk's bits (pivot.h) and grid.cc's
+  // forward-active bit.
+  std::vector<uint8_t> bits_;
+  std::vector<Edge> edges_;        // in coordinate order
+  std::vector<uint32_t> offsets_;  // (length+1) x num_states, plus end
   std::vector<uint8_t> finals_;
 };
 

@@ -13,8 +13,9 @@
 //    edge, and the same kernel settles PivotRewriter's rewrite bounds and
 //    runs the no-grid search,
 //  * for one pivot k, Theorem 1 as a per-edge test (TestPivotEdge) and the
-//    liveness bits over grid × {seen-k} that D-CAND's per-pivot NFA
-//    construction and the pivot-k DESQ-DFS store compute with it,
+//    liveness bits over grid × {seen-k}, with their one transfer rule
+//    (BitsThrough), that the step table's walk, D-CAND's per-pivot NFA
+//    construction and the pivot-k DESQ-DFS store compute,
 //  * a no-grid variant that naively folds ⊕ over every accepting run
 //    (exponential; kept for the Fig. 10a ablation).
 #ifndef DSEQ_CORE_PIVOT_H_
@@ -176,10 +177,27 @@ inline PivotEdge TestPivotEdge(const Sequence& out, ItemId pivot) {
 /// accepting suffix from (i, q) uses only ε and admissible edges
 /// (TestPivotEdge) and ends with k output, given that k has (has not) been
 /// output on the way to (i, q). In particular (0, initial) is kLiveUnseen
-/// iff k ∈ K(T). PivotNfaBuilder and DfsInput each compute them in one
-/// backward pass over their edges.
+/// iff k ∈ K(T). StepTable::Walk, PivotNfaBuilder and DfsInput each compute
+/// them in one backward pass, with BitsThrough. With no pivot only kLiveSeen
+/// is set: "on an accepting suffix".
 inline constexpr uint8_t kLiveUnseen = 1;
 inline constexpr uint8_t kLiveSeen = 2;
+inline constexpr uint8_t kLive = kLiveUnseen | kLiveSeen;
+/// A third per-coordinate bit of the same passes: the end of the sequence is
+/// reachable in a final state over ε edges only.
+inline constexpr uint8_t kEpsAccept = 4;
+
+/// The seen-k transfer rule: the bits an edge gives its source in a
+/// backward pass, from its target's. The liveness bits pass through; an
+/// edge that carries k into a suffix live seen gives both (carrying k sets
+/// the bit, so both entry values reach it); an ε edge also passes
+/// kEpsAccept.
+inline uint8_t BitsThrough(uint8_t target, bool eps, bool carries_pivot) {
+  const uint8_t live = target & kLive;
+  if (live == 0) return 0;
+  if (eps) return live | (target & kEpsAccept);
+  return carries_pivot && (live & kLiveSeen) ? kLive : live;
+}
 
 /// Ablation variant (Fig. 10a, "no grid"): enumerates accepting runs by raw
 /// DFS over the FST (exploring dead ends, no memoization) and folds ⊕ per

@@ -40,9 +40,15 @@ MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
 void MapDCandInput(const Sequence& T, const StepTable& table,
                    const DCandOptions& options, const EmitFn& emit) {
   DSEQ_DCHECK_EQ(table.prune_sigma(), options.sigma);
-  StateGrid grid = StateGrid::Build(T, table);
-  if (!grid.HasAcceptingRun()) return;
   MapCounts counts;
+  const bool traced = obs::Enabled();
+  const int64_t start_ns = traced ? obs::NowNs() : 0;
+  StateGrid grid = StateGrid::Build(T, table);
+  if (traced) counts.grid_ns = static_cast<uint64_t>(obs::NowNs() - start_ns);
+  if (!grid.HasAcceptingRun()) {
+    if (traced) counts.Flush();
+    return;
+  }
   Sequence pivots = FindPivotItems(grid);
   if (!pivots.empty()) {
     // One NFA per pivot partition, built from the grid as the minimal DFA
@@ -69,7 +75,7 @@ void MapDCandInput(const Sequence& T, const StepTable& table,
       emit(EncodePivotKey(pivot), value);
     }
   }
-  if (obs::Enabled()) {
+  if (traced) {
     counts.sequences = 1;
     counts.grid_edges = grid.num_edges();
     counts.pivots = pivots.size();

@@ -64,9 +64,10 @@ MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
 /// D-CAND's map of one input sequence, the map function of MineDCand: emits
 /// one weighted NFA record (weight 1) per pivot k ∈ K(T) under k's
 /// partition key, and under obs::Enabled() flushes the input's work to the
-/// mining.map_* counters (MapCounts). `table` is the job's step table,
-/// σ-pruned at options.sigma. Throws MiningBudgetError when the state budget
-/// is exceeded.
+/// mining.map_* counters (MapCounts), its grid build time (map_grid_ns)
+/// included, also for an input with no accepting run. `table` is the job's
+/// step table, σ-pruned at options.sigma. Throws MiningBudgetError when the
+/// state budget is exceeded.
 void MapDCandInput(const Sequence& T, const StepTable& table,
                    const DCandOptions& options, const EmitFn& emit);
 

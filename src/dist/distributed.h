@@ -139,7 +139,8 @@ struct MapCounts {
   uint64_t min_states = 0;     // D-CAND: states of the minimal DFAs
   uint64_t nfa_bytes = 0;      // D-CAND: serialized NFA bytes
   uint64_t candidates = 0;     // NAIVE: distinct candidates emitted
-  // D-SEQ phase times in nanoseconds (obs::NowNs).
+  // Phase times in nanoseconds (obs::NowNs): every map's grid build, also
+  // of an input with no accepting run, and D-SEQ's other two phases.
   uint64_t grid_ns = 0;     // grid build
   uint64_t pivots_ns = 0;   // pivot DP tables and rewrite bounds
   uint64_t rewrite_ns = 0;  // ρk(T) copies, their encoding and emits

@@ -78,39 +78,26 @@ PivotRewriter::PivotRewriter(const Sequence& T, const StateGrid& grid)
   DSEQ_DCHECK_EQ(open, 0u);
 
   // Trail: the last arrival layer of each pivot's runs, down to the last
-  // layer failing the cut-acceptance check. `accept` holds, per state at the
-  // layer above, "ε-only completion to an accepting end", rolled down one
-  // layer at a time.
+  // layer failing the cut-acceptance check.
   dp.ComputeForward();
   constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
   cut_.assign(pivots_.size(), kNone);
   open = dp.BeginScan();
   size_t cut_floor = 0;  // one past the last layer failing the cut check
-  std::vector<uint8_t> accept(ns);
-  for (StateId q = 0; q < ns; ++q) {
-    accept[q] = grid.Alive(n, q) && grid.IsFinalState(q);
-  }
-  std::vector<uint8_t> accept_below(ns);
   for (size_t i = n; i-- > 0 && open > 0;) {
-    const Span<StateGrid::Edge> edges = grid.EdgesAt(i);
-    std::fill(accept_below.begin(), accept_below.end(), 0);
-    for (const StateGrid::Edge& e : edges) {
-      if (e.out.empty() && accept[e.to]) accept_below[e.from] = 1;
-    }
-    accept.swap(accept_below);
     // Cut-layer acceptance check: a run of the trimmed sequence ends in any
     // forward-reachable final state at layer i; its candidate is one of T's
     // only if T can finish from there without further output.
     bool cut_accepts = true;
     for (StateId q = 0; q < ns && cut_accepts; ++q) {
       if (!grid.IsFinalState(q) || !grid.ForwardActive(i, q)) continue;
-      cut_accepts = grid.Alive(i, q) && accept[q];
+      cut_accepts = grid.EpsAccept(i, q);
     }
     if (!cut_accepts) {
       cut_floor = i + 1;
       break;
     }
-    for (const StateGrid::Edge& e : edges) {
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
       if (!grid.IsFinalState(e.to)) continue;
       if (e.from == e.to && e.out.empty()) continue;  // final ε self-loop
       open = dp.Settle(dp.Arriving(i, e), static_cast<uint32_t>(i + 1), &cut_);

@@ -13,11 +13,17 @@ namespace dseq {
 void MapNaiveInput(const Sequence& T, const StepTable& table,
                    const NaiveOptions& options, const EmitFn& emit) {
   DSEQ_DCHECK_EQ(table.prune_sigma(), options.semi_naive ? options.sigma : 0);
+  MapCounts counts;
+  const bool traced = obs::Enabled();
+  const int64_t start_ns = traced ? obs::NowNs() : 0;
   StateGrid grid = StateGrid::Build(T, table);
-  if (!grid.HasAcceptingRun()) return;
+  if (traced) counts.grid_ns = static_cast<uint64_t>(obs::NowNs() - start_ns);
+  if (!grid.HasAcceptingRun()) {
+    if (traced) counts.Flush();
+    return;
+  }
   // The key set is deduplicated per sequence, so each candidate counts the
   // input sequence once (distinct-sequence support).
-  MapCounts counts;
   std::string value;
   PutVarint(&value, 1);
   if (!ForEachCandidateKey(grid, options.candidates_per_sequence_budget,
@@ -28,7 +34,7 @@ void MapNaiveInput(const Sequence& T, const StepTable& table,
     throw MiningBudgetError(
         "NAIVE candidate enumeration exceeded its per-sequence budget");
   }
-  if (obs::Enabled()) {
+  if (traced) {
     counts.sequences = 1;
     counts.grid_edges = grid.num_edges();
     counts.Flush();

@@ -40,7 +40,8 @@ struct NaiveOptions : DistributedRunOptions {
 /// varint(1)) once per distinct candidate, with the key its PutSequence
 /// encoding (ForEachCandidateKey). Under obs::Enabled() it flushes the
 /// input's work to the mining.map_* counters (MapCounts: sequences,
-/// grid_edges and candidates, the distinct candidates emitted). Throws
+/// grid_edges and candidates, the distinct candidates emitted, and the grid
+/// build time grid_ns, also for an input with no accepting run). Throws
 /// MiningBudgetError when T has more raw candidates than
 /// candidates_per_sequence_budget (0 = unlimited), and then emits nothing.
 /// `table` is the job's step table: σ-pruned at options.sigma for

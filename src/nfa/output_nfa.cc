@@ -417,22 +417,19 @@ bool PivotNfaBuilder::Sweep(ItemId pivot) {
     for (const StateGrid::Edge& e : grid_.EdgesAt(i)) {
       const size_t g = grid_.EdgeIndex(e);
       move_[g] = kDeadMove;
-      uint8_t next = above[e.to];
+      const uint8_t next = above[e.to];
       if (next == 0) continue;  // no live target: as good as dead
       const PivotEdge test = TestPivotEdge(e.out, pivot);
       if (test.kind == PivotEdge::kDead) continue;
-      if (test.kind == PivotEdge::kEpsilon) {
+      const bool eps = test.kind == PivotEdge::kEpsilon;
+      if (eps) {
         move_[g] = kEpsMove;
       } else {
         const uint32_t node =
             prefix_nodes_[label_base_[g] + test.label_size - 1];
         move_[g] = node << 1 | (test.carries_pivot ? 1 : 0);
-        // Carrying k sets the bit, so both entry values reach a seen suffix.
-        if (test.carries_pivot && (next & kLiveSeen)) {
-          next = kLiveUnseen | kLiveSeen;
-        }
       }
-      live[e.from] |= next;
+      live[e.from] |= BitsThrough(next, eps, test.carries_pivot);
     }
   }
   return true;

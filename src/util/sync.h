@@ -2,7 +2,7 @@
 // this repo (tools/lint_dseq.py rule `raw-sync-primitive` bans bare
 // std::mutex/std::lock_guard/std::condition_variable everywhere else).
 //
-// dseq::Mutex / dseq::MutexLock / dseq::CondVar wrap the std primitives and
+// dseq::Mutex / dseq::MutexLock wrap the std primitives and
 // carry Clang Thread Safety Analysis attributes, so the locking contract of
 // every synchronized structure is machine-checked at compile time:
 //
@@ -23,8 +23,6 @@
 #ifndef DSEQ_UTIL_SYNC_H_
 #define DSEQ_UTIL_SYNC_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 
 // Attribute plumbing: GNU-style attributes guarded by __has_attribute so the
@@ -49,7 +47,7 @@
 /// itself may be read freely).
 #define DSEQ_PT_GUARDED_BY(x) DSEQ_THREAD_ANNOTATION(pt_guarded_by(x))
 /// Function that must be called with the named mutex(es) held; still held on
-/// return (the contract of condition-variable waits and _locked helpers).
+/// return (the contract of _locked helpers).
 #define DSEQ_REQUIRES(...) \
   DSEQ_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 /// Function that acquires the named mutex(es) (or `this` when empty).
@@ -82,8 +80,6 @@
 
 namespace dseq {
 
-class CondVar;
-
 /// std::mutex with the capability attribute. Prefer MutexLock over manual
 /// lock()/unlock() pairs; the manual API exists for the rare split-scope
 /// pattern and stays fully analysis-checked.
@@ -98,7 +94,6 @@ class DSEQ_CAPABILITY("mutex") Mutex {
   bool try_lock() DSEQ_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -112,42 +107,6 @@ class DSEQ_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// Condition variable waiting on a dseq::Mutex. Wait/WaitFor require the
-/// mutex held and return with it held (the wait's internal release/reacquire
-/// is invisible to callers, exactly like std::condition_variable) — so
-/// guarded state stays accessible across the call, but any condition checked
-/// before the wait must be rechecked after it.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void Wait(Mutex& mu) DSEQ_REQUIRES(mu) {
-    // Adopt the already-held native handle for the duration of the wait;
-    // release() keeps it held when the adapter goes out of scope.
-    std::unique_lock<std::mutex> adapter(mu.mu_, std::adopt_lock);
-    cv_.wait(adapter);
-    adapter.release();
-  }
-
-  /// Waits until notified or `timeout` elapsed (spurious wakeups allowed,
-  /// as with any condition variable).
-  template <typename Rep, typename Period>
-  void WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout)
-      DSEQ_REQUIRES(mu) {
-    std::unique_lock<std::mutex> adapter(mu.mu_, std::adopt_lock);
-    cv_.wait_for(adapter, timeout);
-    adapter.release();
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace dseq

@@ -138,6 +138,10 @@ std::vector<std::tuple<StateId, StateId, Sequence>> Tuples(const Edges& edges) {
 // The coordinate index against the per-layer construction: the ranges
 // EdgesOf(c) tile edges() in coordinate order, each holds exactly the edges
 // of its layer out of its state, and every layer equals the reference's.
+// Alive and ForwardActive equal the reference's alive and reached flags on
+// an accepting grid and are false everywhere on another; EpsAccept equals
+// "reached, with an ε-only completion to a final end", rolled down the
+// reference's layers.
 TEST(GridTest, CoordinateIndexMatchesPerLayerConstruction) {
   size_t grids = 0;
   size_t pruned = 0;
@@ -153,19 +157,19 @@ TEST(GridTest, CoordinateIndexMatchesPerLayerConstruction) {
         const StepTable table(fst, db.dict, sigma);
         for (const Sequence& T : db.sequences) {
           StateGrid grid = StateGrid::Build(T, table);
-          auto reference =
+          const testing::ReferenceGrid reference =
               testing::ReferenceLayers(T, fst, db.dict, sigma, &pruned);
           // The per-sequence overload runs the same loop over T's items.
           StateGrid local = StateGrid::Build(T, fst, db.dict, options);
           EXPECT_EQ(Tuples(local.edges()), Tuples(grid.edges()));
           EXPECT_EQ(local.HasAcceptingRun(), grid.HasAcceptingRun());
-          ASSERT_EQ(reference.size(), grid.length());
+          ASSERT_EQ(reference.layers.size(), grid.length());
           const size_t ns = grid.num_states();
           const Span<StateGrid::Edge> all = grid.edges();
           size_t next = 0;
           for (size_t i = 0; i <= grid.length(); ++i) {
             if (i < grid.length()) {
-              EXPECT_EQ(Tuples(grid.EdgesAt(i)), Tuples(reference[i]))
+              EXPECT_EQ(Tuples(grid.EdgesAt(i)), Tuples(reference.layers[i]))
                   << "layer " << i;
             }
             for (StateId q = 0; q < ns; ++q) {
@@ -188,12 +192,34 @@ TEST(GridTest, CoordinateIndexMatchesPerLayerConstruction) {
           }
           EXPECT_EQ(next, grid.num_edges());
           EXPECT_EQ(next, all.size());
-          for (size_t i = 0; i <= grid.length(); ++i) {
-            for (StateId q = 0; q < ns; ++q) {
-              EXPECT_EQ(local.Alive(i, q), grid.Alive(i, q));
-              EXPECT_EQ(local.ForwardActive(i, q), grid.ForwardActive(i, q));
+          const size_t n = grid.length();
+          std::vector<bool> eps_accept((n + 1) * ns, false);
+          for (StateId q = 0; q < ns; ++q) {
+            eps_accept[n * ns + q] = reference.alive[n * ns + q];
+          }
+          for (size_t i = n; i-- > 0;) {
+            for (const StateGrid::Edge& e : reference.layers[i]) {
+              if (e.out.empty() && eps_accept[(i + 1) * ns + e.to]) {
+                eps_accept[i * ns + e.from] = true;
+              }
             }
           }
+          for (size_t i = 0; i <= n; ++i) {
+            for (StateId q = 0; q < ns; ++q) {
+              SCOPED_TRACE("(" + std::to_string(i) + ", " +
+                           std::to_string(q) + ")");
+              const size_t c = i * ns + q;
+              EXPECT_EQ(grid.Alive(i, q), bool{reference.alive[c]});
+              EXPECT_EQ(grid.ForwardActive(i, q),
+                        grid.HasAcceptingRun() && reference.reached[c]);
+              EXPECT_EQ(grid.EpsAccept(i, q), bool{eps_accept[c]});
+              EXPECT_EQ(local.Alive(i, q), grid.Alive(i, q));
+              EXPECT_EQ(local.ForwardActive(i, q), grid.ForwardActive(i, q));
+              EXPECT_EQ(local.EpsAccept(i, q), grid.EpsAccept(i, q));
+            }
+          }
+          EXPECT_EQ(grid.HasAcceptingRun(),
+                    ns > 0 && reference.alive[grid.initial_state()]);
           if (grid.num_edges() > 0) ++grids;
         }
       }

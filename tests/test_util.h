@@ -17,6 +17,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/core/grid.h"
@@ -149,16 +150,26 @@ inline bool ReferenceStep(const Fst& fst, const Transition& tr, ItemId t,
   return !out->empty() || tr.out_kind == OutputKind::kEpsilon;
 }
 
-/// Reference grid, the per-transition construction StateGrid::Build
+/// A reference grid: one edge vector per layer, and per coordinate
+/// i * num_states + q whether it is reached from (0, initial) and whether
+/// it is alive (reached and on an accepting run).
+struct ReferenceGrid {
+  std::vector<std::vector<StateGrid::Edge>> layers;
+  std::vector<bool> reached;
+  std::vector<bool> alive;
+};
+
+/// Reference grid, the forward-then-prune construction StateGrid::Build
 /// replaced: one edge vector per layer, stepping every transition out of
 /// every reached coordinate with ReferenceStep, sorted by (from, to, out)
 /// and deduplicated, then pruned from the top layer down to the edges into
-/// a coordinate on an accepting run; every layer is emptied if
-/// (0, initial) is not on one. `*pruned` counts the edges the pruning
-/// removed from accepting grids. grid_test pins StateGrid::Build against it.
-inline std::vector<std::vector<StateGrid::Edge>> ReferenceLayers(
-    const Sequence& T, const Fst& fst, const Dictionary& dict, uint64_t sigma,
-    size_t* pruned) {
+/// a coordinate on an accepting run; every layer is emptied, and no
+/// coordinate is alive, if (0, initial) is not on one. `*pruned` counts the
+/// edges the pruning removed from accepting grids. grid_test pins
+/// StateGrid::Build against it.
+inline ReferenceGrid ReferenceLayers(const Sequence& T, const Fst& fst,
+                                     const Dictionary& dict, uint64_t sigma,
+                                     size_t* pruned) {
   const size_t n = T.size();
   const size_t ns = fst.num_states();
   std::vector<std::vector<StateGrid::Edge>> layers(n);
@@ -202,10 +213,12 @@ inline std::vector<std::vector<StateGrid::Edge>> ReferenceLayers(
   }
   if (ns == 0 || !alive[fst.initial()]) {
     for (auto& layer : layers) layer.clear();
+    alive.assign(alive.size(), false);
   } else {
     *pruned += removed;
   }
-  return layers;
+  return ReferenceGrid{std::move(layers), std::move(reached),
+                       std::move(alive)};
 }
 
 /// Reference candidate search, a plain DFS over every accepting run:

@@ -2,8 +2,8 @@
 // warning-clean on every supported compiler, and under Clang with
 // -Werror=thread-safety (the negative snippets next to it must NOT). It
 // exercises every construct the repo uses: GUARDED_BY members behind
-// MutexLock, a REQUIRES helper, PT_GUARDED_BY, EXCLUDES, the manual
-// try_lock/unlock path, and a CondVar wait loop.
+// MutexLock, a REQUIRES helper, PT_GUARDED_BY, EXCLUDES, and the manual
+// try_lock/unlock path.
 #include <cstdint>
 
 #include "src/util/sync.h"
@@ -30,11 +30,6 @@ class AnnotatedCounter {
     if (sink_ != nullptr) *sink_ = value_;
   }
 
-  void WaitUntilAtLeast(uint64_t threshold) DSEQ_EXCLUDES(mu_) {
-    dseq::MutexLock lock(mu_);
-    while (value_ < threshold) cv_.Wait(mu_);
-  }
-
   uint64_t Value() DSEQ_EXCLUDES(mu_) {
     dseq::MutexLock lock(mu_);
     return value_;
@@ -44,11 +39,9 @@ class AnnotatedCounter {
   void AddLocked(uint64_t n) DSEQ_REQUIRES(mu_) {
     value_ += n;
     if (sink_ != nullptr) *sink_ = value_;
-    cv_.NotifyAll();
   }
 
   dseq::Mutex mu_;
-  dseq::CondVar cv_;
   uint64_t value_ DSEQ_GUARDED_BY(mu_) = 0;
   uint64_t* sink_ DSEQ_GUARDED_BY(mu_) DSEQ_PT_GUARDED_BY(mu_) = nullptr;
 };
@@ -61,6 +54,5 @@ int main() {
   (void)counter.TryAdd(2);
   uint64_t sink = 0;
   counter.SetSink(&sink);
-  counter.WaitUntilAtLeast(1);
   return counter.Value() == 0 ? 1 : 0;
 }

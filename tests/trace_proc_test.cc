@@ -104,6 +104,7 @@ TEST_F(TraceProcTest, ProcRoundMergesCoordinatorAndWorkerSpans) {
 // (MapCounts: the grid and pivot fields, then D-SEQ's rewrite items or
 // D-CAND's DFA states and bytes) and their reduce (MinePartitionInput).
 // SEMI-NAIVE's map counts its grids and the distinct candidates it emits.
+// All three maps time their grid build.
 TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
   const std::vector<std::string> reduce_names = {
       "mining.reduce_sequences", "mining.reduce_edges_kept",
@@ -122,13 +123,13 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
                       "mining.map_nfa_bytes"});
   dcand_names.insert(dcand_names.end(), reduce_names.begin(),
                      reduce_names.end());
-  // D-SEQ's map phase timers and both miners' reduce phase timers: their
-  // values differ between backends, so only their presence (non-zero on
-  // both) is compared.
-  const std::vector<std::string> dseq_timers = {
-      "mining.map_grid_ns", "mining.map_pivots_ns", "mining.map_rewrite_ns"};
-  const std::vector<std::string> reduce_timers = {"mining.reduce_store_ns",
-                                                  "mining.reduce_dfs_ns"};
+  // The map phase timers (the grid build's of every map, D-SEQ's other two)
+  // and both miners' reduce phase timers: their values differ between
+  // backends, so only their presence (non-zero on both) is compared.
+  const std::vector<std::string> dseq_timers = {"mining.map_pivots_ns",
+                                                "mining.map_rewrite_ns"};
+  const std::vector<std::string> common_timers = {
+      "mining.map_grid_ns", "mining.reduce_store_ns", "mining.reduce_dfs_ns"};
   SequenceDatabase db = testing::RandomDatabase(4300, 7, 60, 10);
   Fst fst = CompileFst(".*(i0^)[.*(.^)]{1,2}.*", db.dict);
   DSeqOptions options;
@@ -159,7 +160,7 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
       for (const std::string& name : checked) {
         values.push_back(obs::GetCounter(name).Value());
       }
-      std::vector<std::string> timers = reduce_timers;
+      std::vector<std::string> timers = common_timers;
       if (!dcand) {
         timers.insert(timers.end(), dseq_timers.begin(), dseq_timers.end());
       }
@@ -225,6 +226,8 @@ TEST_F(TraceProcTest, MiningCountersMatchAcrossBackends) {
     for (const std::string& name : naive_names) {
       values.push_back(obs::GetCounter(name).Value());
     }
+    EXPECT_GT(obs::GetCounter("mining.map_grid_ns").Value(), 0u)
+        << "on backend " << static_cast<int>(backend);
     // One (candidate, 1) record per distinct candidate of every input.
     EXPECT_EQ(obs::GetCounter("mining.map_candidates").Value(),
               naive_results.back().metrics.map_output_records);

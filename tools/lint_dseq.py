@@ -24,7 +24,7 @@ the offending line or the line above it):
   raw-sync-primitive   bare std synchronization primitives (std::mutex,
                        std::lock_guard, std::condition_variable, and their
                        relatives) outside src/util/sync.h — all locking goes
-                       through the annotated dseq::Mutex/MutexLock/CondVar
+                       through the annotated dseq::Mutex/MutexLock
                        wrappers so Clang Thread Safety Analysis sees it.
   detached-thread      std::thread::detach() anywhere — detached threads
                        outlive round teardown, dodge the error contract, and
@@ -232,7 +232,7 @@ class Linter:
             if self.SYNC_RE.search(line):
                 self.report(path, i, "raw-sync-primitive",
                             "bare std synchronization primitive — use the "
-                            "annotated dseq::Mutex/MutexLock/CondVar "
+                            "annotated dseq::Mutex/MutexLock "
                             "(src/util/sync.h)", raw_lines)
 
     DETACH_RE = re.compile(r"(?:\.|->)\s*detach\s*\(\s*\)")
@@ -343,7 +343,7 @@ class Linter:
             if self.FST_STEP_RE.search(line):
                 self.report(path, i, "fst-step",
                             "FST step outside the StepTable build — read the "
-                            "job's StepTable (StepTable::Simulate, Step)",
+                            "job's StepTable (StepTable::Walk, Step)",
                             raw_lines)
 
     # Options structs are the library's one configuration surface. The
