@@ -25,17 +25,6 @@ DistributedResult MinePrefixSpan(const std::vector<Sequence>& db,
                                  const Dictionary& dict,
                                  const PrefixSpanOptions& options);
 
-/// k-round chained PrefixSpan (the MLlib-style iterative setting): round r
-/// shuffles the projected databases of the surviving length-r prefixes, so
-/// prefixes grow one shuffle round at a time. Runs at most `lambda` rounds,
-/// stopping early once no prefix survives. Patterns are identical to
-/// MinePrefixSpan's; the per-round metrics expose what the collapsed
-/// single-round baseline avoids shipping. shuffle_budget_bytes bounds each
-/// round.
-DistributedResult MineChainedPrefixSpan(const std::vector<Sequence>& db,
-                                        const Dictionary& dict,
-                                        const PrefixSpanOptions& options);
-
 }  // namespace dseq
 
 #endif  // DSEQ_BASELINES_PREFIX_SPAN_H_

@@ -25,30 +25,25 @@ namespace dseq {
 
 /// A chain of map-shuffle-reduce rounds with shared options and metrics.
 ///
-/// Usage: every round is a RunRound. A round whose input is the previous
-/// round's output takes it with TakeRecords() and maps over the taken
-/// records by index; a driver may also collect records() and re-seed the
-/// chain from external input — the in-process analogue of Spark's
-/// collect-and-broadcast between jobs (used by the frequency-recount
-/// drivers).
+/// Usage: every round is a RunRound. After a round the driver takes its
+/// output with TakeRecords(): to decode a result (RunDistributedMining), or
+/// to feed records to the next round's map by index (MineDSeqBalanced's
+/// reconcile round).
 ///
 /// After a ShuffleOverflowError the job is dead: per-round metrics cover
-/// only completed rounds and records() is unspecified.
+/// only completed rounds and the boundary records are unspecified.
 class DataflowJob {
  public:
   explicit DataflowJob(const DataflowOptions& options) : options_(options) {}
 
   /// Runs a round whose map input is external: `map_fn` is called once per
   /// index in [0, num_inputs). `combine` as in RunMapReduce. Returns the
-  /// round's metrics; its output records are left in records().
+  /// round's metrics; its output records wait for TakeRecords().
   const DataflowMetrics& RunRound(size_t num_inputs, const MapFn& map_fn,
                                   bool combine, const ReduceFn& reduce_fn);
 
-  /// Output records of the last completed round (RoundResult::records).
-  const std::vector<Record>& records() const { return records_; }
-
-  /// Moves the boundary records out, to feed them to the next round's map
-  /// or to collect a side result. Leaves records() empty.
+  /// Moves out the output records of the last completed round
+  /// (RoundResult::records), leaving none behind.
   std::vector<Record> TakeRecords() {
     std::vector<Record> out = std::move(records_);
     records_.clear();

@@ -4,8 +4,9 @@
 // Both shuffle aggregations of the paper are one operation: a value is
 // varint(weight) + payload, and the weights of identical (key, payload)
 // records are summed. A count is a weight with an empty payload (NAIVE /
-// SEMI-NAIVE candidate counts, the recount rounds); D-CAND's weighted NFAs
-// (Sec. VI-A) and D-SEQ's aggregated rewrites carry the payload.
+// SEMI-NAIVE candidate counts, MineDSeqBalanced's split supports); D-CAND's
+// weighted NFAs (Sec. VI-A) and D-SEQ's aggregated rewrites carry the
+// payload.
 //
 // Records aggregate into an open-addressing table (power-of-two capacity,
 // linear probing, growth at 7/8 load) whose slots view their (key, payload)

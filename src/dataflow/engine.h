@@ -205,10 +205,13 @@ struct DataflowOptions {
   /// Proc backend only: kill and reassign an in-flight worker that has made
   /// no progress for this long. "Progress" includes heartbeats: a worker's
   /// task thread sends kPong as its task advances, at most once per quarter
-  /// of this timeout (clamped to [10ms, 1s]), so a slow-but-working task
-  /// survives any timeout while a hung one goes silent and is killed. 0
-  /// disables the timeout and the heartbeats (worker loss is still detected
-  /// via connection EOF and the task re-executed).
+  /// of this timeout (clamped to [10ms, 1s]). The task advances once per
+  /// map input, received segment and reduced key group, so a hung task goes
+  /// silent and is killed — but so is one unit of work (one key group that
+  /// mines, one map input) that runs longer than this timeout: set it above
+  /// the slowest such unit (ROADMAP item S tracks beating from inside the
+  /// miners). 0 disables the timeout and the heartbeats (worker loss is
+  /// still detected via connection EOF and the task re-executed).
   int proc_worker_timeout_ms = 0;
   /// Proc backend only: how many times one task may be attempted before the
   /// round fails with ProcTaskFailedError naming the task, the attempt

@@ -170,14 +170,6 @@ void Dictionary::ComputeDocFrequencies(const std::vector<Sequence>& db,
   }
 }
 
-void Dictionary::SetDocFrequencies(std::vector<uint64_t> doc_freq) {
-  if (doc_freq.size() != size()) {
-    throw std::invalid_argument(
-        "SetDocFrequencies: frequency vector size does not match dictionary");
-  }
-  doc_freq_ = std::move(doc_freq);
-}
-
 Dictionary Dictionary::RecodeByFrequency(std::vector<Sequence>* db,
                                          std::vector<ItemId>* old_to_new) const {
   size_t n = size();

@@ -91,12 +91,6 @@ class Dictionary {
   void ComputeDocFrequencies(const std::vector<Sequence>& db,
                              int num_workers = 1);
 
-  /// Replaces the document frequencies, e.g. with the result of a
-  /// distributed frequency-recount round (indexed by id - 1; the size must
-  /// match). Item ids are untouched, so fid order — and with it every
-  /// pivot — stays fixed; only σ-pruning decisions see the new counts.
-  void SetDocFrequencies(std::vector<uint64_t> doc_freq);
-
   /// Returns a new dictionary whose ids are assigned by decreasing document
   /// frequency (fids) and rewrites `db` (and any id in the hierarchy) to the
   /// new ids. `old_to_new`, if non-null, receives the id mapping (indexed by

@@ -147,6 +147,10 @@ PatternCount DecodePatternRecord(std::string_view key, std::string_view value) {
   return mined;
 }
 
+namespace {
+
+// Runs RunDistributedMining's one round on `job` and returns the round's
+// merged, canonicalized patterns.
 MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
                             const MapFn& map_fn, bool combine,
                             const PartitionReduceFn& reduce_fn) {
@@ -184,6 +188,8 @@ MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
   return patterns;
 }
 
+}  // namespace
+
 DistributedResult MakeChainedResult(MiningResult patterns,
                                     const DataflowJob& job) {
   DistributedResult result;
@@ -200,78 +206,6 @@ DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
   DataflowJob job(options);
   return MakeChainedResult(
       RunMiningRound(job, num_inputs, map_fn, combine, reduce_fn), job);
-}
-
-Dictionary RecountFrequencies(DataflowJob& job,
-                              const std::vector<Sequence>& db,
-                              const Dictionary& dict, uint32_t sample_every) {
-  if (sample_every == 0) sample_every = 1;
-  const size_t n = dict.size();
-
-  // Map: one (ancestor item, 1) record per distinct ancestor per sampled
-  // sequence — the distributed form of ComputeDocFrequencies' stamp loop.
-  // The stamp array (allocated once per worker thread, not per sequence)
-  // avoids clearing a seen-set per sequence, as in ComputeDocFrequencies.
-  MapFn map_fn = [&, sample_every](size_t index, const EmitFn& emit) {
-    if (index % sample_every != 0) return;
-    thread_local std::vector<uint64_t> stamp;
-    thread_local uint64_t cur = 0;
-    if (stamp.size() < n + 1) stamp.assign(n + 1, 0);
-    ++cur;
-    std::string one;
-    PutVarint(&one, 1);
-    for (ItemId t : db[index]) {
-      for (ItemId a : dict.Ancestors(t)) {
-        if (stamp[a] == cur) continue;
-        stamp[a] = cur;
-        emit(EncodePivotKey(a), one);
-      }
-    }
-  };
-
-  // Reduce: sum the per-item counts and emit one (item, count) boundary
-  // record; the driver collects them below (Spark's collect-and-broadcast).
-  ReduceFn reduce_fn = [](int, std::string_view key,
-                          std::vector<std::string_view>& values,
-                          const EmitFn& emit) {
-    uint64_t count = 0;
-    for (std::string_view v : values) {
-      size_t pos = 0;
-      uint64_t c = 0;
-      if (!GetVarint(v, &pos, &c) || pos != v.size()) {
-        throw std::invalid_argument("malformed frequency-recount record");
-      }
-      count += c;
-    }
-    std::string value;
-    PutVarint(&value, count);
-    emit(key, value);
-  };
-
-  job.RunRound(db.size(), map_fn, /*combine=*/true, reduce_fn);
-
-  // Scale sampled counts by the true sampling ratio db.size()/num_sampled
-  // (not sample_every: the last stride may be short, and count*sample_every
-  // would then systematically overestimate). Exact when sample_every == 1.
-  uint64_t num_sampled = (db.size() + sample_every - 1) / sample_every;
-  std::vector<uint64_t> doc_freq(n, 0);
-  for (const Record& record : job.TakeRecords()) {
-    ItemId item = DecodePivotKey(record.key);
-    size_t pos = 0;
-    uint64_t count = 0;
-    if (item > n || !GetVarint(record.value, &pos, &count) ||
-        pos != record.value.size()) {
-      throw std::invalid_argument("malformed frequency-recount result");
-    }
-    doc_freq[item - 1] =
-        num_sampled == 0
-            ? 0
-            : (count * db.size() + num_sampled / 2) / num_sampled;
-  }
-
-  Dictionary recounted = dict;
-  recounted.SetDocFrequencies(std::move(doc_freq));
-  return recounted;
 }
 
 size_t DistinctSequences(std::vector<Sequence> sequences) {

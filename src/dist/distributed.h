@@ -18,7 +18,6 @@
 #include "src/core/mining.h"
 #include "src/dataflow/chained.h"
 #include "src/dataflow/engine.h"
-#include "src/dict/dictionary.h"
 #include "src/util/common.h"
 #include "src/util/varint.h"
 
@@ -54,41 +53,19 @@ using PartitionReduceFn = std::function<void(
 /// Shared driver of the single-round distributed miners: runs one
 /// map-shuffle-reduce round (`combine` as in RunMapReduce) and returns its
 /// merged, canonicalized patterns and metrics (MakeChainedResult over a
-/// one-round job).
+/// one-round job). Mined patterns leave the reduce side as pattern records
+/// (EncodePatternRecord) and are decoded by the driver, so the round works
+/// identically on the proc backend, where reduce functions run in forked
+/// processes and side effects on captured state are lost.
 DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
                                        bool combine,
                                        const PartitionReduceFn& reduce_fn,
                                        const DistributedRunOptions& options);
 
-/// Runs one mining round on `job` (sharing its budgets and per-round
-/// metrics) and returns the round's merged, canonicalized patterns. Mined
-/// patterns leave the reduce side as pattern records (EncodePatternRecord)
-/// and are decoded here, so the round works identically on the proc
-/// backend, where reduce functions run in forked processes and side effects
-/// on captured state are lost; the job's records() is left empty, making
-/// this a terminal round of the chain. A recount driver calls it after
-/// RecountFrequencies on the same job.
-MiningResult RunMiningRound(DataflowJob& job, size_t num_inputs,
-                            const MapFn& map_fn, bool combine,
-                            const PartitionReduceFn& reduce_fn);
-
 /// Assembles the result every driver returns: the patterns plus the
 /// finished job's per-round and aggregate metrics.
 DistributedResult MakeChainedResult(MiningResult patterns,
                                     const DataflowJob& job);
-
-/// Distributed frequency recount (round 1 of the recount drivers):
-/// counts, on `job`, the per-item document frequencies of `db` — exactly
-/// Dictionary::ComputeDocFrequencies semantics (an occurrence counts for
-/// every ancestor, once per sequence) — and returns a copy of `dict` with
-/// the recounted frequencies installed. With `sample_every` > 1 only every
-/// sample_every-th sequence is counted and counts are scaled back up (the
-/// paper's sampled f-list); sample_every == 1 reproduces the exact counts,
-/// so downstream mining results are unchanged.
-Dictionary RecountFrequencies(DataflowJob& job,
-                              const std::vector<Sequence>& db,
-                              const Dictionary& dict,
-                              uint32_t sample_every = 1);
 
 /// Encodes an item-partition key (the pivot item) as a shuffle key. Varint
 /// coded so that shuffle-size accounting stays honest for frequent (small

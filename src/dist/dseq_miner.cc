@@ -201,28 +201,16 @@ void MapDSeqInput(const Sequence& T, const StepTable& table,
 
 namespace {
 
-// The map function shared by the single-round miner, the chained recount
-// driver, and the plan-driven balanced miner. The returned closure captures
-// `db`, `table`, `options` (and `plan`, when given) by reference; callers
-// keep them alive for the round. The balanced miner passes its
-// PartitionPlan so pivots the plan split ship under range-split
-// sub-partition keys.
+// The map function shared by the single-round miner and the plan-driven
+// balanced miner. The returned closure captures `db`, `table`, `options`
+// (and `plan`, when given) by reference; callers keep them alive for the
+// round. The balanced miner passes its PartitionPlan so pivots the plan
+// split ship under range-split sub-partition keys.
 MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const StepTable& table,
                     const DSeqOptions& options,
                     const PartitionPlan* plan = nullptr) {
   return [&db, &table, &options, plan](size_t index, const EmitFn& emit) {
     MapDSeqInput(db[index], table, options, emit, plan, index);
-  };
-}
-
-PartitionReduceFn MakeDSeqReduceFn(const StepTable& table,
-                                   const DSeqOptions& options) {
-  return [&table, &options](std::string_view key,
-                            std::vector<std::string_view>& values,
-                            MiningResult& out) {
-    MiningResult local = MineDSeqPartition(key, values, table, options);
-    out.insert(out.end(), std::make_move_iterator(local.begin()),
-               std::make_move_iterator(local.end()));
   };
 }
 
@@ -263,25 +251,15 @@ DistributedResult MineDSeq(const std::vector<Sequence>& db, const Fst& fst,
                            const Dictionary& dict,
                            const DSeqOptions& options) {
   const StepTable table(fst, dict, options.sigma);
+  PartitionReduceFn reduce_fn = [&table, &options](
+      std::string_view key, std::vector<std::string_view>& values,
+      MiningResult& out) {
+    MiningResult local = MineDSeqPartition(key, values, table, options);
+    out.insert(out.end(), std::make_move_iterator(local.begin()),
+               std::make_move_iterator(local.end()));
+  };
   return RunDistributedMining(db.size(), MakeDSeqMapFn(db, table, options),
-                              options.aggregate_sequences,
-                              MakeDSeqReduceFn(table, options), options);
-}
-
-DistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
-                                  const Fst& fst,
-                                  const Dictionary& dict,
-                                  const DSeqRecountOptions& options) {
-  // Round 1 recounts the f-list; round 2 builds σ-pruned grids against it.
-  DataflowJob job(options);
-  Dictionary recounted =
-      RecountFrequencies(job, db, dict, options.recount_sample_every);
-  const StepTable table(fst, recounted, options.sigma);
-  return MakeChainedResult(
-      RunMiningRound(job, db.size(), MakeDSeqMapFn(db, table, options),
-                     options.aggregate_sequences,
-                     MakeDSeqReduceFn(table, options)),
-      job);
+                              options.aggregate_sequences, reduce_fn, options);
 }
 
 DistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,

@@ -117,22 +117,6 @@ MiningResult MineDSeqPartition(std::string_view key,
 DistributedResult MineDSeq(const std::vector<Sequence>& db, const Fst& fst,
                            const Dictionary& dict, const DSeqOptions& options);
 
-struct DSeqRecountOptions : DSeqOptions {
-  /// Count every sample_every-th sequence in the recount round and scale the
-  /// counts back up (1 = exact recount, results identical to MineDSeq).
-  uint32_t recount_sample_every = 1;
-};
-
-/// Two-round chained D-SEQ: round 1 recounts the item document frequencies
-/// on the dataflow, round 2 runs the D-SEQ map/shuffle/reduce with grids
-/// σ-pruned by the recounted f-list. Item ids (and with them pivots) stay
-/// fixed; only pruning decisions see the new counts. shuffle_budget_bytes
-/// bounds each round.
-DistributedResult MineDSeqRecount(const std::vector<Sequence>& db,
-                                  const Fst& fst,
-                                  const Dictionary& dict,
-                                  const DSeqRecountOptions& options);
-
 struct DSeqBalanceOptions : DSeqOptions {
   /// PartitionPlanOptions::split_factor of the plan; the plan always packs
   /// for num_reduce_workers.

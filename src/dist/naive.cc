@@ -66,21 +66,12 @@ MiningResult MineNaivePartition(std::string_view key,
   return result;
 }
 
-namespace {
-
-// The job's step table. SEMI-NAIVE communicates only candidates made of
-// frequent items; NAIVE ships the raw candidate space and lets the reducers
-// discard the rest.
-StepTable NaiveStepTable(const Fst& fst, const Dictionary& dict,
-                         const NaiveOptions& options) {
-  return StepTable(fst, dict, options.semi_naive ? options.sigma : 0);
-}
-
-// Runs the mining round of both drivers on `job`: MapNaiveInput over `db`,
-// then MineNaivePartition per candidate.
-MiningResult RunNaiveRound(DataflowJob& job, const std::vector<Sequence>& db,
-                           const StepTable& table,
-                           const NaiveOptions& options) {
+DistributedResult MineNaive(const std::vector<Sequence>& db, const Fst& fst,
+                            const Dictionary& dict,
+                            const NaiveOptions& options) {
+  // SEMI-NAIVE communicates only candidates made of frequent items; NAIVE
+  // ships the raw candidate space and lets the reducers discard the rest.
+  const StepTable table(fst, dict, options.semi_naive ? options.sigma : 0);
   MapFn map_fn = [&db, &table, &options](size_t index, const EmitFn& emit) {
     MapNaiveInput(db[index], table, options, emit);
   };
@@ -91,31 +82,8 @@ MiningResult RunNaiveRound(DataflowJob& job, const std::vector<Sequence>& db,
       out.push_back(std::move(p));
     }
   };
-  return RunMiningRound(job, db.size(), map_fn, /*combine=*/true, reduce_fn);
-}
-
-}  // namespace
-
-DistributedResult MineNaive(const std::vector<Sequence>& db, const Fst& fst,
-                            const Dictionary& dict,
-                            const NaiveOptions& options) {
-  DataflowJob job(options);
-  MiningResult patterns =
-      RunNaiveRound(job, db, NaiveStepTable(fst, dict, options), options);
-  return MakeChainedResult(std::move(patterns), job);
-}
-
-DistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
-                                   const Fst& fst,
-                                   const Dictionary& dict,
-                                   const NaiveRecountOptions& options) {
-  // Round 1 recounts the f-list; round 2 prunes with the recounted counts.
-  DataflowJob job(options);
-  Dictionary recounted =
-      RecountFrequencies(job, db, dict, options.recount_sample_every);
-  MiningResult patterns = RunNaiveRound(
-      job, db, NaiveStepTable(fst, recounted, options), options);
-  return MakeChainedResult(std::move(patterns), job);
+  return RunDistributedMining(db.size(), map_fn, /*combine=*/true, reduce_fn,
+                              options);
 }
 
 }  // namespace dseq

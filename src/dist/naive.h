@@ -64,21 +64,6 @@ DistributedResult MineNaive(const std::vector<Sequence>& db, const Fst& fst,
                             const Dictionary& dict,
                             const NaiveOptions& options);
 
-struct NaiveRecountOptions : NaiveOptions {
-  /// Count every sample_every-th sequence in the recount round and scale the
-  /// counts back up (1 = exact recount, results identical to MineNaive).
-  uint32_t recount_sample_every = 1;
-};
-
-/// Two-round chained NAIVE/SEMI-NAIVE: round 1 recounts the item document
-/// frequencies on the dataflow (the f-list job real deployments run first),
-/// round 2 mines with the recounted f-list. shuffle_budget_bytes bounds each
-/// round.
-DistributedResult MineNaiveRecount(const std::vector<Sequence>& db,
-                                   const Fst& fst,
-                                   const Dictionary& dict,
-                                   const NaiveRecountOptions& options);
-
 }  // namespace dseq
 
 #endif  // DSEQ_DIST_NAIVE_H_

@@ -77,9 +77,10 @@ enum class MsgType : uint8_t {
   /// worker -> coordinator: empty payload; heartbeat. The worker's task
   /// thread sends it when the task made progress (a map input, a received
   /// segment, a reduced key group) and the heartbeat interval has passed
-  /// since its last beat, so a hung worker goes silent and a
-  /// slow-but-working one stays alive. The coordinator treats any frame as
-  /// progress and otherwise ignores kPong.
+  /// since its last beat, so a hung worker goes silent. A worker inside one
+  /// such unit for longer than the stall timeout goes silent too (ROADMAP
+  /// item S). The coordinator treats any frame as progress and otherwise
+  /// ignores kPong.
   kPong = 10,
   /// worker -> coordinator: one observability snapshot (src/obs/trace.h
   /// wire codec — spans drained from the worker's buffers plus metric

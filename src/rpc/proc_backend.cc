@@ -213,8 +213,10 @@ class SegmentAssembler {
   std::string bytes_;
 };
 
-// Heartbeat cadence: a fraction of the stall timeout, so a slow-but-working
-// task always beats well inside the kill window. 0 disables heartbeats.
+// Heartbeat cadence: a quarter of the stall timeout, so a task that ticks
+// at least that often beats well inside the kill window (a single tick
+// unit longer than the timeout does not; see Heartbeat). 0 disables
+// heartbeats.
 int HeartbeatIntervalMs(const DataflowOptions& options) {
   if (options.proc_worker_timeout_ms > 0) {
     return std::clamp(options.proc_worker_timeout_ms / 4, 10, 1000);
@@ -273,8 +275,10 @@ void SendOrThrow(WorkerConn& conn, MsgType type, std::string_view payload) {
 // one unit of progress (a map input, a received segment, a reduced key
 // group) and sends kPong when `interval_ms` has passed since the last beat.
 // A hung task stops ticking and goes silent, so the coordinator's stall
-// timeout fires; a slow-but-working one keeps beating. Interval 0 (no stall
-// timeout) never beats.
+// timeout fires. So does a working task stuck inside one unit for longer
+// than the timeout (one key group that mines for long): nothing ticks
+// between units (ROADMAP item S). Interval 0 (no stall timeout) never
+// beats.
 class Heartbeat {
  public:
   Heartbeat(WorkerConn* conn, int interval_ms)

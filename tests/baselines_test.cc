@@ -200,6 +200,16 @@ TEST(PrefixSpanTest, MaxLengthRespected) {
   EXPECT_EQ(result.patterns.size(), 3u);  // a, aa, aaa
 }
 
+TEST(PrefixSpanTest, LambdaZeroYieldsNothing) {
+  // A length bound of 0 admits no pattern; the miner must neither mine nor
+  // underflow its recursion depth.
+  SequenceDatabase db = testing::RandomDatabase(4450, 6, 20, 6);
+  PrefixSpanOptions options;
+  options.sigma = 1;
+  options.lambda = 0;
+  EXPECT_TRUE(MinePrefixSpan(db.sequences, db.dict, options).patterns.empty());
+}
+
 class PrefixSpanPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PrefixSpanPropertyTest, MatchesDesqDfsOnT1) {

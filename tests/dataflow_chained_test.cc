@@ -61,19 +61,21 @@ TEST(DataflowJobTest, RecordsFlowBetweenRounds) {
   job.RunRound(docs.size(), map_fn, true, SumReduce());
 
   // Boundary records hold the per-word counts, serialized.
+  std::vector<Record> inputs = job.TakeRecords();
   std::map<std::string, uint64_t> words;
-  for (const Record& r : job.records()) words[r.key] = DecodeVarint(r.value);
+  for (const Record& r : inputs) words[r.key] = DecodeVarint(r.value);
   EXPECT_EQ(words, (std::map<std::string, uint64_t>{
                        {"apple", 2}, {"ant", 2}, {"bee", 2}}));
 
-  std::vector<Record> inputs = job.TakeRecords();
   MapFn rekey = [&](size_t i, const EmitFn& emit) {
     emit(inputs[i].key.substr(0, 1), inputs[i].value);
   };
   job.RunRound(inputs.size(), rekey, true, SumReduce());
 
   std::map<std::string, uint64_t> letters;
-  for (const Record& r : job.records()) letters[r.key] = DecodeVarint(r.value);
+  for (const Record& r : job.TakeRecords()) {
+    letters[r.key] = DecodeVarint(r.value);
+  }
   EXPECT_EQ(letters, (std::map<std::string, uint64_t>{{"a", 4}, {"b", 2}}));
 
   ASSERT_EQ(job.num_rounds(), 2u);
@@ -98,10 +100,8 @@ TEST(DataflowJobTest, TakeRecordsConsumes) {
     for (std::string_view v : values) emit(key, v);
   };
   job.RunRound(1, map_fn, false, pass);
-  ASSERT_EQ(job.records().size(), 1u);
-  std::vector<Record> taken = job.TakeRecords();
-  EXPECT_EQ(taken.size(), 1u);
-  EXPECT_TRUE(job.records().empty());
+  EXPECT_EQ(job.TakeRecords().size(), 1u);
+  EXPECT_TRUE(job.TakeRecords().empty());
 }
 
 TEST(DataflowJobTest, EmptyChainedRoundRunsCleanly) {
@@ -111,14 +111,77 @@ TEST(DataflowJobTest, EmptyChainedRoundRunsCleanly) {
   ReduceFn sink = [](int, std::string_view, std::vector<std::string_view>&,
                      const EmitFn&) {};
   job.RunRound(1, map_fn, false, sink);
-  EXPECT_TRUE(job.records().empty());
   std::vector<Record> inputs = job.TakeRecords();
+  EXPECT_TRUE(inputs.empty());
   MapFn identity = [&](size_t i, const EmitFn& emit) {
     emit(inputs[i].key, inputs[i].value);
   };
   job.RunRound(inputs.size(), identity, false, sink);
   EXPECT_EQ(job.num_rounds(), 2u);
   EXPECT_EQ(job.round_metrics()[1].shuffle_records, 0u);
+}
+
+TEST(DataflowJobTest, CustomPartitionerReachesEveryRound) {
+  // DataflowOptions::partitioner applies to every round of a job: under a
+  // rotated hash both rounds' records stay the same (order aside) and each
+  // round's per-reducer volume moves one reducer up.
+  std::vector<std::string> docs = {"apple ant bee", "bee apple", "ant cat",
+                                   "cat dog", "dog apple emu"};
+  MapFn count_words = [&](size_t i, const EmitFn& emit) {
+    std::string word;
+    for (char c : docs[i] + " ") {
+      if (c == ' ') {
+        if (!word.empty()) emit(word, Varint(1));
+        word.clear();
+      } else {
+        word += c;
+      }
+    }
+  };
+  struct Chain {
+    std::vector<std::vector<Record>> records;
+    std::vector<DataflowMetrics> metrics;
+  };
+  auto run = [&](const PartitionerFn& partitioner) {
+    DataflowOptions options;
+    options.num_map_workers = 2;
+    options.num_reduce_workers = 3;
+    options.partitioner = partitioner;
+    DataflowJob job(options);
+    Chain chain;
+    job.RunRound(docs.size(), count_words, true, SumReduce());
+    std::vector<Record> words = job.TakeRecords();
+    MapFn rekey = [&](size_t i, const EmitFn& emit) {
+      emit(words[i].key.substr(0, 1), words[i].value);
+    };
+    job.RunRound(words.size(), rekey, true, SumReduce());
+    chain.records = {std::move(words), job.TakeRecords()};
+    for (std::vector<Record>& round : chain.records) {
+      std::sort(round.begin(), round.end());
+    }
+    chain.metrics = job.round_metrics();
+    return chain;
+  };
+
+  Chain hashed = run(nullptr);
+  Chain rotated = run([](std::string_view key, int workers) {
+    return (ShuffleReducerForKey(key, workers) + 1) % workers;
+  });
+  ASSERT_EQ(hashed.metrics.size(), 2u);
+  ASSERT_EQ(rotated.metrics.size(), 2u);
+  for (size_t round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    EXPECT_FALSE(hashed.records[round].empty());
+    EXPECT_EQ(rotated.records[round], hashed.records[round]);
+    const std::vector<uint64_t>& plain = hashed.metrics[round].reducer_bytes;
+    const std::vector<uint64_t>& moved = rotated.metrics[round].reducer_bytes;
+    ASSERT_EQ(plain.size(), 3u);
+    ASSERT_EQ(moved.size(), 3u);
+    for (size_t r = 0; r < 3; ++r) EXPECT_EQ(moved[(r + 1) % 3], plain[r]);
+    EXPECT_NE(moved, plain);  // the rotation is visible
+    EXPECT_EQ(rotated.metrics[round].shuffle_bytes,
+              hashed.metrics[round].shuffle_bytes);
+  }
 }
 
 // --- Shuffle-budget regressions --------------------------------------------

@@ -319,22 +319,35 @@ TEST(MineDSeqBalancedTest, RejectsCallerSuppliedPartitioner) {
                std::invalid_argument);
 }
 
-TEST(MineDSeqBalancedTest, CustomPartitionerFlowsThroughRecountRounds) {
-  // DistributedRunOptions::partitioner reaches every round of a chained
-  // run: a rotated hash must leave recount results untouched.
-  SequenceDatabase db = testing::RandomDatabase(4400, 6, 60, 8);
-  Fst fst = CompileFst(".*(.^)[.{0,1}(.^)]{1,2}.*", db.dict);
-  DSeqRecountOptions options;
+TEST(MineDSeqBalancedTest, CompressionLeavesBothRoundsUnchanged) {
+  // Forced splits make a two-round job; the block codec changes neither the
+  // patterns nor either round's raw shuffle volume, and compresses every
+  // round that shuffled anything.
+  SequenceDatabase db = testing::RandomDatabase(4950, 7, 40, 8);
+  Fst fst = CompileFst(".*(.^).*", db.dict);
+  DSeqBalanceOptions options;
   options.sigma = 2;
-  options.num_map_workers = 4;
-  options.num_reduce_workers = 4;
-  MiningResult expected =
-      MineDSeqRecount(db.sequences, fst, db.dict, options).patterns;
-  options.partitioner = [](std::string_view key, int workers) {
-    return (ShuffleReducerForKey(key, workers) + 1) % workers;
-  };
-  EXPECT_EQ(MineDSeqRecount(db.sequences, fst, db.dict, options).patterns,
-            expected);
+  options.num_map_workers = 3;
+  options.num_reduce_workers = 3;
+  options.split_factor = 0.5;  // force splits
+  DistributedResult plain =
+      MineDSeqBalanced(db.sequences, fst, db.dict, options);
+  ASSERT_EQ(plain.num_rounds(), 2u);
+  options.compress_shuffle = true;
+  DistributedResult compressed =
+      MineDSeqBalanced(db.sequences, fst, db.dict, options);
+  EXPECT_EQ(compressed.patterns, plain.patterns);
+  ASSERT_EQ(compressed.num_rounds(), plain.num_rounds());
+  for (size_t r = 0; r < plain.num_rounds(); ++r) {
+    EXPECT_EQ(compressed.round_metrics[r].shuffle_bytes,
+              plain.round_metrics[r].shuffle_bytes)
+        << "round " << r;
+    if (compressed.round_metrics[r].shuffle_records > 0) {
+      EXPECT_GT(compressed.round_metrics[r].shuffle_compressed_bytes, 0u);
+    }
+  }
+  EXPECT_EQ(plain.metrics.shuffle_compressed_bytes, 0u);
+  EXPECT_GT(compressed.metrics.shuffle_compressed_bytes, 0u);
 }
 
 }  // namespace

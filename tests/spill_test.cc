@@ -661,24 +661,29 @@ TEST(SpillMiningTest, BudgetedDSeqIsByteIdenticalToInMemoryAndBruteForce) {
   });
 }
 
-TEST(SpillMiningTest, BudgetedRecountChainSpillsPerRound) {
+TEST(SpillMiningTest, BudgetedBalancedChainSpillsPerRound) {
+  // MineDSeqBalanced with forced splits is a two-round job: the mining
+  // round and the reconcile round that sums the split partials. A budget
+  // spills without moving either round's shuffle volume.
   SequenceDatabase db = testing::RandomDatabase(8200, 6, 60, 8);
-  Fst fst = CompileFst(".*(i0|i1|i2).*", db.dict);
+  Fst fst = CompileFst(".*(.^).*", db.dict);
 
-  DSeqRecountOptions options;
+  DSeqBalanceOptions options;
   options.sigma = 2;
   options.num_map_workers = 2;
   options.num_reduce_workers = 2;
+  options.split_factor = 0.5;  // force splits
   DistributedResult in_memory =
-      MineDSeqRecount(db.sequences, fst, db.dict, options);
+      MineDSeqBalanced(db.sequences, fst, db.dict, options);
+  ASSERT_EQ(in_memory.num_rounds(), 2u);
 
   ScopedSpillDir dir;
-  DSeqRecountOptions spill_options = options;
+  DSeqBalanceOptions spill_options = options;
   spill_options.memory_budget_bytes =
       std::max<uint64_t>(in_memory.metrics.shuffle_bytes / 8, 64);
   spill_options.spill_dir = dir.path();
   DistributedResult spilled =
-      MineDSeqRecount(db.sequences, fst, db.dict, spill_options);
+      MineDSeqBalanced(db.sequences, fst, db.dict, spill_options);
 
   EXPECT_EQ(spilled.patterns, in_memory.patterns);
   ASSERT_EQ(spilled.round_metrics.size(), in_memory.round_metrics.size());

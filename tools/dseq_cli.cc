@@ -6,23 +6,20 @@
 //   dseq_cli --sequences corpus.txt [--hierarchy edges.txt]
 //            --pattern '.*(A)[(.^).*]*(b).*' --sigma 2
 //            [--algorithm dseq|dcand|naive|semi-naive|desq-dfs|desq-count|
-//                         prefix-span|prefix-span-chained]
-//            [--workers N] [--limit N] [--stats] [--compress]
-//            [--recount] [--recount-sample N] [--lambda N]
+//                         prefix-span]
+//            [--workers N] [--limit N] [--stats] [--compress] [--lambda N]
 //            [--balance [--split-factor F]]
 //            [--memory-budget N [--spill-dir DIR]]
 //            [--backend local|proc]
 //
-// Iterative (multi-round) jobs: --recount prepends a distributed
-// frequency-recount round to naive/semi-naive/dseq, and
-// `--algorithm prefix-span-chained` grows PrefixSpan prefixes one shuffle
-// round at a time; --stats prints per-round metrics for both. --compress
+// `--algorithm prefix-span` is the paper's MLlib baseline (Fig. 13): its
+// constraint is (--sigma, --lambda), not a pattern expression. --compress
 // runs the shuffle through the block codec; --stats then reports the
-// compressed volume next to the raw one. --balance (dseq only) measures the per-pivot
-// shuffle volume first and mines under a PartitionPlan — light pivots
-// bundled, heavy pivots range-split and reconciled in one extra round —
-// instead of hash partitioning; --stats then also prints the plan and the
-// measured per-reducer balance.
+// compressed volume next to the raw one. --balance (dseq only) measures the
+// per-pivot shuffle volume first and mines under a PartitionPlan — light
+// pivots bundled, heavy pivots range-split and reconciled in one extra
+// round — instead of hash partitioning; --stats then also prints the plan,
+// the measured per-reducer balance and the metrics of each round.
 //
 // Out-of-core execution: --memory-budget N bounds the resident shuffle and
 // combiner state of the distributed algorithms to N bytes. With --spill-dir
@@ -70,9 +67,9 @@
 namespace {
 
 // Every --algorithm main() has a branch for.
-const char* const kAlgorithms[] = {
-    "dseq",     "dcand",      "naive",       "semi-naive",
-    "desq-dfs", "desq-count", "prefix-span", "prefix-span-chained"};
+const char* const kAlgorithms[] = {"dseq",       "dcand",    "naive",
+                                   "semi-naive", "desq-dfs", "desq-count",
+                                   "prefix-span"};
 
 struct Args {
   std::string sequences;
@@ -84,8 +81,6 @@ struct Args {
   size_t limit = 0;  // 0 = print all
   bool stats = false;
   bool compress = false;
-  bool recount = false;
-  uint32_t recount_sample = 1;
   uint32_t lambda = 5;  // prefix-span max pattern length
   bool lambda_set = false;
   bool balance = false;
@@ -114,18 +109,14 @@ struct Args {
       "  --pattern EXPR     pattern expression ('^' is the paper's ^)\n"
       "  --sigma N          minimum support (default 2)\n"
       "  --algorithm A      dseq | dcand | naive | semi-naive |\n"
-      "                     desq-dfs | desq-count | prefix-span |\n"
-      "                     prefix-span-chained (default dseq)\n"
+      "                     desq-dfs | desq-count | prefix-span\n"
+      "                     (default dseq)\n"
       "  --workers N        map/reduce workers (default: hardware)\n"
       "  --limit N          print at most N sequences (default: all)\n"
       "  --stats            print dataset and run statistics to stderr\n"
-      "                     (per-round metrics for chained runs)\n"
+      "                     (per-round metrics for --balance runs)\n"
       "  --compress         block-compress the shuffle (distributed\n"
       "                     algorithms); --stats reports both volumes\n"
-      "  --recount          naive/semi-naive/dseq: prepend a distributed\n"
-      "                     frequency-recount round (two-round chained job)\n"
-      "  --recount-sample N recount every N-th sequence only, scaled up\n"
-      "                     (default 1 = exact)\n"
       "  --lambda N         prefix-span max pattern length (default 5)\n"
       "  --balance          dseq: measure per-pivot shuffle volume and mine\n"
       "                     under a partition plan (bundle light pivots,\n"
@@ -220,11 +211,6 @@ Args ParseArgs(int argc, char** argv) {
       args.stats = true;
     } else if (std::strcmp(argv[i], "--compress") == 0) {
       args.compress = true;
-    } else if (std::strcmp(argv[i], "--recount") == 0) {
-      args.recount = true;
-    } else if (std::strcmp(argv[i], "--recount-sample") == 0) {
-      args.recount_sample = static_cast<uint32_t>(ParseUnsigned(
-          "--recount-sample", need_value("--recount-sample"), UINT32_MAX));
     } else if (std::strcmp(argv[i], "--lambda") == 0) {
       args.lambda = static_cast<uint32_t>(
           ParseUnsigned("--lambda", need_value("--lambda"), UINT32_MAX));
@@ -281,27 +267,18 @@ Args ParseArgs(int argc, char** argv) {
   }
   if (args.sequences.empty()) Usage("--sequences is required");
   // PrefixSpan's constraint is (σ, λ), not a pattern expression.
-  bool is_prefix_span = args.algorithm == "prefix-span" ||
-                        args.algorithm == "prefix-span-chained";
+  const bool is_prefix_span = args.algorithm == "prefix-span";
   if (args.pattern.empty() && !is_prefix_span) {
     Usage("--pattern is required");
   }
   if (!args.pattern.empty() && is_prefix_span) {
-    Usage("--pattern does not apply to the prefix-span algorithms (use "
+    Usage("--pattern does not apply to --algorithm prefix-span (use "
           "--sigma/--lambda)");
   }
   if (args.sigma == 0) Usage("--sigma must be positive");
   if (args.lambda == 0) Usage("--lambda must be positive");
-  if (args.recount_sample == 0) Usage("--recount-sample must be positive");
-  if (args.recount && args.algorithm != "naive" &&
-      args.algorithm != "semi-naive" && args.algorithm != "dseq") {
-    Usage("--recount requires --algorithm naive, semi-naive, or dseq");
-  }
-  if (args.recount_sample != 1 && !args.recount) {
-    Usage("--recount-sample requires --recount");
-  }
   if (args.lambda_set && !is_prefix_span) {
-    Usage("--lambda requires --algorithm prefix-span or prefix-span-chained");
+    Usage("--lambda requires --algorithm prefix-span");
   }
   if (args.compress &&
       (args.algorithm == "desq-dfs" || args.algorithm == "desq-count")) {
@@ -309,10 +286,6 @@ Args ParseArgs(int argc, char** argv) {
   }
   if (args.balance && args.algorithm != "dseq") {
     Usage("--balance requires --algorithm dseq");
-  }
-  if (args.balance && args.recount) {
-    Usage("--balance and --recount cannot be combined (the plan is measured "
-          "against the input f-list)");
   }
   if (args.split_factor_set && !args.balance) {
     Usage("--split-factor requires --balance");
@@ -496,28 +469,19 @@ int main(int argc, char** argv) {
       options.split_factor = args.split_factor;
       result = MineDSeqBalanced(db.sequences, fst, db.dict, options, &plan);
     } else if (args.algorithm == "dseq") {
-      auto options = RunOptions<DSeqRecountOptions>(args, workers);
-      options.recount_sample_every = args.recount_sample;
-      result = args.recount
-                   ? MineDSeqRecount(db.sequences, fst, db.dict, options)
-                   : MineDSeq(db.sequences, fst, db.dict, options);
+      result = MineDSeq(db.sequences, fst, db.dict,
+                        RunOptions<DSeqOptions>(args, workers));
     } else if (args.algorithm == "dcand") {
       result = MineDCand(db.sequences, fst, db.dict,
                          RunOptions<DCandOptions>(args, workers));
     } else if (args.algorithm == "naive" || args.algorithm == "semi-naive") {
-      auto options = RunOptions<NaiveRecountOptions>(args, workers);
+      auto options = RunOptions<NaiveOptions>(args, workers);
       options.semi_naive = args.algorithm == "semi-naive";
-      options.recount_sample_every = args.recount_sample;
-      result = args.recount
-                   ? MineNaiveRecount(db.sequences, fst, db.dict, options)
-                   : MineNaive(db.sequences, fst, db.dict, options);
-    } else if (args.algorithm == "prefix-span" ||
-               args.algorithm == "prefix-span-chained") {
+      result = MineNaive(db.sequences, fst, db.dict, options);
+    } else if (args.algorithm == "prefix-span") {
       auto options = RunOptions<PrefixSpanOptions>(args, workers);
       options.lambda = args.lambda;
-      result = args.algorithm == "prefix-span-chained"
-                   ? MineChainedPrefixSpan(db.sequences, db.dict, options)
-                   : MinePrefixSpan(db.sequences, db.dict, options);
+      result = MinePrefixSpan(db.sequences, db.dict, options);
     } else if (args.algorithm == "desq-dfs") {
       distributed = false;
       DesqDfsOptions options;
