@@ -1,10 +1,10 @@
 // Micro-benchmarks for the core components: grid construction, pivot
 // search, the forward/backward pivot DPs, rewriting, D-SEQ's partition
 // reduce (DfsInput build + pivot-restricted DESQ-DFS, and the whole
-// MineDSeqPartition), D-CAND's one-pass
-// minimal-DFA construction and bytes, run-trie minimization/serialization,
-// varint coding, the map-side combiner over weighted values and counts (the
-// zero-copy shuffle hot path, in memory and budgeted with spills),
+// MineDSeqPartition), D-CAND's one-pass minimal-DFA construction and bytes
+// and its reduce's NFA decode into the DfsInput store, varint coding, the
+// map-side combiner over weighted values and counts (the zero-copy shuffle
+// hot path, in memory and budgeted with spills),
 // SEMI-NAIVE's map (grid, candidate keys, budgeted combiner), the shuffle
 // block codec, the external spill-run merger (the out-of-core reduce path),
 // and the tracing-off cost of the instrumentation.
@@ -324,35 +324,6 @@ void BenchRewriteAllPivots() {
   });
 }
 
-void BenchNfaMinimizeAndSerialize() {
-  // Minimize + serialize of a run trie (the paper's path, kept for the
-  // benchmark replay and tests): the first pivot trie of the corpus with
-  // more than 16 states, unfolded from PivotNfaBuilder's minimal DFA.
-  const SequenceDatabase& db = Corpus();
-  GridOptions options;
-  options.prune_sigma = 10;
-  OutputNfa prototype;
-  for (const Sequence& T : db.sequences) {
-    StateGrid grid = StateGrid::Build(T, N4Fst(), db.dict, options);
-    if (!grid.HasAcceptingRun()) continue;
-    Sequence pivots = FindPivotItems(grid);
-    if (pivots.empty()) continue;
-    PivotNfaBuilder builder(grid);
-    builder.Build(pivots.back());
-    OutputNfa trie;
-    builder.Unfold(&trie);
-    prototype = std::move(trie);
-    if (prototype.num_states() > 16) break;
-  }
-  RunBench("nfa_minimize_serialize", 0, [&] {
-    OutputNfa nfa = prototype;
-    nfa.Minimize();
-    std::string bytes = SerializeNfa(nfa);
-    volatile size_t sink = bytes.size();
-    (void)sink;
-  });
-}
-
 void BenchDCandNfaBuild() {
   // The D-CAND map's per-sequence NFA work: one PivotNfaBuilder per grid,
   // then for every pivot k ∈ K(T) the one-pass minimal DFA and its bytes.
@@ -375,7 +346,10 @@ void BenchDCandNfaBuild() {
   });
 }
 
-void BenchNfaDeserialize() {
+void BenchNfaDecodeStore() {
+  // D-CAND's reduce decode: a minimized 30-run trie's bytes appended to one
+  // store, as a key group's records are, which starts afresh every 1024 NFAs
+  // so the bench's memory stays flat. No pivot, so no edge is cut.
   OutputNfa trie;
   std::mt19937_64 rng(3);
   for (int r = 0; r < 30; ++r) {
@@ -387,14 +361,6 @@ void BenchNfaDeserialize() {
   }
   trie.Minimize();
   std::string bytes = SerializeNfa(trie);
-  RunBench("nfa_deserialize", 0, [&] {
-    OutputNfa nfa = DeserializeNfa(bytes);
-    volatile size_t sink = nfa.num_states();
-    (void)sink;
-  });
-  // The same bytes through D-CAND's reduce decode: appended to one store,
-  // as a key group's records are, which starts afresh every 1024 NFAs so
-  // the bench's memory stays flat. No pivot, so no edge is cut.
   DfsInput store(kNoItem);
   size_t decoded = 0;
   RunBench("nfa_decode_store", 0, [&] {
@@ -849,9 +815,8 @@ int main(int argc, char** argv) {
   BenchPivotSearch();
   BenchPivotDp();
   BenchRewriteAllPivots();
-  BenchNfaMinimizeAndSerialize();
   BenchDCandNfaBuild();
-  BenchNfaDeserialize();
+  BenchNfaDecodeStore();
   BenchVarintSequenceRoundTrip();
   BenchCombiners();
   BenchSemiNaiveMap();

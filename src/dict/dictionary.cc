@@ -45,18 +45,12 @@ Dictionary DictionaryBuilder::Build() const {
   dict.parents_ = parents_;
   dict.by_name_ = by_name_;
   dict.doc_freq_.assign(names_.size(), 0);
-  dict.col_freq_.assign(names_.size(), 0);
   dict.BuildDerivedData();
   return dict;
 }
 
 void Dictionary::BuildDerivedData() {
   size_t n = names_.size();
-  children_.assign(n, {});
-  for (ItemId w = 1; w <= n; ++w) {
-    for (ItemId p : parents_[w - 1]) children_[p - 1].push_back(w);
-  }
-
   // Compute ancestors via memoized DFS; state: 0 = unvisited, 1 = in
   // progress (cycle detection), 2 = done.
   ancestors_.assign(n, {});
@@ -111,38 +105,15 @@ bool Dictionary::IsAncestorOrSelf(ItemId anc, ItemId item) const {
   return std::binary_search(a.begin(), a.end(), anc);
 }
 
-std::vector<ItemId> Dictionary::DescendantsOf(ItemId w) const {
-  std::vector<ItemId> result;
-  std::vector<ItemId> stack = {w};
-  std::vector<bool> seen(size() + 1, false);
-  seen[w] = true;
-  while (!stack.empty()) {
-    ItemId u = stack.back();
-    stack.pop_back();
-    result.push_back(u);
-    for (ItemId c : children_[u - 1]) {
-      if (!seen[c]) {
-        seen[c] = true;
-        stack.push_back(c);
-      }
-    }
-  }
-  std::sort(result.begin(), result.end());
-  return result;
-}
-
 void Dictionary::ComputeDocFrequencies(const std::vector<Sequence>& db,
                                        int num_workers) {
   size_t n = size();
   std::vector<std::vector<uint64_t>> doc_parts;
-  std::vector<std::vector<uint64_t>> col_parts;
   int workers = std::max(1, num_workers);
   doc_parts.assign(workers, std::vector<uint64_t>(n, 0));
-  col_parts.assign(workers, std::vector<uint64_t>(n, 0));
 
   ParallelShards(db.size(), workers, [&](int w, size_t begin, size_t end) {
     std::vector<uint64_t>& doc = doc_parts[w];
-    std::vector<uint64_t>& col = col_parts[w];
     // Stamp array avoids clearing a seen-set per sequence.
     std::vector<uint32_t> stamp(n + 1, 0);
     uint32_t cur = 0;
@@ -150,7 +121,6 @@ void Dictionary::ComputeDocFrequencies(const std::vector<Sequence>& db,
       ++cur;
       for (ItemId t : db[s]) {
         for (ItemId a : Ancestors(t)) {
-          ++col[a - 1];
           if (stamp[a] != cur) {
             stamp[a] = cur;
             ++doc[a - 1];
@@ -161,12 +131,8 @@ void Dictionary::ComputeDocFrequencies(const std::vector<Sequence>& db,
   });
 
   doc_freq_.assign(n, 0);
-  col_freq_.assign(n, 0);
   for (int w = 0; w < workers; ++w) {
-    for (size_t i = 0; i < n; ++i) {
-      doc_freq_[i] += doc_parts[w][i];
-      col_freq_[i] += col_parts[w][i];
-    }
+    for (size_t i = 0; i < n; ++i) doc_freq_[i] += doc_parts[w][i];
   }
 }
 
@@ -188,12 +154,10 @@ Dictionary Dictionary::RecodeByFrequency(std::vector<Sequence>* db,
   dict.names_.resize(n);
   dict.parents_.resize(n);
   dict.doc_freq_.resize(n);
-  dict.col_freq_.resize(n);
   for (ItemId old = 1; old <= n; ++old) {
     ItemId nw = to_new[old];
     dict.names_[nw - 1] = names_[old - 1];
     dict.doc_freq_[nw - 1] = doc_freq_[old - 1];
-    dict.col_freq_[nw - 1] = col_freq_[old - 1];
     dict.by_name_[names_[old - 1]] = nw;
     std::vector<ItemId> ps;
     ps.reserve(parents_[old - 1].size());
@@ -210,14 +174,6 @@ Dictionary Dictionary::RecodeByFrequency(std::vector<Sequence>* db,
   }
   if (old_to_new != nullptr) *old_to_new = std::move(to_new);
   return dict;
-}
-
-std::vector<ItemId> Dictionary::FrequentItems(uint64_t sigma) const {
-  std::vector<ItemId> result;
-  for (ItemId w = 1; w <= size(); ++w) {
-    if (doc_freq_[w - 1] >= sigma) result.push_back(w);
-  }
-  return result;
 }
 
 bool Dictionary::IsForest() const {

@@ -2,9 +2,9 @@
 //
 // Items are arranged in a directed acyclic graph expressing generalization
 // (e.g. a word generalizes to its lemma and its part-of-speech tag). The
-// dictionary stores, for each item, its name, parents, children, document
-// frequency f(w,D), and the precomputed sorted ancestor set anc(w)
-// (including w itself).
+// dictionary stores, for each item, its name, parents, document frequency
+// f(w,D), and the precomputed sorted ancestor set anc(w) (including w
+// itself).
 //
 // After `RecodeByFrequency`, item ids are *fids*: assigned in order of
 // decreasing document frequency (ties broken by previous id). This realizes
@@ -63,9 +63,6 @@ class Dictionary {
   const std::vector<ItemId>& Parents(ItemId w) const {
     return parents_[w - 1];
   }
-  const std::vector<ItemId>& Children(ItemId w) const {
-    return children_[w - 1];
-  }
 
   /// Ancestors of `w` including `w` itself, sorted ascending by id.
   const std::vector<ItemId>& Ancestors(ItemId w) const {
@@ -75,19 +72,13 @@ class Dictionary {
   /// True iff `anc` is an ancestor of `item` or equal to it (item =>* anc).
   bool IsAncestorOrSelf(ItemId anc, ItemId item) const;
 
-  /// Descendants of `w` including `w`, sorted ascending (computed on demand).
-  std::vector<ItemId> DescendantsOf(ItemId w) const;
-
   /// Document frequency f(w,D): number of input sequences containing an item
   /// that generalizes to w (computed by ComputeDocFrequencies).
   uint64_t DocFrequency(ItemId w) const { return doc_freq_[w - 1]; }
 
-  /// Total number of occurrences of w or its descendants across the database.
-  uint64_t CollectionFrequency(ItemId w) const { return col_freq_[w - 1]; }
-
-  /// Computes document and collection frequencies over `db` (sequences of
-  /// item ids of *this* dictionary). Frequencies of ancestors are included:
-  /// an occurrence of t counts for every item in anc(t).
+  /// Computes document frequencies over `db` (sequences of item ids of
+  /// *this* dictionary). Frequencies of ancestors are included: a sequence
+  /// containing t counts once for every item in anc(t).
   void ComputeDocFrequencies(const std::vector<Sequence>& db,
                              int num_workers = 1);
 
@@ -97,9 +88,6 @@ class Dictionary {
   /// old id; entry 0 unused).
   Dictionary RecodeByFrequency(std::vector<Sequence>* db,
                                std::vector<ItemId>* old_to_new = nullptr) const;
-
-  /// All items with DocFrequency >= sigma (the "f-list"), ascending by id.
-  std::vector<ItemId> FrequentItems(uint64_t sigma) const;
 
   /// True if no item has more than one parent (forest-shaped hierarchy).
   bool IsForest() const;
@@ -111,14 +99,12 @@ class Dictionary {
  private:
   friend class DictionaryBuilder;
 
-  void BuildDerivedData();  // children, ancestors; validates acyclicity
+  void BuildDerivedData();  // ancestors; validates acyclicity
 
   std::vector<std::string> names_;
   std::vector<std::vector<ItemId>> parents_;
-  std::vector<std::vector<ItemId>> children_;
   std::vector<std::vector<ItemId>> ancestors_;
   std::vector<uint64_t> doc_freq_;
-  std::vector<uint64_t> col_freq_;
   std::unordered_map<std::string, ItemId> by_name_;
 };
 

@@ -1,6 +1,5 @@
 #include "src/dist/distributed.h"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -206,12 +205,6 @@ DistributedResult RunDistributedMining(size_t num_inputs, const MapFn& map_fn,
   DataflowJob job(options);
   return MakeChainedResult(
       RunMiningRound(job, num_inputs, map_fn, combine, reduce_fn), job);
-}
-
-size_t DistinctSequences(std::vector<Sequence> sequences) {
-  std::sort(sequences.begin(), sequences.end());
-  return static_cast<size_t>(
-      std::unique(sequences.begin(), sequences.end()) - sequences.begin());
 }
 
 }  // namespace dseq

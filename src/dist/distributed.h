@@ -138,10 +138,6 @@ MiningResult MinePartitionInput(const DfsInput& input,
                                 const DesqDfsOptions& options,
                                 size_t num_records, int64_t store_start_ns);
 
-/// Number of distinct sequences in `sequences` (order-insensitive). Used for
-/// distinct-sequence support accounting in tests and diagnostics.
-size_t DistinctSequences(std::vector<Sequence> sequences);
-
 }  // namespace dseq
 
 #endif  // DSEQ_DIST_DISTRIBUTED_H_

@@ -59,49 +59,4 @@ void Fst::ComputeOutput(const Transition& tr, ItemId t, const Dictionary& dict,
   }
 }
 
-std::string Fst::DebugString(const Dictionary& dict) const {
-  std::string out = "FST initial=q" + std::to_string(initial_) + " finals={";
-  for (StateId q = 0; q < num_states(); ++q) {
-    if (final_[q]) out += " q" + std::to_string(q);
-  }
-  out += " }\n";
-  for (StateId q = 0; q < num_states(); ++q) {
-    for (const Transition& tr : from_[q]) {
-      out += "  q" + std::to_string(tr.from) + " -> q" + std::to_string(tr.to) +
-             "  in=";
-      switch (tr.in_kind) {
-        case InputKind::kAny:
-          out += ".";
-          break;
-        case InputKind::kDescendants:
-          out += "desc(" + dict.Name(tr.in_item) + ")";
-          break;
-        case InputKind::kExact:
-          out += dict.Name(tr.in_item) + "=";
-          break;
-      }
-      out += " out=";
-      switch (tr.out_kind) {
-        case OutputKind::kEpsilon:
-          out += "eps";
-          break;
-        case OutputKind::kSelf:
-          out += "self";
-          break;
-        case OutputKind::kAncestors:
-          out += "anc";
-          break;
-        case OutputKind::kAncestorsUpTo:
-          out += "anc<=" + dict.Name(tr.out_item);
-          break;
-        case OutputKind::kConstant:
-          out += "const(" + dict.Name(tr.out_item) + ")";
-          break;
-      }
-      out += "\n";
-    }
-  }
-  return out;
-}
-
 }  // namespace dseq

@@ -14,7 +14,6 @@
 #define DSEQ_FST_FST_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/dict/dictionary.h"
@@ -75,9 +74,6 @@ class Fst {
   /// (sorted ascending). Empty result means ε. Asserts Matches(tr, t).
   void ComputeOutput(const Transition& tr, ItemId t, const Dictionary& dict,
                      Sequence* out) const;
-
-  /// Human-readable dump for debugging.
-  std::string DebugString(const Dictionary& dict) const;
 
  private:
   StateId initial_ = 0;

@@ -71,18 +71,4 @@ SequenceDatabase ReadTextDatabaseFromFiles(const std::string& sequence_path,
   return ReadTextDatabase(sequences, &hierarchy);
 }
 
-void WriteTextDatabase(const SequenceDatabase& db, std::ostream& out) {
-  for (const Sequence& seq : db.sequences) {
-    out << db.FormatSequence(seq) << '\n';
-  }
-}
-
-void WriteTextHierarchy(const Dictionary& dict, std::ostream& out) {
-  for (ItemId w = 1; w <= dict.size(); ++w) {
-    for (ItemId p : dict.Parents(w)) {
-      out << dict.Name(w) << ' ' << dict.Name(p) << '\n';
-    }
-  }
-}
-
 }  // namespace dseq

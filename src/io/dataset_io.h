@@ -27,11 +27,6 @@ SequenceDatabase ReadTextDatabase(std::istream& sequences,
 SequenceDatabase ReadTextDatabaseFromFiles(const std::string& sequence_path,
                                            const std::string& hierarchy_path);
 
-/// Writes sequences as item-name lines; `WriteTextHierarchy` writes one
-/// "child parent" line per hierarchy edge.
-void WriteTextDatabase(const SequenceDatabase& db, std::ostream& out);
-void WriteTextHierarchy(const Dictionary& dict, std::ostream& out);
-
 }  // namespace dseq
 
 #endif  // DSEQ_IO_DATASET_IO_H_

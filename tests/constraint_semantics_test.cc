@@ -9,7 +9,6 @@
 #include "src/core/grid.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
-#include "src/fst/dot_export.h"
 
 namespace dseq {
 namespace {
@@ -165,27 +164,6 @@ TEST(ConstraintSemanticsTest, A1StyleGapConstraint) {
   EXPECT_TRUE(c.empty());  // 'deal' is the only NOUN in range
   auto c2 = mini.Candidates(pattern, 2);  // alice is a professor: one noun
   EXPECT_TRUE(c2.empty());
-}
-
-TEST(ConstraintSemanticsTest, FstDotExportContainsStructure) {
-  MiniCorpus mini;
-  Fst fst = CompileFst(".* (ENTITY^ be^=) DET? (ADV? ADJ? NOUN) .*",
-                       mini.db.dict);
-  std::string dot = FstToDot(fst, mini.db.dict);
-  EXPECT_NE(dot.find("digraph fst"), std::string::npos);
-  EXPECT_NE(dot.find("doublecircle"), std::string::npos);
-  EXPECT_NE(dot.find("anc<=ENTITY"), std::string::npos);
-  EXPECT_NE(dot.find("be"), std::string::npos);
-}
-
-TEST(ConstraintSemanticsTest, NfaDotExportContainsLabels) {
-  OutputNfa nfa;
-  nfa.AddLabelString({{1}, {1, 2}});
-  nfa.Canonicalize();
-  SequenceDatabase db = MakeRunningExample();
-  std::string dot = NfaToDot(nfa, db.dict);
-  EXPECT_NE(dot.find("digraph nfa"), std::string::npos);
-  EXPECT_NE(dot.find("{b,A}"), std::string::npos);
 }
 
 }  // namespace

@@ -75,20 +75,6 @@ TEST(DictionaryTest, DagAncestorsDeduplicated) {
   EXPECT_FALSE(dict.IsAncestorOrSelf(x, p));
 }
 
-TEST(DictionaryTest, DescendantsOf) {
-  DictionaryBuilder builder;
-  ItemId a1 = builder.AddItem("a1");
-  ItemId a2 = builder.AddItem("a2");
-  ItemId a = builder.AddItem("A");
-  ItemId b = builder.AddItem("b");
-  builder.AddParent(a1, a);
-  builder.AddParent(a2, a);
-  Dictionary dict = builder.Build();
-
-  EXPECT_EQ(dict.DescendantsOf(a), (std::vector<ItemId>{a1, a2, a}));
-  EXPECT_EQ(dict.DescendantsOf(b), (std::vector<ItemId>{b}));
-}
-
 TEST(DictionaryTest, DocFrequenciesCountAncestorsOncePerSequence) {
   DictionaryBuilder builder;
   ItemId a1 = builder.AddItem("a1");
@@ -100,8 +86,6 @@ TEST(DictionaryTest, DocFrequenciesCountAncestorsOncePerSequence) {
   dict.ComputeDocFrequencies(db);
   EXPECT_EQ(dict.DocFrequency(a1), 2u);  // sequences 0 and 1
   EXPECT_EQ(dict.DocFrequency(a), 3u);   // all three
-  EXPECT_EQ(dict.CollectionFrequency(a1), 3u);
-  EXPECT_EQ(dict.CollectionFrequency(a), 4u);
 }
 
 TEST(DictionaryTest, ParallelFrequenciesMatchSerial) {
@@ -125,7 +109,6 @@ TEST(DictionaryTest, ParallelFrequenciesMatchSerial) {
   parallel.ComputeDocFrequencies(db, 4);
   for (ItemId w = 1; w <= dict.size(); ++w) {
     EXPECT_EQ(serial.DocFrequency(w), parallel.DocFrequency(w));
-    EXPECT_EQ(serial.CollectionFrequency(w), parallel.CollectionFrequency(w));
   }
 }
 
@@ -164,14 +147,6 @@ TEST(DictionaryTest, RecodeRewritesSequences) {
   // T1 = a1 c d c b.
   EXPECT_EQ(db.FormatSequence(db.sequences[0]), "a1 c d c b");
   EXPECT_EQ(db.FormatSequence(db.sequences[1]), "e e a1 e a1 e b");
-}
-
-TEST(DictionaryTest, FrequentItems) {
-  SequenceDatabase db = MakeRunningExample();
-  std::vector<ItemId> flist = db.dict.FrequentItems(2);
-  // b, A, d, a1, c are frequent at sigma=2; e, a2 are not.
-  EXPECT_EQ(flist.size(), 5u);
-  EXPECT_EQ(flist.back(), db.dict.ItemByName("c"));
 }
 
 TEST(DictionaryTest, ForestDetection) {

@@ -139,11 +139,6 @@ TEST(DistShuffleTest, PivotPartitioningShufflesLessThanNaive) {
   EXPECT_LT(r_dcand.metrics.shuffle_bytes, r_naive.metrics.shuffle_bytes);
 }
 
-TEST(DistributedHelpersTest, DistinctSequencesCountsDistinct) {
-  EXPECT_EQ(DistinctSequences({}), 0u);
-  EXPECT_EQ(DistinctSequences({{1, 2}, {1, 2}, {2, 1}, {3}}), 3u);
-}
-
 TEST(DistributedHelpersTest, PivotKeyRoundTrip) {
   for (ItemId pivot : {ItemId{1}, ItemId{127}, ItemId{128}, ItemId{65536}}) {
     EXPECT_EQ(DecodePivotKey(EncodePivotKey(pivot)), pivot);

@@ -193,13 +193,5 @@ TEST(FstSemanticsTest, EmptySequenceAcceptedOnlyByNullablePattern) {
   EXPECT_FALSE(g2.HasAcceptingRun());
 }
 
-TEST(FstSemanticsTest, DebugStringMentionsStates) {
-  SequenceDatabase db = MakeRunningExample();
-  Fst fst = CompileFst(kPatternEx, db.dict);
-  std::string dump = fst.DebugString(db.dict);
-  EXPECT_NE(dump.find("FST initial=q"), std::string::npos);
-  EXPECT_NE(dump.find("desc(A)"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace dseq

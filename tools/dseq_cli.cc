@@ -66,6 +66,11 @@
 
 namespace {
 
+// Upper bound of --workers. A run allocates workers x workers shuffle buckets
+// and starts one thread (or, under --backend proc, one process) per worker
+// and phase, so a typo such as --workers 100000 must fail at parse time.
+constexpr int kMaxWorkers = 1024;
+
 // Every --algorithm main() has a branch for.
 const char* const kAlgorithms[] = {"dseq",       "dcand",    "naive",
                                    "semi-naive", "desq-dfs", "desq-count",
@@ -111,7 +116,7 @@ struct Args {
       "  --algorithm A      dseq | dcand | naive | semi-naive |\n"
       "                     desq-dfs | desq-count | prefix-span\n"
       "                     (default dseq)\n"
-      "  --workers N        map/reduce workers (default: hardware)\n"
+      "  --workers N        map/reduce workers, 1..%d (default: hardware)\n"
       "  --limit N          print at most N sequences (default: all)\n"
       "  --stats            print dataset and run statistics to stderr\n"
       "                     (per-round metrics for --balance runs)\n"
@@ -143,7 +148,8 @@ struct Args {
       "                     --backend proc the workers' spans are merged in)\n"
       "  --metrics-json FILE\n"
       "                     write the run's metrics — dataflow counters plus\n"
-      "                     the histogram/counter registry — as JSON\n");
+      "                     the histogram/counter registry — as JSON\n",
+      kMaxWorkers);
   std::exit(2);
 }
 
@@ -203,7 +209,7 @@ Args ParseArgs(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       args.workers = static_cast<int>(
-          ParseUnsigned("--workers", need_value("--workers"), INT32_MAX));
+          ParseUnsigned("--workers", need_value("--workers"), kMaxWorkers));
       if (args.workers <= 0) Usage("--workers must be positive");
     } else if (std::strcmp(argv[i], "--limit") == 0) {
       args.limit = ParseUnsigned("--limit", need_value("--limit"), UINT64_MAX);

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Repo-specific lint for dseq (run by the lint CI job and by hand).
+"""Repo-specific lint for dseq (run by the lint CI job, the `lint_tree` ctest
+entry and by hand).
 
 Rules (suppress a finding with a `// dseq-lint: allow(<rule>)` comment on
 the offending line or the line above it):
